@@ -1,7 +1,7 @@
 // perfbench_driver — runs one benchmark workload and prints its metrics.
 //
 //   perfbench_driver --workload fleet_1400 --seed 1 --seconds 10 --trace 0
-//                    [--work-dir DIR]
+//                    --work-dir DIR
 //
 // Prints a context line, one "name value unit" line per metric, and as
 // its last line one JSON object:
@@ -39,7 +39,7 @@ std::string number(double v) {
 int usage() {
   std::fprintf(stderr,
                "usage: perfbench_driver --workload NAME --seed N --seconds S "
-               "--trace 0|1 [--work-dir DIR]\n");
+               "--trace 0|1 --work-dir DIR\n");
   return 1;
 }
 
@@ -47,10 +47,10 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::map<std::string, std::string> args = {
-      {"--seed", "1"}, {"--seconds", "10"}, {"--trace", "0"},
-      {"--work-dir", ".bench_build/work"}};
+      {"--seed", "1"}, {"--seconds", "10"}, {"--trace", "0"}};
   for (int i = 1; i + 1 < argc; i += 2) args[argv[i]] = argv[i + 1];
-  if (argc % 2 == 0 || !args.count("--workload")) return usage();
+  if (argc % 2 == 0 || !args.count("--workload") || !args.count("--work-dir"))
+    return usage();
 
   const std::string build_type = PERFBENCH_BUILD_TYPE;
 #ifndef NDEBUG

@@ -1,6 +1,7 @@
 // The benchmark's own tests: the statistics on synthetic data, open-loop
-// lateness accounting with an injected stall, and a 35-node smoke of every
-// workload that runs all of its correctness checks.
+// lateness accounting with an injected stall, a 35-node smoke of every
+// workload that runs all of its correctness checks, and a run whose scrapes
+// all fail, which must come back incorrect.
 //
 //   perfbench_test [--no-smoke]
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <string>
 
 #include "common/logging.h"
+#include "faults/plan.h"
 #include "stats.h"
 #include "workloads.h"
 
@@ -146,6 +148,29 @@ void smoke(const std::string& name) {
   }
 }
 
+// Every scrape fails: the run must come back incorrect, naming the scrapes.
+void failed_scrapes_fail_the_run() {
+  perfbench::WorkloadSpec spec = perfbench::workload_spec("fleet_1400", 2);
+  spec.nodes = 35;
+  spec.idle_probe_s = 0.5;
+  perfbench::RunOptions options;
+  options.work_dir = ".bench_build/test/failed-scrapes";
+  std::filesystem::create_directories(options.work_dir);
+  options.fault_plan = std::make_shared<ceems::faults::FaultPlan>(7);
+  ceems::faults::SiteFaults always;
+  always.unavailable = 1.0;
+  options.fault_plan->configure("scrape.target", always);
+  perfbench::RunResult result = perfbench::run_workload(spec, options);
+  CHECK(!result.correct);
+  CHECK(result.failed > 0);
+  bool named = false;
+  for (const auto& failure : result.failures)
+    named = named || failure.find("scrapes failed") != std::string::npos;
+  CHECK(named);
+  std::filesystem::remove_all(options.work_dir);
+  std::printf("failed scrapes -> correct=%d\n", result.correct);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -156,6 +181,7 @@ int main(int argc, char** argv) {
   test_open_loop_stall();
   if (run_smoke) {
     for (const auto& name : perfbench::workload_names()) smoke(name);
+    failed_scrapes_fail_the_run();
   }
   std::printf("%s (%d failed checks)\n", g_failures ? "FAIL" : "PASS",
               g_failures);

@@ -6,14 +6,20 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+namespace ceems::faults {
+class FaultPlan;
+}
+
 namespace perfbench {
 
+// Every field is set by workload_spec(); see its table of workloads.
 struct WorkloadSpec {
   std::string name;
-  int nodes = 350;
+  int nodes = 0;
   // Simulated warm-up before measuring; a multiple of 5 minutes, so the
   // measured span starts half-way through a compaction window.
   int64_t warmup_ms = 0;
@@ -30,11 +36,15 @@ struct WorkloadSpec {
   // time by 2.5x between runs; the simulated directory keeps every WAL
   // code path and the commit count, without the host's disk.)
   bool durable = false;
-  // Open-loop rates, per second: Fig. 2c range queries (three per panel)
-  // and Fig. 2a/2b API-server requests, one sender thread each.
-  double query_rate = 60;
-  double api_rate = 100;
-  int recovery_repeats = 5;
+  // Open-loop rate of Fig. 2c range queries per second (three per panel);
+  // Fig. 2a/2b API-server requests run at a third of it. One sender thread
+  // each.
+  double query_rate = 0;
+  // Set-ups (construction + warm-up) whose median is setup_s: the first
+  // one's stack is measured, the others run at the end of the run. And
+  // recoveries, whose fastest is recovery_s.
+  int setup_repeats = 0;
+  int recovery_repeats = 0;
 };
 
 // The named workload, with its measured span set from --seconds.
@@ -54,6 +64,9 @@ struct RunOptions {
   // Scratch directory for the stack log, request timings and spans; must
   // exist and be writable.
   std::string work_dir;
+  // Installed on the stack when set; the benchmark's own tests use it to
+  // make scrapes fail.
+  std::shared_ptr<ceems::faults::FaultPlan> fault_plan;
 };
 
 struct RunResult {
