@@ -8,6 +8,8 @@
 //   {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 // with the end-to-end metrics (--trace 0) or the per-layer ones (--trace 1).
 // Exits 1 on a usage error, 3 when the build is not a Release build.
+// A run starts this program again with --recover to time its recoveries
+// (perfbench::recovery_main()).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -46,6 +48,8 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 1 && std::string(argv[1]) == perfbench::kRecoverFlag)
+    return perfbench::recovery_main(argc, argv);
   std::map<std::string, std::string> args = {
       {"--seed", "1"}, {"--seconds", "10"}, {"--trace", "0"}};
   for (int i = 1; i + 1 < argc; i += 2) args[argv[i]] = argv[i + 1];

@@ -1,7 +1,7 @@
 // The benchmark's own tests: the statistics on synthetic data, open-loop
-// lateness accounting with an injected stall, a 35-node smoke of every
-// workload that runs all of its correctness checks, and a run whose scrapes
-// all fail, which must come back incorrect.
+// lateness accounting with an injected stall, the reference kernel's fixed
+// work, a 35-node smoke of every workload that runs all of its correctness
+// checks, and a run whose scrapes all fail, which must come back incorrect.
 //
 //   perfbench_test [--no-smoke]
 #include <cmath>
@@ -13,6 +13,7 @@
 
 #include "common/logging.h"
 #include "faults/plan.h"
+#include "reference.h"
 #include "stats.h"
 #include "workloads.h"
 
@@ -101,6 +102,17 @@ void test_open_loop_stall() {
   CHECK(near(perfbench::latency_percentile_ms(timings, 50), 1, 1e-6));
 }
 
+void test_reference_kernel() {
+  // The same fixed work every time: two kernels agree run for run.
+  perfbench::ReferenceKernel a, b;
+  for (int i = 0; i < 2; ++i) {
+    const double ta = a.run(), tb = b.run();
+    CHECK(ta > 0 && tb > 0 && std::isfinite(ta) && std::isfinite(tb));
+  }
+  CHECK(a.checksum() == b.checksum());
+  CHECK(a.checksum() != 0);
+}
+
 void smoke(const std::string& name) {
   for (bool trace : {false, true}) {
     perfbench::WorkloadSpec spec = perfbench::workload_spec(name, 10);
@@ -127,8 +139,10 @@ void smoke(const std::string& name) {
         CHECK(std::isfinite(it->second.value) && it->second.value > 0);
       }
     }
-    for (const char* metric : {"generation_peak_s", "query_p50_ms",
-                               "query_p99_ms", "api_p50_ms", "api_p99_ms"}) {
+    for (const char* metric :
+         {"generation.wall_p50_s", "reference.wall_p50_s", "setup.wall_s",
+          "recovery.wall_s", "generation_peak_s",
+          "query_p50_ms", "query_p99_ms", "api_p50_ms", "api_p99_ms"}) {
       CHECK(result.per_layer.count(metric) &&
             result.per_layer.at(metric).value > 0);
     }
@@ -174,11 +188,14 @@ void failed_scrapes_fail_the_run() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 1 && std::strcmp(argv[1], perfbench::kRecoverFlag) == 0)
+    return perfbench::recovery_main(argc, argv);
   bool run_smoke = !(argc > 1 && std::strcmp(argv[1], "--no-smoke") == 0);
   ceems::common::set_log_level(ceems::common::LogLevel::kWarn);
   test_percentile();
   test_windowed_peak();
   test_open_loop_stall();
+  test_reference_kernel();
   if (run_smoke) {
     for (const auto& name : perfbench::workload_names()) smoke(name);
     failed_scrapes_fail_the_run();

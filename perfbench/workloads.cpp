@@ -1,15 +1,22 @@
 #include "workloads.h"
 
 #include <fcntl.h>
+#include <spawn.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -23,6 +30,7 @@
 #include "core/stack.h"
 #include "lb/query_introspect.h"
 #include "simfs/durable_dir.h"
+#include "reference.h"
 #include "stats.h"
 #include "trace.h"
 #include "tsdb/chunk.h"
@@ -50,10 +58,18 @@ constexpr double kJobsPerNodeDay = 700;
 constexpr uint64_t kFleetSeed = 1;
 // Issued queries re-sent after quiescing and compared with eval_range.
 constexpr std::size_t kRecheckQueries = 24;
-// Recoveries run in this many groups, separated by a later set-up or by an
-// idle gap.
-constexpr int kRecoveryGroups = 3;
-constexpr auto kRecoveryGap = std::chrono::seconds(2);
+// The timed end-to-end metrics are in reference seconds: a wall time
+// divided by the mean of the reference kernel's runs just before and after
+// it, times this nominal kernel time (about the kernel's fastest on a
+// 4-core Xeon VM; it only sets the scale).
+constexpr double kReferenceNominalS = 0.05;
+// Idle time between two recoveries in the recovery process.
+constexpr auto kRecoveryGap = std::chrono::milliseconds(500);
+
+double reference_seconds(double wall_s, double ref_before_s,
+                         double ref_after_s) {
+  return wall_s * kReferenceNominalS / (0.5 * (ref_before_s + ref_after_s));
+}
 
 double seconds_since(SteadyClock::time_point since) {
   return std::chrono::duration<double>(SteadyClock::now() - since).count();
@@ -61,10 +77,24 @@ double seconds_since(SteadyClock::time_point since) {
 
 double mean(double sum, double count) { return count > 0 ? sum / count : 0; }
 
+// Space-separated values, for the context line.
+std::string joined(const std::vector<double>& values) {
+  std::string all;
+  for (double v : values) all += (all.empty() ? "" : " ") + std::to_string(v);
+  return all;
+}
+
 double peak_rss_mb() {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB -> MiB
+}
+
+double rss_mb() {
+  std::ifstream statm("/proc/self/statm");
+  double size = 0, resident = 0;
+  statm >> size >> resident;
+  return resident * static_cast<double>(sysconf(_SC_PAGESIZE)) / (1 << 20);
 }
 
 // Sends the process's stderr, where the stack logs, to a file for the
@@ -132,6 +162,43 @@ StoreDigest digest_of(const tsdb::Queryable& store) {
     ++digest.series;
   }
   return digest;
+}
+
+// The files a recovery starts from, in one file: per entry, the name's and
+// the content's length (u64, host order) followed by their bytes.
+using Bundle = std::vector<std::pair<std::string, std::string>>;
+
+bool write_bundle(const std::string& path, const Bundle& files) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  for (const auto& [name, bytes] : files) {
+    for (const std::string* part : {&name, &bytes}) {
+      const uint64_t size = part->size();
+      out.write(reinterpret_cast<const char*>(&size), sizeof(size));
+      out.write(part->data(), static_cast<std::streamsize>(size));
+    }
+  }
+  return static_cast<bool>(out.flush());
+}
+
+std::optional<Bundle> read_bundle(const std::string& path) {
+  std::error_code error;
+  const uint64_t file_size = std::filesystem::file_size(path, error);
+  std::ifstream in(path, std::ios::binary);
+  if (error || !in) return std::nullopt;
+  Bundle files;
+  auto read_part = [&](std::string& part) {
+    uint64_t size = 0;
+    if (!in.read(reinterpret_cast<char*>(&size), sizeof(size))) return false;
+    if (size > file_size) return false;  // a corrupt length
+    part.resize(size);
+    return static_cast<bool>(
+        in.read(part.data(), static_cast<std::streamsize>(size)));
+  };
+  for (std::string name, bytes; read_part(name);) {
+    if (!read_part(bytes)) return std::nullopt;
+    files.emplace_back(std::move(name), std::move(bytes));
+  }
+  return files;
 }
 
 // Fig. 2c panel queries (dashboard/ceems_dashboards.cpp) and the Fig. 2a/2b
@@ -222,6 +289,9 @@ struct StageSums {
 struct GenerationRecord {
   int64_t sim_ms = 0;
   double wall_s = 0;
+  // Reference kernel wall times just before and after (measured only).
+  double ref_before_s = 0;
+  double ref_after_s = 0;
   bool traced = false;
   bool boundary = false;  // on a 5-minute boundary: compaction/checkpoint
   // Loop-clock interval of the whole generation.
@@ -238,21 +308,28 @@ class Run {
       : spec_(spec),
         options_(options),
         tracer_(options.trace),
-        loop_clock_(steady_loop_clock()) {}
+        loop_clock_(steady_loop_clock()),
+        reference_rss_mb_(rss_mb()),
+        reference_(std::make_unique<ReferenceKernel>()) {
+    // The kernel's inputs stay resident for the whole run; peak_rss_mb
+    // leaves them out.
+    reference_rss_mb_ = rss_mb() - reference_rss_mb_;
+  }
 
   RunResult execute();
 
  private:
   void build();
   void teardown();
-  // Constructs the cluster and stack and warms them up; returns the wall
-  // time it took.
+  // Constructs the cluster and stack and warms them up; returns the time
+  // it took in reference seconds (the wall time goes to setup_walls_).
   double set_up();
   // The measured phase of a set-up stack, its checks and metrics. Returns
   // false when there is nothing to measure.
   bool measure();
   // One monitoring generation (sim.step excluded from the wall time).
-  // Returns its record; measured ones are also kept in generations_.
+  // A measured one (trace_id >= 0; warm-up passes -1) is bracketed by two
+  // runs of the reference kernel. Returns its record.
   GenerationRecord generation(bool traced, int64_t trace_id);
   std::vector<Owner> running_owners();
   std::vector<double> schedule(bool queries, double start_s, double span_s,
@@ -264,11 +341,15 @@ class Run {
   void check_power_series();
   void recheck_queries();
   void read_path_probe();
-  // recovery_s: keeps what the measured stack recovers from (its durable
-  // directory or hot-store snapshot, and a digest of its hot store), so
-  // recover() can time `repeats` recoveries of it after the stack is gone.
+  // recovery_s: writes what the measured stack recovers from (its durable
+  // directory's files or its hot-store snapshot) to a file and keeps a
+  // digest of its hot store, so recover() can time `repeats` recoveries of
+  // it, each bracketed by two reference runs.
   void prepare_recovery();
   void recover(int repeats);
+  std::string recovery_bundle() const {
+    return options_.work_dir + "/recovery.bin";
+  }
   // A generation at simulated time `now` on a 5-minute boundary compacts
   // (and, in the durable workload, checkpoints).
   static bool on_boundary(int64_t now) { return now % kWindowMs == 0; }
@@ -308,6 +389,8 @@ class Run {
   const RunOptions options_;
   Tracer tracer_;
   LoopClock loop_clock_;
+  double reference_rss_mb_;
+  std::unique_ptr<ReferenceKernel> reference_;
   RunResult result_;
 
   std::shared_ptr<common::SimClock> clock_;
@@ -326,10 +409,9 @@ class Run {
   uint64_t checkpoint_attempts_ = 0, checkpoint_failures_ = 0;
   uint64_t rules_per_evaluation_ = 0, evaluations_ = 0;
   int64_t last_generation_ms_ = 0;
-  simfs::DurableDirPtr recovery_dir_;
-  std::string recovery_snapshot_;
   StoreDigest recovery_live_;
-  std::vector<double> recovery_times_;
+  std::vector<double> recovery_walls_, recovery_times_;  // raw, normalised
+  std::vector<double> setup_walls_;
 };
 
 void Run::build() {
@@ -391,6 +473,8 @@ GenerationRecord Run::generation(bool traced, int64_t trace_id) {
   last_generation_ms_ = now;
   ++evaluations_;
 
+  const bool measured = trace_id >= 0;
+  if (measured) record.ref_before_s = reference_->run();
   record.from_s = loop_clock_.now_s();
   auto start = SteadyClock::now();
   if (!traced) {
@@ -405,6 +489,7 @@ GenerationRecord Run::generation(bool traced, int64_t trace_id) {
     }
     record.wall_s = seconds_since(start);
     record.to_s = loop_clock_.now_s();
+    if (measured) record.ref_after_s = reference_->run();
     return record;
   }
 
@@ -450,6 +535,7 @@ GenerationRecord Run::generation(bool traced, int64_t trace_id) {
   tracer_.end(gen);
   record.wall_s = tracer_.duration_s(gen);
   record.to_s = loop_clock_.now_s();
+  record.ref_after_s = reference_->run();
   sums_.gap_s += record.wall_s - children;
   sums_.traced += 1;
   sums_.scrape_samples += static_cast<double>(scrape.samples_ingested);
@@ -748,56 +834,113 @@ void Run::read_path_probe() {
 
 void Run::prepare_recovery() {
   recovery_live_ = digest_of(*stack_->hot_store());
+  std::vector<std::pair<std::string, std::string>> files;
   if (spec_.durable) {
-    recovery_dir_ = durable_dir_;
+    for (const auto& name : durable_dir_->list())
+      files.emplace_back(name, durable_dir_->read(name).value_or(""));
   } else {
-    recovery_snapshot_ = stack_->hot_store()->snapshot_bytes();
+    files.emplace_back("snapshot", stack_->hot_store()->snapshot_bytes());
   }
+  if (!write_bundle(recovery_bundle(), files))
+    fail("recovery: cannot write " + recovery_bundle());
   result_.context["recovered_series"] = std::to_string(recovery_live_.series);
   result_.context["recovered_samples"] =
       std::to_string(recovery_live_.samples);
 }
 
 void Run::recover(int repeats) {
-  // The durable workload runs DurableTsdb::open() on a fresh store over the
-  // run's durable directory (snapshot restore + WAL replay). The in-memory
-  // ones have no directory; they time the snapshot half of open(),
-  // TimeSeriesStore::restore_from_bytes(), of the final hot store.
-  for (int rep = 0; rep < repeats; ++rep) {
-    auto store = std::make_shared<tsdb::TimeSeriesStore>();
-    auto t = SteadyClock::now();
-    if (spec_.durable) {
-      auto opened = tsdb::DurableTsdb(store, recovery_dir_).open();
-      if (!opened.replay.error.empty())
-        fail("recovery: open() reported: " + opened.replay.error);
-    } else if (!store->restore_from_bytes(recovery_snapshot_)) {
-      fail("recovery: the hot store's snapshot did not restore");
+  // A restart recovers in a fresh process, so the recoveries run in one:
+  // this program again, started with --recover (see recovery_main()). Its
+  // heap holds nothing of this run's history.
+  const std::string out_path = options_.work_dir + "/recovery.out";
+  const std::string repeats_arg = std::to_string(repeats);
+  const std::string durable_arg = spec_.durable ? "1" : "0";
+  const std::string bundle = recovery_bundle();
+  std::vector<char*> argv = {const_cast<char*>("perfbench-recovery"),
+                             const_cast<char*>(kRecoverFlag),
+                             const_cast<char*>(bundle.c_str()),
+                             const_cast<char*>(durable_arg.c_str()),
+                             const_cast<char*>(repeats_arg.c_str()), nullptr};
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, 1, out_path.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  pid_t pid = -1;
+  const int spawned = posix_spawn(&pid, "/proc/self/exe", &actions, nullptr,
+                                  argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  int status = 0;
+  if (spawned == 0) {
+    while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
     }
-    recovery_times_.push_back(seconds_since(t));
-    if (recovery_times_.size() == 1 && !(digest_of(*store) == recovery_live_))
-      fail("recovery: the recovered store differs from the live hot store");
+  }
+  std::filesystem::remove(bundle);
+  if (spawned != 0 || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    fail("recovery: the recovery process failed (see " + out_path + ")");
+    return;
+  }
+
+  std::ifstream in(out_path);
+  StoreDigest recovered;
+  bool have_digest = false;
+  for (std::string kind; in >> kind;) {
+    if (kind == "digest") {
+      have_digest = static_cast<bool>(in >> recovered.series >>
+                                      recovered.samples >> recovered.hash);
+    } else if (kind == "sample") {
+      double wall = 0, ref_before = 0, ref_after = 0;
+      if (!(in >> wall >> ref_before >> ref_after)) break;
+      recovery_walls_.push_back(wall);
+      recovery_times_.push_back(reference_seconds(wall, ref_before, ref_after));
+    } else {
+      break;
+    }
+  }
+  if (!have_digest || static_cast<int>(recovery_times_.size()) != repeats) {
+    fail("recovery: unreadable output in " + out_path);
+  } else if (!(recovered == recovery_live_)) {
+    fail("recovery: the recovered store differs from the live hot store");
   }
 }
 
 double Run::set_up() {
-  auto t = SteadyClock::now();
-  build();
+  // Timed piece by piece (construction, each warm-up generation, the
+  // checkpoint), each piece between two reference runs, so the reference
+  // follows the host's speed through a set-up of many seconds.
+  double wall = 0, normalised = 0;
+  double ref = reference_->run();
+  auto piece = [&](auto&& fn) {
+    auto t = SteadyClock::now();
+    fn();
+    const double piece_s = seconds_since(t);
+    const double ref_after = reference_->run();
+    wall += piece_s;
+    normalised += reference_seconds(piece_s, ref, ref_after);
+    ref = ref_after;
+  };
   // The durable workload warms up with the WAL detached, then checkpoints
   // the warm store and reopens it through DurableTsdb, so the measured
   // generations start from a fresh WAL generation; the warm-up itself is
   // not what it measures.
-  if (spec_.durable) stack_->hot_store()->set_wal(nullptr);
+  piece([&] {
+    build();
+    if (spec_.durable) stack_->hot_store()->set_wal(nullptr);
+  });
   while (clock_->now_ms() < kEpochMs + spec_.warmup_ms) {
-    generation(false, -1);
+    piece([&] { generation(false, -1); });
   }
   if (spec_.durable) {
-    ++checkpoint_attempts_;
-    if (!stack_->durable_tsdb()->checkpoint()) ++checkpoint_failures_;
-    auto opened = stack_->recover_hot_store();
-    if (!opened.replay.error.empty())
-      fail("setup: reopening the warm store reported: " + opened.replay.error);
+    piece([&] {
+      ++checkpoint_attempts_;
+      if (!stack_->durable_tsdb()->checkpoint()) ++checkpoint_failures_;
+      auto opened = stack_->recover_hot_store();
+      if (!opened.replay.error.empty())
+        fail("setup: reopening the warm store reported: " +
+             opened.replay.error);
+    });
   }
-  return seconds_since(t);
+  setup_walls_.push_back(wall);
+  return normalised;
 }
 
 RunResult Run::execute() {
@@ -805,39 +948,33 @@ RunResult Run::execute() {
   rng_ = common::Rng(options_.seed * 0x9E3779B97F4A7C15ULL + 1);
 
   std::vector<double> setups = {set_up()};
+  const double servers_ref = reference_->run();
   auto servers = SteadyClock::now();
   stack_->start_servers();
-  const double servers_s = seconds_since(servers);
+  const double servers_wall = seconds_since(servers);
+  const double servers_s =
+      reference_seconds(servers_wall, servers_ref, reference_->run());
   if (measure()) {
-    // On a shared VM the host's speed shifts between levels about 1.5x
-    // apart every few seconds, so the recoveries run in groups a few
-    // seconds apart: the later set-ups, or an idle gap, separate them.
-    for (int g = 0; g < kRecoveryGroups; ++g) {
-      if (g > 0 && static_cast<int>(setups.size()) < spec_.setup_repeats) {
-        teardown();
-        setups.push_back(set_up());
-      } else if (g > 0) {
-        std::this_thread::sleep_for(kRecoveryGap);
-      }
-      const int left = spec_.recovery_repeats -
-                       static_cast<int>(recovery_times_.size());
-      recover((left + kRecoveryGroups - g - 1) / (kRecoveryGroups - g));
+    recover(spec_.recovery_repeats);
+    while (static_cast<int>(setups.size()) < spec_.setup_repeats) {
+      teardown();
+      setups.push_back(set_up());
     }
-    // The fastest recovery: the work is identical every time, so any slower
-    // one measures the host.
-    e2e("recovery_s",
-        *std::min_element(recovery_times_.begin(), recovery_times_.end()),
-        "s");
+    // The fastest recovery: each one does identical work, so a slower one
+    // measures the host (see recovery_main()); the median of a few samples
+    // jumped between the host's levels from run to run.
+    auto fastest = [](const std::vector<double>& values) {
+      return values.empty() ? std::numeric_limits<double>::quiet_NaN()
+                            : *std::min_element(values.begin(), values.end());
+    };
+    e2e("recovery_s", fastest(recovery_times_), "s");
     e2e("setup_s", median(setups) + servers_s, "s");
+    layer("recovery.wall_s", fastest(recovery_walls_), "s");
+    layer("setup.wall_s", median(setup_walls_) + servers_wall, "s");
   }
-  auto samples = [](const std::vector<double>& values) {
-    std::string all;
-    for (double v : values) all += (all.empty() ? "" : " ") + std::to_string(v);
-    return all;
-  };
-  result_.context["setup_samples_s"] = samples(setups);
-  result_.context["setup_servers_s"] = std::to_string(servers_s);
-  result_.context["recovery_samples_s"] = samples(recovery_times_);
+  result_.context["setup_samples_s"] = joined(setup_walls_);
+  result_.context["setup_servers_s"] = std::to_string(servers_wall);
+  result_.context["recovery_samples_s"] = joined(recovery_walls_);
 
   // Rule evaluations and checkpoints of every set-up and measured
   // generation. Untraced generations see only the rule failures RuleEngine
@@ -883,7 +1020,7 @@ bool Run::measure() {
   } else {
     read_load(spec_.measure_s, /*with_generations=*/true);
   }
-  const double rss_mb = peak_rss_mb();
+  const double peak_mb = peak_rss_mb() - reference_rss_mb_;
   const auto hot_end = stack_->hot_store()->stats();
   const auto wal_after = spec_.durable ? stack_->durable_tsdb()->wal().stats()
                                        : tsdb::WalStats{};
@@ -901,10 +1038,14 @@ bool Run::measure() {
   const double recovery_phase_s = seconds_since(recovery);
 
   // --- end-to-end metrics ---
-  std::vector<double> walls;
+  std::vector<double> walls, normalised, refs;
   std::vector<GenerationSample> samples;
   for (const auto& g : generations_) {
     walls.push_back(g.wall_s);
+    normalised.push_back(
+        reference_seconds(g.wall_s, g.ref_before_s, g.ref_after_s));
+    refs.push_back(g.ref_before_s);
+    refs.push_back(g.ref_after_s);
     samples.push_back({g.sim_ms, g.wall_s});
   }
   std::vector<RequestTiming> queries, calls;
@@ -914,7 +1055,12 @@ bool Run::measure() {
     (r.is_query() ? queries : calls).push_back(timings_[i]);
     if (r.is_query()) query_bytes += static_cast<double>(r.body_bytes);
   }
-  e2e("generation_p50_s", median(walls), "s");
+  e2e("generation_p50_s", median(normalised), "s");
+  layer("generation.wall_p50_s", median(walls), "s");
+  layer("reference.wall_p50_s", median(refs), "s");
+  result_.context["generation_samples_s"] = joined(walls);
+  result_.context["reference_samples_s"] = joined(refs);
+  result_.context["reference_checksum"] = std::to_string(reference_->checksum());
   // The slowest generation of a window and the request latencies swing
   // with the host's load far more than the bounds allow (an open-loop
   // sender that falls behind on a slowed host queues every later request),
@@ -926,7 +1072,7 @@ bool Run::measure() {
   layer("query_p99_ms", latency_percentile_ms(queries, 99), "ms");
   layer("api_p50_ms", latency_percentile_ms(calls, 50), "ms");
   layer("api_p99_ms", latency_percentile_ms(calls, 99), "ms");
-  e2e("peak_rss_mb", rss_mb, "MiB");
+  e2e("peak_rss_mb", peak_mb, "MiB");
 
   // --- attempted / failed operations of the measured stack (execute()
   // adds rule evaluations and checkpoints) ---
@@ -1139,6 +1285,55 @@ WorkloadSpec workload_spec(const std::string& name, double seconds) {
 RunResult run_workload(const WorkloadSpec& spec, const RunOptions& options) {
   Run run(spec, options);
   return run.execute();
+}
+
+int recovery_main(int argc, char** argv) {
+  // perfbench-recovery --recover BUNDLE DURABLE(0|1) REPEATS
+  if (argc != 5 || std::strcmp(argv[1], kRecoverFlag) != 0) return 1;
+  prctl(PR_SET_PDEATHSIG, SIGKILL);  // never outlive the run
+  const bool durable = std::strcmp(argv[3], "1") == 0;
+  const int repeats = std::atoi(argv[4]);
+  const auto files = read_bundle(argv[2]);
+  if (!files || files->empty() || repeats < 1) {
+    std::printf("error unreadable bundle %s\n", argv[2]);
+    return 1;
+  }
+  ReferenceKernel reference;
+  for (int rep = 0; rep < repeats; ++rep) {
+    // Recovery time on a shared VM switches between a fast and a ~1.4x
+    // slower level every few seconds, more than the reference follows; idle
+    // gaps spread the samples over several such periods.
+    if (rep > 0) std::this_thread::sleep_for(kRecoveryGap);
+    // The durable workload runs DurableTsdb::open() on a fresh store over a
+    // copy of the run's durable directory (snapshot restore + WAL replay).
+    // The in-memory ones have no directory; they time the snapshot half of
+    // open(), TimeSeriesStore::restore_from_bytes(), of the final hot store.
+    auto store = std::make_shared<tsdb::TimeSeriesStore>();
+    auto dir = std::make_shared<simfs::SimDurableDir>();
+    if (durable) {
+      for (const auto& [name, bytes] : *files) dir->replace(name, bytes);
+    }
+    const double ref_before = reference.run();
+    auto t = SteadyClock::now();
+    if (durable) {
+      auto opened = tsdb::DurableTsdb(store, dir).open();
+      if (!opened.replay.error.empty()) {
+        std::printf("error open() reported: %s\n", opened.replay.error.c_str());
+        return 1;
+      }
+    } else if (!store->restore_from_bytes(files->front().second)) {
+      std::printf("error the hot store's snapshot did not restore\n");
+      return 1;
+    }
+    const double wall = seconds_since(t);
+    std::printf("sample %.9f %.9f %.9f\n", wall, ref_before, reference.run());
+    if (rep == 0) {
+      const StoreDigest digest = digest_of(*store);
+      std::printf("digest %zu %zu %llu\n", digest.series, digest.samples,
+                  static_cast<unsigned long long>(digest.hash));
+    }
+  }
+  return 0;
 }
 
 }  // namespace perfbench

@@ -42,7 +42,8 @@ struct WorkloadSpec {
   double query_rate = 0;
   // Set-ups (construction + warm-up) whose median is setup_s: the first
   // one's stack is measured, the others run at the end of the run. And
-  // recoveries, whose fastest is recovery_s.
+  // recoveries, 0.5 s apart in a child process, whose fastest is
+  // recovery_s.
   int setup_repeats = 0;
   int recovery_repeats = 0;
 };
@@ -80,5 +81,12 @@ struct RunResult {
 };
 
 RunResult run_workload(const WorkloadSpec& spec, const RunOptions& options);
+
+// run_workload() times recoveries in a child process: the running program
+// started again with this flag as its first argument. A program that calls
+// run_workload() must hand such a call to recovery_main() and return its
+// exit code.
+inline constexpr const char* kRecoverFlag = "--recover";
+int recovery_main(int argc, char** argv);
 
 }  // namespace perfbench
