@@ -26,10 +26,14 @@
 #include "common/clock.h"
 #include "common/rng.h"
 #include "common/threadpool.h"
+#include "core/rules_library.h"
 #include "metrics/text_format.h"
+#include "simfs/durable_dir.h"
 #include "tsdb/longterm.h"
 #include "tsdb/promql_eval.h"
+#include "tsdb/rules.h"
 #include "tsdb/scrape.h"
+#include "tsdb/wal.h"
 
 using namespace ceems;
 using tsdb::TimeSeriesStore;
@@ -710,6 +714,142 @@ void BM_scrape_ingest_e2e_legacy(benchmark::State& state) {
       static_cast<double>(samples), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_scrape_ingest_e2e_legacy)->Unit(benchmark::kMillisecond);
+
+// A fixed Jean-Zay-shaped fleet for the rule pass: every node group, two
+// resident jobs per node, GPUs and eBPF traffic, values that move every
+// pass but never cross an alert threshold — so each pass writes the same
+// rule outputs and the per-pass counters are exact.
+struct RuleFleet {
+  struct Series {
+    metrics::InternedLabels labels;
+    double base = 0;     // gauge level, or counter rate per second
+    bool counter = false;
+  };
+  std::vector<std::vector<Series>> nodes;  // one append batch per node
+
+  explicit RuleFleet(int node_count) {
+    static const char* kGroups[] = {"intel-cpu", "amd-cpu", "gpu-incl",
+                                    "gpu-excl"};
+    for (int n = 0; n < node_count; ++n) {
+      std::string host = "jz" + std::to_string(n);
+      std::string group = kGroups[n % 4];
+      metrics::Labels base{{"hostname", host},
+                           {"instance", host + ":9010"},
+                           {"nodegroup", group}};
+      std::vector<Series> node;
+      auto add = [&](const metrics::Labels& labels, const char* name,
+                     double value, bool counter) {
+        node.push_back({metrics::InternedLabels(labels.with_name(name)),
+                        value, counter});
+      };
+      add(base, "up", 1, false);
+      add(base, "scrape_duration_seconds", 0.05, false);
+      add(base, "ceems_ipmi_dcmi_current_watts", 400 + n % 50, false);
+      add(base.with("index", "0"), "ceems_rapl_package_joules_total", 150,
+          true);
+      if (group == "intel-cpu" || group == "gpu-incl") {
+        add(base.with("index", "0"), "ceems_rapl_dram_joules_total", 30, true);
+      }
+      for (const char* mode : {"user", "system", "idle", "iowait"}) {
+        add(base.with("cpu", "0").with("mode", mode), "node_cpu_seconds_total",
+            4, true);
+      }
+      add(base, "node_memory_MemTotal_bytes", 256e9, false);
+      add(base, "node_memory_MemAvailable_bytes", 128e9, false);
+      add(base, "ceems_compute_units", 2, false);
+      bool gpu = group == "gpu-incl" || group == "gpu-excl";
+      for (int g = 0; gpu && g < 2; ++g) {
+        std::string gpu_uuid = "GPU-" + host + "-" + std::to_string(g);
+        if (group == "gpu-incl") {
+          auto dev = base.with("UUID", gpu_uuid).with("gpu", std::to_string(g));
+          add(dev, "DCGM_FI_DEV_POWER_USAGE", 200, false);
+          add(dev, "DCGM_FI_DEV_GPU_UTIL", 80, false);
+        } else {
+          add(base.with("gpu_id", std::to_string(g)), "amd_gpu_power", 2e8,
+              false);
+        }
+      }
+      for (int j = 0; j < 2; ++j) {
+        auto unit = base.with("uuid", host + "-" + std::to_string(j));
+        add(unit, "ceems_compute_unit_cpu_usage_seconds_total", 1 + j, true);
+        add(unit, "ceems_compute_unit_memory_current_bytes", 8e9 * (j + 1),
+            false);
+        add(unit, "ceems_compute_unit_network_tx_bytes_total", 1e6, true);
+        add(unit, "ceems_compute_unit_network_rx_bytes_total", 2e6, true);
+        if (gpu) {
+          std::string g = std::to_string(j);
+          add(unit.with("gpu_uuid", "GPU-" + host + "-" + g).with("index", g),
+              "ceems_compute_unit_gpu_index_flag", 1, false);
+        }
+      }
+      if (n == 0) {
+        add(metrics::Labels{{"provider", "rte"}}, "ceems_emissions_gCo2_kWh",
+            50, false);
+      }
+      nodes.push_back(std::move(node));
+    }
+  }
+
+  // One scrape of every node at pass `pass` (t = pass * 30 s).
+  void scrape(TimeSeriesStore& store, int pass) const {
+    std::vector<metrics::SampleRef> batch;
+    for (const auto& node : nodes) {
+      batch.clear();
+      for (const auto& series : node) {
+        double v = series.counter ? series.base * 30.0 * pass
+                                  : series.base * (1.0 + 0.01 * (pass % 7));
+        batch.push_back({&series.labels, int64_t{pass} * 30000, v});
+      }
+      store.append_refs(batch.data(), batch.size());
+    }
+  }
+};
+
+// One full rule pass (Eq. 1 library + eBPF refinement + shipped alerts)
+// over a WAL-backed hot store on SimDurableDir. Each rule commits one
+// batch, so wal_groups_per_pass counts the rules that wrote anything
+// (per-sample appends would make it rule_samples_per_pass), and
+// rule_samples_per_pass pins the work each pass does.
+void BM_rule_pass_wal(benchmark::State& state) {
+  auto store = std::make_shared<TimeSeriesStore>();
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  tsdb::DurableTsdb durable(store, dir);
+  durable.open();
+  tsdb::RuleEngine rules(store);
+  for (auto& group : core::jean_zay_rule_groups()) rules.add_group(group);
+  for (auto& group : core::ebpf_network_rules()) rules.add_group(group);
+  for (auto& group : core::ceems_alert_rules()) rules.add_group(group);
+  RuleFleet fleet(64);
+  int pass = 1;
+  // Warm: rate() windows fill after a few scrapes.
+  for (; pass <= 6; ++pass) {
+    fleet.scrape(*store, pass);
+    rules.evaluate_all(int64_t{pass} * 30000);
+  }
+
+  uint64_t groups = 0;
+  uint64_t samples = 0;
+  uint64_t passes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    fleet.scrape(*store, pass);
+    uint64_t groups_before = durable.wal().stats().groups;
+    state.ResumeTiming();
+    tsdb::RuleEvalStats stats = rules.evaluate_all(int64_t{pass} * 30000);
+    benchmark::DoNotOptimize(stats);
+    state.PauseTiming();
+    groups += durable.wal().stats().groups - groups_before;
+    samples += stats.samples_written;
+    ++passes;
+    ++pass;
+    state.ResumeTiming();
+  }
+  state.counters["wal_groups_per_pass"] =
+      static_cast<double>(groups) / static_cast<double>(passes);
+  state.counters["rule_samples_per_pass"] =
+      static_cast<double>(samples) / static_cast<double>(passes);
+}
+BENCHMARK(BM_rule_pass_wal)->Unit(benchmark::kMillisecond);
 
 // Hit path of the (query, start, end, step) result cache.
 void BM_cached_range_query(benchmark::State& state) {

@@ -609,20 +609,6 @@ std::vector<ChunkSlice> ChunkedSeries::slices_between(TimestampMs min_t,
   return out;
 }
 
-std::vector<SamplePoint> ChunkedSeries::samples_between(
-    TimestampMs min_t, TimestampMs max_t) const {
-  std::vector<SamplePoint> out;
-  for (auto& slice : slices_between(min_t, max_t)) {
-    if (slice.chunk) {
-      auto decoded = slice.chunk->decode();
-      if (decoded) out.insert(out.end(), decoded->begin(), decoded->end());
-    } else {
-      out.insert(out.end(), slice.points.begin(), slice.points.end());
-    }
-  }
-  return out;
-}
-
 std::size_t ChunkedSeries::drop_before(TimestampMs cutoff) {
   std::size_t dropped = 0;
   std::vector<ChunkPtr> kept;

@@ -19,6 +19,7 @@
 // happens lazily on the reader's thread.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -316,9 +317,27 @@ class ChunkedSeries {
   // "no samples in range" exactly). Fully-covered chunks stay compressed.
   std::vector<ChunkSlice> slices_between(TimestampMs min_t,
                                          TimestampMs max_t) const;
-  // Materialised samples in [min_t, max_t] (replication / compaction use).
-  std::vector<SamplePoint> samples_between(TimestampMs min_t,
-                                           TimestampMs max_t) const;
+  // Calls fn(sample) for every sample with t >= since, oldest first. Only
+  // sealed chunks reaching `since` are decoded; nothing is allocated when
+  // the samples are all in the head (the replication steady state).
+  template <typename Fn>
+  void for_each_since(TimestampMs since, Fn&& fn) const {
+    if (total_ == 0 || last_t_ < since) return;
+    auto chunk = std::partition_point(
+        sealed_.begin(), sealed_.end(),
+        [since](const ChunkPtr& c) { return c->max_time() < since; });
+    for (; chunk != sealed_.end(); ++chunk) {
+      auto decoded = (*chunk)->decode();
+      if (!decoded) continue;
+      for (const auto& sample : *decoded) {
+        if (sample.t >= since) fn(sample);
+      }
+    }
+    auto head = std::partition_point(
+        head_.begin(), head_.end(),
+        [since](const SamplePoint& sample) { return sample.t < since; });
+    for (; head != head_.end(); ++head) fn(*head);
+  }
 
   // Drops samples with t < cutoff; returns how many were dropped. A chunk
   // straddling the cutoff is decoded, filtered and re-sealed.

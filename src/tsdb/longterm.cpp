@@ -93,13 +93,27 @@ LongTermStore::LongTermStore(LongTermConfig config)
 std::size_t LongTermStore::sync_from(const TimeSeriesStore& hot) {
   std::lock_guard lock(mu_);
   std::size_t copied = 0;
-  for (const auto& series : hot.series_since(sync_cursor_ + 1)) {
-    for (const auto& sample : series.samples) {
-      if (raw_.append(series.labels, sample.t, sample.v)) ++copied;
-    }
-  }
-  if (auto max_t = raw_.max_time()) sync_cursor_ = *max_t;
+  TimestampMs newest = sync_cursor_;
+  // One batch per hot shard, labelled by the hot series' own interned
+  // labels: both stores share the process-wide SymbolTable, so nothing is
+  // re-interned. Every offered sample is newer than the cursor, hence
+  // newer than anything raw_ holds, so all of them are copied and the
+  // newest offered timestamp is the new cursor.
+  hot.for_each_shard_since(
+      sync_cursor_ + 1,
+      [&](const metrics::SampleRef* samples, std::size_t count) {
+        copied += raw_.append_refs(samples, count);
+        for (std::size_t i = 0; i < count; ++i) {
+          newest = std::max(newest, samples[i].timestamp_ms);
+        }
+      });
+  sync_cursor_ = newest;
   return copied;
+}
+
+TimestampMs LongTermStore::sync_cursor() const {
+  std::lock_guard lock(mu_);
+  return sync_cursor_;
 }
 
 TimestampMs LongTermStore::align_down_all_levels(TimestampMs t) const {
@@ -219,7 +233,13 @@ std::vector<SeriesView> LongTermStore::select(
   if (!levels_.empty() && raw_purged_end_ != INT64_MIN && min_t <= max_t) {
     const AggLevel& finest = levels_.front();
     const int64_t res = finest.config.resolution_ms;
-    TimestampMs hi_end = std::min(raw_purged_end_, agg_bucket_end(max_t, res));
+    // agg_bucket_end(max_t) >= max_t, so a max_t at or past the purge
+    // boundary ends the history there; skipping the call keeps an
+    // open-ended max_t (INT64_MAX) from overflowing the bucket arithmetic.
+    TimestampMs hi_end = max_t >= raw_purged_end_
+                             ? raw_purged_end_
+                             : std::min(raw_purged_end_,
+                                        agg_bucket_end(max_t, res));
     for (const auto& [labels, series] : finest.series) {
       if (!matches_all(matchers, labels)) continue;
       std::vector<SamplePoint> points;

@@ -72,11 +72,21 @@ class LongTermStore final : public Queryable {
   explicit LongTermStore(LongTermConfig config = {});
 
   // Pulls new samples from the hot store (everything newer than the last
-  // sync cursor). Returns samples copied. Relies on the replication
-  // invariant that pulls observe globally non-decreasing timestamps: a
-  // sample at or before the cursor would already have been skipped by
-  // series_since, so completed aggregate buckets never reopen.
+  // sync cursor), one append batch per hot shard, and advances the cursor
+  // to the newest sample copied. Returns samples copied. Relies on the
+  // replication invariant that pulls observe globally non-decreasing
+  // timestamps: a hot sample at or before the cursor is never pulled, so
+  // completed aggregate buckets never reopen.
+  //
+  // Lock order: mu_, then one hot shard's shared lock, then the matching
+  // raw_ shard's exclusive lock. Nothing takes a hot shard lock while
+  // holding a raw_ shard lock, and hot-store writers never touch this
+  // store, so the order cannot invert.
   std::size_t sync_from(const TimeSeriesStore& hot);
+
+  // Timestamp of the newest sample replicated so far (-1 before the
+  // first sample).
+  TimestampMs sync_cursor() const;
 
   // Advances every level's compaction cursor to the newest bucket
   // boundary the synced data has fully passed, folds the raw samples in

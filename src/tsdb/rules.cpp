@@ -7,6 +7,35 @@
 
 namespace ceems::tsdb {
 
+namespace {
+
+// One rule's output, written as a single append_refs batch, so a
+// WAL-backed store logs one record per rule. Refs are built at commit,
+// once every label set is in place and the vector no longer moves.
+class OutputBatch {
+ public:
+  void add(const Labels& labels, double value) {
+    labels_.emplace_back(labels);
+    values_.push_back(value);
+  }
+
+  // Returns the samples the store accepted.
+  std::size_t commit(TimeSeriesStore& store, common::TimestampMs t) const {
+    std::vector<metrics::SampleRef> refs;
+    refs.reserve(labels_.size());
+    for (std::size_t i = 0; i < labels_.size(); ++i) {
+      refs.push_back({&labels_[i], t, values_[i]});
+    }
+    return store.append_refs(refs.data(), refs.size());
+  }
+
+ private:
+  std::vector<metrics::InternedLabels> labels_;
+  std::vector<double> values_;
+};
+
+}  // namespace
+
 RuleEngine::RuleEngine(StorePtr store, promql::EngineOptions options)
     : store_(std::move(store)), engine_(options) {}
 
@@ -38,10 +67,13 @@ void RuleEngine::evaluate_alert(const AlertingRule& rule,
   }
   if (value.kind != promql::Value::Kind::kVector) {
     ++stats.rule_failures;
+    CEEMS_LOG_WARN("rules") << "alert " << rule.alert
+                            << " did not yield a vector";
     return;
   }
 
   // Mark the alert instances present in this evaluation.
+  OutputBatch alerts;
   std::set<uint64_t> seen;
   for (const auto& sample : value.vector) {
     Labels labels = sample.labels.without_name().with("alertname", rule.alert);
@@ -68,9 +100,8 @@ void RuleEngine::evaluate_alert(const AlertingRule& rule,
       alert.state = AlertState::kFiring;
     }
     if (alert.state == AlertState::kFiring) {
-      store_->append(alert.labels.with("alertstate", "firing")
-                         .with_name("ALERTS"),
-                     t, 1);
+      alerts.add(alert.labels.with("alertstate", "firing").with_name("ALERTS"),
+                 1);
       ++stats.alerts_firing;
     } else {
       ++stats.alerts_pending;
@@ -83,15 +114,16 @@ void RuleEngine::evaluate_alert(const AlertingRule& rule,
   for (auto it = active_.begin(); it != active_.end();) {
     if (it->second.name == rule.alert && !seen.count(it->first)) {
       if (it->second.state == AlertState::kFiring) {
-        store_->append(it->second.labels.with("alertstate", "firing")
-                           .with_name("ALERTS"),
-                       t, metrics::stale_marker());
+        alerts.add(it->second.labels.with("alertstate", "firing")
+                       .with_name("ALERTS"),
+                   metrics::stale_marker());
       }
       it = active_.erase(it);
     } else {
       ++it;
     }
   }
+  alerts.commit(*store_, t);
 }
 
 RuleEvalStats RuleEngine::evaluate_group(RuleGroup& group,
@@ -111,13 +143,15 @@ RuleEvalStats RuleEngine::evaluate_group(RuleGroup& group,
         ++stats.rule_failures;
         continue;
       }
+      OutputBatch output;
       for (const auto& sample : value.vector) {
         Labels labels = sample.labels.with_name(rule.record);
         for (const auto& [name, label_value] : rule.static_labels) {
           labels = labels.with(name, label_value);
         }
-        if (store_->append(labels, t, sample.value)) ++stats.samples_written;
+        output.add(labels, sample.value);
       }
+      stats.samples_written += output.commit(*store_, t);
     } catch (const std::exception& e) {
       ++stats.rule_failures;
       CEEMS_LOG_WARN("rules") << "rule " << rule.record << ": " << e.what();

@@ -169,26 +169,33 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
           .count();
 
   // Every outcome — success, failure, retry — lands in the store as data:
-  // up, scrape_duration_seconds and the transport retry counter.
-  auto append_synthetics = [&](double up) {
-    store_->append(state.up_labels, now, up);
-    store_->append(state.duration_labels, now, duration_sec);
-    store_->append(state.retries_labels, now,
-                   static_cast<double>(state.local_retries +
-                                       state.client->stats().retries));
+  // up, scrape_duration_seconds and the transport retry counter. They
+  // ride in one batch with the sweep's staleness markers (state.batch,
+  // reused once the scraped samples are in), so a WAL-backed store logs
+  // at most two records per target per sweep. The self-series go last on
+  // success and first on failure, so a scraped series whose labels equal
+  // a self-series' resolves by the same last-write-wins order either way.
+  auto push_self_series = [&](double up) {
+    double retries = static_cast<double>(state.local_retries +
+                                         state.client->stats().retries);
+    state.batch.push_back({&state.up_labels, now, up});
+    state.batch.push_back({&state.duration_labels, now, duration_sec});
+    state.batch.push_back({&state.retries_labels, now, retries});
   };
 
   auto mark_failed = [&] {
-    append_synthetics(0);
+    state.batch.clear();
+    push_self_series(0);
     ++state.consecutive_failures;
     if (config_.emit_stale_markers) {
       for (auto& [hash, entry] : state.series_cache) {
         if (!entry.live) continue;
-        store_->append(entry.labels, now, metrics::stale_marker());
+        state.batch.push_back({&entry.labels, now, metrics::stale_marker()});
         entry.live = false;
         ++sweep.stale_markers;
       }
     }
+    store_->append_refs(state.batch.data(), state.batch.size());
     sweep.ingested = -1;
   };
 
@@ -208,11 +215,14 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
     parse_into_batch(state, result.response.body, now);
     sweep.ingested = static_cast<int64_t>(
         store_->append_refs(state.batch.data(), state.batch.size()));
+    state.batch.clear();
     // One pass over the cache: series exposed last scrape but gone now
     // ended between sweeps — mark them stale so they vanish from queries
     // at this sweep, not after the lookback window drains (Prometheus'
     // disappearing-series semantics). Entries dead long enough are
-    // evicted so churned series do not pin cache memory forever.
+    // evicted so churned series do not pin cache memory forever; an
+    // entry marked stale in this pass is kept, since the batch still
+    // points at its labels.
     for (auto it = state.series_cache.begin();
          it != state.series_cache.end();) {
       auto& entry = it->second;
@@ -223,10 +233,12 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
       }
       if (entry.live) {
         if (config_.emit_stale_markers) {
-          store_->append(entry.labels, now, metrics::stale_marker());
+          state.batch.push_back({&entry.labels, now, metrics::stale_marker()});
           ++sweep.stale_markers;
         }
         entry.live = false;
+        ++it;
+        continue;
       }
       if (state.sweep_gen - entry.last_seen > kEvictSweeps) {
         it = state.series_cache.erase(it);
@@ -240,7 +252,8 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
     mark_failed();
     return sweep;
   }
-  append_synthetics(1);
+  push_self_series(1);
+  store_->append_refs(state.batch.data(), state.batch.size());
   return sweep;
 }
 

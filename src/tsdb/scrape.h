@@ -134,8 +134,9 @@ class ScrapeManager {
     // here, never cached. Cleared at the start of every sweep.
     std::deque<metrics::InternedLabels> overflow_labels;
     uint64_t sweep_gen = 0;
-    // Reused per-sweep scratch batch; labels point into series_cache /
-    // overflow_labels.
+    // Reused per-sweep scratch batch: first the scraped samples, then the
+    // staleness markers and self-series. Labels point into series_cache /
+    // overflow_labels / the *_labels members above.
     std::vector<metrics::SampleRef> batch;
     // Scrape-level retry attempts (local transport); HTTP transport
     // retries are counted inside http::Client and added on export.

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <fstream>
-#include <limits>
 #include <mutex>
+#include <regex>
 #include <sstream>
 
+#include "metrics/regex_cache.h"
 #include "tsdb/wal.h"
 
 namespace ceems::tsdb {
@@ -160,49 +161,147 @@ std::size_t TimeSeriesStore::apply_refs(const metrics::SampleRef* samples,
   return accepted;
 }
 
-std::vector<uint64_t> TimeSeriesStore::match_ids(
-    const Shard& shard, const std::vector<LabelMatcher>& matchers) {
-  // Start from the most selective equality matcher via the inverted index,
-  // then filter. Index keys are symbol ids: a matcher whose name or value
-  // was never interned cannot match any stored series.
-  SymbolTable& table = SymbolTable::global();
-  std::optional<std::set<uint64_t>> candidates;
-  for (const auto& matcher : matchers) {
-    if (matcher.op != LabelMatcher::Op::kEq || matcher.value.empty()) continue;
-    auto name_sym = table.find(matcher.name);
-    auto value_sym = table.find(matcher.value);
-    if (!name_sym || !value_sym) return {};
-    auto name_it = shard.index.find(*name_sym);
-    if (name_it == shard.index.end()) return {};
-    auto value_it = name_it->second.find(*value_sym);
-    if (value_it == name_it->second.end()) return {};
-    if (!candidates) {
-      candidates = value_it->second;
-    } else {
-      std::set<uint64_t> intersection;
-      std::set_intersection(
-          candidates->begin(), candidates->end(), value_it->second.begin(),
-          value_it->second.end(),
-          std::inserter(intersection, intersection.begin()));
-      candidates = std::move(intersection);
+// A selector's matchers resolved against the symbol table once, so each
+// candidate series is checked by comparing 32-bit ids, not strings. Label
+// text is compared by symbol id, which is exact because interning is
+// injective; an absent label reads as the empty string, as in PromQL.
+class TimeSeriesStore::Selector {
+ public:
+  explicit Selector(const std::vector<LabelMatcher>& matchers) {
+    SymbolTable& table = SymbolTable::global();
+    terms_.reserve(matchers.size());
+    for (const auto& matcher : matchers) {
+      Term term;
+      term.op = matcher.op;
+      term.pattern = &matcher.value;
+      term.name = table.find(matcher.name);
+      term.value = table.find(matcher.value);
+      term.value_empty = matcher.value.empty();
+      if (matcher.op == LabelMatcher::Op::kEq && !term.value_empty &&
+          (!term.name || !term.value)) {
+        // A name or value never interned appears in no stored series.
+        satisfiable_ = false;
+      }
+      terms_.push_back(std::move(term));
     }
-    if (candidates->empty()) return {};
   }
 
-  std::vector<uint64_t> out;
-  auto check = [&](uint64_t id, const StoredSeries& stored) {
-    for (const auto& matcher : matchers) {
-      if (!matcher.matches(stored.ilabels)) return;
+  bool satisfiable() const { return satisfiable_; }
+
+  // Smallest posting list among the non-empty equality terms, with the
+  // index of the term it came from. {nullptr, npos} when there is no such
+  // term (scan every series); {empty, ...} when one has no posting in
+  // this shard.
+  std::pair<const std::set<uint64_t>*, std::size_t> smallest_posting(
+      const Shard& shard) const {
+    static const std::set<uint64_t> kNone;
+    const std::set<uint64_t>* best = nullptr;
+    std::size_t best_term = std::string::npos;
+    for (std::size_t i = 0; i < terms_.size(); ++i) {
+      const Term& term = terms_[i];
+      if (term.op != LabelMatcher::Op::kEq || term.value_empty) continue;
+      auto name_it = shard.index.find(*term.name);
+      if (name_it == shard.index.end()) return {&kNone, i};
+      auto value_it = name_it->second.find(*term.value);
+      if (value_it == name_it->second.end() || value_it->second.empty())
+        return {&kNone, i};
+      if (!best || value_it->second.size() < best->size()) {
+        best = &value_it->second;
+        best_term = i;
+      }
     }
-    out.push_back(id);
+    return {best, best_term};
+  }
+
+  // True when `labels` satisfies every term except `skip_term` (the one
+  // whose posting list produced the candidate).
+  bool matches(const InternedLabels& labels, std::size_t skip_term) const {
+    for (std::size_t i = 0; i < terms_.size(); ++i) {
+      if (i != skip_term && !terms_[i].matches(labels)) return false;
+    }
+    return true;
+  }
+
+ private:
+  struct Term {
+    LabelMatcher::Op op = LabelMatcher::Op::kEq;
+    std::optional<uint32_t> name;   // nullopt: no series has this label
+    std::optional<uint32_t> value;  // nullopt: no series has this value
+    bool value_empty = false;
+    // Regex ops: the pattern (the caller's matcher outlives the Selector),
+    // compiled on first use so a bad pattern throws only where the
+    // per-series check used to, and the verdict per value symbol (kAbsent
+    // for a missing label) — each distinct value is matched once per
+    // call, not once per series.
+    const std::string* pattern = nullptr;
+    mutable std::shared_ptr<const std::regex> regex;
+    mutable std::unordered_map<uint32_t, bool> regex_memo;
+
+    static constexpr uint32_t kAbsent = UINT32_MAX;
+
+    bool matches(const InternedLabels& labels) const {
+      std::optional<uint32_t> actual;
+      if (name) {
+        for (const auto& [name_sym, value_sym] : labels.pairs()) {
+          if (name_sym == *name) {
+            actual = value_sym;
+            break;
+          }
+        }
+      }
+      switch (op) {
+        case LabelMatcher::Op::kEq:
+          return equals(actual);
+        case LabelMatcher::Op::kNe:
+          return !equals(actual);
+        case LabelMatcher::Op::kRegexMatch:
+          return regex_matches(actual);
+        case LabelMatcher::Op::kRegexNoMatch:
+          return !regex_matches(actual);
+      }
+      return false;
+    }
+
+    bool equals(std::optional<uint32_t> actual) const {
+      return actual ? value && *actual == *value : value_empty;
+    }
+
+    bool regex_matches(std::optional<uint32_t> actual) const {
+      uint32_t key = actual ? *actual : kAbsent;
+      auto it = regex_memo.find(key);
+      if (it != regex_memo.end()) return it->second;
+      if (!regex) regex = metrics::compiled_anchored_regex(*pattern);
+      std::string text(actual ? SymbolTable::global().text(*actual)
+                              : std::string_view{});
+      bool match = std::regex_search(text, *regex);
+      regex_memo.emplace(key, match);
+      return match;
+    }
   };
-  if (candidates) {
-    for (uint64_t id : *candidates) {
+
+  std::vector<Term> terms_;
+  bool satisfiable_ = true;
+};
+
+std::vector<uint64_t> TimeSeriesStore::match_ids(const Shard& shard,
+                                                 const Selector& selector) {
+  // Walk only the smallest equality posting list, in place, and check the
+  // remaining terms by symbol id.
+  std::vector<uint64_t> out;
+  auto [posting, posting_term] = selector.smallest_posting(shard);
+  if (posting) {
+    for (uint64_t id : *posting) {
       auto it = shard.series.find(id);
-      if (it != shard.series.end()) check(id, it->second);
+      if (it != shard.series.end() &&
+          selector.matches(it->second.ilabels, posting_term)) {
+        out.push_back(id);
+      }
     }
   } else {
-    for (const auto& [id, stored] : shard.series) check(id, stored);
+    for (const auto& [id, stored] : shard.series) {
+      if (selector.matches(stored.ilabels, std::string::npos))
+        out.push_back(id);
+    }
   }
   return out;
 }
@@ -211,9 +310,11 @@ std::vector<SeriesView> TimeSeriesStore::select(
     const std::vector<LabelMatcher>& matchers, TimestampMs min_t,
     TimestampMs max_t) const {
   std::vector<SeriesView> out;
+  Selector selector(matchers);
+  if (!selector.satisfiable()) return out;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
-    for (uint64_t id : match_ids(shard, matchers)) {
+    for (uint64_t id : match_ids(shard, selector)) {
       const StoredSeries& stored = shard.series.at(id);
       // Boundary chunks are decoded under the lock so emptiness is exact;
       // fully-covered chunks ride along compressed and refcounted.
@@ -289,10 +390,12 @@ std::size_t TimeSeriesStore::delete_series(
     wal->log_delete(matchers);
   }
   std::size_t deleted = 0;
+  Selector selector(matchers);
+  if (!selector.satisfiable()) return deleted;
   for (Shard& shard : shards_) {
     std::unique_lock lock(shard.mu);
     bool mutated = false;
-    for (uint64_t id : match_ids(shard, matchers)) {
+    for (uint64_t id : match_ids(shard, selector)) {
       auto it = shard.series.find(id);
       if (it == shard.series.end()) continue;
       shard.num_samples -= it->second.data.num_samples();
@@ -350,19 +453,21 @@ std::optional<TimestampMs> TimeSeriesStore::max_time() const {
   return max_t;
 }
 
-std::vector<Series> TimeSeriesStore::series_since(TimestampMs since) const {
-  std::vector<Series> out;
-  constexpr TimestampMs kMax = std::numeric_limits<TimestampMs>::max();
+void TimeSeriesStore::for_each_shard_since(
+    TimestampMs since,
+    const std::function<void(const metrics::SampleRef*, std::size_t)>& sink)
+    const {
+  thread_local std::vector<metrics::SampleRef> refs;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
+    refs.clear();
     for (const auto& [id, stored] : shard.series) {
-      if (stored.data.empty() || stored.data.max_time() < since) continue;
-      auto samples = stored.data.samples_between(since, kMax);
-      if (samples.empty()) continue;
-      out.push_back(Series{stored.labels, std::move(samples)});
+      stored.data.for_each_since(since, [&](const SamplePoint& sample) {
+        refs.push_back({&stored.ilabels, sample.t, sample.v});
+      });
     }
+    if (!refs.empty()) sink(refs.data(), refs.size());
   }
-  return out;
 }
 
 namespace {

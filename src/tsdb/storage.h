@@ -35,6 +35,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -167,12 +168,19 @@ class TimeSeriesStore final : public Queryable {
 
   StorageStats stats() const;
 
-  // Newest sample timestamp across all series (sync cursor for long-term
-  // replication), or nullopt when empty.
+  // Newest sample timestamp across all series, or nullopt when empty.
   std::optional<TimestampMs> max_time() const;
 
-  // Series with samples at/after `since`, materialised (replication pull).
-  std::vector<Series> series_since(TimestampMs since) const;
+  // Replication pull. Visits the shards in index order; for each shard
+  // holding samples at/after `since`, calls `sink` once, under that
+  // shard's shared lock, with every such sample as a SampleRef whose
+  // labels point at the stored series' own InternedLabels (oldest first
+  // within a series). The refs are valid only during the call. `sink` may
+  // lock other stores but must not write to this one.
+  void for_each_shard_since(
+      TimestampMs since,
+      const std::function<void(const metrics::SampleRef*, std::size_t)>&
+          sink) const;
 
   // Durability: writes a compact binary snapshot of every series (the
   // Prometheus block-on-local-disk analogue of Fig. 1). Sealed chunks are
@@ -238,10 +246,12 @@ class TimeSeriesStore final : public Queryable {
   // exclusive lock; does not touch num_samples.
   static void erase_series_locked(Shard& shard, uint64_t id);
 
-  // Returns ids of series in `shard` matching all matchers. Caller holds
+  // Matchers with their symbols resolved once per call (storage.cpp).
+  class Selector;
+  // Returns ids of series in `shard` matching the selector. Caller holds
   // at least a shared lock on the shard.
-  static std::vector<uint64_t> match_ids(
-      const Shard& shard, const std::vector<LabelMatcher>& matchers);
+  static std::vector<uint64_t> match_ids(const Shard& shard,
+                                         const Selector& selector);
 
   // Shard-bucketed apply without WAL logging (append_refs calls it after
   // the batch is durable; WAL replay reaches it through append_refs on a

@@ -14,6 +14,7 @@
 
 #include "metrics/model.h"
 #include "simfs/durable_dir.h"
+#include "tsdb/rules.h"
 #include "tsdb/storage.h"
 #include "tsdb/wal.h"
 
@@ -25,7 +26,12 @@ using metrics::Labels;
 using metrics::SampleRef;
 
 std::string digest(const TimeSeriesStore& store) {
-  auto all = store.series_since(std::numeric_limits<TimestampMs>::min());
+  std::vector<Series> all;
+  for (const auto& view :
+       store.select({}, std::numeric_limits<TimestampMs>::min(),
+                    std::numeric_limits<TimestampMs>::max())) {
+    all.push_back(view.materialize());
+  }
   std::vector<std::pair<std::string, const Series*>> sorted;
   sorted.reserve(all.size());
   for (const auto& series : all) {
@@ -49,17 +55,45 @@ std::string digest(const TimeSeriesStore& store) {
 constexpr std::size_t kWalHeaderLen = 8 + 1 + 8;
 
 // The deterministic workload: `sweeps` scrape rounds over a small fleet,
-// each target contributing one batch record per sweep, with periodic
-// retention purges and cardinality deletions — every mutation kind the
-// WAL logs. Records the store digest after every mutation; trace[k] is
-// the exact expected state once k records have been applied.
+// each target contributing one batch record per sweep, then a rule pass
+// whose recording rules and alerts each commit one batch record, with
+// periodic retention purges and cardinality deletions — every mutation
+// kind the WAL logs. Records the store digest after every mutation;
+// trace[k] is the exact expected state once k records have been applied.
 struct Workload {
   std::shared_ptr<simfs::SimDurableDir> dir;
   StorePtr store;
   std::unique_ptr<DurableTsdb> durable;
   std::vector<std::string> trace;     // trace[k]: after k logged records
   std::size_t checkpoint_base = 0;    // records folded into the snapshot
+  uint64_t rule_records = 0;          // of which rule / ALERTS batches
 };
+
+// One engine per rule, evaluated in order, so the oracle can take a
+// digest between two rules' batches. Later rules read earlier outputs
+// at the same instant; the alerts fire and resolve as the workload's
+// values cross their thresholds.
+std::vector<std::unique_ptr<RuleEngine>> rule_pass(const StorePtr& store) {
+  std::vector<RuleGroup> groups(5);
+  groups[0].rules = {{"instance:power_watts",
+                      "sum by (instance) (ceems_job_power_watts)", {}, nullptr}};
+  groups[1].rules = {{"instance:power_kw", "instance:power_watts / 1000",
+                      {{"unit", "kW"}}, nullptr}};
+  groups[2].alerts = {{"JobPowerHigh", "ceems_job_power_watts > 140", 0,
+                       {{"severity", "info"}}, nullptr}};
+  groups[3].alerts = {{"NodePowerHigh", "instance:power_kw > 0.9", 30000, {},
+                       nullptr}};
+  groups[4].rules = {{"instance:power_share",
+                      "ceems_job_power_watts / on(instance) group_left() "
+                      "instance:power_watts",
+                      {}, nullptr}};
+  std::vector<std::unique_ptr<RuleEngine>> engines;
+  for (auto& group : groups) {
+    engines.push_back(std::make_unique<RuleEngine>(store));
+    engines.back()->add_group(std::move(group));
+  }
+  return engines;
+}
 
 Workload run_workload(uint64_t seed, int sweeps, int checkpoint_at_sweep) {
   Workload w;
@@ -85,6 +119,7 @@ Workload run_workload(uint64_t seed, int sweeps, int checkpoint_at_sweep) {
   }
 
   auto record = [&] { w.trace.push_back(digest(*w.store)); };
+  auto rules = rule_pass(w.store);
 
   for (int sweep = 0; sweep < sweeps; ++sweep) {
     int64_t now = sweep * 30000;
@@ -98,6 +133,16 @@ Workload run_workload(uint64_t seed, int sweeps, int checkpoint_at_sweep) {
       if (batch.empty()) continue;  // nothing logged, no record
       w.store->append_refs(batch.data(), batch.size());
       record();
+    }
+    for (auto& engine : rules) {
+      uint64_t before = w.durable->wal().stats().records;
+      engine->evaluate_all(now);
+      uint64_t logged = w.durable->wal().stats().records - before;
+      EXPECT_LE(logged, 1u) << "one record per rule batch";
+      if (logged == 1) {
+        ++w.rule_records;
+        record();
+      }
     }
     if (sweep > 0 && sweep % 5 == 0) {
       w.store->purge_before(now - 120000);
@@ -184,6 +229,16 @@ void crash_at_random_offset(uint64_t seed, int checkpoint_at_sweep) {
   Workload w = run_workload(seed, 20, checkpoint_at_sweep);
   std::size_t logged = w.trace.size() - 1;
   ASSERT_GT(logged, w.checkpoint_base);
+  // Every sweep logs rule batches, ALERTS included, as oracle records.
+  ASSERT_GT(w.rule_records, 20u * 3);
+  ASSERT_TRUE(std::any_of(w.trace.begin(), w.trace.end(),
+                          [](const std::string& state) {
+                            return state.find("JobPowerHigh") !=
+                                       std::string::npos &&
+                                   state.find("NodePowerHigh") !=
+                                       std::string::npos;
+                          }))
+      << "seed " << seed << ": both alerts must fire into the oracle";
 
   std::mt19937_64 rng(seed ^ 0x9E3779B97F4A7C15ULL);
   std::size_t total = total_wal_bytes(*w.dir);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "tsdb/longterm.h"
 #include "tsdb/promql_eval.h"
 
@@ -133,6 +135,28 @@ TEST(LongTerm, SelectMergesAcrossEpochBoundary) {
   for (std::size_t i = 1; i < series[0].samples().size(); ++i) {
     EXPECT_GT(series[0].samples()[i].t, series[0].samples()[i - 1].t);
   }
+}
+
+TEST(LongTerm, OpenEndedSelectKeepsDownsampledHistory) {
+  // max_t = INT64_MAX ("everything") must serve the same history as a
+  // finite bound past the newest sample; the bucket-end arithmetic on
+  // such a bound must not overflow.
+  LongTermConfig config;
+  config.downsample_after_ms = kMillisPerHour;
+  config.resolution_ms = 10 * kMillisPerMinute;
+  LongTermStore lt(config);
+  TimeSeriesStore hot;
+  for (int i = 0; i < 240; ++i) {
+    hot.append(named("m", "n1"), i * 30000, i);
+  }
+  lt.sync_from(hot);
+  lt.compact(2 * kMillisPerHour);
+  auto bounded = lt.select({}, 0, 3 * kMillisPerHour);
+  auto open = lt.select({}, 0, std::numeric_limits<common::TimestampMs>::max());
+  ASSERT_EQ(bounded.size(), 1u);
+  ASSERT_EQ(open.size(), 1u);
+  EXPECT_EQ(open[0].samples().front().t, bounded[0].samples().front().t);
+  EXPECT_EQ(open[0].sample_count(), bounded[0].sample_count());
 }
 
 TEST(LongTerm, SplicedPointsStayZeroUnderCompactionCadence) {

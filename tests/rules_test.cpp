@@ -91,6 +91,28 @@ TEST_F(RulesTest, RuntimeFailureCountedNotFatal) {
   EXPECT_EQ(stats.samples_written, 1u);  // second rule still ran
 }
 
+TEST_F(RulesTest, NonVectorAlertCountedAndLogged) {
+  // A scalar alert expression is a failure on both rule paths, and both
+  // log it, so untraced runs see it as well.
+  RuleGroup group;
+  group.name = "g";
+  AlertingRule rule;
+  rule.alert = "ScalarAlert";
+  rule.expr = "1 + 1";
+  group.alerts.push_back(rule);
+  engine_.add_group(std::move(group));
+
+  ::testing::internal::CaptureStderr();
+  RuleEvalStats stats = engine_.evaluate_all(1000);
+  std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(stats.rule_failures, 1u);
+  EXPECT_EQ(stats.alerts_firing, 0u);
+  EXPECT_NE(log.find("[WARN] rules: alert ScalarAlert did not yield a vector"),
+            std::string::npos)
+      << log;
+  EXPECT_TRUE(engine_.active_alerts().empty());
+}
+
 TEST_F(RulesTest, EvaluateDueHonorsGroupInterval) {
   store_->append(named("a"), 0, 1);
   RuleGroup fast;

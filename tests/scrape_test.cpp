@@ -7,7 +7,9 @@
 #include "exporter/exporter.h"
 #include "http/server.h"
 #include "node/node_sim.h"
+#include "simfs/durable_dir.h"
 #include "tsdb/scrape.h"
+#include "tsdb/wal.h"
 
 namespace ceems::tsdb {
 namespace {
@@ -239,6 +241,65 @@ TEST_F(ScrapeTest, FailedScrapeEmitsUpZeroAndStaleMarkers) {
   // marked and live_series is empty.
   clock_->advance(30000);
   EXPECT_EQ(manager.scrape_all_once().stale_markers, 0u);
+}
+
+TEST_F(ScrapeTest, SelfSeriesAndMarkersShareOneWalRecord) {
+  // Per target and sweep: the scraped batch, then one batch holding the
+  // staleness markers and up / scrape_duration_seconds / retry counter.
+  // A failed sweep logs only the second one.
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  DurableTsdb durable(store_, dir);
+  durable.open();
+  ScrapeConfig config;
+  config.retries = 0;
+  bool down = false;
+  config.fault_hook = [&](std::string_view, std::string_view) {
+    faults::FaultDecision fault;
+    if (down) fault.kind = faults::FaultKind::kConnectTimeout;
+    return fault;
+  };
+  ScrapeManager manager(store_, clock_, config);
+  int sweep = 0;
+  for (int t = 0; t < 3; ++t) {
+    ScrapeTarget target;
+    target.local_fetch = [&sweep] {
+      return sweep == 0 ? std::string("g 1\nh 2\n") : std::string("g 1\n");
+    };
+    target.labels = metrics::Labels{{"instance", "i" + std::to_string(t)}};
+    manager.add_target(std::move(target));
+  }
+  auto records = [&] { return durable.wal().stats().records; };
+
+  uint64_t before = records();
+  ScrapeStats stats = manager.scrape_all_once();
+  EXPECT_EQ(stats.samples_ingested, 6u);  // scraped samples only
+  EXPECT_EQ(records() - before, 6u);
+
+  sweep = 1;  // h disappears: its marker rides with the self-series
+  clock_->advance(30000);
+  before = records();
+  stats = manager.scrape_all_once();
+  EXPECT_EQ(stats.samples_ingested, 3u);
+  EXPECT_EQ(stats.stale_markers, 3u);
+  EXPECT_EQ(records() - before, 6u);
+
+  down = true;  // g's marker and up=0 in a single record per target
+  clock_->advance(30000);
+  before = records();
+  stats = manager.scrape_all_once();
+  EXPECT_EQ(stats.scrapes_failed, 3u);
+  EXPECT_EQ(stats.stale_markers, 3u);
+  EXPECT_EQ(records() - before, 3u);
+
+  auto up = store_->select(
+      {{"__name__", metrics::LabelMatcher::Op::kEq, "up"}}, 0,
+      clock_->now_ms());
+  ASSERT_EQ(up.size(), 3u);
+  for (const auto& view : up) {
+    auto samples = view.samples();
+    ASSERT_EQ(samples.size(), 3u);
+    EXPECT_DOUBLE_EQ(samples[2].v, 0);
+  }
 }
 
 TEST_F(ScrapeTest, DisappearingSeriesGetsStaleMarker) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -118,16 +119,30 @@ TEST(Storage, LabelValues) {
   EXPECT_TRUE(store.label_values("nope").empty());
 }
 
-TEST(Storage, SeriesSinceForReplication) {
+TEST(Storage, ForEachShardSinceForReplication) {
   TimeSeriesStore store;
   store.append(series_labels("m", "n1"), 1000, 1);
   store.append(series_labels("m", "n1"), 2000, 2);
   store.append(series_labels("m", "n2"), 3000, 3);
-  auto fresh = store.series_since(1500);
-  std::size_t samples = 0;
-  for (const auto& series : fresh) samples += series.samples.size();
-  EXPECT_EQ(samples, 2u);
+  std::vector<std::pair<std::string, TimestampMs>> fresh;
+  std::size_t calls = 0;
+  store.for_each_shard_since(
+      1500, [&](const metrics::SampleRef* samples, std::size_t count) {
+        ++calls;
+        for (std::size_t i = 0; i < count; ++i) {
+          fresh.emplace_back(samples[i].labels->to_labels().to_string(),
+                             samples[i].timestamp_ms);
+        }
+      });
+  std::sort(fresh.begin(), fresh.end());
+  ASSERT_EQ(fresh.size(), 2u);
+  EXPECT_EQ(fresh[0].second, 2000);
+  EXPECT_EQ(fresh[1].second, 3000);
+  EXPECT_LE(calls, 2u);  // one call per shard that has new samples
   EXPECT_EQ(store.max_time(), 3000);
+  store.for_each_shard_since(3001, [&](const metrics::SampleRef*,
+                                       std::size_t) { ++calls; });
+  EXPECT_LE(calls, 2u);  // nothing new: the sink is never called
 }
 
 TEST(Storage, EmptyStoreBehaviour) {
@@ -547,7 +562,10 @@ TEST(ChunkCodec, DuplicateTimestampAfterAdoptSealedResealsChunk) {
   ASSERT_TRUE(series.head().empty());
   EXPECT_EQ(series.append(119000, 42.5), AppendResult::kOverwrote);
   EXPECT_EQ(series.num_samples(), 120u);
-  auto all = series.samples_between(0, 200000);
+  std::vector<SamplePoint> all;
+  series.for_each_since(0, [&](const SamplePoint& sample) {
+    all.push_back(sample);
+  });
   ASSERT_EQ(all.size(), 120u);
   EXPECT_EQ(all.back().t, 119000);
   EXPECT_DOUBLE_EQ(all.back().v, 42.5);

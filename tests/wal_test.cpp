@@ -34,7 +34,12 @@ using metrics::SampleRef;
 // (sorted by label text) with every sample's timestamp and raw value
 // bits. Two stores with equal digests are observably identical.
 std::string digest(const TimeSeriesStore& store) {
-  auto all = store.series_since(std::numeric_limits<TimestampMs>::min());
+  std::vector<Series> all;
+  for (const auto& view :
+       store.select({}, std::numeric_limits<TimestampMs>::min(),
+                    std::numeric_limits<TimestampMs>::max())) {
+    all.push_back(view.materialize());
+  }
   std::vector<std::pair<std::string, const Series*>> sorted;
   sorted.reserve(all.size());
   for (const auto& series : all) {

@@ -64,6 +64,13 @@ GUARDED_COUNTERS = {
     # guards against the fast path regressing to the legacy one (~8x).
     "allocs_per_sample": 0.50,
     "samples_per_second": 0.75,
+    # WAL-backed rule pass (BM_rule_pass_wal): one WAL group per rule that
+    # wrote anything, and the samples those rules wrote. Every measured
+    # pass does identical work, so both are exact and gated at 1%: one
+    # rule going silent already fails, and falling back to per-sample
+    # appends multiplies wal_groups_per_pass by about 70.
+    "wal_groups_per_pass": 0.01,
+    "rule_samples_per_pass": 0.01,
 }
 
 

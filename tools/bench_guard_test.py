@@ -118,6 +118,22 @@ class BenchGuardTest(unittest.TestCase):
             base = doc(benchmarks=[bench("b", **{counter: 100})])
             self.assertEqual(self.guard(cur, base), 1, counter)
 
+    def test_rule_pass_wal_counters_are_guarded(self):
+        base = doc(benchmarks=[bench("BM_rule_pass_wal",
+                                     wal_groups_per_pass=38,
+                                     rule_samples_per_pass=2688)])
+        self.assertEqual(self.guard(base, base), 0)
+        # Per-sample WAL records again: one group per output sample.
+        per_sample = doc(benchmarks=[bench("BM_rule_pass_wal",
+                                           wal_groups_per_pass=2688,
+                                           rule_samples_per_pass=2688)])
+        self.assertEqual(self.guard(per_sample, base), 1)
+        # A rule silently writing nothing moves the sample count.
+        fewer = doc(benchmarks=[bench("BM_rule_pass_wal",
+                                      wal_groups_per_pass=37,
+                                      rule_samples_per_pass=2560)])
+        self.assertEqual(self.guard(fewer, base), 1)
+
     def test_multiple_pairs_all_pass(self):
         tsdb = doc(benchmarks=[bench("t", points_scanned_per_query=10)])
         soak = doc(benchmarks=[bench("s", peak_bytes=10)])
