@@ -103,7 +103,7 @@ void BM_downsampled_long_range(benchmark::State& state) {
   static std::shared_ptr<tsdb::LongTermStore> compacted = [] {
     tsdb::LongTermConfig config;
     config.downsample_after_ms = 0;  // everything eligible immediately
-    config.resolution_ms = 5 * common::kMillisPerMinute;
+    config.levels = {{5 * common::kMillisPerMinute, 0}};
     auto store = std::make_shared<tsdb::LongTermStore>(config);
     store->sync_from(*world().stack->hot_store());
     store->compact(world().clock->now_ms() + 1);

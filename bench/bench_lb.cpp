@@ -45,11 +45,13 @@ struct Backend {
   explicit Backend(common::ClockPtr clock) {
     store = std::make_shared<tsdb::TimeSeriesStore>();
     for (int u = 0; u < 50; ++u) {
-      auto labels = metrics::Labels{{"uuid", std::to_string(u)}}
-                        .with_name("ceems_job_power_watts");
+      metrics::InternedLabels labels(metrics::Labels{
+          {"uuid", std::to_string(u)}}.with_name("ceems_job_power_watts"));
+      std::vector<metrics::SampleRef> batch;
       for (int i = 0; i < 60; ++i) {
-        store->append(labels, 1700000000000LL + i * 30000, 100.0 + u);
+        batch.push_back({&labels, 1700000000000LL + i * 30000, 100.0 + u});
       }
+      store->append_refs(batch.data(), batch.size());
     }
     server = std::make_unique<http::Server>(http::ServerConfig{});
     api = std::make_unique<tsdb::PromApi>(store, clock);

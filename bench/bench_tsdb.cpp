@@ -11,23 +11,17 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <new>
 #include <set>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
-#include "common/rng.h"
 #include "common/threadpool.h"
 #include "core/rules_library.h"
-#include "metrics/text_format.h"
 #include "simfs/durable_dir.h"
 #include "tsdb/longterm.h"
 #include "tsdb/promql_eval.h"
@@ -39,21 +33,18 @@ using namespace ceems;
 using tsdb::TimeSeriesStore;
 
 // Global allocation counter: every operator new in the binary bumps it, so
-// steady-state ingest can be characterised as allocations-per-sample. The
-// chunked head buffer should amortise to ~0 allocations per append.
+// BM_scrape_ingest_e2e can report allocations per ingested sample on the
+// production scrape→append path.
 static std::atomic<uint64_t> g_alloc_count{0};
-static std::atomic<uint64_t> g_alloc_bytes{0};
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -65,6 +56,20 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
+// Appends `samples` points of one series as a single append_refs batch,
+// value(i) at t = i * step_ms.
+template <typename ValueFn>
+void append_series(TimeSeriesStore& store, const metrics::Labels& labels,
+                   int samples, int64_t step_ms, ValueFn value) {
+  metrics::InternedLabels interned(labels);
+  std::vector<metrics::SampleRef> batch;
+  batch.reserve(static_cast<std::size_t>(samples));
+  for (int i = 0; i < samples; ++i) {
+    batch.push_back({&interned, i * step_ms, value(i)});
+  }
+  store.append_refs(batch.data(), batch.size());
+}
+
 // Builds a store with `hosts`×`series_per_host` series × `samples` each.
 std::shared_ptr<TimeSeriesStore> make_store(int hosts, int series_per_host,
                                             int samples) {
@@ -75,26 +80,26 @@ std::shared_ptr<TimeSeriesStore> make_store(int hosts, int series_per_host,
           metrics::Labels{{"hostname", "n" + std::to_string(h)},
                           {"uuid", std::to_string(s)}}
               .with_name("m");
-      for (int i = 0; i < samples; ++i) {
-        store->append(labels, i * 30000, i * 10.0);
-      }
+      append_series(*store, labels, samples, 30000,
+                    [](int i) { return i * 10.0; });
     }
   }
   return store;
 }
 
+// One-sample append_refs calls round-robin over 1000 interned series.
 void BM_append(benchmark::State& state) {
   TimeSeriesStore store;
-  common::Rng rng(1);
-  std::vector<metrics::Labels> labels;
+  std::vector<metrics::InternedLabels> labels;
   for (int s = 0; s < 1000; ++s) {
-    labels.push_back(metrics::Labels{{"uuid", std::to_string(s)}}
-                         .with_name("m"));
+    labels.emplace_back(metrics::Labels{{"uuid", std::to_string(s)}}
+                            .with_name("m"));
   }
   int64_t t = 0;
   std::size_t i = 0;
   for (auto _ : state) {
-    store.append(labels[i % labels.size()], t, 1.0);
+    metrics::SampleRef ref{&labels[i % labels.size()], t, 1.0};
+    store.append_refs(&ref, 1);
     if (++i % labels.size() == 0) t += 30000;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -129,17 +134,20 @@ void BM_group_left_join(benchmark::State& state) {
   // The Eq. 1 shape: per-uuid series joined onto per-host series.
   auto store = std::make_shared<TimeSeriesStore>();
   int hosts = static_cast<int>(state.range(0));
+  std::vector<metrics::InternedLabels> labels;
+  labels.reserve(static_cast<std::size_t>(hosts) * 9);  // refs stay valid
+  std::vector<metrics::SampleRef> batch;
   for (int h = 0; h < hosts; ++h) {
     std::string host = "n" + std::to_string(h);
-    store->append(metrics::Labels{{"hostname", host}}.with_name("node_w"),
-                  30000, 300.0);
+    metrics::Labels node{{"hostname", host}};
+    batch.push_back(
+        {&labels.emplace_back(node.with_name("node_w")), 30000, 300.0});
     for (int u = 0; u < 8; ++u) {
-      store->append(metrics::Labels{{"hostname", host},
-                                    {"uuid", std::to_string(u)}}
-                        .with_name("job_share"),
-                    30000, 0.125);
+      auto share = node.with("uuid", std::to_string(u)).with_name("job_share");
+      batch.push_back({&labels.emplace_back(share), 30000, 0.125});
     }
   }
+  store->append_refs(batch.data(), batch.size());
   tsdb::promql::Engine engine;
   auto expr = tsdb::promql::parse(
       "job_share * on(hostname) group_left() node_w");
@@ -238,10 +246,14 @@ std::shared_ptr<tsdb::LongTermStore> make_ladder_store() {
         metrics::Labels{{"hostname", "n" + std::to_string(s % 4)},
                         {"uuid", std::to_string(s)}}
             .with_name("m");
+    metrics::InternedLabels interned(labels);
+    std::vector<metrics::SampleRef> batch;
     for (int64_t t = kLongRangeCadenceMs; t <= kLongRangeSpanMs;
          t += kLongRangeCadenceMs) {
-      hot.append(labels, t, 100.0 + static_cast<double>((t / 15000) % 40));
+      batch.push_back(
+          {&interned, t, 100.0 + static_cast<double>((t / 15000) % 40)});
     }
+    hot.append_refs(batch.data(), batch.size());
   }
   lt->sync_from(hot);
   lt->compact(kLongRangeSpanMs);
@@ -301,116 +313,29 @@ BENCHMARK(BM_purge);
 
 // ---------- concurrency benchmarks (sharded store) ----------
 
-// Reference reproduction of the pre-sharding seed design: one shared_mutex
-// in front of a single series map. Kept here (bench-only) so every
-// BENCH_tsdb.json carries the single-lock baseline the sharded numbers are
-// judged against, independent of which machine ran it.
-class SingleLockStore {
- public:
-  bool append(const metrics::Labels& labels, int64_t t, double v) {
-    uint64_t fingerprint = labels.fingerprint();
-    std::unique_lock lock(mu_);
-    auto it = series_.find(fingerprint);
-    if (it == series_.end()) {
-      it = series_.emplace(fingerprint, Entry{labels, {}}).first;
-    }
-    Entry& entry = it->second;
-    if (!entry.samples.empty() && t < entry.samples.back().t) return false;
-    if (!entry.samples.empty() && t == entry.samples.back().t) {
-      entry.samples.back().v = v;
-      return true;
-    }
-    entry.samples.push_back({t, v});
-    return true;
-  }
-
- private:
-  struct Entry {
-    metrics::Labels labels;
-    std::vector<tsdb::SamplePoint> samples;
-  };
-  std::shared_mutex mu_;
-  std::unordered_map<uint64_t, Entry> series_;
-};
-
-// Same workload as BM_concurrent_ingest but through the single global
-// lock — the seed's scaling curve.
-void BM_concurrent_ingest_single_lock(benchmark::State& state) {
-  static std::shared_ptr<SingleLockStore> store;
-  if (state.thread_index() == 0) store = std::make_shared<SingleLockStore>();
-
-  std::vector<metrics::Labels> labels;
-  for (int s = 0; s < 256; ++s) {
-    labels.push_back(
-        metrics::Labels{{"thread", "t" + std::to_string(state.thread_index())},
-                        {"uuid", std::to_string(s)}}
-            .with_name("m"));
-  }
-  int64_t t = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    store->append(labels[i % labels.size()], t, 1.0);
-    if (++i % labels.size() == 0) t += 30000;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  if (state.thread_index() == 0) store.reset();
-}
-BENCHMARK(BM_concurrent_ingest_single_lock)
-    ->Threads(1)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-
-// Ingest throughput with N writer threads appending to disjoint series —
-// the scrape-sweep shape: every exporter produces its own label sets.
-// Aggregate items/s across threads is the number to watch: with the
-// single-mutex seed it stayed flat from 1 to 8 threads; the sharded store
-// must scale it ≥2x at 8 threads.
-void BM_concurrent_ingest(benchmark::State& state) {
-  static std::shared_ptr<TimeSeriesStore> store;
-  if (state.thread_index() == 0) store = std::make_shared<TimeSeriesStore>();
-
-  std::vector<metrics::Labels> labels;
-  for (int s = 0; s < 256; ++s) {
-    labels.push_back(
-        metrics::Labels{{"thread", "t" + std::to_string(state.thread_index())},
-                        {"uuid", std::to_string(s)}}
-            .with_name("m"));
-  }
-  int64_t t = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    store->append(labels[i % labels.size()], t, 1.0);
-    if (++i % labels.size() == 0) t += 30000;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  if (state.thread_index() == 0) store.reset();
-}
-BENCHMARK(BM_concurrent_ingest)
-    ->Threads(1)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-
-// Batched scrape-style ingest: whole sweeps through append_all, which
-// groups samples by shard and takes each shard lock once per batch.
+// Batched scrape-style ingest with N writer threads appending to disjoint
+// series (every exporter produces its own label sets): whole sweeps
+// through append_refs, which groups samples by shard and takes each shard
+// lock once per batch. Aggregate items/s across threads is the
+// shard-scaling curve.
 void BM_concurrent_ingest_batched(benchmark::State& state) {
   static std::shared_ptr<TimeSeriesStore> store;
   if (state.thread_index() == 0) store = std::make_shared<TimeSeriesStore>();
 
-  std::vector<metrics::Sample> batch;
+  std::vector<metrics::InternedLabels> labels;
   for (int s = 0; s < 256; ++s) {
-    batch.push_back(
-        {metrics::Labels{{"thread", "t" + std::to_string(state.thread_index())},
-                         {"uuid", std::to_string(s)}}
-             .with_name("m"),
-         0, 1.0});
+    labels.emplace_back(
+        metrics::Labels{{"thread", "t" + std::to_string(state.thread_index())},
+                        {"uuid", std::to_string(s)}}
+            .with_name("m"));
   }
+  std::vector<metrics::SampleRef> batch;
+  for (const auto& series : labels) batch.push_back({&series, 0, 1.0});
   int64_t t = 0;
   for (auto _ : state) {
     t += 30000;
     for (auto& sample : batch) sample.timestamp_ms = t;
-    benchmark::DoNotOptimize(store->append_all(batch));
+    benchmark::DoNotOptimize(store->append_refs(batch.data(), batch.size()));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(batch.size()));
@@ -512,9 +437,8 @@ void BM_storage_bytes_per_sample(benchmark::State& state) {
       distinct_symbols.insert(name);
       distinct_symbols.insert(value);
     }
-    for (int i = 0; i < 2880; ++i) {  // 24 h at 30 s
-      store->append(labels, int64_t{i} * 30000, 100.0 + (i % 60) * 0.5);
-    }
+    append_series(*store, labels, 2880, 30000,  // 24 h at 30 s
+                  [](int i) { return 100.0 + (i % 60) * 0.5; });
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(store->stats());
@@ -535,39 +459,6 @@ void BM_storage_bytes_per_sample(benchmark::State& state) {
       static_cast<double>(sizeof(tsdb::SamplePoint)) / bytes_per_sample;
 }
 BENCHMARK(BM_storage_bytes_per_sample)->Arg(10)->Arg(100);
-
-// Steady-state ingest allocations: once series exist and head buffers have
-// grown, the Labels overload of append costs one small allocation (the
-// interned symbol vector used as the lookup key); the sample itself lands
-// in the pre-grown head buffer with no heap traffic.
-void BM_ingest_allocations(benchmark::State& state) {
-  TimeSeriesStore store;
-  std::vector<metrics::Labels> labels;
-  for (int s = 0; s < 256; ++s) {
-    labels.push_back(metrics::Labels{{"uuid", std::to_string(s)}}
-                         .with_name("m"));
-  }
-  // Warm: create the series and grow the head buffers once.
-  for (int i = 0; i < 8; ++i) {
-    for (std::size_t s = 0; s < labels.size(); ++s) {
-      store.append(labels[s], int64_t{i} * 30000, 1.0);
-    }
-  }
-  int64_t t = 8 * 30000;
-  std::size_t i = 0;
-  uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    store.append(labels[i % labels.size()], t, 1.0);
-    if (++i % labels.size() == 0) t += 30000;
-  }
-  uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) -
-                    allocs_before;
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.counters["allocs_per_sample"] =
-      static_cast<double>(allocs) /
-      static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_ingest_allocations);
 
 // ---------------------------------------------------------------------------
 // End-to-end scrape→append path: exposition text in, sealed chunks out.
@@ -667,53 +558,6 @@ void BM_scrape_ingest_e2e(benchmark::State& state) {
 }
 BENCHMARK(BM_scrape_ingest_e2e)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-// The pre-zero-copy ingest path, kept as the comparison baseline: strict
-// parse_exposition into owned Samples, per-sample target-label merge,
-// append_all. BM_scrape_ingest_e2e's samples_per_second over this one is
-// the headline win of the cached-resolution write path.
-void BM_scrape_ingest_e2e_legacy(benchmark::State& state) {
-  ScrapeE2eFixture fix;
-  auto store = std::make_shared<TimeSeriesStore>();
-  auto& table = metrics::SymbolTable::global();
-  std::vector<std::vector<metrics::InternedLabels::SymbolPair>> syms(
-      ScrapeE2eFixture::kTargets);
-  for (int t = 0; t < ScrapeE2eFixture::kTargets; ++t) {
-    for (const auto& [name, value] : fix.target_labels[t].pairs()) {
-      syms[t].emplace_back(table.intern(name), table.intern(value));
-    }
-  }
-  auto sweep = [&](int64_t now, int wave) {
-    uint64_t ingested = 0;
-    for (int t = 0; t < ScrapeE2eFixture::kTargets; ++t) {
-      auto parsed = metrics::parse_exposition(
-          fix.bodies[t][wave % ScrapeE2eFixture::kWaves]);
-      std::vector<metrics::Sample> batch;
-      batch.reserve(parsed.samples.size());
-      for (auto& sample : parsed.samples) {
-        metrics::InternedLabels merged = std::move(sample.labels);
-        for (const auto& [name_sym, value_sym] : syms[t]) {
-          merged = merged.with_symbols(name_sym, value_sym);
-        }
-        batch.push_back({std::move(merged), now, sample.value});
-      }
-      ingested += store->append_all(batch);
-    }
-    return ingested;
-  };
-  int64_t now = 0;
-  int wave = 0;
-  for (int i = 0; i < 8; ++i) sweep(now += 30000, wave++);
-
-  uint64_t samples = 0;
-  for (auto _ : state) {
-    samples += sweep(now += 30000, wave++);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(samples));
-  state.counters["samples_per_second"] = benchmark::Counter(
-      static_cast<double>(samples), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_scrape_ingest_e2e_legacy)->Unit(benchmark::kMillisecond);
 
 // A fixed Jean-Zay-shaped fleet for the rule pass: every node group, two
 // resident jobs per node, GPUs and eBPF traffic, values that move every
@@ -868,99 +712,6 @@ void BM_cached_range_query(benchmark::State& state) {
 }
 BENCHMARK(BM_cached_range_query);
 
-// Direct measurement of the storage-model numbers the chunked pipeline is
-// judged on, written to BENCH_storage.json on every run (fast enough for
-// the CI smoke job): bytes/sample vs the 16-byte raw baseline, batched
-// ingest throughput, and steady-state allocations per append.
-void write_storage_report() {
-  using clock = std::chrono::steady_clock;
-
-  // Footprint: 100 series × 24 h of regular 30 s gauge samples.
-  auto store = std::make_shared<TimeSeriesStore>();
-  std::vector<metrics::Labels> labels;
-  for (int s = 0; s < 100; ++s) {
-    labels.push_back(
-        metrics::Labels{{"hostname", "n" + std::to_string(s % 16)},
-                        {"uuid", std::to_string(s)}}
-            .with_name("m"));
-  }
-  for (int i = 0; i < 2880; ++i) {
-    for (const auto& l : labels) {
-      store->append(l, int64_t{i} * 30000, 100.0 + (i % 60) * 0.5);
-    }
-  }
-  auto stats = store->stats();
-  // Per-store footprint plus the process-global symbol table, once.
-  double bytes_per_sample =
-      static_cast<double>(stats.approx_bytes + stats.symbol_bytes) /
-      static_cast<double>(stats.num_samples);
-  double raw = static_cast<double>(sizeof(tsdb::SamplePoint));
-
-  // Ingest throughput: scrape-sweep batches through append_all.
-  TimeSeriesStore ingest;
-  std::vector<metrics::Sample> batch;
-  for (int s = 0; s < 256; ++s) {
-    batch.push_back(
-        {metrics::Labels{{"uuid", std::to_string(s)}}.with_name("m"), 0,
-         1.0});
-  }
-  constexpr int kSweeps = 2000;
-  auto start = clock::now();
-  for (int i = 0; i < kSweeps; ++i) {
-    for (auto& sample : batch) sample.timestamp_ms = int64_t{i} * 30000;
-    ingest.append_all(batch);
-  }
-  double seconds = std::chrono::duration<double>(clock::now() - start).count();
-  double samples_per_sec = kSweeps * static_cast<double>(batch.size()) /
-                           seconds;
-
-  // Steady-state allocations per single-sample append.
-  std::vector<metrics::Labels> hot;
-  for (int s = 0; s < 64; ++s) {
-    hot.push_back(metrics::Labels{{"uuid", "a" + std::to_string(s)}}
-                      .with_name("hot"));
-  }
-  TimeSeriesStore alloc_store;
-  for (int i = 0; i < 8; ++i) {
-    for (const auto& l : hot) alloc_store.append(l, int64_t{i} * 30000, 1.0);
-  }
-  constexpr int kAllocRounds = 4000;
-  uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
-  for (int i = 8; i < 8 + kAllocRounds; ++i) {
-    for (const auto& l : hot) alloc_store.append(l, int64_t{i} * 30000, 1.0);
-  }
-  double allocs_per_sample =
-      static_cast<double>(g_alloc_count.load(std::memory_order_relaxed) -
-                          allocs_before) /
-      (kAllocRounds * static_cast<double>(hot.size()));
-
-  std::FILE* f = std::fopen("BENCH_storage.json", "w");
-  if (!f) return;
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"workload\": \"100 series x 2880 samples, 30s interval, sawtooth "
-      "gauge\",\n"
-      "  \"num_samples\": %zu,\n"
-      "  \"approx_bytes\": %zu,\n"
-      "  \"symbol_bytes\": %zu,\n"
-      "  \"bytes_per_sample\": %.3f,\n"
-      "  \"raw_bytes_per_sample\": %.1f,\n"
-      "  \"reduction_factor\": %.2f,\n"
-      "  \"ingest_samples_per_sec\": %.0f,\n"
-      "  \"ingest_allocs_per_sample\": %.4f\n"
-      "}\n",
-      stats.num_samples, stats.approx_bytes, stats.symbol_bytes,
-      bytes_per_sample, raw,
-      raw / bytes_per_sample, samples_per_sec, allocs_per_sample);
-  std::fclose(f);
-  std::fprintf(stderr,
-               "BENCH_storage.json: %.2f bytes/sample (%.1fx reduction), "
-               "%.0f samples/s ingest, %.3f allocs/sample\n",
-               bytes_per_sample, raw / bytes_per_sample, samples_per_sec,
-               allocs_per_sample);
-}
-
 }  // namespace
 
 // BENCHMARK_MAIN, plus a default JSON report to BENCH_tsdb.json so every
@@ -994,6 +745,5 @@ int main(int argc, char** argv) {
     return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  write_storage_report();
   return 0;
 }

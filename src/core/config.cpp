@@ -69,13 +69,16 @@ StackConfig load_stack_config(const Json& root) {
       longterm && longterm->is_object()) {
     config.longterm.downsample_after_ms = duration_of(
         *longterm, "downsample_after", config.longterm.downsample_after_ms);
-    config.longterm.resolution_ms =
-        duration_of(*longterm, "resolution", config.longterm.resolution_ms);
-    config.longterm.retention_ms =
-        duration_of(*longterm, "retention", config.longterm.retention_ms);
-    // Explicit resolution ladder; when present it overrides the legacy
-    // single-level resolution/retention pair.
+    // The flat resolution/retention keys describe a one-level ladder; a
+    // non-empty `levels:` array replaces it.
+    tsdb::AggLevelConfig flat;
+    flat.resolution_ms =
+        duration_of(*longterm, "resolution", flat.resolution_ms);
+    flat.retention_ms =
+        duration_of(*longterm, "retention", flat.retention_ms);
+    config.longterm.levels = {flat};
     if (auto levels = longterm->get("levels"); levels && levels->is_array()) {
+      std::vector<tsdb::AggLevelConfig> ladder;
       for (const auto& level_node : levels->as_array()) {
         if (!level_node.is_object()) continue;
         tsdb::AggLevelConfig level;
@@ -83,8 +86,9 @@ StackConfig load_stack_config(const Json& root) {
             duration_of(level_node, "resolution", level.resolution_ms);
         level.retention_ms =
             duration_of(level_node, "retention", level.retention_ms);
-        config.longterm.levels.push_back(level);
+        ladder.push_back(level);
       }
+      if (!ladder.empty()) config.longterm.levels = std::move(ladder);
     }
   }
   if (auto lb = section->get("lb"); lb && lb->is_object()) {

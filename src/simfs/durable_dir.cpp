@@ -1,6 +1,7 @@
 #include "simfs/durable_dir.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -132,7 +133,14 @@ bool RealDurableDir::sync(const std::string& name) {
     bytes = std::move(it->second);
     it->second.clear();
   }
-  int fd = ::open(path_of(name).c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  // A file this sync creates is durable only once its directory entry is.
+  const std::string path = path_of(name);
+  bool created = false;
+  int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+  if (fd < 0 && errno == ENOENT) {
+    fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    created = true;
+  }
   if (fd < 0) return false;
   const char* data = bytes.data();
   std::size_t left = bytes.size();
@@ -147,7 +155,7 @@ bool RealDurableDir::sync(const std::string& name) {
   }
   bool ok = ::fsync(fd) == 0;
   ::close(fd);
-  return ok;
+  return ok && (!created || sync_dir());
 }
 
 bool RealDurableDir::replace(const std::string& name, std::string_view bytes) {
@@ -173,12 +181,7 @@ bool RealDurableDir::replace(const std::string& name, std::string_view bytes) {
   ::close(fd);
   if (!ok) return false;
   if (std::rename(tmp.c_str(), path_of(name).c_str()) != 0) return false;
-  int dfd = ::open(root_.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-  return true;
+  return sync_dir();
 }
 
 std::optional<std::string> RealDurableDir::read(const std::string& name) const {
@@ -209,8 +212,9 @@ bool RealDurableDir::remove(const std::string& name) {
     pending_.erase(name);
   }
   std::error_code ec;
-  std::filesystem::remove(path_of(name), ec);
-  return !ec;
+  bool removed = std::filesystem::remove(path_of(name), ec);
+  if (ec) return false;
+  return !removed || sync_dir();
 }
 
 bool RealDurableDir::truncate(const std::string& name, std::size_t size) {
@@ -218,9 +222,19 @@ bool RealDurableDir::truncate(const std::string& name, std::size_t size) {
     std::lock_guard lock(mu_);
     pending_.erase(name);
   }
-  std::error_code ec;
-  std::filesystem::resize_file(path_of(name), size, ec);
-  return !ec;
+  int fd = ::open(path_of(name).c_str(), O_WRONLY);
+  if (fd < 0) return false;
+  bool ok = ::ftruncate(fd, static_cast<off_t>(size)) == 0 && ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+}
+
+bool RealDurableDir::sync_dir() const {
+  int fd = ::open(root_.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return false;
+  bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
 }
 
 }  // namespace ceems::simfs

@@ -93,9 +93,12 @@ class SimDurableDir final : public DurableDir {
   uint64_t syncs_ = 0;
 };
 
-// The same interface over a host directory (root must exist). append()
-// holds bytes in memory until sync(), which writes + fsyncs; replace()
-// writes a temp file, fsyncs, renames, fsyncs the directory.
+// The same interface over a host directory (created if missing). append()
+// holds bytes in memory until sync(), which writes + fsyncs (and fsyncs
+// the directory when the sync created the file); replace() writes a temp
+// file, fsyncs, renames, fsyncs the directory; remove() fsyncs the
+// directory and truncate() the file. Leftover "*.tmp" files from an
+// interrupted replace() are invisible to list().
 class RealDurableDir final : public DurableDir {
  public:
   explicit RealDurableDir(std::string root);
@@ -110,6 +113,8 @@ class RealDurableDir final : public DurableDir {
 
  private:
   std::string path_of(const std::string& name) const;
+  // fsyncs the root directory, making entry creation/rename/unlink durable.
+  bool sync_dir() const;
 
   std::string root_;
   mutable std::mutex mu_;

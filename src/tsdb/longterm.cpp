@@ -69,9 +69,6 @@ void fold_sample(AggBucket& bucket, TimestampMs t, double v) {
 LongTermStore::LongTermStore(LongTermConfig config)
     : config_(std::move(config)) {
   std::vector<AggLevelConfig> ladder = config_.levels;
-  if (ladder.empty()) {
-    ladder.push_back({config_.resolution_ms, config_.retention_ms});
-  }
   ladder.erase(std::remove_if(
                    ladder.begin(), ladder.end(),
                    [](const AggLevelConfig& l) { return l.resolution_ms <= 0; }),

@@ -34,13 +34,9 @@ struct LongTermConfig {
   // Raw samples older than this get aggregated away on the next
   // compaction (the finest ladder level takes over as their history).
   int64_t downsample_after_ms = 2 * common::kMillisPerHour;
-  // Legacy single-level knobs: when `levels` is empty the ladder is one
-  // level of {resolution_ms, retention_ms}. Kept so existing configs and
-  // call sites keep meaning what they meant.
-  int64_t resolution_ms = 5 * common::kMillisPerMinute;
-  int64_t retention_ms = 0;
-  // Explicit resolution ladder; overrides the legacy knobs when set.
-  std::vector<AggLevelConfig> levels;
+  // Resolution ladder, finest first; by default one 5-minute level kept
+  // forever.
+  std::vector<AggLevelConfig> levels{AggLevelConfig{}};
 };
 
 // Counters for how queries were served. select() splices the synthesised

@@ -1,12 +1,11 @@
 #include "tsdb/storage.h"
 
 #include <algorithm>
-#include <fstream>
 #include <mutex>
 #include <regex>
-#include <sstream>
 
 #include "metrics/regex_cache.h"
+#include "tsdb/byte_codec.h"
 #include "tsdb/wal.h"
 
 namespace ceems::tsdb {
@@ -79,40 +78,6 @@ void TimeSeriesStore::set_wal(std::shared_ptr<Wal> wal) {
   wal_.store(wal_owner_.get(), std::memory_order_release);
 }
 
-bool TimeSeriesStore::append(const Labels& labels, TimestampMs t, double v) {
-  return append(InternedLabels(labels), t, v);
-}
-
-bool TimeSeriesStore::append(const InternedLabels& labels, TimestampMs t,
-                             double v) {
-  Wal::CommitGuard guard;
-  if (Wal* wal = wal_.load(std::memory_order_acquire)) {
-    metrics::SampleRef ref{&labels, t, v};
-    guard = wal->commit_shared();
-    wal->log_batch(&ref, 1);
-  }
-  Shard& shard = shards_[shard_of(labels.fingerprint())];
-  std::unique_lock lock(shard.mu);
-  bool accepted = append_locked(shard, labels, t, v);
-  if (accepted) shard.version.fetch_add(1, std::memory_order_acq_rel);
-  return accepted;
-}
-
-std::size_t TimeSeriesStore::append_all(
-    const std::vector<metrics::Sample>& samples) {
-  // One code path with append_refs: batch appends flow through the same
-  // WAL logging and shard bucketing regardless of the caller's sample
-  // representation. The ref vector is thread-local scratch, so steady
-  // state allocates nothing.
-  thread_local std::vector<metrics::SampleRef> refs;
-  refs.clear();
-  refs.reserve(samples.size());
-  for (const auto& sample : samples) {
-    refs.push_back({&sample.labels, sample.timestamp_ms, sample.value});
-  }
-  return append_refs(refs.data(), refs.size());
-}
-
 std::size_t TimeSeriesStore::append_refs(const metrics::SampleRef* samples,
                                          std::size_t count) {
   if (count == 0) return 0;
@@ -123,15 +88,10 @@ std::size_t TimeSeriesStore::append_refs(const metrics::SampleRef* samples,
     guard = wal->commit_shared();
     wal->log_batch(samples, count);
   }
-  return apply_refs(samples, count);
-}
-
-std::size_t TimeSeriesStore::apply_refs(const metrics::SampleRef* samples,
-                                        std::size_t count) {
   // Bucket by shard first so each shard lock is acquired once per batch.
-  // Sample labels arrive interned from the parser, so this reads the
-  // precomputed fingerprint instead of hashing label strings. Buckets
-  // are thread-local so their capacity persists across batches.
+  // Sample labels arrive interned, so this reads the precomputed
+  // fingerprint instead of hashing label strings. Buckets are
+  // thread-local so their capacity persists across batches.
   thread_local std::array<std::vector<const metrics::SampleRef*>,
                           kShardCount>
       buckets;
@@ -340,23 +300,6 @@ std::vector<uint64_t> TimeSeriesStore::version_signature() const {
   return out;
 }
 
-std::vector<std::string> TimeSeriesStore::label_values(
-    const std::string& label_name) const {
-  auto name_sym = SymbolTable::global().find(label_name);
-  if (!name_sym) return {};
-  std::set<std::string> merged;
-  for (const Shard& shard : shards_) {
-    std::shared_lock lock(shard.mu);
-    auto it = shard.index.find(*name_sym);
-    if (it == shard.index.end()) continue;
-    for (const auto& [value_sym, ids] : it->second) {
-      if (!ids.empty())
-        merged.emplace(SymbolTable::global().text(value_sym));
-    }
-  }
-  return {merged.begin(), merged.end()};
-}
-
 std::size_t TimeSeriesStore::purge_before(TimestampMs cutoff) {
   Wal::CommitGuard guard;
   if (Wal* wal = wal_.load(std::memory_order_acquire)) {
@@ -472,47 +415,29 @@ void TimeSeriesStore::for_each_shard_since(
 
 namespace {
 
-// v2: sealed chunks written compressed. v1 (raw samples) is still read.
-constexpr char kSnapshotMagicV2[] = "CEEMSTSDB2";
-constexpr char kSnapshotMagicV1[] = "CEEMSTSDB1";
-static_assert(sizeof(kSnapshotMagicV2) == sizeof(kSnapshotMagicV1));
+constexpr std::string_view kSnapshotMagic = "CEEMSTSDB2";
 
-void put_u64(std::ostream& out, uint64_t value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+// Snapshot strings carry a u64 length (WAL records use a varint).
+void put_string(std::string& out, std::string_view text) {
+  codec::put_u64(out, text.size());
+  out.append(text);
 }
-void put_f64(std::ostream& out, double value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-void put_string(std::ostream& out, const std::string& text) {
-  put_u64(out, text.size());
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-}
-bool get_u64(std::istream& in, uint64_t& value) {
-  in.read(reinterpret_cast<char*>(&value), sizeof(value));
-  return in.good();
-}
-bool get_f64(std::istream& in, double& value) {
-  in.read(reinterpret_cast<char*>(&value), sizeof(value));
-  return in.good();
-}
-bool get_string(std::istream& in, std::string& text) {
+
+bool get_string(codec::Reader& in, std::string_view* text) {
   uint64_t size = 0;
-  if (!get_u64(in, size) || size > (1u << 20)) return false;
-  text.resize(size);
-  in.read(text.data(), static_cast<std::streamsize>(size));
-  return in.good();
+  return in.get_u64(&size) && size <= (1u << 20) && in.get_bytes(size, text);
 }
 
 // Reads one label set; false on malformed input.
-bool get_labels(std::istream& in, Labels& out) {
+bool get_labels(codec::Reader& in, Labels& out) {
   uint64_t num_labels = 0;
-  if (!get_u64(in, num_labels) || num_labels > 256) return false;
+  if (!in.get_u64(&num_labels) || num_labels > 256) return false;
   std::vector<Labels::Pair> pairs;
   pairs.reserve(num_labels);
   for (uint64_t l = 0; l < num_labels; ++l) {
-    std::string name, value;
-    if (!get_string(in, name) || !get_string(in, value)) return false;
-    pairs.emplace_back(std::move(name), std::move(value));
+    std::string_view name, value;
+    if (!get_string(in, &name) || !get_string(in, &value)) return false;
+    pairs.emplace_back(std::string(name), std::string(value));
   }
   out = Labels(std::move(pairs));
   return true;
@@ -520,19 +445,7 @@ bool get_labels(std::istream& in, Labels& out) {
 
 }  // namespace
 
-bool TimeSeriesStore::snapshot_to(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.good()) return false;
-  return snapshot_stream(out);
-}
-
 std::string TimeSeriesStore::snapshot_bytes() const {
-  std::ostringstream out(std::ios::binary);
-  snapshot_stream(out);
-  return std::move(out).str();
-}
-
-bool TimeSeriesStore::snapshot_stream(std::ostream& out) const {
   // Hold every shard lock (in index order, so concurrent snapshots cannot
   // deadlock) for a consistent cut across shards.
   std::vector<std::shared_lock<std::shared_mutex>> locks;
@@ -542,126 +455,96 @@ bool TimeSeriesStore::snapshot_stream(std::ostream& out) const {
     locks.emplace_back(shard.mu);
     num_series += shard.series.size();
   }
-  out.write(kSnapshotMagicV2, sizeof(kSnapshotMagicV2) - 1);
-  put_u64(out, num_series);
+  std::string out(kSnapshotMagic);
+  codec::put_u64(out, num_series);
   for (const Shard& shard : shards_) {
     for (const auto& [id, stored] : shard.series) {
-      put_u64(out, stored.labels.pairs().size());
+      codec::put_u64(out, stored.labels.pairs().size());
       for (const auto& [name, value] : stored.labels.pairs()) {
         put_string(out, name);
         put_string(out, value);
       }
-      put_u64(out, stored.data.sealed().size());
+      codec::put_u64(out, stored.data.sealed().size());
       for (const ChunkPtr& chunk : stored.data.sealed()) {
-        put_u64(out, chunk->count());
-        put_u64(out, static_cast<uint64_t>(chunk->min_time()));
-        put_u64(out, static_cast<uint64_t>(chunk->max_time()));
-        put_u64(out, chunk->bytes().size());
-        out.write(reinterpret_cast<const char*>(chunk->bytes().data()),
-                  static_cast<std::streamsize>(chunk->bytes().size()));
+        codec::put_u64(out, chunk->count());
+        codec::put_u64(out, static_cast<uint64_t>(chunk->min_time()));
+        codec::put_u64(out, static_cast<uint64_t>(chunk->max_time()));
+        codec::put_u64(out, chunk->bytes().size());
+        out.append(reinterpret_cast<const char*>(chunk->bytes().data()),
+                   chunk->bytes().size());
       }
-      put_u64(out, stored.data.head().size());
+      codec::put_u64(out, stored.data.head().size());
       for (const auto& sample : stored.data.head()) {
-        put_u64(out, static_cast<uint64_t>(sample.t));
-        put_f64(out, sample.v);
+        codec::put_u64(out, static_cast<uint64_t>(sample.t));
+        codec::put_f64(out, sample.v);
       }
     }
   }
-  return out.good();
-}
-
-std::optional<std::size_t> TimeSeriesStore::restore_from(
-    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return std::nullopt;
-  return restore_stream(in);
+  return out;
 }
 
 std::optional<std::size_t> TimeSeriesStore::restore_from_bytes(
     std::string_view bytes) {
-  std::istringstream in(std::string(bytes), std::ios::binary);
-  return restore_stream(in);
-}
+  codec::Reader in(bytes);
+  std::string_view magic;
+  if (!in.get_bytes(kSnapshotMagic.size(), &magic) || magic != kSnapshotMagic)
+    return std::nullopt;
 
-std::optional<std::size_t> TimeSeriesStore::restore_stream(std::istream& in) {
-  char magic[sizeof(kSnapshotMagicV2) - 1];
-  in.read(magic, sizeof(magic));
-  if (!in.good()) return std::nullopt;
-  std::string_view version(magic, sizeof(magic));
-
-  // Stage 1: parse and validate the whole file into scratch structures.
-  // Nothing touches the shards until the snapshot is known-good, so a
-  // corrupt or truncated file can never leave a partial restore applied.
+  // Stage 1: parse and validate the whole snapshot into scratch
+  // structures. Nothing touches the shards until the snapshot is
+  // known-good, so corrupt or truncated bytes can never leave a partial
+  // restore applied. Counts are checked against the bytes left before
+  // anything is reserved, so a corrupt count cannot allocate wildly.
   struct StagedSeries {
     Labels labels;
-    std::vector<ChunkPtr> chunks;       // sealed (v2 only)
-    std::vector<SamplePoint> samples;   // head (v2) or raw run (v1)
+    std::vector<ChunkPtr> chunks;
+    std::vector<SamplePoint> head;
   };
   std::vector<StagedSeries> staged;
-
-  if (version == kSnapshotMagicV1) {
-    // Legacy raw-sample format.
-    uint64_t num_series = 0;
-    if (!get_u64(in, num_series)) return std::nullopt;
-    staged.reserve(num_series);
-    for (uint64_t s = 0; s < num_series; ++s) {
-      StagedSeries entry;
-      if (!get_labels(in, entry.labels)) return std::nullopt;
-      uint64_t num_samples = 0;
-      if (!get_u64(in, num_samples)) return std::nullopt;
-      entry.samples.resize(num_samples);
-      for (uint64_t i = 0; i < num_samples; ++i) {
-        uint64_t t = 0;
-        if (!get_u64(in, t) || !get_f64(in, entry.samples[i].v))
-          return std::nullopt;
-        entry.samples[i].t = static_cast<TimestampMs>(t);
-      }
-      staged.push_back(std::move(entry));
-    }
-  } else if (version == kSnapshotMagicV2) {
-    uint64_t num_series = 0;
-    if (!get_u64(in, num_series)) return std::nullopt;
-    staged.reserve(num_series);
-    for (uint64_t s = 0; s < num_series; ++s) {
-      StagedSeries entry;
-      if (!get_labels(in, entry.labels)) return std::nullopt;
-      uint64_t num_sealed = 0;
-      if (!get_u64(in, num_sealed) || num_sealed > (1u << 24))
+  uint64_t num_series = 0;
+  if (!in.get_u64(&num_series)) return std::nullopt;
+  // A series takes at least its three u64 counts.
+  staged.reserve(std::min<uint64_t>(num_series, in.remaining() / 24));
+  for (uint64_t s = 0; s < num_series; ++s) {
+    StagedSeries entry;
+    if (!get_labels(in, entry.labels)) return std::nullopt;
+    uint64_t num_sealed = 0;
+    if (!in.get_u64(&num_sealed) || num_sealed > (1u << 24))
+      return std::nullopt;
+    // A sealed chunk takes at least its four u64 header fields.
+    entry.chunks.reserve(std::min<uint64_t>(num_sealed, in.remaining() / 32));
+    for (uint64_t c = 0; c < num_sealed; ++c) {
+      uint64_t count = 0, min_t = 0, max_t = 0, nbytes = 0;
+      if (!in.get_u64(&count) || !in.get_u64(&min_t) ||
+          !in.get_u64(&max_t) || !in.get_u64(&nbytes)) {
         return std::nullopt;
-      entry.chunks.reserve(num_sealed);
-      for (uint64_t c = 0; c < num_sealed; ++c) {
-        uint64_t count = 0, min_t = 0, max_t = 0, nbytes = 0;
-        if (!get_u64(in, count) || !get_u64(in, min_t) ||
-            !get_u64(in, max_t) || !get_u64(in, nbytes)) {
-          return std::nullopt;
-        }
-        // Sanity caps: a chunk never exceeds the seal threshold by much,
-        // and its payload is bounded by ~17 bytes/sample worst case.
-        if (count == 0 || count > (1u << 20) || nbytes > (1u << 26))
-          return std::nullopt;
-        std::vector<uint8_t> bytes(nbytes);
-        in.read(reinterpret_cast<char*>(bytes.data()),
-                static_cast<std::streamsize>(nbytes));
-        if (!in.good()) return std::nullopt;
-        ChunkPtr chunk = GorillaChunk::from_parts(
-            std::move(bytes), static_cast<uint32_t>(count),
-            static_cast<TimestampMs>(min_t), static_cast<TimestampMs>(max_t));
-        if (!chunk) return std::nullopt;  // corrupt: header/body mismatch
-        entry.chunks.push_back(std::move(chunk));
       }
-      uint64_t num_head = 0;
-      if (!get_u64(in, num_head) || num_head > (1u << 24)) return std::nullopt;
-      entry.samples.resize(num_head);
-      for (uint64_t i = 0; i < num_head; ++i) {
-        uint64_t t = 0;
-        if (!get_u64(in, t) || !get_f64(in, entry.samples[i].v))
-          return std::nullopt;
-        entry.samples[i].t = static_cast<TimestampMs>(t);
-      }
-      staged.push_back(std::move(entry));
+      // Sanity caps: a chunk never exceeds the seal threshold by much,
+      // and its payload is bounded by ~17 bytes/sample worst case.
+      if (count == 0 || count > (1u << 20) || nbytes > (1u << 26))
+        return std::nullopt;
+      std::string_view body;
+      if (!in.get_bytes(nbytes, &body)) return std::nullopt;
+      const auto* data = reinterpret_cast<const uint8_t*>(body.data());
+      ChunkPtr chunk = GorillaChunk::from_parts(
+          std::vector<uint8_t>(data, data + body.size()),
+          static_cast<uint32_t>(count), static_cast<TimestampMs>(min_t),
+          static_cast<TimestampMs>(max_t));
+      if (!chunk) return std::nullopt;  // corrupt: header/body mismatch
+      entry.chunks.push_back(std::move(chunk));
     }
-  } else {
-    return std::nullopt;
+    uint64_t num_head = 0;
+    if (!in.get_u64(&num_head) || num_head > (1u << 24) ||
+        num_head > in.remaining() / 16) {
+      return std::nullopt;
+    }
+    entry.head.resize(num_head);
+    for (SamplePoint& sample : entry.head) {
+      uint64_t t = 0;
+      if (!in.get_u64(&t) || !in.get_f64(&sample.v)) return std::nullopt;
+      sample.t = static_cast<TimestampMs>(t);
+    }
+    staged.push_back(std::move(entry));
   }
 
   // Stage 2: commit. Only counted appends (kAppended) bump num_samples;
@@ -690,7 +573,7 @@ std::optional<std::size_t> TimeSeriesStore::restore_stream(std::istream& in) {
         }
       }
     }
-    for (const auto& sp : entry.samples) {
+    for (const auto& sp : entry.head) {
       if (stored.data.append(sp.t, sp.v) == AppendResult::kAppended)
         ++series_restored;
     }

@@ -16,8 +16,9 @@
 //
 // Concurrency: the series map is sharded by label-set fingerprint into
 // kShardCount lock-striped shards, each with its own shared_mutex and
-// inverted index. Appends touch exactly one shard, so ingestion from many
-// scrape threads scales with cores instead of serialising on one mutex.
+// inverted index. An append batch takes each shard lock it touches once,
+// and a sample touches exactly one shard, so ingestion from many scrape
+// threads scales with cores instead of serialising on one mutex.
 // Reads take per-shard shared locks in sequence; a select() that overlaps
 // a concurrent write may see the new sample in one shard but not another —
 // the same head-block semantics Prometheus exposes to queriers. Sealed
@@ -36,13 +37,13 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -121,17 +122,14 @@ class TimeSeriesStore final : public Queryable {
   // Lock stripes; power of two so shard_of() is a mask.
   static constexpr std::size_t kShardCount = 16;
 
-  // Appends one sample; creates the series on first sight. Returns false
-  // (and drops the sample) if it is older than the series' newest sample.
-  bool append(const Labels& labels, TimestampMs t, double v);
-  // Same, for already-interned labels (the scrape hot path): reuses the
-  // precomputed fingerprint instead of re-hashing label strings.
-  bool append(const InternedLabels& labels, TimestampMs t, double v);
-  // Bulk append of scrape output, grouped by shard so each shard lock is
-  // taken once per batch. Returns the number of samples accepted.
-  std::size_t append_all(const std::vector<metrics::Sample>& samples);
-  // Same, over non-owning sample refs — the allocation-free scrape hot
-  // path: the caller's label pointers must stay valid for the call.
+  // The one sample-write entry point. Appends a batch of samples, each
+  // creating its series on first sight; a sample older than its series'
+  // newest is dropped (out-of-order, as in Prometheus) and a duplicate
+  // timestamp overwrites. With a WAL attached the whole batch is one
+  // durable record, logged before it is applied. Samples are grouped by
+  // shard so each shard lock is taken once per batch; the caller's label
+  // pointers must stay valid for the call. Returns the number of samples
+  // accepted.
   std::size_t append_refs(const metrics::SampleRef* samples,
                           std::size_t count);
 
@@ -147,9 +145,6 @@ class TimeSeriesStore final : public Queryable {
                                  TimestampMs max_t) const override;
 
   std::vector<uint64_t> version_signature() const override;
-
-  // Label values seen for a name (for API /api/v1/label/<n>/values).
-  std::vector<std::string> label_values(const std::string& label_name) const;
 
   // Drops samples older than `cutoff` from all series; removes series that
   // become empty. Returns the number of samples dropped.
@@ -182,24 +177,19 @@ class TimeSeriesStore final : public Queryable {
       const std::function<void(const metrics::SampleRef*, std::size_t)>&
           sink) const;
 
-  // Durability: writes a compact binary snapshot of every series (the
-  // Prometheus block-on-local-disk analogue of Fig. 1). Sealed chunks are
-  // written compressed as-is. Holds every shard lock for the duration, so
-  // the snapshot is a consistent cut. Returns false on IO error.
-  bool snapshot_to(const std::string& path) const;
-  // Loads a snapshot into this (empty or compatible) store. Reads both the
-  // current chunked format ("CEEMSTSDB2") and the legacy raw-sample format
-  // ("CEEMSTSDB1"); restoring into an empty store adopts sealed chunks
-  // without re-encoding. Returns samples restored, or nullopt when the
-  // file is missing, truncated, or corrupt (every chunk is decode-verified
-  // against its header). A nullopt return leaves the store unmodified:
-  // the whole snapshot is parsed and validated into scratch structures
-  // before any series is created or appended to.
-  std::optional<std::size_t> restore_from(const std::string& path);
-
-  // Same snapshot/restore over in-memory bytes — the WAL checkpoint path
-  // (tsdb/wal.h) wraps these in its atomically-installed snapshot file.
+  // Durability: a compact binary snapshot of every series ("CEEMSTSDB2":
+  // u64-length-prefixed labels, sealed chunks written compressed as-is,
+  // then the raw head). Holds every shard lock for the duration, so the
+  // snapshot is a consistent cut. The WAL checkpoint (tsdb/wal.h) wraps
+  // these bytes in its atomically-installed snapshot file.
   std::string snapshot_bytes() const;
+  // Loads a snapshot into this (empty or compatible) store; restoring into
+  // an empty store adopts sealed chunks without re-encoding. Returns
+  // samples restored, or nullopt when the bytes are truncated or corrupt
+  // (every chunk is decode-verified against its header). A nullopt return
+  // leaves the store unmodified: the whole snapshot is parsed and
+  // validated into scratch structures before any series is created or
+  // appended to.
   std::optional<std::size_t> restore_from_bytes(std::string_view bytes);
 
   static std::size_t shard_of(uint64_t fingerprint) {
@@ -252,15 +242,6 @@ class TimeSeriesStore final : public Queryable {
   // at least a shared lock on the shard.
   static std::vector<uint64_t> match_ids(const Shard& shard,
                                          const Selector& selector);
-
-  // Shard-bucketed apply without WAL logging (append_refs calls it after
-  // the batch is durable; WAL replay reaches it through append_refs on a
-  // store with no WAL attached).
-  std::size_t apply_refs(const metrics::SampleRef* samples,
-                         std::size_t count);
-
-  bool snapshot_stream(std::ostream& out) const;
-  std::optional<std::size_t> restore_stream(std::istream& in);
 
   std::array<Shard, kShardCount> shards_;
 

@@ -4,9 +4,17 @@
 #include <array>
 #include <cstring>
 
+#include "tsdb/byte_codec.h"
+
 namespace ceems::tsdb {
 namespace {
 
+using codec::put_str;
+using codec::put_u32;
+using codec::put_u64;
+using codec::put_varint;
+using codec::put_zigzag;
+using codec::Reader;
 using metrics::InternedLabels;
 using metrics::Labels;
 using metrics::SymbolTable;
@@ -43,90 +51,6 @@ uint32_t crc32(std::string_view bytes) {
   }
   return crc ^ 0xFFFFFFFFu;
 }
-
-void put_u32(std::string& out, uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void put_u64(std::string& out, uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void put_varint(std::string& out, uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-void put_zigzag(std::string& out, int64_t v) {
-  put_varint(out, (static_cast<uint64_t>(v) << 1) ^
-                      static_cast<uint64_t>(v >> 63));
-}
-
-void put_str(std::string& out, std::string_view text) {
-  put_varint(out, text.size());
-  out.append(text.data(), text.size());
-}
-
-// Bounds-checked reader over a record payload; every getter returns
-// false instead of reading past the end, so replaying a corrupt or
-// truncated record can never crash.
-struct Reader {
-  const uint8_t* p;
-  const uint8_t* end;
-
-  explicit Reader(std::string_view bytes)
-      : p(reinterpret_cast<const uint8_t*>(bytes.data())),
-        end(p + bytes.size()) {}
-
-  bool done() const { return p == end; }
-
-  bool get_u8(uint8_t* out) {
-    if (p == end) return false;
-    *out = *p++;
-    return true;
-  }
-
-  bool get_u64(uint64_t* out) {
-    if (end - p < 8) return false;
-    std::memcpy(out, p, 8);
-    p += 8;
-    return true;
-  }
-
-  bool get_varint(uint64_t* out) {
-    uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (p == end) return false;
-      uint8_t byte = *p++;
-      v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-      if (!(byte & 0x80)) {
-        *out = v;
-        return true;
-      }
-    }
-    return false;  // varint longer than 10 bytes: corrupt
-  }
-
-  bool get_zigzag(int64_t* out) {
-    uint64_t raw = 0;
-    if (!get_varint(&raw)) return false;
-    *out = static_cast<int64_t>(raw >> 1) ^ -static_cast<int64_t>(raw & 1);
-    return true;
-  }
-
-  bool get_str(std::string* out) {
-    uint64_t len = 0;
-    if (!get_varint(&len) || len > (1u << 20)) return false;
-    if (static_cast<uint64_t>(end - p) < len) return false;
-    out->assign(reinterpret_cast<const char*>(p),
-                static_cast<std::size_t>(len));
-    p += len;
-    return true;
-  }
-};
 
 bool read_header(std::string_view bytes, uint64_t* seq) {
   if (bytes.size() < kHeaderLen) return false;

@@ -6,6 +6,7 @@
 #include "common/yamlconf.h"
 #include "core/rules_library.h"
 #include "tsdb/rules.h"
+#include "append_one.h"
 
 namespace ceems::tsdb {
 namespace {
@@ -31,7 +32,7 @@ class AlertsTest : public ::testing::Test {
 
   void set_up_metric(const std::string& host, common::TimestampMs t,
                      double value) {
-    store_->append(named("up", {{"hostname", host}}), t, value);
+    append_one(*store_, named("up", {{"hostname", host}}), t, value);
   }
 
   StorePtr store_;
@@ -190,8 +191,8 @@ TEST(CeemsAlerts, ExporterOutageFiresShippedRule) {
   }
   // Healthy scrape generations, then an outage longer than `for: 2m`.
   auto put_up = [&](common::TimestampMs t, double value) {
-    store->append(named("up", {{"hostname", "jzcpu7"}}), t, value);
-    store->append(named("ceems_emissions_gCo2_kWh",
+    append_one(*store, named("up", {{"hostname", "jzcpu7"}}), t, value);
+    append_one(*store, named("ceems_emissions_gCo2_kWh",
                         {{"provider", "rte"}, {"country_code", "FR"}}),
                   t, 50);
   };

@@ -6,6 +6,7 @@
 #include "apiserver/updater.h"
 #include "http/client.h"
 #include "stack_fixture.h"
+#include "append_one.h"
 
 namespace ceems::apiserver {
 namespace {
@@ -124,8 +125,8 @@ TEST(UpdaterAlignment, AggregateQueriesHitResolutionLadder) {
   auto cpu = metrics::Labels{{"uuid", "vm-1"}}
                  .with_name("ceems_compute_unit_cpu_usage_seconds_total");
   for (common::TimestampMs t = 0; t <= kEnd; t += 30000) {
-    hot.append(power, t, 200);
-    hot.append(cpu, t, static_cast<double>(t) / 1000.0);  // 1 cpu-sec/sec
+    append_one(hot, power, t, 200);
+    append_one(hot, cpu, t, static_cast<double>(t) / 1000.0);  // 1 cpu-sec/sec
   }
   tsdb::LongTermConfig lt_config;
   lt_config.downsample_after_ms = 365LL * 24 * common::kMillisPerHour;

@@ -8,6 +8,7 @@
 #include "exporter/ebpf_collector.h"
 #include "node/node_sim.h"
 #include "tsdb/rules.h"
+#include "append_one.h"
 
 namespace ceems {
 namespace {
@@ -118,7 +119,7 @@ TEST(Ebpf, NetworkShareRuleBeatsEqualSplitForSkewedTraffic) {
   auto put = [&](const std::string& name,
                  std::initializer_list<metrics::Labels::Pair> pairs,
                  common::TimestampMs t, double v) {
-    store->append(metrics::Labels(pairs).with_name(name), t, v);
+    append_one(*store, metrics::Labels(pairs).with_name(name), t, v);
   };
   metrics::Labels::Pair host{"hostname", "n1"};
   metrics::Labels::Pair group{"nodegroup", "amd-cpu"};

@@ -5,10 +5,10 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 
 #include "core/config.h"
 #include "stack_fixture.h"
+#include "append_one.h"
 
 namespace ceems::core {
 namespace {
@@ -193,7 +193,7 @@ TEST(FailureInjection, ExporterOutageFiresAlertAndResolves) {
     scraper.scrape_all_once();
     // Keep the EmissionFactorMissing alert quiet: this rig has no
     // emissions target, so feed the factor series directly.
-    store->append(metrics::Labels{{"provider", "rte"}}.with_name(
+    append_one(*store, metrics::Labels{{"provider", "rte"}}.with_name(
                       "ceems_emissions_gCo2_kWh"),
                   clock->now_ms(), 50);
     return rules.evaluate_all(clock->now_ms());
@@ -229,11 +229,10 @@ TEST(FailureInjection, ExporterOutageFiresAlertAndResolves) {
 TEST(Durability, HotStoreSnapshotSurvivesRestart) {
   ceems::testing::MiniStack mini;
   mini.run(10 * common::kMillisPerMinute);
-  std::string path = ::testing::TempDir() + "stack_snapshot.bin";
-  ASSERT_TRUE(mini.stack().hot_store()->snapshot_to(path));
+  std::string snapshot = mini.stack().hot_store()->snapshot_bytes();
 
   auto restored = std::make_shared<tsdb::TimeSeriesStore>();
-  auto count = restored->restore_from(path);
+  auto count = restored->restore_from_bytes(snapshot);
   ASSERT_TRUE(count.has_value());
   EXPECT_EQ(restored->stats().num_samples,
             mini.stack().hot_store()->stats().num_samples);
@@ -244,7 +243,6 @@ TEST(Durability, HotStoreSnapshotSurvivesRestart) {
   ASSERT_EQ(before.vector.size(), 1u);
   ASSERT_EQ(after.vector.size(), 1u);
   EXPECT_DOUBLE_EQ(before.vector[0].value, after.vector[0].value);
-  std::remove(path.c_str());
 }
 
 // ---------- configuration ----------
@@ -311,6 +309,61 @@ TEST(Config, LongTermResolutionLadderParses) {
   EXPECT_EQ(loaded.stack.longterm.levels[1].resolution_ms,
             common::kMillisPerHour);
   EXPECT_EQ(loaded.stack.longterm.levels[1].retention_ms, 0);
+}
+
+TEST(Config, FlatLongTermKeysAreOneLevelLadder) {
+  // No longterm section: one 5-minute level kept forever.
+  LoadedConfig defaults = parse_config_text("unrelated: 1\n");
+  ASSERT_EQ(defaults.stack.longterm.levels.size(), 1u);
+  EXPECT_EQ(defaults.stack.longterm.levels[0].resolution_ms,
+            5 * common::kMillisPerMinute);
+  EXPECT_EQ(defaults.stack.longterm.levels[0].retention_ms, 0);
+
+  // The reference config's flat resolution/retention keys.
+  LoadedConfig reference = parse_config_text(reference_config_yaml());
+  ASSERT_EQ(reference.stack.longterm.levels.size(), 1u);
+  EXPECT_EQ(reference.stack.longterm.levels[0].resolution_ms,
+            5 * common::kMillisPerMinute);
+  EXPECT_EQ(reference.stack.longterm.levels[0].retention_ms, 0);
+
+  LoadedConfig flat = parse_config_text(
+      "ceems:\n"
+      "  longterm:\n"
+      "    resolution: 10m\n"
+      "    retention: 7d\n");
+  ASSERT_EQ(flat.stack.longterm.levels.size(), 1u);
+  EXPECT_EQ(flat.stack.longterm.levels[0].resolution_ms,
+            10 * common::kMillisPerMinute);
+  EXPECT_EQ(flat.stack.longterm.levels[0].retention_ms,
+            7 * 24 * common::kMillisPerHour);
+  tsdb::LongTermStore store(flat.stack.longterm);
+  EXPECT_EQ(store.agg_resolutions(),
+            std::vector<int64_t>{10 * common::kMillisPerMinute});
+
+  // An explicit ladder replaces the flat keys; an empty one does not.
+  LoadedConfig ladder = parse_config_text(
+      "ceems:\n"
+      "  longterm:\n"
+      "    resolution: 10m\n"
+      "    retention: 7d\n"
+      "    levels:\n"
+      "      - resolution: 5m\n"
+      "      - resolution: 1h\n"
+      "        retention: 30d\n");
+  ASSERT_EQ(ladder.stack.longterm.levels.size(), 2u);
+  EXPECT_EQ(ladder.stack.longterm.levels[0].resolution_ms,
+            5 * common::kMillisPerMinute);
+  EXPECT_EQ(ladder.stack.longterm.levels[0].retention_ms, 0);
+  EXPECT_EQ(ladder.stack.longterm.levels[1].resolution_ms,
+            common::kMillisPerHour);
+  LoadedConfig empty_ladder = parse_config_text(
+      "ceems:\n"
+      "  longterm:\n"
+      "    resolution: 10m\n"
+      "    levels: []\n");
+  ASSERT_EQ(empty_ladder.stack.longterm.levels.size(), 1u);
+  EXPECT_EQ(empty_ladder.stack.longterm.levels[0].resolution_ms,
+            10 * common::kMillisPerMinute);
 }
 
 TEST(Config, MissingSectionsKeepDefaults) {

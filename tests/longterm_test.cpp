@@ -4,6 +4,7 @@
 
 #include "tsdb/longterm.h"
 #include "tsdb/promql_eval.h"
+#include "append_one.h"
 
 namespace ceems::tsdb {
 namespace {
@@ -18,10 +19,10 @@ Labels named(const std::string& name, const std::string& host) {
 TEST(LongTerm, SyncPullsOnlyNewSamples) {
   TimeSeriesStore hot;
   LongTermStore lt;
-  hot.append(named("m", "n1"), 1000, 1);
-  hot.append(named("m", "n1"), 2000, 2);
+  append_one(hot, named("m", "n1"), 1000, 1);
+  append_one(hot, named("m", "n1"), 2000, 2);
   EXPECT_EQ(lt.sync_from(hot), 2u);
-  hot.append(named("m", "n1"), 3000, 3);
+  append_one(hot, named("m", "n1"), 3000, 3);
   EXPECT_EQ(lt.sync_from(hot), 1u);  // incremental
   EXPECT_EQ(lt.sync_from(hot), 0u);  // idempotent
 
@@ -35,7 +36,7 @@ TEST(LongTerm, HotRetentionSurvivesInLongTerm) {
   TimeSeriesStore hot;
   LongTermStore lt;
   for (int i = 0; i < 10; ++i) {
-    hot.append(named("m", "n1"), i * 1000, i);
+    append_one(hot, named("m", "n1"), i * 1000, i);
   }
   lt.sync_from(hot);
   hot.purge_before(8000);
@@ -46,12 +47,12 @@ TEST(LongTerm, HotRetentionSurvivesInLongTerm) {
 TEST(LongTerm, CompactionDownsamplesOldData) {
   LongTermConfig config;
   config.downsample_after_ms = kMillisPerHour;
-  config.resolution_ms = 5 * kMillisPerMinute;
+  config.levels = {{5 * kMillisPerMinute, 0}};
   LongTermStore lt(config);
   TimeSeriesStore hot;
   // 2 h of 30 s samples.
   for (int i = 0; i < 240; ++i) {
-    hot.append(named("m", "n1"), i * 30000, i);
+    append_one(hot, named("m", "n1"), i * 30000, i);
   }
   lt.sync_from(hot);
   lt.compact(2 * kMillisPerHour);
@@ -75,11 +76,11 @@ TEST(LongTerm, CompactionDownsamplesOldData) {
 TEST(LongTerm, CompactionPreservesCounterIncrease) {
   LongTermConfig config;
   config.downsample_after_ms = kMillisPerHour;
-  config.resolution_ms = 5 * kMillisPerMinute;
+  config.levels = {{5 * kMillisPerMinute, 0}};
   LongTermStore lt(config);
   TimeSeriesStore hot;
   for (int i = 0; i < 240; ++i) {
-    hot.append(named("joules", "n1"), i * 30000, i * 300.0);  // 10 W
+    append_one(hot, named("joules", "n1"), i * 30000, i * 300.0);  // 10 W
   }
   lt.sync_from(hot);
 
@@ -103,12 +104,11 @@ TEST(LongTerm, CompactionPreservesCounterIncrease) {
 TEST(LongTerm, RetentionDropsAncientData) {
   LongTermConfig config;
   config.downsample_after_ms = kMillisPerHour;
-  config.resolution_ms = 5 * kMillisPerMinute;
-  config.retention_ms = 24 * kMillisPerHour;
+  config.levels = {{5 * kMillisPerMinute, 24 * kMillisPerHour}};
   LongTermStore lt(config);
   TimeSeriesStore hot;
-  hot.append(named("m", "n1"), 0, 1);
-  hot.append(named("m", "n1"), 30 * kMillisPerHour, 2);
+  append_one(hot, named("m", "n1"), 0, 1);
+  append_one(hot, named("m", "n1"), 30 * kMillisPerHour, 2);
   lt.sync_from(hot);
   lt.compact(30 * kMillisPerHour);
   auto series = lt.select({}, 0, 40 * kMillisPerHour);
@@ -121,11 +121,11 @@ TEST(LongTerm, RetentionDropsAncientData) {
 TEST(LongTerm, SelectMergesAcrossEpochBoundary) {
   LongTermConfig config;
   config.downsample_after_ms = kMillisPerHour;
-  config.resolution_ms = 10 * kMillisPerMinute;
+  config.levels = {{10 * kMillisPerMinute, 0}};
   LongTermStore lt(config);
   TimeSeriesStore hot;
   for (int i = 0; i < 240; ++i) {
-    hot.append(named("m", "n1"), i * 30000, i);
+    append_one(hot, named("m", "n1"), i * 30000, i);
   }
   lt.sync_from(hot);
   lt.compact(2 * kMillisPerHour);
@@ -143,11 +143,11 @@ TEST(LongTerm, OpenEndedSelectKeepsDownsampledHistory) {
   // such a bound must not overflow.
   LongTermConfig config;
   config.downsample_after_ms = kMillisPerHour;
-  config.resolution_ms = 10 * kMillisPerMinute;
+  config.levels = {{10 * kMillisPerMinute, 0}};
   LongTermStore lt(config);
   TimeSeriesStore hot;
   for (int i = 0; i < 240; ++i) {
-    hot.append(named("m", "n1"), i * 30000, i);
+    append_one(hot, named("m", "n1"), i * 30000, i);
   }
   lt.sync_from(hot);
   lt.compact(2 * kMillisPerHour);
@@ -174,8 +174,8 @@ TEST(LongTerm, SplicedPointsStayZeroUnderCompactionCadence) {
   for (int cycle = 0; cycle < 72; ++cycle) {
     TimestampMs cycle_end = TimestampMs{cycle + 1} * 10 * kMillisPerMinute;
     for (; t < cycle_end; t += 30000) {
-      hot.append(named("m", "n1"), t, static_cast<double>(t / 30000));
-      hot.append(named("m", "n2"), t, 7.0);
+      append_one(hot, named("m", "n1"), t, static_cast<double>(t / 30000));
+      append_one(hot, named("m", "n2"), t, 7.0);
     }
     lt.sync_from(hot);
     lt.compact(cycle_end);
@@ -206,7 +206,7 @@ TEST(LongTerm, PerLevelRetentionPurgesExactHorizons) {
   LongTermStore lt(config);
   TimeSeriesStore hot;
   for (TimestampMs t = 0; t <= 12 * common::kMillisPerHour; t += 30000) {
-    hot.append(named("m", "n1"), t, 1);
+    append_one(hot, named("m", "n1"), t, 1);
   }
   lt.sync_from(hot);
   lt.compact(12 * common::kMillisPerHour);
@@ -246,7 +246,7 @@ TEST(LongTerm, StatsReflectBothTiers) {
   LongTermStore lt(config);
   TimeSeriesStore hot;
   for (int i = 0; i < 240; ++i) {
-    hot.append(named("m", "n1"), i * 30000, i);
+    append_one(hot, named("m", "n1"), i * 30000, i);
   }
   lt.sync_from(hot);
   StorageStats before = lt.stats();

@@ -19,6 +19,7 @@
 #include "tsdb/longterm.h"
 #include "tsdb/promql_eval.h"
 #include "tsdb/storage.h"
+#include "append_one.h"
 
 namespace ceems::tsdb {
 namespace {
@@ -67,13 +68,13 @@ std::shared_ptr<TimeSeriesStore> make_random_store(uint64_t seed) {
         double gauge_value = gauge;
         if (rng.chance(0.01)) gauge_value = std::nan("");
         if (rng.chance(0.01)) gauge_value = metrics::stale_marker();
-        store->append(gauge_labels, t, gauge_value);
+        append_one(*store, gauge_labels, t, gauge_value);
 
         counter += rng.uniform(0, 40);
         if (rng.chance(0.01)) counter = rng.uniform(0, 10);  // reset
         double counter_value =
             rng.chance(0.005) ? metrics::stale_marker() : counter;
-        store->append(counter_labels, t, counter_value);
+        append_one(*store, counter_labels, t, counter_value);
 
         // Irregular interval: jitter plus occasional scrape gaps.
         t += kStep + rng.uniform_int(-2000, 2000);
@@ -89,7 +90,7 @@ std::shared_ptr<TimeSeriesStore> make_random_store(uint64_t seed) {
 std::shared_ptr<LongTermStore> make_longterm(const TimeSeriesStore& hot) {
   LongTermConfig config;
   config.downsample_after_ms = kDataEnd / 2;
-  config.resolution_ms = 5 * 60 * 1000;
+  config.levels = {{5 * 60 * 1000, 0}};
   auto lt = std::make_shared<LongTermStore>(config);
   lt->sync_from(hot);
   lt->compact(kDataEnd);
@@ -218,7 +219,7 @@ TEST(PromqlDifferential, StalenessEndsSeries) {
   Labels labels = Labels{{"hostname", "n0"}}.with_name("m");
   for (int i = 0; i < 200; ++i) {
     double v = i == 150 ? metrics::stale_marker() : i * 1.0;
-    store->append(labels, int64_t{i} * kStep, v);
+    append_one(*store, labels, int64_t{i} * kStep, v);
   }
   Engine oracle = make_engine(false, nullptr);
   Engine streaming = make_engine(true, nullptr);
@@ -266,13 +267,13 @@ std::shared_ptr<TimeSeriesStore> make_integer_store(uint64_t seed) {
       while (true) {
         double gauge_value = static_cast<double>(rng.uniform_int(50, 300));
         if (rng.chance(0.01)) gauge_value = metrics::stale_marker();
-        store->append(gauge_labels, t, gauge_value);
+        append_one(*store, gauge_labels, t, gauge_value);
 
         counter += static_cast<double>(rng.uniform_int(0, 40));
         if (rng.chance(0.01)) counter = 1;  // reset
         double counter_value =
             rng.chance(0.005) ? metrics::stale_marker() : counter;
-        store->append(counter_labels, t, counter_value);
+        append_one(*store, counter_labels, t, counter_value);
         if (t >= kDataEnd) break;
         t += kStep + rng.uniform_int(-2000, 2000);
         if (rng.chance(0.03)) t += kStep * rng.uniform_int(2, 8);
@@ -439,7 +440,7 @@ TEST(PromqlDecodeCount, AtMostOncePerRangeQuery) {
   for (int s = 0; s < kSeries; ++s) {
     Labels labels = Labels{{"uuid", std::to_string(s)}}.with_name("m");
     for (int i = 0; i < kSamples; ++i) {
-      store->append(labels, int64_t{i} * kStep, i * 1.0);
+      append_one(*store, labels, int64_t{i} * kStep, i * 1.0);
     }
   }
   std::size_t sealed_chunks = 0;
@@ -481,7 +482,7 @@ TEST(PromqlDecodeCount, PooledStreamingSameBound) {
   for (int s = 0; s < 4; ++s) {
     Labels labels = Labels{{"uuid", std::to_string(s)}}.with_name("m");
     for (int i = 0; i < 600; ++i) {
-      store->append(labels, int64_t{i} * kStep, i * 1.0);
+      append_one(*store, labels, int64_t{i} * kStep, i * 1.0);
     }
   }
   std::size_t sealed_chunks = 0;

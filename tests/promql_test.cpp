@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "tsdb/promql_eval.h"
+#include "append_one.h"
 
 namespace ceems::tsdb::promql {
 namespace {
@@ -12,7 +13,7 @@ using common::kMillisPerMinute;
 class PromqlTest : public ::testing::Test {
  protected:
   void add(const Labels& labels, TimestampMs t, double v) {
-    store_.append(labels, t, v);
+    append_one(store_, labels, t, v);
   }
   Labels named(const std::string& name,
                std::initializer_list<Labels::Pair> pairs = {}) {

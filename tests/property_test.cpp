@@ -8,6 +8,7 @@
 #include "core/stack.h"
 #include "metrics/text_format.h"
 #include "tsdb/promql_eval.h"
+#include "append_one.h"
 
 namespace ceems {
 namespace {
@@ -183,7 +184,7 @@ TEST_P(TsdbProperty, SumByEqualsBruteForce) {
     int n = static_cast<int>(rng.uniform_int(1, 20));
     for (int i = 0; i < n; ++i) {
       last = rng.uniform(0, 100);
-      store.append(labels, (i + 1) * 1000, last);
+      append_one(store, labels, (i + 1) * 1000, last);
     }
     by_host[host] += last;
   }
@@ -208,7 +209,7 @@ TEST_P(TsdbProperty, IncreaseMatchesCounterDelta) {
   for (int i = 0; i <= 24; ++i) {
     common::TimestampMs t = i * 15000;
     counter += rng.uniform(0, 50);
-    store.append(labels, t, counter);
+    append_one(store, labels, t, counter);
     if (t >= window_start && t <= window_end) {
       if (first_in_window < 0) first_in_window = counter;
       last_in_window = counter;

@@ -6,6 +6,7 @@
 #include "common/yamlconf.h"
 #include "core/rules_library.h"
 #include "tsdb/rules.h"
+#include "append_one.h"
 
 namespace ceems::tsdb {
 namespace {
@@ -24,8 +25,8 @@ class RulesTest : public ::testing::Test {
 };
 
 TEST_F(RulesTest, RecordWritesNamedSeries) {
-  store_->append(named("a", {{"h", "x"}}), 1000, 10);
-  store_->append(named("a", {{"h", "y"}}), 1000, 20);
+  append_one(*store_, named("a", {{"h", "x"}}), 1000, 10);
+  append_one(*store_, named("a", {{"h", "y"}}), 1000, 20);
   RuleGroup group;
   group.name = "g";
   group.rules = {{"a:doubled", "a * 2", {}, nullptr}};
@@ -43,7 +44,7 @@ TEST_F(RulesTest, RecordWritesNamedSeries) {
 }
 
 TEST_F(RulesTest, StaticLabelsAttached) {
-  store_->append(named("a"), 1000, 1);
+  append_one(*store_, named("a"), 1000, 1);
   RuleGroup group;
   group.name = "g";
   group.rules = {{"a:copy", "a", {{"group", "intel"}}, nullptr}};
@@ -55,7 +56,7 @@ TEST_F(RulesTest, StaticLabelsAttached) {
 }
 
 TEST_F(RulesTest, LaterRulesSeeEarlierResults) {
-  store_->append(named("a"), 1000, 5);
+  append_one(*store_, named("a"), 1000, 5);
   RuleGroup group;
   group.name = "g";
   group.rules = {{"step:one", "a * 2", {}, nullptr},
@@ -79,9 +80,9 @@ TEST_F(RulesTest, InvalidRuleFailsFastAtLoad) {
 
 TEST_F(RulesTest, RuntimeFailureCountedNotFatal) {
   // many-to-many matching error at eval time.
-  store_->append(named("a", {{"i", "1"}}), 1000, 1);
-  store_->append(named("b", {{"j", "1"}}), 1000, 1);
-  store_->append(named("b", {{"j", "2"}}), 1000, 1);
+  append_one(*store_, named("a", {{"i", "1"}}), 1000, 1);
+  append_one(*store_, named("b", {{"j", "1"}}), 1000, 1);
+  append_one(*store_, named("b", {{"j", "2"}}), 1000, 1);
   RuleGroup group;
   group.rules = {{"x", "a * on() group_left() b", {}, nullptr},
                  {"y", "a * 2", {}, nullptr}};
@@ -114,7 +115,7 @@ TEST_F(RulesTest, NonVectorAlertCountedAndLogged) {
 }
 
 TEST_F(RulesTest, EvaluateDueHonorsGroupInterval) {
-  store_->append(named("a"), 0, 1);
+  append_one(*store_, named("a"), 0, 1);
   RuleGroup fast;
   fast.name = "fast";
   fast.interval_ms = 1000;
@@ -192,8 +193,8 @@ TEST(RulesLibrary, LongRangeReportGroupTilesItsWindow) {
   // The rules evaluate against a store with the expected inputs.
   auto store = std::make_shared<TimeSeriesStore>();
   for (TimestampMs t = 0; t <= 30 * common::kMillisPerMinute; t += 30000) {
-    store->append(named("ceems_job_power_watts", {{"uuid", "1"}}), t, 100);
-    store->append(named("ceems_rapl_package_joules_total",
+    append_one(*store, named("ceems_job_power_watts", {{"uuid", "1"}}), t, 100);
+    append_one(*store, named("ceems_rapl_package_joules_total",
                         {{"hostname", "n1"}, {"nodegroup", "intel-cpu"}}),
                   t, static_cast<double>(t) / 1000.0 * 50);
   }
@@ -224,7 +225,7 @@ TEST(RulesLibrary, EquationOneOnIntelGroup) {
   auto put = [&](const std::string& name,
                  std::initializer_list<Labels::Pair> pairs, TimestampMs t,
                  double v) {
-    store->append(Labels(pairs).with_name(name), t, v);
+    append_one(*store, Labels(pairs).with_name(name), t, v);
   };
   Labels::Pair host{"hostname", "n1"};
   Labels::Pair group{"nodegroup", "intel-cpu"};
@@ -294,7 +295,7 @@ TEST(RulesLibrary, YamlRuleFileMatchesLibrary) {
     auto put = [&](const std::string& name,
                    std::initializer_list<Labels::Pair> pairs, TimestampMs t,
                    double v) {
-      store->append(Labels(pairs).with_name(name), t, v);
+      append_one(*store, Labels(pairs).with_name(name), t, v);
     };
     Labels::Pair host{"hostname", "n1"};
     Labels::Pair group{"nodegroup", "intel-cpu"};

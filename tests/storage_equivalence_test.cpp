@@ -17,6 +17,7 @@
 
 #include "tsdb/promql_eval.h"
 #include "tsdb/storage.h"
+#include "append_one.h"
 
 namespace ceems::tsdb {
 namespace {
@@ -137,7 +138,7 @@ TEST(StorageEquivalence, RegularScrapeGridSelectsAndEvals) {
                         .with_name("m");
       for (int i = 0; i < 240; ++i) {
         double v = i * 7.0 + h * 0.25 + s * 0.125;
-        ASSERT_TRUE(chunked.append(labels, i * 30000, v));
+        ASSERT_TRUE(append_one(chunked, labels, i * 30000, v));
         ASSERT_TRUE(flat.append(labels, i * 30000, v));
       }
     }
@@ -200,7 +201,7 @@ TEST(StorageEquivalence, JitteredWorkloadWithRejectsAndSpecials) {
       case 3: v = -0.0; break;
       default: v = value(rng);
     }
-    bool a = chunked.append(all_labels[s], t, v);
+    bool a = append_one(chunked, all_labels[s], t, v);
     bool b = flat.append(all_labels[s], t, v);
     ASSERT_EQ(a, b) << "op " << op;
     if (a && t > cursor[s]) cursor[s] = t;
@@ -225,7 +226,7 @@ TEST(StorageEquivalence, PurgeKeepsStoresAligned) {
     auto labels = Labels{{"uuid", std::to_string(s)}}.with_name("ctr");
     for (int i = 0; i < 500; ++i) {
       double v = i * 1.5 + s;
-      ASSERT_TRUE(chunked.append(labels, int64_t{i} * 1000, v));
+      ASSERT_TRUE(append_one(chunked, labels, int64_t{i} * 1000, v));
       ASSERT_TRUE(flat.append(labels, int64_t{i} * 1000, v));
     }
   }

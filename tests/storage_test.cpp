@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <random>
 
 #include "metrics/symbols.h"
 #include "tsdb/storage.h"
+#include "append_one.h"
 
 namespace ceems::tsdb {
 namespace {
@@ -20,9 +19,9 @@ Labels series_labels(const std::string& name, const std::string& host) {
 
 TEST(Storage, AppendAndSelect) {
   TimeSeriesStore store;
-  store.append(series_labels("up", "n1"), 1000, 1);
-  store.append(series_labels("up", "n1"), 2000, 0);
-  store.append(series_labels("up", "n2"), 1000, 1);
+  append_one(store, series_labels("up", "n1"), 1000, 1);
+  append_one(store, series_labels("up", "n1"), 2000, 0);
+  append_one(store, series_labels("up", "n2"), 1000, 1);
 
   auto all = store.select(
       {{"__name__", LabelMatcher::Op::kEq, "up"}}, 0, 10000);
@@ -39,7 +38,7 @@ TEST(Storage, AppendAndSelect) {
 TEST(Storage, TimeRangeFiltering) {
   TimeSeriesStore store;
   for (int i = 0; i < 10; ++i) {
-    store.append(series_labels("m", "n1"), i * 1000, i);
+    append_one(store, series_labels("m", "n1"), i * 1000, i);
   }
   auto result = store.select({}, 3000, 6000);
   ASSERT_EQ(result.size(), 1u);
@@ -50,15 +49,15 @@ TEST(Storage, TimeRangeFiltering) {
 
 TEST(Storage, OutOfOrderRejected) {
   TimeSeriesStore store;
-  EXPECT_TRUE(store.append(series_labels("m", "n1"), 2000, 1));
-  EXPECT_FALSE(store.append(series_labels("m", "n1"), 1000, 2));
+  EXPECT_TRUE(append_one(store, series_labels("m", "n1"), 2000, 1));
+  EXPECT_FALSE(append_one(store, series_labels("m", "n1"), 1000, 2));
   EXPECT_EQ(store.stats().num_samples, 1u);
 }
 
 TEST(Storage, DuplicateTimestampLastWins) {
   TimeSeriesStore store;
-  store.append(series_labels("m", "n1"), 1000, 1);
-  store.append(series_labels("m", "n1"), 1000, 9);
+  append_one(store, series_labels("m", "n1"), 1000, 1);
+  append_one(store, series_labels("m", "n1"), 1000, 9);
   auto result = store.select({}, 0, 2000);
   EXPECT_DOUBLE_EQ(result[0].samples()[0].v, 9);
   EXPECT_EQ(store.stats().num_samples, 1u);
@@ -66,8 +65,8 @@ TEST(Storage, DuplicateTimestampLastWins) {
 
 TEST(Storage, NegativeMatcherNeedsFullScan) {
   TimeSeriesStore store;
-  store.append(series_labels("m", "n1"), 1000, 1);
-  store.append(series_labels("m", "n2"), 1000, 2);
+  append_one(store, series_labels("m", "n1"), 1000, 1);
+  append_one(store, series_labels("m", "n2"), 1000, 2);
   auto result = store.select({{"hostname", LabelMatcher::Op::kNe, "n1"}},
                              0, 2000);
   ASSERT_EQ(result.size(), 1u);
@@ -76,8 +75,8 @@ TEST(Storage, NegativeMatcherNeedsFullScan) {
 
 TEST(Storage, RegexMatcher) {
   TimeSeriesStore store;
-  store.append(series_labels("m", "jzcpu1"), 1000, 1);
-  store.append(series_labels("m", "jzgpu1"), 1000, 2);
+  append_one(store, series_labels("m", "jzcpu1"), 1000, 1);
+  append_one(store, series_labels("m", "jzgpu1"), 1000, 2);
   auto result = store.select(
       {{"hostname", LabelMatcher::Op::kRegexMatch, "jzcpu\\d+"}}, 0, 2000);
   ASSERT_EQ(result.size(), 1u);
@@ -86,9 +85,9 @@ TEST(Storage, RegexMatcher) {
 TEST(Storage, PurgeBeforeDropsSamplesAndEmptySeries) {
   TimeSeriesStore store;
   for (int i = 0; i < 10; ++i) {
-    store.append(series_labels("old", "n1"), i * 1000, i);
+    append_one(store, series_labels("old", "n1"), i * 1000, i);
   }
-  store.append(series_labels("fresh", "n1"), 20000, 1);
+  append_one(store, series_labels("fresh", "n1"), 20000, 1);
   std::size_t dropped = store.purge_before(15000);
   EXPECT_EQ(dropped, 10u);
   EXPECT_EQ(store.stats().num_series, 1u);
@@ -100,30 +99,20 @@ TEST(Storage, PurgeBeforeDropsSamplesAndEmptySeries) {
 
 TEST(Storage, DeleteSeriesByMatcher) {
   TimeSeriesStore store;
-  store.append(Labels{{"uuid", "1"}}.with_name("m"), 1000, 1);
-  store.append(Labels{{"uuid", "2"}}.with_name("m"), 1000, 1);
-  store.append(Labels{{"uuid", "1"}}.with_name("n"), 1000, 1);
+  append_one(store, Labels{{"uuid", "1"}}.with_name("m"), 1000, 1);
+  append_one(store, Labels{{"uuid", "2"}}.with_name("m"), 1000, 1);
+  append_one(store, Labels{{"uuid", "1"}}.with_name("n"), 1000, 1);
   std::size_t deleted =
       store.delete_series({{"uuid", LabelMatcher::Op::kEq, "1"}});
   EXPECT_EQ(deleted, 2u);
   EXPECT_EQ(store.stats().num_series, 1u);
 }
 
-TEST(Storage, LabelValues) {
-  TimeSeriesStore store;
-  store.append(series_labels("m", "n2"), 1000, 1);
-  store.append(series_labels("m", "n1"), 1000, 1);
-  auto values = store.label_values("hostname");
-  ASSERT_EQ(values.size(), 2u);
-  EXPECT_EQ(values[0], "n1");  // sorted
-  EXPECT_TRUE(store.label_values("nope").empty());
-}
-
 TEST(Storage, ForEachShardSinceForReplication) {
   TimeSeriesStore store;
-  store.append(series_labels("m", "n1"), 1000, 1);
-  store.append(series_labels("m", "n1"), 2000, 2);
-  store.append(series_labels("m", "n2"), 3000, 3);
+  append_one(store, series_labels("m", "n1"), 1000, 1);
+  append_one(store, series_labels("m", "n1"), 2000, 2);
+  append_one(store, series_labels("m", "n2"), 3000, 3);
   std::vector<std::pair<std::string, TimestampMs>> fresh;
   std::size_t calls = 0;
   store.for_each_shard_since(
@@ -154,20 +143,17 @@ TEST(Storage, EmptyStoreBehaviour) {
 }
 
 TEST(Storage, SnapshotRoundTrip) {
-  std::string path = ::testing::TempDir() + "tsdb_snapshot_test.bin";
   TimeSeriesStore store;
   for (int s = 0; s < 20; ++s) {
     Labels labels = Labels{{"uuid", std::to_string(s)},
                            {"hostname", "n" + std::to_string(s % 3)}}
                         .with_name("m");
     for (int i = 0; i < 50; ++i) {
-      store.append(labels, i * 30000, s * 1000.0 + i);
+      append_one(store, labels, i * 30000, s * 1000.0 + i);
     }
   }
-  ASSERT_TRUE(store.snapshot_to(path));
-
   TimeSeriesStore restored;
-  auto count = restored.restore_from(path);
+  auto count = restored.restore_from_bytes(store.snapshot_bytes());
   ASSERT_TRUE(count.has_value());
   EXPECT_EQ(*count, 20u * 50u);
   EXPECT_EQ(restored.stats().num_series, store.stats().num_series);
@@ -179,41 +165,34 @@ TEST(Storage, SnapshotRoundTrip) {
     ASSERT_EQ(original[i].samples().size(), copy[i].samples().size());
     EXPECT_DOUBLE_EQ(original[i].samples().back().v, copy[i].samples().back().v);
   }
-  std::remove(path.c_str());
 }
 
 TEST(Storage, SnapshotRestoreRejectsCorruptFile) {
-  std::string path = ::testing::TempDir() + "tsdb_snapshot_corrupt.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "NOTASNAPSHOT garbage";
-  }
   TimeSeriesStore store;
-  EXPECT_FALSE(store.restore_from(path).has_value());
-  EXPECT_FALSE(store.restore_from("/nonexistent/file").has_value());
+  EXPECT_FALSE(store.restore_from_bytes("NOTASNAPSHOT garbage").has_value());
+  EXPECT_FALSE(store.restore_from_bytes("").has_value());
+  // The retired raw-sample format is refused like any unknown magic.
+  EXPECT_FALSE(
+      store.restore_from_bytes(std::string("CEEMSTSDB1") + std::string(8, '\0'))
+          .has_value());
 
   // Truncated valid snapshot: clean abort, no crash.
   TimeSeriesStore source;
-  source.append(Labels{{"a", "b"}}.with_name("m"), 1000, 1);
-  source.snapshot_to(path);
-  std::ifstream in(path, std::ios::binary);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  in.close();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(content.data(),
-            static_cast<std::streamsize>(content.size() - 6));
-  out.close();
+  append_one(source, Labels{{"a", "b"}}.with_name("m"), 1000, 1);
+  std::string content = source.snapshot_bytes();
   TimeSeriesStore truncated;
-  EXPECT_FALSE(truncated.restore_from(path).has_value());
-  std::remove(path.c_str());
+  EXPECT_FALSE(
+      truncated
+          .restore_from_bytes(std::string_view(content).substr(
+              0, content.size() - 6))
+          .has_value());
 }
 
 TEST(Storage, StatsTrackCardinality) {
   TimeSeriesStore store;
   for (int s = 0; s < 100; ++s) {
     Labels labels = Labels{{"uuid", std::to_string(s)}}.with_name("m");
-    for (int i = 0; i < 10; ++i) store.append(labels, i * 1000, i);
+    for (int i = 0; i < 10; ++i) append_one(store, labels, i * 1000, i);
   }
   StorageStats stats = store.stats();
   EXPECT_EQ(stats.num_series, 100u);
@@ -224,7 +203,7 @@ TEST(Storage, StatsTrackCardinality) {
   // shared value, so summing approx_bytes across stores stays correct.
   EXPECT_GT(stats.symbol_bytes, 0u);
   TimeSeriesStore other;
-  other.append(Labels{{"uuid", "0"}}.with_name("m"), 0, 1);
+  append_one(other, Labels{{"uuid", "0"}}.with_name("m"), 0, 1);
   EXPECT_EQ(other.stats().symbol_bytes, store.stats().symbol_bytes);
   EXPECT_LT(other.stats().approx_bytes, stats.approx_bytes);
 }
@@ -239,7 +218,7 @@ TEST(Storage, SealedChunksCompressRegularSeries) {
   for (int s = 0; s < kSeries; ++s) {
     Labels labels = Labels{{"uuid", std::to_string(s)}}.with_name("g");
     for (int i = 0; i < kSamples; ++i) {
-      store.append(labels, 1700000000000LL + int64_t{i} * 30000,
+      append_one(store, labels, 1700000000000LL + int64_t{i} * 30000,
                    100.0 + (i % 5));
     }
   }
@@ -258,9 +237,9 @@ TEST(Storage, FingerprintCollisionsDoNotAliasSeries) {
   constexpr uint64_t kFp = 0xdeadbeefcafef00dULL;
   metrics::InternedLabels a(Labels{{"host", "a"}}.with_name("m"), kFp);
   metrics::InternedLabels b(Labels{{"host", "b"}}.with_name("m"), kFp);
-  EXPECT_TRUE(store.append(a, 1000, 1));
-  EXPECT_TRUE(store.append(b, 1000, 2));
-  EXPECT_TRUE(store.append(a, 2000, 3));
+  EXPECT_TRUE(append_one(store, a, 1000, 1));
+  EXPECT_TRUE(append_one(store, b, 1000, 2));
+  EXPECT_TRUE(append_one(store, a, 2000, 3));
 
   StorageStats stats = store.stats();
   EXPECT_EQ(stats.num_series, 2u);
@@ -285,62 +264,17 @@ TEST(Storage, FingerprintCollisionsDoNotAliasSeries) {
       1u);
 }
 
-TEST(Storage, SnapshotV1FormatStillRestores) {
-  // Hand-crafted legacy "CEEMSTSDB1" raw-sample snapshot: the chunked
-  // store must keep reading snapshots written before the format bump.
-  std::string path = ::testing::TempDir() + "tsdb_snapshot_v1.bin";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    auto put_u64 = [&](uint64_t v) {
-      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-    };
-    auto put_f64 = [&](double v) {
-      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-    };
-    auto put_str = [&](const std::string& s) {
-      put_u64(s.size());
-      out.write(s.data(), static_cast<std::streamsize>(s.size()));
-    };
-    out.write("CEEMSTSDB1", 10);
-    put_u64(1);  // num_series
-    put_u64(2);  // num_labels
-    put_str("__name__");
-    put_str("m");
-    put_str("hostname");
-    put_str("n1");
-    put_u64(3);  // num_samples
-    for (int i = 0; i < 3; ++i) {
-      put_u64(static_cast<uint64_t>(1000 * (i + 1)));
-      put_f64(1.5 * (i + 1));
-    }
-  }
-  TimeSeriesStore store;
-  auto count = store.restore_from(path);
-  ASSERT_TRUE(count.has_value());
-  EXPECT_EQ(*count, 3u);
-  auto result =
-      store.select({{"hostname", LabelMatcher::Op::kEq, "n1"}}, 0, 10000);
-  ASSERT_EQ(result.size(), 1u);
-  auto samples = result[0].samples();
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_EQ(samples[2].t, 3000);
-  EXPECT_DOUBLE_EQ(samples[2].v, 4.5);
-  std::remove(path.c_str());
-}
-
 TEST(Storage, SnapshotSealedChunksSurviveRoundTrip) {
   // Enough samples that sealed chunks exist: the v2 round trip must
   // reproduce every sample bit-for-bit through the compressed path.
-  std::string path = ::testing::TempDir() + "tsdb_snapshot_chunked.bin";
   TimeSeriesStore store;
   Labels labels = Labels{{"uuid", "1"}}.with_name("m");
   constexpr int kSamples = 300;  // 2 sealed chunks + head
   for (int i = 0; i < kSamples; ++i) {
-    store.append(labels, int64_t{i} * 30000, i * 0.25);
+    append_one(store, labels, int64_t{i} * 30000, i * 0.25);
   }
-  ASSERT_TRUE(store.snapshot_to(path));
   TimeSeriesStore restored;
-  auto count = restored.restore_from(path);
+  auto count = restored.restore_from_bytes(store.snapshot_bytes());
   ASSERT_TRUE(count.has_value());
   EXPECT_EQ(*count, static_cast<std::size_t>(kSamples));
   auto original = store.select({}, 0, kSamples * 30000)[0].samples();
@@ -350,32 +284,24 @@ TEST(Storage, SnapshotSealedChunksSurviveRoundTrip) {
     EXPECT_EQ(original[i].t, copy[i].t);
     EXPECT_EQ(std::memcmp(&original[i].v, &copy[i].v, sizeof(double)), 0);
   }
-  std::remove(path.c_str());
 }
 
 TEST(Storage, SnapshotV2RejectsTruncatedChunk) {
-  std::string path = ::testing::TempDir() + "tsdb_snapshot_v2_trunc.bin";
   TimeSeriesStore store;
   Labels labels = Labels{{"uuid", "1"}}.with_name("m");
   for (int i = 0; i < 200; ++i) {
-    store.append(labels, int64_t{i} * 30000, i);
+    append_one(store, labels, int64_t{i} * 30000, i);
   }
-  ASSERT_TRUE(store.snapshot_to(path));
-  std::ifstream in(path, std::ios::binary);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  in.close();
+  std::string content = store.snapshot_bytes();
   // Cut deep enough to land inside the sealed chunk payload (the head
   // region at the tail is 80 samples * 16 bytes + its count field).
   std::size_t cut = 80 * 16 + 8 + 40;
   ASSERT_GT(content.size(), cut);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(content.data(),
-            static_cast<std::streamsize>(content.size() - cut));
-  out.close();
   TimeSeriesStore truncated;
-  EXPECT_FALSE(truncated.restore_from(path).has_value());
-  std::remove(path.c_str());
+  EXPECT_FALSE(truncated
+                   .restore_from_bytes(std::string_view(content).substr(
+                       0, content.size() - cut))
+                   .has_value());
 }
 
 TEST(Storage, SnapshotV2EmptyHeadRestoresAndMergesSafely) {
@@ -384,23 +310,22 @@ TEST(Storage, SnapshotV2EmptyHeadRestoresAndMergesSafely) {
   // same file replays the chunk's boundary timestamp against that empty
   // head, and a post-restore duplicate-timestamp append must overwrite
   // via chunk re-seal — both used to hit head_.back() on an empty vector.
-  std::string path = ::testing::TempDir() + "tsdb_snapshot_v2_nohead.bin";
   std::vector<SamplePoint> samples;
   for (int i = 0; i < 120; ++i) {
     samples.push_back({int64_t{i} * 30000, i * 0.5});
   }
   auto chunk = GorillaChunk::encode(samples.data(), samples.size());
   ASSERT_NE(chunk, nullptr);
+  std::string snapshot;
   {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
     auto put_u64 = [&](uint64_t v) {
-      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+      snapshot.append(reinterpret_cast<const char*>(&v), sizeof(v));
     };
     auto put_str = [&](const std::string& s) {
       put_u64(s.size());
-      out.write(s.data(), static_cast<std::streamsize>(s.size()));
+      snapshot += s;
     };
-    out.write("CEEMSTSDB2", 10);
+    snapshot += "CEEMSTSDB2";
     put_u64(1);  // num_series
     put_u64(2);  // num_labels
     put_str("__name__");
@@ -412,66 +337,126 @@ TEST(Storage, SnapshotV2EmptyHeadRestoresAndMergesSafely) {
     put_u64(static_cast<uint64_t>(chunk->min_time()));
     put_u64(static_cast<uint64_t>(chunk->max_time()));
     put_u64(chunk->bytes().size());
-    out.write(reinterpret_cast<const char*>(chunk->bytes().data()),
-              static_cast<std::streamsize>(chunk->bytes().size()));
+    snapshot.append(reinterpret_cast<const char*>(chunk->bytes().data()),
+                    chunk->bytes().size());
     put_u64(0);  // num_head: empty
   }
   TimeSeriesStore store;
-  auto first = store.restore_from(path);
+  auto first = store.restore_from_bytes(snapshot);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(*first, 120u);
   // Second restore merges: every chunk sample is a duplicate, the last
   // one with t == last_t_ while the head is empty.
-  auto second = store.restore_from(path);
+  auto second = store.restore_from_bytes(snapshot);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(*second, 0u);
   EXPECT_EQ(store.stats().num_samples, 120u);
 
   // Duplicate-timestamp append straight after restore: last write wins.
   Labels labels = Labels{{"uuid", "1"}}.with_name("m");
-  EXPECT_TRUE(store.append(labels, samples.back().t, 99.0));
+  EXPECT_TRUE(append_one(store, labels, samples.back().t, 99.0));
   auto result = store.select({}, 0, 10000000);
   ASSERT_EQ(result.size(), 1u);
   auto got = result[0].samples();
   ASSERT_EQ(got.size(), 120u);
   EXPECT_EQ(got.back().t, samples.back().t);
   EXPECT_DOUBLE_EQ(got.back().v, 99.0);
-  std::remove(path.c_str());
+}
+
+// Pins the snapshot format ("CEEMSTSDB2"): a store with one sealed chunk,
+// two heads and a stale-marker NaN must serialise to exactly these bytes,
+// so a codec change can never silently break snapshots already on disk.
+void fill_golden_store(TimeSeriesStore& store) {
+  Labels host = Labels{{"hostname", "n1"}}.with_name("m");
+  for (int i = 0; i < 125; ++i) {  // one sealed chunk + 5 head samples
+    append_one(store, host, int64_t{i} * 30000, 100.0 + (i % 3));
+  }
+  Labels job = Labels{{"uuid", "7"}, {"job", "x"}}.with_name("power");
+  append_one(store, job, 1000, 1.5);
+  append_one(store, job, 2000, -0.0);
+  append_one(store, job, 3000, metrics::stale_marker());
+}
+
+std::string from_hex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(Storage, SnapshotBytesMatchGolden) {
+  const std::string golden = from_hex(
+      "4345454d53545344423202000000000000000200000000000000080000000000"
+      "00005f5f6e616d655f5f01000000000000006d0800000000000000686f73746e"
+      "616d6502000000000000006e3101000000000000007800000000000000000000"
+      "0000000000507936000000000060000000000000000000000000000000405900"
+      "0000000000e0ea60e205c01d495a92b5256a4ad495a92b5256a4ad495a92b525"
+      "6a4ad495a92b5256a4ad495a92b5256a4ad495a92b5256a4ad495a92b5256a4a"
+      "d495a92b5256a4ad495a92b5256a4ad495a92b5256050000000000000080ee36"
+      "00000000000000000000005940b0633700000000000000000000405940e0d837"
+      "00000000000000000000805940104e380000000000000000000000594040c338"
+      "00000000000000000000405940030000000000000008000000000000005f5f6e"
+      "616d655f5f0500000000000000706f77657203000000000000006a6f62010000"
+      "0000000000780400000000000000757569640100000000000000370000000000"
+      "0000000300000000000000e803000000000000000000000000f83fd007000000"
+      "0000000000000000000080b80b000000000000020000000000f07f");
+  ASSERT_EQ(golden.size(), 443u);
+  TimeSeriesStore store;
+  fill_golden_store(store);
+  EXPECT_EQ(store.snapshot_bytes(), golden);
+
+  // And the golden bytes restore to the same store, bit for bit.
+  TimeSeriesStore restored;
+  auto count = restored.restore_from_bytes(golden);
+  ASSERT_TRUE(count.has_value());
+  EXPECT_EQ(*count, 128u);
+  EXPECT_EQ(restored.snapshot_bytes(), golden);
+}
+
+TEST(Storage, SnapshotTruncatedAtEveryOffsetIsRejected) {
+  TimeSeriesStore source;
+  fill_golden_store(source);
+  const std::string bytes = source.snapshot_bytes();
+  TimeSeriesStore store;
+  append_one(store, Labels{{"uuid", "9"}}.with_name("m"), 500, 7);
+  const std::string before = store.snapshot_bytes();
+  const auto versions = store.version_signature();
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::string_view prefix(bytes.data(), cut);
+    EXPECT_FALSE(store.restore_from_bytes(prefix).has_value())
+        << "cut at " << cut;
+  }
+  // Nothing was applied, not even a version bump.
+  EXPECT_EQ(store.snapshot_bytes(), before);
+  EXPECT_EQ(store.version_signature(), versions);
 }
 
 TEST(Storage, CorruptSnapshotLeavesStoreUnmodified) {
   // Mid-file corruption (truncated inside a later series) must reject the
   // snapshot without applying the earlier, well-formed series: restore
   // stages the whole parse before committing anything to the shards.
-  std::string path = ::testing::TempDir() + "tsdb_snapshot_partial.bin";
   TimeSeriesStore source;
   for (int s = 0; s < 8; ++s) {
     Labels labels = Labels{{"uuid", std::to_string(s)}}.with_name("m");
-    for (int i = 0; i < 5; ++i) source.append(labels, i * 1000, i);
+    for (int i = 0; i < 5; ++i) append_one(source, labels, i * 1000, i);
   }
-  ASSERT_TRUE(source.snapshot_to(path));
-  std::ifstream in(path, std::ios::binary);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  in.close();
+  std::string content = source.snapshot_bytes();
   // Cut into the last series' head samples: everything before it parses.
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(content.data(),
-            static_cast<std::streamsize>(content.size() - 10));
-  out.close();
+  std::string_view cut(content.data(), content.size() - 10);
 
   TimeSeriesStore store;
-  EXPECT_FALSE(store.restore_from(path).has_value());
+  EXPECT_FALSE(store.restore_from_bytes(cut).has_value());
   EXPECT_EQ(store.stats().num_series, 0u);
   EXPECT_EQ(store.stats().num_samples, 0u);
   EXPECT_TRUE(store.select({}, 0, 100000).empty());
 
   // A pre-populated store is equally untouched by a failed restore.
-  store.append(Labels{{"uuid", "9"}}.with_name("m"), 500, 7);
-  EXPECT_FALSE(store.restore_from(path).has_value());
+  append_one(store, Labels{{"uuid", "9"}}.with_name("m"), 500, 7);
+  EXPECT_FALSE(store.restore_from_bytes(cut).has_value());
   EXPECT_EQ(store.stats().num_series, 1u);
   EXPECT_EQ(store.stats().num_samples, 1u);
-  std::remove(path.c_str());
 }
 
 // ---------- Gorilla chunk codec ----------

@@ -17,6 +17,7 @@
 #include "tsdb/longterm.h"
 #include "tsdb/promql_eval.h"
 #include "tsdb/storage.h"
+#include "append_one.h"
 
 using namespace ceems;
 using tsdb::TimeSeriesStore;
@@ -41,7 +42,7 @@ TEST(TsdbConcurrency, ParallelIngestLosesNoSamples) {
       for (int i = 0; i < kSamplesPerSeries; ++i) {
         for (int s = 0; s < kSeriesPerWorker; ++s) {
           ASSERT_TRUE(
-              store.append(worker_series(w, s), i * 1000, i * 10.0));
+              append_one(store, worker_series(w, s), i * 1000, i * 10.0));
         }
       }
     });
@@ -85,7 +86,7 @@ TEST(TsdbConcurrency, QueriesDuringIngestSeeMonotonicCounters) {
     writers.emplace_back([&store, w] {
       for (int i = 0; i < kSamplesPerSeries; ++i) {
         for (int s = 0; s < kSeriesPerWriter; ++s) {
-          store.append(worker_series(w, s), i * 1000, i * 10.0);
+          append_one(store, worker_series(w, s), i * 1000, i * 10.0);
         }
       }
     });
@@ -143,7 +144,7 @@ TEST(TsdbConcurrency, PurgeAndDeleteRaceAppends) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&store, w] {
       for (int i = 0; i < kIterations; ++i) {
-        store.append(worker_series(w, i % 4), i * 1000, i);
+        append_one(store, worker_series(w, i % 4), i * 1000, i);
       }
     });
   }
@@ -152,7 +153,8 @@ TEST(TsdbConcurrency, PurgeAndDeleteRaceAppends) {
       store.purge_before(i * 500);
       store.delete_series(
           {{"worker", metrics::LabelMatcher::Op::kEq, "w0"}});
-      store.label_values("worker");
+      store.select({{"worker", metrics::LabelMatcher::Op::kEq, "w1"}}, 0,
+                   std::numeric_limits<common::TimestampMs>::max());
       store.stats();
       store.max_time();
     }
@@ -178,7 +180,7 @@ TEST(TsdbConcurrency, ParallelRangeEvalMatchesSerialBitForBit) {
                                     {"uuid", std::to_string(s)}}
                         .with_name("m");
       for (int i = 0; i < 240; ++i) {
-        store.append(labels, i * 30000, i * 7.0 + h * 0.25 + s * 0.125);
+        append_one(store, labels, i * 30000, i * 7.0 + h * 0.25 + s * 0.125);
       }
     }
   }
@@ -214,7 +216,7 @@ TEST(TsdbConcurrency, ParallelRangeEvalMatchesSerialBitForBit) {
 TEST(TsdbConcurrency, QueryCacheHitsAndShardInvalidation) {
   auto store = std::make_shared<TimeSeriesStore>();
   auto labels = metrics::Labels{{"uuid", "1"}}.with_name("m");
-  for (int i = 0; i < 100; ++i) store->append(labels, i * 1000, i);
+  for (int i = 0; i < 100; ++i) append_one(*store, labels, i * 1000, i);
 
   tsdb::promql::EngineOptions options;
   options.query_cache_capacity = 8;
@@ -229,7 +231,7 @@ TEST(TsdbConcurrency, QueryCacheHitsAndShardInvalidation) {
   ASSERT_EQ(first[0].samples.size(), second[0].samples.size());
 
   // A write to the owning shard invalidates the entry...
-  store->append(labels, 200 * 1000, 200);
+  append_one(*store, labels, 200 * 1000, 200);
   auto third = engine.eval_range(*store, "m", 0, 99 * 1000, 1000);
   stats = engine.cache_stats();
   EXPECT_EQ(stats.invalidations, 1u);
@@ -244,7 +246,7 @@ TEST(TsdbConcurrency, QueryCacheHitsAndShardInvalidation) {
 TEST(TsdbConcurrency, CacheCapacityEvictsLru) {
   auto store = std::make_shared<TimeSeriesStore>();
   auto labels = metrics::Labels{{"uuid", "1"}}.with_name("m");
-  for (int i = 0; i < 10; ++i) store->append(labels, i * 1000, i);
+  for (int i = 0; i < 10; ++i) append_one(*store, labels, i * 1000, i);
 
   tsdb::promql::EngineOptions options;
   options.query_cache_capacity = 2;
@@ -263,7 +265,7 @@ TEST(TsdbConcurrency, ConcurrentCachedQueriesDuringWrites) {
   auto store = std::make_shared<TimeSeriesStore>();
   for (int s = 0; s < 32; ++s) {
     auto labels = metrics::Labels{{"uuid", std::to_string(s)}}.with_name("m");
-    for (int i = 0; i < 50; ++i) store->append(labels, i * 1000, i);
+    for (int i = 0; i < 50; ++i) append_one(*store, labels, i * 1000, i);
   }
 
   tsdb::promql::EngineOptions options;
@@ -274,7 +276,7 @@ TEST(TsdbConcurrency, ConcurrentCachedQueriesDuringWrites) {
   std::atomic<bool> done{false};
   std::thread writer([&] {
     auto labels = metrics::Labels{{"uuid", "w"}}.with_name("m");
-    for (int i = 0; i < 500; ++i) store->append(labels, i * 1000, i);
+    for (int i = 0; i < 500; ++i) append_one(*store, labels, i * 1000, i);
     done.store(true, std::memory_order_release);
   });
   std::vector<std::thread> queriers;

@@ -13,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <random>
 #include <thread>
@@ -421,6 +424,142 @@ TEST(DurableTsdb, RecoveryAfterCheckpointPlusTornTail) {
   auto again = durable.open();
   EXPECT_FALSE(again.replay.torn_tail);
   EXPECT_EQ(digest(*store), before);
+}
+
+// ---------- DurableTsdb over the host filesystem (RealDurableDir) ----------
+
+// An empty directory for one test under the gtest temp dir.
+std::string fresh_dir(const std::string& name) {
+  std::string path = ::testing::TempDir() + "ceems_wal_realfs_" + name;
+  std::filesystem::remove_all(path);
+  return path;
+}
+
+// Writes `count` batches starting at batch `first` into both the store
+// under test and the oracle (a plain in-memory store).
+struct RealFsWorkload {
+  std::vector<InternedLabels> series;
+  std::mt19937_64 rng{17};
+
+  RealFsWorkload() {
+    for (int s = 0; s < 6; ++s) {
+      series.emplace_back(Labels{{"uuid", std::to_string(s)},
+                                 {"hostname", "n" + std::to_string(s % 2)}}
+                              .with_name("m"));
+    }
+  }
+
+  void write(TimeSeriesStore& store, TimeSeriesStore& oracle, int first,
+             int count) {
+    for (int b = first; b < first + count; ++b) {
+      std::vector<SampleRef> batch;
+      for (const auto& labels : series) {
+        if (rng() % 5 == 0) continue;
+        batch.push_back({&labels, int64_t{b} * 30000, tricky_value(rng)});
+      }
+      store.append_refs(batch.data(), batch.size());
+      oracle.append_refs(batch.data(), batch.size());
+    }
+  }
+};
+
+TEST(WalRealFs, CheckpointAndReopenMatchOracle) {
+  const std::string root = fresh_dir("reopen");
+  RealFsWorkload workload;
+  TimeSeriesStore oracle;
+  {
+    auto store = std::make_shared<TimeSeriesStore>();
+    DurableTsdb durable(store, std::make_shared<simfs::RealDurableDir>(root));
+    durable.open();
+    workload.write(*store, oracle, 0, 20);
+    ASSERT_TRUE(durable.checkpoint());
+    workload.write(*store, oracle, 20, 15);
+    store->purge_before(3 * 30000);
+    oracle.purge_before(3 * 30000);
+    ASSERT_EQ(digest(*store), digest(oracle));
+  }
+
+  // A new process: fresh store and directory handle over the same files.
+  auto store = std::make_shared<TimeSeriesStore>();
+  DurableTsdb durable(store, std::make_shared<simfs::RealDurableDir>(root));
+  auto result = durable.open();
+  EXPECT_GT(result.snapshot_samples, 0u);
+  EXPECT_GT(result.replay.samples_appended, 0u);
+  EXPECT_FALSE(result.replay.torn_tail);
+  EXPECT_TRUE(result.replay.error.empty()) << result.replay.error;
+  EXPECT_EQ(digest(*store), digest(oracle));
+  std::filesystem::remove_all(root);
+}
+
+TEST(WalRealFs, TornLiveSegmentIsRepairedOnReopen) {
+  const std::string root = fresh_dir("torn");
+  RealFsWorkload workload;
+  TimeSeriesStore oracle;
+  std::string segment_path;
+  std::vector<std::uintmax_t> record_end;  // segment size after each batch
+  std::vector<std::string> oracle_digest;  // oracle after each batch
+  {
+    auto store = std::make_shared<TimeSeriesStore>();
+    DurableTsdb durable(store, std::make_shared<simfs::RealDurableDir>(root));
+    durable.open();
+    segment_path =
+        root + "/" + Wal::segment_name(durable.wal().current_seq());
+    for (int b = 0; b < 5; ++b) {
+      workload.write(*store, oracle, b, 1);
+      record_end.push_back(std::filesystem::file_size(segment_path));
+      oracle_digest.push_back(digest(oracle));
+    }
+  }
+
+  // Cut the live segment in the middle of its last record.
+  std::filesystem::resize_file(segment_path,
+                               (record_end[3] + record_end[4]) / 2);
+
+  auto store = std::make_shared<TimeSeriesStore>();
+  DurableTsdb durable(store, std::make_shared<simfs::RealDurableDir>(root));
+  auto first = durable.open();
+  EXPECT_TRUE(first.replay.torn_tail);
+  EXPECT_EQ(first.replay.records_applied, 4u);
+  EXPECT_EQ(digest(*store), oracle_digest[3]);
+  EXPECT_EQ(std::filesystem::file_size(segment_path), record_end[3]);
+
+  auto second = durable.open();
+  EXPECT_FALSE(second.replay.torn_tail);
+  EXPECT_TRUE(second.replay.error.empty()) << second.replay.error;
+  EXPECT_EQ(digest(*store), oracle_digest[3]);
+  std::filesystem::remove_all(root);
+}
+
+TEST(WalRealFs, StraySnapshotTempFileIsIgnored) {
+  const std::string root = fresh_dir("tmp");
+  RealFsWorkload workload;
+  TimeSeriesStore oracle;
+  {
+    auto store = std::make_shared<TimeSeriesStore>();
+    DurableTsdb durable(store, std::make_shared<simfs::RealDurableDir>(root));
+    durable.open();
+    workload.write(*store, oracle, 0, 10);
+    ASSERT_TRUE(durable.checkpoint());
+    workload.write(*store, oracle, 10, 5);
+  }
+  // What a crash between writing and renaming a snapshot leaves behind.
+  {
+    std::ofstream tmp(root + "/snapshot.tmp", std::ios::binary);
+    tmp << "CEEMSDUR1 half-written";
+  }
+
+  simfs::RealDurableDir dir(root);
+  auto names = dir.list();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "snapshot.tmp"), 0);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "snapshot"), 1);
+
+  auto store = std::make_shared<TimeSeriesStore>();
+  DurableTsdb durable(store, std::make_shared<simfs::RealDurableDir>(root));
+  auto result = durable.open();
+  EXPECT_TRUE(result.replay.error.empty()) << result.replay.error;
+  EXPECT_FALSE(result.replay.torn_tail);
+  EXPECT_EQ(digest(*store), digest(oracle));
+  std::filesystem::remove_all(root);
 }
 
 TEST(Wal, SegmentNamesRoundTrip) {

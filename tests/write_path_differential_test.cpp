@@ -6,11 +6,11 @@
 //   * select() (posting-list walk, symbol-id checks) against a brute-force
 //     LabelMatcher::matches(Labels) filter over the same series;
 //   * the rule pass (one append_refs batch per rule) against per-sample
-//     Engine::eval + append(Labels), on random fleets with alerts firing
+//     Engine::eval + append_one, on random fleets with alerts firing
 //     and resolving, with and without a WAL;
 //   * LongTermStore::sync_from (per-shard batches on the hot store's
 //     interned labels) against a replica built from select() +
-//     append(Labels), through repeated syncs, compactions and hot purges.
+//     append_one, through repeated syncs, compactions and hot purges.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -26,6 +26,7 @@
 #include "tsdb/rules.h"
 #include "tsdb/storage.h"
 #include "tsdb/wal.h"
+#include "append_one.h"
 
 namespace ceems::tsdb {
 namespace {
@@ -155,7 +156,7 @@ TEST(StorageSelectDifferential, RandomMatchersMatchBruteForce) {
       for (const auto& labels : universe) {
         if (rng() % 3 == 0) continue;
         double v = static_cast<double>(rng() % 1000) / 7.0;
-        if (store.append(labels, t, v)) {
+        if (append_one(store, labels, t, v)) {
           auto& samples = model[labels];
           if (!samples.empty() && samples.back().t == t) {
             samples.back().v = v;  // duplicate label set: last write wins
@@ -230,7 +231,9 @@ class RandomFleet {
           40 + static_cast<double>(rng_() % 30));
     }
     for (const auto& store : stores) {
-      for (const auto& [labels, value] : batch_) store->append(labels, t, value);
+      for (const auto& [labels, value] : batch_) {
+        append_one(*store, labels, t, value);
+      }
     }
   }
 
@@ -357,7 +360,7 @@ class RandomFleet {
 };
 
 // The rule pass as it was written before batching: one Engine::eval per
-// rule and one append(Labels) per output sample, with RuleEngine's alert
+// rule and one append_one per output sample, with RuleEngine's alert
 // lifecycle re-stated sample by sample.
 class PerSampleRules {
  public:
@@ -380,7 +383,9 @@ class PerSampleRules {
           for (const auto& [name, label_value] : rule.static_labels) {
             labels = labels.with(name, label_value);
           }
-          if (store_->append(labels, t, sample.value)) ++stats.samples_written;
+          if (append_one(*store_, labels, t, sample.value)) {
+            ++stats.samples_written;
+          }
         }
       }
     }
@@ -417,14 +422,14 @@ class PerSampleRules {
       }
       if (!alert.firing && t - alert.since >= rule.for_ms) alert.firing = true;
       if (alert.firing) {
-        store_->append(alert.series, t, 1);
+        append_one(*store_, alert.series, t, 1);
         ++stats.alerts_firing;
       }
     }
     for (auto it = active_.begin(); it != active_.end();) {
       if (it->second.name == rule.alert && !seen.count(it->first)) {
         if (it->second.firing) {
-          store_->append(it->second.series, t, metrics::stale_marker());
+          append_one(*store_, it->second.series, t, metrics::stale_marker());
         }
         it = active_.erase(it);
       } else {
@@ -517,7 +522,7 @@ TEST(RulesWriteDifferential, RulePassMatchesPerSampleReferenceWithWal) {
 }
 
 // ---------------------------------------------------------------------------
-// sync_from vs select() + append(Labels)
+// sync_from vs select() + append_one
 
 // The replica the old sync built: every hot sample newer than the cursor,
 // pulled through select() and appended with string labels, with the
@@ -534,7 +539,7 @@ class SelectAppendReplica {
     std::size_t copied = 0;
     for (const auto& view : hot.select({}, cursor_ + 1, kMaxT)) {
       for (const auto& sample : view.samples()) {
-        if (delta.append(view.labels, sample.t, sample.v)) ++copied;
+        if (append_one(delta, view.labels, sample.t, sample.v)) ++copied;
         cursor_ = std::max(cursor_, sample.t);
       }
     }
@@ -599,18 +604,20 @@ TEST(LongTermSyncDifferential, SyncMatchesSelectAppendReplica) {
         TimestampMs t = now + static_cast<TimestampMs>(rng() % 2000);
         double v = rng() % 25 == 0 ? metrics::stale_marker()
                                    : static_cast<double>(rng() % 5000) / 3.0;
-        hot.append(series[i], t, v);
+        append_one(hot, series[i], t, v);
         if (rng() % 15 == 0) {
           // Late sample: rejected by the hot series, or (for a fresh
           // series) accepted but already behind the sync cursor.
-          if (!hot.append(series[i], t - 45'000, 1.0)) ++out_of_order_rejects;
+          if (!append_one(hot, series[i], t - 45'000, 1.0)) {
+            ++out_of_order_rejects;
+          }
         }
       }
       if (rng() % 40 == 0) {
         series.push_back(Labels{{"hostname", "late"},
                                 {"uuid", std::to_string(step)}}
                              .with_name("ceems_late"));
-        hot.append(series.back(), now - 60'000, 2.0);
+        append_one(hot, series.back(), now - 60'000, 2.0);
       }
       if (rng() % 3 != 0) {
         ASSERT_EQ(synced.sync_from(hot), replica.sync_from(hot))

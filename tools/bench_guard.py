@@ -61,7 +61,8 @@ GUARDED_COUNTERS = {
     # End-to-end scrape→append path (BM_scrape_ingest_e2e). allocs_per_sample
     # is near-deterministic (chunk seals amortize per sweep) but shifts a
     # little with iteration count; samples_per_second is wall-clock and only
-    # guards against the fast path regressing to the legacy one (~8x).
+    # guards against an order-of-magnitude collapse, such as the zero-copy
+    # parse falling back to a strict re-parse of every line (~8x slower).
     "allocs_per_sample": 0.50,
     "samples_per_second": 0.75,
     # WAL-backed rule pass (BM_rule_pass_wal): one WAL group per rule that
