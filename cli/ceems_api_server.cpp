@@ -1,9 +1,10 @@
-// ceems_api_server — standalone CEEMS API server over a WAL-backed units
-// database. Serves the JSON API (units, usage, verify) from an existing
-// database file; useful for inspecting a DB produced by ceems_stack or by
-// the examples (Database::backup_to / db_path config).
+// ceems_api_server — standalone CEEMS API server over a durable units
+// database. Serves the JSON API (units, usage, verify) from a database
+// directory (checkpoint snapshot + record log, created if missing); useful
+// for inspecting a DB produced by ceems_stack (updater.db_path) or a
+// punctual backup (Database::backup_to).
 //
-//   ceems_api_server --db PATH [--port N] [--admins a,b]
+//   ceems_api_server --db DIR [--port N] [--admins a,b]
 #include <csignal>
 #include <cstdio>
 #include <thread>
@@ -11,6 +12,7 @@
 #include "apiserver/api_server.h"
 #include "cli/flags.h"
 #include "common/logging.h"
+#include "simfs/durable_dir.h"
 
 using namespace ceems;
 
@@ -20,7 +22,7 @@ void handle_signal(int) { g_stop = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  cli::Flags flags(argc, argv, "--db PATH [--port N] [--admins a,b]");
+  cli::Flags flags(argc, argv, "--db DIR [--port N] [--admins a,b]");
   common::set_log_level(common::LogLevel::kInfo);
 
   std::string db_path = flags.get("db");
@@ -28,7 +30,8 @@ int main(int argc, char** argv) {
     flags.print_usage();
     return 1;
   }
-  auto db = reldb::Database::open(db_path);
+  auto db = reldb::Database::open(
+      std::make_shared<simfs::RealDurableDir>(db_path));
   apiserver::create_ceems_tables(*db);
   std::fprintf(stderr, "opened %s: %zu units\n", db_path.c_str(),
                db->table_size(apiserver::kUnitsTable));

@@ -226,7 +226,13 @@ void Updater::start() {
   loop_thread_ = std::thread([this] {
     while (running_.load()) {
       common::TimestampMs next = clock_->now_ms() + config_.interval_ms;
-      update_once();
+      try {
+        update_once();
+      } catch (const std::exception& e) {
+        // A durable units DB throws when its log cannot be synced; the
+        // mutation was not applied, and the next cycle retries it.
+        CEEMS_LOG_WARN("updater") << "update failed: " << e.what();
+      }
       if (!clock_->sleep_until(next)) return;
     }
   });

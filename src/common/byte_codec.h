@@ -1,5 +1,6 @@
-// Internal binary codec of the hot TSDB, shared by the WAL records
-// (tsdb/wal.cpp) and the store snapshot (tsdb/storage.cpp). Fixed-width
+// Internal binary codec of the record log (simfs/record_log.cpp), the
+// hot TSDB's WAL records and snapshot (tsdb/wal.cpp, tsdb/storage.cpp)
+// and the units DB's log entries (reldb/database.cpp). Fixed-width
 // integers and f64 bits are written in host byte order; varints are
 // LEB128 and signed deltas zigzag-encoded. Writers append to a
 // std::string; the Reader walks a string_view in place.
@@ -10,7 +11,7 @@
 #include <string>
 #include <string_view>
 
-namespace ceems::tsdb::codec {
+namespace ceems::common::codec {
 
 inline void put_u32(std::string& out, uint32_t v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -117,4 +118,4 @@ struct Reader {
   }
 };
 
-}  // namespace ceems::tsdb::codec
+}  // namespace ceems::common::codec

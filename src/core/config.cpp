@@ -63,7 +63,8 @@ StackConfig load_stack_config(const Json& root) {
         duration_of(*updater, "interval", config.updater.interval_ms);
     config.updater.small_unit_cutoff_ms = duration_of(
         *updater, "small_unit_cutoff", config.updater.small_unit_cutoff_ms);
-    config.db_wal_path = updater->get_string("db_path", config.db_wal_path);
+    if (auto path = updater->get_string("db_path"); !path.empty())
+      config.db_durable_dir = std::make_shared<simfs::RealDurableDir>(path);
   }
   if (auto longterm = section->get("longterm");
       longterm && longterm->is_object()) {
@@ -138,7 +139,7 @@ ceems:
   updater:
     interval: 60s
     small_unit_cutoff: 0s  # >0 deletes TSDB series of shorter jobs
-    db_path: ""            # empty = in-memory units DB
+    db_path: ""            # units DB directory; empty = in-memory
   longterm:
     downsample_after: 2h
     resolution: 5m

@@ -126,7 +126,7 @@ CeemsStack::CeemsStack(slurm::ClusterSim& sim, StackConfig config)
   }
 
   // --- API server + updater ---
-  db_ = std::make_unique<reldb::Database>(config_.db_wal_path);
+  db_ = reldb::Database::open(config_.db_durable_dir);
   apiserver::ApiServerConfig api_config;
   api_config.admin_users = config_.admin_users;
   api_server_ = std::make_unique<apiserver::ApiServer>(api_config, *db_,

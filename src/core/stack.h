@@ -58,7 +58,8 @@ struct StackConfig {
   bool include_ebpf_network_rules = true;
   // Operational alerting rules (exporter down, power anomaly, ...).
   bool include_alert_rules = true;
-  std::string db_wal_path;  // empty = in-memory DB
+  // Units DB directory (Database::open: snapshot + log). Empty = in-memory.
+  simfs::DurableDirPtr db_durable_dir;
   // Durability for the hot TSDB: when set, every append is WAL-logged to
   // this directory before it is applied (group commit), and the stack
   // exposes checkpoint/recovery through durable_tsdb(). Empty = the hot

@@ -1,31 +1,68 @@
-// Database: named tables + WAL + backups + Litestream-style replication.
+// Database: named tables + write-ahead log + backups + Litestream-style
+// replication.
 //
 // Concurrency contract (mirrors the paper's SQLite justification, §II-D):
 // exactly one writer thread — the API server's updater — mutates the
 // database; any number of reader threads query concurrently. A
 // shared_mutex enforces it: queries take shared locks, mutations exclusive.
+//
+// Durability. Opened over a simfs::DurableDir, the database logs every
+// mutation through the stack's one record log (simfs/record_log.h): the
+// mutation is validated, logged and made durable, and only then applied.
+// When the log would rotate into a second segment the database
+// checkpoints itself (SQLite's auto-checkpoint), so open() restores the
+// snapshot and replays at most one segment.
+//
+// A log payload is one entry: u8 op | varint seq | str table, then
+//   create: varint columns | (str name | u8 type)... | str primary key
+//   upsert: varint values | value...      erase: value
+// with value = u8 variant index | i64 / f64 bits / str, so every value
+// round-trips bit for bit (NaN payloads, -0.0, all of int64, any bytes).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 
 #include "reldb/table.h"
-#include "reldb/wal.h"
+#include "simfs/record_log.h"
 
 namespace ceems::reldb {
 
+struct WalEntry {
+  enum class Op { kCreateTable = 1, kUpsert = 2, kErase = 3 };
+  uint64_t seq = 0;
+  Op op = Op::kUpsert;
+  std::string table;
+  // kCreateTable: schema; kUpsert: row; kErase: primary key.
+  Schema schema;
+  Row row;
+  Value primary_key;
+};
+
+// Appends the encoding of `entry` to `out`.
+void encode_entry(const WalEntry& entry, std::string& out);
+// Decodes a payload that must be exactly one entry; nullopt when it is
+// truncated or corrupt.
+std::optional<WalEntry> decode_entry(std::string_view payload);
+
 class Database {
  public:
-  // `wal_path` empty = in-memory only (no durability). Otherwise the WAL is
-  // appended to that file and replayed by open().
-  explicit Database(std::string wal_path = "");
+  // In-memory only (no durability).
+  Database() = default;
 
-  // Replays an existing WAL file into a fresh Database.
-  static std::unique_ptr<Database> open(const std::string& wal_path);
+  // The database kept in `dir`: restores the snapshot, replays the log
+  // (repairing a torn tail) and logs every later mutation there.
+  // nullptr = in-memory.
+  static std::unique_ptr<Database> open(simfs::DurableDirPtr dir);
 
+  // Mutations throw std::invalid_argument when they do not fit (unknown
+  // table, row width, primary key not a column) and std::runtime_error
+  // when the log cannot be made durable; either way nothing is logged
+  // or applied.
   void create_table(const std::string& name, Schema schema);
   bool has_table(const std::string& name) const;
 
@@ -39,24 +76,43 @@ class Database {
   const Schema* table_schema(const std::string& table) const;
   void create_index(const std::string& table, const std::string& column);
 
-  // Punctual backup (§II-C "in-built punctual backup solution"): writes a
-  // fresh WAL capturing the current state; restore via open().
-  void backup_to(const std::string& path) const;
+  // Folds the log into a snapshot and truncates it; false (log intact)
+  // if the snapshot could not be installed. No-op when in-memory.
+  bool checkpoint();
+
+  // Punctual backup (§II-C "in-built punctual backup solution"): installs
+  // the checkpoint snapshot of the current state into `dir`; restore via
+  // open(dir).
+  bool backup_to(simfs::DurableDir& dir) const;
 
   uint64_t last_seq() const;
-  // Entries with seq > after (replication pull). Kept in memory.
+  // Entries with seq > after (replication pull): the mutations since
+  // open(), replayed or new. Kept in memory.
   std::vector<WalEntry> entries_since(uint64_t after) const;
 
  private:
-  void apply(const WalEntry& entry, bool log);
+  // Why `entry` does not fit the current tables; empty if it does.
+  std::string misfit(const WalEntry& entry) const;
+  // Checks, logs and applies one mutation. Caller holds mu_ exclusively.
+  void commit(WalEntry entry);
+  void apply(const WalEntry& entry);
+  // Applies the entries encoded in `bytes` (a log payload or a snapshot
+  // body), keeping them in the replication tail if `tail`; false at the
+  // first one that does not decode or fit, which is not applied.
+  bool replay(std::string_view bytes, bool tail);
+  bool checkpoint_locked();
+  // The snapshot body of checkpoints and backups: one create entry per
+  // table and one upsert entry per row, each carrying the last seq.
+  void write_snapshot(std::string& out) const;
   Table& table_ref(const std::string& name);
   const Table& table_ref(const std::string& name) const;
 
   mutable std::shared_mutex mu_;
   std::map<std::string, Table> tables_;
-  std::vector<WalEntry> wal_;  // in-memory tail for replication
+  std::vector<WalEntry> tail_;  // in-memory tail for replication
   uint64_t seq_ = 0;
-  std::string wal_path_;
+  std::unique_ptr<simfs::RecordLog> log_;  // null when in-memory
+  std::string payload_;                    // encode scratch
 };
 
 // Litestream analogue: continuously ships the primary's WAL tail into a

@@ -1,0 +1,140 @@
+// RecordLog — the stack's one write-ahead framing, shared by the hot
+// TSDB's WAL (tsdb/wal.h) and the units DB (reldb/database.h). Callers
+// log opaque payloads; replay hands them back in order.
+//
+// Framing. A segment file ("wal-<seq>.log") starts with an 8-byte magic
+// + 1-byte version + 8-byte sequence header; each record after it is
+//
+//   u32 payload_len | u32 crc32(payload) | payload
+//
+// Group commit. Writers append under a short mutex, then wait for their
+// record's LSN to become durable; the first waiter becomes the flush
+// leader and syncs everything appended so far, so N concurrent writers
+// coalesce into one fsync-equivalent. A failed sync fails its whole
+// group and every commit after it until a checkpoint starts a new
+// generation: after a failed fsync nothing buffered can be trusted.
+//
+// Recovery. scan_log() walks segments in sequence order and stops at the
+// first invalid frame (bad length, CRC mismatch, short read, or a body
+// the caller cannot decode): a torn tail is detected, reported, and
+// optionally truncated away — never partially applied.
+//
+// Checkpoint. The snapshot file ("snapshot" = "CEEMSDUR1" + u64 sequence
+// floor + caller body) is installed atomically; segments below the floor
+// are folded into it and deleted, and replay skips them.
+#pragma once
+
+#include <condition_variable>
+#include <cstdint>
+#include <functional>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "simfs/durable_dir.h"
+
+namespace ceems::simfs {
+
+class RecordLog {
+ public:
+  static constexpr std::size_t kDefaultSegmentBytes = 4u << 20;
+  // Hard cap on one record's payload; anything larger on disk is treated
+  // as corruption during replay.
+  static constexpr std::size_t kMaxPayloadBytes = 1u << 26;
+
+  struct Stats {
+    uint64_t records = 0;   // framed records appended
+    uint64_t groups = 0;    // durable flush groups (fsync-equivalents)
+    uint64_t segments = 0;  // segments created by this writer
+    uint64_t bytes = 0;     // framed bytes appended
+  };
+
+  // Appends a snapshot body to the string it is given.
+  using BodyWriter = std::function<void(std::string&)>;
+
+  // Starts a fresh generation: opens (and syncs) segment `start_seq`.
+  RecordLog(DurableDirPtr dir, uint64_t start_seq,
+            std::size_t segment_bytes = kDefaultSegmentBytes);
+
+  // Frames `payload` into the current segment (rotating first if full)
+  // and returns its LSN. Call flush_to(lsn) exactly once per LSN.
+  uint64_t append(std::string_view payload);
+  // Group commit: true once the record `lsn` is durable, false if a sync
+  // failed in this generation.
+  bool flush_to(uint64_t lsn);
+  // True when the next append() would rotate into a new segment.
+  bool full() const;
+
+  // Installs a snapshot (body from `write_body`) covering everything
+  // logged so far, deletes every segment and starts the next generation.
+  // No append may be in flight. False, with the log untouched, if the
+  // snapshot could not be installed.
+  bool checkpoint(const BodyWriter& write_body);
+
+  // Sequence number of the segment currently being written.
+  uint64_t current_seq() const;
+  Stats stats() const;
+
+  static std::string segment_name(uint64_t seq);
+  // Parses "wal-<seq>.log"; nullopt for other names.
+  static std::optional<uint64_t> parse_segment_name(std::string_view name);
+
+ private:
+  // Opens segment seq_ (header append). Caller holds mu_.
+  void open_segment_locked();
+
+  DurableDirPtr dir_;
+  std::size_t segment_limit_;
+
+  mutable std::mutex mu_;
+  std::condition_variable flush_cv_;
+  uint64_t seq_ = 0;
+  std::string segment_;            // current segment file name
+  std::size_t segment_bytes_ = 0;  // bytes appended to current segment
+  uint64_t next_lsn_ = 0;
+  uint64_t flushed_lsn_ = 0;
+  bool flush_in_progress_ = false;
+  bool sync_failed_ = false;  // since the generation started
+  // Segments with appended-but-unsynced bytes; the flush leader drains it.
+  std::vector<std::string> dirty_segments_;
+  // Frame scratch, reused under mu_ so steady-state logging is
+  // allocation-free.
+  std::string frame_;
+  Stats stats_;
+};
+
+struct LogScan {
+  uint64_t records_applied = 0;
+  uint64_t next_seq = 1;  // above every segment: where a new writer starts
+  // A trailing invalid frame was found and everything from it on was
+  // discarded — the expected signature of a crash mid-append.
+  bool torn_tail = false;
+  // Non-empty when replay stopped before the tail (corrupt interior
+  // segment) — recovery still proceeds with the valid prefix.
+  std::string error;
+};
+
+// Hands every payload of the segments with sequence >= seq_floor to
+// `apply`, in log order. `apply` returns false, having applied nothing,
+// for a body it cannot decode; that ends the scan like a bad frame. With
+// repair_torn_tail the invalid tail is durably truncated away, so the
+// next writer appends after the last valid record.
+LogScan scan_log(DurableDir& dir, uint64_t seq_floor,
+                 const std::function<bool(std::string_view)>& apply,
+                 bool repair_torn_tail = true);
+
+// Hands the snapshot body, if any, to `restore` and returns the sequence
+// floor to replay from. A snapshot that is malformed or that `restore`
+// rejects (leaving nothing applied) sets *error; replay then starts at 0.
+uint64_t restore_log_snapshot(
+    const DurableDir& dir,
+    const std::function<bool(std::string_view)>& restore,
+    std::string* error);
+
+// Atomically installs a snapshot covering every segment below `floor`.
+bool install_log_snapshot(DurableDir& dir, uint64_t floor,
+                          const RecordLog::BodyWriter& write_body);
+
+}  // namespace ceems::simfs

@@ -4,12 +4,13 @@
 #include <mutex>
 #include <regex>
 
+#include "common/byte_codec.h"
 #include "metrics/regex_cache.h"
-#include "tsdb/byte_codec.h"
 #include "tsdb/wal.h"
 
 namespace ceems::tsdb {
 
+namespace codec = common::codec;
 using metrics::SymbolTable;
 
 const TimeSeriesStore::StoredSeries* TimeSeriesStore::find_series_locked(

@@ -1,46 +1,28 @@
 // Write-ahead log for the hot TSDB — the durability half of the ingest
 // path. Every mutation (sample batches from scrapers and the rule
-// engine, retention purges, series deletions) is encoded as a
-// length-prefixed CRC32-framed record and made durable through a
-// simfs::DurableDir *before* it is applied to the in-memory store, so a
-// crash at any byte offset loses at most the groups that never reached
-// a sync.
+// engine, retention purges, series deletions) is one payload of the
+// shared simfs::RecordLog (framing, group commit, torn-tail repair and
+// the checkpoint snapshot file live there), made durable *before* it is
+// applied to the in-memory store.
 //
-// Framing. A segment file ("wal-<seq>.log") starts with an 8-byte magic
-// + 1-byte version + 8-byte sequence header; each record after it is
-//
-//   u32 payload_len | u32 crc32(payload) | payload
-//
-// with payload = u8 record type + body. Batch bodies use a series
+// Payloads are a u8 record type + body. Batch bodies use a series
 // dictionary (the Prometheus WAL idiom): the first record that carries
-// a series emits a definition (ref + label strings), later records
-// carry only the varint ref, a zigzag delta timestamp and the raw f64
-// bits — a steady-state sample costs ~11 bytes and zero allocations.
-// The dictionary lives for one WAL generation: it resets when the WAL
-// is truncated after a checkpoint, and a fresh writer starts a fresh
-// generation, so replay never sees a ref whose definition was dropped.
+// a series emits a definition (ref + label strings), later records carry
+// only the varint ref, a zigzag delta timestamp and the raw f64 bits — a
+// steady-state sample costs ~11 bytes and zero allocations. The
+// dictionary lives for one WAL generation (until a checkpoint truncates
+// the log), and refs follow log order: a batch is encoded and appended
+// under one lock.
 //
-// Group commit. Writers append under a short mutex, then wait for their
-// record's LSN to become durable; the first waiter becomes the flush
-// leader and syncs everything appended so far, so N concurrent scrape
-// batches coalesce into one fsync-equivalent. A shared "commit lock" is
-// held across [log → apply]; the checkpoint takes it exclusively, so a
-// snapshot is a consistent cut: everything logged is applied and vice
-// versa.
-//
-// Recovery. replay_wal() scans segments in sequence order and stops at
-// the first invalid frame (bad length, CRC mismatch, short read,
-// undecodable body): a torn tail is detected, reported, and optionally
-// truncated away — never partially applied. DurableTsdb ties it
-// together: open() restores the snapshot, replays segments at or above
-// the snapshot's sequence floor, and attaches a fresh WAL generation;
+// A shared "commit lock" is held across [log → apply]; the checkpoint
+// takes it exclusively, so a snapshot is a consistent cut. DurableTsdb
+// ties it together: open() restores the snapshot, replays the segments
+// at or above its sequence floor and attaches a fresh WAL generation;
 // checkpoint() installs snapshot v2 atomically and truncates the log.
 #pragma once
 
-#include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -50,23 +32,19 @@
 #include "metrics/labels.h"
 #include "metrics/model.h"
 #include "metrics/symbols.h"
-#include "simfs/durable_dir.h"
+#include "simfs/record_log.h"
 #include "tsdb/storage.h"
 
 namespace ceems::tsdb {
 
 struct WalOptions {
   // Rotate to a new segment once the current one exceeds this many bytes.
-  std::size_t segment_bytes = 4u << 20;
+  std::size_t segment_bytes = simfs::RecordLog::kDefaultSegmentBytes;
 };
 
-struct WalStats {
-  uint64_t records = 0;   // framed records appended
-  uint64_t batches = 0;   // kBatch records
-  uint64_t samples = 0;   // samples logged across all batches
-  uint64_t groups = 0;    // durable flush groups (fsync-equivalents)
-  uint64_t segments = 0;  // segments created by this writer
-  uint64_t bytes = 0;     // framed bytes appended
+struct WalStats : simfs::RecordLog::Stats {
+  uint64_t batches = 0;  // kBatch records
+  uint64_t samples = 0;  // samples logged across all batches
 };
 
 class Wal {
@@ -75,10 +53,6 @@ class Wal {
   static constexpr uint8_t kBatchRecord = 1;
   static constexpr uint8_t kPurgeRecord = 2;
   static constexpr uint8_t kDeleteRecord = 3;
-
-  // Hard cap on one record's payload; anything larger on disk is treated
-  // as corruption during replay.
-  static constexpr std::size_t kMaxPayloadBytes = 1u << 26;
 
   // Starts a fresh generation: opens (and syncs) segment `start_seq`.
   Wal(simfs::DurableDirPtr dir, uint64_t start_seq, WalOptions options = {});
@@ -98,86 +72,60 @@ class Wal {
   bool log_purge(common::TimestampMs cutoff);
   bool log_delete(const std::vector<metrics::LabelMatcher>& matchers);
 
-  // Deletes every segment and starts generation `new_seq` with an empty
-  // series dictionary. Caller holds the Barrier and has already durably
-  // installed a snapshot covering everything logged so far.
-  void reset_to(uint64_t new_seq);
+  // Installs a snapshot (body from `write_body`) and truncates the log
+  // into a new generation with an empty series dictionary; false, with
+  // the log untouched, if the snapshot could not be installed. Caller
+  // holds the Barrier.
+  bool checkpoint(const simfs::RecordLog::BodyWriter& write_body);
 
   // Sequence number of the segment currently being written.
   uint64_t current_seq() const;
 
   WalStats stats() const;
 
-  static std::string segment_name(uint64_t seq);
-  // Parses "wal-<seq>.log"; nullopt for other names.
-  static std::optional<uint64_t> parse_segment_name(std::string_view name);
-
  private:
-  // Opens segment seq_ (header append + sync). Caller holds mu_.
-  void open_segment_locked();
-  // Frames payload_ into the current segment (rotating first if full)
-  // and returns the record's LSN. Caller holds mu_.
-  uint64_t frame_and_append_locked();
-  // Group commit: returns once flushed_lsn_ >= lsn.
-  bool flush_to(uint64_t lsn);
+  // Appends payload_ to the log and waits for it to be durable. Takes
+  // `lock` (on mu_) and releases it before the group commit.
+  bool commit(std::unique_lock<std::mutex>& lock);
 
-  simfs::DurableDirPtr dir_;
-  WalOptions options_;
+  simfs::RecordLog log_;
 
   // Writers shared, checkpoint exclusive. Ordered before mu_.
   std::shared_mutex commit_mu_;
 
+  // Guards the dictionary, the encode scratch and the counters; ordered
+  // before the log's own mutex.
   mutable std::mutex mu_;
-  std::condition_variable flush_cv_;
-  uint64_t seq_ = 0;
-  std::string segment_;            // current segment file name
-  std::size_t segment_bytes_ = 0;  // bytes appended to current segment
   // Series → ref for the current generation. Keyed by full interned
   // label set (fingerprint-collision safe).
   std::unordered_map<metrics::InternedLabels, uint64_t,
                      metrics::InternedLabelsHash>
       dict_;
   uint64_t next_ref_ = 1;
-  uint64_t next_lsn_ = 0;
-  uint64_t flushed_lsn_ = 0;
-  bool flush_in_progress_ = false;
-  // Segments with appended-but-unsynced bytes; the flush leader drains it.
-  std::vector<std::string> dirty_segments_;
   // Encode scratch, reused under mu_ so steady-state logging is
   // allocation-free.
   std::string payload_;
   std::string defs_;
   std::string samples_buf_;
-  std::string frame_;
-  WalStats stats_;
+  uint64_t batches_ = 0;
+  uint64_t samples_ = 0;
 };
 
-struct WalReplayResult {
-  uint64_t records_applied = 0;
+struct WalReplayResult : simfs::LogScan {
   uint64_t samples_appended = 0;  // accepted by the store
-  uint64_t segments_scanned = 0;
-  uint64_t max_seq = 0;  // highest segment sequence seen (0 when none)
-  // A trailing invalid frame was found and everything from it on was
-  // discarded — the expected signature of a crash mid-append.
-  bool torn_tail = false;
-  uint64_t discarded_bytes = 0;
-  // Non-empty when replay stopped before the tail (corrupt interior
-  // segment) — recovery still proceeds with the valid prefix.
-  std::string error;
 };
 
 // Replays every segment with sequence >= seq_floor into `store`, which
 // must NOT have a WAL attached (records would be re-logged). Records are
 // fully decoded and validated before any sample is applied, so a corrupt
 // record never applies partially. When repair_torn_tail is set, the
-// invalid tail is durably truncated away so the next writer appends
-// after the last valid record.
+// invalid tail is durably truncated away (see simfs::scan_log).
 WalReplayResult replay_wal(simfs::DurableDir& dir, uint64_t seq_floor,
                            TimeSeriesStore& store,
                            bool repair_torn_tail = true);
 
-// Snapshot + WAL lifecycle for one TimeSeriesStore. The snapshot file
-// ("snapshot") wraps the store's v2 snapshot with the WAL sequence floor
+// Snapshot + WAL lifecycle for one TimeSeriesStore. The record log's
+// snapshot file wraps the store's v2 snapshot with the WAL sequence floor
 // it covers; segments below the floor are already folded into the
 // snapshot and are never replayed.
 class DurableTsdb {

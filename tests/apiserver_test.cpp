@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "apiserver/api_server.h"
 #include "apiserver/reports.h"
 #include "apiserver/resource_manager.h"
 #include "apiserver/updater.h"
+#include "flaky_sync_dir.h"
 #include "http/client.h"
 #include "stack_fixture.h"
 #include "append_one.h"
@@ -163,6 +166,28 @@ TEST(UpdaterAlignment, AggregateQueriesHitResolutionLadder) {
   // 200 W over the 25 min aligned window.
   EXPECT_NEAR(unit.total_cpu_energy_joules, 200.0 * 25 * 60, 1.0);
   EXPECT_NEAR(unit.total_cpu_time_seconds, 25.0 * 60, 30.0);
+}
+
+// A durable units DB throws when its log cannot be synced. The
+// background loop logs it and keeps going; the next cycle polls the
+// resource manager from the same point, so the lost upsert is redone.
+TEST(UpdaterLoop, FailedDbCommitDoesNotStopTheLoop) {
+  // Sync 1 opens the log, 2 commits the units table, 3 the first upsert.
+  auto dir = std::make_shared<ceems::testing::FlakySyncDir>(3);
+  auto db = reldb::Database::open(dir);
+  auto nova = std::make_shared<OpenstackAdapter>("cloud");
+  nova->report_vm("vm-1", "alice", "p1", 4, 8LL << 30, "ACTIVE", 0, 0, 0);
+  auto clock = common::make_sim_clock(0);
+  auto store = std::make_shared<tsdb::TimeSeriesStore>();
+  Updater updater(*db, store, nullptr, {nova}, clock, UpdaterConfig{});
+  updater.start();
+  while (clock->sleeper_count() == 0) std::this_thread::yield();
+  EXPECT_FALSE(db->get(kUnitsTable, reldb::Value("vm-1")).has_value());
+
+  clock->advance(UpdaterConfig{}.interval_ms);
+  while (clock->sleeper_count() == 0) std::this_thread::yield();
+  updater.stop();
+  EXPECT_TRUE(db->get(kUnitsTable, reldb::Value("vm-1")).has_value());
 }
 
 // ---------- updater + HTTP API over a live mini-stack ----------

@@ -169,7 +169,7 @@ Workload run_workload(uint64_t seed, int sweeps, int checkpoint_at_sweep) {
 std::size_t surviving_records(simfs::SimDurableDir& dir) {
   std::vector<std::pair<uint64_t, std::string>> segments;
   for (const auto& name : dir.list()) {
-    if (auto seq = Wal::parse_segment_name(name)) {
+    if (auto seq = simfs::RecordLog::parse_segment_name(name)) {
       segments.emplace_back(*seq, name);
     }
   }
@@ -201,7 +201,7 @@ struct CutPoint {
 CutPoint locate_cut(simfs::SimDurableDir& dir, std::size_t global) {
   std::vector<std::pair<uint64_t, std::string>> segments;
   for (const auto& name : dir.list()) {
-    if (auto seq = Wal::parse_segment_name(name)) {
+    if (auto seq = simfs::RecordLog::parse_segment_name(name)) {
       segments.emplace_back(*seq, name);
     }
   }
@@ -217,7 +217,7 @@ CutPoint locate_cut(simfs::SimDurableDir& dir, std::size_t global) {
 std::size_t total_wal_bytes(simfs::SimDurableDir& dir) {
   std::size_t total = 0;
   for (const auto& name : dir.list()) {
-    if (Wal::parse_segment_name(name)) total += dir.read(name)->size();
+    if (simfs::RecordLog::parse_segment_name(name)) total += dir.read(name)->size();
   }
   return total;
 }
@@ -251,9 +251,9 @@ void crash_at_random_offset(uint64_t seed, int checkpoint_at_sweep) {
   // storage, which replay must also survive by stopping cleanly).
   w.dir->crash();  // drop unsynced bytes first (there are none)
   w.dir->truncate_durable(cut.segment, cut.offset);
-  if (auto cut_seq = Wal::parse_segment_name(cut.segment)) {
+  if (auto cut_seq = simfs::RecordLog::parse_segment_name(cut.segment)) {
     for (const auto& name : w.dir->list()) {
-      auto seq = Wal::parse_segment_name(name);
+      auto seq = simfs::RecordLog::parse_segment_name(name);
       if (seq && *seq > *cut_seq) w.dir->remove(name);
     }
   }

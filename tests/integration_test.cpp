@@ -5,6 +5,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+
+#include <unistd.h>
 
 #include "core/config.h"
 #include "stack_fixture.h"
@@ -245,6 +248,38 @@ TEST(Durability, HotStoreSnapshotSurvivesRestart) {
   EXPECT_DOUBLE_EQ(before.vector[0].value, after.vector[0].value);
 }
 
+// A stack rebuilt over the same units-DB directory serves the units the
+// first one recorded and continues its sequence numbers: the database is
+// opened from its snapshot and log, not started empty over them.
+TEST(Durability, UnitsDbSurvivesStackRestart) {
+  ceems::testing::MiniStackOptions options;
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  options.stack.db_durable_dir = dir;
+  std::size_t units = 0;
+  uint64_t last_seq = 0;
+  {
+    ceems::testing::MiniStack mini(options);
+    mini.run(10 * common::kMillisPerMinute);
+    units = mini.stack().db().table_size(apiserver::kUnitsTable);
+    last_seq = mini.stack().db().last_seq();
+  }
+  ASSERT_GT(units, 0u);
+
+  ceems::testing::MiniStack restarted(options);
+  reldb::Database& db = restarted.stack().db();
+  EXPECT_EQ(db.table_size(apiserver::kUnitsTable), units);
+  EXPECT_EQ(db.last_seq(), last_seq);
+  restarted.run(5 * common::kMillisPerMinute);
+  EXPECT_GT(db.last_seq(), last_seq);
+  // The replayed and the new entries form one strictly increasing log.
+  uint64_t prev = 0;
+  for (const auto& entry : db.entries_since(0)) {
+    EXPECT_GT(entry.seq, prev);
+    prev = entry.seq;
+  }
+  EXPECT_EQ(reldb::Database::open(dir)->last_seq(), db.last_seq());
+}
+
 // ---------- configuration ----------
 
 TEST(Config, ReferenceYamlParses) {
@@ -364,6 +399,19 @@ TEST(Config, FlatLongTermKeysAreOneLevelLadder) {
   ASSERT_EQ(empty_ladder.stack.longterm.levels.size(), 1u);
   EXPECT_EQ(empty_ladder.stack.longterm.levels[0].resolution_ms,
             10 * common::kMillisPerMinute);
+}
+
+TEST(Config, DbPathOpensDurableDirectory) {
+  const std::string path = ::testing::TempDir() + "ceems_config_db_" +
+                           std::to_string(::getpid());
+  std::filesystem::remove_all(path);
+  LoadedConfig loaded =
+      parse_config_text("ceems:\n  updater:\n    db_path: " + path + "\n");
+  ASSERT_NE(loaded.stack.db_durable_dir, nullptr);
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  EXPECT_EQ(parse_config_text(reference_config_yaml()).stack.db_durable_dir,
+            nullptr);
+  std::filesystem::remove_all(path);
 }
 
 TEST(Config, MissingSectionsKeepDefaults) {

@@ -281,36 +281,33 @@ class WalProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(WalProperty, ReplayEqualsOriginal) {
   Rng rng(GetParam());
-  std::string path = ::testing::TempDir() + "wal_prop_" +
-                     std::to_string(GetParam()) + ".wal";
-  std::remove(path.c_str());
-  {
-    reldb::Database db(path);
-    reldb::Schema schema;
-    schema.columns = {{"id", reldb::ColumnType::kInt},
-                      {"v", reldb::ColumnType::kReal}};
-    schema.primary_key = "id";
-    db.create_table("t", schema);
-    for (int i = 0; i < 300; ++i) {
-      int64_t id = rng.uniform_int(0, 40);
-      if (rng.chance(0.25)) {
-        db.erase("t", reldb::Value(id));
-      } else {
-        db.upsert("t", {reldb::Value(id), reldb::Value(rng.uniform(0, 1))});
-      }
-    }
-    auto replayed = reldb::Database::open(path);
-    EXPECT_EQ(replayed->table_size("t"), db.table_size("t"));
-    for (int id = 0; id <= 40; ++id) {
-      auto original = db.get("t", reldb::Value(id));
-      auto copy = replayed->get("t", reldb::Value(id));
-      ASSERT_EQ(original.has_value(), copy.has_value()) << id;
-      if (original) {
-        EXPECT_DOUBLE_EQ((*original)[1].as_real(), (*copy)[1].as_real());
-      }
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  auto db = reldb::Database::open(dir);
+  reldb::Schema schema;
+  schema.columns = {{"id", reldb::ColumnType::kInt},
+                    {"v", reldb::ColumnType::kReal}};
+  schema.primary_key = "id";
+  db->create_table("t", schema);
+  for (int i = 0; i < 300; ++i) {
+    int64_t id = rng.uniform_int(0, 40);
+    if (rng.chance(0.25)) {
+      db->erase("t", reldb::Value(id));
+    } else {
+      db->upsert("t", {reldb::Value(id), reldb::Value(rng.uniform(0, 1))});
     }
   }
-  std::remove(path.c_str());
+  dir->crash();
+  auto replayed = reldb::Database::open(dir);
+  EXPECT_EQ(replayed->table_size("t"), db->table_size("t"));
+  EXPECT_EQ(replayed->last_seq(), db->last_seq());
+  for (int id = 0; id <= 40; ++id) {
+    auto original = db->get("t", reldb::Value(id));
+    auto copy = replayed->get("t", reldb::Value(id));
+    ASSERT_EQ(original.has_value(), copy.has_value()) << id;
+    if (original) {
+      EXPECT_DOUBLE_EQ((*original)[1].as_real(), (*copy)[1].as_real());
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WalProperty,

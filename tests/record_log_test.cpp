@@ -1,0 +1,91 @@
+// RecordLog properties that do not depend on what the payloads mean: a
+// failed group sync fails every writer whose record rode the group, and
+// a payload its reader rejects ends the scan like a torn frame.
+#include "simfs/record_log.h"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "flaky_sync_dir.h"
+
+namespace ceems::simfs {
+namespace {
+
+using ceems::testing::FlakySyncDir;
+
+TEST(RecordLog, FailedSyncFailsEveryWriterInItsGroup) {
+  // Sync 1 makes the first segment durable; sync 2 is the first group.
+  auto dir = std::make_shared<FlakySyncDir>(2);
+  RecordLog log(dir, 1);
+  constexpr int kWriters = 4;
+  std::atomic<int> appended{0};
+  std::vector<int> first(kWriters, -1), later(kWriters, -1);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      uint64_t lsn = log.append("first " + std::to_string(w));
+      // Every writer's record is in the log before anyone flushes, so
+      // the first flush leader's group carries all of them; some writers
+      // ask for their verdict only after a later group has synced.
+      appended.fetch_add(1);
+      while (appended.load() < kWriters) std::this_thread::yield();
+      first[w] = log.flush_to(lsn);
+      later[w] = log.flush_to(log.append("later " + std::to_string(w)));
+    });
+  }
+  for (auto& writer : writers) writer.join();
+  for (int w = 0; w < kWriters; ++w) {
+    EXPECT_EQ(first[w], 0) << "writer " << w << " was told a failed sync "
+                                               "succeeded";
+    // Nothing buffered before the failure can be trusted to be on disk,
+    // so later commits of the same generation fail as well.
+    EXPECT_EQ(later[w], 0) << "writer " << w;
+  }
+  EXPECT_EQ(log.stats().records, 2u * kWriters);
+
+  // A checkpoint starts a new generation, and commits succeed again.
+  ASSERT_TRUE(log.checkpoint([](std::string& out) { out += "state"; }));
+  EXPECT_EQ(log.current_seq(), 2u);
+  EXPECT_TRUE(log.flush_to(log.append("after checkpoint")));
+  EXPECT_EQ(dir->list(),
+            (std::vector<std::string>{"snapshot", "wal-00000002.log"}));
+}
+
+TEST(RecordLog, RejectedPayloadEndsScanLikeATornFrame) {
+  auto dir = std::make_shared<SimDurableDir>();
+  {
+    RecordLog log(dir, 1);
+    for (const char* payload : {"a", "b", "c"}) {
+      ASSERT_TRUE(log.flush_to(log.append(payload)));
+    }
+  }
+  const std::string segment = RecordLog::segment_name(1);
+  const std::size_t full = dir->read(segment)->size();
+
+  std::vector<std::string> seen;
+  auto reject_b = [&](std::string_view payload) {
+    if (payload == "b") return false;
+    seen.emplace_back(payload);
+    return true;
+  };
+  LogScan scan = scan_log(*dir, 0, reject_b);
+  EXPECT_EQ(seen, std::vector<std::string>{"a"});
+  EXPECT_EQ(scan.records_applied, 1u);
+  EXPECT_TRUE(scan.torn_tail);
+  EXPECT_TRUE(scan.error.empty());
+  // Repair cut the log right after "a" (8-byte frame header + 1 byte).
+  EXPECT_EQ(dir->read(segment)->size(), full - 2 * 9);
+
+  seen.clear();
+  scan = scan_log(*dir, 0, reject_b);
+  EXPECT_EQ(seen, std::vector<std::string>{"a"});
+  EXPECT_FALSE(scan.torn_tail);
+  EXPECT_EQ(scan.next_seq, 2u);
+}
+
+}  // namespace
+}  // namespace ceems::simfs

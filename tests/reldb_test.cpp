@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <limits>
 #include <thread>
 
+#include <unistd.h>
+
 #include "reldb/database.h"
+#include "flaky_sync_dir.h"
+#include "simfs/durable_dir.h"
 
 namespace ceems::reldb {
 namespace {
@@ -167,75 +173,194 @@ TEST(Table, SchemaErrors) {
   EXPECT_THROW(table.execute(bad), std::invalid_argument);
 }
 
-// ---------- wal ----------
+// ---------- log entry codec ----------
 
-TEST(Wal, EntryRoundTrip) {
+uint64_t bits_of(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Same type and, for reals, the same bits (Value::operator== compares
+// numerically, so NaN != NaN and -0.0 == 0.0).
+void expect_identical(const Value& a, const Value& b) {
+  ASSERT_EQ(a.data.index(), b.data.index());
+  if (a.is_int()) {
+    EXPECT_EQ(a.as_int(), b.as_int());
+  } else if (a.is_real()) {
+    EXPECT_EQ(bits_of(a.as_real()), bits_of(b.as_real()));
+  } else if (a.is_text()) {
+    EXPECT_EQ(a.as_text(), b.as_text());
+  }
+}
+
+std::string encoded(const WalEntry& entry) {
+  std::string out;
+  encode_entry(entry, out);
+  return out;
+}
+
+TEST(ReldbCodec, EntryRoundTrip) {
+  WalEntry upsert;
+  upsert.seq = 7;
+  upsert.op = WalEntry::Op::kUpsert;
+  upsert.table = "units";
+  upsert.row = {Value(1), Value("alice"), Value(2.5), Value()};
+  auto decoded = decode_entry(encoded(upsert));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->seq, 7u);
+  EXPECT_EQ(decoded->op, WalEntry::Op::kUpsert);
+  EXPECT_EQ(decoded->table, "units");
+  ASSERT_EQ(decoded->row.size(), 4u);
+  for (std::size_t i = 0; i < upsert.row.size(); ++i) {
+    expect_identical(decoded->row[i], upsert.row[i]);
+  }
+
+  WalEntry create;
+  create.seq = 1;
+  create.op = WalEntry::Op::kCreateTable;
+  create.table = "jobs";
+  create.schema = jobs_schema();
+  decoded = decode_entry(encoded(create));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->op, WalEntry::Op::kCreateTable);
+  EXPECT_EQ(decoded->schema.primary_key, "id");
+  ASSERT_EQ(decoded->schema.columns.size(), 3u);
+  EXPECT_EQ(decoded->schema.columns[2].name, "energy");
+  EXPECT_EQ(decoded->schema.columns[2].type, ColumnType::kReal);
+
+  WalEntry erase;
+  erase.seq = 9;
+  erase.op = WalEntry::Op::kErase;
+  erase.table = "jobs";
+  erase.primary_key = Value("key");
+  decoded = decode_entry(encoded(erase));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->op, WalEntry::Op::kErase);
+  expect_identical(decoded->primary_key, erase.primary_key);
+}
+
+TEST(ReldbCodec, CorruptEntryRejected) {
   WalEntry entry;
-  entry.seq = 7;
+  entry.seq = 3;
   entry.op = WalEntry::Op::kUpsert;
   entry.table = "units";
   entry.row = {Value(1), Value("alice"), Value(2.5)};
-  auto decoded = decode_wal_entry(encode_wal_entry(entry));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->seq, 7u);
-  EXPECT_EQ(decoded->table, "units");
-  ASSERT_EQ(decoded->row.size(), 3u);
-  EXPECT_EQ(decoded->row[1].as_text(), "alice");
+  const std::string bytes = encoded(entry);
+  // Every strict prefix is truncated, and trailing bytes are not one entry.
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(decode_entry(std::string_view(bytes.data(), cut)))
+        << "cut at " << cut;
+  }
+  EXPECT_FALSE(decode_entry(bytes + '\0'));
+  std::string bad_op = bytes;
+  bad_op[0] = 9;
+  EXPECT_FALSE(decode_entry(bad_op));
+  // A value tag outside null/int/real/text.
+  WalEntry erase;
+  erase.op = WalEntry::Op::kErase;
+  erase.table = "t";
+  erase.primary_key = Value();
+  std::string bad_tag = encoded(erase);
+  bad_tag.back() = 7;
+  EXPECT_FALSE(decode_entry(bad_tag));
+  // A row count far beyond the bytes that follow.
+  WalEntry empty;
+  empty.op = WalEntry::Op::kUpsert;
+  empty.table = "t";
+  std::string huge_count = encoded(empty);
+  huge_count.back() = '\x7f';
+  EXPECT_FALSE(decode_entry(huge_count));
 }
 
-TEST(Wal, CorruptLineRejected) {
-  EXPECT_FALSE(decode_wal_entry("{not json").has_value());
-  EXPECT_FALSE(decode_wal_entry("{\"op\":\"who\"}").has_value());
+TEST(ReldbCodec, ValuesRoundTripBitwise) {
+  const double nan_payload = [] {
+    uint64_t bits = 0x7ff80000deadbeefULL;
+    double v = 0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  }();
+  const Row row = {
+      Value(std::numeric_limits<double>::quiet_NaN()),
+      Value(nan_payload),
+      Value(std::numeric_limits<double>::infinity()),
+      Value(-std::numeric_limits<double>::infinity()),
+      Value(-0.0),
+      Value(std::numeric_limits<double>::denorm_min()),
+      Value(std::numeric_limits<int64_t>::min()),
+      Value(std::numeric_limits<int64_t>::max()),
+      Value(int64_t{(1LL << 53) + 1}),
+      Value(std::string("line\nbreak \"quoted\" nul\0end", 27)),
+      Value(std::string()),
+      Value(),
+  };
+  WalEntry entry;
+  entry.seq = std::numeric_limits<uint64_t>::max();
+  entry.op = WalEntry::Op::kUpsert;
+  entry.table = std::string("t\0\n", 3);
+  entry.row = row;
+  auto decoded = decode_entry(encoded(entry));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->seq, entry.seq);
+  EXPECT_EQ(decoded->table, entry.table);
+  ASSERT_EQ(decoded->row.size(), row.size());
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_identical(decoded->row[i], row[i]);
+  }
+  EXPECT_EQ(decoded->row[9].as_text().size(), 27u);
 }
 
 // ---------- database ----------
 
+// A fresh host directory per test, opened as a RealDurableDir.
 class DatabaseFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "ceems_reldb_test_" +
             std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".wal";
-    std::remove(path_.c_str());
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(path_);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { std::filesystem::remove_all(path_); }
+  simfs::DurableDirPtr dir() const {
+    return std::make_shared<simfs::RealDurableDir>(path_);
+  }
   std::string path_;
 };
 
 TEST_F(DatabaseFileTest, WalReplayRestoresState) {
   {
-    Database db(path_);
-    db.create_table("jobs", jobs_schema());
-    db.upsert("jobs", {Value(1), Value("alice"), Value(10.0)});
-    db.upsert("jobs", {Value(2), Value("bob"), Value(20.0)});
-    db.upsert("jobs", {Value(1), Value("alice"), Value(15.0)});
-    db.erase("jobs", Value(2));
+    auto db = Database::open(dir());
+    db->create_table("jobs", jobs_schema());
+    db->upsert("jobs", {Value(1), Value("alice"), Value(10.0)});
+    db->upsert("jobs", {Value(2), Value("bob"), Value(20.0)});
+    db->upsert("jobs", {Value(1), Value("alice"), Value(15.0)});
+    db->erase("jobs", Value(2));
   }
-  auto reopened = Database::open(path_);
+  auto reopened = Database::open(dir());
   EXPECT_EQ(reopened->table_size("jobs"), 1u);
   EXPECT_DOUBLE_EQ((*reopened->get("jobs", Value(1)))[2].as_real(), 15.0);
+  EXPECT_EQ(reopened->last_seq(), 5u);
 }
 
 TEST_F(DatabaseFileTest, TruncatedWalTailRecoversPrefix) {
   {
-    Database db(path_);
-    db.create_table("jobs", jobs_schema());
-    db.upsert("jobs", {Value(1), Value("a"), Value(1.0)});
-    db.upsert("jobs", {Value(2), Value("b"), Value(2.0)});
+    auto db = Database::open(dir());
+    db->create_table("jobs", jobs_schema());
+    db->upsert("jobs", {Value(1), Value("a"), Value(1.0)});
+    db->upsert("jobs", {Value(2), Value("b"), Value(2.0)});
   }
-  // Corrupt the last line (torn write).
-  std::ifstream in(path_);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  in.close();
-  std::ofstream out(path_, std::ios::trunc);
-  out << content.substr(0, content.size() - 15) << "\n";
-  out.close();
+  // Tear the last record (a torn write).
+  const std::string segment =
+      path_ + "/" + simfs::RecordLog::segment_name(1);
+  std::filesystem::resize_file(segment,
+                               std::filesystem::file_size(segment) - 15);
 
-  auto recovered = Database::open(path_);
+  auto recovered = Database::open(dir());
   EXPECT_EQ(recovered->table_size("jobs"), 1u);
   EXPECT_TRUE(recovered->get("jobs", Value(1)).has_value());
+  EXPECT_EQ(recovered->last_seq(), 2u);
 }
 
 TEST_F(DatabaseFileTest, BackupAndRestore) {
@@ -244,10 +369,109 @@ TEST_F(DatabaseFileTest, BackupAndRestore) {
   for (int i = 0; i < 20; ++i) {
     db.upsert("jobs", {Value(i), Value("u"), Value(static_cast<double>(i))});
   }
-  db.backup_to(path_);
-  auto restored = Database::open(path_);
+  ASSERT_TRUE(db.backup_to(*dir()));
+  auto restored = Database::open(dir());
   EXPECT_EQ(restored->table_size("jobs"), 20u);
   EXPECT_DOUBLE_EQ((*restored->get("jobs", Value(7)))[2].as_real(), 7.0);
+  EXPECT_EQ(restored->last_seq(), db.last_seq());
+}
+
+TEST_F(DatabaseFileTest, NanUpsertDoesNotStopReplay) {
+  const int64_t big = (1LL << 53) + 1;
+  {
+    auto db = Database::open(dir());
+    db->create_table("jobs", jobs_schema());
+    db->upsert("jobs", {Value(1), Value("a"), Value(1.0)});
+    db->upsert("jobs", {Value(2), Value("b"),
+                        Value(std::numeric_limits<double>::quiet_NaN())});
+    db->upsert("jobs", {Value(3), Value("c"),
+                        Value(std::numeric_limits<double>::infinity())});
+    db->upsert("jobs", {Value(big), Value("d"), Value(-0.0)});
+  }
+  auto reopened = Database::open(dir());
+  EXPECT_EQ(reopened->table_size("jobs"), 4u);
+  ASSERT_TRUE(reopened->get("jobs", Value(2)).has_value());
+  EXPECT_TRUE(std::isnan((*reopened->get("jobs", Value(2)))[2].as_real()));
+  EXPECT_TRUE(std::isinf((*reopened->get("jobs", Value(3)))[2].as_real()));
+  auto last = reopened->get("jobs", Value(big));
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ((*last)[0].as_int(), big);
+  EXPECT_EQ(bits_of((*last)[2].as_real()), bits_of(-0.0));
+}
+
+TEST(Database, RejectedMutationIsNeverLogged) {
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  auto db = Database::open(dir);
+  db->create_table("jobs", jobs_schema());
+  db->upsert("jobs", {Value(1), Value("a"), Value(1.0)});
+  auto files = [&] {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const auto& name : dir->list()) out.emplace_back(name, *dir->read(name));
+    return out;
+  };
+  const auto before = files();
+  const uint64_t syncs = dir->sync_count();
+
+  EXPECT_THROW(db->upsert("nope", {Value(2)}), std::invalid_argument);
+  EXPECT_THROW(db->upsert("jobs", {Value(2), Value("b")}), std::invalid_argument);
+  EXPECT_THROW(db->erase("nope", Value(1)), std::invalid_argument);
+  EXPECT_THROW(db->create_table("bad", Schema{{{"a", ColumnType::kInt}}, "b"}),
+               std::invalid_argument);
+  EXPECT_FALSE(db->erase("jobs", Value(7)));  // absent key: nothing to log
+
+  EXPECT_EQ(files(), before);
+  EXPECT_EQ(dir->pending_bytes(simfs::RecordLog::segment_name(1)), 0u);
+  EXPECT_EQ(dir->sync_count(), syncs);
+  EXPECT_EQ(db->last_seq(), 2u);
+  EXPECT_FALSE(db->has_table("bad"));
+}
+
+TEST(Database, FailedSyncIsNotAppliedAndNeverReplays) {
+  // Sync 1 opens the log, 2 and 3 commit the create and the first upsert.
+  auto dir = std::make_shared<ceems::testing::FlakySyncDir>(4);
+  auto db = Database::open(dir);
+  db->create_table("jobs", jobs_schema());
+  db->upsert("jobs", {Value(1), Value("a"), Value(1.0)});
+  EXPECT_THROW(db->upsert("jobs", {Value(2), Value("b"), Value(2.0)}),
+               std::runtime_error);
+  EXPECT_FALSE(db->get("jobs", Value(2)).has_value());
+  EXPECT_EQ(db->last_seq(), 2u);
+  db->upsert("jobs", {Value(3), Value("c"), Value(3.0)});
+  EXPECT_EQ(db->last_seq(), 3u);
+
+  dir->inner()->crash();
+  auto reopened = Database::open(dir->inner());
+  EXPECT_TRUE(reopened->get("jobs", Value(1)).has_value());
+  EXPECT_FALSE(reopened->get("jobs", Value(2)).has_value());
+  EXPECT_TRUE(reopened->get("jobs", Value(3)).has_value());
+  EXPECT_EQ(reopened->last_seq(), 3u);
+}
+
+TEST(Database, AutoCheckpointKeepsOneSegment) {
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  auto db = Database::open(dir);
+  db->create_table("jobs", jobs_schema());
+  const std::size_t limit = simfs::RecordLog::kDefaultSegmentBytes;
+  for (int i = 0; i < 24; ++i) {
+    db->upsert("jobs", {Value(i % 4), Value(std::string(1u << 20, 'a' + i)),
+                        Value(static_cast<double>(i))});
+    std::vector<std::string> segments;
+    for (const auto& name : dir->list()) {
+      if (simfs::RecordLog::parse_segment_name(name)) segments.push_back(name);
+    }
+    // The log checkpoints instead of rotating into a second segment.
+    ASSERT_EQ(segments.size(), 1u) << "after upsert " << i;
+    EXPECT_LE(dir->read(segments[0])->size(), limit + (1u << 20) + 64);
+  }
+  // Each of the (at least 5) checkpoints started the next segment.
+  EXPECT_TRUE(dir->read("snapshot").has_value());
+  EXPECT_GT(*simfs::RecordLog::parse_segment_name(dir->list().back()), 5u);
+
+  auto reopened = Database::open(dir);
+  EXPECT_EQ(reopened->table_size("jobs"), 4u);
+  EXPECT_EQ(reopened->last_seq(), db->last_seq());
+  EXPECT_EQ((*reopened->get("jobs", Value(3)))[1].as_text(),
+            std::string(1u << 20, 'a' + 23));
 }
 
 TEST(Database, ReplicatorShipsIncrementally) {

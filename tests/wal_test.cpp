@@ -189,7 +189,7 @@ TornFixture make_torn_fixture(int records) {
   }
   store->set_wal(nullptr);
 
-  fx.segment = Wal::segment_name(1);
+  fx.segment = simfs::RecordLog::segment_name(1);
   fx.bytes = *fx.dir->read(fx.segment);
   fx.ends = record_ends(fx.bytes);
   EXPECT_EQ(fx.ends.size(), static_cast<std::size_t>(records));
@@ -367,7 +367,7 @@ TEST(DurableTsdb, CheckpointTruncatesWalAndRecoveryRestoresUnion) {
   // The checkpoint truncated every pre-snapshot segment.
   std::size_t wal_records = 0;
   for (const auto& name : dir->list()) {
-    if (Wal::parse_segment_name(name)) {
+    if (simfs::RecordLog::parse_segment_name(name)) {
       wal_records += record_ends(*dir->read(name)).size();
     }
   }
@@ -407,7 +407,7 @@ TEST(DurableTsdb, RecoveryAfterCheckpointPlusTornTail) {
   }
 
   // Tear the last record: chop 3 bytes off the live segment.
-  std::string segment = Wal::segment_name(durable.wal().current_seq());
+  std::string segment = simfs::RecordLog::segment_name(durable.wal().current_seq());
   std::size_t size = dir->read(segment)->size();
   dir->truncate_durable(segment, size - 3);
 
@@ -503,7 +503,7 @@ TEST(WalRealFs, TornLiveSegmentIsRepairedOnReopen) {
     DurableTsdb durable(store, std::make_shared<simfs::RealDurableDir>(root));
     durable.open();
     segment_path =
-        root + "/" + Wal::segment_name(durable.wal().current_seq());
+        root + "/" + simfs::RecordLog::segment_name(durable.wal().current_seq());
     for (int b = 0; b < 5; ++b) {
       workload.write(*store, oracle, b, 1);
       record_end.push_back(std::filesystem::file_size(segment_path));
@@ -562,14 +562,93 @@ TEST(WalRealFs, StraySnapshotTempFileIsIgnored) {
   std::filesystem::remove_all(root);
 }
 
+// ---------- on-disk format ----------
+
+std::string to_hex(const std::string& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(digits[c >> 4]);
+    out.push_back(digits[c & 15]);
+  }
+  return out;
+}
+
+// A small fixed log: a batch defining two series (a stale marker, -0.0),
+// a batch mixing a known and a new series with a negative timestamp
+// delta, a purge and a delete.
+void write_golden_log(TimeSeriesStore& store) {
+  const InternedLabels a(
+      Labels{{"uuid", "1"}, {"hostname", "n1"}}.with_name("m"));
+  const InternedLabels b(Labels{{"uuid", "2"}}.with_name("m"));
+  const InternedLabels c(Labels{{"uuid", "3"}}.with_name("power"));
+  std::vector<SampleRef> first = {
+      {&a, 1000, 1.5}, {&b, 2000, -0.0}, {&a, 31000, metrics::stale_marker()}};
+  store.append_refs(first.data(), first.size());
+  std::vector<SampleRef> second = {{&b, 61000, 1e300}, {&c, 500, -2.25}};
+  store.append_refs(second.data(), second.size());
+  store.purge_before(1500);
+  store.delete_series({{"uuid", metrics::LabelMatcher::Op::kEq, "3"}});
+}
+
+// The WAL segment, the CEEMSDUR1 snapshot and the fresh segment after a
+// checkpoint, byte for byte. The hex was generated by a build from before
+// the framing moved into simfs::RecordLog, so this pins the formats.
+TEST(WalFormat, SegmentAndSnapshotBytesMatchGolden) {
+  const std::string golden_segment =
+      "4345454d5357414c010100000000000000590000006e53423a01020103085f5f"
+      "6e616d655f5f016d08686f73746e616d65026e31047575696401310202085f5f"
+      "6e616d655f5f016d047575696401320301d00f000000000000f83f02d00f0000"
+      "0000000000800190c503020000000000f07f33000000c8a4faac01010302085f"
+      "5f6e616d655f5f05706f77657204757569640133020290b9079c7500883ce437"
+      "7e03a7b10700000000000002c0030000000bac0a5302b8170a000000ca9b6f2e"
+      "03010004757569640133";
+  const std::string golden_snapshot =
+      "4345454d534455523102000000000000004345454d5354534442320200000000"
+      "000000030000000000000008000000000000005f5f6e616d655f5f0100000000"
+      "0000006d0800000000000000686f73746e616d6502000000000000006e310400"
+      "0000000000007575696401000000000000003100000000000000000100000000"
+      "0000001879000000000000020000000000f07f02000000000000000800000000"
+      "0000005f5f6e616d655f5f01000000000000006d040000000000000075756964"
+      "01000000000000003200000000000000000200000000000000d0070000000000"
+      "00000000000000008048ee0000000000009c7500883ce4377e";
+  const std::string golden_next_segment =
+      "4345454d5357414c010200000000000000";
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  auto store = std::make_shared<TimeSeriesStore>();
+  DurableTsdb durable(store, dir);
+  durable.open();
+  write_golden_log(*store);
+  EXPECT_EQ(to_hex(*dir->read("wal-00000001.log")), golden_segment);
+  ASSERT_TRUE(durable.checkpoint());
+  EXPECT_EQ(dir->list(),
+            (std::vector<std::string>{"snapshot", "wal-00000002.log"}));
+  EXPECT_EQ(to_hex(*dir->read("snapshot")), golden_snapshot);
+  EXPECT_EQ(to_hex(*dir->read("wal-00000002.log")), golden_next_segment);
+
+  // The golden segment replays into the same store as the live one.
+  auto replay_dir = std::make_shared<simfs::SimDurableDir>();
+  std::string segment;
+  for (std::size_t i = 0; i < golden_segment.size(); i += 2) {
+    segment.push_back(
+        static_cast<char>(std::stoi(golden_segment.substr(i, 2), nullptr, 16)));
+  }
+  replay_dir->replace("wal-00000001.log", segment);
+  TimeSeriesStore replayed;
+  auto result = replay_wal(*replay_dir, 0, replayed);
+  EXPECT_EQ(result.records_applied, 4u);
+  EXPECT_FALSE(result.torn_tail);
+  EXPECT_EQ(digest(replayed), digest(*store));
+}
+
 TEST(Wal, SegmentNamesRoundTrip) {
-  EXPECT_EQ(Wal::segment_name(7), "wal-00000007.log");
-  EXPECT_EQ(Wal::parse_segment_name("wal-00000007.log"), 7u);
-  EXPECT_EQ(Wal::parse_segment_name("wal-123456789.log"), 123456789u);
-  EXPECT_FALSE(Wal::parse_segment_name("snapshot"));
-  EXPECT_FALSE(Wal::parse_segment_name("wal-.log"));
-  EXPECT_FALSE(Wal::parse_segment_name("wal-12x4.log"));
-  EXPECT_FALSE(Wal::parse_segment_name("wal-1.log.tmp"));
+  EXPECT_EQ(simfs::RecordLog::segment_name(7), "wal-00000007.log");
+  EXPECT_EQ(simfs::RecordLog::parse_segment_name("wal-00000007.log"), 7u);
+  EXPECT_EQ(simfs::RecordLog::parse_segment_name("wal-123456789.log"), 123456789u);
+  EXPECT_FALSE(simfs::RecordLog::parse_segment_name("snapshot"));
+  EXPECT_FALSE(simfs::RecordLog::parse_segment_name("wal-.log"));
+  EXPECT_FALSE(simfs::RecordLog::parse_segment_name("wal-12x4.log"));
+  EXPECT_FALSE(simfs::RecordLog::parse_segment_name("wal-1.log.tmp"));
 }
 
 }  // namespace
