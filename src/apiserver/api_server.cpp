@@ -72,7 +72,6 @@ bool ApiServer::verify_ownership(const std::string& user,
   if (!row) return false;
   Unit unit = unit_from_row(*row);
   if (unit.user == user) return true;
-  if (!config_.project_shared_visibility) return false;
   // Same-project visibility: does `user` own any unit in that project?
   Query query;
   query.where = {{"user", Predicate::Op::kEq, Value(user)},
@@ -108,7 +107,7 @@ http::Response ApiServer::handle_units(const http::Request& request) const {
     // Non-admins can list their own units, or a project's units if they
     // belong to it.
     auto project_it = params.find("project");
-    if (project_it != params.end() && config_.project_shared_visibility) {
+    if (project_it != params.end()) {
       Query membership;
       membership.where = {{"user", Predicate::Op::kEq, Value(user)},
                           {"project", Predicate::Op::kEq,

@@ -23,9 +23,6 @@ inline constexpr const char* kGrafanaUserHeader = "X-Grafana-User";
 struct ApiServerConfig {
   http::ServerConfig http;
   std::set<std::string> admin_users;
-  // When true (default), members of a project can view each other's units —
-  // matching CEEMS' project-level visibility.
-  bool project_shared_visibility = true;
 };
 
 class ApiServer {

@@ -133,11 +133,12 @@ common::Json Unit::to_json() const {
 }
 
 void create_ceems_tables(reldb::Database& db) {
-  if (db.has_table(kUnitsTable)) return;
   db.create_table(kUnitsTable, units_schema());
-  db.create_index(kUnitsTable, "user");
-  db.create_index(kUnitsTable, "project");
-  db.create_index(kUnitsTable, "state");
+  // Indexes are neither logged nor snapshotted: a reopened database gets
+  // them back here (an existing index is rebuilt, at startup only).
+  for (const char* column : {"user", "project", "state"}) {
+    db.create_index(kUnitsTable, column);
+  }
 }
 
 }  // namespace ceems::apiserver

@@ -49,8 +49,8 @@ reldb::Schema units_schema();
 reldb::Row unit_to_row(const Unit& unit);
 Unit unit_from_row(const reldb::Row& row);
 
-// Creates the tables (`units`) and secondary indexes (user, project,
-// state) in a fresh database; idempotent.
+// Creates whatever is missing of the tables (`units`) and secondary
+// indexes (user, project, state), in a fresh or a reopened database.
 void create_ceems_tables(reldb::Database& db);
 
 inline constexpr const char* kUnitsTable = "units";

@@ -12,6 +12,13 @@ namespace ceems::apiserver {
 
 using tsdb::promql::Value;
 
+// Recording-rule series the operator's rules produce (§III-A), labelled
+// by uuid, and the emission factor series.
+constexpr char kCpuPowerMetric[] = "ceems_job_power_watts";
+constexpr char kGpuPowerMetric[] = "ceems_job_gpu_power_watts";
+constexpr char kGpuUtilMetric[] = "ceems_job_gpu_util";
+constexpr char kEmissionMetric[] = "ceems_emissions_gCo2_kWh";
+
 Updater::Updater(reldb::Database& db,
                  std::shared_ptr<const tsdb::Queryable> tsdb,
                  tsdb::StorePtr hot_store_for_cleanup,
@@ -107,15 +114,12 @@ void Updater::update_aggregates(common::TimestampMs now, UpdateStats& stats) {
   auto mem_avg = vector_by_uuid(
       "avg by (uuid) (avg_over_time(ceems_compute_unit_memory_current_bytes[" +
       window + "]))");
-  auto cpu_power = vector_by_uuid("sum by (uuid) (avg_over_time(" +
-                                  config_.cpu_power_metric + "[" + window +
-                                  "]))");
-  auto gpu_power = vector_by_uuid("sum by (uuid) (avg_over_time(" +
-                                  config_.gpu_power_metric + "[" + window +
-                                  "]))");
-  auto gpu_util = vector_by_uuid("avg by (uuid) (avg_over_time(" +
-                                 config_.gpu_util_metric + "[" + window +
-                                 "]))");
+  auto cpu_power = vector_by_uuid(std::string("sum by (uuid) (avg_over_time(") +
+                                  kCpuPowerMetric + "[" + window + "]))");
+  auto gpu_power = vector_by_uuid(std::string("sum by (uuid) (avg_over_time(") +
+                                  kGpuPowerMetric + "[" + window + "]))");
+  auto gpu_util = vector_by_uuid(std::string("avg by (uuid) (avg_over_time(") +
+                                 kGpuUtilMetric + "[" + window + "]))");
   auto io_read = vector_by_uuid(
       "sum by (uuid) (increase(ceems_compute_unit_io_read_bytes_total[" +
       window + "]))");
@@ -128,7 +132,7 @@ void Updater::update_aggregates(common::TimestampMs now, UpdateStats& stats) {
   try {
     Value value = engine_.eval(
         *tsdb_,
-        "avg(avg_over_time(" + config_.emission_metric + "{provider=\"" +
+        std::string("avg(avg_over_time(") + kEmissionMetric + "{provider=\"" +
             config_.emission_provider + "\"}[" + window + "]))",
         at);
     if (value.kind == Value::Kind::kVector && !value.vector.empty()) {

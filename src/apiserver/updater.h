@@ -20,13 +20,7 @@ namespace ceems::apiserver {
 
 struct UpdaterConfig {
   int64_t interval_ms = 60 * common::kMillisPerSecond;
-  // Recording-rule series the operator's rules produce (§III-A): per-unit
-  // CPU-side power and GPU-side power, in watts, labelled by uuid.
-  std::string cpu_power_metric = "ceems_job_power_watts";
-  std::string gpu_power_metric = "ceems_job_gpu_power_watts";
-  std::string gpu_util_metric = "ceems_job_gpu_util";
-  // Emission factor series + preferred provider.
-  std::string emission_metric = "ceems_emissions_gCo2_kWh";
+  // Preferred provider of the emission factor series.
   std::string emission_provider = "rte";
   // Units shorter than this get their TSDB series deleted at end of job
   // (0 = never delete).

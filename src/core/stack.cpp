@@ -10,7 +10,7 @@ CeemsStack::CeemsStack(slurm::ClusterSim& sim, StackConfig config)
   if (config_.hot_durable_dir) {
     durable_ = std::make_unique<tsdb::DurableTsdb>(
         hot_store_, config_.hot_durable_dir, config_.hot_wal);
-    last_open_ = durable_->open();
+    durable_->open();
   }
   longterm_ = std::make_shared<tsdb::LongTermStore>(config_.longterm);
 
@@ -21,7 +21,6 @@ CeemsStack::CeemsStack(slurm::ClusterSim& sim, StackConfig config)
   tsdb::ScrapeConfig scrape_config;
   scrape_config.interval_ms = config_.scrape_interval_ms;
   scrape_config.parallelism = 8;
-  scrape_config.retries = config_.scrape_retries;
   scrape_config.fault_hook = fault_hook;
   scraper_ = std::make_unique<tsdb::ScrapeManager>(hot_store_, clock_,
                                                    scrape_config);
@@ -161,8 +160,7 @@ void CeemsStack::pipeline_step_forced() {
 }
 
 tsdb::DurableTsdb::OpenResult CeemsStack::recover_hot_store() {
-  last_open_ = durable_->open();
-  return last_open_;
+  return durable_->open();
 }
 
 apiserver::UpdateStats CeemsStack::update_api() {

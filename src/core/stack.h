@@ -73,8 +73,6 @@ struct StackConfig {
   // providers ("emissions.provider") and the LB proxy path ("lb.backend").
   // Sites the plan leaves unconfigured behave exactly as without a plan.
   std::shared_ptr<faults::FaultPlan> fault_plan;
-  // Extra scrape attempts per target per sweep (see ScrapeConfig::retries).
-  int scrape_retries = 1;
 };
 
 class CeemsStack {
@@ -97,8 +95,6 @@ class CeemsStack {
 
   // --- durability (present iff config.hot_durable_dir is set) ---
   tsdb::DurableTsdb* durable_tsdb() { return durable_.get(); }
-  // Result of the initial open() — snapshot/replay counters for tests.
-  const tsdb::DurableTsdb::OpenResult& last_open() const { return last_open_; }
   // In-place crash recovery: clears the hot store and rebuilds it from
   // the durable directory (snapshot + WAL replay). Every component
   // holding the StorePtr — scraper, rules, long-term sync — sees the
@@ -129,7 +125,6 @@ class CeemsStack {
 
   tsdb::StorePtr hot_store_;
   std::unique_ptr<tsdb::DurableTsdb> durable_;
-  tsdb::DurableTsdb::OpenResult last_open_;
   std::unique_ptr<tsdb::ScrapeManager> scraper_;
   std::unique_ptr<tsdb::RuleEngine> rules_;
   std::shared_ptr<tsdb::LongTermStore> longterm_;

@@ -1,19 +1,11 @@
 #include "faults/plan.h"
 
+#include "common/fnv1a.h"
 #include "common/rng.h"
 
 namespace ceems::faults {
 
 namespace {
-
-uint64_t fnv1a64(std::string_view text) {
-  uint64_t hash = 0xCBF29CE484222325ULL;
-  for (char c : text) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
 
 // Uniform [0,1) from (seed, stream hash, index, salt) — one SplitMix64
 // draw, so a decision never depends on other streams.
@@ -66,7 +58,7 @@ FaultDecision FaultPlan::decide(std::string_view site, std::string_view key) {
   stream_key.reserve(site.size() + key.size() + 1);
   stream_key.append(site).push_back('\x1f');
   stream_key.append(key);
-  uint64_t stream_hash = fnv1a64(stream_key);
+  uint64_t stream_hash = common::fnv1a(stream_key);
 
   auto [stream_it, inserted] = streams_.try_emplace(std::move(stream_key));
   Stream& stream = stream_it->second;

@@ -172,11 +172,13 @@ FetchResult Client::request(const std::string& method, const std::string& url,
     if (retry.initial_backoff_ms > 0) {
       double jittered =
           backoff_ms *
-          (1.0 + retry.jitter * (2.0 * jitter_rng_.next_double() - 1.0));
+          (1.0 + RetryConfig::kJitter *
+                     (2.0 * jitter_rng_.next_double() - 1.0));
       delay_ms = std::max<int64_t>(0, static_cast<int64_t>(jittered));
-      if (backoff_spent_ms + delay_ms > retry.retry_budget_ms) return result;
+      if (backoff_spent_ms + delay_ms > RetryConfig::kRetryBudgetMs)
+        return result;
       backoff_spent_ms += delay_ms;
-      backoff_ms *= retry.backoff_multiplier;
+      backoff_ms *= RetryConfig::kBackoffMultiplier;
     }
     ++retries_;
     if (config_.clock && delay_ms > 0) {

@@ -22,11 +22,12 @@
 namespace ceems::http {
 
 struct RetryConfig {
+  static constexpr double kBackoffMultiplier = 2.0;
+  static constexpr double kJitter = 0.2;  // backoff randomized by +/- this
+  static constexpr int64_t kRetryBudgetMs = 10000;  // cumulative per request
+
   int max_retries = 0;            // extra attempts after the first
-  int initial_backoff_ms = 200;   // doubled (by multiplier) per retry
-  double backoff_multiplier = 2.0;
-  double jitter = 0.2;            // backoff randomized by +/- this fraction
-  int64_t retry_budget_ms = 10000;  // cumulative backoff cap per request
+  int initial_backoff_ms = 200;   // doubled per retry
   // Retry 429/5xx responses, not just transport errors.
   bool retry_on_status = true;
 

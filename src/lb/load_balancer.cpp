@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "metrics/text_format.h"
 
 namespace ceems::lb {
 
@@ -268,29 +269,24 @@ std::vector<BackendStats> LoadBalancer::backend_stats() const {
 }
 
 std::string LoadBalancer::render_metrics() const {
-  std::string out;
-  auto append = [&](const std::string& name, const std::string& backend,
-                    uint64_t value) {
-    out += name;
-    if (!backend.empty()) out += "{backend=\"" + backend + "\"}";
-    out += " " + std::to_string(value) + "\n";
+  using metrics::MetricType;
+  std::vector<metrics::MetricFamily> families = {
+      {"ceems_lb_backend_circuit_state", "", MetricType::kGauge, {}},
+      {"ceems_lb_backend_circuit_opens_total", "", MetricType::kCounter, {}},
+      {"ceems_lb_backend_requests_total", "", MetricType::kCounter, {}},
+      {"ceems_lb_backend_failures_total", "", MetricType::kCounter, {}},
+      {"ceems_lb_denied_total", "", MetricType::kCounter, {}},
   };
-  out += "# TYPE ceems_lb_backend_circuit_state gauge\n";
-  out += "# TYPE ceems_lb_backend_circuit_opens_total counter\n";
-  out += "# TYPE ceems_lb_backend_requests_total counter\n";
-  out += "# TYPE ceems_lb_backend_failures_total counter\n";
   for (const auto& stats : backend_stats()) {
+    metrics::Labels labels{{"backend", stats.base_url}};
     // 0 = closed, 1 = open, 2 = half-open.
-    append("ceems_lb_backend_circuit_state", stats.base_url,
-           static_cast<uint64_t>(stats.circuit));
-    append("ceems_lb_backend_circuit_opens_total", stats.base_url,
-           stats.circuit_opens);
-    append("ceems_lb_backend_requests_total", stats.base_url, stats.requests);
-    append("ceems_lb_backend_failures_total", stats.base_url, stats.failures);
+    families[0].add(labels, static_cast<double>(stats.circuit));
+    families[1].add(labels, static_cast<double>(stats.circuit_opens));
+    families[2].add(labels, static_cast<double>(stats.requests));
+    families[3].add(labels, static_cast<double>(stats.failures));
   }
-  out += "# TYPE ceems_lb_denied_total counter\n";
-  append("ceems_lb_denied_total", "", denied_.load());
-  return out;
+  families[4].add({}, static_cast<double>(denied_.load()));
+  return metrics::encode_families(families);
 }
 
 }  // namespace ceems::lb

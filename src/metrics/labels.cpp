@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <regex>
 
+#include "common/fnv1a.h"
 #include "metrics/regex_cache.h"
 
 namespace ceems::metrics {
@@ -77,19 +78,9 @@ std::string_view Labels::name() const {
 }
 
 uint64_t Labels::fingerprint() const {
-  // FNV-1a with separators so {"ab","c"} != {"a","bc"}.
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  auto mix = [&hash](std::string_view text) {
-    for (char c : text) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 0x100000001b3ULL;
-    }
-    hash ^= 0xff;
-    hash *= 0x100000001b3ULL;
-  };
+  uint64_t hash = common::kFnv1aOffsetBasis;
   for (const auto& [name, value] : pairs_) {
-    mix(name);
-    mix(value);
+    hash = common::fnv1a_field(common::fnv1a_field(hash, name), value);
   }
   return hash;
 }

@@ -78,19 +78,11 @@ void InternedLabels::rebuild(const std::vector<SymbolPair>& syms) {
             [&table](const SymbolPair& a, const SymbolPair& b) {
               return table.text(a.first) < table.text(b.first);
             });
-  // Same FNV-1a-with-separators scheme as Labels::fingerprint().
+  // Same scheme as Labels::fingerprint().
   uint64_t hash = kEmptyFingerprint;
-  auto mix = [&hash](std::string_view text) {
-    for (char c : text) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 0x100000001b3ULL;
-    }
-    hash ^= 0xff;
-    hash *= 0x100000001b3ULL;
-  };
   for (const auto& [name_sym, value_sym] : syms_) {
-    mix(table.text(name_sym));
-    mix(table.text(value_sym));
+    hash = common::fnv1a_field(common::fnv1a_field(hash, table.text(name_sym)),
+                               table.text(value_sym));
   }
   fingerprint_ = hash;
 }

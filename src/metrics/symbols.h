@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "metrics/labels.h"
 
 namespace ceems::metrics {
@@ -104,7 +105,7 @@ class InternedLabels {
 
   // FNV-1a offset basis — the fingerprint of an empty label set, matching
   // Labels::fingerprint().
-  static constexpr uint64_t kEmptyFingerprint = 0xcbf29ce484222325ULL;
+  static constexpr uint64_t kEmptyFingerprint = common::kFnv1aOffsetBasis;
 
   void rebuild(const std::vector<SymbolPair>& syms);
 };

@@ -1,5 +1,6 @@
 #include "metrics/text_format.h"
 
+#include <cctype>
 #include <map>
 
 #include "common/strutil.h"
@@ -84,10 +85,6 @@ std::string encode_families(const std::vector<MetricFamily>& families) {
   return out;
 }
 
-namespace {
-
-// Parses the {a="b",c="d"} label block. `pos` points at '{' on entry and
-// one past '}' on exit.
 Labels parse_label_block(std::string_view line, std::size_t& pos) {
   std::vector<Labels::Pair> pairs;
   ++pos;  // consume '{'
@@ -125,7 +122,35 @@ Labels parse_label_block(std::string_view line, std::size_t& pos) {
   }
 }
 
-}  // namespace
+SampleTail parse_sample_tail(std::string_view line, std::size_t pos) {
+  auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  auto next_field = [&] {
+    while (pos < line.size() && is_space(line[pos])) ++pos;
+    std::size_t start = pos;
+    while (pos < line.size() && !is_space(line[pos])) ++pos;
+    return line.substr(start, pos - start);
+  };
+  SampleTail tail;
+  std::string_view value_text = next_field();
+  if (value_text.empty())
+    throw ExpositionParseError("missing value in line: " + std::string(line));
+  auto value = parse_double(value_text);
+  if (!value)
+    throw ExpositionParseError("bad sample value '" + std::string(value_text) +
+                               "'");
+  tail.value = *value;
+  std::string_view ts_text = next_field();
+  if (!ts_text.empty()) {
+    auto ts = parse_int64(ts_text);
+    if (!ts)
+      throw ExpositionParseError("bad timestamp '" + std::string(ts_text) +
+                                 "'");
+    tail.timestamp_ms = *ts;
+  }
+  return tail;
+}
 
 ParsedExposition parse_exposition(std::string_view text) {
   ParsedExposition result;
@@ -179,28 +204,17 @@ ParsedExposition parse_exposition(std::string_view text) {
     Labels labels;
     if (pos < line.size() && line[pos] == '{')
       labels = parse_label_block(line, pos);
-    auto fields = split_fields(line.substr(pos));
-    if (fields.empty())
-      throw ExpositionParseError("missing value in line: " + std::string(line));
-    auto value = parse_double(fields[0]);
-    if (!value)
-      throw ExpositionParseError("bad sample value '" + fields[0] + "'");
-    TimestampMs timestamp = 0;
-    if (fields.size() >= 2) {
-      auto ts = parse_int64(fields[1]);
-      if (!ts)
-        throw ExpositionParseError("bad timestamp '" + fields[1] + "'");
-      timestamp = *ts;
-    }
+    SampleTail tail = parse_sample_tail(line, pos);
 
     MetricFamily& family = family_for(name);
     // Intern the label set once per line; after the first scrape of a
     // target every (name, value) string resolves to an existing symbol, so
     // steady-state parsing allocates no per-sample label strings.
     result.samples.push_back(
-        Sample{InternedLabels(labels).with(kMetricNameLabel, name), timestamp,
-               *value});
-    family.metrics.push_back({std::move(labels), *value, timestamp});
+        Sample{InternedLabels(labels).with(kMetricNameLabel, name),
+               tail.timestamp_ms, tail.value});
+    family.metrics.push_back(
+        {std::move(labels), tail.value, tail.timestamp_ms});
   }
   return result;
 }

@@ -35,6 +35,22 @@ struct ParsedExposition {
 
 ParsedExposition parse_exposition(std::string_view text);
 
+// The pieces of one sample line, name[{labels}] value [timestamp], shared
+// by parse_exposition and the scrape manager's zero-copy parser so both
+// accept and reject exactly the same lines, with the same messages.
+//
+// Parses the {a="b",c="d"} label block; `pos` points at '{' on entry and
+// one past '}' on exit.
+Labels parse_label_block(std::string_view line, std::size_t& pos);
+
+struct SampleTail {
+  double value = 0;
+  TimestampMs timestamp_ms = 0;  // 0 when the line carries none
+};
+// Parses the value and optional timestamp from `pos` on: any isspace
+// separates, and fields after the timestamp are ignored.
+SampleTail parse_sample_tail(std::string_view line, std::size_t pos);
+
 // Escapes a label value for the exposition format (\, ", \n).
 std::string escape_label_value(std::string_view value);
 // Inverse of escape_label_value: resolves \\, \", \n escape sequences (an

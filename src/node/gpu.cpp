@@ -2,17 +2,14 @@
 
 #include <cstdio>
 
+#include "common/fnv1a.h"
+
 namespace ceems::node {
 
 std::string make_gpu_uuid(const std::string& hostname, int ordinal) {
-  // FNV-1a over hostname + ordinal, rendered as 16 hex digits.
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  auto mix = [&hash](char c) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  };
-  for (char c : hostname) mix(c);
-  mix(static_cast<char>('0' + ordinal));
+  // FNV-1a over hostname + ordinal digit, rendered as 16 hex digits.
+  const char digit = static_cast<char>('0' + ordinal);
+  uint64_t hash = common::fnv1a({&digit, 1}, common::fnv1a(hostname));
   char buf[32];
   std::snprintf(buf, sizeof(buf), "GPU-%016llx",
                 static_cast<unsigned long long>(hash));

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "common/byte_codec.h"
-#include "common/logging.h"
 
 namespace ceems::reldb {
 
@@ -123,25 +122,20 @@ std::optional<WalEntry> decode_entry(std::string_view payload) {
 std::unique_ptr<Database> Database::open(simfs::DurableDirPtr dir) {
   auto db = std::make_unique<Database>();
   if (!dir) return db;
-  std::string error;
   auto restore = [&](std::string_view body) {
     if (db->replay(body, /*tail=*/false)) return true;
     db->tables_.clear();
     db->seq_ = 0;
     return false;
   };
-  uint64_t floor = simfs::restore_log_snapshot(*dir, restore, &error);
-  simfs::LogScan scan = simfs::scan_log(*dir, floor, [&](auto payload) {
-    return db->replay(payload, /*tail=*/true);
-  });
-  if (error.empty()) error = scan.error;
-  db->log_ = std::make_unique<simfs::RecordLog>(dir, scan.next_seq);
-  if (!error.empty()) {
-    // Make the recovered state the durable one, so that nothing beyond
-    // the damage can replay over it later.
-    CEEMS_LOG_WARN("reldb") << error << "; checkpointing what was recovered";
-    db->checkpoint();
-  }
+  db->log_ =
+      simfs::RecordLog::open(
+          std::move(dir), simfs::RecordLog::kDefaultSegmentBytes, restore,
+          [&](std::string_view payload) {
+            return db->replay(payload, /*tail=*/true);
+          },
+          [&](std::string& out) { db->write_snapshot(out); })
+          .log;
   return db;
 }
 
@@ -284,6 +278,12 @@ void Database::create_index(const std::string& table,
                             const std::string& column) {
   std::unique_lock lock(mu_);
   table_ref(table).create_index(column);
+}
+
+bool Database::has_index(const std::string& table,
+                         const std::string& column) const {
+  std::shared_lock lock(mu_);
+  return table_ref(table).has_index(column);
 }
 
 bool Database::checkpoint() {

@@ -54,9 +54,9 @@ class Database {
   // In-memory only (no durability).
   Database() = default;
 
-  // The database kept in `dir`: restores the snapshot, replays the log
-  // (repairing a torn tail) and logs every later mutation there.
-  // nullptr = in-memory.
+  // The database kept in `dir`, recovered by simfs::RecordLog::open()
+  // (snapshot, replay with torn-tail repair, a checkpoint after damage);
+  // every later mutation is logged there. nullptr = in-memory.
   static std::unique_ptr<Database> open(simfs::DurableDirPtr dir);
 
   // Mutations throw std::invalid_argument when they do not fit (unknown
@@ -74,7 +74,9 @@ class Database {
   ResultSet query(const std::string& table, const Query& query) const;
   std::size_t table_size(const std::string& table) const;
   const Schema* table_schema(const std::string& table) const;
+  // Indexes live in memory only: they are neither logged nor snapshotted.
   void create_index(const std::string& table, const std::string& column);
+  bool has_index(const std::string& table, const std::string& column) const;
 
   // Folds the log into a snapshot and truncates it; false (log intact)
   // if the snapshot could not be installed. No-op when in-memory.

@@ -96,6 +96,10 @@ void Table::create_index(const std::string& column) {
   }
 }
 
+bool Table::has_index(const std::string& column) const {
+  return indexes_.count(schema_.column_index(column)) > 0;
+}
+
 bool Table::row_matches(const Row& row,
                         const std::vector<Predicate>& where) const {
   for (const auto& predicate : where) {

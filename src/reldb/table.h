@@ -64,6 +64,7 @@ class Table {
 
   // Adds a secondary index (speeds equality predicates on that column).
   void create_index(const std::string& column);
+  bool has_index(const std::string& column) const;
 
   ResultSet execute(const Query& query) const;
 

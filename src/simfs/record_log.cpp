@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/byte_codec.h"
+#include "common/logging.h"
 
 namespace ceems::simfs {
 namespace {
@@ -56,6 +57,44 @@ bool read_header(std::string_view bytes, uint64_t* seq) {
 }
 
 }  // namespace
+
+RecordLog::Recovery RecordLog::open(DurableDirPtr dir,
+                                    std::size_t segment_bytes,
+                                    const PayloadFn& restore,
+                                    const PayloadFn& apply,
+                                    const BodyWriter& write_body) {
+  Recovery out;
+  // A snapshot that is malformed or that `restore` rejects (leaving
+  // nothing applied) is damage too: replay then starts at 0.
+  uint64_t floor = 0;
+  if (auto snap = dir->read(kSnapshotFile)) {
+    if (snap->size() >= kSnapshotHeaderLen &&
+        std::memcmp(snap->data(), kSnapshotMagic, kSnapshotMagicLen) == 0 &&
+        restore(std::string_view(*snap).substr(kSnapshotHeaderLen))) {
+      std::memcpy(&floor, snap->data() + kSnapshotMagicLen, 8);
+    } else {
+      out.snapshot_error =
+          "snapshot unusable; replaying the log from the beginning";
+    }
+  }
+  out.scan = scan_log(*dir, floor, apply);
+  out.log = std::make_unique<RecordLog>(std::move(dir), out.scan.next_seq,
+                                        segment_bytes);
+  const std::string& damage =
+      out.scan.error.empty() ? out.snapshot_error : out.scan.error;
+  if (!damage.empty()) {
+    // Make the recovered state the durable one: the checkpoint deletes
+    // every segment, so nothing beyond the damage can replay over the
+    // writes this generation acknowledges.
+    CEEMS_LOG_WARN("record_log")
+        << damage << "; checkpointing what was recovered";
+    if (!out.log->checkpoint(write_body)) {
+      std::lock_guard lock(out.log->mu_);
+      out.log->sync_failed_ = true;
+    }
+  }
+  return out;
+}
 
 RecordLog::RecordLog(DurableDirPtr dir, uint64_t start_seq,
                      std::size_t segment_bytes)
@@ -184,8 +223,7 @@ RecordLog::Stats RecordLog::stats() const {
 }
 
 LogScan scan_log(DurableDir& dir, uint64_t seq_floor,
-                 const std::function<bool(std::string_view)>& apply,
-                 bool repair_torn_tail) {
+                 const RecordLog::PayloadFn& apply) {
   LogScan result;
   result.next_seq = std::max<uint64_t>(seq_floor, 1);
   std::vector<std::pair<uint64_t, std::string>> segments;
@@ -211,7 +249,7 @@ LogScan scan_log(DurableDir& dir, uint64_t seq_floor,
       // way nothing after this point is trustworthy.
       if (last_segment) {
         result.torn_tail = true;
-        if (repair_torn_tail) dir.remove(name);
+        dir.remove(name);
       } else {
         result.error = "bad segment header in " + name;
       }
@@ -223,7 +261,7 @@ LogScan scan_log(DurableDir& dir, uint64_t seq_floor,
       auto stop_here = [&](bool torn) {
         if (torn) {
           result.torn_tail = true;
-          if (repair_torn_tail) dir.truncate(name, offset);
+          dir.truncate(name, offset);
         }
       };
       if (bytes.size() - offset < 8) {
@@ -258,23 +296,6 @@ LogScan scan_log(DurableDir& dir, uint64_t seq_floor,
     }
   }
   return result;
-}
-
-uint64_t restore_log_snapshot(
-    const DurableDir& dir,
-    const std::function<bool(std::string_view)>& restore,
-    std::string* error) {
-  auto snap = dir.read(kSnapshotFile);
-  if (!snap) return 0;
-  uint64_t floor = 0;
-  if (snap->size() >= kSnapshotHeaderLen &&
-      std::memcmp(snap->data(), kSnapshotMagic, kSnapshotMagicLen) == 0 &&
-      restore(std::string_view(*snap).substr(kSnapshotHeaderLen))) {
-    std::memcpy(&floor, snap->data() + kSnapshotMagicLen, 8);
-  } else {
-    *error = "snapshot unusable; replaying the log from the beginning";
-  }
-  return floor;
 }
 
 bool install_log_snapshot(DurableDir& dir, uint64_t floor,

@@ -16,17 +16,22 @@
 //
 // Recovery. scan_log() walks segments in sequence order and stops at the
 // first invalid frame (bad length, CRC mismatch, short read, or a body
-// the caller cannot decode): a torn tail is detected, reported, and
-// optionally truncated away — never partially applied.
+// the caller cannot decode): a torn tail is detected, reported and
+// truncated away — never partially applied.
 //
 // Checkpoint. The snapshot file ("snapshot" = "CEEMSDUR1" + u64 sequence
 // floor + caller body) is installed atomically; segments below the floor
 // are folded into it and deleted, and replay skips them.
+//
+// Lifecycle. RecordLog::open() is the one way a durable store comes up.
+// The commit rule that goes with it: a mutation whose flush_to() fails
+// is not applied.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -36,6 +41,17 @@
 #include "simfs/durable_dir.h"
 
 namespace ceems::simfs {
+
+struct LogScan {
+  uint64_t records_applied = 0;
+  uint64_t next_seq = 1;  // above every segment: where a new writer starts
+  // A trailing invalid frame was found and everything from it on was
+  // discarded — the expected signature of a crash mid-append.
+  bool torn_tail = false;
+  // Non-empty when replay stopped before the tail (corrupt interior
+  // segment) — recovery still proceeds with the valid prefix.
+  std::string error;
+};
 
 class RecordLog {
  public:
@@ -53,6 +69,26 @@ class RecordLog {
 
   // Appends a snapshot body to the string it is given.
   using BodyWriter = std::function<void(std::string&)>;
+  // Applies one snapshot body or log payload; false, having applied
+  // nothing, for bytes it cannot decode.
+  using PayloadFn = std::function<bool(std::string_view)>;
+
+  struct Recovery {
+    std::unique_ptr<RecordLog> log;  // the new generation
+    LogScan scan;
+    std::string snapshot_error;  // non-empty: the snapshot was unusable
+  };
+
+  // Brings up the store kept in `dir`: hands the snapshot body to
+  // `restore` and every later payload to `apply` (repairing a torn
+  // tail), then starts a new generation. After an unusable snapshot or
+  // a damaged interior segment it checkpoints the recovered state (body
+  // from `write_body`), so nothing past the damage can replay over later
+  // writes; if that checkpoint cannot be installed, every commit fails
+  // until a later checkpoint succeeds.
+  static Recovery open(DurableDirPtr dir, std::size_t segment_bytes,
+                       const PayloadFn& restore, const PayloadFn& apply,
+                       const BodyWriter& write_body);
 
   // Starts a fresh generation: opens (and syncs) segment `start_seq`.
   RecordLog(DurableDirPtr dir, uint64_t start_seq,
@@ -105,33 +141,13 @@ class RecordLog {
   Stats stats_;
 };
 
-struct LogScan {
-  uint64_t records_applied = 0;
-  uint64_t next_seq = 1;  // above every segment: where a new writer starts
-  // A trailing invalid frame was found and everything from it on was
-  // discarded — the expected signature of a crash mid-append.
-  bool torn_tail = false;
-  // Non-empty when replay stopped before the tail (corrupt interior
-  // segment) — recovery still proceeds with the valid prefix.
-  std::string error;
-};
-
 // Hands every payload of the segments with sequence >= seq_floor to
 // `apply`, in log order. `apply` returns false, having applied nothing,
-// for a body it cannot decode; that ends the scan like a bad frame. With
-// repair_torn_tail the invalid tail is durably truncated away, so the
-// next writer appends after the last valid record.
+// for a body it cannot decode; that ends the scan like a bad frame. An
+// invalid tail is durably truncated away, so the next writer appends
+// after the last valid record.
 LogScan scan_log(DurableDir& dir, uint64_t seq_floor,
-                 const std::function<bool(std::string_view)>& apply,
-                 bool repair_torn_tail = true);
-
-// Hands the snapshot body, if any, to `restore` and returns the sequence
-// floor to replay from. A snapshot that is malformed or that `restore`
-// rejects (leaving nothing applied) sets *error; replay then starts at 0.
-uint64_t restore_log_snapshot(
-    const DurableDir& dir,
-    const std::function<bool(std::string_view)>& restore,
-    std::string* error);
+                 const RecordLog::PayloadFn& apply);
 
 // Atomically installs a snapshot covering every segment below `floor`.
 bool install_log_snapshot(DurableDir& dir, uint64_t floor,

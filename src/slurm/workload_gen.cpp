@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/fnv1a.h"
+
 namespace ceems::slurm {
 
 WorkloadGenerator::WorkloadGenerator(WorkloadGenConfig config)
@@ -26,12 +28,9 @@ std::string WorkloadGenerator::user_name(int index) const {
 }
 
 std::string WorkloadGenerator::project_of(const std::string& user) const {
-  // Stable user→project assignment: hash of the user name.
-  uint64_t hash = 1469598103934665603ULL;
-  for (char c : user) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
+  // Stable user→project assignment: FNV-1a of the user name, from a
+  // nonstandard basis that the generated workloads have always used.
+  uint64_t hash = common::fnv1a(user, 1469598103934665603ULL);
   return "prj" +
          std::to_string(hash % static_cast<uint64_t>(
                                    std::max(1, config_.num_projects)));

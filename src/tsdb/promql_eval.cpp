@@ -28,9 +28,9 @@ std::vector<metrics::LabelMatcher> full_matchers(const Expr& expr) {
 }
 
 InstantVector eval_vector_selector(const Queryable& source, const Expr& expr,
-                                   TimestampMs t, int64_t lookback_ms) {
+                                   TimestampMs t) {
   TimestampMs at = t - expr.offset_ms;
-  auto views = source.select(full_matchers(expr), at - lookback_ms, at);
+  auto views = source.select(full_matchers(expr), at - kLookbackMs, at);
   InstantVector out;
   out.reserve(views.size());
   for (const auto& view : views) {
@@ -531,12 +531,9 @@ class Evaluator {
   // range-function calls (instant queries). The per-step range oracle
   // constructs its evaluators with it off, so oracle results always come
   // from raw samples.
-  Evaluator(const Queryable& source, TimestampMs t, int64_t lookback_ms,
+  Evaluator(const Queryable& source, TimestampMs t,
             bool resolution_aware = false)
-      : source_(source),
-        t_(t),
-        lookback_ms_(lookback_ms),
-        resolution_aware_(resolution_aware) {}
+      : source_(source), t_(t), resolution_aware_(resolution_aware) {}
   virtual ~Evaluator() = default;
 
   // Moves the evaluation instant; streaming cursors require calls with
@@ -597,7 +594,7 @@ class Evaluator {
  protected:
   // Selector hooks, overridden by the streaming RangeEvaluator.
   virtual InstantVector vector_selector(const Expr& expr) {
-    return eval_vector_selector(source_, expr, t_, lookback_ms_);
+    return eval_vector_selector(source_, expr, t_);
   }
   virtual std::vector<Series> matrix_selector(const Expr& expr) {
     return eval_matrix_selector(source_, expr, t_);
@@ -638,7 +635,6 @@ class Evaluator {
   }
 
   TimestampMs time() const { return t_; }
-  int64_t lookback_ms() const { return lookback_ms_; }
 
  private:
   Value eval_binary(const ExprPtr& expr) {
@@ -922,7 +918,6 @@ class Evaluator {
 
   const Queryable& source_;
   TimestampMs t_;
-  int64_t lookback_ms_;
   bool resolution_aware_;
 };
 
@@ -1000,8 +995,7 @@ class RangeEvalContext {
  public:
   RangeEvalContext(const Queryable& source, const ExprPtr& root,
                    TimestampMs start, TimestampMs end, int64_t step_ms,
-                   int64_t lookback_ms, common::ThreadPool* pool,
-                   bool resolution_aware) {
+                   common::ThreadPool* pool, bool resolution_aware) {
     std::vector<const Expr*> nodes;
     collect_selectors(root, nodes);
 
@@ -1050,7 +1044,7 @@ class RangeEvalContext {
       TimestampMs hi = end - node->offset_ms;
       TimestampMs lo = node->kind == Expr::Kind::kMatrixSelector
                            ? start - node->offset_ms - node->range_ms + 1
-                           : start - node->offset_ms - lookback_ms;
+                           : start - node->offset_ms - kLookbackMs;
       views[i] = source.select(full_matchers(*node), lo, hi);
     }
 
@@ -1137,8 +1131,8 @@ class RangeEvalContext {
 class RangeEvaluator final : public Evaluator {
  public:
   RangeEvaluator(const Queryable& source, const RangeEvalContext& ctx,
-                 TimestampMs t, int64_t lookback_ms)
-      : Evaluator(source, t, lookback_ms), ctx_(ctx) {}
+                 TimestampMs t)
+      : Evaluator(source, t), ctx_(ctx) {}
 
  protected:
   InstantVector vector_selector(const Expr& expr) override {
@@ -1154,7 +1148,7 @@ class RangeEvaluator final : public Evaluator {
       while (idx < samples.size() && samples[idx].t <= at) ++idx;
       if (idx == 0) continue;
       const SamplePoint& newest = samples[idx - 1];
-      if (newest.t < at - lookback_ms()) continue;  // outside lookback
+      if (newest.t < at - kLookbackMs) continue;  // outside lookback
       if (metrics::is_stale_marker(newest.v)) continue;  // series ended
       out.push_back({selector.series[i].labels, newest.v});
     }
@@ -1434,9 +1428,7 @@ std::map<uint64_t, Series> run_steps_chunked(
 
 Value Engine::eval(const Queryable& source, const ExprPtr& expr,
                    TimestampMs t) const {
-  return Evaluator(source, t, options_.lookback_ms,
-                   options_.resolution_aware)
-      .eval(expr);
+  return Evaluator(source, t, options_.resolution_aware).eval(expr);
 }
 
 Value Engine::eval(const Queryable& source, const std::string& expr,
@@ -1451,7 +1443,7 @@ std::map<uint64_t, Series> Engine::eval_range_steps(
   // Oracle purity: the per-step path always evaluates raw, independent of
   // resolution_aware, so it stays the differential reference for both the
   // streaming and the planned paths.
-  Evaluator evaluator(source, start, options_.lookback_ms);
+  Evaluator evaluator(source, start);
   for (TimestampMs t = start; t <= end; t += step_ms) {
     evaluator.set_time(t);
     accumulate_step(by_labels, evaluator.eval(expr), t);
@@ -1471,13 +1463,12 @@ std::vector<Series> Engine::eval_range(const Queryable& source,
     // per chunk), then sweep step cursors — serial or chunked across the
     // pool; either way each chunk's evaluator slides over the same shared
     // immutable arrays.
-    RangeEvalContext ctx(source, expr, start, end, step_ms,
-                         options_.lookback_ms, pool,
+    RangeEvalContext ctx(source, expr, start, end, step_ms, pool,
                          options_.resolution_aware);
     auto eval_steps = [&](TimestampMs from,
                           TimestampMs to) -> std::map<uint64_t, Series> {
       std::map<uint64_t, Series> partial;
-      RangeEvaluator evaluator(source, ctx, from, options_.lookback_ms);
+      RangeEvaluator evaluator(source, ctx, from);
       for (TimestampMs t = from; t <= to; t += step_ms) {
         evaluator.set_time(t);
         accumulate_step(partial, evaluator.eval(expr), t);

@@ -13,7 +13,8 @@
 //     immediately: an instant selector whose newest in-window sample is a
 //     marker drops the series, and range windows filter markers out
 //     before rate()/*_over_time() fold them. Without a marker, the
-//     lookback window (default 5 min) alone decides sample visibility.
+//     lookback window (kLookbackMs, 5 min) alone decides sample
+//     visibility.
 #pragma once
 
 #include <map>
@@ -49,8 +50,10 @@ struct Value {
   std::vector<Series> matrix;  // only produced by matrix selectors
 };
 
+// How far back an instant selector looks for a series' newest sample.
+constexpr int64_t kLookbackMs = 5 * common::kMillisPerMinute;
+
 struct EngineOptions {
-  int64_t lookback_ms = 5 * common::kMillisPerMinute;
   // Worker pool for range queries: evaluation steps are chunked across the
   // pool and merged in step order, so results are bit-identical to the
   // serial evaluator. nullptr (the default) keeps evaluation serial.

@@ -1,7 +1,6 @@
 #include "tsdb/scrape.h"
 
-#include <cctype>
-
+#include "common/fnv1a.h"
 #include "common/logging.h"
 #include "common/strutil.h"
 #include "metrics/text_format.h"
@@ -13,62 +12,6 @@ namespace {
 using metrics::ExpositionParseError;
 using metrics::InternedLabels;
 using metrics::Labels;
-
-uint64_t fnv1a(std::string_view bytes) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-bool is_space(char c) {
-  return std::isspace(static_cast<unsigned char>(c)) != 0;
-}
-
-// Strict label-block parse, byte-for-byte the same accept/reject rules
-// (and exception messages) as metrics::parse_exposition — the chaos
-// suite's differential guard depends on failure parity. Runs only on a
-// series-cache miss, so its per-label allocations are once per series
-// lifetime, not once per scrape.
-Labels parse_label_block(std::string_view line, std::size_t& pos) {
-  std::vector<Labels::Pair> pairs;
-  ++pos;  // consume '{'
-  for (;;) {
-    while (pos < line.size() && (line[pos] == ' ' || line[pos] == ',')) ++pos;
-    if (pos < line.size() && line[pos] == '}') {
-      ++pos;
-      return Labels(std::move(pairs));
-    }
-    std::size_t name_start = pos;
-    while (pos < line.size() && line[pos] != '=') ++pos;
-    if (pos >= line.size())
-      throw ExpositionParseError("unterminated label block: " +
-                                 std::string(line));
-    std::string name(
-        common::trim(line.substr(name_start, pos - name_start)));
-    ++pos;  // '='
-    if (pos >= line.size() || line[pos] != '"')
-      throw ExpositionParseError("label value must be quoted: " +
-                                 std::string(line));
-    ++pos;  // '"'
-    std::size_t value_start = pos;
-    while (pos < line.size() && line[pos] != '"') {
-      if (line[pos] == '\\' && pos + 1 < line.size()) pos += 2;
-      else ++pos;
-    }
-    if (pos >= line.size())
-      throw ExpositionParseError("unterminated label value: " +
-                                 std::string(line));
-    std::string value = metrics::unescape_label_value(
-        line.substr(value_start, pos - value_start));
-    ++pos;  // closing '"'
-    if (!metrics::is_valid_label_name(name))
-      throw ExpositionParseError("invalid label name '" + name + "'");
-    pairs.emplace_back(std::move(name), std::move(value));
-  }
-}
 
 }  // namespace
 
@@ -187,13 +130,11 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
     state.batch.clear();
     push_self_series(0);
     ++state.consecutive_failures;
-    if (config_.emit_stale_markers) {
-      for (auto& [hash, entry] : state.series_cache) {
-        if (!entry.live) continue;
-        state.batch.push_back({&entry.labels, now, metrics::stale_marker()});
-        entry.live = false;
-        ++sweep.stale_markers;
-      }
+    for (auto& [hash, entry] : state.series_cache) {
+      if (!entry.live) continue;
+      state.batch.push_back({&entry.labels, now, metrics::stale_marker()});
+      entry.live = false;
+      ++sweep.stale_markers;
     }
     store_->append_refs(state.batch.data(), state.batch.size());
     sweep.ingested = -1;
@@ -232,10 +173,8 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
         continue;
       }
       if (entry.live) {
-        if (config_.emit_stale_markers) {
-          state.batch.push_back({&entry.labels, now, metrics::stale_marker()});
-          ++sweep.stale_markers;
-        }
+        state.batch.push_back({&entry.labels, now, metrics::stale_marker()});
+        ++sweep.stale_markers;
         entry.live = false;
         ++it;
         continue;
@@ -310,7 +249,7 @@ void ScrapeManager::parse_into_batch(TargetState& state,
     const InternedLabels* labels = nullptr;
     if (!scan_failed) {
       std::string_view key = line.substr(0, key_end);
-      uint64_t hash = fnv1a(key);
+      uint64_t hash = common::fnv1a(key);
       auto it = state.series_cache.find(hash);
       if (it != state.series_cache.end() && it->second.raw_key == key) {
         it->second.last_seen = state.sweep_gen;
@@ -338,36 +277,11 @@ void ScrapeManager::parse_into_batch(TargetState& state,
       labels = &state.overflow_labels.back();
     }
 
-    // Value and optional timestamp, tokenized exactly like split_fields
-    // (any isspace separates; trailing extra fields are ignored).
-    std::size_t p = key_end;
-    while (p < line.size() && is_space(line[p])) ++p;
-    if (p >= line.size())
-      throw ExpositionParseError("missing value in line: " +
-                                 std::string(line));
-    std::size_t tok = p;
-    while (p < line.size() && !is_space(line[p])) ++p;
-    std::string_view value_text = line.substr(tok, p - tok);
-    auto value = common::parse_double(value_text);
-    if (!value)
-      throw ExpositionParseError("bad sample value '" +
-                                 std::string(value_text) + "'");
-    common::TimestampMs timestamp = 0;
-    while (p < line.size() && is_space(line[p])) ++p;
-    if (p < line.size()) {
-      tok = p;
-      while (p < line.size() && !is_space(line[p])) ++p;
-      std::string_view ts_text = line.substr(tok, p - tok);
-      auto ts = common::parse_int64(ts_text);
-      if (!ts)
-        throw ExpositionParseError("bad timestamp '" + std::string(ts_text) +
-                                   "'");
-      timestamp = *ts;
-    }
-
-    common::TimestampMs t =
-        config_.honor_timestamps && timestamp != 0 ? timestamp : now;
-    state.batch.push_back({labels, t, *value});
+    metrics::SampleTail tail = metrics::parse_sample_tail(line, key_end);
+    common::TimestampMs t = config_.honor_timestamps && tail.timestamp_ms != 0
+                                ? tail.timestamp_ms
+                                : now;
+    state.batch.push_back({labels, t, tail.value});
   }
 }
 
@@ -381,7 +295,7 @@ metrics::InternedLabels ScrapeManager::resolve_series_strict(
   std::size_t pos = name_len;
   Labels labels;
   if (pos < line.size() && line[pos] == '{')
-    labels = parse_label_block(line, pos);
+    labels = metrics::parse_label_block(line, pos);
   *end_pos = pos;
   InternedLabels resolved =
       InternedLabels(labels).with(metrics::kMetricNameLabel, name);

@@ -62,8 +62,6 @@ struct ScrapeConfig {
   // the already-fetched body, so exporter-side state advances exactly once
   // per sweep regardless of retries.
   int retries = 1;
-  // Append staleness markers for vanished/failed series (see file header).
-  bool emit_stale_markers = true;
   // Chaos injection on the fetch path (site "scrape.target", key =
   // instance label or url). Empty in production.
   faults::FaultHook fault_hook;

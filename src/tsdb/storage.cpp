@@ -86,8 +86,9 @@ std::size_t TimeSeriesStore::append_refs(const metrics::SampleRef* samples,
   if (Wal* wal = wal_.load(std::memory_order_acquire)) {
     // Durable before applied: the guard spans log→apply so a checkpoint
     // (which takes the barrier exclusively) always sees both or neither.
+    // A batch the log could not make durable is not applied at all.
     guard = wal->commit_shared();
-    wal->log_batch(samples, count);
+    if (!wal->log_batch(samples, count)) return 0;
   }
   // Bucket by shard first so each shard lock is acquired once per batch.
   // Sample labels arrive interned, so this reads the precomputed
@@ -305,7 +306,7 @@ std::size_t TimeSeriesStore::purge_before(TimestampMs cutoff) {
   Wal::CommitGuard guard;
   if (Wal* wal = wal_.load(std::memory_order_acquire)) {
     guard = wal->commit_shared();
-    wal->log_purge(cutoff);
+    if (!wal->log_purge(cutoff)) return 0;
   }
   std::size_t dropped = 0;
   for (Shard& shard : shards_) {
@@ -331,7 +332,7 @@ std::size_t TimeSeriesStore::delete_series(
   Wal::CommitGuard guard;
   if (Wal* wal = wal_.load(std::memory_order_acquire)) {
     guard = wal->commit_shared();
-    wal->log_delete(matchers);
+    if (!wal->log_delete(matchers)) return 0;
   }
   std::size_t deleted = 0;
   Selector selector(matchers);

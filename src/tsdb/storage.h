@@ -126,16 +126,18 @@ class TimeSeriesStore final : public Queryable {
   // creating its series on first sight; a sample older than its series'
   // newest is dropped (out-of-order, as in Prometheus) and a duplicate
   // timestamp overwrites. With a WAL attached the whole batch is one
-  // durable record, logged before it is applied. Samples are grouped by
-  // shard so each shard lock is taken once per batch; the caller's label
-  // pointers must stay valid for the call. Returns the number of samples
-  // accepted.
+  // durable record, logged before it is applied; a batch the WAL could
+  // not make durable is not applied (returns 0), as Prometheus' head
+  // appender rolls back on a WAL error. Samples are grouped by shard so
+  // each shard lock is taken once per batch; the caller's label pointers
+  // must stay valid for the call. Returns the number of samples accepted.
   std::size_t append_refs(const metrics::SampleRef* samples,
                           std::size_t count);
 
   // Attaches (or detaches, with nullptr) a write-ahead log: every
   // mutation is then logged and made durable (group commit) before it is
-  // applied, under the WAL's shared commit lock. Call only while no
+  // applied, under the WAL's shared commit lock, and a mutation whose log
+  // commit fails is not applied. Call only while no
   // writer is active — at startup, or quiesced during crash recovery.
   void set_wal(std::shared_ptr<Wal> wal);
   Wal* wal() const { return wal_.load(std::memory_order_acquire); }

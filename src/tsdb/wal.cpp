@@ -1,6 +1,7 @@
 #include "tsdb/wal.h"
 
 #include <cstring>
+#include <functional>
 
 #include "common/byte_codec.h"
 
@@ -19,12 +20,15 @@ using metrics::SymbolTable;
 }  // namespace
 
 Wal::Wal(simfs::DurableDirPtr dir, uint64_t start_seq, WalOptions options)
-    : log_(std::move(dir), start_seq, options.segment_bytes) {}
+    : Wal(std::make_unique<simfs::RecordLog>(std::move(dir), start_seq,
+                                             options.segment_bytes)) {}
+
+Wal::Wal(std::unique_ptr<simfs::RecordLog> log) : log_(std::move(log)) {}
 
 bool Wal::commit(std::unique_lock<std::mutex>& lock) {
-  uint64_t lsn = log_.append(payload_);
+  uint64_t lsn = log_->append(payload_);
   lock.unlock();
-  return log_.flush_to(lsn);
+  return log_->flush_to(lsn);
 }
 
 bool Wal::log_batch(const metrics::SampleRef* samples, std::size_t count) {
@@ -88,19 +92,19 @@ bool Wal::log_delete(const std::vector<metrics::LabelMatcher>& matchers) {
 }
 
 bool Wal::checkpoint(const simfs::RecordLog::BodyWriter& write_body) {
-  if (!log_.checkpoint(write_body)) return false;
+  if (!log_->checkpoint(write_body)) return false;
   std::lock_guard lock(mu_);
   dict_.clear();
   next_ref_ = 1;
   return true;
 }
 
-uint64_t Wal::current_seq() const { return log_.current_seq(); }
+uint64_t Wal::current_seq() const { return log_->current_seq(); }
 
 WalStats Wal::stats() const {
   std::lock_guard lock(mu_);
   WalStats stats;
-  static_cast<simfs::RecordLog::Stats&>(stats) = log_.stats();
+  static_cast<simfs::RecordLog::Stats&>(stats) = log_->stats();
   stats.batches = batches_;
   stats.samples = samples_;
   return stats;
@@ -174,15 +178,17 @@ bool decode_batch(Reader& reader,
   return reader.done();
 }
 
-}  // namespace
+// Applies log payloads to a store; series refs resolve against the
+// dictionary the log has defined so far.
+struct Replayer {
+  explicit Replayer(TimeSeriesStore& target) : store(target) {}
 
-WalReplayResult replay_wal(simfs::DurableDir& dir, uint64_t seq_floor,
-                           TimeSeriesStore& store, bool repair_torn_tail) {
-  WalReplayResult result;
+  TimeSeriesStore& store;
+  uint64_t samples_appended = 0;
   std::unordered_map<uint64_t, InternedLabels> dict;
   std::vector<metrics::SampleRef> batch_refs;
 
-  auto apply = [&](std::string_view payload) {
+  bool operator()(std::string_view payload) {
     Reader reader(payload);
     uint8_t type = 0;
     if (!reader.get_u8(&type)) return false;
@@ -202,7 +208,7 @@ WalReplayResult replay_wal(simfs::DurableDir& dir, uint64_t seq_floor,
           std::memcpy(&ref.value, &row.bits, sizeof(ref.value));
           batch_refs.push_back(ref);
         }
-        result.samples_appended +=
+        samples_appended +=
             store.append_refs(batch_refs.data(), batch_refs.size());
         return true;
       }
@@ -235,9 +241,18 @@ WalReplayResult replay_wal(simfs::DurableDir& dir, uint64_t seq_floor,
       default:
         return false;
     }
-  };
+  }
+};
+
+}  // namespace
+
+WalReplayResult replay_wal(simfs::DurableDir& dir, uint64_t seq_floor,
+                           TimeSeriesStore& store) {
+  WalReplayResult result;
+  Replayer replayer(store);
   static_cast<simfs::LogScan&>(result) =
-      simfs::scan_log(dir, seq_floor, apply, repair_torn_tail);
+      simfs::scan_log(dir, seq_floor, std::ref(replayer));
+  result.samples_appended = replayer.samples_appended;
   return result;
 }
 
@@ -254,27 +269,28 @@ DurableTsdb::OpenResult DurableTsdb::open() {
   store_->set_wal(nullptr);
   store_->clear();
 
-  std::string snapshot_error;
   auto restore = [&](std::string_view body) {
     auto restored = store_->restore_from_bytes(body);
     result.snapshot_samples = restored.value_or(0);
     return restored.has_value();
   };
-  uint64_t floor = simfs::restore_log_snapshot(*dir_, restore, &snapshot_error);
-  result.replay = replay_wal(*dir_, floor, *store_);
-  if (result.replay.error.empty()) result.replay.error = snapshot_error;
-  wal_ = std::make_shared<Wal>(dir_, result.replay.next_seq, options_);
+  Replayer replayer(*store_);
+  auto recovery = simfs::RecordLog::open(
+      dir_, options_.segment_bytes, restore, std::ref(replayer),
+      [this](std::string& out) { out += store_->snapshot_bytes(); });
+  static_cast<simfs::LogScan&>(result.replay) = recovery.scan;
+  result.replay.samples_appended = replayer.samples_appended;
+  if (result.replay.error.empty())
+    result.replay.error = recovery.snapshot_error;
+  wal_ = std::make_shared<Wal>(std::move(recovery.log));
   store_->set_wal(wal_);
   return result;
 }
 
 bool DurableTsdb::checkpoint() {
   auto barrier = wal_->commit_barrier();
-  if (!wal_->checkpoint(
-          [&](std::string& out) { out += store_->snapshot_bytes(); }))
-    return false;
-  ++checkpoints_;
-  return true;
+  return wal_->checkpoint(
+      [this](std::string& out) { out += store_->snapshot_bytes(); });
 }
 
 }  // namespace ceems::tsdb

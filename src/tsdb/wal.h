@@ -15,10 +15,12 @@
 // under one lock.
 //
 // A shared "commit lock" is held across [log → apply]; the checkpoint
-// takes it exclusively, so a snapshot is a consistent cut. DurableTsdb
-// ties it together: open() restores the snapshot, replays the segments
-// at or above its sequence floor and attaches a fresh WAL generation;
-// checkpoint() installs snapshot v2 atomically and truncates the log.
+// takes it exclusively, so a snapshot is a consistent cut. A mutation
+// whose log commit fails is not applied (the store reports 0), and the
+// failure lasts until the next checkpoint starts a new generation.
+// DurableTsdb ties it together: open() is simfs::RecordLog::open() with
+// the store's snapshot and payload codecs; checkpoint() installs
+// snapshot v2 atomically and truncates the log.
 #pragma once
 
 #include <memory>
@@ -56,6 +58,8 @@ class Wal {
 
   // Starts a fresh generation: opens (and syncs) segment `start_seq`.
   Wal(simfs::DurableDirPtr dir, uint64_t start_seq, WalOptions options = {});
+  // Logs into `log`, a generation simfs::RecordLog::open() started.
+  explicit Wal(std::unique_ptr<simfs::RecordLog> log);
 
   // Commit ordering between writers and the checkpoint. Writers hold the
   // shared guard across [log_* → store apply]; checkpoint holds the
@@ -66,8 +70,9 @@ class Wal {
   CommitGuard commit_shared() { return CommitGuard(commit_mu_); }
   Barrier commit_barrier() { return Barrier(commit_mu_); }
 
-  // Logs a sample batch and returns once it is durable (group commit).
-  // Caller holds a CommitGuard.
+  // Logs a sample batch and returns once it is durable (group commit);
+  // false if it could not be made durable, and the caller must then not
+  // apply it. Caller holds a CommitGuard.
   bool log_batch(const metrics::SampleRef* samples, std::size_t count);
   bool log_purge(common::TimestampMs cutoff);
   bool log_delete(const std::vector<metrics::LabelMatcher>& matchers);
@@ -88,7 +93,7 @@ class Wal {
   // `lock` (on mu_) and releases it before the group commit.
   bool commit(std::unique_lock<std::mutex>& lock);
 
-  simfs::RecordLog log_;
+  std::unique_ptr<simfs::RecordLog> log_;
 
   // Writers shared, checkpoint exclusive. Ordered before mu_.
   std::shared_mutex commit_mu_;
@@ -118,11 +123,10 @@ struct WalReplayResult : simfs::LogScan {
 // Replays every segment with sequence >= seq_floor into `store`, which
 // must NOT have a WAL attached (records would be re-logged). Records are
 // fully decoded and validated before any sample is applied, so a corrupt
-// record never applies partially. When repair_torn_tail is set, the
-// invalid tail is durably truncated away (see simfs::scan_log).
+// record never applies partially; the invalid tail is durably truncated
+// away (see simfs::scan_log).
 WalReplayResult replay_wal(simfs::DurableDir& dir, uint64_t seq_floor,
-                           TimeSeriesStore& store,
-                           bool repair_torn_tail = true);
+                           TimeSeriesStore& store);
 
 // Snapshot + WAL lifecycle for one TimeSeriesStore. The record log's
 // snapshot file wraps the store's v2 snapshot with the WAL sequence floor
@@ -139,11 +143,11 @@ class DurableTsdb {
               WalOptions options = {});
   ~DurableTsdb();
 
-  // Clears the store, restores the snapshot, replays the WAL (repairing
-  // a torn tail) and attaches a fresh WAL generation. Call exactly once,
-  // before any writes; also serves in-place crash recovery on a live
-  // StorePtr — readers holding the same shared_ptr see the recovered
-  // state.
+  // Clears the store, recovers it through simfs::RecordLog::open() —
+  // snapshot, replay with torn-tail repair, a checkpoint after damage —
+  // and attaches the new WAL generation. Call exactly once, before any
+  // writes; also serves in-place crash recovery on a live StorePtr —
+  // readers holding the same shared_ptr see the recovered state.
   OpenResult open();
 
   // Consistent cut: atomically installs a snapshot of the current store
@@ -153,14 +157,12 @@ class DurableTsdb {
   bool checkpoint();
 
   Wal& wal() { return *wal_; }
-  uint64_t checkpoints() const { return checkpoints_; }
 
  private:
   StorePtr store_;
   simfs::DurableDirPtr dir_;
   WalOptions options_;
   std::shared_ptr<Wal> wal_;
-  uint64_t checkpoints_ = 0;
 };
 
 }  // namespace ceems::tsdb

@@ -62,6 +62,28 @@ TEST(Adapters, SlurmJobMapsToUnit) {
   EXPECT_EQ(unit.num_gpus, 8);
 }
 
+TEST(Schema, IndexesAreRecreatedOnReopen) {
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  Unit unit;
+  unit.uuid = "1";
+  unit.user = "alice";
+  unit.project = "prj";
+  unit.state = "RUNNING";
+  {
+    auto db = reldb::Database::open(dir);
+    create_ceems_tables(*db);
+    db->upsert(kUnitsTable, unit_to_row(unit));
+  }
+  auto db = reldb::Database::open(dir);
+  create_ceems_tables(*db);
+  for (const char* column : {"user", "project", "state"}) {
+    EXPECT_TRUE(db->has_index(kUnitsTable, column)) << column;
+  }
+  reldb::Query query;
+  query.where = {{"user", reldb::Predicate::Op::kEq, reldb::Value("alice")}};
+  EXPECT_EQ(db->query(kUnitsTable, query).rows.size(), 1u);
+}
+
 TEST(Adapters, OpenstackPlugsIntoSameSchema) {
   OpenstackAdapter nova("cloud1");
   nova.report_vm("vm-abc", "carol", "prj3", 8, 16LL << 30, "ACTIVE", 100, 200,

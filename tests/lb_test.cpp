@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
 #include <thread>
 
 #include "http/client.h"
 #include "lb/load_balancer.h"
 #include "lb/query_introspect.h"
+#include "metrics/text_format.h"
 #include "stack_fixture.h"
 
 namespace ceems::lb {
@@ -379,6 +382,41 @@ TEST(LbCircuit, MetricsExportCircuitState) {
   EXPECT_NE(metrics.find("ceems_lb_backend_circuit_opens_total"),
             std::string::npos);
   EXPECT_NE(metrics.find("ceems_lb_denied_total"), std::string::npos);
+}
+
+TEST(LbCircuit, MetricsFamiliesAreContiguousAndRoundTrip) {
+  auto clock = common::make_sim_clock(0);
+  LbConfig config;
+  config.admin_users = {"admin"};
+  // The second URL needs escaping inside a label value.
+  const std::vector<std::string> urls = {"http://127.0.0.1:1",
+                                         "http://h/\"q\"\\x:2"};
+  LoadBalancer lb(config, urls, clock);
+  std::string text = lb.render_metrics();
+
+  // Each family's samples form one group: once a family ends, its name
+  // never appears again.
+  std::vector<std::string> runs;
+  std::set<std::string> seen;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::string name = line.substr(0, line.find_first_of("{ "));
+    if (!runs.empty() && runs.back() == name) continue;
+    EXPECT_TRUE(seen.insert(name).second) << name << " split in\n" << text;
+    runs.push_back(name);
+  }
+  EXPECT_EQ(runs.size(), 5u) << text;
+
+  auto parsed = metrics::parse_exposition(text);
+  ASSERT_EQ(parsed.samples.size(), 4 * urls.size() + 1) << text;
+  for (std::size_t i = 0; i < 4 * urls.size(); ++i) {
+    EXPECT_EQ(parsed.samples[i].labels.get("backend"), urls[i % urls.size()])
+        << text;
+  }
+  for (const auto& family : parsed.families) {
+    EXPECT_NE(family.type, metrics::MetricType::kUntyped) << family.name;
+  }
 }
 
 TEST(LbStandalone, LeastConnectionPrefersIdleBackend) {

@@ -1,6 +1,7 @@
 // RecordLog properties that do not depend on what the payloads mean: a
-// failed group sync fails every writer whose record rode the group, and
-// a payload its reader rejects ends the scan like a torn frame.
+// failed group sync fails every writer whose record rode the group, a
+// payload its reader rejects ends the scan like a torn frame, and a
+// damage checkpoint that open() cannot install fails every commit.
 #include "simfs/record_log.h"
 
 #include <gtest/gtest.h>
@@ -85,6 +86,61 @@ TEST(RecordLog, RejectedPayloadEndsScanLikeATornFrame) {
   EXPECT_EQ(seen, std::vector<std::string>{"a"});
   EXPECT_FALSE(scan.torn_tail);
   EXPECT_EQ(scan.next_seq, 2u);
+}
+
+TEST(RecordLog, OpenFailsCommitsWhenItsDamageCheckpointFails) {
+  // No sync fails; the first replace(), open()'s checkpoint, does.
+  auto dir = std::make_shared<FlakySyncDir>(0, 1);
+  {
+    RecordLog log(dir, 1, /*segment_bytes=*/1);  // one record per segment
+    for (const char* payload : {"a", "b", "c"}) {
+      ASSERT_TRUE(log.flush_to(log.append(payload)));
+    }
+  }
+  // Segment 3 holds "b": damage its payload (17-byte header, 8-byte frame).
+  dir->inner()->corrupt_durable(RecordLog::segment_name(3), 17 + 8, 'x');
+
+  std::vector<std::string> seen;
+  auto recovery = RecordLog::open(
+      dir, 1, [](std::string_view) { return true; },
+      [&](std::string_view payload) {
+        seen.emplace_back(payload);
+        return true;
+      },
+      [](std::string& out) { out += "state"; });
+  EXPECT_EQ(seen, std::vector<std::string>{"a"});
+  EXPECT_FALSE(recovery.scan.error.empty());
+  RecordLog& log = *recovery.log;
+  EXPECT_FALSE(log.flush_to(log.append("refused")));
+
+  ASSERT_TRUE(log.checkpoint([](std::string& out) { out += "state"; }));
+  EXPECT_TRUE(log.flush_to(log.append("accepted")));
+}
+
+TEST(RecordLog, OpenReplacesAnUnusableSnapshot) {
+  auto dir = std::make_shared<SimDurableDir>();
+  {
+    RecordLog log(dir, 1);
+    ASSERT_TRUE(log.checkpoint([](std::string& out) { out += "old"; }));
+    ASSERT_TRUE(log.flush_to(log.append("a")));
+  }
+  dir->corrupt_durable("snapshot", 0, 'X');  // breaks the magic
+
+  std::string restored;
+  auto restore = [&](std::string_view body) {
+    restored = body;
+    return true;
+  };
+  auto open = [&] {
+    return RecordLog::open(
+        dir, RecordLog::kDefaultSegmentBytes, restore,
+        [](std::string_view) { return true; },
+        [](std::string& out) { out += "recovered"; });
+  };
+  EXPECT_FALSE(open().snapshot_error.empty());
+  // The damage was checkpointed away: the next open restores cleanly.
+  EXPECT_TRUE(open().snapshot_error.empty());
+  EXPECT_EQ(restored, "recovered");
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 //     crashes, never applies a partial record, and repair leaves a log
 //     that replays cleanly;
 //   * checkpoint: snapshot + truncate is a consistent cut; recovery
-//     restores snapshot ∪ post-checkpoint records.
+//     restores snapshot ∪ post-checkpoint records;
+//   * recovery lifecycle: a batch acknowledged after recovering from
+//     interior damage survives the next restart, and a batch whose
+//     commit fails is never applied.
 #include "tsdb/wal.h"
 
 #include <gtest/gtest.h>
@@ -18,10 +21,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <random>
 #include <thread>
 
+#include "flaky_sync_dir.h"
 #include "metrics/model.h"
 #include "simfs/durable_dir.h"
 #include "tsdb/storage.h"
@@ -64,10 +69,9 @@ std::string digest(const TimeSeriesStore& store) {
 }
 
 // Replays `dir` into a fresh store and returns its digest.
-std::string replay_digest(simfs::DurableDir& dir, uint64_t floor = 0,
-                          bool repair = true) {
+std::string replay_digest(simfs::DurableDir& dir, uint64_t floor = 0) {
   TimeSeriesStore store;
-  replay_wal(dir, floor, store, repair);
+  replay_wal(dir, floor, store);
   return digest(store);
 }
 
@@ -225,7 +229,7 @@ TEST(WalTornTail, TruncationAtEveryByteOffsetReplaysCleanPrefix) {
     if (cut < kWalHeaderLen) clean = false;
 
     TimeSeriesStore store;
-    auto result = replay_wal(dir, 0, store, true);
+    auto result = replay_wal(dir, 0, store);
     EXPECT_EQ(digest(store), fx.oracle[k]) << "cut at " << cut;
     EXPECT_EQ(result.torn_tail, !clean) << "cut at " << cut;
     EXPECT_TRUE(result.error.empty()) << "cut at " << cut;
@@ -233,7 +237,7 @@ TEST(WalTornTail, TruncationAtEveryByteOffsetReplaysCleanPrefix) {
 
     // After repair the log replays cleanly to the same state.
     TimeSeriesStore repaired;
-    auto second = replay_wal(dir, 0, repaired, true);
+    auto second = replay_wal(dir, 0, repaired);
     EXPECT_EQ(digest(repaired), fx.oracle[k]) << "cut at " << cut;
     EXPECT_FALSE(second.torn_tail) << "cut at " << cut;
   }
@@ -251,7 +255,7 @@ TEST(WalTornTail, CorruptionAtEveryByteOffsetOfTailRecordDiscardsIt) {
                         static_cast<uint8_t>(fx.bytes[pos]) ^ 0x5A);
 
     TimeSeriesStore store;
-    auto result = replay_wal(dir, 0, store, true);
+    auto result = replay_wal(dir, 0, store);
     // Every earlier record applies; the damaged tail record never does,
     // not even partially.
     EXPECT_EQ(digest(store), fx.oracle[expect_records]) << "pos " << pos;
@@ -260,7 +264,7 @@ TEST(WalTornTail, CorruptionAtEveryByteOffsetOfTailRecordDiscardsIt) {
     EXPECT_EQ(result.records_applied, expect_records) << "pos " << pos;
 
     TimeSeriesStore repaired;
-    auto second = replay_wal(dir, 0, repaired, true);
+    auto second = replay_wal(dir, 0, repaired);
     EXPECT_EQ(digest(repaired), fx.oracle[expect_records]) << "pos " << pos;
     EXPECT_FALSE(second.torn_tail) << "pos " << pos;
   }
@@ -290,7 +294,7 @@ TEST(WalTornTail, InteriorSegmentCorruptionStopsWithError) {
   dir->corrupt_durable(segments[2], kWalHeaderLen + 8, 0xFF);
 
   TimeSeriesStore recovered;
-  auto result = replay_wal(*dir, 0, recovered, true);
+  auto result = replay_wal(*dir, 0, recovered);
   EXPECT_FALSE(result.error.empty());
   EXPECT_FALSE(result.torn_tail);
   // Only the records before the damaged segment applied.
@@ -463,6 +467,97 @@ struct RealFsWorkload {
   }
 };
 
+// Four one-record segments (wal-2..wal-5); `damage(segment, offset)`
+// flips a byte of the segment holding the second record. Recovery keeps
+// the first record, and a batch acknowledged after it must survive the
+// next restart: the damaged segment may not replay over it.
+void check_batch_after_interior_damage_survives(
+    const std::function<simfs::DurableDirPtr()>& open_dir,
+    const std::function<void(const std::string&, std::size_t)>& damage) {
+  WalOptions options;
+  options.segment_bytes = 1;  // rotate before every record
+  RealFsWorkload workload;
+  TimeSeriesStore oracle;  // the acknowledged batches recovery can keep
+  {
+    auto store = std::make_shared<TimeSeriesStore>();
+    DurableTsdb durable(store, open_dir(), options);
+    durable.open();
+    TimeSeriesStore lost;
+    workload.write(*store, oracle, 0, 1);
+    workload.write(*store, lost, 1, 3);
+    ASSERT_EQ(durable.wal().stats().records, 4u);
+  }
+  damage(simfs::RecordLog::segment_name(3), kWalHeaderLen + 8);
+  {
+    auto store = std::make_shared<TimeSeriesStore>();
+    DurableTsdb durable(store, open_dir(), options);
+    auto result = durable.open();
+    EXPECT_FALSE(result.replay.error.empty());
+    EXPECT_EQ(result.replay.records_applied, 1u);
+    ASSERT_EQ(digest(*store), digest(oracle));
+    std::size_t before = store->stats().num_samples;
+    workload.write(*store, oracle, 4, 1);
+    ASSERT_GT(store->stats().num_samples, before);
+  }
+  auto store = std::make_shared<TimeSeriesStore>();
+  DurableTsdb durable(store, open_dir(), options);
+  auto result = durable.open();
+  EXPECT_TRUE(result.replay.error.empty()) << result.replay.error;
+  EXPECT_EQ(digest(*store), digest(oracle));
+}
+
+TEST(DurableTsdb, BatchAfterInteriorDamageSurvivesRestart) {
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  check_batch_after_interior_damage_survives(
+      [&] {
+        dir->crash();  // a restart keeps only what was synced
+        return dir;
+      },
+      [&](const std::string& segment, std::size_t offset) {
+        auto bytes = dir->read(segment);
+        ASSERT_TRUE(bytes && offset < bytes->size());
+        dir->corrupt_durable(segment, offset,
+                             static_cast<uint8_t>((*bytes)[offset]) ^ 0x5A);
+      });
+}
+
+TEST(DurableTsdb, FailedSyncAppliesNoBatchUntilCheckpoint) {
+  // Sync 1 opens the first generation; sync 2 is the first batch's.
+  auto dir = std::make_shared<testing::FlakySyncDir>(2);
+  auto store = std::make_shared<TimeSeriesStore>();
+  DurableTsdb durable(store, dir);
+  durable.open();
+  auto labels = InternedLabels(Labels{{"uuid", "1"}}.with_name("m"));
+  SampleRef failed{&labels, 1000, 1.0};
+  EXPECT_EQ(store->append_refs(&failed, 1), 0u);
+  EXPECT_EQ(store->stats().num_samples, 0u);
+  // Every later batch of the failed generation is refused as well.
+  SampleRef later{&labels, 2000, 2.0};
+  EXPECT_EQ(store->append_refs(&later, 1), 0u);
+  EXPECT_EQ(store->stats().num_samples, 0u);
+
+  ASSERT_TRUE(durable.checkpoint());
+  SampleRef accepted{&labels, 3000, 3.0};
+  EXPECT_EQ(store->append_refs(&accepted, 1), 1u);
+  EXPECT_EQ(store->stats().num_samples, 1u);
+}
+
+TEST(DurableTsdb, FailedSyncAppliesNoPurgeOrDelete) {
+  // Sync 2 commits the batch; sync 3, the purge's, fails.
+  auto dir = std::make_shared<testing::FlakySyncDir>(3);
+  auto store = std::make_shared<TimeSeriesStore>();
+  DurableTsdb durable(store, dir);
+  durable.open();
+  auto labels = InternedLabels(Labels{{"uuid", "1"}}.with_name("m"));
+  std::vector<SampleRef> batch = {{&labels, 1000, 1.0}, {&labels, 2000, 2.0}};
+  ASSERT_EQ(store->append_refs(batch.data(), batch.size()), 2u);
+  EXPECT_EQ(store->purge_before(1500), 0u);
+  EXPECT_EQ(store->delete_series({{"uuid", metrics::LabelMatcher::Op::kEq,
+                                   "1"}}),
+            0u);
+  EXPECT_EQ(store->stats().num_samples, 2u);
+}
+
 TEST(WalRealFs, CheckpointAndReopenMatchOracle) {
   const std::string root = fresh_dir("reopen");
   RealFsWorkload workload;
@@ -559,6 +654,22 @@ TEST(WalRealFs, StraySnapshotTempFileIsIgnored) {
   EXPECT_TRUE(result.replay.error.empty()) << result.replay.error;
   EXPECT_FALSE(result.replay.torn_tail);
   EXPECT_EQ(digest(*store), digest(oracle));
+  std::filesystem::remove_all(root);
+}
+
+TEST(WalRealFs, BatchAfterInteriorDamageSurvivesRestart) {
+  const std::string root = fresh_dir("damage");
+  check_batch_after_interior_damage_survives(
+      [&] { return std::make_shared<simfs::RealDurableDir>(root); },
+      [&](const std::string& segment, std::size_t offset) {
+        std::fstream file(root + "/" + segment,
+                          std::ios::in | std::ios::out | std::ios::binary);
+        char byte = 0;
+        file.seekg(static_cast<std::streamoff>(offset));
+        ASSERT_TRUE(file.get(byte));
+        file.seekp(static_cast<std::streamoff>(offset));
+        ASSERT_TRUE(file.put(static_cast<char>(byte ^ 0x5A)));
+      });
   std::filesystem::remove_all(root);
 }
 
