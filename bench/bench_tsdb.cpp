@@ -19,9 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "apiserver/updater.h"
 #include "common/clock.h"
 #include "common/threadpool.h"
 #include "core/rules_library.h"
+#include "reldb/database.h"
 #include "simfs/durable_dir.h"
 #include "tsdb/longterm.h"
 #include "tsdb/promql_eval.h"
@@ -694,6 +696,67 @@ void BM_rule_pass_wal(benchmark::State& state) {
       static_cast<double>(samples) / static_cast<double>(passes);
 }
 BENCHMARK(BM_rule_pass_wal)->Unit(benchmark::kMillisecond);
+
+// One API-server updater cycle on a durable units DB (SimDurableDir):
+// 256 running units aggregated over a hot store with their power series.
+// A cycle commits one batch, so db_syncs_per_cycle is 1 (per-row commits
+// would make it units_per_cycle), and units_per_cycle pins the rows each
+// cycle writes.
+void BM_updater_cycle_db(benchmark::State& state) {
+  constexpr int kUnits = 256;
+  auto store = std::make_shared<TimeSeriesStore>();
+  auto nova = std::make_shared<apiserver::OpenstackAdapter>("cloud");
+  std::vector<metrics::InternedLabels> power;
+  for (int u = 0; u < kUnits; ++u) {
+    std::string uuid = "vm-" + std::to_string(u);
+    nova->report_vm(uuid, "user" + std::to_string(u % 16), "prj", 4,
+                    8LL << 30, "ACTIVE", 0, 1, 0);
+    power.emplace_back(
+        metrics::Labels{{"uuid", uuid}}.with_name("ceems_job_power_watts"));
+  }
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  auto db = reldb::Database::open(dir);
+  auto clock = common::make_sim_clock(0);
+  apiserver::Updater updater(*db, store, nullptr, {nova}, clock);
+  int64_t now = 0;
+  std::vector<metrics::SampleRef> batch;
+  auto advance_one_minute = [&] {
+    for (int scrape = 0; scrape < 2; ++scrape) {
+      now += 30000;
+      batch.clear();
+      for (int u = 0; u < kUnits; ++u) {
+        batch.push_back({&power[u], now, 150.0 + u % 50});
+      }
+      store->append_refs(batch.data(), batch.size());
+    }
+    clock->set(now);
+  };
+  advance_one_minute();
+  updater.update_once();  // polls every unit and pins the window start
+
+  uint64_t syncs = 0;
+  uint64_t units = 0;
+  uint64_t cycles = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    advance_one_minute();
+    db->checkpoint();  // so that no measured cycle auto-checkpoints
+    uint64_t syncs_before = dir->sync_count();
+    state.ResumeTiming();
+    apiserver::UpdateStats stats = updater.update_once();
+    benchmark::DoNotOptimize(stats);
+    state.PauseTiming();
+    syncs += dir->sync_count() - syncs_before;
+    units += stats.units_upserted + stats.units_aggregated;
+    ++cycles;
+    state.ResumeTiming();
+  }
+  state.counters["db_syncs_per_cycle"] =
+      static_cast<double>(syncs) / static_cast<double>(cycles);
+  state.counters["units_per_cycle"] =
+      static_cast<double>(units) / static_cast<double>(cycles);
+}
+BENCHMARK(BM_updater_cycle_db)->Unit(benchmark::kMillisecond);
 
 // Hit path of the (query, start, end, step) result cache.
 void BM_cached_range_query(benchmark::State& state) {

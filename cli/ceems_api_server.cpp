@@ -1,8 +1,8 @@
 // ceems_api_server — standalone CEEMS API server over a durable units
 // database. Serves the JSON API (units, usage, verify) from a database
 // directory (checkpoint snapshot + record log, created if missing); useful
-// for inspecting a DB produced by ceems_stack (updater.db_path) or a
-// punctual backup (Database::backup_to).
+// for inspecting a DB produced by ceems_stack (updater.db_path), or for
+// restoring a backup or replica that Database::backup_to shipped there.
 //
 //   ceems_api_server --db DIR [--port N] [--admins a,b]
 #include <csignal>

@@ -33,13 +33,23 @@ Updater::Updater(reldb::Database& db,
   create_ceems_tables(db_);
 }
 
-void Updater::poll_managers(common::TimestampMs now, UpdateStats& stats) {
+std::optional<Unit> Updater::find_unit(const Cycle& cycle,
+                                       const std::string& uuid) const {
+  if (auto it = cycle.rows.find(uuid); it != cycle.rows.end())
+    return unit_from_row(it->second);
+  if (auto row = db_.get(kUnitsTable, reldb::Value(uuid)))
+    return unit_from_row(*row);
+  return std::nullopt;
+}
+
+void Updater::poll_managers(common::TimestampMs now, Cycle& cycle,
+                            UpdateStats& stats) {
   for (const auto& adapter : adapters_) {
     for (Unit fresh : adapter->fetch_units_changed_since(last_poll_ms_)) {
       // Preserve existing aggregates: identity/state fields come from the
       // resource manager, metric columns from previous cycles.
-      if (auto existing_row = db_.get(kUnitsTable, reldb::Value(fresh.uuid))) {
-        Unit existing = unit_from_row(*existing_row);
+      if (auto found = find_unit(cycle, fresh.uuid)) {
+        const Unit& existing = *found;
         fresh.total_cpu_time_seconds = existing.total_cpu_time_seconds;
         fresh.avg_cpu_usage = existing.avg_cpu_usage;
         fresh.avg_cpu_mem_bytes = existing.avg_cpu_mem_bytes;
@@ -51,25 +61,25 @@ void Updater::poll_managers(common::TimestampMs now, UpdateStats& stats) {
         fresh.total_io_read_bytes = existing.total_io_read_bytes;
         fresh.total_io_write_bytes = existing.total_io_write_bytes;
         if (fresh.ended_at_ms != 0 && existing.ended_at_ms == 0) {
-          newly_ended_.push_back(fresh);
+          cycle.newly_ended.push_back(fresh);
         }
       } else if (fresh.ended_at_ms != 0) {
         // First sighting of an already-finished unit (it started and ended
         // within one poll interval) — still a cleanup candidate.
-        newly_ended_.push_back(fresh);
+        cycle.newly_ended.push_back(fresh);
       }
       if (fresh.started_at_ms != 0) {
         fresh.elapsed_ms = (fresh.ended_at_ms != 0 ? fresh.ended_at_ms : now) -
                            fresh.started_at_ms;
       }
-      db_.upsert(kUnitsTable, unit_to_row(fresh));
+      cycle.rows[fresh.uuid] = unit_to_row(fresh);
       ++stats.units_upserted;
     }
   }
-  last_poll_ms_ = now;
 }
 
-void Updater::update_aggregates(common::TimestampMs now, UpdateStats& stats) {
+void Updater::update_aggregates(common::TimestampMs now, Cycle& cycle,
+                                UpdateStats& stats) {
   // Aggregation instant: `now`, or the newest grid point at or before it
   // when windows are aligned. Alignment trades up to align_window_ms of
   // result freshness for ladder-served queries.
@@ -79,7 +89,7 @@ void Updater::update_aggregates(common::TimestampMs now, UpdateStats& stats) {
          config_.align_window_ms;
   }
   if (last_agg_ms_ < 0) {
-    last_agg_ms_ = at;
+    cycle.agg_ms = at;
     return;  // first cycle: establish the window start
   }
   int64_t window_ms = at - last_agg_ms_;
@@ -150,9 +160,9 @@ void Updater::update_aggregates(common::TimestampMs now, UpdateStats& stats) {
   for (uint32_t uuid_sym : touched) {
     // One string materialisation per active unit per cycle, for the DB key.
     std::string uuid(symtab.text(uuid_sym));
-    auto row = db_.get(kUnitsTable, reldb::Value(uuid));
-    if (!row) continue;  // metrics for a unit the manager hasn't reported yet
-    Unit unit = unit_from_row(*row);
+    auto found = find_unit(cycle, uuid);
+    if (!found) continue;  // metrics for a unit the manager hasn't reported
+    Unit& unit = *found;
 
     double prev_elapsed_sec =
         std::max(0.0, static_cast<double>(unit.elapsed_ms) / 1000.0 -
@@ -195,33 +205,42 @@ void Updater::update_aggregates(common::TimestampMs now, UpdateStats& stats) {
     unit.total_io_read_bytes += get(io_read);
     unit.total_io_write_bytes += get(io_write);
 
-    db_.upsert(kUnitsTable, unit_to_row(unit));
+    cycle.rows[uuid] = unit_to_row(unit);
     ++stats.units_aggregated;
   }
-  last_agg_ms_ = at;
+  cycle.agg_ms = at;
 }
 
-void Updater::cleanup_small_units(UpdateStats& stats) {
-  if (config_.small_unit_cutoff_ms <= 0 || !hot_store_) {
-    newly_ended_.clear();
-    return;
-  }
-  for (const auto& unit : newly_ended_) {
+void Updater::cleanup_small_units(const std::vector<Unit>& newly_ended,
+                                  UpdateStats& stats) {
+  if (config_.small_unit_cutoff_ms <= 0 || !hot_store_) return;
+  for (const auto& unit : newly_ended) {
     int64_t lifetime = unit.ended_at_ms - unit.started_at_ms;
     if (unit.started_at_ms == 0 || lifetime >= config_.small_unit_cutoff_ms)
       continue;
     stats.series_deleted += hot_store_->delete_series(
         {{"uuid", metrics::LabelMatcher::Op::kEq, unit.uuid}});
   }
-  newly_ended_.clear();
 }
 
 UpdateStats Updater::update_once() {
   UpdateStats stats;
   common::TimestampMs now = clock_->now_ms();
-  poll_managers(now, stats);
-  update_aggregates(now, stats);
-  cleanup_small_units(stats);
+  Cycle cycle;
+  cycle.agg_ms = last_agg_ms_;
+  poll_managers(now, cycle, stats);
+  update_aggregates(now, cycle, stats);
+  std::vector<reldb::WalEntry> batch;
+  batch.reserve(cycle.rows.size());
+  for (auto& [uuid, row] : cycle.rows) {
+    batch.push_back({.op = reldb::WalEntry::Op::kUpsert,
+                     .table = kUnitsTable,
+                     .row = std::move(row)});
+  }
+  db_.commit(std::move(batch));
+  last_poll_ms_ = now;
+  last_agg_ms_ = cycle.agg_ms;
+  cleanup_small_units(cycle.newly_ended, stats);
   return stats;
 }
 
@@ -234,7 +253,7 @@ void Updater::start() {
         update_once();
       } catch (const std::exception& e) {
         // A durable units DB throws when its log cannot be synced; the
-        // mutation was not applied, and the next cycle retries it.
+        // cycle was not applied, and the next one redoes its window.
         CEEMS_LOG_WARN("updater") << "update failed: " << e.what();
       }
       if (!clock_->sleep_until(next)) return;

@@ -4,10 +4,18 @@
 // window's worth of per-unit metrics and folds them into the units'
 // aggregate columns, and (3) optionally deletes the TSDB series of units
 // shorter than a cutoff — the cardinality-reduction knob of §II-C.
+//
+// A cycle is one transaction: its rows are staged, committed as one
+// batch (one log record, one sync on a durable DB), and only then do the
+// poll and aggregation cursors advance. A cycle whose commit fails
+// applies nothing and leaves the cursors where they were, so the next
+// cycle redoes its window exactly once.
 #pragma once
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -36,8 +44,8 @@ struct UpdaterConfig {
 };
 
 struct UpdateStats {
-  std::size_t units_upserted = 0;
-  std::size_t units_aggregated = 0;
+  std::size_t units_upserted = 0;    // rows written by the poll
+  std::size_t units_aggregated = 0;  // rows written by the aggregation
   std::size_t series_deleted = 0;
 };
 
@@ -48,16 +56,31 @@ class Updater {
           std::vector<AdapterPtr> adapters, common::ClockPtr clock,
           UpdaterConfig config = {});
 
-  // One update cycle at the current clock time.
+  // One update cycle at the current clock time. Throws what
+  // reldb::Database::commit throws, having applied nothing.
   UpdateStats update_once();
 
   void start();
   void stop();
 
  private:
-  void poll_managers(common::TimestampMs now, UpdateStats& stats);
-  void update_aggregates(common::TimestampMs now, UpdateStats& stats);
-  void cleanup_small_units(UpdateStats& stats);
+  // What one cycle commits: its rows by uuid, which reads within the
+  // cycle see, the aggregation cursor it reaches and the units it saw end.
+  struct Cycle {
+    std::map<std::string, reldb::Row> rows;
+    common::TimestampMs agg_ms = -1;
+    std::vector<Unit> newly_ended;  // candidates for series cleanup
+  };
+
+  // The unit as the cycle leaves it so far.
+  std::optional<Unit> find_unit(const Cycle& cycle,
+                                const std::string& uuid) const;
+  void poll_managers(common::TimestampMs now, Cycle& cycle,
+                     UpdateStats& stats);
+  void update_aggregates(common::TimestampMs now, Cycle& cycle,
+                         UpdateStats& stats);
+  void cleanup_small_units(const std::vector<Unit>& newly_ended,
+                           UpdateStats& stats);
 
   reldb::Database& db_;
   std::shared_ptr<const tsdb::Queryable> tsdb_;
@@ -69,7 +92,6 @@ class Updater {
 
   common::TimestampMs last_poll_ms_ = 0;
   common::TimestampMs last_agg_ms_ = -1;
-  std::vector<Unit> newly_ended_;  // candidates for series cleanup
 
   std::atomic<bool> running_{false};
   std::thread loop_thread_;

@@ -87,6 +87,22 @@ bool read_entry(Reader& in, WalEntry* out) {
   return false;
 }
 
+// Appends the entries of `bytes` (a log payload or a snapshot body) to
+// `out`; false if one does not decode.
+bool read_entries(std::string_view bytes, std::vector<WalEntry>* out) {
+  Reader in(bytes);
+  while (!in.done()) {
+    if (!read_entry(in, &out->emplace_back())) return false;
+  }
+  return true;
+}
+
+std::vector<WalEntry> one(WalEntry entry) {
+  std::vector<WalEntry> batch;
+  batch.push_back(std::move(entry));
+  return batch;
+}
+
 }  // namespace
 
 void encode_entry(const WalEntry& entry, std::string& out) {
@@ -122,20 +138,12 @@ std::optional<WalEntry> decode_entry(std::string_view payload) {
 std::unique_ptr<Database> Database::open(simfs::DurableDirPtr dir) {
   auto db = std::make_unique<Database>();
   if (!dir) return db;
-  auto restore = [&](std::string_view body) {
-    if (db->replay(body, /*tail=*/false)) return true;
-    db->tables_.clear();
-    db->seq_ = 0;
-    return false;
-  };
-  db->log_ =
-      simfs::RecordLog::open(
-          std::move(dir), simfs::RecordLog::kDefaultSegmentBytes, restore,
-          [&](std::string_view payload) {
-            return db->replay(payload, /*tail=*/true);
-          },
-          [&](std::string& out) { db->write_snapshot(out); })
-          .log;
+  auto replay = [&](std::string_view bytes) { return db->replay(bytes); };
+  db->log_ = simfs::RecordLog::open(
+                 std::move(dir), simfs::RecordLog::kDefaultSegmentBytes,
+                 replay, replay,
+                 [&](std::string& out) { db->write_snapshot(out); })
+                 .log;
   return db;
 }
 
@@ -153,51 +161,67 @@ const Table& Database::table_ref(const std::string& name) const {
   return it->second;
 }
 
-std::string Database::misfit(const WalEntry& entry) const {
-  if (entry.op == WalEntry::Op::kCreateTable) {
-    return entry.schema.column_index(entry.schema.primary_key) < 0
-               ? "primary key '" + entry.schema.primary_key + "' not a column"
-               : "";
+std::string Database::misfit(const std::vector<WalEntry>& batch) const {
+  std::map<std::string_view, const Schema*> created;  // by this batch
+  for (const WalEntry& entry : batch) {
+    const Schema* schema = nullptr;
+    if (auto it = tables_.find(entry.table); it != tables_.end()) {
+      schema = &it->second.schema();
+    } else if (auto it = created.find(entry.table); it != created.end()) {
+      schema = it->second;
+    }
+    if (entry.op == WalEntry::Op::kCreateTable) {
+      if (schema) return "table '" + entry.table + "' exists";
+      if (entry.schema.column_index(entry.schema.primary_key) < 0)
+        return "primary key '" + entry.schema.primary_key + "' not a column";
+      created.emplace(entry.table, &entry.schema);
+    } else if (!schema) {
+      return "no table '" + entry.table + "'";
+    } else if (entry.op == WalEntry::Op::kUpsert &&
+               entry.row.size() != schema->columns.size()) {
+      return "row width mismatch";
+    }
   }
-  auto it = tables_.find(entry.table);
-  if (it == tables_.end()) return "no table '" + entry.table + "'";
-  if (entry.op == WalEntry::Op::kUpsert &&
-      entry.row.size() != it->second.schema().columns.size())
-    return "row width mismatch";
   return "";
 }
 
-void Database::commit(WalEntry entry) {
-  if (std::string why = misfit(entry); !why.empty())
-    throw std::invalid_argument(why);
-  entry.seq = seq_ + 1;
-  if (log_) {
-    payload_.clear();
-    encode_entry(entry, payload_);
-    if (payload_.size() > simfs::RecordLog::kMaxPayloadBytes)
-      throw std::invalid_argument("mutation exceeds the log record limit");
-    // Auto-checkpoint instead of rotating into a second segment; if the
-    // snapshot cannot be installed the log rotates and loses nothing.
-    if (log_->full()) checkpoint_locked();
-    if (!log_->flush_to(log_->append(payload_))) {
-      // The record may still reach the disk with a later sync; a
-      // snapshot of the applied state makes sure it never replays.
-      checkpoint_locked();
-      throw std::runtime_error("units DB log sync failed");
-    }
-  }
-  apply(entry);
-  seq_ = entry.seq;
-  tail_.push_back(std::move(entry));
+void Database::commit(std::vector<WalEntry> batch) {
+  std::unique_lock lock(mu_);
+  commit_locked(batch);
 }
 
-void Database::apply(const WalEntry& entry) {
+void Database::commit_locked(std::vector<WalEntry>& batch) {
+  if (batch.empty()) return;
+  if (std::string why = misfit(batch); !why.empty())
+    throw std::invalid_argument(why);
+  uint64_t seq = seq_;
+  for (WalEntry& entry : batch) entry.seq = ++seq;
+  if (log_) {
+    payload_.clear();
+    for (const WalEntry& entry : batch) encode_entry(entry, payload_);
+    if (payload_.size() > simfs::RecordLog::kMaxPayloadBytes)
+      throw std::invalid_argument("batch exceeds the log record limit");
+    // Auto-checkpoint instead of rotating into a second segment, and
+    // start a new generation after a failed sync. If the snapshot cannot
+    // be installed, a full log rotates and loses nothing, and a failed
+    // one refuses this batch too.
+    if (log_->full() || log_->failed()) checkpoint_locked();
+    // On failure the log has already cut the record away, so it can
+    // never replay.
+    if (!log_->flush_to(log_->append(payload_)))
+      throw std::runtime_error("units DB log sync failed");
+  }
+  for (WalEntry& entry : batch) apply(entry);
+  seq_ = seq;
+}
+
+void Database::apply(WalEntry& entry) {
   switch (entry.op) {
     case WalEntry::Op::kCreateTable:
-      tables_.emplace(entry.table, Table(entry.schema));
+      tables_.emplace(entry.table, Table(std::move(entry.schema)));
       break;
     case WalEntry::Op::kUpsert:
-      table_ref(entry.table).upsert(entry.row);
+      table_ref(entry.table).upsert(std::move(entry.row));
       break;
     case WalEntry::Op::kErase:
       table_ref(entry.table).erase(entry.primary_key);
@@ -205,26 +229,21 @@ void Database::apply(const WalEntry& entry) {
   }
 }
 
-bool Database::replay(std::string_view bytes, bool tail) {
-  Reader in(bytes);
-  while (!in.done()) {
-    WalEntry entry;
-    if (!read_entry(in, &entry) || !misfit(entry).empty()) return false;
-    apply(entry);
-    seq_ = entry.seq;
-    if (tail) tail_.push_back(std::move(entry));
-  }
+bool Database::replay(std::string_view bytes) {
+  std::vector<WalEntry> batch;
+  if (!read_entries(bytes, &batch) || !misfit(batch).empty()) return false;
+  for (WalEntry& entry : batch) apply(entry);
+  if (!batch.empty()) seq_ = batch.back().seq;
   return true;
 }
 
 void Database::create_table(const std::string& name, Schema schema) {
   std::unique_lock lock(mu_);
   if (tables_.count(name)) return;  // idempotent, helps reopen
-  WalEntry entry;
-  entry.op = WalEntry::Op::kCreateTable;
-  entry.table = name;
-  entry.schema = std::move(schema);
-  commit(std::move(entry));
+  auto batch = one({.op = WalEntry::Op::kCreateTable,
+                    .table = name,
+                    .schema = std::move(schema)});
+  commit_locked(batch);
 }
 
 bool Database::has_table(const std::string& name) const {
@@ -233,22 +252,17 @@ bool Database::has_table(const std::string& name) const {
 }
 
 void Database::upsert(const std::string& table, Row row) {
-  std::unique_lock lock(mu_);
-  WalEntry entry;
-  entry.op = WalEntry::Op::kUpsert;
-  entry.table = table;
-  entry.row = std::move(row);
-  commit(std::move(entry));
+  commit(one(
+      {.op = WalEntry::Op::kUpsert, .table = table, .row = std::move(row)}));
 }
 
 bool Database::erase(const std::string& table, const Value& primary_key) {
   std::unique_lock lock(mu_);
   if (!table_ref(table).get(primary_key)) return false;
-  WalEntry entry;
-  entry.op = WalEntry::Op::kErase;
-  entry.table = table;
-  entry.primary_key = primary_key;
-  commit(std::move(entry));
+  auto batch = one({.op = WalEntry::Op::kErase,
+                    .table = table,
+                    .primary_key = primary_key});
+  commit_locked(batch);
   return true;
 }
 
@@ -296,13 +310,14 @@ bool Database::checkpoint_locked() {
 }
 
 bool Database::backup_to(simfs::DurableDir& dir) const {
+  std::shared_lock lock(mu_);
+  if (log_) return log_->ship_to(dir);
   // Above every segment already in `dir`, so none replays over the backup.
   uint64_t floor = 1;
   for (const std::string& name : dir.list()) {
     if (auto seq = simfs::RecordLog::parse_segment_name(name))
       floor = std::max(floor, *seq + 1);
   }
-  std::shared_lock lock(mu_);
   return simfs::install_log_snapshot(
       dir, floor, [this](std::string& out) { write_snapshot(out); });
 }
@@ -334,30 +349,14 @@ uint64_t Database::last_seq() const {
 std::vector<WalEntry> Database::entries_since(uint64_t after) const {
   std::shared_lock lock(mu_);
   std::vector<WalEntry> out;
-  for (const auto& entry : tail_) {
-    if (entry.seq > after) out.push_back(entry);
+  if (log_) {
+    log_->read_payloads(
+        [&](std::string_view payload) { return read_entries(payload, &out); });
   }
+  std::erase_if(out, [after](const WalEntry& entry) {
+    return entry.seq <= after;
+  });
   return out;
-}
-
-std::size_t Replicator::sync() {
-  std::size_t shipped = 0;
-  for (const auto& entry : primary_.entries_since(shipped_)) {
-    switch (entry.op) {
-      case WalEntry::Op::kCreateTable:
-        replica_.create_table(entry.table, entry.schema);
-        break;
-      case WalEntry::Op::kUpsert:
-        replica_.upsert(entry.table, entry.row);
-        break;
-      case WalEntry::Op::kErase:
-        replica_.erase(entry.table, entry.primary_key);
-        break;
-    }
-    shipped_ = entry.seq;
-    ++shipped;
-  }
-  return shipped;
 }
 
 }  // namespace ceems::reldb

@@ -1,5 +1,5 @@
-// Database: named tables + write-ahead log + backups + Litestream-style
-// replication.
+// Database: named tables + write-ahead log + log-shipping backups
+// (Litestream-style replication).
 //
 // Concurrency contract (mirrors the paper's SQLite justification, §II-D):
 // exactly one writer thread — the API server's updater — mutates the
@@ -7,13 +7,17 @@
 // shared_mutex enforces it: queries take shared locks, mutations exclusive.
 //
 // Durability. Opened over a simfs::DurableDir, the database logs every
-// mutation through the stack's one record log (simfs/record_log.h): the
-// mutation is validated, logged and made durable, and only then applied.
-// When the log would rotate into a second segment the database
-// checkpoints itself (SQLite's auto-checkpoint), so open() restores the
-// snapshot and replays at most one segment.
+// commit through the stack's one record log (simfs/record_log.h): a
+// batch of entries is validated, logged as one record and made durable
+// with one sync, and only then applied — a SQLite transaction, a LevelDB
+// WriteBatch. The log is the only record of the writes: replay applies a
+// record all or nothing, and backup_to() ships the log's files. When the
+// log would rotate into a second segment the database checkpoints itself
+// (SQLite's auto-checkpoint), so open() restores the snapshot and replays
+// at most one segment.
 //
-// A log payload is one entry: u8 op | varint seq | str table, then
+// A log payload is one or more entries back to back (the snapshot body
+// is the same concatenation), each: u8 op | varint seq | str table, then
 //   create: varint columns | (str name | u8 type)... | str primary key
 //   upsert: varint values | value...      erase: value
 // with value = u8 variant index | i64 / f64 bits / str, so every value
@@ -26,6 +30,7 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "reldb/table.h"
 #include "simfs/record_log.h"
@@ -37,10 +42,11 @@ struct WalEntry {
   uint64_t seq = 0;
   Op op = Op::kUpsert;
   std::string table;
-  // kCreateTable: schema; kUpsert: row; kErase: primary key.
-  Schema schema;
-  Row row;
-  Value primary_key;
+  // kCreateTable: schema; kUpsert: row; kErase: primary key. The `{}`
+  // lets a designated initializer leave out the two that do not apply.
+  Schema schema{};
+  Row row{};
+  Value primary_key{};
 };
 
 // Appends the encoding of `entry` to `out`.
@@ -59,10 +65,18 @@ class Database {
   // every later mutation is logged there. nullptr = in-memory.
   static std::unique_ptr<Database> open(simfs::DurableDirPtr dir);
 
-  // Mutations throw std::invalid_argument when they do not fit (unknown
+  // Commits `batch` as one unit: each entry is checked against the
+  // tables as the entries before it leave them, then the batch is logged
+  // as one record, made durable with one sync and applied. Entries get
+  // consecutive seqs (the seq they carry is ignored). Throws
+  // std::invalid_argument when an entry does not fit (unknown or existing
   // table, row width, primary key not a column) and std::runtime_error
-  // when the log cannot be made durable; either way nothing is logged
-  // or applied.
+  // when the log cannot be made durable; either way nothing is logged or
+  // applied. An empty batch is a no-op.
+  void commit(std::vector<WalEntry> batch);
+
+  // One-entry commits. create_table is a no-op for an existing table,
+  // and erase returns false, logging nothing, for an absent key.
   void create_table(const std::string& name, Schema schema);
   bool has_table(const std::string& name) const;
 
@@ -82,26 +96,31 @@ class Database {
   // if the snapshot could not be installed. No-op when in-memory.
   bool checkpoint();
 
-  // Punctual backup (§II-C "in-built punctual backup solution"): installs
-  // the checkpoint snapshot of the current state into `dir`; restore via
-  // open(dir).
+  // Replication and punctual backup (§II-C), one call: brings `dir` up
+  // to this database so that open(dir) restores it, the way `litestream
+  // restore` does. A durable database ships its log's files
+  // (simfs::RecordLog::ship_to), so calling it again ships only new bytes
+  // and `dir` never holds a mutation that was not acknowledged; an
+  // in-memory one installs a snapshot of its current state.
   bool backup_to(simfs::DurableDir& dir) const;
 
   uint64_t last_seq() const;
-  // Entries with seq > after (replication pull): the mutations since
-  // open(), replayed or new. Kept in memory.
+  // Entries with seq > after among those still in the log (logged since
+  // the last checkpoint, replayed or new), decoded from its segments;
+  // none when in-memory.
   std::vector<WalEntry> entries_since(uint64_t after) const;
 
  private:
-  // Why `entry` does not fit the current tables; empty if it does.
-  std::string misfit(const WalEntry& entry) const;
-  // Checks, logs and applies one mutation. Caller holds mu_ exclusively.
-  void commit(WalEntry entry);
-  void apply(const WalEntry& entry);
+  // Why `batch` does not fit the tables as it leaves them; empty if it
+  // fits.
+  std::string misfit(const std::vector<WalEntry>& batch) const;
+  // Checks, logs and applies a batch. Caller holds mu_ exclusively.
+  void commit_locked(std::vector<WalEntry>& batch);
+  void apply(WalEntry& entry);  // moves the schema or row out of `entry`
   // Applies the entries encoded in `bytes` (a log payload or a snapshot
-  // body), keeping them in the replication tail if `tail`; false at the
-  // first one that does not decode or fit, which is not applied.
-  bool replay(std::string_view bytes, bool tail);
+  // body) if every one decodes and fits; false, having applied nothing,
+  // otherwise.
+  bool replay(std::string_view bytes);
   bool checkpoint_locked();
   // The snapshot body of checkpoints and backups: one create entry per
   // table and one upsert entry per row, each carrying the last seq.
@@ -111,26 +130,9 @@ class Database {
 
   mutable std::shared_mutex mu_;
   std::map<std::string, Table> tables_;
-  std::vector<WalEntry> tail_;  // in-memory tail for replication
   uint64_t seq_ = 0;
   std::unique_ptr<simfs::RecordLog> log_;  // null when in-memory
   std::string payload_;                    // encode scratch
-};
-
-// Litestream analogue: continuously ships the primary's WAL tail into a
-// replica Database. sync() is cheap and idempotent; call it on a timer.
-class Replicator {
- public:
-  Replicator(const Database& primary, Database& replica)
-      : primary_(primary), replica_(replica) {}
-
-  // Applies all new entries; returns how many were shipped.
-  std::size_t sync();
-
- private:
-  const Database& primary_;
-  Database& replica_;
-  uint64_t shipped_ = 0;
 };
 
 }  // namespace ceems::reldb

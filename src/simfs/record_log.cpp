@@ -56,6 +56,54 @@ bool read_header(std::string_view bytes, uint64_t* seq) {
   return true;
 }
 
+// Every segment of `dir` as (sequence, name), in sequence order.
+std::vector<std::pair<uint64_t, std::string>> list_segments(
+    const DurableDir& dir) {
+  std::vector<std::pair<uint64_t, std::string>> segments;
+  for (const std::string& name : dir.list()) {
+    if (auto seq = RecordLog::parse_segment_name(name))
+      segments.emplace_back(*seq, name);
+  }
+  std::sort(segments.begin(), segments.end());
+  return segments;
+}
+
+// Hands the payload of every frame after the header of segment `bytes`
+// to `apply`. Returns where the first frame that is invalid, or whose
+// payload `apply` rejects, starts (with `why` saying which), or
+// bytes.size() when every frame was applied.
+std::size_t walk_frames(std::string_view bytes,
+                        const RecordLog::PayloadFn& apply, const char** why) {
+  std::size_t offset = kHeaderLen;
+  while (offset < bytes.size()) {
+    if (bytes.size() - offset < 8) {
+      *why = "short frame header";
+      return offset;
+    }
+    uint32_t len = 0, crc = 0;
+    std::memcpy(&len, bytes.data() + offset, 4);
+    std::memcpy(&crc, bytes.data() + offset + 4, 4);
+    if (len > RecordLog::kMaxPayloadBytes ||
+        bytes.size() - offset - 8 < len) {
+      *why = "truncated record";
+      return offset;
+    }
+    std::string_view payload = bytes.substr(offset + 8, len);
+    if (crc32(payload) != crc) {
+      *why = "crc mismatch";
+      return offset;
+    }
+    // A frame that passed its CRC but whose body does not decode ends
+    // the walk exactly like a torn frame: nothing of it is applied.
+    if (!apply(payload)) {
+      *why = "undecodable record";
+      return offset;
+    }
+    offset += 8 + len;
+  }
+  return offset;
+}
+
 }  // namespace
 
 RecordLog::Recovery RecordLog::open(DurableDirPtr dir,
@@ -80,6 +128,7 @@ RecordLog::Recovery RecordLog::open(DurableDirPtr dir,
   out.scan = scan_log(*dir, floor, apply);
   out.log = std::make_unique<RecordLog>(std::move(dir), out.scan.next_seq,
                                         segment_bytes);
+  out.log->floor_ = floor;
   const std::string& damage =
       out.scan.error.empty() ? out.snapshot_error : out.scan.error;
   if (!damage.empty()) {
@@ -98,11 +147,16 @@ RecordLog::Recovery RecordLog::open(DurableDirPtr dir,
 
 RecordLog::RecordLog(DurableDirPtr dir, uint64_t start_seq,
                      std::size_t segment_bytes)
-    : dir_(std::move(dir)), segment_limit_(segment_bytes), seq_(start_seq) {
+    : dir_(std::move(dir)),
+      segment_limit_(segment_bytes),
+      seq_(start_seq),
+      floor_(start_seq) {
   std::lock_guard lock(mu_);
   open_segment_locked();
   sync_failed_ = !dir_->sync(segment_);
   dirty_segments_.clear();
+  acked_seq_ = seq_;
+  acked_bytes_ = segment_bytes_;
 }
 
 std::string RecordLog::segment_name(uint64_t seq) {
@@ -171,28 +225,51 @@ bool RecordLog::flush_to(uint64_t lsn) {
     flush_cv_.wait(lock);
   }
   // Leader: flush everything appended so far, so every waiter whose LSN
-  // is below `target` rides this one sync.
+  // is below `target` rides this one sync. A failed generation syncs
+  // nothing more.
   flush_in_progress_ = true;
-  uint64_t target = next_lsn_;
+  const uint64_t target = next_lsn_;
+  const uint64_t end_seq = seq_;  // where record `target` ends
+  const std::size_t end_bytes = segment_bytes_;
   std::vector<std::string> to_sync;
   to_sync.swap(dirty_segments_);
-  lock.unlock();
-  bool ok = true;
-  for (const std::string& name : to_sync) {
-    ok = dir_->sync(name) && ok;
+  bool ok = !sync_failed_;
+  if (ok) {
+    lock.unlock();
+    for (const std::string& name : to_sync) ok = ok && dir_->sync(name);
+    lock.lock();
   }
-  lock.lock();
   flush_in_progress_ = false;
-  if (flushed_lsn_ < target) flushed_lsn_ = target;
-  sync_failed_ = sync_failed_ || !ok;
+  flushed_lsn_ = std::max(flushed_lsn_, target);
+  if (ok) {
+    durable_lsn_ = target;
+    acked_seq_ = end_seq;
+    acked_bytes_ = end_bytes;
+  } else {
+    sync_failed_ = true;
+    truncate_to_acked_locked();
+  }
   ++stats_.groups;
   flush_cv_.notify_all();
-  return !sync_failed_;
+  return lsn <= durable_lsn_;
+}
+
+void RecordLog::truncate_to_acked_locked() {
+  for (; seq_ > acked_seq_; --seq_) dir_->remove(segment_name(seq_));
+  segment_ = segment_name(seq_);
+  dir_->truncate(segment_, acked_bytes_);
+  segment_bytes_ = acked_bytes_;
+  dirty_segments_.clear();
 }
 
 bool RecordLog::full() const {
   std::lock_guard lock(mu_);
   return segment_bytes_ >= segment_limit_;
+}
+
+bool RecordLog::failed() const {
+  std::lock_guard lock(mu_);
+  return sync_failed_;
 }
 
 bool RecordLog::checkpoint(const BodyWriter& write_body) {
@@ -205,11 +282,64 @@ bool RecordLog::checkpoint(const BodyWriter& write_body) {
     if (parse_segment_name(name)) dir_->remove(name);
   }
   seq_ = floor;
+  floor_ = floor;
   dirty_segments_.clear();
   open_segment_locked();
   sync_failed_ = !dir_->sync(segment_);
   dirty_segments_.clear();
+  // Every record logged so far is in the snapshot or was refused.
+  flushed_lsn_ = durable_lsn_ = next_lsn_;
+  acked_seq_ = seq_;
+  acked_bytes_ = segment_bytes_;
   return true;
+}
+
+void RecordLog::read_payloads(const PayloadFn& fn) const {
+  const uint64_t floor = [this] {
+    std::lock_guard lock(mu_);
+    return floor_;
+  }();
+  for (const auto& [seq, name] : list_segments(*dir_)) {
+    if (seq < floor) continue;
+    auto bytes = dir_->read(name);
+    uint64_t header_seq = 0;
+    const char* why = nullptr;
+    if (!bytes || !read_header(*bytes, &header_seq) || header_seq != seq ||
+        walk_frames(*bytes, fn, &why) < bytes->size()) {
+      return;
+    }
+  }
+}
+
+bool RecordLog::ship_to(DurableDir& replica) const {
+  // The snapshot first: once the replica has it, the segments it covers
+  // are never replayed there, whether or not they are removed yet.
+  auto snapshot = dir_->read(kSnapshotFile);
+  if (snapshot != replica.read(kSnapshotFile) &&
+      !(snapshot ? replica.replace(kSnapshotFile, *snapshot)
+                 : replica.remove(kSnapshotFile))) {
+    return false;
+  }
+  const auto segments = list_segments(*dir_);
+  bool ok = true;
+  for (const auto& [seq, name] : list_segments(replica)) {
+    if (!std::binary_search(segments.begin(), segments.end(),
+                            std::make_pair(seq, name))) {
+      ok = replica.remove(name) && ok;
+    }
+  }
+  for (const auto& [seq, name] : segments) {
+    auto bytes = dir_->read(name);
+    if (!bytes) continue;
+    auto copy = replica.read(name);
+    if (!copy || !bytes->starts_with(*copy)) {
+      ok = replica.replace(name, *bytes) && ok;
+    } else if (copy->size() < bytes->size()) {
+      std::string_view missing = std::string_view(*bytes).substr(copy->size());
+      ok = replica.append(name, missing) && replica.sync(name) && ok;
+    }
+  }
+  return ok;
 }
 
 uint64_t RecordLog::current_seq() const {
@@ -226,14 +356,16 @@ LogScan scan_log(DurableDir& dir, uint64_t seq_floor,
                  const RecordLog::PayloadFn& apply) {
   LogScan result;
   result.next_seq = std::max<uint64_t>(seq_floor, 1);
-  std::vector<std::pair<uint64_t, std::string>> segments;
-  for (const std::string& name : dir.list()) {
-    auto seq = RecordLog::parse_segment_name(name);
-    if (!seq) continue;
-    result.next_seq = std::max(result.next_seq, *seq + 1);
-    if (*seq >= seq_floor) segments.emplace_back(*seq, name);
-  }
-  std::sort(segments.begin(), segments.end());
+  auto segments = list_segments(dir);
+  if (!segments.empty())
+    result.next_seq = std::max(result.next_seq, segments.back().first + 1);
+  std::erase_if(segments,
+                [&](const auto& segment) { return segment.first < seq_floor; });
+  auto counted = [&](std::string_view payload) {
+    if (!apply(payload)) return false;
+    ++result.records_applied;
+    return true;
+  };
 
   for (std::size_t i = 0; i < segments.size(); ++i) {
     const auto& [seq, name] = segments[i];
@@ -256,43 +388,18 @@ LogScan scan_log(DurableDir& dir, uint64_t seq_floor,
       return result;
     }
 
-    std::size_t offset = kHeaderLen;
-    while (offset < bytes.size()) {
-      auto stop_here = [&](bool torn) {
-        if (torn) {
-          result.torn_tail = true;
-          dir.truncate(name, offset);
-        }
-      };
-      if (bytes.size() - offset < 8) {
-        stop_here(last_segment);
-        if (!last_segment) result.error = "short frame header in " + name;
-        return result;
+    const char* why = nullptr;
+    const std::size_t end = walk_frames(bytes, counted, &why);
+    if (end < bytes.size()) {
+      // An invalid frame in the newest segment is a torn tail: cut it
+      // away durably. Anywhere earlier it is damage.
+      if (last_segment) {
+        result.torn_tail = true;
+        dir.truncate(name, end);
+      } else {
+        result.error = std::string(why) + " in " + name;
       }
-      uint32_t len = 0, crc = 0;
-      std::memcpy(&len, bytes.data() + offset, 4);
-      std::memcpy(&crc, bytes.data() + offset + 4, 4);
-      if (len > RecordLog::kMaxPayloadBytes ||
-          bytes.size() - offset - 8 < len) {
-        stop_here(last_segment);
-        if (!last_segment) result.error = "truncated record in " + name;
-        return result;
-      }
-      std::string_view payload(bytes.data() + offset + 8, len);
-      if (crc32(payload) != crc) {
-        stop_here(last_segment);
-        if (!last_segment) result.error = "crc mismatch in " + name;
-        return result;
-      }
-      if (!apply(payload)) {
-        // The frame passed its CRC but the body does not decode: treat
-        // it exactly like a torn tail — stop before applying anything.
-        stop_here(last_segment);
-        if (!last_segment) result.error = "undecodable record in " + name;
-        return result;
-      }
-      ++result.records_applied;
-      offset += 8 + len;
+      return result;
     }
   }
   return result;

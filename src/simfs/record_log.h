@@ -12,7 +12,10 @@
 // leader and syncs everything appended so far, so N concurrent writers
 // coalesce into one fsync-equivalent. A failed sync fails its whole
 // group and every commit after it until a checkpoint starts a new
-// generation: after a failed fsync nothing buffered can be trusted.
+// generation: after a failed fsync nothing buffered can be trusted. Each
+// such failure truncates the log back to the end of the last
+// acknowledged record, so no record of a failed generation can reach the
+// disk with a later sync and replay after a crash.
 //
 // Recovery. scan_log() walks segments in sequence order and stops at the
 // first invalid frame (bad length, CRC mismatch, short read, or a body
@@ -26,6 +29,10 @@
 // Lifecycle. RecordLog::open() is the one way a durable store comes up.
 // The commit rule that goes with it: a mutation whose flush_to() fails
 // is not applied.
+//
+// Shipping. ship_to() mirrors the durable files into another directory
+// (Litestream's model: the snapshot and the log segments, not a list of
+// mutations kept in memory), so open() over the copy restores the store.
 #pragma once
 
 #include <condition_variable>
@@ -102,12 +109,28 @@ class RecordLog {
   bool flush_to(uint64_t lsn);
   // True when the next append() would rotate into a new segment.
   bool full() const;
+  // True when a sync failed in this generation: every commit fails until
+  // a checkpoint starts the next one.
+  bool failed() const;
 
   // Installs a snapshot (body from `write_body`) covering everything
   // logged so far, deletes every segment and starts the next generation.
   // No append may be in flight. False, with the log untouched, if the
   // snapshot could not be installed.
   bool checkpoint(const BodyWriter& write_body);
+
+  // Hands every payload still in the log (the segments the last snapshot
+  // does not cover) to `fn`, in log order, until `fn` returns false or a
+  // frame is invalid. Repairs nothing. No append may be in flight.
+  void read_payloads(const PayloadFn& fn) const;
+
+  // Brings `replica` up to this log's durable files: the snapshot when
+  // the replica's copy differs, the segment bytes it lacks (a segment
+  // whose copy is not a prefix of ours is replaced), and no segment we
+  // have deleted. open() over `replica` then restores what this log
+  // acknowledged. False if a file could not be written. No append may be
+  // in flight.
+  bool ship_to(DurableDir& replica) const;
 
   // Sequence number of the segment currently being written.
   uint64_t current_seq() const;
@@ -120,6 +143,9 @@ class RecordLog {
  private:
   // Opens segment seq_ (header append). Caller holds mu_.
   void open_segment_locked();
+  // Cuts the log back to the end of the last acknowledged record,
+  // removing any segment rotated into since. Caller holds mu_.
+  void truncate_to_acked_locked();
 
   DurableDirPtr dir_;
   std::size_t segment_limit_;
@@ -130,7 +156,13 @@ class RecordLog {
   std::string segment_;            // current segment file name
   std::size_t segment_bytes_ = 0;  // bytes appended to current segment
   uint64_t next_lsn_ = 0;
-  uint64_t flushed_lsn_ = 0;
+  uint64_t flushed_lsn_ = 0;  // records up to it need no more flushing
+  uint64_t durable_lsn_ = 0;  // flush_to() succeeds at or below it
+  // Where the last acknowledged record ends: segment and byte offset.
+  uint64_t acked_seq_ = 0;
+  std::size_t acked_bytes_ = 0;
+  // The oldest segment replay reads: the snapshot covers those below.
+  uint64_t floor_ = 0;
   bool flush_in_progress_ = false;
   bool sync_failed_ = false;  // since the generation started
   // Segments with appended-but-unsynced bytes; the flush leader drains it.

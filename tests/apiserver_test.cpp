@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <thread>
 
 #include "apiserver/api_server.h"
@@ -194,7 +195,7 @@ TEST(UpdaterAlignment, AggregateQueriesHitResolutionLadder) {
 // background loop logs it and keeps going; the next cycle polls the
 // resource manager from the same point, so the lost upsert is redone.
 TEST(UpdaterLoop, FailedDbCommitDoesNotStopTheLoop) {
-  // Sync 1 opens the log, 2 commits the units table, 3 the first upsert.
+  // Sync 1 opens the log, 2 commits the units table, 3 the first cycle.
   auto dir = std::make_shared<ceems::testing::FlakySyncDir>(3);
   auto db = reldb::Database::open(dir);
   auto nova = std::make_shared<OpenstackAdapter>("cloud");
@@ -210,6 +211,93 @@ TEST(UpdaterLoop, FailedDbCommitDoesNotStopTheLoop) {
   while (clock->sleeper_count() == 0) std::this_thread::yield();
   updater.stop();
   EXPECT_TRUE(db->get(kUnitsTable, reldb::Value("vm-1")).has_value());
+}
+
+// Two identical 200 W VMs, updated at 10, 20, 30 and 40 min except at
+// cycle `skip`, on a units DB over `dir` (in-memory when null).
+struct TwoVmRun {
+  std::vector<double> joules;  // each VM's total_cpu_energy_joules
+  int failed_cycle = 0;        // the cycle whose commit threw; 0: none
+  std::vector<int> cycle_syncs;  // syncs of `dir` made by each cycle
+};
+
+TwoVmRun run_two_vms(std::shared_ptr<ceems::testing::FlakySyncDir> dir,
+                     int skip) {
+  const std::vector<std::string> vms = {"vm-1", "vm-2"};
+  auto store = std::make_shared<tsdb::TimeSeriesStore>();
+  for (const auto& vm : vms) {
+    metrics::InternedLabels power(
+        metrics::Labels{{"uuid", vm}}.with_name("ceems_job_power_watts"));
+    for (common::TimestampMs t = 0; t <= 40 * common::kMillisPerMinute;
+         t += 30000) {
+      append_one(*store, power, t, 200);
+    }
+  }
+  auto db = reldb::Database::open(dir);
+  auto nova = std::make_shared<OpenstackAdapter>("cloud");
+  for (const auto& vm : vms) {
+    nova->report_vm(vm, "alice", "p1", 4, 8LL << 30, "ACTIVE", 0, 0, 0);
+  }
+  auto clock = common::make_sim_clock(0);
+  Updater updater(*db, store, nullptr, {nova}, clock, UpdaterConfig{});
+  TwoVmRun run;
+  for (int cycle = 1; cycle <= 4; ++cycle) {
+    if (cycle == skip) continue;
+    clock->set(cycle * 10 * common::kMillisPerMinute);
+    const int syncs_before = dir ? dir->syncs() : 0;
+    try {
+      updater.update_once();
+    } catch (const std::runtime_error&) {
+      run.failed_cycle = cycle;
+    }
+    run.cycle_syncs.push_back((dir ? dir->syncs() : 0) - syncs_before);
+  }
+  for (const auto& vm : vms) {
+    auto row = db->get(kUnitsTable, reldb::Value(vm));
+    run.joules.push_back(row ? unit_from_row(*row).total_cpu_energy_joules
+                             : -1.0);
+  }
+  return run;
+}
+
+uint64_t bits_of(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(UpdaterLoop, EachCycleCommitsWithOneSync) {
+  TwoVmRun run = run_two_vms(std::make_shared<ceems::testing::FlakySyncDir>(0),
+                             /*skip=*/0);
+  EXPECT_EQ(run.failed_cycle, 0);
+  // Cycle 1 writes both polled VMs, cycles 2-4 both aggregated ones.
+  EXPECT_EQ(run.cycle_syncs, (std::vector<int>{1, 1, 1, 1}));
+  EXPECT_DOUBLE_EQ(run.joules[0], 200.0 * 30 * 60);
+}
+
+// A cycle whose commit fails applies none of its rows and leaves the
+// windows where they were, so the next cycle counts that window once:
+// the result is bitwise the run that skipped the failed cycle, and the
+// two identical VMs always agree.
+TEST(UpdaterLoop, FailedCommitRedoesTheCycleOnce) {
+  int setup_syncs = 0, cycle_syncs = 0;
+  {
+    auto dir = std::make_shared<ceems::testing::FlakySyncDir>(0);
+    TwoVmRun clean = run_two_vms(dir, /*skip=*/0);
+    for (int syncs : clean.cycle_syncs) cycle_syncs += syncs;
+    setup_syncs = dir->syncs() - cycle_syncs;
+  }
+  ASSERT_GE(cycle_syncs, 4);
+  for (int fail_at = setup_syncs + 1; fail_at <= setup_syncs + cycle_syncs;
+       ++fail_at) {
+    SCOPED_TRACE("failing sync " + std::to_string(fail_at));
+    TwoVmRun durable = run_two_vms(
+        std::make_shared<ceems::testing::FlakySyncDir>(fail_at), /*skip=*/0);
+    ASSERT_NE(durable.failed_cycle, 0);
+    TwoVmRun oracle = run_two_vms(nullptr, durable.failed_cycle);
+    for (std::size_t vm = 0; vm < 2; ++vm) {
+      EXPECT_EQ(bits_of(durable.joules[vm]), bits_of(oracle.joules[vm]))
+          << "vm " << vm << ": " << durable.joules[vm] << " J, oracle "
+          << oracle.joules[vm] << " J";
+    }
+    EXPECT_EQ(bits_of(durable.joules[0]), bits_of(durable.joules[1]));
+  }
 }
 
 // ---------- updater + HTTP API over a live mini-stack ----------

@@ -56,6 +56,37 @@ TEST(RecordLog, FailedSyncFailsEveryWriterInItsGroup) {
             (std::vector<std::string>{"snapshot", "wal-00000002.log"}));
 }
 
+TEST(RecordLog, FailedSyncCutsTheLogBackToTheLastAcknowledgedRecord) {
+  // Sync 1 makes the first segment durable, 2 commits "kept" and 3, the
+  // group that rotated into a second segment, fails.
+  auto dir = std::make_shared<FlakySyncDir>(3);
+  RecordLog log(dir, 1, /*segment_bytes=*/64);
+  ASSERT_TRUE(log.flush_to(log.append("kept")));
+  const std::string first = RecordLog::segment_name(1);
+  const std::string acked = *dir->read(first);
+  uint64_t lsn = 0;
+  for (const char* payload : {"lost-1", "lost-2", "lost-3", "lost-4"}) {
+    lsn = log.append(std::string(payload) + std::string(20, '.'));
+  }
+  EXPECT_GT(log.current_seq(), 1u);  // the group rotated
+  EXPECT_FALSE(log.flush_to(lsn));
+  EXPECT_TRUE(log.failed());
+  // Later commits of the failed generation are refused; none of their
+  // bytes, nor the failed group's, can reach the disk with a later sync.
+  EXPECT_FALSE(log.flush_to(log.append("refused")));
+  EXPECT_EQ(log.current_seq(), 1u);
+  EXPECT_EQ(dir->inner()->pending_bytes(first), 0u);
+  dir->inner()->crash();
+  EXPECT_EQ(dir->list(), std::vector<std::string>{first});
+  EXPECT_EQ(*dir->read(first), acked);
+  std::vector<std::string> seen;
+  scan_log(*dir, 0, [&](std::string_view payload) {
+    seen.emplace_back(payload);
+    return true;
+  });
+  EXPECT_EQ(seen, std::vector<std::string>{"kept"});
+}
+
 TEST(RecordLog, RejectedPayloadEndsScanLikeATornFrame) {
   auto dir = std::make_shared<SimDurableDir>();
   {

@@ -17,6 +17,7 @@
 #include <map>
 #include <random>
 
+#include "flaky_sync_dir.h"
 #include "reldb/database.h"
 #include "simfs/durable_dir.h"
 #include "simfs/record_log.h"
@@ -291,7 +292,7 @@ TEST(ReldbCrash, WorkloadCoversCheckpointsAndRejections) {
 }
 
 // Copies every durable file of `dir` into a fresh SimDurableDir.
-std::shared_ptr<simfs::SimDurableDir> clone(simfs::SimDurableDir& dir) {
+std::shared_ptr<simfs::SimDurableDir> clone(const simfs::DurableDir& dir) {
   auto copy = std::make_shared<simfs::SimDurableDir>();
   for (const auto& name : dir.list()) copy->replace(name, *dir.read(name));
   return copy;
@@ -299,22 +300,25 @@ std::shared_ptr<simfs::SimDurableDir> clone(simfs::SimDurableDir& dir) {
 
 
 // The seed's workload without big values (no auto-checkpoint), then one
-// final upsert whose record is the last in the newest segment. Fills
-// `before`/`after` with the oracle dumps around it and the segment's
-// size around it.
+// final commit whose record is the last in the newest segment: one
+// upsert, or with `batch` a batch of upserts and an erase across two
+// tables. Fills `before`/`after` with the oracle dumps around it and the
+// segment's size around it.
 struct TornFixture {
   std::string before, after;
   std::string segment;
   std::size_t size_before = 0, size_after = 0;
 };
 
-TornFixture run_to_last_record(uint64_t seed, simfs::DurableDirPtr dir) {
+TornFixture run_to_last_record(uint64_t seed, simfs::DurableDirPtr dir,
+                               bool batch) {
   TornFixture fx;
   auto db = Database::open(dir);
   Database oracle;
   run_workload(seed, /*big_values=*/false, *db, oracle);
   for (Database* target : {db.get(), &oracle}) {
     target->create_table("units", schema_for("units"));
+    target->create_table("users", schema_for("users"));
   }
   fx.before = dump(oracle);
   fx.segment = newest_segment(*dir);
@@ -322,8 +326,22 @@ TornFixture run_to_last_record(uint64_t seed, simfs::DurableDirPtr dir) {
   const Row last = {Value(5), Value(std::string("last\0row", 8)),
                     Value(std::numeric_limits<double>::quiet_NaN()),
                     Value(std::numeric_limits<int64_t>::min())};
-  db->upsert("units", last);
-  oracle.upsert("units", last);
+  std::vector<WalEntry> entries(1);
+  entries[0] = {.op = WalEntry::Op::kUpsert, .table = "units", .row = last};
+  if (batch) {
+    entries.resize(4);
+    entries[1] = {.op = WalEntry::Op::kUpsert,
+                  .table = "users",
+                  .row = {Value("user3"), Value("batch"), Value(-0.0),
+                          Value(int64_t{7})}};
+    entries[2] = {.op = WalEntry::Op::kErase,
+                  .table = "units",
+                  .primary_key = Value(int64_t{2})};
+    entries[3] = entries[1];
+    entries[3].row[0] = Value("user11");
+  }
+  db->commit(entries);
+  oracle.commit(entries);
   fx.after = dump(oracle);
   EXPECT_EQ(newest_segment(*dir), fx.segment);
   fx.size_after = dir->read(fx.segment)->size();
@@ -333,18 +351,143 @@ TornFixture run_to_last_record(uint64_t seed, simfs::DurableDirPtr dir) {
 
 TEST(ReldbCrash, TornLastRecordAtEveryOffsetRecoversPrefix) {
   for (uint64_t seed : {3u, 11u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    auto dir = std::make_shared<simfs::SimDurableDir>();
-    TornFixture fx = run_to_last_record(seed, dir);
-    for (std::size_t cut = fx.size_before; cut <= fx.size_after; ++cut) {
-      auto copy = clone(*dir);
-      copy->truncate_durable(fx.segment, cut);
-      const std::string& expected =
-          cut == fx.size_after ? fx.after : fx.before;
-      EXPECT_EQ(dump(*Database::open(copy)), expected) << "cut " << cut;
-      // The repaired log reopens to the same state.
-      EXPECT_EQ(dump(*Database::open(copy)), expected) << "cut " << cut;
+    for (bool batch : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + (batch ? " batch" : ""));
+      auto dir = std::make_shared<simfs::SimDurableDir>();
+      TornFixture fx = run_to_last_record(seed, dir, batch);
+      for (std::size_t cut = fx.size_before; cut <= fx.size_after; ++cut) {
+        auto copy = clone(*dir);
+        copy->truncate_durable(fx.segment, cut);
+        const std::string& expected =
+            cut == fx.size_after ? fx.after : fx.before;
+        EXPECT_EQ(dump(*Database::open(copy)), expected) << "cut " << cut;
+        // The repaired log reopens to the same state.
+        EXPECT_EQ(dump(*Database::open(copy)), expected) << "cut " << cut;
+      }
     }
+  }
+}
+
+// ---------- log shipping (backup_to) ----------
+
+std::map<std::string, std::string> contents(const simfs::DurableDir& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& name : dir.list()) files[name] = *dir.read(name);
+  return files;
+}
+
+// Ships `db` into `replica` and opens a copy of the replica: it must
+// equal `db` table for table and in last_seq. A second ship adds nothing.
+void expect_shipped(const Database& db, simfs::DurableDir& replica) {
+  ASSERT_TRUE(db.backup_to(replica));
+  auto restored = Database::open(clone(replica));
+  EXPECT_EQ(dump(*restored), dump(db));
+  EXPECT_EQ(restored->last_seq(), db.last_seq());
+  const auto files = contents(replica);
+  ASSERT_TRUE(db.backup_to(replica));
+  EXPECT_EQ(contents(replica), files);
+}
+
+uint64_t newest_seq(const simfs::DurableDir& dir) {
+  return simfs::RecordLog::parse_segment_name(newest_segment(dir)).value_or(0);
+}
+
+// Random mutations shipped in rounds, across an explicit checkpoint()
+// and an auto-checkpoint; after each round a copy of the replica opens
+// to the primary.
+void check_log_shipping(simfs::DurableDirPtr primary,
+                        simfs::DurableDirPtr replica) {
+  auto db = Database::open(primary);
+  for (const auto& table : kTables) db->create_table(table, schema_for(table));
+  std::mt19937_64 rng(21);
+  auto mutate = [&](int count) {
+    for (int i = 0; i < count; ++i)
+      apply(*db, random_mutation(rng, /*big_values=*/false));
+  };
+  mutate(30);
+  expect_shipped(*db, *replica);
+  mutate(30);
+  expect_shipped(*db, *replica);
+
+  ASSERT_TRUE(db->checkpoint());
+  mutate(30);
+  expect_shipped(*db, *replica);
+
+  // Six 1 MiB rows fill the 4 MiB segment: the log checkpoints itself.
+  const uint64_t before_auto = newest_seq(*primary);
+  for (int i = 0; i < 6; ++i) {
+    std::string big(1u << 20, static_cast<char>('a' + i));
+    db->upsert("units", {Value(int64_t{i}), Value(std::move(big)), Value(1.0),
+                         Value(int64_t{i})});
+  }
+  EXPECT_GT(newest_seq(*primary), before_auto);
+  mutate(10);
+  expect_shipped(*db, *replica);
+  EXPECT_EQ(replica->list(), primary->list());
+}
+
+TEST(ReldbReplica, ShipsTheLogAcrossCheckpoints) {
+  auto primary = std::make_shared<simfs::SimDurableDir>();
+  auto replica = std::make_shared<ceems::testing::FlakySyncDir>(0);
+  check_log_shipping(primary, replica);
+
+  // Calling it again ships only the new bytes: one append to the live
+  // segment and its sync, no replaced file.
+  auto db = Database::open(primary);
+  auto upsert = [&](int64_t key) {
+    db->upsert("units", {Value(key), Value("new"), Value(4.0), Value(key)});
+  };
+  upsert(40);
+  ASSERT_TRUE(db->backup_to(*replica));
+  const int syncs = replica->syncs();
+  const uint64_t writes = replica->inner()->sync_count();  // + replaces
+  upsert(41);
+  ASSERT_TRUE(db->backup_to(*replica));
+  EXPECT_EQ(replica->syncs(), syncs + 1);
+  EXPECT_EQ(replica->inner()->sync_count(), writes + 1);
+  EXPECT_EQ(contents(*replica), contents(*primary));
+}
+
+// A record whose sync failed, in a generation whose checkpoint failed
+// too, reaches neither a replica nor the primary's disk, whether or not
+// the failed write itself did.
+void check_failed_record_never_ships(bool failed_sync_persists) {
+  SCOPED_TRACE(failed_sync_persists ? "failed sync persisted"
+                                    : "failed sync lost");
+  // Sync 1 opens the log, 2 creates the table, 3 commits the first row
+  // and 4, the second row's, fails. The checkpoint the third commit
+  // starts with fails too (the first replace), so that commit is
+  // refused in the same failed generation.
+  auto dir = std::make_shared<ceems::testing::FlakySyncDir>(
+      4, 1, failed_sync_persists);
+  auto db = Database::open(dir);
+  db->create_table("units", schema_for("units"));
+  auto row = [](int64_t key) {
+    return Row{Value(key), Value("row"), Value(1.0), Value(key)};
+  };
+  db->upsert("units", row(1));
+  EXPECT_THROW(db->upsert("units", row(2)), std::runtime_error);
+  EXPECT_THROW(db->upsert("units", row(3)), std::runtime_error);
+
+  auto replica = std::make_shared<simfs::SimDurableDir>();
+  expect_shipped(*db, *replica);
+  auto restored = Database::open(clone(*replica));
+  EXPECT_TRUE(restored->get("units", Value(int64_t{1})).has_value());
+  EXPECT_FALSE(restored->get("units", Value(int64_t{2})).has_value());
+  EXPECT_FALSE(restored->get("units", Value(int64_t{3})).has_value());
+  // Nor does it reach the primary's own disk.
+  dir->inner()->crash();
+  EXPECT_EQ(dump(*Database::open(clone(*dir->inner()))), dump(*db));
+
+  // The next checkpoint succeeds, and commits and shipping resume.
+  db->upsert("units", row(4));
+  expect_shipped(*db, *replica);
+  EXPECT_EQ(db->table_size("units"), 2u);
+}
+
+TEST(ReldbReplica, RecordOfAFailedSyncNeverShips) {
+  for (bool persists : {false, true}) {
+    check_failed_record_never_ships(persists);
   }
 }
 
@@ -375,10 +518,21 @@ TEST(ReldbRealFs, CheckpointAndReopenMatchOracle) {
   std::filesystem::remove_all(root);
 }
 
-TEST(ReldbRealFs, TornLastRecordIsRepairedAtEveryOffset) {
+TEST(ReldbRealFs, ShipsTheLogAcrossCheckpoints) {
+  const std::string primary = fresh_dir("ship_primary");
+  const std::string replica = fresh_dir("ship_replica");
+  check_log_shipping(std::make_shared<simfs::RealDurableDir>(primary),
+                     std::make_shared<simfs::RealDurableDir>(replica));
+  std::filesystem::remove_all(primary);
+  std::filesystem::remove_all(replica);
+}
+
+// The last record torn on the host filesystem at every offset.
+void check_torn_last_record_on_real_fs(bool batch) {
+  SCOPED_TRACE(batch ? "batch" : "one upsert");
   const std::string root = fresh_dir("torn");
-  TornFixture fx =
-      run_to_last_record(13, std::make_shared<simfs::RealDurableDir>(root));
+  TornFixture fx = run_to_last_record(
+      13, std::make_shared<simfs::RealDurableDir>(root), batch);
   std::map<std::string, std::string> files;
   {
     simfs::RealDurableDir dir(root);
@@ -406,6 +560,12 @@ TEST(ReldbRealFs, TornLastRecordIsRepairedAtEveryOffset) {
         << "cut " << cut;
   }
   std::filesystem::remove_all(root);
+}
+
+TEST(ReldbRealFs, TornLastRecordIsRepairedAtEveryOffset) {
+  for (bool batch : {false, true}) {
+    check_torn_last_record_on_real_fs(batch);
+  }
 }
 
 }  // namespace

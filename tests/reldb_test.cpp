@@ -418,12 +418,86 @@ TEST(Database, RejectedMutationIsNeverLogged) {
   EXPECT_THROW(db->create_table("bad", Schema{{{"a", ColumnType::kInt}}, "b"}),
                std::invalid_argument);
   EXPECT_FALSE(db->erase("jobs", Value(7)));  // absent key: nothing to log
+  // One misfit entry refuses the whole batch, the entries that fit too.
+  std::vector<WalEntry> batch(3);
+  batch[0] = {.op = WalEntry::Op::kUpsert,
+              .table = "jobs",
+              .row = {Value(3), Value("c"), Value(3.0)}};
+  batch[1] = {.op = WalEntry::Op::kErase, .table = "jobs",
+              .primary_key = Value(1)};
+  batch[2] = {.op = WalEntry::Op::kUpsert,
+              .table = "jobs",
+              .row = {Value(4), Value("d")}};
+  EXPECT_THROW(db->commit(batch), std::invalid_argument);
+  EXPECT_FALSE(db->get("jobs", Value(3)).has_value());
+  EXPECT_TRUE(db->get("jobs", Value(1)).has_value());
 
   EXPECT_EQ(files(), before);
   EXPECT_EQ(dir->pending_bytes(simfs::RecordLog::segment_name(1)), 0u);
   EXPECT_EQ(dir->sync_count(), syncs);
   EXPECT_EQ(db->last_seq(), 2u);
   EXPECT_FALSE(db->has_table("bad"));
+}
+
+TEST(Database, BatchIsCheckedAsItsEntriesLeaveTheTables) {
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  auto db = Database::open(dir);
+  std::vector<WalEntry> batch(4);
+  batch[0] = {.op = WalEntry::Op::kCreateTable,
+              .table = "jobs",
+              .schema = jobs_schema()};
+  batch[1] = {.op = WalEntry::Op::kUpsert,
+              .table = "jobs",
+              .row = {Value(1), Value("a"), Value(1.0)}};
+  batch[2] = {.op = WalEntry::Op::kUpsert,
+              .table = "jobs",
+              .row = {Value(2), Value("b"), Value(2.0)}};
+  batch[3] = {.op = WalEntry::Op::kErase, .table = "jobs",
+              .primary_key = Value(1)};
+  const uint64_t syncs = dir->sync_count();
+  db->commit(batch);
+  EXPECT_EQ(dir->sync_count(), syncs + 1);
+  EXPECT_EQ(db->last_seq(), 4u);
+  EXPECT_EQ(db->table_size("jobs"), 1u);
+  // One record in the log, with one seq per entry.
+  std::vector<uint64_t> seqs;
+  for (const auto& entry : db->entries_since(1)) seqs.push_back(entry.seq);
+  EXPECT_EQ(seqs, (std::vector<uint64_t>{2, 3, 4}));
+  // A table the batch itself creates twice does not fit.
+  std::vector<WalEntry> twice(2, batch[0]);
+  twice[0].table = twice[1].table = "other";
+  EXPECT_THROW(db->commit(twice), std::invalid_argument);
+  EXPECT_THROW(db->commit({batch[0]}), std::invalid_argument);
+  EXPECT_FALSE(db->has_table("other"));
+
+  auto reopened = Database::open(dir);
+  EXPECT_EQ(reopened->last_seq(), 4u);
+  EXPECT_EQ(reopened->table_size("jobs"), 1u);
+  EXPECT_TRUE(reopened->get("jobs", Value(2)).has_value());
+}
+
+TEST(Database, ReplayAppliesARecordWholeOrNotAtAll) {
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  Database::open(dir)->create_table("jobs", jobs_schema());
+  // A record whose frame is intact but whose second entry does not fit.
+  std::string payload;
+  encode_entry({.seq = 2,
+                .op = WalEntry::Op::kUpsert,
+                .table = "jobs",
+                .row = {Value(1), Value("a"), Value(1.0)}},
+               payload);
+  encode_entry({.seq = 3,
+                .op = WalEntry::Op::kUpsert,
+                .table = "nope",
+                .row = {Value(1)}},
+               payload);
+  {
+    simfs::RecordLog log(dir, 2);
+    ASSERT_TRUE(log.flush_to(log.append(payload)));
+  }
+  auto reopened = Database::open(dir);
+  EXPECT_EQ(reopened->table_size("jobs"), 0u);
+  EXPECT_EQ(reopened->last_seq(), 1u);
 }
 
 TEST(Database, FailedSyncIsNotAppliedAndNeverReplays) {
@@ -472,22 +546,6 @@ TEST(Database, AutoCheckpointKeepsOneSegment) {
   EXPECT_EQ(reopened->last_seq(), db->last_seq());
   EXPECT_EQ((*reopened->get("jobs", Value(3)))[1].as_text(),
             std::string(1u << 20, 'a' + 23));
-}
-
-TEST(Database, ReplicatorShipsIncrementally) {
-  Database primary, replica;
-  Replicator replicator(primary, replica);
-  primary.create_table("jobs", jobs_schema());
-  primary.upsert("jobs", {Value(1), Value("a"), Value(1.0)});
-  EXPECT_EQ(replicator.sync(), 2u);  // create + upsert
-  EXPECT_EQ(replica.table_size("jobs"), 1u);
-
-  primary.upsert("jobs", {Value(2), Value("b"), Value(2.0)});
-  primary.erase("jobs", Value(1));
-  EXPECT_EQ(replicator.sync(), 2u);
-  EXPECT_EQ(replicator.sync(), 0u);  // idempotent
-  EXPECT_EQ(replica.table_size("jobs"), 1u);
-  EXPECT_TRUE(replica.get("jobs", Value(2)).has_value());
 }
 
 TEST(Database, ConcurrentReadersWithSingleWriter) {

@@ -558,6 +558,50 @@ TEST(DurableTsdb, FailedSyncAppliesNoPurgeOrDelete) {
   EXPECT_EQ(store->stats().num_samples, 2u);
 }
 
+// A failed sync leaves nothing of its generation on disk, whether or not
+// the failed write reached it, nor for a later sync to make durable:
+// after a crash before any checkpoint, the reopened store holds exactly
+// the acknowledged batches.
+void check_failed_generation_never_replays(bool failed_sync_persists) {
+  SCOPED_TRACE(failed_sync_persists ? "failed sync persisted"
+                                    : "failed sync lost");
+  // Sync 2 commits the first batch; sync 3, the second's, fails.
+  auto dir =
+      std::make_shared<testing::FlakySyncDir>(3, 0, failed_sync_persists);
+  TimeSeriesStore oracle;
+  {
+    auto store = std::make_shared<TimeSeriesStore>();
+    DurableTsdb durable(store, dir);
+    durable.open();
+    auto one = InternedLabels(Labels{{"uuid", "1"}}.with_name("m"));
+    auto two = InternedLabels(Labels{{"uuid", "2"}}.with_name("m"));
+    auto three = InternedLabels(Labels{{"uuid", "3"}}.with_name("m"));
+    std::vector<SampleRef> acked = {{&one, 1000, 1.0}, {&two, 1000, 2.0}};
+    ASSERT_EQ(store->append_refs(acked.data(), acked.size()), 2u);
+    oracle.append_refs(acked.data(), acked.size());
+    // The failed batch defines a series the later ones refer to.
+    std::vector<SampleRef> failed = {{&one, 2000, 3.0}, {&three, 2000, 4.0}};
+    EXPECT_EQ(store->append_refs(failed.data(), failed.size()), 0u);
+    std::vector<SampleRef> later = {{&three, 3000, 5.0}, {&two, 3000, 6.0}};
+    EXPECT_EQ(store->append_refs(later.data(), later.size()), 0u);
+    EXPECT_EQ(store->purge_before(1500), 0u);
+    ASSERT_EQ(digest(*store), digest(oracle));
+  }
+  dir->inner()->crash();
+
+  auto store = std::make_shared<TimeSeriesStore>();
+  DurableTsdb durable(store, dir->inner());
+  auto result = durable.open();
+  EXPECT_TRUE(result.replay.error.empty()) << result.replay.error;
+  EXPECT_EQ(digest(*store), digest(oracle));
+}
+
+TEST(DurableTsdb, FailedGenerationNeverReplaysAfterCrash) {
+  for (bool persists : {false, true}) {
+    check_failed_generation_never_replays(persists);
+  }
+}
+
 TEST(WalRealFs, CheckpointAndReopenMatchOracle) {
   const std::string root = fresh_dir("reopen");
   RealFsWorkload workload;

@@ -72,6 +72,10 @@ GUARDED_COUNTERS = {
     # appends multiplies wal_groups_per_pass by about 70.
     "wal_groups_per_pass": 0.01,
     "rule_samples_per_pass": 0.01,
+    # Updater cycle on a durable units DB (BM_updater_cycle_db): a cycle
+    # is one batch, one log record and one sync. Exact, gated at 1%;
+    # per-row commits would multiply it by the rows per cycle.
+    "db_syncs_per_cycle": 0.01,
 }
 
 
