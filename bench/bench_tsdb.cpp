@@ -651,17 +651,26 @@ struct RuleFleet {
   }
 };
 
-// One full rule pass (Eq. 1 library + eBPF refinement + shipped alerts)
-// over a WAL-backed hot store on SimDurableDir. Each rule commits one
-// batch, so wal_groups_per_pass counts the rules that wrote anything
-// (per-sample appends would make it rule_samples_per_pass), and
-// rule_samples_per_pass pins the work each pass does.
-void BM_rule_pass_wal(benchmark::State& state) {
+// Per-pass totals of one rule-pass benchmark run.
+struct RulePassCounts {
+  uint64_t wal_groups = 0;
+  uint64_t wal_records = 0;
+  uint64_t samples = 0;
+  uint64_t passes = 0;
+};
+
+// Times full rule passes (Eq. 1 library + eBPF refinement + shipped
+// alerts) over a WAL-backed hot store on SimDurableDir, with the rule
+// engine on `pool` (nullptr: inline).
+RulePassCounts time_rule_passes(benchmark::State& state,
+                                std::shared_ptr<common::ThreadPool> pool) {
   auto store = std::make_shared<TimeSeriesStore>();
   auto dir = std::make_shared<simfs::SimDurableDir>();
   tsdb::DurableTsdb durable(store, dir);
   durable.open();
-  tsdb::RuleEngine rules(store);
+  tsdb::promql::EngineOptions options;
+  options.pool = std::move(pool);
+  tsdb::RuleEngine rules(store, options);
   for (auto& group : core::jean_zay_rule_groups()) rules.add_group(group);
   for (auto& group : core::ebpf_network_rules()) rules.add_group(group);
   for (auto& group : core::ceems_alert_rules()) rules.add_group(group);
@@ -673,29 +682,52 @@ void BM_rule_pass_wal(benchmark::State& state) {
     rules.evaluate_all(int64_t{pass} * 30000);
   }
 
-  uint64_t groups = 0;
-  uint64_t samples = 0;
-  uint64_t passes = 0;
+  RulePassCounts counts;
   for (auto _ : state) {
     state.PauseTiming();
     fleet.scrape(*store, pass);
-    uint64_t groups_before = durable.wal().stats().groups;
+    tsdb::WalStats before = durable.wal().stats();
     state.ResumeTiming();
     tsdb::RuleEvalStats stats = rules.evaluate_all(int64_t{pass} * 30000);
     benchmark::DoNotOptimize(stats);
     state.PauseTiming();
-    groups += durable.wal().stats().groups - groups_before;
-    samples += stats.samples_written;
-    ++passes;
+    counts.wal_groups += durable.wal().stats().groups - before.groups;
+    counts.wal_records += durable.wal().stats().records - before.records;
+    counts.samples += stats.samples_written;
+    ++counts.passes;
     ++pass;
     state.ResumeTiming();
   }
-  state.counters["wal_groups_per_pass"] =
-      static_cast<double>(groups) / static_cast<double>(passes);
-  state.counters["rule_samples_per_pass"] =
-      static_cast<double>(samples) / static_cast<double>(passes);
+  return counts;
+}
+
+double per_pass(uint64_t total, const RulePassCounts& counts) {
+  return static_cast<double>(total) / static_cast<double>(counts.passes);
+}
+
+// The inline pass. Each rule commits one batch, so wal_groups_per_pass
+// counts the rules that wrote anything (per-sample appends would make it
+// rule_samples_per_pass), and rule_samples_per_pass pins the work each
+// pass does.
+void BM_rule_pass_wal(benchmark::State& state) {
+  RulePassCounts counts = time_rule_passes(state, nullptr);
+  state.counters["wal_groups_per_pass"] = per_pass(counts.wal_groups, counts);
+  state.counters["rule_samples_per_pass"] = per_pass(counts.samples, counts);
 }
 BENCHMARK(BM_rule_pass_wal)->Unit(benchmark::kMillisecond);
+
+// The same pass as a conflict graph on a 4-thread pool. Concurrent rule
+// batches may share a WAL group commit, so the exact counter is
+// wal_records_per_pass (one record per rule that wrote anything);
+// rule_samples_per_pass must equal BM_rule_pass_wal's.
+void BM_rule_pass_graph(benchmark::State& state) {
+  RulePassCounts counts = time_rule_passes(
+      state, std::make_shared<common::ThreadPool>(4, "rules"));
+  state.counters["wal_records_per_pass"] =
+      per_pass(counts.wal_records, counts);
+  state.counters["rule_samples_per_pass"] = per_pass(counts.samples, counts);
+}
+BENCHMARK(BM_rule_pass_graph)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // One API-server updater cycle on a durable units DB (SimDurableDir):
 // 256 running units aggregated over a hot store with their power series.

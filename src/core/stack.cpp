@@ -1,5 +1,8 @@
 #include "core/stack.h"
 
+#include <algorithm>
+#include <thread>
+
 #include "common/logging.h"
 
 namespace ceems::core {
@@ -94,7 +97,13 @@ CeemsStack::CeemsStack(slurm::ClusterSim& sim, StackConfig config)
   }
 
   // --- recording rules ---
-  rules_ = std::make_unique<tsdb::RuleEngine>(hot_store_);
+  // The rule pass runs as a conflict graph on its own pool. The shipped
+  // library's critical path is about a fifth of its serial work, so more
+  // than four workers buy little, and each one adds a malloc arena.
+  tsdb::promql::EngineOptions rule_options;
+  rule_options.pool = std::make_shared<common::ThreadPool>(
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u), "rules");
+  rules_ = std::make_unique<tsdb::RuleEngine>(hot_store_, rule_options);
   for (auto& group :
        jean_zay_rule_groups(config_.rate_window, config_.emission_provider)) {
     rules_->add_group(std::move(group));

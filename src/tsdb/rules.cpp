@@ -1,5 +1,7 @@
 #include "tsdb/rules.h"
 
+#include <algorithm>
+#include <condition_variable>
 #include <set>
 
 #include "common/logging.h"
@@ -9,6 +11,8 @@ namespace ceems::tsdb {
 
 namespace {
 
+constexpr std::string_view kAlertsMetric = "ALERTS";
+
 // One rule's output, written as a single append_refs batch, so a
 // WAL-backed store logs one record per rule. Refs are built at commit,
 // once every label set is in place and the vector no longer moves.
@@ -17,6 +21,23 @@ class OutputBatch {
   void add(const Labels& labels, double value) {
     labels_.emplace_back(labels);
     values_.push_back(value);
+  }
+
+  // True when two samples share a label set: one append_refs batch would
+  // keep only the later one.
+  bool has_duplicate_labels() const {
+    std::vector<const metrics::InternedLabels*> sorted;
+    sorted.reserve(labels_.size());
+    for (const auto& labels : labels_) sorted.push_back(&labels);
+    std::sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) {
+      return a->fingerprint() != b->fingerprint()
+                 ? a->fingerprint() < b->fingerprint()
+                 : a->pairs() < b->pairs();
+    });
+    return std::adjacent_find(sorted.begin(), sorted.end(),
+                              [](const auto* a, const auto* b) {
+                                return *a == *b;
+                              }) != sorted.end();
   }
 
   // Returns the samples the store accepted.
@@ -34,28 +55,84 @@ class OutputBatch {
   std::vector<double> values_;
 };
 
+// Appends the metric names `expr`'s selectors read to `reads`. Returns
+// false if some selector has no fixed name (a regex or absent __name__).
+bool collect_reads(const promql::ExprPtr& expr,
+                   std::vector<std::string>& reads) {
+  if (!expr) return true;
+  bool fixed = true;
+  if (expr->kind == promql::Expr::Kind::kVectorSelector ||
+      expr->kind == promql::Expr::Kind::kMatrixSelector) {
+    std::string name = expr->metric_name;
+    for (const auto& matcher : expr->matchers) {
+      if (name.empty() && matcher.name == metrics::kMetricNameLabel &&
+          matcher.op == metrics::LabelMatcher::Op::kEq) {
+        name = matcher.value;
+      }
+    }
+    if (name.empty()) {
+      fixed = false;
+    } else {
+      reads.push_back(std::move(name));
+    }
+  }
+  fixed = collect_reads(expr->lhs, reads) && fixed;
+  fixed = collect_reads(expr->rhs, reads) && fixed;
+  fixed = collect_reads(expr->agg_expr, reads) && fixed;
+  fixed = collect_reads(expr->agg_param, reads) && fixed;
+  for (const auto& arg : expr->args) fixed = collect_reads(arg, reads) && fixed;
+  return fixed;
+}
+
 }  // namespace
 
 RuleEngine::RuleEngine(StorePtr store, promql::EngineOptions options)
-    : store_(std::move(store)), engine_(options) {}
+    : store_(std::move(store)), engine_(options), pool_(options.pool) {}
 
 void RuleEngine::add_group(RuleGroup group) {
-  for (auto& rule : group.rules) {
-    if (!metrics::is_valid_metric_name(rule.record))
-      throw promql::ParseError("invalid record name: " + rule.record);
+  // Declaration order within a group: alerts, then recording rules.
+  std::vector<RuleNode> added;
+  auto add = [&](auto& rule, std::string writes) {
     rule.parsed = promql::parse(rule.expr);
-  }
+    RuleNode node;
+    node.reads_any = !collect_reads(rule.parsed, node.reads);
+    node.writes = std::move(writes);
+    node.rule = std::move(rule);
+    added.push_back(std::move(node));
+  };
   for (auto& rule : group.alerts) {
     if (rule.alert.empty())
       throw promql::ParseError("alerting rule without a name");
-    rule.parsed = promql::parse(rule.expr);
+    add(rule, std::string(kAlertsMetric));
   }
+  for (auto& rule : group.rules) {
+    if (!metrics::is_valid_metric_name(rule.record))
+      throw promql::ParseError("invalid record name: " + rule.record);
+    add(rule, rule.record);
+  }
+
+  auto reads = [](const RuleNode& node, const std::string& name) {
+    return node.reads_any || std::find(node.reads.begin(), node.reads.end(),
+                                       name) != node.reads.end();
+  };
   std::lock_guard lock(eval_mu_);
-  groups_.push_back(std::move(group));
-  last_eval_.push_back(-1);
+  for (auto& node : added) {
+    node.group = groups_.size();
+    const std::size_t index = nodes_.size();
+    for (auto& earlier : nodes_) {
+      // Read-after-write, write-after-read, write-after-write.
+      if (reads(node, earlier.writes) || reads(earlier, node.writes) ||
+          earlier.writes == node.writes) {
+        earlier.successors.push_back(index);
+      }
+    }
+    nodes_.push_back(std::move(node));
+  }
+  groups_.push_back({group.interval_ms});
 }
 
 void RuleEngine::evaluate_alert(const AlertingRule& rule,
+                                std::map<uint64_t, ActiveAlert>& active,
                                 common::TimestampMs t, RuleEvalStats& stats) {
   promql::Value value;
   try {
@@ -82,8 +159,8 @@ void RuleEngine::evaluate_alert(const AlertingRule& rule,
     }
     uint64_t key = labels.fingerprint();
     seen.insert(key);
-    auto it = active_.find(key);
-    if (it == active_.end()) {
+    auto it = active.find(key);
+    if (it == active.end()) {
       ActiveAlert alert;
       alert.name = rule.alert;
       alert.labels = labels;
@@ -91,7 +168,7 @@ void RuleEngine::evaluate_alert(const AlertingRule& rule,
       alert.value = sample.value;
       alert.state = rule.for_ms == 0 ? AlertState::kFiring
                                      : AlertState::kPending;
-      it = active_.emplace(key, std::move(alert)).first;
+      it = active.emplace(key, std::move(alert)).first;
     }
     ActiveAlert& alert = it->second;
     alert.value = sample.value;
@@ -100,25 +177,26 @@ void RuleEngine::evaluate_alert(const AlertingRule& rule,
       alert.state = AlertState::kFiring;
     }
     if (alert.state == AlertState::kFiring) {
-      alerts.add(alert.labels.with("alertstate", "firing").with_name("ALERTS"),
-                 1);
+      alerts.add(
+          alert.labels.with("alertstate", "firing").with_name(kAlertsMetric),
+          1);
       ++stats.alerts_firing;
     } else {
       ++stats.alerts_pending;
     }
   }
-  // Resolve instances of this alert that stopped matching. An instance
-  // that was firing wrote ALERTS samples; end that series with a staleness
-  // marker so instant queries drop it immediately instead of it lingering
-  // for a full lookback window after resolution.
-  for (auto it = active_.begin(); it != active_.end();) {
-    if (it->second.name == rule.alert && !seen.count(it->first)) {
+  // Resolve instances that stopped matching. An instance that was firing
+  // wrote ALERTS samples; end that series with a staleness marker so
+  // instant queries drop it immediately instead of it lingering for a
+  // full lookback window after resolution.
+  for (auto it = active.begin(); it != active.end();) {
+    if (!seen.count(it->first)) {
       if (it->second.state == AlertState::kFiring) {
         alerts.add(it->second.labels.with("alertstate", "firing")
-                       .with_name("ALERTS"),
+                       .with_name(kAlertsMetric),
                    metrics::stale_marker());
       }
-      it = active_.erase(it);
+      it = active.erase(it);
     } else {
       ++it;
     }
@@ -126,77 +204,137 @@ void RuleEngine::evaluate_alert(const AlertingRule& rule,
   alerts.commit(*store_, t);
 }
 
-RuleEvalStats RuleEngine::evaluate_group(RuleGroup& group,
-                                         common::TimestampMs t) {
-  RuleEvalStats stats;
-  for (const auto& alert_rule : group.alerts) {
-    ++stats.rules_evaluated;
-    evaluate_alert(alert_rule, t, stats);
-  }
-  for (const auto& rule : group.rules) {
-    ++stats.rules_evaluated;
-    try {
-      promql::Value value = engine_.eval(*store_, rule.parsed, t);
-      if (value.kind != promql::Value::Kind::kVector) {
-        CEEMS_LOG_WARN("rules")
-            << "rule " << rule.record << " did not yield a vector";
-        ++stats.rule_failures;
-        continue;
-      }
-      OutputBatch output;
-      for (const auto& sample : value.vector) {
-        Labels labels = sample.labels.with_name(rule.record);
-        for (const auto& [name, label_value] : rule.static_labels) {
-          labels = labels.with(name, label_value);
-        }
-        output.add(labels, sample.value);
-      }
-      stats.samples_written += output.commit(*store_, t);
-    } catch (const std::exception& e) {
+void RuleEngine::evaluate_record(const RecordingRule& rule,
+                                 common::TimestampMs t, RuleEvalStats& stats) {
+  try {
+    promql::Value value = engine_.eval(*store_, rule.parsed, t);
+    if (value.kind != promql::Value::Kind::kVector) {
+      CEEMS_LOG_WARN("rules")
+          << "rule " << rule.record << " did not yield a vector";
       ++stats.rule_failures;
-      CEEMS_LOG_WARN("rules") << "rule " << rule.record << ": " << e.what();
+      return;
     }
+    OutputBatch output;
+    for (const auto& sample : value.vector) {
+      Labels labels = sample.labels.with_name(rule.record);
+      for (const auto& [name, label_value] : rule.static_labels) {
+        labels = labels.with(name, label_value);
+      }
+      output.add(labels, sample.value);
+    }
+    if (output.has_duplicate_labels()) {
+      CEEMS_LOG_WARN("rules") << "rule " << rule.record
+                              << ": vector contains metrics with the same "
+                                 "labelset after applying rule labels";
+      ++stats.rule_failures;
+      return;
+    }
+    stats.samples_written += output.commit(*store_, t);
+  } catch (const std::exception& e) {
+    ++stats.rule_failures;
+    CEEMS_LOG_WARN("rules") << "rule " << rule.record << ": " << e.what();
+  }
+}
+
+RuleEvalStats RuleEngine::evaluate_node(RuleNode& node,
+                                        common::TimestampMs t) {
+  RuleEvalStats stats;
+  ++stats.rules_evaluated;
+  if (auto* alert = std::get_if<AlertingRule>(&node.rule)) {
+    evaluate_alert(*alert, node.active, t, stats);
+  } else {
+    evaluate_record(std::get<RecordingRule>(node.rule), t, stats);
   }
   return stats;
 }
 
-RuleEvalStats RuleEngine::evaluate_due(common::TimestampMs t) {
-  RuleEvalStats total;
+RuleEvalStats RuleEngine::run_pass(common::TimestampMs t, bool only_due) {
   std::lock_guard lock(eval_mu_);
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    if (last_eval_[i] >= 0 && t - last_eval_[i] < groups_[i].interval_ms)
+  std::vector<char> due(nodes_.size(), 0);
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    GroupSchedule& group = groups_[g];
+    if (only_due && group.last_eval >= 0 &&
+        t - group.last_eval < group.interval_ms) {
       continue;
-    last_eval_[i] = t;
-    RuleEvalStats stats = evaluate_group(groups_[i], t);
-    total.rules_evaluated += stats.rules_evaluated;
-    total.samples_written += stats.samples_written;
-    total.rule_failures += stats.rule_failures;
-    total.alerts_firing += stats.alerts_firing;
-    total.alerts_pending += stats.alerts_pending;
+    }
+    group.last_eval = t;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (nodes_[i].group == g) due[i] = 1;
+    }
   }
+
+  std::vector<RuleEvalStats> node_stats(nodes_.size());
+  if (!pool_) {
+    // Every edge points forward, so declaration order is a topological
+    // order of the graph.
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (due[i]) node_stats[i] = evaluate_node(nodes_[i], t);
+    }
+  } else {
+    // This thread dispatches: a node is submitted once all its due
+    // predecessors have finished. Workers only evaluate and report back,
+    // so the pool may be shared and never blocks on its own tasks.
+    struct Finished {
+      std::mutex mu;
+      std::condition_variable cv;
+      std::vector<std::size_t> nodes;
+    };
+    auto finished = std::make_shared<Finished>();
+    auto start = [&](std::size_t i) {
+      auto task = [this, finished, i, t, out = &node_stats[i]] {
+        *out = evaluate_node(nodes_[i], t);
+        std::lock_guard done(finished->mu);
+        finished->nodes.push_back(i);
+        finished->cv.notify_one();
+      };
+      if (!pool_->submit(task)) task();  // pool shutting down
+    };
+    std::vector<std::size_t> waiting(nodes_.size(), 0);
+    std::size_t pending = 0;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (!due[i]) continue;
+      ++pending;
+      for (std::size_t s : nodes_[i].successors) waiting[s] += due[s];
+    }
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (due[i] && waiting[i] == 0) start(i);
+    }
+    std::vector<std::size_t> done;
+    while (pending > 0) {
+      {
+        std::unique_lock wait(finished->mu);
+        finished->cv.wait(wait, [&] { return !finished->nodes.empty(); });
+        done.swap(finished->nodes);
+      }
+      for (std::size_t i : done) {
+        --pending;
+        for (std::size_t s : nodes_[i].successors) {
+          if (due[s] && --waiting[s] == 0) start(s);
+        }
+      }
+      done.clear();
+    }
+  }
+
+  RuleEvalStats total;
+  for (const auto& stats : node_stats) total += stats;
   return total;
 }
 
+RuleEvalStats RuleEngine::evaluate_due(common::TimestampMs t) {
+  return run_pass(t, /*only_due=*/true);
+}
+
 RuleEvalStats RuleEngine::evaluate_all(common::TimestampMs t) {
-  RuleEvalStats total;
-  std::lock_guard lock(eval_mu_);
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    last_eval_[i] = t;
-    RuleEvalStats stats = evaluate_group(groups_[i], t);
-    total.rules_evaluated += stats.rules_evaluated;
-    total.samples_written += stats.samples_written;
-    total.rule_failures += stats.rule_failures;
-    total.alerts_firing += stats.alerts_firing;
-    total.alerts_pending += stats.alerts_pending;
-  }
-  return total;
+  return run_pass(t, /*only_due=*/false);
 }
 
 std::vector<ActiveAlert> RuleEngine::active_alerts() const {
   std::lock_guard lock(eval_mu_);
   std::vector<ActiveAlert> out;
-  out.reserve(active_.size());
-  for (const auto& [key, alert] : active_) out.push_back(alert);
+  for (const auto& node : nodes_) {
+    for (const auto& [key, alert] : node.active) out.push_back(alert);
+  }
   return out;
 }
 

@@ -4,13 +4,23 @@
 // than code. The engine evaluates rule groups against the store and writes
 // the results back as new series named by `record`.
 //
-// Rules within a group are evaluated in order and see the results of
-// earlier rules in the same evaluation (Prometheus semantics), which lets
-// Eq. 1 be decomposed into named sub-expressions.
+// Every pass is equal, bit for bit, to evaluating the due groups one
+// after another, each group's alerts then its rules in order, with every
+// rule seeing the results of earlier rules at the same instant
+// (Prometheus semantics, which lets Eq. 1 be decomposed into named
+// sub-expressions). add_group() builds a conflict graph over all rules:
+// an edge joins two rules when one reads a metric name the other writes,
+// or both write the same name, and a selector without a fixed name
+// conflicts with every rule. A pass runs the due rules on
+// EngineOptions::pool in graph order, so only rules that share no name
+// run at the same time; without a pool it runs them inline in
+// declaration order. See DESIGN.md "Rule evaluation as a conflict graph".
 #pragma once
 
+#include <map>
 #include <mutex>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/json.h"
@@ -60,10 +70,21 @@ struct RuleEvalStats {
   uint64_t rule_failures = 0;
   uint64_t alerts_firing = 0;
   uint64_t alerts_pending = 0;
+
+  RuleEvalStats& operator+=(const RuleEvalStats& other) {
+    rules_evaluated += other.rules_evaluated;
+    samples_written += other.samples_written;
+    rule_failures += other.rule_failures;
+    alerts_firing += other.alerts_firing;
+    alerts_pending += other.alerts_pending;
+    return *this;
+  }
 };
 
 class RuleEngine {
  public:
+  // `options.pool`, when set, runs the rules of a pass concurrently in
+  // conflict-graph order; results equal the inline pass bit for bit.
   explicit RuleEngine(StorePtr store, promql::EngineOptions options = {});
 
   // Parses every rule expression up front; throws promql::ParseError on
@@ -84,20 +105,46 @@ class RuleEngine {
   std::vector<ActiveAlert> active_alerts() const;
 
  private:
-  RuleEvalStats evaluate_group(RuleGroup& group, common::TimestampMs t);
-  void evaluate_alert(const AlertingRule& rule, common::TimestampMs t,
-                      RuleEvalStats& stats);
+  // Interval bookkeeping of one registered group.
+  struct GroupSchedule {
+    int64_t interval_ms = 0;
+    common::TimestampMs last_eval = -1;
+  };
+
+  // One recording or alerting rule: a node of the conflict graph.
+  struct RuleNode {
+    std::size_t group = 0;
+    std::variant<RecordingRule, AlertingRule> rule;
+    // Metric names its selectors read (reads_any: some selector has no
+    // fixed name) and the name it writes.
+    std::vector<std::string> reads;
+    bool reads_any = false;
+    std::string writes;
+    // Later nodes it conflicts with; every edge points forward in
+    // declaration order.
+    std::vector<std::size_t> successors;
+    // Alerting rules only: this rule's instances, keyed by the
+    // fingerprint of their labels.
+    std::map<uint64_t, ActiveAlert> active;
+  };
+
+  RuleEvalStats run_pass(common::TimestampMs t, bool only_due);
+  RuleEvalStats evaluate_node(RuleNode& node, common::TimestampMs t);
+  void evaluate_record(const RecordingRule& rule, common::TimestampMs t,
+                       RuleEvalStats& stats);
+  void evaluate_alert(const AlertingRule& rule,
+                      std::map<uint64_t, ActiveAlert>& active,
+                      common::TimestampMs t, RuleEvalStats& stats);
 
   StorePtr store_;
   promql::Engine engine_;
+  std::shared_ptr<common::ThreadPool> pool_;
   // Serialises rule evaluation against group registration and alert
   // snapshots: the evaluation loop runs on a timer thread while
   // active_alerts() is read from HTTP handlers.
   mutable std::mutex eval_mu_;
-  std::vector<RuleGroup> groups_;
-  std::vector<common::TimestampMs> last_eval_;
-  // Key: alertname fingerprint ^ labels fingerprint.
-  std::map<uint64_t, ActiveAlert> active_;
+  std::vector<GroupSchedule> groups_;
+  std::vector<RuleNode> nodes_;  // declaration order
 };
 
 // Parses rule groups from the `groups:` section of a Prometheus-style rule

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
+#include <thread>
 
 #include "common/yamlconf.h"
 #include "core/rules_library.h"
@@ -114,6 +119,40 @@ TEST_F(RulesTest, NonVectorAlertCountedAndLogged) {
   EXPECT_TRUE(engine_.active_alerts().empty());
 }
 
+TEST_F(RulesTest, DuplicateOutputLabelsetIsARuleFailure) {
+  // Two input series that differ only in what the rule replaces — their
+  // name (with_name) or a static label — would land on one output series.
+  // Prometheus rejects such a result; nothing of it is written.
+  append_one(*store_, named("m1", {{"h", "a"}}), 1000, 1);
+  append_one(*store_, named("m2", {{"h", "a"}}), 1000, 2);
+  append_one(*store_, named("m", {{"k", "1"}}), 1000, 3);
+  append_one(*store_, named("m", {{"k", "2"}}), 1000, 4);
+  RuleGroup group;
+  group.name = "g";
+  group.rules = {{"by_name", "{__name__=~\"m1|m2\"}", {}, nullptr},
+                 {"by_static", "m", {{"k", "z"}}, nullptr},
+                 {"distinct", "m", {{"s", "z"}}, nullptr}};
+  engine_.add_group(std::move(group));
+
+  ::testing::internal::CaptureStderr();
+  RuleEvalStats stats = engine_.evaluate_all(1000);
+  std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(stats.rule_failures, 2u);
+  EXPECT_EQ(stats.samples_written, 2u);  // only "distinct"
+  for (const char* record : {"by_name", "by_static"}) {
+    EXPECT_TRUE(store_
+                    ->select({{"__name__", metrics::LabelMatcher::Op::kEq,
+                               record}},
+                             0, 2000)
+                    .empty())
+        << record;
+    EXPECT_NE(log.find(std::string("rules: rule ") + record +
+                       ": vector contains metrics with the same labelset"),
+              std::string::npos)
+        << log;
+  }
+}
+
 TEST_F(RulesTest, EvaluateDueHonorsGroupInterval) {
   append_one(*store_, named("a"), 0, 1);
   RuleGroup fast;
@@ -138,6 +177,235 @@ TEST_F(RulesTest, EvaluateDueHonorsGroupInterval) {
   ASSERT_EQ(slow_series.size(), 1u);
   EXPECT_EQ(fast_series[0].samples().size(), 3u);
   EXPECT_EQ(slow_series[0].samples().size(), 1u);
+}
+
+// ---- the conflict graph: a pool pass equals the inline pass ----
+
+// Label text and raw sample bits of every series in the store.
+std::string store_digest(const TimeSeriesStore& store) {
+  std::string out;
+  for (const auto& view :
+       store.select({}, std::numeric_limits<TimestampMs>::min(),
+                    std::numeric_limits<TimestampMs>::max())) {
+    out += view.labels.to_string() + "\n";
+    for (const auto& sample : view.samples()) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &sample.v, sizeof(bits));
+      out += " " + std::to_string(sample.t) + ":" + std::to_string(bits);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+// Terms that cost a few milliseconds and add nothing. Rules that carry
+// one finish well after rules that do not, so a missing edge shows up as
+// a pool pass that differs from the inline one. The left operand is
+// evaluated first: kSlowThen delays the selectors after it.
+const std::string kSlow =
+    " + on() group_left() (sum(rate(heavy[5m])) * 0)";
+const std::string kSlowThen = "(sum(rate(heavy[5m])) * 0) + on() group_left() ";
+
+void put_heavy(TimeSeriesStore& store, TimestampMs t) {
+  for (int i = 0; i < 2000; ++i) {
+    append_one(store, named("heavy", {{"i", std::to_string(i)}}), t,
+               static_cast<double>(t / 1000 + i));
+  }
+}
+
+// Engine options that run rule passes on a fresh 4-thread pool.
+promql::EngineOptions on_pool() {
+  promql::EngineOptions options;
+  options.pool = std::make_shared<common::ThreadPool>(4, "rules-test");
+  return options;
+}
+
+// Runs `groups` on an inline engine and a 4-thread-pool engine over two
+// stores fed the same raw samples, and requires equal stats and equal
+// stores after every pass. `feed(store, t)` writes the raw samples of
+// instant t; `due` picks evaluate_due over evaluate_all.
+void expect_graph_matches_inline(
+    const std::vector<RuleGroup>& groups,
+    const std::function<void(TimeSeriesStore&, TimestampMs)>& feed,
+    const std::vector<TimestampMs>& times, bool due = false) {
+  auto inline_store = std::make_shared<TimeSeriesStore>();
+  auto pool_store = std::make_shared<TimeSeriesStore>();
+  RuleEngine inline_engine(inline_store);
+  RuleEngine pool_engine(pool_store, on_pool());
+  for (const auto& group : groups) {
+    inline_engine.add_group(group);
+    pool_engine.add_group(group);
+  }
+  for (TimestampMs t : times) {
+    feed(*inline_store, t);
+    feed(*pool_store, t);
+    RuleEvalStats want =
+        due ? inline_engine.evaluate_due(t) : inline_engine.evaluate_all(t);
+    RuleEvalStats got =
+        due ? pool_engine.evaluate_due(t) : pool_engine.evaluate_all(t);
+    EXPECT_EQ(got.rules_evaluated, want.rules_evaluated) << "t=" << t;
+    EXPECT_EQ(got.samples_written, want.samples_written) << "t=" << t;
+    EXPECT_EQ(got.rule_failures, want.rule_failures) << "t=" << t;
+    ASSERT_EQ(store_digest(*pool_store), store_digest(*inline_store))
+        << "t=" << t;
+  }
+}
+
+RuleGroup group_of(std::string name, std::vector<RecordingRule> rules,
+                   int64_t interval_ms = 30000) {
+  RuleGroup group;
+  group.name = std::move(name);
+  group.interval_ms = interval_ms;
+  group.rules = std::move(rules);
+  return group;
+}
+
+void feed_a(TimeSeriesStore& store, TimestampMs t) {
+  put_heavy(store, t);
+  append_one(store, named("a"), t, static_cast<double>(t / 1000));
+}
+
+TEST(RulesGraph, ReadOfLaterGroupsRecordSeesPreviousInstant) {
+  // "early" reads late:x, which a later group writes: at each instant it
+  // must still see the previous instant's late:x (write-after-read).
+  std::vector<RuleGroup> groups = {
+      group_of("early", {{"early:copy", kSlowThen + "late:x", {}, nullptr}}),
+      group_of("late", {{"late:x", "a * 2", {}, nullptr}})};
+  auto store = std::make_shared<TimeSeriesStore>();
+  RuleEngine engine(store, on_pool());
+  for (const auto& group : groups) engine.add_group(group);
+  feed_a(*store, 1000);
+  engine.evaluate_all(1000);
+  feed_a(*store, 2000);
+  engine.evaluate_all(2000);
+  auto copy = store->select(
+      {{"__name__", metrics::LabelMatcher::Op::kEq, "early:copy"}}, 0, 3000);
+  ASSERT_EQ(copy.size(), 1u);
+  // At 1000 late:x did not exist yet; at 2000 it reads late:x@1000 = 2.
+  ASSERT_EQ(copy[0].samples().size(), 1u);
+  EXPECT_EQ(copy[0].samples()[0].t, 2000);
+  EXPECT_DOUBLE_EQ(copy[0].samples()[0].v, 2);
+
+  expect_graph_matches_inline(groups, feed_a, {1000, 2000, 3000, 4000});
+}
+
+TEST(RulesGraph, SameRecordWritersKeepDeclarationOrder) {
+  // Three groups write the same series at the same instant; the last
+  // write wins, so the store shows whether the order held
+  // (write-after-write). The slow writer comes first.
+  std::vector<RuleGroup> groups = {
+      group_of("one", {{"budget", "a * 1" + kSlow, {}, nullptr}}),
+      group_of("two", {{"budget", "a * 2", {}, nullptr}}),
+      group_of("three", {{"reader", "budget", {}, nullptr}})};
+  expect_graph_matches_inline(groups, feed_a, {1000, 2000, 3000});
+
+  auto store = std::make_shared<TimeSeriesStore>();
+  RuleEngine engine(store, on_pool());
+  for (const auto& group : groups) engine.add_group(group);
+  feed_a(*store, 5000);
+  engine.evaluate_all(5000);
+  auto reader = store->select(
+      {{"__name__", metrics::LabelMatcher::Op::kEq, "reader"}}, 0, 6000);
+  ASSERT_EQ(reader.size(), 1u);
+  EXPECT_DOUBLE_EQ(reader[0].samples().back().v, 10);
+}
+
+TEST(RulesGraph, SelectorWithoutFixedNameIsABarrier) {
+  // A regex __name__ or a selector of only non-name matchers may read any
+  // rule's output, before or after it in declaration order.
+  for (const std::string& any :
+       {std::string("{__name__=~\"slow:.*\"}"), std::string("{kind=\"s\"}")}) {
+    SCOPED_TRACE(any);
+    std::vector<RuleGroup> groups = {
+        group_of("before", {{"before:count", kSlowThen + "count(" + any + ")",
+                             {}, nullptr}}),
+        group_of("writer",
+                 {{"slow:x", "a" + kSlow, {{"kind", "s"}}, nullptr},
+                  {"slow:y", "a * 3", {{"kind", "s"}}, nullptr}}),
+        group_of("after", {{"after:count", "count(" + any + ")", {}, nullptr}})};
+    expect_graph_matches_inline(groups, feed_a, {1000, 2000, 3000});
+  }
+}
+
+TEST(RulesGraph, EvaluateDueRunsASubsetInOrder) {
+  // A fast group reads the output of a slow-interval group declared
+  // before it and feeds one declared after it; only some passes run all
+  // three.
+  std::vector<RuleGroup> groups = {
+      group_of("hourly", {{"hourly:x", "a" + kSlow, {}, nullptr}}, 4000),
+      group_of("fast", {{"fast:y", "hourly:x + a" + kSlow, {}, nullptr},
+                        {"fast:z", "a * 5", {}, nullptr}},
+               1000),
+      group_of("mid", {{"mid:w", "fast:y + fast:z + hourly:x", {}, nullptr}},
+               2000)};
+  expect_graph_matches_inline(groups, feed_a,
+                              {0, 1000, 2000, 3000, 4000, 5000, 6000},
+                              /*due=*/true);
+}
+
+TEST(RulesGraph, ThrowingRuleCountedOnceDependentsRunAsSerially) {
+  auto feed = [](TimeSeriesStore& store, TimestampMs t) {
+    feed_a(store, t);
+    append_one(store, named("b", {{"j", "1"}}), t, 1);
+    append_one(store, named("b", {{"j", "2"}}), t, 2);
+  };
+  // "x" fails with a many-to-many match; "y" reads x and falls back to a.
+  std::vector<RuleGroup> groups = {
+      group_of("bad", {{"x", "a * on() group_left() b" + kSlow, {}, nullptr},
+                       {"fine", "a * 2", {}, nullptr}}),
+      group_of("dependent", {{"y", "x or a", {}, nullptr}})};
+  expect_graph_matches_inline(groups, feed, {1000, 2000});
+
+  auto store = std::make_shared<TimeSeriesStore>();
+  RuleEngine engine(store, on_pool());
+  for (const auto& group : groups) engine.add_group(group);
+  feed(*store, 1000);
+  RuleEvalStats stats = engine.evaluate_all(1000);
+  EXPECT_EQ(stats.rules_evaluated, 3u);
+  EXPECT_EQ(stats.rule_failures, 1u);
+  EXPECT_EQ(stats.samples_written, 2u);  // fine and y
+}
+
+TEST(RulesGraph, PassesRaceActiveAlerts) {
+  // Graph passes on a pool while another thread snapshots the alerts.
+  auto store = std::make_shared<TimeSeriesStore>();
+  RuleEngine engine(store, on_pool());
+  RuleGroup alerts;
+  alerts.name = "alerts";
+  for (const char* name : {"Low", "High"}) {
+    AlertingRule rule;
+    rule.alert = name;
+    rule.expr = std::string("load ") + (name[0] == 'L' ? "< 5" : ">= 5");
+    alerts.alerts.push_back(rule);
+  }
+  alerts.rules = {{"load:copy", "load", {}, nullptr}};
+  engine.add_group(alerts);
+  engine.add_group(group_of("other", {{"load:double", "load * 2", {}, nullptr}}));
+
+  std::atomic<bool> stop{false};
+  std::size_t snapshots = 0;
+  std::thread reader([&] {
+    while (!stop.load()) {
+      for (const auto& alert : engine.active_alerts()) {
+        EXPECT_EQ(alert.state, AlertState::kFiring);
+      }
+      ++snapshots;
+    }
+  });
+  for (int pass = 0; pass < 50; ++pass) {
+    TimestampMs t = pass * 1000;
+    for (int h = 0; h < 8; ++h) {
+      append_one(*store, named("load", {{"h", std::to_string(h)}}), t,
+                 static_cast<double>((pass + h) % 10));
+    }
+    RuleEvalStats stats = engine.evaluate_all(t);
+    EXPECT_EQ(stats.alerts_firing, 8u);
+    EXPECT_EQ(stats.samples_written, 16u);
+  }
+  stop = true;
+  reader.join();
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(engine.active_alerts().size(), 8u);
 }
 
 TEST(RuleParsing, FromYaml) {

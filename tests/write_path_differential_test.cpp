@@ -5,9 +5,10 @@
 //
 //   * select() (posting-list walk, symbol-id checks) against a brute-force
 //     LabelMatcher::matches(Labels) filter over the same series;
-//   * the rule pass (one append_refs batch per rule) against per-sample
-//     Engine::eval + append_one, on random fleets with alerts firing
-//     and resolving, with and without a WAL;
+//   * the rule pass (one append_refs batch per rule), inline and as a
+//     conflict graph on a thread pool, against per-sample Engine::eval +
+//     append_one, on random fleets with alerts firing and resolving, with
+//     and without a WAL;
 //   * LongTermStore::sync_from (per-shard batches on the hot store's
 //     interned labels) against a replica built from select() +
 //     append_one, through repeated syncs, compactions and hot purges.
@@ -451,7 +452,7 @@ std::vector<RuleGroup> full_rule_library() {
   return groups;
 }
 
-void run_rule_pass_differential(bool with_wal) {
+void run_rule_pass_differential(bool with_wal, bool on_pool) {
   const std::vector<RuleGroup> library = full_rule_library();
   std::size_t rule_count = 0;
   for (const auto& group : library) {
@@ -466,7 +467,11 @@ void run_rule_pass_differential(bool with_wal) {
       durable = std::make_unique<DurableTsdb>(batched_store, dir);
       durable->open();
     }
-    RuleEngine batched(batched_store);
+    promql::EngineOptions options;
+    if (on_pool) {
+      options.pool = std::make_shared<common::ThreadPool>(4, "rules-test");
+    }
+    RuleEngine batched(batched_store, options);
     for (const auto& group : library) batched.add_group(group);
     PerSampleRules reference(reference_store, library);
     RandomFleet fleet(seed);
@@ -514,11 +519,21 @@ void run_rule_pass_differential(bool with_wal) {
 }
 
 TEST(RulesWriteDifferential, RulePassMatchesPerSampleReference) {
-  run_rule_pass_differential(/*with_wal=*/false);
+  run_rule_pass_differential(/*with_wal=*/false, /*on_pool=*/false);
 }
 
 TEST(RulesWriteDifferential, RulePassMatchesPerSampleReferenceWithWal) {
-  run_rule_pass_differential(/*with_wal=*/true);
+  run_rule_pass_differential(/*with_wal=*/true, /*on_pool=*/false);
+}
+
+// The same pass as a conflict graph on a 4-thread pool: rules that share
+// no metric name run concurrently, and the stores stay bit-identical.
+TEST(RulesWriteDifferential, GraphPassOnPoolMatchesPerSampleReference) {
+  run_rule_pass_differential(/*with_wal=*/false, /*on_pool=*/true);
+}
+
+TEST(RulesWriteDifferential, GraphPassOnPoolMatchesPerSampleReferenceWithWal) {
+  run_rule_pass_differential(/*with_wal=*/true, /*on_pool=*/true);
 }
 
 // ---------------------------------------------------------------------------

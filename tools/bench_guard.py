@@ -72,6 +72,10 @@ GUARDED_COUNTERS = {
     # appends multiplies wal_groups_per_pass by about 70.
     "wal_groups_per_pass": 0.01,
     "rule_samples_per_pass": 0.01,
+    # The same pass as a conflict graph on a pool (BM_rule_pass_graph):
+    # concurrent batches may share a group commit, so the exact count is
+    # WAL records, one per rule that wrote anything.
+    "wal_records_per_pass": 0.01,
     # Updater cycle on a durable units DB (BM_updater_cycle_db): a cycle
     # is one batch, one log record and one sync. Exact, gated at 1%;
     # per-row commits would multiply it by the rows per cycle.

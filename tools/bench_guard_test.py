@@ -134,6 +134,17 @@ class BenchGuardTest(unittest.TestCase):
                                       rule_samples_per_pass=2560)])
         self.assertEqual(self.guard(fewer, base), 1)
 
+    def test_rule_pass_graph_counters_are_guarded(self):
+        base = doc(benchmarks=[bench("BM_rule_pass_graph",
+                                     wal_records_per_pass=38,
+                                     rule_samples_per_pass=2688)])
+        self.assertEqual(self.guard(base, base), 0)
+        # A rule skipped by the scheduler logs one record fewer.
+        skipped = doc(benchmarks=[bench("BM_rule_pass_graph",
+                                        wal_records_per_pass=37,
+                                        rule_samples_per_pass=2688)])
+        self.assertEqual(self.guard(skipped, base), 1)
+
     def test_multiple_pairs_all_pass(self):
         tsdb = doc(benchmarks=[bench("t", points_scanned_per_query=10)])
         soak = doc(benchmarks=[bench("s", peak_bytes=10)])
