@@ -104,8 +104,12 @@ void BM_downsampled_long_range(benchmark::State& state) {
     tsdb::LongTermConfig config;
     config.downsample_after_ms = 0;  // everything eligible immediately
     config.levels = {{5 * common::kMillisPerMinute, 0}};
-    auto store = std::make_shared<tsdb::LongTermStore>(config);
-    store->sync_from(*world().stack->hot_store());
+    // Compaction purges the store it reads through, so it reads through
+    // a copy of the stack's hot store, not the one other benchmarks use.
+    auto hot = std::make_shared<tsdb::TimeSeriesStore>();
+    hot->restore_from_bytes(world().stack->hot_store()->snapshot_bytes());
+    auto store = std::make_shared<tsdb::LongTermStore>(hot, config);
+    store->sync_from(*hot);
     store->compact(world().clock->now_ms() + 1);
     return store;
   }();

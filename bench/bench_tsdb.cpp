@@ -241,8 +241,8 @@ std::shared_ptr<tsdb::LongTermStore> make_ladder_store() {
   // Keep raw forever so the planner-off baseline really scans raw samples.
   config.downsample_after_ms = 365 * 24 * 3600 * int64_t{1000};
   config.levels = {{5 * 60 * 1000, 0}, {60 * 60 * 1000, 0}};
-  auto lt = std::make_shared<tsdb::LongTermStore>(config);
-  TimeSeriesStore hot;
+  auto hot = std::make_shared<TimeSeriesStore>();
+  auto lt = std::make_shared<tsdb::LongTermStore>(hot, config);
   for (int s = 0; s < kLongRangeSeries; ++s) {
     metrics::Labels labels =
         metrics::Labels{{"hostname", "n" + std::to_string(s % 4)},
@@ -255,9 +255,9 @@ std::shared_ptr<tsdb::LongTermStore> make_ladder_store() {
       batch.push_back(
           {&interned, t, 100.0 + static_cast<double>((t / 15000) % 40)});
     }
-    hot.append_refs(batch.data(), batch.size());
+    hot->append_refs(batch.data(), batch.size());
   }
-  lt->sync_from(hot);
+  lt->sync_from(*hot);
   lt->compact(kLongRangeSpanMs);
   return lt;
 }
@@ -302,6 +302,54 @@ BENCHMARK(BM_longrange_aligned_window)
     ->Args({1, 90})
     ->Args({0, 360})
     ->Args({1, 360});
+
+// ---------- long-term footprint (read-through) ----------
+
+// One copy of recent data. An hour of 30 s sweeps over 500 series, each
+// followed by the long-term sync and compaction a generation runs, all
+// inside the 2 h downsample horizon, so every hot sample is still
+// recent. A long-term store keeping its own raw copy would hold as many
+// bytes beyond its ladder as the hot store holds (ratio 1); reading
+// recent samples through the hot store it holds none (ratio 0).
+// tools/bench_guard.py gates longterm_raw_bytes_per_hot_byte, so a
+// reintroduced copy fails CI; sync_samples pins what the syncs counted.
+void BM_longterm_footprint(benchmark::State& state) {
+  constexpr int kSeries = 500;
+  constexpr int kSweeps = 120;
+  constexpr int64_t kStepMs = 30000;
+  std::vector<metrics::InternedLabels> labels;
+  for (int s = 0; s < kSeries; ++s) {
+    labels.emplace_back(
+        metrics::Labels{{"hostname", "n" + std::to_string(s % 50)},
+                        {"uuid", std::to_string(s)}}
+            .with_name("m"));
+  }
+  std::vector<metrics::SampleRef> batch(labels.size());
+  double ratio = 0, synced = 0;
+  for (auto _ : state) {
+    auto hot = std::make_shared<TimeSeriesStore>();
+    tsdb::LongTermStore lt(hot);
+    std::size_t sync_samples = 0;
+    for (int sweep = 1; sweep <= kSweeps; ++sweep) {
+      const int64_t t = sweep * kStepMs;
+      for (std::size_t s = 0; s < labels.size(); ++s) {
+        batch[s] = {&labels[s], t, static_cast<double>(sweep + s)};
+      }
+      hot->append_refs(batch.data(), batch.size());
+      sync_samples += lt.sync_from(*hot);
+      lt.compact(t);
+    }
+    const double beyond_ladder = static_cast<double>(
+        lt.stats().approx_bytes - lt.downsampled_stats().approx_bytes);
+    ratio = beyond_ladder / static_cast<double>(hot->stats().approx_bytes);
+    synced = static_cast<double>(sync_samples);
+  }
+  state.counters["longterm_raw_bytes_per_hot_byte"] = ratio;
+  state.counters["sync_samples"] = synced;
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kSeries * kSweeps);
+}
+BENCHMARK(BM_longterm_footprint)->Unit(benchmark::kMillisecond);
 
 void BM_purge(benchmark::State& state) {
   for (auto _ : state) {

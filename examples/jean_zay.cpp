@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   std::printf("hot TSDB:   %8zu series %10zu samples (%.1f MiB)\n",
               hot.num_series, hot.num_samples,
               hot.approx_bytes / 1024.0 / 1024.0);
-  std::printf("long-term:  %8zu series %10zu samples (%.1f MiB)\n",
+  std::printf("long-term:  %8zu series %10zu buckets (%.1f MiB)\n",
               lt.num_series, lt.num_samples, lt.approx_bytes / 1024.0 / 1024.0);
 
   // ---- accounting ----

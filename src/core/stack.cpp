@@ -15,7 +15,8 @@ CeemsStack::CeemsStack(slurm::ClusterSim& sim, StackConfig config)
         hot_store_, config_.hot_durable_dir, config_.hot_wal);
     durable_->open();
   }
-  longterm_ = std::make_shared<tsdb::LongTermStore>(config_.longterm);
+  longterm_ =
+      std::make_shared<tsdb::LongTermStore>(hot_store_, config_.longterm);
 
   faults::FaultHook fault_hook;
   if (config_.fault_plan) fault_hook = config_.fault_plan->hook();

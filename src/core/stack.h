@@ -1,7 +1,7 @@
 // CeemsStack — the full Fig. 1 architecture wired over a simulated
 // cluster:
 //
-//   exporters (one per node) ──scrape──▶ hot TSDB ──replicate──▶ long-term
+//   exporters (one per node) ──scrape──▶ hot TSDB ◀─read-through─ long-term
 //        │                                  │ recording rules        store
 //        └─ /metrics over HTTP or local     ▼                         │
 //           transport                  cardinality cleanup            ▼
@@ -82,7 +82,8 @@ class CeemsStack {
 
   // --- deterministic pipeline (simulated time) ---
   // Scrapes all targets if a scrape is due, evaluates recording rules,
-  // replicates to the long-term store and compacts. Call after sim steps.
+  // syncs the long-term store's cursor and compacts, which purges the hot
+  // store past config.longterm.downsample_after_ms. Call after sim steps.
   void pipeline_step();
   // Forces a scrape+rules pass regardless of the interval.
   void pipeline_step_forced();

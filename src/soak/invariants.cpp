@@ -45,7 +45,9 @@ void InvariantChecker::at_checkpoint(core::CeemsStack& stack,
                                      common::TimestampMs now) {
   auto hot = stack.hot_store()->stats();
   auto longterm = stack.longterm()->stats();
-  // symbol_bytes is process-wide and reported once, not per store.
+  // Recent samples live only in the hot store and history only in the
+  // long-term ladder, so nothing is counted twice; symbol_bytes is
+  // process-wide and reported once, not per store.
   std::size_t total_bytes =
       hot.approx_bytes + longterm.approx_bytes + hot.symbol_bytes;
   peak_bytes_ = std::max(peak_bytes_, total_bytes);

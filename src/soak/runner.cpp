@@ -123,6 +123,9 @@ SoakReport SoakRunner::run() {
   config.scrape_interval_ms = scenario_.scrape_interval_ms;
   config.http_exporter_count = 0;  // local transport: one process, any fleet
   config.fault_plan = plan;
+  // The stack owns hot retention: compaction purges the hot store past
+  // the long-term store's downsample horizon.
+  config.longterm.downsample_after_ms = scenario_.hot_retention_ms;
   // Only crash_restart scenarios get a WAL-backed hot store: every other
   // scenario keeps the purely in-memory store, so its counters stay
   // bit-identical to what BENCH_soak.json recorded before durability
@@ -230,10 +233,9 @@ SoakReport SoakRunner::run() {
     }
   };
 
-  // --- per-checkpoint work: retention purge, invariants, canonical
-  // queries with per-query points-scanned accounting ---
+  // --- per-checkpoint work: invariants, canonical queries with
+  // per-query points-scanned accounting ---
   auto checkpoint = [&](TimestampMs now) {
-    stack.hot_store()->purge_before(now - scenario_.hot_retention_ms);
     // WAL-backed runs fold the store into a snapshot and truncate the
     // log at every checkpoint, so replay after a crash covers at most
     // one checkpoint interval.

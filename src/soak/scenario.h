@@ -123,8 +123,9 @@ struct Scenario {
   uint64_t seed = 7;
   // Invariants are evaluated (and counters sampled) this often.
   int64_t checkpoint_every_ms = 5 * common::kMillisPerMinute;
-  // Hot-store retention: samples older than this are purged at
-  // checkpoints, which is what makes the memory ceiling a steady-state
+  // Hot-store retention: the stack's long-term downsample horizon, so
+  // compaction purges hot samples older than this (aligned down to a
+  // bucket boundary). It is what makes the memory ceiling a steady-state
   // claim instead of a function of run length.
   int64_t hot_retention_ms = 30 * common::kMillisPerMinute;
   // Clean tail after `duration_ms` with every storm lifted, before the

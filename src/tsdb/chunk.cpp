@@ -1,5 +1,6 @@
 #include "tsdb/chunk.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
@@ -609,7 +610,32 @@ std::vector<ChunkSlice> ChunkedSeries::slices_between(TimestampMs min_t,
   return out;
 }
 
+std::size_t ChunkedSeries::count_since(TimestampMs since) const {
+  if (total_ == 0 || last_t_ < since) return 0;
+  std::size_t count = 0;
+  auto chunk = std::partition_point(
+      sealed_.begin(), sealed_.end(),
+      [since](const ChunkPtr& c) { return c->max_time() < since; });
+  for (; chunk != sealed_.end(); ++chunk) {
+    if ((*chunk)->min_time() >= since) {
+      count += (*chunk)->count();
+      continue;
+    }
+    auto decoded = (*chunk)->decode();
+    if (!decoded) continue;
+    for (const auto& sample : *decoded) {
+      if (sample.t >= since) ++count;
+    }
+  }
+  auto head = std::partition_point(
+      head_.begin(), head_.end(),
+      [since](const SamplePoint& sample) { return sample.t < since; });
+  return count + static_cast<std::size_t>(head_.end() - head);
+}
+
 std::size_t ChunkedSeries::drop_before(TimestampMs cutoff) {
+  // The common retention pass: nothing this old, so nothing to rebuild.
+  if (total_ == 0 || min_time() >= cutoff) return 0;
   std::size_t dropped = 0;
   std::vector<ChunkPtr> kept;
   kept.reserve(sealed_.size());

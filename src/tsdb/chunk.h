@@ -317,27 +317,9 @@ class ChunkedSeries {
   // "no samples in range" exactly). Fully-covered chunks stay compressed.
   std::vector<ChunkSlice> slices_between(TimestampMs min_t,
                                          TimestampMs max_t) const;
-  // Calls fn(sample) for every sample with t >= since, oldest first. Only
-  // sealed chunks reaching `since` are decoded; nothing is allocated when
-  // the samples are all in the head (the replication steady state).
-  template <typename Fn>
-  void for_each_since(TimestampMs since, Fn&& fn) const {
-    if (total_ == 0 || last_t_ < since) return;
-    auto chunk = std::partition_point(
-        sealed_.begin(), sealed_.end(),
-        [since](const ChunkPtr& c) { return c->max_time() < since; });
-    for (; chunk != sealed_.end(); ++chunk) {
-      auto decoded = (*chunk)->decode();
-      if (!decoded) continue;
-      for (const auto& sample : *decoded) {
-        if (sample.t >= since) fn(sample);
-      }
-    }
-    auto head = std::partition_point(
-        head_.begin(), head_.end(),
-        [since](const SamplePoint& sample) { return sample.t < since; });
-    for (; head != head_.end(); ++head) fn(*head);
-  }
+  // Number of samples with t >= since. Only a sealed chunk straddling
+  // `since` is decoded; newer chunks count by their header.
+  std::size_t count_since(TimestampMs since) const;
 
   // Drops samples with t < cutoff; returns how many were dropped. A chunk
   // straddling the cutoff is decoded, filtered and re-sealed.

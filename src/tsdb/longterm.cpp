@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <stdexcept>
 
 #include "metrics/model.h"
 
@@ -66,8 +67,11 @@ void fold_sample(AggBucket& bucket, TimestampMs t, double v) {
 
 }  // namespace
 
-LongTermStore::LongTermStore(LongTermConfig config)
-    : config_(std::move(config)) {
+LongTermStore::LongTermStore(StorePtr hot, LongTermConfig config)
+    : hot_(std::move(hot)), config_(std::move(config)) {
+  if (!hot_) {
+    throw std::invalid_argument("LongTermStore: no hot store to read through");
+  }
   std::vector<AggLevelConfig> ladder = config_.levels;
   ladder.erase(std::remove_if(
                    ladder.begin(), ladder.end(),
@@ -88,29 +92,29 @@ LongTermStore::LongTermStore(LongTermConfig config)
 }
 
 std::size_t LongTermStore::sync_from(const TimeSeriesStore& hot) {
+  if (&hot != hot_.get()) {
+    throw std::invalid_argument(
+        "LongTermStore::sync_from: not the store it reads through");
+  }
   std::lock_guard lock(mu_);
-  std::size_t copied = 0;
-  TimestampMs newest = sync_cursor_;
-  // One batch per hot shard, labelled by the hot series' own interned
-  // labels: both stores share the process-wide SymbolTable, so nothing is
-  // re-interned. Every offered sample is newer than the cursor, hence
-  // newer than anything raw_ holds, so all of them are copied and the
-  // newest offered timestamp is the new cursor.
-  hot.for_each_shard_since(
-      sync_cursor_ + 1,
-      [&](const metrics::SampleRef* samples, std::size_t count) {
-        copied += raw_.append_refs(samples, count);
-        for (std::size_t i = 0; i < count; ++i) {
-          newest = std::max(newest, samples[i].timestamp_ms);
-        }
-      });
-  sync_cursor_ = newest;
-  return copied;
+  // The replication invariant: every hot sample newer than the cursor is
+  // counted, the cursor moves to the newest of them, and the watermark
+  // keeps anything at or below the cursor from arriving later — so a span
+  // a reader has seen, or a bucket compaction has folded, never changes.
+  TimeSeriesStore::SinceCount fresh =
+      hot_->advance_watermark(sync_cursor_ + 1);
+  if (fresh.samples > 0) sync_cursor_ = fresh.newest;
+  return fresh.samples;
 }
 
 TimestampMs LongTermStore::sync_cursor() const {
   std::lock_guard lock(mu_);
   return sync_cursor_;
+}
+
+TimestampMs LongTermStore::hot_floor() const {
+  if (hot_purged_end_ == INT64_MIN) return 0;
+  return std::max<TimestampMs>(0, hot_purged_end_ + 1);
 }
 
 TimestampMs LongTermStore::align_down_all_levels(TimestampMs t) const {
@@ -137,18 +141,19 @@ void LongTermStore::compact(common::TimestampMs now) {
   std::lock_guard lock(mu_);
 
   // 1. Advance each level's cursor to the newest bucket boundary the
-  //    synced data has fully passed and fold the raw samples in between.
-  //    The replication invariant (sync_from only ever observes timestamps
-  //    beyond the sync cursor) is what makes a bucket whose end the cursor
-  //    passed final: no sample at or before sync_cursor_ can arrive later.
+  //    synced data has fully passed and fold the hot samples in between.
+  //    The hot store's watermark is what makes a bucket whose end the
+  //    cursor passed final: no sample at or before sync_cursor_ can
+  //    arrive later.
   if (sync_cursor_ >= 0) {
     for (auto& level : levels_) {
       const int64_t res = level.config.resolution_ms;
       TimestampMs target = floor_div(sync_cursor_, res) * res;
       if (level.cursor_ms != INT64_MIN && target <= level.cursor_ms) continue;
-      TimestampMs from =
-          level.cursor_ms == INT64_MIN ? INT64_MIN : level.cursor_ms + 1;
-      for (const auto& view : raw_.select({}, from, target)) {
+      TimestampMs from = level.cursor_ms == INT64_MIN
+                             ? hot_floor()
+                             : std::max(hot_floor(), level.cursor_ms + 1);
+      for (const auto& view : hot_->select({}, from, target)) {
         auto& series = level.series[view.labels];
         AggBucket bucket;
         bool open = false;
@@ -171,7 +176,7 @@ void LongTermStore::compact(common::TimestampMs now) {
     }
   }
 
-  // 2. Purge raw data past the downsample horizon, aligned down to a
+  // 2. Purge the hot store past the downsample horizon, aligned down to a
   //    boundary every level has both reached and can represent — so the
   //    finest level's last-per-bucket synthesis seamlessly takes over as
   //    the history select() serves.
@@ -185,11 +190,11 @@ void LongTermStore::compact(common::TimestampMs now) {
   }
   if (boundary != INT64_MIN) boundary = align_down_all_levels(boundary);
   if (boundary != INT64_MIN &&
-      (raw_purged_end_ == INT64_MIN || boundary > raw_purged_end_)) {
-    raw_.purge_before(boundary + 1);  // keep only t > boundary: a sample at
-                                      // exactly the boundary lives in the
-                                      // bucket ending there, not in raw
-    raw_purged_end_ = boundary;
+      (hot_purged_end_ == INT64_MIN || boundary > hot_purged_end_)) {
+    hot_->purge_before(boundary + 1);  // keep only t > boundary: a sample at
+                                       // exactly the boundary lives in the
+                                       // bucket ending there
+    hot_purged_end_ = boundary;
   }
 
   // 3. Per-level retention: drop buckets whose end is older than the
@@ -222,20 +227,20 @@ std::vector<SeriesView> LongTermStore::select(
   std::lock_guard lock(mu_);
   ++select_stats_.raw_selects;
 
-  // History the raw side no longer covers, synthesised from the finest
+  // History the hot store no longer holds, synthesised from the finest
   // aggregate level as one last-sample-per-bucket point each — the same
   // shape the old single-level downsample produced, including a trailing
   // staleness marker when the bucket ended with one.
   std::map<Labels, SeriesView> merged;
-  if (!levels_.empty() && raw_purged_end_ != INT64_MIN && min_t <= max_t) {
+  if (!levels_.empty() && hot_purged_end_ != INT64_MIN && min_t <= max_t) {
     const AggLevel& finest = levels_.front();
     const int64_t res = finest.config.resolution_ms;
     // agg_bucket_end(max_t) >= max_t, so a max_t at or past the purge
     // boundary ends the history there; skipping the call keeps an
     // open-ended max_t (INT64_MAX) from overflowing the bucket arithmetic.
-    TimestampMs hi_end = max_t >= raw_purged_end_
-                             ? raw_purged_end_
-                             : std::min(raw_purged_end_,
+    TimestampMs hi_end = max_t >= hot_purged_end_
+                             ? hot_purged_end_
+                             : std::min(hot_purged_end_,
                                         agg_bucket_end(max_t, res));
     for (const auto& [labels, series] : finest.series) {
       if (!matches_all(matchers, labels)) continue;
@@ -259,14 +264,20 @@ std::vector<SeriesView> LongTermStore::select(
     }
   }
 
-  std::vector<SeriesView> fine = raw_.select(matchers, min_t, max_t);
+  // Recent samples: the hot store's, past the purge boundary and up to
+  // the cursor. The watermark keeps that span immutable, so it reads
+  // exactly what a copy taken at each sync would hold.
+  std::vector<SeriesView> fine;
+  const TimestampMs lo = std::max(min_t, hot_floor());
+  const TimestampMs hi = std::min(max_t, sync_cursor_);
+  if (lo <= hi) fine = hot_->select(matchers, lo, hi);
 
-  // Merge per label set: synthesised history followed by the raw tail.
+  // Merge per label set: synthesised history followed by the hot tail.
   // Keyed by the full label set, not its fingerprint — two distinct label
   // sets whose fingerprints collide must stay distinct series. Series
   // present on only one side keep their views. Straddling series are
-  // spliced slice-wise: raw is only purged up to a boundary the ladder has
-  // fully aggregated, so every raw slice is strictly newer than the
+  // spliced slice-wise: hot reads start past a boundary the ladder has
+  // fully aggregated, so every hot slice is strictly newer than the
   // history's end and rides along still-compressed — no materialisation,
   // no decode. The decode-and-filter branch below only fires if that
   // invariant is ever broken.
@@ -362,9 +373,11 @@ LongTermSelectStats LongTermStore::select_stats() const {
 }
 
 std::vector<uint64_t> LongTermStore::version_signature() const {
-  std::vector<uint64_t> out = raw_.version_signature();
+  std::vector<uint64_t> out = hot_->version_signature();
   std::lock_guard lock(mu_);
-  out.reserve(out.size() + levels_.size());
+  out.reserve(out.size() + 2 + levels_.size());
+  out.push_back(static_cast<uint64_t>(sync_cursor_));
+  out.push_back(static_cast<uint64_t>(hot_purged_end_));
   for (const auto& level : levels_) out.push_back(level.version);
   return out;
 }
@@ -383,14 +396,8 @@ StorageStats LongTermStore::downsampled_stats() const {
 }
 
 StorageStats LongTermStore::stats() const {
-  StorageStats raw = raw_.stats();
-  StorageStats coarse = downsampled_stats();
-  StorageStats out;
-  out.num_series = std::max(raw.num_series, coarse.num_series);
-  out.num_samples = raw.num_samples + coarse.num_samples;
-  out.approx_bytes = raw.approx_bytes + coarse.approx_bytes;
-  // The symbol table is process-global: take it once, don't sum it.
-  out.symbol_bytes = raw.symbol_bytes;
+  StorageStats out = downsampled_stats();
+  out.symbol_bytes = metrics::SymbolTable::global().approx_bytes();
   return out;
 }
 

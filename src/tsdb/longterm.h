@@ -1,15 +1,21 @@
-// Long-term store — the Thanos analogue of Fig. 1. The hot TSDB keeps raw
-// high-resolution samples on "local disk"; this store replicates them and,
-// like the Thanos compactor, maintains a ladder of pre-aggregated
-// resolution levels (e.g. raw → 5m → 1h): cursor-driven compaction folds
-// raw samples into per-bucket {count, sum, min, max, first, last, inc}
-// columns (tsdb/chunk.h AggBucket) as soon as a bucket can no longer
-// receive samples, raw data past the downsample horizon is purged, and
-// each level enforces its own retention. It implements Queryable two ways:
-// select() merges a last-per-bucket history synthesised from the finest
-// aggregate level with the raw tail (so the PromQL engine and the HTTP API
-// work unchanged), and select_agg() hands the resolution-aware planner
-// whole bucket columns when a level covers the requested span exactly.
+// Long-term store — the Thanos analogue of Fig. 1. Like the Thanos
+// querier, it serves recent data from the hot TSDB itself and only history
+// from its own storage: a ladder of pre-aggregated resolution levels
+// (e.g. 5m → 1h). There is no second raw copy. sync_from() advances a
+// cursor over the hot store and raises the hot store's out-of-bounds
+// watermark to it, so nothing at or below the cursor changes underneath a
+// reader (a late live sample is rejected there, as Prometheus' head
+// rejects one below minValidTime). Cursor-driven compaction folds the hot
+// samples of every bucket the cursor has passed into per-bucket
+// {count, sum, min, max, first, last, inc} columns (tsdb/chunk.h
+// AggBucket), then purges the hot store past the downsample horizon, so
+// `downsample_after_ms` is the stack's hot retention; each level enforces
+// its own retention. It implements Queryable two ways: select() splices a
+// last-per-bucket history synthesised from the finest level with the hot
+// store's samples in (purge boundary, cursor] (so the PromQL engine and
+// the HTTP API work unchanged), and select_agg() hands the
+// resolution-aware planner whole bucket columns when a level covers the
+// requested span exactly.
 #pragma once
 
 #include <memory>
@@ -31,8 +37,9 @@ struct AggLevelConfig {
 };
 
 struct LongTermConfig {
-  // Raw samples older than this get aggregated away on the next
-  // compaction (the finest ladder level takes over as their history).
+  // Hot samples older than this are purged from the hot store on the next
+  // compaction (the finest ladder level takes over as their history): the
+  // hot retention of a stack that owns this store.
   int64_t downsample_after_ms = 2 * common::kMillisPerHour;
   // Resolution ladder, finest first; by default one 5-minute level kept
   // forever.
@@ -40,15 +47,14 @@ struct LongTermConfig {
 };
 
 // Counters for how queries were served. select() splices the synthesised
-// history with still-compressed raw chunks; spliced_points_copied counts
-// samples that had to be decoded and filtered because a raw slice
-// overlapped the history — zero under the compaction invariant (raw is
-// only purged up to a boundary the ladder has fully aggregated), so a
-// nonzero value flags a horizon bug. The agg counters are per ladder
-// level, index-aligned with agg_resolutions(): how many select_agg()
-// calls each level answered and how many bucket rows it returned —
-// points_scanned is the headline number the resolution-aware planner
-// drives down versus raw_points_scanned.
+// history with the hot store's still-compressed chunks; spliced_points_copied
+// counts samples that had to be decoded and filtered because a hot slice
+// overlapped the history — zero under the compaction invariant (hot reads
+// start past a boundary the ladder has fully aggregated), so a nonzero value
+// flags a horizon bug. The agg counters are per ladder level, index-aligned
+// with agg_resolutions(): how many select_agg() calls each level answered and
+// how many bucket rows it returned — points_scanned is the headline number the
+// resolution-aware planner drives down versus raw_points_scanned.
 struct LongTermSelectStats {
   uint64_t chunk_backed_views = 0;
   uint64_t spliced_views = 0;
@@ -65,30 +71,25 @@ struct LongTermSelectStats {
 
 class LongTermStore final : public Queryable {
  public:
-  explicit LongTermStore(LongTermConfig config = {});
+  // Reads recent samples through `hot` and owns its retention. Throws
+  // std::invalid_argument when `hot` is null.
+  explicit LongTermStore(StorePtr hot, LongTermConfig config = {});
 
-  // Pulls new samples from the hot store (everything newer than the last
-  // sync cursor), one append batch per hot shard, and advances the cursor
-  // to the newest sample copied. Returns samples copied. Relies on the
-  // replication invariant that pulls observe globally non-decreasing
-  // timestamps: a hot sample at or before the cursor is never pulled, so
-  // completed aggregate buckets never reopen.
-  //
-  // Lock order: mu_, then one hot shard's shared lock, then the matching
-  // raw_ shard's exclusive lock. Nothing takes a hot shard lock while
-  // holding a raw_ shard lock, and hot-store writers never touch this
-  // store, so the order cannot invert.
+  // Advances the cursor to the newest hot sample and raises the hot
+  // store's watermark to it; copies nothing. Returns the number of hot
+  // samples newer than the old cursor. Throws std::invalid_argument
+  // unless `hot` is the store this one reads through.
   std::size_t sync_from(const TimeSeriesStore& hot);
 
-  // Timestamp of the newest sample replicated so far (-1 before the
-  // first sample).
+  // Timestamp of the newest sample synced so far (-1 before the first
+  // sample).
   TimestampMs sync_cursor() const;
 
   // Advances every level's compaction cursor to the newest bucket
-  // boundary the synced data has fully passed, folds the raw samples in
-  // between into aggregate buckets, purges raw data past the downsample
-  // horizon (aligned down to the coarsest bucket boundary), and applies
-  // per-level retention.
+  // boundary the cursor has passed, folds the hot samples in between into
+  // aggregate buckets, purges the hot store past the downsample horizon
+  // (aligned down to the coarsest bucket boundary), and applies per-level
+  // retention.
   void compact(common::TimestampMs now);
 
   std::vector<SeriesView> select(const std::vector<LabelMatcher>& matchers,
@@ -100,13 +101,18 @@ class LongTermStore final : public Queryable {
       int64_t resolution_ms, const std::vector<LabelMatcher>& matchers,
       TimestampMs min_end, TimestampMs max_end) const override;
 
-  // Raw shard versions followed by one counter per ladder level, so
-  // query-result cache entries over this store invalidate when either
-  // side mutates.
+  // The hot store's shard versions, then the sync cursor and the purge
+  // boundary, then one counter per ladder level: a sync widens select()
+  // without mutating the hot store, so cached results must see it.
   std::vector<uint64_t> version_signature() const override;
 
+  // This store's own footprint, which is the ladder's: recent samples are
+  // counted by the hot store. symbol_bytes is the process-wide table.
   StorageStats stats() const;
-  StorageStats raw_stats() const { return raw_.stats(); }
+  // Always empty: recent samples live only in the hot store. Kept only
+  // because perfbench reports it as longterm.bytes; it goes when the
+  // benchmark next changes.
+  StorageStats raw_stats() const { return {}; }
   // Aggregate-ladder footprint (num_samples counts bucket rows).
   StorageStats downsampled_stats() const;
   LongTermSelectStats select_stats() const;
@@ -128,13 +134,20 @@ class LongTermStore final : public Queryable {
 
   // Largest boundary <= t aligned to every level's resolution.
   TimestampMs align_down_all_levels(TimestampMs t) const;
+  // Oldest timestamp read through the hot store: syncs start at t = 0,
+  // and the hot store is purged up to hot_purged_end_. Caller holds mu_.
+  TimestampMs hot_floor() const;
 
+  const StorePtr hot_;
   LongTermConfig config_;
+  // Lock order: mu_, then the hot store's watermark gate (sync only) or
+  // its WAL's shared commit lock (purge only), then hot shard locks. Hot
+  // writers never take mu_.
   mutable std::mutex mu_;
-  TimeSeriesStore raw_;
   std::vector<AggLevel> levels_;  // ascending resolution
   TimestampMs sync_cursor_ = -1;
-  TimestampMs raw_purged_end_ = INT64_MIN;  // raw samples with t <= this are gone
+  // Compaction purged hot samples with t <= this (INT64_MIN: none yet).
+  TimestampMs hot_purged_end_ = INT64_MIN;
   mutable LongTermSelectStats select_stats_;  // guarded by mu_
 };
 

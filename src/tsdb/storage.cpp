@@ -81,6 +81,26 @@ void TimeSeriesStore::set_wal(std::shared_ptr<Wal> wal) {
 
 std::size_t TimeSeriesStore::append_refs(const metrics::SampleRef* samples,
                                          std::size_t count) {
+  std::shared_lock gate(watermark_gate_);
+  // Out-of-bounds samples are filtered before the log sees the batch, so
+  // replay (which skips this check) never resurrects one. The batch is
+  // copied only when something is actually out of bounds.
+  const TimestampMs watermark = watermark_.load(std::memory_order_relaxed);
+  std::size_t in = 0;
+  while (in < count && samples[in].timestamp_ms > watermark) ++in;
+  if (in < count) {
+    thread_local std::vector<metrics::SampleRef> in_bounds;
+    in_bounds.assign(samples, samples + in);
+    for (std::size_t i = in + 1; i < count; ++i) {
+      if (samples[i].timestamp_ms > watermark) {
+        in_bounds.push_back(samples[i]);
+      }
+    }
+    out_of_bounds_.fetch_add(count - in_bounds.size(),
+                             std::memory_order_relaxed);
+    samples = in_bounds.data();
+    count = in_bounds.size();
+  }
   if (count == 0) return 0;
   Wal::CommitGuard guard;
   if (Wal* wal = wal_.load(std::memory_order_acquire)) {
@@ -90,6 +110,11 @@ std::size_t TimeSeriesStore::append_refs(const metrics::SampleRef* samples,
     guard = wal->commit_shared();
     if (!wal->log_batch(samples, count)) return 0;
   }
+  return replay_refs(samples, count);
+}
+
+std::size_t TimeSeriesStore::replay_refs(const metrics::SampleRef* samples,
+                                         std::size_t count) {
   // Bucket by shard first so each shard lock is acquired once per batch.
   // Sample labels arrive interned, so this reads the precomputed
   // fingerprint instead of hashing label strings. Buckets are
@@ -382,6 +407,7 @@ StorageStats TimeSeriesStore::stats() const {
   // every store in the process: keep them out of approx_bytes (which
   // callers sum across stores) and report them in their own field.
   stats.symbol_bytes = SymbolTable::global().approx_bytes();
+  stats.out_of_bounds = out_of_bounds_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -398,21 +424,23 @@ std::optional<TimestampMs> TimeSeriesStore::max_time() const {
   return max_t;
 }
 
-void TimeSeriesStore::for_each_shard_since(
-    TimestampMs since,
-    const std::function<void(const metrics::SampleRef*, std::size_t)>& sink)
-    const {
-  thread_local std::vector<metrics::SampleRef> refs;
+TimeSeriesStore::SinceCount TimeSeriesStore::advance_watermark(
+    TimestampMs since) {
+  std::unique_lock gate(watermark_gate_);
+  SinceCount out;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
-    refs.clear();
     for (const auto& [id, stored] : shard.series) {
-      stored.data.for_each_since(since, [&](const SamplePoint& sample) {
-        refs.push_back({&stored.ilabels, sample.t, sample.v});
-      });
+      std::size_t fresh = stored.data.count_since(since);
+      if (fresh == 0) continue;
+      out.samples += fresh;
+      out.newest = std::max(out.newest, stored.data.max_time());
     }
-    if (!refs.empty()) sink(refs.data(), refs.size());
   }
+  if (out.newest > watermark_.load(std::memory_order_relaxed)) {
+    watermark_.store(out.newest, std::memory_order_release);
+  }
+  return out;
 }
 
 namespace {

@@ -36,7 +36,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -113,6 +112,9 @@ struct StorageStats {
   // across stores stays correct, and symbol_bytes must be added once at
   // most per process, not per store.
   std::size_t symbol_bytes = 0;
+  // Live samples append_refs rejected at or below the watermark, since
+  // the store was created.
+  std::size_t out_of_bounds = 0;
 };
 
 class Wal;  // tsdb/wal.h
@@ -131,8 +133,27 @@ class TimeSeriesStore final : public Queryable {
   // appender rolls back on a WAL error. Samples are grouped by shard so
   // each shard lock is taken once per batch; the caller's label pointers
   // must stay valid for the call. Returns the number of samples accepted.
+  // A sample at or below the watermark is out of bounds: it is neither
+  // logged nor applied, only counted in StorageStats::out_of_bounds.
   std::size_t append_refs(const metrics::SampleRef* samples,
                           std::size_t count);
+
+  // WAL replay's write, and the apply step of append_refs: applies a
+  // batch with no logging and no watermark check. Outside append_refs
+  // only recovery calls it, for batches the log already holds.
+  std::size_t replay_refs(const metrics::SampleRef* samples,
+                          std::size_t count);
+
+  // Out-of-bounds watermark, Prometheus' head minValidTime: the newest
+  // timestamp a reader already treats as final (the long-term store's
+  // sync cursor). Only ever raised, by advance_watermark(). clear(), WAL
+  // replay and snapshot restore neither check nor reset it, so a store
+  // recovered in place keeps rejecting what it rejected before.
+  // kNoWatermark until the first raise.
+  TimestampMs watermark() const {
+    return watermark_.load(std::memory_order_acquire);
+  }
+  static constexpr TimestampMs kNoWatermark = INT64_MIN;
 
   // Attaches (or detaches, with nullptr) a write-ahead log: every
   // mutation is then logged and made durable (group commit) before it is
@@ -168,16 +189,18 @@ class TimeSeriesStore final : public Queryable {
   // Newest sample timestamp across all series, or nullopt when empty.
   std::optional<TimestampMs> max_time() const;
 
-  // Replication pull. Visits the shards in index order; for each shard
-  // holding samples at/after `since`, calls `sink` once, under that
-  // shard's shared lock, with every such sample as a SampleRef whose
-  // labels point at the stored series' own InternedLabels (oldest first
-  // within a series). The refs are valid only during the call. `sink` may
-  // lock other stores but must not write to this one.
-  void for_each_shard_since(
-      TimestampMs since,
-      const std::function<void(const metrics::SampleRef*, std::size_t)>&
-          sink) const;
+  // Replication cursor step: counts the samples at/after `since` and the
+  // newest timestamp among them (kNoWatermark when there are none), then
+  // raises the watermark to that timestamp. Atomic with respect to
+  // append_refs, which holds the same gate from its check to its apply:
+  // no sample at or below the new watermark can land uncounted, even from
+  // a batch that was already in flight. Takes each shard's shared lock in
+  // turn; decodes only sealed chunks that straddle `since`.
+  struct SinceCount {
+    std::size_t samples = 0;
+    TimestampMs newest = kNoWatermark;
+  };
+  SinceCount advance_watermark(TimestampMs since);
 
   // Durability: a compact binary snapshot of every series ("CEEMSTSDB2":
   // u64-length-prefixed labels, sealed chunks written compressed as-is,
@@ -246,6 +269,14 @@ class TimeSeriesStore final : public Queryable {
                                          const Selector& selector);
 
   std::array<Shard, kShardCount> shards_;
+
+  // append_refs holds the gate shared from its watermark check to its
+  // apply; advance_watermark holds it exclusively. Ordered before the
+  // WAL's commit lock and the shard locks.
+  std::shared_mutex watermark_gate_;
+  // Written only under the exclusive gate; atomic for watermark().
+  std::atomic<TimestampMs> watermark_{kNoWatermark};
+  std::atomic<std::size_t> out_of_bounds_{0};
 
   // Owner keeps the Wal alive; the raw pointer is what the hot path
   // loads (one relaxed-ish atomic read per batch, no refcount traffic).

@@ -209,7 +209,7 @@ struct Replayer {
           batch_refs.push_back(ref);
         }
         samples_appended +=
-            store.append_refs(batch_refs.data(), batch_refs.size());
+            store.replay_refs(batch_refs.data(), batch_refs.size());
         return true;
       }
       case Wal::kPurgeRecord: {

@@ -124,7 +124,9 @@ struct WalReplayResult : simfs::LogScan {
 // must NOT have a WAL attached (records would be re-logged). Records are
 // fully decoded and validated before any sample is applied, so a corrupt
 // record never applies partially; the invalid tail is durably truncated
-// away (see simfs::scan_log).
+// away (see simfs::scan_log). Samples go through replay_refs, so the
+// store's out-of-bounds watermark does not apply: every logged sample was
+// accepted live.
 WalReplayResult replay_wal(simfs::DurableDir& dir, uint64_t seq_floor,
                            TimeSeriesStore& store);
 

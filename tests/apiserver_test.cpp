@@ -145,20 +145,20 @@ TEST(UpdaterAlignment, AggregateQueriesHitResolutionLadder) {
   constexpr int64_t kFiveMin = 5 * common::kMillisPerMinute;
   constexpr common::TimestampMs kEnd = 40 * common::kMillisPerMinute;
 
-  tsdb::TimeSeriesStore hot;
+  auto hot = std::make_shared<tsdb::TimeSeriesStore>();
   auto power = metrics::Labels{{"uuid", "vm-1"}}
                    .with_name("ceems_job_power_watts");
   auto cpu = metrics::Labels{{"uuid", "vm-1"}}
                  .with_name("ceems_compute_unit_cpu_usage_seconds_total");
   for (common::TimestampMs t = 0; t <= kEnd; t += 30000) {
-    append_one(hot, power, t, 200);
-    append_one(hot, cpu, t, static_cast<double>(t) / 1000.0);  // 1 cpu-sec/sec
+    append_one(*hot, power, t, 200);
+    append_one(*hot, cpu, t, static_cast<double>(t) / 1000.0);  // 1 cpu-sec/sec
   }
   tsdb::LongTermConfig lt_config;
   lt_config.downsample_after_ms = 365LL * 24 * common::kMillisPerHour;
   lt_config.levels = {{kFiveMin, 0}};
-  auto lt = std::make_shared<tsdb::LongTermStore>(lt_config);
-  lt->sync_from(hot);
+  auto lt = std::make_shared<tsdb::LongTermStore>(hot, lt_config);
+  lt->sync_from(*hot);
   lt->compact(kEnd);
 
   reldb::Database db;
@@ -610,6 +610,15 @@ TEST_F(ApiServerTest, CleanupDeletesShortJobSeries) {
         0, mini.clock()->now_ms());
     if (lifetime < 15 * common::kMillisPerMinute) {
       EXPECT_TRUE(series.empty()) << "job " << job.job_id;
+      // Long-term reads go through the hot store for recent data, so the
+      // deleted series vanish there too (buckets already folded stay).
+      EXPECT_TRUE(mini.stack()
+                      .longterm()
+                      ->select({{"uuid", metrics::LabelMatcher::Op::kEq,
+                                 std::to_string(job.job_id)}},
+                               0, mini.clock()->now_ms())
+                      .empty())
+          << "job " << job.job_id;
       checked_short = true;
     }
   }

@@ -371,7 +371,8 @@ TEST(Config, FlatLongTermKeysAreOneLevelLadder) {
             10 * common::kMillisPerMinute);
   EXPECT_EQ(flat.stack.longterm.levels[0].retention_ms,
             7 * 24 * common::kMillisPerHour);
-  tsdb::LongTermStore store(flat.stack.longterm);
+  tsdb::LongTermStore store(std::make_shared<tsdb::TimeSeriesStore>(),
+                            flat.stack.longterm);
   EXPECT_EQ(store.agg_resolutions(),
             std::vector<int64_t>{10 * common::kMillisPerMinute});
 

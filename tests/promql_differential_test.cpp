@@ -87,12 +87,12 @@ std::shared_ptr<TimeSeriesStore> make_random_store(uint64_t seed) {
 
 // Long-term store built from the hot store, compacted so roughly the
 // first half is downsampled — plenty of series straddle the horizon.
-std::shared_ptr<LongTermStore> make_longterm(const TimeSeriesStore& hot) {
+std::shared_ptr<LongTermStore> make_longterm(StorePtr hot) {
   LongTermConfig config;
   config.downsample_after_ms = kDataEnd / 2;
   config.levels = {{5 * 60 * 1000, 0}};
-  auto lt = std::make_shared<LongTermStore>(config);
-  lt->sync_from(hot);
+  auto lt = std::make_shared<LongTermStore>(hot, config);
+  lt->sync_from(*hot);
   lt->compact(kDataEnd);
   return lt;
 }
@@ -206,7 +206,7 @@ TEST(PromqlDifferential, LongTermStoreAllFunctions) {
   for (uint64_t seed : {7u, 99u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     auto store = make_random_store(seed);
-    auto lt = make_longterm(*store);
+    auto lt = make_longterm(store);
     run_corpus(*lt);
   }
 }
@@ -286,12 +286,12 @@ std::shared_ptr<TimeSeriesStore> make_integer_store(uint64_t seed) {
 
 // Two-level ladder (5m -> 1h) with raw kept forever, so the raw paths stay
 // meaningful oracles over the whole range even after compaction.
-std::shared_ptr<LongTermStore> make_ladder_store(const TimeSeriesStore& hot) {
+std::shared_ptr<LongTermStore> make_ladder_store(StorePtr hot) {
   LongTermConfig config;
   config.downsample_after_ms = 365LL * 24 * 60 * 60 * 1000;
   config.levels = {{5 * 60 * 1000, 0}, {60 * 60 * 1000, 0}};
-  auto lt = std::make_shared<LongTermStore>(config);
-  lt->sync_from(hot);
+  auto lt = std::make_shared<LongTermStore>(hot, config);
+  lt->sync_from(*hot);
   lt->compact(kDataEnd);
   return lt;
 }
@@ -322,7 +322,7 @@ TEST(PromqlDifferential, ResolutionAwarePlannerBitIdentical) {
   for (uint64_t seed : {3u, 21u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     auto store = make_integer_store(seed);
-    auto lt = make_ladder_store(*store);
+    auto lt = make_ladder_store(store);
     for (const char* func : funcs) {
       for (const char* metric : {"power_watts", "energy_joules_total"}) {
         for (bool aligned : {true, false}) {
@@ -364,7 +364,7 @@ TEST(PromqlDifferential, ResolutionAwarePlannerBitIdentical) {
 // hit the ladder, unaligned ones and non-plannable functions fall back.
 TEST(PromqlDifferential, ResolutionAwareInstantQueries) {
   auto store = make_integer_store(17);
-  auto lt = make_ladder_store(*store);
+  auto lt = make_ladder_store(store);
   EngineOptions on_options;
   on_options.query_cache_capacity = 0;
   Engine planner_on(on_options);
@@ -412,7 +412,7 @@ TEST(PromqlDifferential, ResolutionAwareInstantQueries) {
 // must be answered from the 1h level, not the 5m one.
 TEST(PromqlDifferential, PlannerPrefersCoarsestCoveringLevel) {
   auto store = make_integer_store(29);
-  auto lt = make_ladder_store(*store);
+  auto lt = make_ladder_store(store);
   EngineOptions options;
   options.query_cache_capacity = 0;
   Engine engine(options);

@@ -108,30 +108,34 @@ TEST(Storage, DeleteSeriesByMatcher) {
   EXPECT_EQ(store.stats().num_series, 1u);
 }
 
-TEST(Storage, ForEachShardSinceForReplication) {
+TEST(Storage, AdvanceWatermarkCountsSince) {
   TimeSeriesStore store;
   append_one(store, series_labels("m", "n1"), 1000, 1);
   append_one(store, series_labels("m", "n1"), 2000, 2);
   append_one(store, series_labels("m", "n2"), 3000, 3);
-  std::vector<std::pair<std::string, TimestampMs>> fresh;
-  std::size_t calls = 0;
-  store.for_each_shard_since(
-      1500, [&](const metrics::SampleRef* samples, std::size_t count) {
-        ++calls;
-        for (std::size_t i = 0; i < count; ++i) {
-          fresh.emplace_back(samples[i].labels->to_labels().to_string(),
-                             samples[i].timestamp_ms);
-        }
-      });
-  std::sort(fresh.begin(), fresh.end());
-  ASSERT_EQ(fresh.size(), 2u);
-  EXPECT_EQ(fresh[0].second, 2000);
-  EXPECT_EQ(fresh[1].second, 3000);
-  EXPECT_LE(calls, 2u);  // one call per shard that has new samples
-  EXPECT_EQ(store.max_time(), 3000);
-  store.for_each_shard_since(3001, [&](const metrics::SampleRef*,
-                                       std::size_t) { ++calls; });
-  EXPECT_LE(calls, 2u);  // nothing new: the sink is never called
+  EXPECT_EQ(store.watermark(), TimeSeriesStore::kNoWatermark);
+  TimeSeriesStore::SinceCount fresh = store.advance_watermark(1500);
+  EXPECT_EQ(fresh.samples, 2u);
+  EXPECT_EQ(fresh.newest, 3000);
+  EXPECT_EQ(store.watermark(), 3000);
+  // Nothing new: the count is empty and the watermark stays.
+  fresh = store.advance_watermark(3001);
+  EXPECT_EQ(fresh.samples, 0u);
+  EXPECT_EQ(fresh.newest, TimeSeriesStore::kNoWatermark);
+  EXPECT_EQ(store.watermark(), 3000);
+  // It never lowers the watermark.
+  EXPECT_EQ(store.advance_watermark(0).samples, 3u);
+  EXPECT_EQ(store.watermark(), 3000);
+
+  // Sealed chunks count by header when wholly newer and are decoded only
+  // when they straddle `since`.
+  TimeSeriesStore sealed;
+  for (int i = 0; i < 300; ++i) {
+    append_one(sealed, series_labels("m", "n1"), int64_t{i} * 1000, i);
+  }
+  EXPECT_EQ(sealed.advance_watermark(150'000).samples, 150u);
+  EXPECT_EQ(sealed.advance_watermark(299'000).newest, 299'000);
+  EXPECT_EQ(sealed.advance_watermark(0).samples, 300u);
 }
 
 TEST(Storage, EmptyStoreBehaviour) {
@@ -548,10 +552,13 @@ TEST(ChunkCodec, DuplicateTimestampAfterAdoptSealedResealsChunk) {
   EXPECT_EQ(series.append(119000, 42.5), AppendResult::kOverwrote);
   EXPECT_EQ(series.num_samples(), 120u);
   std::vector<SamplePoint> all;
-  series.for_each_since(0, [&](const SamplePoint& sample) {
-    all.push_back(sample);
-  });
+  for (const auto& slice : series.slices_between(0, 119000)) {
+    std::vector<SamplePoint> points =
+        slice.chunk ? *slice.chunk->decode() : slice.points;
+    all.insert(all.end(), points.begin(), points.end());
+  }
   ASSERT_EQ(all.size(), 120u);
+  EXPECT_EQ(series.count_since(0), 120u);
   EXPECT_EQ(all.back().t, 119000);
   EXPECT_DOUBLE_EQ(all.back().v, 42.5);
   // Ordering rules are unchanged around the rewrite.

@@ -9,9 +9,11 @@
 //     conflict graph on a thread pool, against per-sample Engine::eval +
 //     append_one, on random fleets with alerts firing and resolving, with
 //     and without a WAL;
-//   * LongTermStore::sync_from (per-shard batches on the hot store's
-//     interned labels) against a replica built from select() +
-//     append_one, through repeated syncs, compactions and hot purges.
+//   * LongTermStore reading recent samples through the live hot store
+//     against the copying store it replaced: a long-term store over a
+//     private copy filled from select() + append_one at each sync,
+//     through repeated syncs, late samples and compactions (which purge
+//     both the hot store and the copy).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -537,28 +539,27 @@ TEST(RulesWriteDifferential, GraphPassOnPoolMatchesPerSampleReferenceWithWal) {
 }
 
 // ---------------------------------------------------------------------------
-// sync_from vs select() + append_one
+// read-through sync vs a select() + append_one copy
 
-// The replica the old sync built: every hot sample newer than the cursor,
-// pulled through select() and appended with string labels, with the
-// cursor taken from the samples copied. Its long-term store ingests only
-// through a scratch store holding exactly those samples, so its raw
-// contents and cursor come from this reference, not from the sync under
-// test's choice of what to copy.
+// The old sync's semantics: every hot sample newer than the cursor,
+// pulled through select() and appended with string labels to a private
+// copy, with the cursor taken from the samples copied, and a long-term
+// store reading through that copy. Its contents and cursor come from this
+// reference, not from the read-through under test.
 class SelectAppendReplica {
  public:
-  explicit SelectAppendReplica(LongTermConfig config) : store_(config) {}
+  explicit SelectAppendReplica(LongTermConfig config)
+      : copy_(std::make_shared<TimeSeriesStore>()), store_(copy_, config) {}
 
   std::size_t sync_from(const TimeSeriesStore& hot) {
-    TimeSeriesStore delta;
     std::size_t copied = 0;
     for (const auto& view : hot.select({}, cursor_ + 1, kMaxT)) {
       for (const auto& sample : view.samples()) {
-        if (append_one(delta, view.labels, sample.t, sample.v)) ++copied;
+        if (append_one(*copy_, view.labels, sample.t, sample.v)) ++copied;
         cursor_ = std::max(cursor_, sample.t);
       }
     }
-    EXPECT_EQ(store_.sync_from(delta), copied);
+    EXPECT_EQ(store_.sync_from(*copy_), copied);
     return copied;
   }
 
@@ -566,9 +567,33 @@ class SelectAppendReplica {
   LongTermStore& store() { return store_; }
 
  private:
+  StorePtr copy_;
   LongTermStore store_;
   TimestampMs cursor_ = -1;
 };
+
+// Matchers over the sync differential's own label space.
+std::vector<LabelMatcher> random_series_matchers(std::mt19937_64& rng) {
+  static const std::vector<std::string> kSeriesNames = {"__name__",
+                                                        "hostname", "uuid"};
+  static const std::vector<std::string> kSeriesValues = {
+      "ceems_a", "ceems_b", "ceems_late", "n1", "n4", "late", "103", ""};
+  static const std::vector<std::string> kSeriesPatterns = {
+      "ceems_.*", "n[0-4]", ".*", ".+", "1.*", "late|n8"};
+  std::vector<LabelMatcher> matchers;
+  std::size_t count = rng() % 3;
+  for (std::size_t i = 0; i < count; ++i) {
+    LabelMatcher matcher;
+    matcher.name = pick(rng, kSeriesNames);
+    matcher.op = static_cast<Op>(rng() % 4);
+    matcher.value =
+        matcher.op == Op::kRegexMatch || matcher.op == Op::kRegexNoMatch
+            ? pick(rng, kSeriesPatterns)
+            : pick(rng, kSeriesValues);
+    matchers.push_back(std::move(matcher));
+  }
+  return matchers;
+}
 
 std::string agg_digest(const std::optional<std::vector<AggSeriesView>>& views) {
   if (!views) return "refused\n";
@@ -600,8 +625,9 @@ TEST(LongTermSyncDifferential, SyncMatchesSelectAppendReplica) {
                    {kMillisPerHour, 0}};
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     std::mt19937_64 rng(seed);
-    TimeSeriesStore hot;
-    LongTermStore synced(config);
+    auto hot_ptr = std::make_shared<TimeSeriesStore>();
+    TimeSeriesStore& hot = *hot_ptr;
+    LongTermStore synced(hot_ptr, config);
     SelectAppendReplica replica(config);
     std::vector<Labels> series;
     for (int i = 0; i < 40; ++i) {
@@ -609,7 +635,7 @@ TEST(LongTermSyncDifferential, SyncMatchesSelectAppendReplica) {
                               {"uuid", std::to_string(seed * 100 + i)}}
                            .with_name(i % 2 ? "ceems_a" : "ceems_b"));
     }
-    std::size_t out_of_order_rejects = 0;
+    std::size_t late_rejects = 0;
     for (int step = 0; step < 400; ++step) {
       TimestampMs now = step * 30'000;
       for (std::size_t i = 0; i < series.size(); ++i) {
@@ -621,11 +647,9 @@ TEST(LongTermSyncDifferential, SyncMatchesSelectAppendReplica) {
                                    : static_cast<double>(rng() % 5000) / 3.0;
         append_one(hot, series[i], t, v);
         if (rng() % 15 == 0) {
-          // Late sample: rejected by the hot series, or (for a fresh
-          // series) accepted but already behind the sync cursor.
-          if (!append_one(hot, series[i], t - 45'000, 1.0)) {
-            ++out_of_order_rejects;
-          }
+          // Late sample: rejected by the hot series as out of order, or
+          // (for a fresh series) at the watermark, behind the cursor.
+          if (!append_one(hot, series[i], t - 45'000, 1.0)) ++late_rejects;
         }
       }
       if (rng() % 40 == 0) {
@@ -644,12 +668,18 @@ TEST(LongTermSyncDifferential, SyncMatchesSelectAppendReplica) {
         synced.compact(now);
         replica.store().compact(now);
       }
-      if (rng() % 20 == 0) hot.purge_before(now - 20 * kMillisPerMinute);
       if (step % 25 == 24) {
         ASSERT_EQ(digest(synced), digest(replica.store()))
             << "seed " << seed << " step " << step;
-        EXPECT_EQ(synced.raw_stats().num_samples,
-                  replica.store().raw_stats().num_samples);
+        for (int q = 0; q < 20; ++q) {
+          auto matchers = random_series_matchers(rng);
+          TimestampMs lo =
+              now - static_cast<TimestampMs>(rng() % 200) * 30'000;
+          TimestampMs hi = lo + static_cast<TimestampMs>(rng() % 120) * 30'000;
+          ASSERT_EQ(digest(synced.select(matchers, lo, hi)),
+                    digest(replica.store().select(matchers, lo, hi)))
+              << "seed " << seed << " step " << step << " query " << q;
+        }
         for (int64_t res : synced.agg_resolutions()) {
           TimestampMs max_end = (now / res) * res;
           TimestampMs min_end = max_end - 6 * res;
@@ -660,8 +690,14 @@ TEST(LongTermSyncDifferential, SyncMatchesSelectAppendReplica) {
         }
       }
     }
-    EXPECT_GT(out_of_order_rejects, 0u);
+    EXPECT_GT(late_rejects, 0u);
+    EXPECT_GT(hot.stats().out_of_bounds, 0u);
     EXPECT_GT(synced.downsampled_stats().num_samples, 0u);
+    // Compaction owns the hot store's retention: nothing older than the
+    // horizon's aligned boundary is left in it.
+    EXPECT_TRUE(hot.select({}, 0, 360 * 30'000 - config.downsample_after_ms -
+                                      kMillisPerHour)
+                    .empty());
   }
 }
 

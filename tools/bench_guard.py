@@ -80,6 +80,13 @@ GUARDED_COUNTERS = {
     # is one batch, one log record and one sync. Exact, gated at 1%;
     # per-row commits would multiply it by the rows per cycle.
     "db_syncs_per_cycle": 0.01,
+    # Long-term footprint (BM_longterm_footprint): bytes the long-term
+    # store holds beyond its ladder, per hot-store byte. 0 while recent
+    # samples are read through the hot store; a second raw copy makes it
+    # about 1, which the zero baseline fails. sync_samples counts what the
+    # syncs saw, exactly.
+    "longterm_raw_bytes_per_hot_byte": 0.01,
+    "sync_samples": 0.01,
 }
 
 

@@ -145,6 +145,22 @@ class BenchGuardTest(unittest.TestCase):
                                         rule_samples_per_pass=2688)])
         self.assertEqual(self.guard(skipped, base), 1)
 
+    def test_longterm_footprint_counters_are_guarded(self):
+        base = doc(benchmarks=[bench("BM_longterm_footprint",
+                                     longterm_raw_bytes_per_hot_byte=0,
+                                     sync_samples=60000)])
+        self.assertEqual(self.guard(base, base), 0)
+        # A long-term store keeping its own raw copy again.
+        copy = doc(benchmarks=[bench("BM_longterm_footprint",
+                                     longterm_raw_bytes_per_hot_byte=1.0,
+                                     sync_samples=60000)])
+        self.assertEqual(self.guard(copy, base), 1)
+        # A sync that misses samples moves the count.
+        missed = doc(benchmarks=[bench("BM_longterm_footprint",
+                                       longterm_raw_bytes_per_hot_byte=0,
+                                       sync_samples=57000)])
+        self.assertEqual(self.guard(missed, base), 1)
+
     def test_multiple_pairs_all_pass(self):
         tsdb = doc(benchmarks=[bench("t", points_scanned_per_query=10)])
         soak = doc(benchmarks=[bench("s", peak_bytes=10)])
