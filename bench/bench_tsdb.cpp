@@ -351,6 +351,61 @@ void BM_longterm_footprint(benchmark::State& state) {
 }
 BENCHMARK(BM_longterm_footprint)->Unit(benchmark::kMillisecond);
 
+// ---------- long-term history read (name postings) ----------
+
+// A read past the purge boundary pays for the metric it names, not for
+// the ladder. 40 metrics x 50 hosts over 8 h of 1-minute samples,
+// compacted every 30 min into the default 5m level behind the default
+// 2 h hot horizon; each iteration reads one metric over the last 6 h
+// (4 h of ladder history, then the hot tail). ladder_series_per_select
+// counts the ladder series each read checks: the metric's 50, where a
+// full scan of the level would check all 2000. tools/bench_guard.py
+// gates it.
+void BM_longterm_select_history(benchmark::State& state) {
+  constexpr int kMetrics = 40;
+  constexpr int kHosts = 50;
+  constexpr int64_t kStepMs = common::kMillisPerMinute;
+  constexpr int64_t kEndMs = 8 * common::kMillisPerHour;
+  constexpr int64_t kCompactEveryMs = 30 * common::kMillisPerMinute;
+  std::vector<metrics::InternedLabels> labels;
+  for (int m = 0; m < kMetrics; ++m) {
+    for (int h = 0; h < kHosts; ++h) {
+      labels.emplace_back(
+          metrics::Labels{{"hostname", "n" + std::to_string(h)}}.with_name(
+              "m" + std::to_string(m)));
+    }
+  }
+  auto hot = std::make_shared<TimeSeriesStore>();
+  tsdb::LongTermStore lt(hot);
+  std::vector<metrics::SampleRef> batch(labels.size());
+  for (int64_t t = kStepMs; t <= kEndMs; t += kStepMs) {
+    for (std::size_t s = 0; s < labels.size(); ++s) {
+      batch[s] = {&labels[s], t, static_cast<double>(t / kStepMs + s)};
+    }
+    hot->append_refs(batch.data(), batch.size());
+    if (t % kCompactEveryMs == 0) {
+      lt.sync_from(*hot);
+      lt.compact(t);
+    }
+  }
+  const std::vector<metrics::LabelMatcher> matchers = {
+      {"__name__", metrics::LabelMatcher::Op::kEq, "m7"}};
+  const uint64_t visited_before = lt.select_stats().ladder_series_visited;
+  double returned = 0;
+  for (auto _ : state) {
+    auto views = lt.select(matchers, kEndMs - 6 * common::kMillisPerHour,
+                           kEndMs);
+    returned = static_cast<double>(views.size());
+    benchmark::DoNotOptimize(views);
+  }
+  const double visited = static_cast<double>(
+      lt.select_stats().ladder_series_visited - visited_before);
+  state.counters["ladder_series_per_select"] =
+      visited / static_cast<double>(state.iterations());
+  state.counters["series_returned"] = returned;
+}
+BENCHMARK(BM_longterm_select_history)->Unit(benchmark::kMicrosecond);
+
 void BM_purge(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();

@@ -1,11 +1,14 @@
 #include "apiserver/updater.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string_view>
 
 #include "common/logging.h"
 #include "common/strutil.h"
+#include "metrics/model.h"
 #include "metrics/symbols.h"
 
 namespace ceems::apiserver {
@@ -97,10 +100,10 @@ void Updater::update_aggregates(common::TimestampMs now, Cycle& cycle,
   double window_sec = static_cast<double>(window_ms) / 1000.0;
   std::string window = common::format_duration_ms(window_ms);
 
-  // Batched per-uuid queries over the window. Every query groups by uuid
-  // so one TSDB pass covers every running unit. Result maps are keyed by
-  // the uuid's interned symbol id: seven queries per cycle over hundreds
-  // of units would otherwise copy the same uuid strings into every map.
+  // Batched per-uuid reads over the window. Every read groups by uuid so
+  // one TSDB pass covers every running unit. Result maps are keyed by the
+  // uuid's interned symbol id: eight reads per cycle over hundreds of
+  // units would otherwise copy the same uuid strings into every map.
   auto& symtab = metrics::SymbolTable::global();
   auto vector_by_uuid = [&](const std::string& query)
       -> std::map<uint32_t, double> {
@@ -118,9 +121,40 @@ void Updater::update_aggregates(common::TimestampMs now, Cycle& cycle,
     return out;
   };
 
-  auto cpu_time = vector_by_uuid(
-      "sum by (uuid) (increase(ceems_compute_unit_cpu_usage_seconds_total[" +
-      window + "]))");
+  // Counters tile the cycles: each one reads the samples past the
+  // previous instant plus the last sample at or before it, so every
+  // scrape delta lands in exactly one cycle. increase() over
+  // (at - window, at] would drop the delta that straddles the window's
+  // start, and over one scrape interval it sees a single sample and
+  // returns nothing. One select per counter per cycle.
+  auto counter_by_uuid = [&](std::string_view metric) {
+    std::map<uint32_t, double> out;
+    const std::vector<metrics::LabelMatcher> matchers = {
+        {std::string(metrics::kMetricNameLabel),
+         metrics::LabelMatcher::Op::kEq, std::string(metric)}};
+    for (const auto& view : tsdb_->select(
+             matchers, last_agg_ms_ - tsdb::promql::kLookbackMs, at)) {
+      auto uuid = view.labels.get("uuid");
+      if (!uuid) continue;
+      std::vector<tsdb::SamplePoint> samples = view.samples();
+      std::erase_if(samples, [](const tsdb::SamplePoint& sample) {
+        return metrics::is_stale_marker(sample.v);
+      });
+      auto fresh = std::find_if(
+          samples.begin(), samples.end(),
+          [&](const tsdb::SamplePoint& s) { return s.t > last_agg_ms_; });
+      if (fresh == samples.end()) continue;
+      auto first = fresh == samples.begin() ? fresh : std::prev(fresh);
+      const auto count = static_cast<std::size_t>(samples.end() - first);
+      if (count < 2) continue;
+      out[symtab.intern(*uuid)] +=
+          tsdb::promql::counter_increase(&*first, count);
+    }
+    return out;
+  };
+
+  auto cpu_time =
+      counter_by_uuid("ceems_compute_unit_cpu_usage_seconds_total");
   auto mem_avg = vector_by_uuid(
       "avg by (uuid) (avg_over_time(ceems_compute_unit_memory_current_bytes[" +
       window + "]))");
@@ -130,12 +164,8 @@ void Updater::update_aggregates(common::TimestampMs now, Cycle& cycle,
                                   kGpuPowerMetric + "[" + window + "]))");
   auto gpu_util = vector_by_uuid(std::string("avg by (uuid) (avg_over_time(") +
                                  kGpuUtilMetric + "[" + window + "]))");
-  auto io_read = vector_by_uuid(
-      "sum by (uuid) (increase(ceems_compute_unit_io_read_bytes_total[" +
-      window + "]))");
-  auto io_write = vector_by_uuid(
-      "sum by (uuid) (increase(ceems_compute_unit_io_write_bytes_total[" +
-      window + "]))");
+  auto io_read = counter_by_uuid("ceems_compute_unit_io_read_bytes_total");
+  auto io_write = counter_by_uuid("ceems_compute_unit_io_write_bytes_total");
 
   // Cluster-wide emission factor for the window (scalar).
   double factor = 0;

@@ -35,11 +35,12 @@ struct UpdaterConfig {
   int64_t small_unit_cutoff_ms = 0;
   // When > 0, aggregate queries snap to this grid: the evaluation instant
   // rounds down to a multiple, so window length and instant are both
-  // grid-aligned and the increase()/avg_over_time() batch queries tile
-  // the long-term store's aggregate buckets — the resolution-aware
-  // planner then answers them from the ladder instead of scanning raw
-  // samples. Set it to the ladder's finest resolution; 0 keeps the
-  // legacy evaluate-at-now behaviour.
+  // grid-aligned and the avg_over_time() batch queries tile the long-term
+  // store's aggregate buckets — the resolution-aware planner then answers
+  // them from the ladder instead of scanning raw samples. (Counters are
+  // read as raw samples either way, from the last one at or before the
+  // previous instant.) Set it to the ladder's finest resolution; 0 keeps
+  // the legacy evaluate-at-now behaviour.
   int64_t align_window_ms = 0;
 };
 

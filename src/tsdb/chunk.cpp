@@ -462,8 +462,14 @@ std::size_t SeriesView::sample_count() const {
 }
 
 std::vector<SamplePoint> SeriesView::samples() const {
+  return decode_slices(slices);
+}
+
+std::vector<SamplePoint> decode_slices(const std::vector<ChunkSlice>& slices) {
   std::vector<SamplePoint> out;
-  out.reserve(sample_count());
+  std::size_t total = 0;
+  for (const auto& slice : slices) total += slice.count();
+  out.reserve(total);
   for (const auto& slice : slices) {
     if (slice.chunk) {
       auto decoded = slice.chunk->decode();

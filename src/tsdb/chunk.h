@@ -127,6 +127,9 @@ struct ChunkSlice {
   }
 };
 
+// Decodes and concatenates slices (time-ordered).
+std::vector<SamplePoint> decode_slices(const std::vector<ChunkSlice>& slices);
+
 // A chunk-backed view of one series over a time range, as returned by
 // Queryable::select(). Copying a view is cheap (label handle + chunk
 // refcounts); samples() decodes. Materialise only at the point the full

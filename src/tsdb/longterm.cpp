@@ -3,21 +3,38 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <stdexcept>
 
 #include "metrics/model.h"
+#include "tsdb/selector.h"
 
 namespace ceems::tsdb {
 
 namespace {
 
-bool matches_all(const std::vector<LabelMatcher>& matchers,
-                 const Labels& labels) {
-  for (const auto& matcher : matchers) {
-    if (!matcher.matches(labels)) return false;
+// Name-postings key of a series without a __name__ label.
+constexpr uint32_t kNoName = UINT32_MAX;
+
+uint32_t metric_name_symbol() {
+  static const uint32_t sym =
+      metrics::SymbolTable::global().intern(metrics::kMetricNameLabel);
+  return sym;
+}
+
+// The series' __name__ value symbol, or kNoName.
+uint32_t name_key(const InternedLabels& labels) {
+  const uint32_t name_sym = metric_name_symbol();
+  for (const auto& [name, value] : labels.pairs()) {
+    if (name == name_sym) return value;
   }
-  return true;
+  return kNoName;
+}
+
+template <typename View>
+void sort_by_labels(std::vector<View>& views) {
+  std::sort(views.begin(), views.end(), [](const View& a, const View& b) {
+    return a.labels < b.labels;
+  });
 }
 
 // A freshly-opened bucket: min/max start as NaN ("no non-NaN sample seen
@@ -153,11 +170,16 @@ void LongTermStore::compact(common::TimestampMs now) {
       TimestampMs from = level.cursor_ms == INT64_MIN
                              ? hot_floor()
                              : std::max(hot_floor(), level.cursor_ms + 1);
-      for (const auto& view : hot_->select({}, from, target)) {
-        auto& series = level.series[view.labels];
+      // Folds on the hot series' interned labels: no string label set is
+      // built, and a known series costs one fingerprint-hashed lookup.
+      for (auto& view : hot_->select_interned(from, target)) {
+        auto [it, inserted] =
+            level.series.try_emplace(std::move(view.labels));
+        if (inserted) level.by_name[name_key(it->first)].push_back(&*it);
+        AggChunkedSeries& series = it->second;
         AggBucket bucket;
         bool open = false;
-        for (const auto& sample : view.samples()) {
+        for (const auto& sample : decode_slices(view.slices)) {
           TimestampMs end = agg_bucket_end(sample.t, res);
           if (open && end != bucket.t) {
             if (series.append(bucket)) ++level.num_buckets;
@@ -205,19 +227,66 @@ void LongTermStore::compact(common::TimestampMs now) {
     if (level.config.retention_ms <= 0) continue;
     TimestampMs keep_from = now - level.config.retention_ms;
     std::size_t dropped = 0;
-    for (auto it = level.series.begin(); it != level.series.end();) {
-      dropped += it->second.drop_before(keep_from);
-      if (it->second.empty()) {
-        it = level.series.erase(it);
-      } else {
-        ++it;
+    bool emptied = false;
+    for (auto& [labels, series] : level.series) {
+      dropped += series.drop_before(keep_from);
+      emptied |= series.empty();
+    }
+    if (emptied) {
+      // Postings first, while the series they point at still exist.
+      auto is_empty = [](const LadderSeries* entry) {
+        return entry->second.empty();
+      };
+      for (auto it = level.by_name.begin(); it != level.by_name.end();) {
+        std::erase_if(it->second, is_empty);
+        it = it->second.empty() ? level.by_name.erase(it) : std::next(it);
       }
+      std::erase_if(level.series, [](const LadderSeries& entry) {
+        return entry.second.empty();
+      });
     }
     if (dropped > 0) {
       level.num_buckets -= dropped;
       level.purged_end_ms = std::max(level.purged_end_ms, keep_from - 1);
       ++level.version;
     }
+  }
+}
+
+template <typename Fn>
+void LongTermStore::for_each_match(const AggLevel& level,
+                                   const Selector& selector, Fn&& fn) const {
+  if (!selector.satisfiable()) return;
+  auto visit = [&](const LadderSeries& entry) {
+    ++select_stats_.ladder_series_visited;
+    if (selector.matches(entry.first)) fn(entry.first, entry.second);
+  };
+  std::vector<std::size_t> name_terms;
+  for (std::size_t i = 0; i < selector.size(); ++i) {
+    if (selector.on_label(i, metric_name_symbol())) name_terms.push_back(i);
+  }
+  if (name_terms.empty()) {
+    for (const auto& entry : level.series) visit(entry);
+    return;
+  }
+  // A name equality answers from one postings list.
+  for (std::size_t i : name_terms) {
+    if (auto pair = selector.posting(i)) {
+      auto it = level.by_name.find(pair->second);
+      if (it == level.by_name.end()) return;
+      for (const LadderSeries* entry : it->second) visit(*entry);
+      return;
+    }
+  }
+  // Otherwise the lists whose name every __name__ term accepts.
+  for (const auto& [name, entries] : level.by_name) {
+    std::optional<uint32_t> value;
+    if (name != kNoName) value = name;
+    bool accepted = std::all_of(
+        name_terms.begin(), name_terms.end(),
+        [&](std::size_t i) { return selector.term_matches(i, value); });
+    if (!accepted) continue;
+    for (const LadderSeries* entry : entries) visit(*entry);
   }
 }
 
@@ -230,9 +299,11 @@ std::vector<SeriesView> LongTermStore::select(
   // History the hot store no longer holds, synthesised from the finest
   // aggregate level as one last-sample-per-bucket point each — the same
   // shape the old single-level downsample produced, including a trailing
-  // staleness marker when the bucket ended with one.
-  std::map<Labels, SeriesView> merged;
-  if (!levels_.empty() && hot_purged_end_ != INT64_MIN && min_t <= max_t) {
+  // staleness marker when the bucket ended with one. Only a span that
+  // starts at or before the purge boundary can reach it.
+  std::vector<SeriesView> history;
+  if (!levels_.empty() && hot_purged_end_ != INT64_MIN && min_t <= max_t &&
+      min_t <= hot_purged_end_) {
     const AggLevel& finest = levels_.front();
     const int64_t res = finest.config.resolution_ms;
     // agg_bucket_end(max_t) >= max_t, so a max_t at or past the purge
@@ -242,90 +313,100 @@ std::vector<SeriesView> LongTermStore::select(
                              ? hot_purged_end_
                              : std::min(hot_purged_end_,
                                         agg_bucket_end(max_t, res));
-    for (const auto& [labels, series] : finest.series) {
-      if (!matches_all(matchers, labels)) continue;
-      std::vector<SamplePoint> points;
-      for (const auto& bucket : series.buckets_between(min_t, hi_end)) {
-        SamplePoint point;
-        if (bucket.marker_t != 0) {
-          point = {bucket.marker_t, metrics::stale_marker()};
-        } else if (bucket.count > 0) {
-          point = {bucket.last_t, bucket.last_v};
-        } else {
-          continue;
-        }
-        if (point.t < min_t || point.t > max_t) continue;
-        points.push_back(point);
-      }
-      if (points.empty()) continue;
-      Labels key = labels;
-      merged.emplace(std::move(key),
-                     SeriesView::owned(labels, std::move(points)));
-    }
+    for_each_match(
+        finest, Selector(matchers),
+        [&](const InternedLabels& labels, const AggChunkedSeries& series) {
+          std::vector<SamplePoint> points;
+          for (const auto& bucket : series.buckets_between(min_t, hi_end)) {
+            SamplePoint point;
+            if (bucket.marker_t != 0) {
+              point = {bucket.marker_t, metrics::stale_marker()};
+            } else if (bucket.count > 0) {
+              point = {bucket.last_t, bucket.last_v};
+            } else {
+              continue;
+            }
+            if (point.t < min_t || point.t > max_t) continue;
+            points.push_back(point);
+          }
+          if (points.empty()) return;
+          history.push_back(
+              SeriesView::owned(labels.to_labels(), std::move(points)));
+        });
+    sort_by_labels(history);
   }
 
   // Recent samples: the hot store's, past the purge boundary and up to
   // the cursor. The watermark keeps that span immutable, so it reads
-  // exactly what a copy taken at each sync would hold.
+  // exactly what a copy taken at each sync would hold. The hot store's
+  // views are label-sorted with one view per label set.
   std::vector<SeriesView> fine;
   const TimestampMs lo = std::max(min_t, hot_floor());
   const TimestampMs hi = std::min(max_t, sync_cursor_);
   if (lo <= hi) fine = hot_->select(matchers, lo, hi);
 
-  // Merge per label set: synthesised history followed by the hot tail.
-  // Keyed by the full label set, not its fingerprint — two distinct label
-  // sets whose fingerprints collide must stay distinct series. Series
-  // present on only one side keep their views. Straddling series are
-  // spliced slice-wise: hot reads start past a boundary the ladder has
-  // fully aggregated, so every hot slice is strictly newer than the
-  // history's end and rides along still-compressed — no materialisation,
-  // no decode. The decode-and-filter branch below only fires if that
-  // invariant is ever broken.
+  std::vector<SeriesView> out;
   std::size_t spliced_count = 0;
-  for (auto& view : fine) {
-    auto it = merged.find(view.labels);
-    if (it == merged.end()) {
-      Labels key = view.labels;
-      merged.emplace(std::move(key), std::move(view));
-      continue;
-    }
-    ++spliced_count;
-    SeriesView& dst = it->second;
-    TimestampMs newest = dst.slices.back().max_time();
-    dst.slices.reserve(dst.slices.size() + view.slices.size());
-    for (auto& slice : view.slices) {
-      if (slice.min_time() > newest) {
-        newest = slice.max_time();
-        dst.slices.push_back(std::move(slice));
+  if (history.empty()) {
+    out = std::move(fine);
+  } else {
+    // Merge the two sorted runs per label set: synthesised history
+    // followed by the hot tail. Compared by the full label set, not its
+    // fingerprint — two distinct label sets whose fingerprints collide
+    // must stay distinct series. Straddling series are spliced
+    // slice-wise: hot reads start past a boundary the ladder has fully
+    // aggregated, so every hot slice is strictly newer than the history's
+    // end and rides along still-compressed — no materialisation, no
+    // decode. The decode-and-filter branch below only fires if that
+    // invariant is ever broken.
+    out.reserve(history.size() + fine.size());
+    auto h = history.begin();
+    auto f = fine.begin();
+    while (h != history.end() || f != fine.end()) {
+      if (f == fine.end() || (h != history.end() && h->labels < f->labels)) {
+        out.push_back(std::move(*h++));
         continue;
       }
-      // Overlap: decode (if needed) and keep only strictly newer points.
-      std::vector<SamplePoint> points;
-      if (slice.chunk) {
-        auto decoded = slice.chunk->decode();
-        if (decoded) points = std::move(*decoded);
-      } else {
-        points = std::move(slice.points);
+      if (h == history.end() || f->labels < h->labels) {
+        out.push_back(std::move(*f++));
+        continue;
       }
-      std::vector<SamplePoint> kept;
-      for (const auto& sample : points) {
-        if (sample.t > newest) kept.push_back(sample);
+      ++spliced_count;
+      SeriesView& dst = *h;
+      TimestampMs newest = dst.slices.back().max_time();
+      dst.slices.reserve(dst.slices.size() + f->slices.size());
+      for (auto& slice : f->slices) {
+        if (slice.min_time() > newest) {
+          newest = slice.max_time();
+          dst.slices.push_back(std::move(slice));
+          continue;
+        }
+        // Overlap: decode (if needed) and keep only strictly newer points.
+        std::vector<SamplePoint> points;
+        if (slice.chunk) {
+          auto decoded = slice.chunk->decode();
+          if (decoded) points = std::move(*decoded);
+        } else {
+          points = std::move(slice.points);
+        }
+        std::vector<SamplePoint> kept;
+        for (const auto& sample : points) {
+          if (sample.t > newest) kept.push_back(sample);
+        }
+        select_stats_.spliced_points_copied += kept.size();
+        if (!kept.empty()) {
+          newest = kept.back().t;
+          dst.slices.push_back(ChunkSlice{nullptr, std::move(kept)});
+        }
       }
-      select_stats_.spliced_points_copied += kept.size();
-      if (!kept.empty()) {
-        newest = kept.back().t;
-        dst.slices.push_back(ChunkSlice{nullptr, std::move(kept)});
-      }
+      out.push_back(std::move(*h++));
+      ++f;
     }
   }
   select_stats_.spliced_views += spliced_count;
-  select_stats_.chunk_backed_views += merged.size() - spliced_count;
-  std::vector<SeriesView> out;
-  out.reserve(merged.size());
-  // Map iteration is ordered by labels, so output stays deterministic.
-  for (auto& [key, view] : merged) {
+  select_stats_.chunk_backed_views += out.size() - spliced_count;
+  for (const auto& view : out) {
     select_stats_.raw_points_scanned += view.sample_count();
-    out.push_back(std::move(view));
   }
   return out;
 }
@@ -352,13 +433,15 @@ std::optional<std::vector<AggSeriesView>> LongTermStore::select_agg(
     }
     std::vector<AggSeriesView> out;
     std::size_t rows = 0;
-    for (const auto& [labels, series] : level.series) {
-      if (!matches_all(matchers, labels)) continue;
-      auto buckets = series.buckets_between(min_end, max_end);
-      if (buckets.empty()) continue;
-      rows += buckets.size();
-      out.push_back({labels, std::move(buckets)});
-    }
+    for_each_match(
+        level, Selector(matchers),
+        [&](const InternedLabels& labels, const AggChunkedSeries& series) {
+          auto buckets = series.buckets_between(min_end, max_end);
+          if (buckets.empty()) return;
+          rows += buckets.size();
+          out.push_back({labels.to_labels(), std::move(buckets)});
+        });
+    sort_by_labels(out);
     ++select_stats_.level_hits[i];
     select_stats_.level_points_scanned[i] += rows;
     return out;

@@ -12,6 +12,17 @@
 
 namespace ceems::tsdb::promql {
 
+double counter_increase(const SamplePoint* samples, std::size_t count) {
+  // Sum of positive deltas; a drop is a counter reset (new epoch adds from
+  // zero), matching Prometheus' reset handling.
+  double total = 0;
+  for (std::size_t i = 1; i < count; ++i) {
+    double delta = samples[i].v - samples[i - 1].v;
+    total += delta >= 0 ? delta : samples[i].v;
+  }
+  return total;
+}
+
 namespace {
 
 using metrics::kMetricNameLabel;
@@ -70,17 +81,6 @@ std::vector<Series> eval_matrix_selector(const Queryable& source,
 }
 
 // ---------- range-vector functions ----------
-
-double counter_increase(const SamplePoint* samples, std::size_t count) {
-  // Sum of positive deltas; a drop is a counter reset (new epoch adds from
-  // zero), matching Prometheus' reset handling.
-  double total = 0;
-  for (std::size_t i = 1; i < count; ++i) {
-    double delta = samples[i].v - samples[i - 1].v;
-    total += delta >= 0 ? delta : samples[i].v;
-  }
-  return total;
-}
 
 // func: name of the *_over_time / rate family function. Takes a pointer
 // range so the streaming evaluator can fold a window of a prepared series

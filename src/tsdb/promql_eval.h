@@ -53,6 +53,12 @@ struct Value {
 // How far back an instant selector looks for a series' newest sample.
 constexpr int64_t kLookbackMs = 5 * common::kMillisPerMinute;
 
+// increase() over `count` time-ordered samples: the sum of positive
+// deltas, where a drop is a counter reset that adds the new value. No
+// extrapolation, so increases over runs that share their end samples sum
+// to the increase over the whole run.
+double counter_increase(const SamplePoint* samples, std::size_t count);
+
 struct EngineOptions {
   // Worker pool for range queries: evaluation steps are chunked across the
   // pool and merged in step order, so results are bit-identical to the

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <mutex>
-#include <regex>
 
 #include "common/byte_codec.h"
-#include "metrics/regex_cache.h"
+#include "tsdb/selector.h"
 #include "tsdb/wal.h"
 
 namespace ceems::tsdb {
@@ -148,134 +147,27 @@ std::size_t TimeSeriesStore::replay_refs(const metrics::SampleRef* samples,
   return accepted;
 }
 
-// A selector's matchers resolved against the symbol table once, so each
-// candidate series is checked by comparing 32-bit ids, not strings. Label
-// text is compared by symbol id, which is exact because interning is
-// injective; an absent label reads as the empty string, as in PromQL.
-class TimeSeriesStore::Selector {
- public:
-  explicit Selector(const std::vector<LabelMatcher>& matchers) {
-    SymbolTable& table = SymbolTable::global();
-    terms_.reserve(matchers.size());
-    for (const auto& matcher : matchers) {
-      Term term;
-      term.op = matcher.op;
-      term.pattern = &matcher.value;
-      term.name = table.find(matcher.name);
-      term.value = table.find(matcher.value);
-      term.value_empty = matcher.value.empty();
-      if (matcher.op == LabelMatcher::Op::kEq && !term.value_empty &&
-          (!term.name || !term.value)) {
-        // A name or value never interned appears in no stored series.
-        satisfiable_ = false;
-      }
-      terms_.push_back(std::move(term));
-    }
-  }
-
-  bool satisfiable() const { return satisfiable_; }
-
-  // Smallest posting list among the non-empty equality terms, with the
-  // index of the term it came from. {nullptr, npos} when there is no such
-  // term (scan every series); {empty, ...} when one has no posting in
-  // this shard.
-  std::pair<const std::set<uint64_t>*, std::size_t> smallest_posting(
-      const Shard& shard) const {
-    static const std::set<uint64_t> kNone;
-    const std::set<uint64_t>* best = nullptr;
-    std::size_t best_term = std::string::npos;
-    for (std::size_t i = 0; i < terms_.size(); ++i) {
-      const Term& term = terms_[i];
-      if (term.op != LabelMatcher::Op::kEq || term.value_empty) continue;
-      auto name_it = shard.index.find(*term.name);
-      if (name_it == shard.index.end()) return {&kNone, i};
-      auto value_it = name_it->second.find(*term.value);
-      if (value_it == name_it->second.end() || value_it->second.empty())
-        return {&kNone, i};
-      if (!best || value_it->second.size() < best->size()) {
-        best = &value_it->second;
-        best_term = i;
-      }
-    }
-    return {best, best_term};
-  }
-
-  // True when `labels` satisfies every term except `skip_term` (the one
-  // whose posting list produced the candidate).
-  bool matches(const InternedLabels& labels, std::size_t skip_term) const {
-    for (std::size_t i = 0; i < terms_.size(); ++i) {
-      if (i != skip_term && !terms_[i].matches(labels)) return false;
-    }
-    return true;
-  }
-
- private:
-  struct Term {
-    LabelMatcher::Op op = LabelMatcher::Op::kEq;
-    std::optional<uint32_t> name;   // nullopt: no series has this label
-    std::optional<uint32_t> value;  // nullopt: no series has this value
-    bool value_empty = false;
-    // Regex ops: the pattern (the caller's matcher outlives the Selector),
-    // compiled on first use so a bad pattern throws only where the
-    // per-series check used to, and the verdict per value symbol (kAbsent
-    // for a missing label) — each distinct value is matched once per
-    // call, not once per series.
-    const std::string* pattern = nullptr;
-    mutable std::shared_ptr<const std::regex> regex;
-    mutable std::unordered_map<uint32_t, bool> regex_memo;
-
-    static constexpr uint32_t kAbsent = UINT32_MAX;
-
-    bool matches(const InternedLabels& labels) const {
-      std::optional<uint32_t> actual;
-      if (name) {
-        for (const auto& [name_sym, value_sym] : labels.pairs()) {
-          if (name_sym == *name) {
-            actual = value_sym;
-            break;
-          }
-        }
-      }
-      switch (op) {
-        case LabelMatcher::Op::kEq:
-          return equals(actual);
-        case LabelMatcher::Op::kNe:
-          return !equals(actual);
-        case LabelMatcher::Op::kRegexMatch:
-          return regex_matches(actual);
-        case LabelMatcher::Op::kRegexNoMatch:
-          return !regex_matches(actual);
-      }
-      return false;
-    }
-
-    bool equals(std::optional<uint32_t> actual) const {
-      return actual ? value && *actual == *value : value_empty;
-    }
-
-    bool regex_matches(std::optional<uint32_t> actual) const {
-      uint32_t key = actual ? *actual : kAbsent;
-      auto it = regex_memo.find(key);
-      if (it != regex_memo.end()) return it->second;
-      if (!regex) regex = metrics::compiled_anchored_regex(*pattern);
-      std::string text(actual ? SymbolTable::global().text(*actual)
-                              : std::string_view{});
-      bool match = std::regex_search(text, *regex);
-      regex_memo.emplace(key, match);
-      return match;
-    }
-  };
-
-  std::vector<Term> terms_;
-  bool satisfiable_ = true;
-};
-
 std::vector<uint64_t> TimeSeriesStore::match_ids(const Shard& shard,
                                                  const Selector& selector) {
-  // Walk only the smallest equality posting list, in place, and check the
-  // remaining terms by symbol id.
+  // Walk only the smallest posting list among the non-empty equality
+  // terms, in place, and check the remaining terms by symbol id. A term
+  // with no posting in this shard matches nothing here.
+  const std::set<uint64_t>* posting = nullptr;
+  std::size_t posting_term = Selector::kNoTerm;
+  for (std::size_t i = 0; i < selector.size(); ++i) {
+    auto pair = selector.posting(i);
+    if (!pair) continue;
+    auto name_it = shard.index.find(pair->first);
+    if (name_it == shard.index.end()) return {};
+    auto value_it = name_it->second.find(pair->second);
+    if (value_it == name_it->second.end() || value_it->second.empty())
+      return {};
+    if (!posting || value_it->second.size() < posting->size()) {
+      posting = &value_it->second;
+      posting_term = i;
+    }
+  }
   std::vector<uint64_t> out;
-  auto [posting, posting_term] = selector.smallest_posting(shard);
   if (posting) {
     for (uint64_t id : *posting) {
       auto it = shard.series.find(id);
@@ -286,8 +178,7 @@ std::vector<uint64_t> TimeSeriesStore::match_ids(const Shard& shard,
     }
   } else {
     for (const auto& [id, stored] : shard.series) {
-      if (selector.matches(stored.ilabels, std::string::npos))
-        out.push_back(id);
+      if (selector.matches(stored.ilabels)) out.push_back(id);
     }
   }
   return out;
@@ -315,6 +206,20 @@ std::vector<SeriesView> TimeSeriesStore::select(
             [](const SeriesView& a, const SeriesView& b) {
               return a.labels < b.labels;
             });
+  return out;
+}
+
+std::vector<TimeSeriesStore::InternedSlices> TimeSeriesStore::select_interned(
+    TimestampMs min_t, TimestampMs max_t) const {
+  std::vector<InternedSlices> out;
+  for (const Shard& shard : shards_) {
+    std::shared_lock lock(shard.mu);
+    for (const auto& [id, stored] : shard.series) {
+      auto slices = stored.data.slices_between(min_t, max_t);
+      if (slices.empty()) continue;
+      out.push_back({stored.ilabels, std::move(slices)});
+    }
+  }
   return out;
 }
 

@@ -117,7 +117,8 @@ struct StorageStats {
   std::size_t out_of_bounds = 0;
 };
 
-class Wal;  // tsdb/wal.h
+class Wal;       // tsdb/wal.h
+class Selector;  // tsdb/selector.h
 
 class TimeSeriesStore final : public Queryable {
  public:
@@ -168,6 +169,17 @@ class TimeSeriesStore final : public Queryable {
                                  TimestampMs max_t) const override;
 
   std::vector<uint64_t> version_signature() const override;
+
+  // One series' interned labels and its slices in a span.
+  struct InternedSlices {
+    InternedLabels labels;
+    std::vector<ChunkSlice> slices;
+  };
+  // Every series with samples in [min_t, max_t], in no particular order:
+  // the long-term fold's read, which keys its ladder by interned labels
+  // and so needs neither string labels nor a sorted result.
+  std::vector<InternedSlices> select_interned(TimestampMs min_t,
+                                              TimestampMs max_t) const;
 
   // Drops samples older than `cutoff` from all series; removes series that
   // become empty. Returns the number of samples dropped.
@@ -261,8 +273,6 @@ class TimeSeriesStore final : public Queryable {
   // exclusive lock; does not touch num_samples.
   static void erase_series_locked(Shard& shard, uint64_t id);
 
-  // Matchers with their symbols resolved once per call (storage.cpp).
-  class Selector;
   // Returns ids of series in `shard` matching the selector. Caller holds
   // at least a shared lock on the shard.
   static std::vector<uint64_t> match_ids(const Shard& shard,

@@ -191,6 +191,99 @@ TEST(UpdaterAlignment, AggregateQueriesHitResolutionLadder) {
   EXPECT_NEAR(unit.total_cpu_time_seconds, 25.0 * 60, 30.0);
 }
 
+// ---------- updater counter windows ----------
+
+// Consecutive cycles tile a counter: each reads the samples past the
+// previous instant plus the last one at or before it, so every scrape
+// delta is counted in exactly one cycle. With an update interval of one
+// scrape interval a window holds a single sample, and with two it holds
+// one of the two deltas; either way the summed per-cycle increments must
+// equal the raw counter delta exactly, across resets and over a unit
+// with two series (two nodes).
+TEST(UpdaterTest, CounterIncrementsTileAcrossCycles) {
+  constexpr int64_t kScrapeMs = 30000;
+  constexpr int64_t kScrapeOffsetMs = 7000;  // scrapes off the cycle grid
+  constexpr int kSweeps = 40;
+  const std::vector<std::string> counters = {
+      "ceems_compute_unit_cpu_usage_seconds_total",
+      "ceems_compute_unit_io_read_bytes_total",
+      "ceems_compute_unit_io_write_bytes_total"};
+  // Integer-valued, so every partial sum is exact.
+  auto value_at = [](int counter, int node, int sweep) {
+    const int reset = 13 + 7 * counter + 5 * node;  // one reset per series
+    const int from = sweep < reset ? 0 : reset;
+    double v = sweep < reset ? 100.0 * (counter + 1) : 0;
+    for (int k = from; k <= sweep; ++k) v += (k * (counter + 2) + node) % 9;
+    return v;
+  };
+
+  for (int multiple : {1, 2}) {
+    SCOPED_TRACE("update interval = " + std::to_string(multiple) +
+                 "x scrape interval");
+    const int64_t interval_ms = multiple * kScrapeMs;
+    auto store = std::make_shared<tsdb::TimeSeriesStore>();
+    std::vector<std::vector<metrics::InternedLabels>> series(counters.size());
+    for (std::size_t c = 0; c < counters.size(); ++c) {
+      for (int node = 0; node < 2; ++node) {
+        series[c].emplace_back(
+            metrics::Labels{{"hostname", "n" + std::to_string(node)},
+                            {"uuid", "vm-1"}}
+                .with_name(counters[c]));
+      }
+    }
+    reldb::Database db;
+    auto nova = std::make_shared<OpenstackAdapter>("cloud");
+    nova->report_vm("vm-1", "alice", "p1", 4, 8LL << 30, "ACTIVE", 0, 0, 0);
+    auto clock = common::make_sim_clock(0);
+    UpdaterConfig config;
+    config.interval_ms = interval_ms;
+    Updater updater(db, store, nullptr, {nova}, clock, config);
+
+    // Scrapes land as the clock passes them; a cycle runs at every
+    // multiple of the update interval.
+    int next_sweep = 0;
+    int first_counted = -1, last_counted = -1;  // sweeps at the ends
+    for (int64_t at = interval_ms;
+         at <= kSweeps * kScrapeMs + kScrapeOffsetMs; at += interval_ms) {
+      for (; next_sweep <= kSweeps &&
+             kScrapeOffsetMs + next_sweep * kScrapeMs <= at;
+           ++next_sweep) {
+        for (std::size_t c = 0; c < counters.size(); ++c) {
+          for (int node = 0; node < 2; ++node) {
+            append_one(*store, series[c][node],
+                       kScrapeOffsetMs + next_sweep * kScrapeMs,
+                       value_at(static_cast<int>(c), node, next_sweep));
+          }
+        }
+      }
+      clock->set(at);
+      updater.update_once();
+      if (first_counted < 0) first_counted = next_sweep - 1;
+      last_counted = next_sweep - 1;
+    }
+    ASSERT_GT(last_counted, first_counted + 10);
+
+    // The raw delta from the last sample at or before the first cycle to
+    // the last one at or before the final cycle, reset-aware.
+    std::vector<double> raw(counters.size(), 0);
+    for (std::size_t c = 0; c < counters.size(); ++c) {
+      for (int node = 0; node < 2; ++node) {
+        for (int k = first_counted + 1; k <= last_counted; ++k) {
+          double prev = value_at(static_cast<int>(c), node, k - 1);
+          double cur = value_at(static_cast<int>(c), node, k);
+          raw[c] += cur >= prev ? cur - prev : cur;
+        }
+      }
+    }
+    auto row = db.get(kUnitsTable, reldb::Value(std::string("vm-1")));
+    ASSERT_TRUE(row.has_value());
+    Unit unit = unit_from_row(*row);
+    EXPECT_EQ(unit.total_cpu_time_seconds, raw[0]);
+    EXPECT_EQ(unit.total_io_read_bytes, raw[1]);
+    EXPECT_EQ(unit.total_io_write_bytes, raw[2]);
+  }
+}
+
 // A durable units DB throws when its log cannot be synced. The
 // background loop logs it and keeps going; the next cycle polls the
 // resource manager from the same point, so the lost upsert is redone.

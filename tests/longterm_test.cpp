@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <functional>
 #include <limits>
+#include <map>
+#include <random>
 #include <stdexcept>
 #include <thread>
 
@@ -528,6 +533,614 @@ TEST(LongTerm, SelectRacesAppendSyncAndCompact) {
       EXPECT_LT(samples[i - 1].t, samples[i].t);
     }
   }
+}
+
+// ---------- which ladder series a read visits ----------
+
+// Three metrics over five hosts, folded into a 5m level and purged from
+// the hot store past a 10 min horizon at t = 40 min.
+struct LadderFixture {
+  static constexpr int kHosts = 5;
+  static constexpr TimestampMs kNow = 40 * kMillisPerMinute;
+  std::shared_ptr<TimeSeriesStore> hot = std::make_shared<TimeSeriesStore>();
+  std::unique_ptr<LongTermStore> lt;
+
+  LadderFixture() {
+    LongTermConfig config;
+    config.downsample_after_ms = 10 * kMillisPerMinute;
+    config.levels = {{5 * kMillisPerMinute, 0}};
+    lt = std::make_unique<LongTermStore>(hot, config);
+    for (TimestampMs t = 0; t <= kNow; t += 30000) {
+      for (const char* metric : {"cpu", "mem", "power"}) {
+        for (int h = 0; h < kHosts; ++h) {
+          append_one(*hot, named(metric, "n" + std::to_string(h)), t, 1);
+        }
+      }
+    }
+    lt->sync_from(*hot);
+    lt->compact(kNow);
+  }
+
+  uint64_t visited_by(const std::function<void()>& read) const {
+    const uint64_t before = lt->select_stats().ladder_series_visited;
+    read();
+    return lt->select_stats().ladder_series_visited - before;
+  }
+};
+
+using Op = metrics::LabelMatcher::Op;
+
+TEST(LongTermLadderVisits, RecentSelectVisitsNoLadderSeries) {
+  LadderFixture f;
+  std::vector<SeriesView> views;
+  EXPECT_EQ(f.visited_by([&] {
+              views = f.lt->select({{"__name__", Op::kEq, "cpu"}},
+                                   f.kNow - 5 * kMillisPerMinute, f.kNow);
+            }),
+            0u);
+  EXPECT_EQ(views.size(), static_cast<std::size_t>(f.kHosts));
+  // A nameless read past the purge boundary skips the ladder too.
+  EXPECT_EQ(f.visited_by([&] {
+              f.lt->select({}, f.kNow - 5 * kMillisPerMinute, f.kNow);
+            }),
+            0u);
+}
+
+TEST(LongTermLadderVisits, HistorySelectVisitsOnlyItsMetric) {
+  LadderFixture f;
+  std::vector<SeriesView> views;
+  EXPECT_EQ(f.visited_by([&] {
+              views = f.lt->select({{"__name__", Op::kEq, "cpu"},
+                                    {"hostname", Op::kEq, "n1"}},
+                                   0, f.kNow);
+            }),
+            static_cast<uint64_t>(f.kHosts));
+  ASSERT_EQ(views.size(), 1u);
+  EXPECT_EQ(views[0].samples().front().t, 0);  // history reached
+  EXPECT_EQ(f.visited_by([&] {
+              f.lt->select_agg(5 * kMillisPerMinute,
+                               {{"__name__", Op::kEq, "mem"}},
+                               5 * kMillisPerMinute, 30 * kMillisPerMinute);
+            }),
+            static_cast<uint64_t>(f.kHosts));
+  // A name regex visits the postings it accepts; an unknown name none.
+  EXPECT_EQ(f.visited_by([&] {
+              f.lt->select({{"__name__", Op::kRegexMatch, "cpu|mem"}}, 0,
+                           f.kNow);
+            }),
+            2u * f.kHosts);
+  EXPECT_EQ(f.visited_by([&] {
+              f.lt->select({{"__name__", Op::kEq, "no_such_metric"}}, 0,
+                           f.kNow);
+            }),
+            0u);
+}
+
+TEST(LongTermLadderVisits, NamelessSelectorVisitsWholeLevel) {
+  LadderFixture f;
+  std::vector<SeriesView> views;
+  EXPECT_EQ(f.visited_by([&] {
+              views = f.lt->select({{"hostname", Op::kEq, "n2"}}, 0, f.kNow);
+            }),
+            3u * f.kHosts);
+  EXPECT_EQ(views.size(), 3u);
+  EXPECT_EQ(f.visited_by([&] {
+              f.lt->select_agg(5 * kMillisPerMinute, {}, 5 * kMillisPerMinute,
+                               30 * kMillisPerMinute);
+            }),
+            3u * f.kHosts);
+}
+
+// ---------- differential: indexed reads against the full scan ----------
+
+// The long-term store as it read before its ladder was keyed by interned
+// labels: a std::map<Labels, ...> per level, every read a full scan with
+// string matchers, and select() merging history and the hot tail through
+// a std::map. Kept verbatim as the oracle.
+class FullScanLongTerm {
+ public:
+  FullScanLongTerm(StorePtr hot, LongTermConfig config)
+      : hot_(std::move(hot)), config_(std::move(config)) {
+    for (const auto& level_config : config_.levels) {
+      levels_.push_back(Level{level_config, {}, INT64_MIN, INT64_MIN});
+    }
+  }
+
+  void sync_from() {
+    TimeSeriesStore::SinceCount fresh =
+        hot_->advance_watermark(sync_cursor_ + 1);
+    if (fresh.samples > 0) sync_cursor_ = fresh.newest;
+  }
+
+  void compact(TimestampMs now) {
+    if (sync_cursor_ >= 0) {
+      for (auto& level : levels_) {
+        const int64_t res = level.config.resolution_ms;
+        TimestampMs target = floor_div(sync_cursor_, res) * res;
+        if (level.cursor_ms != INT64_MIN && target <= level.cursor_ms) continue;
+        TimestampMs from = level.cursor_ms == INT64_MIN
+                               ? hot_floor()
+                               : std::max(hot_floor(), level.cursor_ms + 1);
+        for (const auto& view : hot_->select({}, from, target)) {
+          auto& series = level.series[view.labels];
+          AggBucket bucket;
+          bool open = false;
+          for (const auto& sample : view.samples()) {
+            TimestampMs end = agg_bucket_end(sample.t, res);
+            if (open && end != bucket.t) {
+              series.append(bucket);
+              open = false;
+            }
+            if (!open) {
+              bucket = open_bucket(end);
+              open = true;
+            }
+            fold_sample(bucket, sample.t, sample.v);
+          }
+          if (open) series.append(bucket);
+        }
+        level.cursor_ms = target;
+      }
+    }
+    TimestampMs boundary = now - config_.downsample_after_ms;
+    for (const auto& level : levels_) {
+      if (level.cursor_ms == INT64_MIN) {
+        boundary = INT64_MIN;
+        break;
+      }
+      boundary = std::min(boundary, level.cursor_ms);
+    }
+    if (boundary != INT64_MIN) {
+      // Every test ladder is nested: one floor to the coarsest width.
+      const int64_t coarsest = levels_.back().config.resolution_ms;
+      boundary = floor_div(boundary, coarsest) * coarsest;
+    }
+    if (boundary != INT64_MIN &&
+        (hot_purged_end_ == INT64_MIN || boundary > hot_purged_end_)) {
+      hot_->purge_before(boundary + 1);
+      hot_purged_end_ = boundary;
+    }
+    for (auto& level : levels_) {
+      if (level.config.retention_ms <= 0) continue;
+      TimestampMs keep_from = now - level.config.retention_ms;
+      std::size_t dropped = 0;
+      for (auto it = level.series.begin(); it != level.series.end();) {
+        dropped += it->second.drop_before(keep_from);
+        it = it->second.empty() ? level.series.erase(it) : std::next(it);
+      }
+      if (dropped > 0) {
+        level.purged_end_ms = std::max(level.purged_end_ms, keep_from - 1);
+      }
+    }
+  }
+
+  std::vector<SeriesView> select(const std::vector<LabelMatcher>& matchers,
+                                 TimestampMs min_t, TimestampMs max_t) const {
+    std::map<Labels, SeriesView> merged;
+    if (hot_purged_end_ != INT64_MIN && min_t <= max_t) {
+      const Level& finest = levels_.front();
+      const int64_t res = finest.config.resolution_ms;
+      TimestampMs hi_end = max_t >= hot_purged_end_
+                               ? hot_purged_end_
+                               : std::min(hot_purged_end_,
+                                          agg_bucket_end(max_t, res));
+      for (const auto& [labels, series] : finest.series) {
+        if (!matches_all(matchers, labels)) continue;
+        std::vector<SamplePoint> points;
+        for (const auto& bucket : series.buckets_between(min_t, hi_end)) {
+          SamplePoint point;
+          if (bucket.marker_t != 0) {
+            point = {bucket.marker_t, metrics::stale_marker()};
+          } else if (bucket.count > 0) {
+            point = {bucket.last_t, bucket.last_v};
+          } else {
+            continue;
+          }
+          if (point.t < min_t || point.t > max_t) continue;
+          points.push_back(point);
+        }
+        if (points.empty()) continue;
+        merged.emplace(labels, SeriesView::owned(labels, std::move(points)));
+      }
+    }
+    std::vector<SeriesView> fine;
+    const TimestampMs lo = std::max(min_t, hot_floor());
+    const TimestampMs hi = std::min(max_t, sync_cursor_);
+    if (lo <= hi) fine = hot_->select(matchers, lo, hi);
+    for (auto& view : fine) {
+      auto it = merged.find(view.labels);
+      if (it == merged.end()) {
+        Labels key = view.labels;
+        merged.emplace(std::move(key), std::move(view));
+        continue;
+      }
+      SeriesView& dst = it->second;
+      TimestampMs newest = dst.slices.back().max_time();
+      for (auto& slice : view.slices) {
+        if (slice.min_time() > newest) {
+          newest = slice.max_time();
+          dst.slices.push_back(std::move(slice));
+          continue;
+        }
+        std::vector<SamplePoint> kept;
+        for (const auto& sample : decode_slices({slice})) {
+          if (sample.t > newest) kept.push_back(sample);
+        }
+        if (!kept.empty()) {
+          newest = kept.back().t;
+          dst.slices.push_back(ChunkSlice{nullptr, std::move(kept)});
+        }
+      }
+    }
+    std::vector<SeriesView> out;
+    for (auto& [key, view] : merged) out.push_back(std::move(view));
+    return out;
+  }
+
+  std::optional<std::vector<AggSeriesView>> select_agg(
+      int64_t resolution_ms, const std::vector<LabelMatcher>& matchers,
+      TimestampMs min_end, TimestampMs max_end) const {
+    for (const Level& level : levels_) {
+      if (level.config.resolution_ms != resolution_ms) continue;
+      if (level.cursor_ms == INT64_MIN || max_end > level.cursor_ms ||
+          min_end <= level.purged_end_ms) {
+        break;
+      }
+      std::vector<AggSeriesView> out;
+      for (const auto& [labels, series] : level.series) {
+        if (!matches_all(matchers, labels)) continue;
+        auto buckets = series.buckets_between(min_end, max_end);
+        if (buckets.empty()) continue;
+        out.push_back({labels, std::move(buckets)});
+      }
+      return out;
+    }
+    return std::nullopt;
+  }
+
+  TimestampMs hot_purged_end() const { return hot_purged_end_; }
+
+ private:
+  struct Level {
+    AggLevelConfig config;
+    std::map<Labels, AggChunkedSeries> series;
+    TimestampMs cursor_ms;
+    TimestampMs purged_end_ms;
+  };
+
+  static bool matches_all(const std::vector<LabelMatcher>& matchers,
+                          const Labels& labels) {
+    for (const auto& matcher : matchers) {
+      if (!matcher.matches(labels)) return false;
+    }
+    return true;
+  }
+
+  static AggBucket open_bucket(TimestampMs end) {
+    AggBucket bucket;
+    bucket.t = end;
+    bucket.min = std::numeric_limits<double>::quiet_NaN();
+    bucket.max = bucket.min;
+    return bucket;
+  }
+
+  static void fold_sample(AggBucket& bucket, TimestampMs t, double v) {
+    if (metrics::is_stale_marker(v)) {
+      bucket.marker_t = t;
+      return;
+    }
+    bucket.marker_t = 0;
+    if (bucket.count == 0) {
+      bucket.first_t = t;
+      bucket.first_v = v;
+    } else {
+      double delta = v - bucket.last_v;
+      bucket.inc += delta >= 0 ? delta : v;
+    }
+    if (!std::isnan(v)) {
+      if (std::isnan(bucket.min)) {
+        bucket.min = v;
+        bucket.max = v;
+      } else {
+        if (v < bucket.min) bucket.min = v;
+        if (bucket.max < v) bucket.max = v;
+      }
+    }
+    bucket.sum += v;
+    bucket.last_t = t;
+    bucket.last_v = v;
+    ++bucket.count;
+  }
+
+  TimestampMs hot_floor() const {
+    if (hot_purged_end_ == INT64_MIN) return 0;
+    return std::max<TimestampMs>(0, hot_purged_end_ + 1);
+  }
+
+  StorePtr hot_;
+  LongTermConfig config_;
+  std::vector<Level> levels_;
+  TimestampMs sync_cursor_ = -1;
+  TimestampMs hot_purged_end_ = INT64_MIN;
+};
+
+// Bitwise: labels, slice boundaries and every sample's bits, in order.
+std::string select_digest(const std::vector<SeriesView>& views) {
+  std::string out;
+  for (const auto& view : views) {
+    out += view.labels.to_string() + "\n";
+    for (const auto& slice : view.slices) {
+      out += " |";
+      for (const auto& sample : decode_slices({slice})) {
+        out += " " + std::to_string(sample.t) + "=" +
+               std::to_string(std::bit_cast<uint64_t>(sample.v));
+      }
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+std::string agg_digest(const std::optional<std::vector<AggSeriesView>>& views) {
+  if (!views) return "nullopt";
+  std::string out;
+  auto bits = [](double v) {
+    return std::to_string(std::bit_cast<uint64_t>(v)) + ",";
+  };
+  for (const auto& view : *views) {
+    out += view.labels.to_string() + "\n";
+    for (const auto& b : view.buckets) {
+      out += " " + std::to_string(b.t) + ":" + std::to_string(b.count) + "," +
+             bits(b.sum) + bits(b.min) + bits(b.max) + bits(b.first_v) +
+             bits(b.last_v) + bits(b.inc) + std::to_string(b.first_t) + "," +
+             std::to_string(b.last_t) + "," + std::to_string(b.marker_t);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+// Random =, !=, =~, !~ and nameless selectors over spans before, across
+// and after the purge boundary, through several compactions, hot purges
+// and per-level retention drops, with series that come and go (and end
+// in staleness markers). Every read must equal the full scan's bit for
+// bit, in the same order.
+TEST(LongTermSelectDifferential, IndexedSelectMatchesFullScan) {
+  constexpr int64_t kStepMs = 30000;
+  constexpr int kSteps = 480;  // 4 h
+  LongTermConfig config;
+  config.downsample_after_ms = 30 * kMillisPerMinute;
+  config.levels = {{5 * kMillisPerMinute, 2 * kMillisPerHour},
+                   {30 * kMillisPerMinute, 3 * kMillisPerHour}};
+  auto hot = std::make_shared<TimeSeriesStore>();
+  auto oracle_hot = std::make_shared<TimeSeriesStore>();
+  LongTermStore lt(hot, config);
+  FullScanLongTerm oracle(oracle_hot, config);
+
+  const std::vector<std::string> names = {"cpu", "mem", "power", "io"};
+  const std::vector<std::string> hosts = {"n0", "n1", "n2", "n3"};
+  std::mt19937_64 rng(20260917);
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  // A series lives for a random stretch of steps; some have no uuid and
+  // one has no name at all.
+  struct Live {
+    metrics::InternedLabels labels;
+    int from, to;
+    double value = 0;
+  };
+  std::vector<Live> lives;
+  for (int i = 0; i < 64; ++i) {
+    Labels labels{{"hostname", hosts[pick(hosts.size())]},
+                  {"job", i % 3 == 0 ? "node" : "ceems"}};
+    if (i % 4 != 0) labels = labels.with("uuid", std::to_string(i % 9));
+    if (i != 7) labels = labels.with_name(names[pick(names.size())]);
+    int from = static_cast<int>(pick(kSteps / 2));
+    int to = from + 20 + static_cast<int>(pick(kSteps));
+    lives.push_back({metrics::InternedLabels(labels), from, to});
+  }
+
+  const std::vector<std::string> values = {
+      "cpu", "mem", "power", "io", "n0", "n1", "n3", "node", "ceems",
+      "3", "7", "", "absent-value", "cpu|mem", "n[12]", ".*", ".+", "c.*",
+      "1|2|3"};
+  const std::vector<std::string> label_names = {"__name__", "hostname", "job",
+                                                "uuid", "no_such_label"};
+  auto random_matchers = [&] {
+    std::vector<LabelMatcher> matchers;
+    const std::size_t n = pick(4);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Op op = static_cast<Op>(pick(4));
+      const std::string& name = label_names[pick(label_names.size())];
+      matchers.push_back({name, op, values[pick(values.size())]});
+    }
+    return matchers;
+  };
+
+  int reads = 0, history_reads = 0, agg_answers = 0;
+  auto check_reads = [&](TimestampMs now) {
+    // Before the first purge every span is "after" it.
+    const TimestampMs boundary =
+        std::max<TimestampMs>(oracle.hot_purged_end(), 0);
+    for (int q = 0; q < 12; ++q) {
+      auto matchers = random_matchers();
+      TimestampMs min_t, max_t;
+      switch (pick(6)) {
+        case 0:  // entirely before the purge boundary
+          min_t = static_cast<TimestampMs>(pick(static_cast<std::size_t>(
+              std::max<TimestampMs>(1, boundary))));
+          max_t = std::max<TimestampMs>(min_t, boundary - 1);
+          break;
+        case 1:  // straddling it
+          min_t = std::max<TimestampMs>(0, boundary - 40 * kMillisPerMinute);
+          max_t = now;
+          break;
+        case 2:  // after it
+          min_t = boundary + 1 + static_cast<TimestampMs>(pick(600000));
+          max_t = now;
+          break;
+        case 3:  // open-ended
+          min_t = 0;
+          max_t = std::numeric_limits<TimestampMs>::max();
+          break;
+        case 4:  // starting on or just before it
+          min_t = std::max<TimestampMs>(
+              0, boundary - static_cast<TimestampMs>(pick(12) * 30000 +
+                                                     pick(2)));
+          max_t = boundary + static_cast<TimestampMs>(pick(1800000));
+          break;
+        default:  // off-grid, possibly empty
+          min_t = static_cast<TimestampMs>(pick(static_cast<std::size_t>(now)));
+          max_t = min_t + static_cast<TimestampMs>(pick(3 * kMillisPerHour));
+          break;
+      }
+      SCOPED_TRACE("select [" + std::to_string(min_t) + ", " +
+                   std::to_string(max_t) + "] at " + std::to_string(now));
+      EXPECT_EQ(select_digest(lt.select(matchers, min_t, max_t)),
+                select_digest(oracle.select(matchers, min_t, max_t)));
+      ++reads;
+      if (oracle.hot_purged_end() != INT64_MIN && min_t <= boundary) {
+        ++history_reads;
+      }
+
+      for (const auto& level : config.levels) {
+        const int64_t res = level.resolution_ms;
+        const TimestampMs max_end =
+            floor_div(now, res) * res -
+            static_cast<TimestampMs>(pick(3)) * res;
+        const TimestampMs min_end =
+            max_end - static_cast<TimestampMs>(pick(30)) * res;
+        auto got = lt.select_agg(res, matchers, min_end, max_end);
+        auto want = oracle.select_agg(res, matchers, min_end, max_end);
+        EXPECT_EQ(agg_digest(got), agg_digest(want))
+            << "select_agg " << res << " [" << min_end << ", " << max_end
+            << "]";
+        if (got) ++agg_answers;
+      }
+    }
+  };
+
+  for (int step = 0; step <= kSteps; ++step) {
+    const TimestampMs t = step * kStepMs;
+    std::vector<metrics::SampleRef> batch;
+    for (auto& live : lives) {
+      if (step < live.from || step > live.to) continue;
+      if (step == live.to) {
+        batch.push_back({&live.labels, t, metrics::stale_marker()});
+        continue;
+      }
+      live.value += static_cast<double>(pick(5));
+      if (pick(40) == 0) live.value = 0;  // counter reset
+      batch.push_back({&live.labels, t, live.value});
+    }
+    hot->append_refs(batch.data(), batch.size());
+    oracle_hot->append_refs(batch.data(), batch.size());
+    if (step % 6 == 0) {
+      lt.sync_from(*hot);
+      oracle.sync_from();
+    }
+    if (step % 10 == 0) {
+      lt.compact(t);
+      oracle.compact(t);
+    }
+    if (step > 0 && step % 40 == 0) check_reads(t);
+  }
+  EXPECT_GT(history_reads, 20);
+  EXPECT_GT(agg_answers, 20);
+  EXPECT_GT(reads, history_reads);
+  // Retention dropped whole series from the ladder along the way.
+  std::size_t ever = 0;
+  for (const auto& live : lives) ever += live.from <= kSteps ? 1 : 0;
+  EXPECT_LT(lt.downsampled_stats().num_series, ever);
+}
+
+// Name-indexed history selects and select_agg race a compaction that
+// inserts ladder series as new ones appear and erases them through
+// retention as they age out. Reads stay label-sorted and time-ordered,
+// and nothing may race (the TSan job runs this).
+TEST(LongTerm, IndexedReadsRaceLadderInsertAndRetention) {
+  constexpr int kSteps = 240;
+  constexpr int64_t kStepMs = 15000;
+  LongTermConfig config;
+  config.downsample_after_ms = 3 * kMillisPerMinute;
+  config.levels = {{kMillisPerMinute, 6 * kMillisPerMinute},
+                   {5 * kMillisPerMinute, 12 * kMillisPerMinute}};
+  auto hot = std::make_shared<TimeSeriesStore>();
+  LongTermStore lt(hot, config);
+
+  std::atomic<int> step{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    // Each metric's series rotate every 40 steps (10 min), so retention
+    // keeps erasing the ones that stopped.
+    std::vector<metrics::SampleRef> batch;
+    std::vector<metrics::InternedLabels> labels;
+    for (int i = 1; i <= kSteps; ++i) {
+      labels.clear();
+      batch.clear();
+      for (int m = 0; m < 3; ++m) {
+        for (int s = 0; s < 4; ++s) {
+          labels.emplace_back(named("m" + std::to_string(m),
+                                    "g" + std::to_string(i / 40) + "s" +
+                                        std::to_string(s)));
+        }
+      }
+      for (const auto& series : labels) {
+        batch.push_back({&series, i * kStepMs, i * 1.0});
+      }
+      hot->append_refs(batch.data(), batch.size());
+      lt.sync_from(*hot);
+      if (i % 4 == 0) lt.compact(i * kStepMs);
+      step.store(i);
+    }
+    done.store(true);
+  });
+  std::atomic<bool> disordered{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      while (!done.load()) {
+        const std::string metric = "m" + std::to_string(r);
+        auto views = lt.select({{"__name__", Op::kEq, metric}}, 0,
+                               std::numeric_limits<TimestampMs>::max());
+        auto regex_views =
+            lt.select({{"__name__", Op::kRegexMatch, "m[12]"}}, 0,
+                      step.load() * kStepMs);
+        for (const auto* run : {&views, &regex_views}) {
+          for (std::size_t i = 0; i < run->size(); ++i) {
+            if (i > 0 && !((*run)[i - 1].labels < (*run)[i].labels)) {
+              disordered.store(true);
+            }
+            auto samples = (*run)[i].samples();
+            for (std::size_t k = 1; k < samples.size(); ++k) {
+              if (samples[k - 1].t >= samples[k].t) disordered.store(true);
+            }
+          }
+        }
+        const int64_t end = step.load() * kStepMs;
+        for (int64_t res : lt.agg_resolutions()) {
+          auto agg = lt.select_agg(res, {{"__name__", Op::kEq, metric}},
+                                   (end / res - 3) * res, (end / res) * res);
+          if (!agg) continue;
+          for (std::size_t i = 1; i < agg->size(); ++i) {
+            if (!((*agg)[i - 1].labels < (*agg)[i].labels)) {
+              disordered.store(true);
+            }
+          }
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& reader : readers) reader.join();
+  EXPECT_FALSE(disordered.load());
+  // Series from the first rotations were folded, then erased.
+  EXPECT_TRUE(lt.select({{"hostname", Op::kEq, "g0s0"}}, 0,
+                        kSteps * kStepMs)
+                  .empty());
+  EXPECT_GT(lt.downsampled_stats().num_series, 0u);
+  EXPECT_GT(lt.select_stats().ladder_series_visited, 0u);
 }
 
 }  // namespace

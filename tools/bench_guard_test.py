@@ -161,6 +161,19 @@ class BenchGuardTest(unittest.TestCase):
                                        sync_samples=57000)])
         self.assertEqual(self.guard(missed, base), 1)
 
+    def test_longterm_select_history_counter_is_guarded(self):
+        base = doc(benchmarks=[bench("BM_longterm_select_history",
+                                     ladder_series_per_select=50)])
+        self.assertEqual(self.guard(base, base), 0)
+        # A history read scanning the whole level again.
+        scan = doc(benchmarks=[bench("BM_longterm_select_history",
+                                     ladder_series_per_select=2000)])
+        self.assertEqual(self.guard(scan, base), 1)
+        # One series more is already past the 1% gate.
+        extra = doc(benchmarks=[bench("BM_longterm_select_history",
+                                      ladder_series_per_select=51)])
+        self.assertEqual(self.guard(extra, base), 1)
+
     def test_multiple_pairs_all_pass(self):
         tsdb = doc(benchmarks=[bench("t", points_scanned_per_query=10)])
         soak = doc(benchmarks=[bench("s", peak_bytes=10)])
