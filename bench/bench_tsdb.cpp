@@ -351,16 +351,15 @@ void BM_longterm_footprint(benchmark::State& state) {
 }
 BENCHMARK(BM_longterm_footprint)->Unit(benchmark::kMillisecond);
 
-// ---------- long-term history read (name postings) ----------
+// ---------- long-term history read ----------
 
-// A read past the purge boundary pays for the metric it names, not for
-// the ladder. 40 metrics x 50 hosts over 8 h of 1-minute samples,
-// compacted every 30 min into the default 5m level behind the default
-// 2 h hot horizon; each iteration reads one metric over the last 6 h
-// (4 h of ladder history, then the hot tail). ladder_series_per_select
-// counts the ladder series each read checks: the metric's 50, where a
-// full scan of the level would check all 2000. tools/bench_guard.py
-// gates it.
+// One metric read back past the purge boundary. 40 metrics x 50 hosts
+// over 8 h of 1-minute samples, compacted every 30 min into the default
+// 5m level behind the default 2 h hot horizon; each iteration reads one
+// metric over the last 6 h (4 h of ladder history, then the hot tail).
+// ladder_series_per_select counts the ladder series each read checks:
+// one scan of the level, all 2000, for the metric's 50.
+// tools/bench_guard.py gates it.
 void BM_longterm_select_history(benchmark::State& state) {
   constexpr int kMetrics = 40;
   constexpr int kHosts = 50;

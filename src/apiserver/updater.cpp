@@ -4,7 +4,6 @@
 #include <iterator>
 #include <map>
 #include <set>
-#include <string_view>
 
 #include "common/logging.h"
 #include "common/strutil.h"
@@ -21,6 +20,11 @@ constexpr char kCpuPowerMetric[] = "ceems_job_power_watts";
 constexpr char kGpuPowerMetric[] = "ceems_job_gpu_power_watts";
 constexpr char kGpuUtilMetric[] = "ceems_job_gpu_util";
 constexpr char kEmissionMetric[] = "ceems_emissions_gCo2_kWh";
+// Exporter counters, read as raw samples (Updater::kCounters).
+constexpr const char* kCounterMetrics[] = {
+    "ceems_compute_unit_cpu_usage_seconds_total",
+    "ceems_compute_unit_io_read_bytes_total",
+    "ceems_compute_unit_io_write_bytes_total"};
 
 Updater::Updater(reldb::Database& db,
                  std::shared_ptr<const tsdb::Queryable> tsdb,
@@ -93,6 +97,7 @@ void Updater::update_aggregates(common::TimestampMs now, Cycle& cycle,
   }
   if (last_agg_ms_ < 0) {
     cycle.agg_ms = at;
+    cycle.counter_ms.fill(at);
     return;  // first cycle: establish the window start
   }
   int64_t window_ms = at - last_agg_ms_;
@@ -121,28 +126,40 @@ void Updater::update_aggregates(common::TimestampMs now, Cycle& cycle,
     return out;
   };
 
-  // Counters tile the cycles: each one reads the samples past the
-  // previous instant plus the last sample at or before it, so every
-  // scrape delta lands in exactly one cycle. increase() over
+  // Counters tile the cycles. Each read counts every series from its
+  // last sample at or before the counter's start point up to its newest
+  // sample, and the next start point is the newest sample the read
+  // returned (no earlier than `at` minus the lookback, so a quiet
+  // counter's reads stay short). Every scrape delta then lands in exactly
+  // one cycle as long as (1) no sample at or before one a read returned
+  // shows up later and (2) each sample is visible within the lookback of
+  // its timestamp. The long-term store guarantees (1): a read sees every
+  // sample up to its sync cursor, and its watermark rejects any later one
+  // at or below it. Ending at `at` instead would lose the delta of a
+  // sample in (cursor, at] synced after the read. increase() over
   // (at - window, at] would drop the delta that straddles the window's
-  // start, and over one scrape interval it sees a single sample and
-  // returns nothing. One select per counter per cycle.
-  auto counter_by_uuid = [&](std::string_view metric) {
+  // start; over one scrape interval it sees a single sample and returns
+  // nothing. One select per counter per cycle.
+  auto counter_by_uuid = [&](std::size_t c) {
     std::map<uint32_t, double> out;
+    const common::TimestampMs from = counter_ms_[c];
+    common::TimestampMs newest = at - tsdb::promql::kLookbackMs;
     const std::vector<metrics::LabelMatcher> matchers = {
         {std::string(metrics::kMetricNameLabel),
-         metrics::LabelMatcher::Op::kEq, std::string(metric)}};
-    for (const auto& view : tsdb_->select(
-             matchers, last_agg_ms_ - tsdb::promql::kLookbackMs, at)) {
+         metrics::LabelMatcher::Op::kEq, kCounterMetrics[c]}};
+    for (const auto& view :
+         tsdb_->select(matchers, from - tsdb::promql::kLookbackMs, at)) {
+      std::vector<tsdb::SamplePoint> samples = view.samples();
+      if (samples.empty()) continue;
+      newest = std::max(newest, samples.back().t);
       auto uuid = view.labels.get("uuid");
       if (!uuid) continue;
-      std::vector<tsdb::SamplePoint> samples = view.samples();
       std::erase_if(samples, [](const tsdb::SamplePoint& sample) {
         return metrics::is_stale_marker(sample.v);
       });
       auto fresh = std::find_if(
           samples.begin(), samples.end(),
-          [&](const tsdb::SamplePoint& s) { return s.t > last_agg_ms_; });
+          [&](const tsdb::SamplePoint& s) { return s.t > from; });
       if (fresh == samples.end()) continue;
       auto first = fresh == samples.begin() ? fresh : std::prev(fresh);
       const auto count = static_cast<std::size_t>(samples.end() - first);
@@ -150,11 +167,11 @@ void Updater::update_aggregates(common::TimestampMs now, Cycle& cycle,
       out[symtab.intern(*uuid)] +=
           tsdb::promql::counter_increase(&*first, count);
     }
+    cycle.counter_ms[c] = std::max(from, newest);
     return out;
   };
 
-  auto cpu_time =
-      counter_by_uuid("ceems_compute_unit_cpu_usage_seconds_total");
+  auto cpu_time = counter_by_uuid(0);
   auto mem_avg = vector_by_uuid(
       "avg by (uuid) (avg_over_time(ceems_compute_unit_memory_current_bytes[" +
       window + "]))");
@@ -164,8 +181,8 @@ void Updater::update_aggregates(common::TimestampMs now, Cycle& cycle,
                                   kGpuPowerMetric + "[" + window + "]))");
   auto gpu_util = vector_by_uuid(std::string("avg by (uuid) (avg_over_time(") +
                                  kGpuUtilMetric + "[" + window + "]))");
-  auto io_read = counter_by_uuid("ceems_compute_unit_io_read_bytes_total");
-  auto io_write = counter_by_uuid("ceems_compute_unit_io_write_bytes_total");
+  auto io_read = counter_by_uuid(1);
+  auto io_write = counter_by_uuid(2);
 
   // Cluster-wide emission factor for the window (scalar).
   double factor = 0;
@@ -258,6 +275,7 @@ UpdateStats Updater::update_once() {
   common::TimestampMs now = clock_->now_ms();
   Cycle cycle;
   cycle.agg_ms = last_agg_ms_;
+  cycle.counter_ms = counter_ms_;
   poll_managers(now, cycle, stats);
   update_aggregates(now, cycle, stats);
   std::vector<reldb::WalEntry> batch;
@@ -270,6 +288,7 @@ UpdateStats Updater::update_once() {
   db_.commit(std::move(batch));
   last_poll_ms_ = now;
   last_agg_ms_ = cycle.agg_ms;
+  counter_ms_ = cycle.counter_ms;
   cleanup_small_units(cycle.newly_ended, stats);
   return stats;
 }

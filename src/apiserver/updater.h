@@ -12,6 +12,7 @@
 // cycle redoes its window exactly once.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -38,8 +39,8 @@ struct UpdaterConfig {
   // grid-aligned and the avg_over_time() batch queries tile the long-term
   // store's aggregate buckets — the resolution-aware planner then answers
   // them from the ladder instead of scanning raw samples. (Counters are
-  // read as raw samples either way, from the last one at or before the
-  // previous instant.) Set it to the ladder's finest resolution; 0 keeps
+  // read as raw samples either way, from where the previous cycle's read
+  // ended.) Set it to the ladder's finest resolution; 0 keeps
   // the legacy evaluate-at-now behaviour.
   int64_t align_window_ms = 0;
 };
@@ -65,11 +66,17 @@ class Updater {
   void stop();
 
  private:
+  // Counter metrics tiled across cycles: cpu time, io read and io write
+  // bytes.
+  static constexpr std::size_t kCounters = 3;
+
   // What one cycle commits: its rows by uuid, which reads within the
   // cycle see, the aggregation cursor it reaches and the units it saw end.
   struct Cycle {
     std::map<std::string, reldb::Row> rows;
     common::TimestampMs agg_ms = -1;
+    // Per counter metric: where its next read starts counting from.
+    std::array<common::TimestampMs, kCounters> counter_ms{};
     std::vector<Unit> newly_ended;  // candidates for series cleanup
   };
 
@@ -93,6 +100,7 @@ class Updater {
 
   common::TimestampMs last_poll_ms_ = 0;
   common::TimestampMs last_agg_ms_ = -1;
+  std::array<common::TimestampMs, kCounters> counter_ms_{};
 
   std::atomic<bool> running_{false};
   std::thread loop_thread_;

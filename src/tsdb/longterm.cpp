@@ -12,24 +12,6 @@ namespace ceems::tsdb {
 
 namespace {
 
-// Name-postings key of a series without a __name__ label.
-constexpr uint32_t kNoName = UINT32_MAX;
-
-uint32_t metric_name_symbol() {
-  static const uint32_t sym =
-      metrics::SymbolTable::global().intern(metrics::kMetricNameLabel);
-  return sym;
-}
-
-// The series' __name__ value symbol, or kNoName.
-uint32_t name_key(const InternedLabels& labels) {
-  const uint32_t name_sym = metric_name_symbol();
-  for (const auto& [name, value] : labels.pairs()) {
-    if (name == name_sym) return value;
-  }
-  return kNoName;
-}
-
 template <typename View>
 void sort_by_labels(std::vector<View>& views) {
   std::sort(views.begin(), views.end(), [](const View& a, const View& b) {
@@ -173,10 +155,8 @@ void LongTermStore::compact(common::TimestampMs now) {
       // Folds on the hot series' interned labels: no string label set is
       // built, and a known series costs one fingerprint-hashed lookup.
       for (auto& view : hot_->select_interned(from, target)) {
-        auto [it, inserted] =
-            level.series.try_emplace(std::move(view.labels));
-        if (inserted) level.by_name[name_key(it->first)].push_back(&*it);
-        AggChunkedSeries& series = it->second;
+        AggChunkedSeries& series =
+            level.series.try_emplace(std::move(view.labels)).first->second;
         AggBucket bucket;
         bool open = false;
         for (const auto& sample : decode_slices(view.slices)) {
@@ -227,23 +207,13 @@ void LongTermStore::compact(common::TimestampMs now) {
     if (level.config.retention_ms <= 0) continue;
     TimestampMs keep_from = now - level.config.retention_ms;
     std::size_t dropped = 0;
-    bool emptied = false;
-    for (auto& [labels, series] : level.series) {
-      dropped += series.drop_before(keep_from);
-      emptied |= series.empty();
-    }
-    if (emptied) {
-      // Postings first, while the series they point at still exist.
-      auto is_empty = [](const LadderSeries* entry) {
-        return entry->second.empty();
-      };
-      for (auto it = level.by_name.begin(); it != level.by_name.end();) {
-        std::erase_if(it->second, is_empty);
-        it = it->second.empty() ? level.by_name.erase(it) : std::next(it);
+    for (auto it = level.series.begin(); it != level.series.end();) {
+      dropped += it->second.drop_before(keep_from);
+      if (it->second.empty()) {
+        it = level.series.erase(it);
+      } else {
+        ++it;
       }
-      std::erase_if(level.series, [](const LadderSeries& entry) {
-        return entry.second.empty();
-      });
     }
     if (dropped > 0) {
       level.num_buckets -= dropped;
@@ -257,36 +227,9 @@ template <typename Fn>
 void LongTermStore::for_each_match(const AggLevel& level,
                                    const Selector& selector, Fn&& fn) const {
   if (!selector.satisfiable()) return;
-  auto visit = [&](const LadderSeries& entry) {
+  for (const auto& [labels, series] : level.series) {
     ++select_stats_.ladder_series_visited;
-    if (selector.matches(entry.first)) fn(entry.first, entry.second);
-  };
-  std::vector<std::size_t> name_terms;
-  for (std::size_t i = 0; i < selector.size(); ++i) {
-    if (selector.on_label(i, metric_name_symbol())) name_terms.push_back(i);
-  }
-  if (name_terms.empty()) {
-    for (const auto& entry : level.series) visit(entry);
-    return;
-  }
-  // A name equality answers from one postings list.
-  for (std::size_t i : name_terms) {
-    if (auto pair = selector.posting(i)) {
-      auto it = level.by_name.find(pair->second);
-      if (it == level.by_name.end()) return;
-      for (const LadderSeries* entry : it->second) visit(*entry);
-      return;
-    }
-  }
-  // Otherwise the lists whose name every __name__ term accepts.
-  for (const auto& [name, entries] : level.by_name) {
-    std::optional<uint32_t> value;
-    if (name != kNoName) value = name;
-    bool accepted = std::all_of(
-        name_terms.begin(), name_terms.end(),
-        [&](std::size_t i) { return selector.term_matches(i, value); });
-    if (!accepted) continue;
-    for (const LadderSeries* entry : entries) visit(*entry);
+    if (selector.matches(labels)) fn(labels, series);
   }
 }
 
@@ -347,61 +290,57 @@ std::vector<SeriesView> LongTermStore::select(
 
   std::vector<SeriesView> out;
   std::size_t spliced_count = 0;
-  if (history.empty()) {
-    out = std::move(fine);
-  } else {
-    // Merge the two sorted runs per label set: synthesised history
-    // followed by the hot tail. Compared by the full label set, not its
-    // fingerprint — two distinct label sets whose fingerprints collide
-    // must stay distinct series. Straddling series are spliced
-    // slice-wise: hot reads start past a boundary the ladder has fully
-    // aggregated, so every hot slice is strictly newer than the history's
-    // end and rides along still-compressed — no materialisation, no
-    // decode. The decode-and-filter branch below only fires if that
-    // invariant is ever broken.
-    out.reserve(history.size() + fine.size());
-    auto h = history.begin();
-    auto f = fine.begin();
-    while (h != history.end() || f != fine.end()) {
-      if (f == fine.end() || (h != history.end() && h->labels < f->labels)) {
-        out.push_back(std::move(*h++));
-        continue;
-      }
-      if (h == history.end() || f->labels < h->labels) {
-        out.push_back(std::move(*f++));
-        continue;
-      }
-      ++spliced_count;
-      SeriesView& dst = *h;
-      TimestampMs newest = dst.slices.back().max_time();
-      dst.slices.reserve(dst.slices.size() + f->slices.size());
-      for (auto& slice : f->slices) {
-        if (slice.min_time() > newest) {
-          newest = slice.max_time();
-          dst.slices.push_back(std::move(slice));
-          continue;
-        }
-        // Overlap: decode (if needed) and keep only strictly newer points.
-        std::vector<SamplePoint> points;
-        if (slice.chunk) {
-          auto decoded = slice.chunk->decode();
-          if (decoded) points = std::move(*decoded);
-        } else {
-          points = std::move(slice.points);
-        }
-        std::vector<SamplePoint> kept;
-        for (const auto& sample : points) {
-          if (sample.t > newest) kept.push_back(sample);
-        }
-        select_stats_.spliced_points_copied += kept.size();
-        if (!kept.empty()) {
-          newest = kept.back().t;
-          dst.slices.push_back(ChunkSlice{nullptr, std::move(kept)});
-        }
-      }
+  // Merge the two sorted runs per label set: synthesised history
+  // followed by the hot tail. Compared by the full label set, not its
+  // fingerprint — two distinct label sets whose fingerprints collide
+  // must stay distinct series. Straddling series are spliced
+  // slice-wise: hot reads start past a boundary the ladder has fully
+  // aggregated, so every hot slice is strictly newer than the history's
+  // end and rides along still-compressed — no materialisation, no
+  // decode. The decode-and-filter branch below only fires if that
+  // invariant is ever broken.
+  out.reserve(history.size() + fine.size());
+  auto h = history.begin();
+  auto f = fine.begin();
+  while (h != history.end() || f != fine.end()) {
+    if (f == fine.end() || (h != history.end() && h->labels < f->labels)) {
       out.push_back(std::move(*h++));
-      ++f;
+      continue;
     }
+    if (h == history.end() || f->labels < h->labels) {
+      out.push_back(std::move(*f++));
+      continue;
+    }
+    ++spliced_count;
+    SeriesView& dst = *h;
+    TimestampMs newest = dst.slices.back().max_time();
+    dst.slices.reserve(dst.slices.size() + f->slices.size());
+    for (auto& slice : f->slices) {
+      if (slice.min_time() > newest) {
+        newest = slice.max_time();
+        dst.slices.push_back(std::move(slice));
+        continue;
+      }
+      // Overlap: decode (if needed) and keep only strictly newer points.
+      std::vector<SamplePoint> points;
+      if (slice.chunk) {
+        auto decoded = slice.chunk->decode();
+        if (decoded) points = std::move(*decoded);
+      } else {
+        points = std::move(slice.points);
+      }
+      std::vector<SamplePoint> kept;
+      for (const auto& sample : points) {
+        if (sample.t > newest) kept.push_back(sample);
+      }
+      select_stats_.spliced_points_copied += kept.size();
+      if (!kept.empty()) {
+        newest = kept.back().t;
+        dst.slices.push_back(ChunkSlice{nullptr, std::move(kept)});
+      }
+    }
+    out.push_back(std::move(*h++));
+    ++f;
   }
   select_stats_.spliced_views += spliced_count;
   select_stats_.chunk_backed_views += out.size() - spliced_count;

@@ -17,17 +17,16 @@
 // resolution-aware planner whole bucket columns when a level covers the
 // requested span exactly.
 //
-// A read pays for the series it returns, not for the ladder's size. Each
+// A read past the ladder's horizon pays only for the series it returns.
+// select() reads history only when its span starts at or before the purge
+// boundary; otherwise it returns the hot store's views as they are. Each
 // level keys its series by the hot series' interned labels (hashed by
 // fingerprint, compared by symbol vector, so colliding fingerprints stay
-// distinct) and keeps one postings list per metric name. select() reads
-// history only when its span starts at or before the purge boundary;
-// otherwise it returns the hot store's views as they are. History and
-// select_agg() visit only the postings the selector's __name__ terms
-// accept — a selector without one scans the whole level — and evaluate
-// matchers on symbols (tsdb/selector.h). Only the matched series are
-// turned into string labels and sorted, so output order is label order,
-// as the hot store's.
+// distinct), so compaction folds without building string labels. History
+// reads and select_agg() scan the level once, evaluating matchers on
+// symbols (tsdb/selector.h); only the matched series are turned into
+// string labels and sorted, so output order is label order, as the hot
+// store's.
 #pragma once
 
 #include <memory>
@@ -70,8 +69,8 @@ struct LongTermConfig {
 // resolution-aware planner drives down versus raw_points_scanned.
 struct LongTermSelectStats {
   // Ladder series whose labels select() and select_agg() checked against
-  // the matchers: 0 for a read past the purge boundary, one metric's
-  // series for a read that names it, the whole level for a nameless one.
+  // the matchers: 0 for a read past the purge boundary, the whole level
+  // for one that reaches history.
   uint64_t ladder_series_visited = 0;
   uint64_t chunk_backed_views = 0;
   uint64_t spliced_views = 0;
@@ -137,18 +136,12 @@ class LongTermStore final : public Queryable {
  private:
   using SeriesMap = std::unordered_map<InternedLabels, AggChunkedSeries,
                                        metrics::InternedLabelsHash>;
-  using LadderSeries = SeriesMap::value_type;
 
   struct AggLevel {
     AggLevelConfig config;
     // Keyed by the hot series' interned labels. Reads sort what they
     // match by string labels, so iteration order never reaches a caller.
     SeriesMap series;
-    // Name postings: the __name__ value symbol (kNoName for a series
-    // without one) → this level's series with it. Map nodes are stable,
-    // so the pointers survive rehashing; retention prunes them before it
-    // erases a series.
-    std::unordered_map<uint32_t, std::vector<const LadderSeries*>> by_name;
     // Buckets with end <= cursor_ms are complete and immutable.
     TimestampMs cursor_ms = INT64_MIN;
     // Buckets with end <= purged_end_ms may have been dropped by
@@ -158,10 +151,8 @@ class LongTermStore final : public Queryable {
     uint64_t version = 0;  // bumped on every mutation of this level
   };
 
-  // Calls fn for each series of `level` that `selector` matches, visiting
-  // only the name postings its __name__ terms accept (every series when
-  // it has none), and counts the visits in select_stats_. Caller holds
-  // mu_.
+  // Calls fn for each series of `level` that `selector` matches and
+  // counts the visits in select_stats_. Caller holds mu_.
   template <typename Fn>
   void for_each_match(const AggLevel& level, const Selector& selector,
                       Fn&& fn) const;

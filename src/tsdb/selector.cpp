@@ -40,15 +40,6 @@ std::optional<metrics::InternedLabels::SymbolPair> Selector::posting(
   return metrics::InternedLabels::SymbolPair{*term.name, *term.value};
 }
 
-bool Selector::on_label(std::size_t i, uint32_t name_sym) const {
-  return terms_[i].name == name_sym;
-}
-
-bool Selector::term_matches(std::size_t i,
-                            std::optional<uint32_t> value_sym) const {
-  return terms_[i].matches(value_sym);
-}
-
 bool Selector::matches(const metrics::InternedLabels& labels,
                        std::size_t skip_term) const {
   for (std::size_t i = 0; i < terms_.size(); ++i) {

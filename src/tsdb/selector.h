@@ -3,7 +3,7 @@
 // strings. Label text is compared by symbol id, which is exact because
 // interning is injective; an absent label reads as the empty string, as
 // in PromQL. The hot store's posting-list selects and the long-term
-// ladder's name postings both evaluate matchers through this one class.
+// ladder's history reads both evaluate matchers through this one class.
 #pragma once
 
 #include <cstddef>
@@ -37,11 +37,6 @@ class Selector {
   // the kind of term a posting list answers; nullopt otherwise.
   std::optional<metrics::InternedLabels::SymbolPair> posting(
       std::size_t i) const;
-  // True when term `i` constrains the label interned as `name_sym`.
-  bool on_label(std::size_t i, uint32_t name_sym) const;
-  // True when term `i` accepts a label whose value is `value_sym`
-  // (nullopt: the label is absent).
-  bool term_matches(std::size_t i, std::optional<uint32_t> value_sym) const;
   // True when `labels` satisfies every term except `skip_term` (the one
   // whose posting list produced the candidate).
   bool matches(const metrics::InternedLabels& labels,

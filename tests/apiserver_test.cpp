@@ -9,6 +9,7 @@
 #include "apiserver/updater.h"
 #include "flaky_sync_dir.h"
 #include "http/client.h"
+#include "tsdb/longterm.h"
 #include "stack_fixture.h"
 #include "append_one.h"
 
@@ -193,13 +194,14 @@ TEST(UpdaterAlignment, AggregateQueriesHitResolutionLadder) {
 
 // ---------- updater counter windows ----------
 
-// Consecutive cycles tile a counter: each reads the samples past the
-// previous instant plus the last one at or before it, so every scrape
-// delta is counted in exactly one cycle. With an update interval of one
-// scrape interval a window holds a single sample, and with two it holds
-// one of the two deltas; either way the summed per-cycle increments must
-// equal the raw counter delta exactly, across resets and over a unit
-// with two series (two nodes).
+// Consecutive cycles tile a counter: each counts from where the
+// previous read ended, so every scrape delta is counted in exactly one
+// cycle. With an update interval of one scrape interval a window holds a
+// single sample, and with two it holds one of the two deltas; and when
+// the long-term store's sync lags one scrape behind each cycle, a cycle
+// must leave the unsynced scrape's delta to the next one. Every way, the
+// summed per-cycle increments must equal the raw counter delta exactly,
+// across resets and over a unit with two series (two nodes).
 TEST(UpdaterTest, CounterIncrementsTileAcrossCycles) {
   constexpr int64_t kScrapeMs = 30000;
   constexpr int64_t kScrapeOffsetMs = 7000;  // scrapes off the cycle grid
@@ -218,69 +220,80 @@ TEST(UpdaterTest, CounterIncrementsTileAcrossCycles) {
   };
 
   for (int multiple : {1, 2}) {
-    SCOPED_TRACE("update interval = " + std::to_string(multiple) +
-                 "x scrape interval");
-    const int64_t interval_ms = multiple * kScrapeMs;
-    auto store = std::make_shared<tsdb::TimeSeriesStore>();
-    std::vector<std::vector<metrics::InternedLabels>> series(counters.size());
-    for (std::size_t c = 0; c < counters.size(); ++c) {
-      for (int node = 0; node < 2; ++node) {
-        series[c].emplace_back(
-            metrics::Labels{{"hostname", "n" + std::to_string(node)},
-                            {"uuid", "vm-1"}}
-                .with_name(counters[c]));
+    for (bool lagged : {false, true}) {
+      SCOPED_TRACE("update interval = " + std::to_string(multiple) +
+                   "x scrape interval" + (lagged ? ", sync lagging" : ""));
+      const int64_t interval_ms = multiple * kScrapeMs;
+      auto hot = std::make_shared<tsdb::TimeSeriesStore>();
+      auto lt = std::make_shared<tsdb::LongTermStore>(hot);
+      std::vector<std::vector<metrics::InternedLabels>> series(
+          counters.size());
+      for (std::size_t c = 0; c < counters.size(); ++c) {
+        for (int node = 0; node < 2; ++node) {
+          series[c].emplace_back(
+              metrics::Labels{{"hostname", "n" + std::to_string(node)},
+                              {"uuid", "vm-1"}}
+                  .with_name(counters[c]));
+        }
       }
-    }
-    reldb::Database db;
-    auto nova = std::make_shared<OpenstackAdapter>("cloud");
-    nova->report_vm("vm-1", "alice", "p1", 4, 8LL << 30, "ACTIVE", 0, 0, 0);
-    auto clock = common::make_sim_clock(0);
-    UpdaterConfig config;
-    config.interval_ms = interval_ms;
-    Updater updater(db, store, nullptr, {nova}, clock, config);
+      reldb::Database db;
+      auto nova = std::make_shared<OpenstackAdapter>("cloud");
+      nova->report_vm("vm-1", "alice", "p1", 4, 8LL << 30, "ACTIVE", 0, 0, 0);
+      auto clock = common::make_sim_clock(0);
+      UpdaterConfig config;
+      config.interval_ms = interval_ms;
+      Updater updater(db, lt, nullptr, {nova}, clock, config);
 
-    // Scrapes land as the clock passes them; a cycle runs at every
-    // multiple of the update interval.
-    int next_sweep = 0;
-    int first_counted = -1, last_counted = -1;  // sweeps at the ends
-    for (int64_t at = interval_ms;
-         at <= kSweeps * kScrapeMs + kScrapeOffsetMs; at += interval_ms) {
-      for (; next_sweep <= kSweeps &&
-             kScrapeOffsetMs + next_sweep * kScrapeMs <= at;
-           ++next_sweep) {
-        for (std::size_t c = 0; c < counters.size(); ++c) {
-          for (int node = 0; node < 2; ++node) {
-            append_one(*store, series[c][node],
-                       kScrapeOffsetMs + next_sweep * kScrapeMs,
-                       value_at(static_cast<int>(c), node, next_sweep));
+      // Scrapes land as the clock passes them; a cycle runs at every
+      // multiple of the update interval. A lagging sync shows a cycle
+      // only the scrapes that landed before its own.
+      int next_sweep = 0;
+      int first_counted = -1;  // the sweep the first cycle starts from
+      int64_t at = interval_ms;
+      for (; at <= kSweeps * kScrapeMs + kScrapeOffsetMs; at += interval_ms) {
+        if (lagged) lt->sync_from(*hot);
+        for (; next_sweep <= kSweeps &&
+               kScrapeOffsetMs + next_sweep * kScrapeMs <= at;
+             ++next_sweep) {
+          for (std::size_t c = 0; c < counters.size(); ++c) {
+            for (int node = 0; node < 2; ++node) {
+              append_one(*hot, series[c][node],
+                         kScrapeOffsetMs + next_sweep * kScrapeMs,
+                         value_at(static_cast<int>(c), node, next_sweep));
+            }
+          }
+        }
+        if (!lagged) lt->sync_from(*hot);
+        clock->set(at);
+        updater.update_once();
+        if (first_counted < 0) first_counted = next_sweep - 1;
+      }
+      // One more cycle once everything is synced.
+      lt->sync_from(*hot);
+      clock->set(at);
+      updater.update_once();
+      const int last_counted = next_sweep - 1;
+      ASSERT_GT(last_counted, first_counted + 10);
+
+      // The raw delta from the last sample at or before the first cycle
+      // to the last one, reset-aware.
+      std::vector<double> raw(counters.size(), 0);
+      for (std::size_t c = 0; c < counters.size(); ++c) {
+        for (int node = 0; node < 2; ++node) {
+          for (int k = first_counted + 1; k <= last_counted; ++k) {
+            double prev = value_at(static_cast<int>(c), node, k - 1);
+            double cur = value_at(static_cast<int>(c), node, k);
+            raw[c] += cur >= prev ? cur - prev : cur;
           }
         }
       }
-      clock->set(at);
-      updater.update_once();
-      if (first_counted < 0) first_counted = next_sweep - 1;
-      last_counted = next_sweep - 1;
+      auto row = db.get(kUnitsTable, reldb::Value(std::string("vm-1")));
+      ASSERT_TRUE(row.has_value());
+      Unit unit = unit_from_row(*row);
+      EXPECT_EQ(unit.total_cpu_time_seconds, raw[0]);
+      EXPECT_EQ(unit.total_io_read_bytes, raw[1]);
+      EXPECT_EQ(unit.total_io_write_bytes, raw[2]);
     }
-    ASSERT_GT(last_counted, first_counted + 10);
-
-    // The raw delta from the last sample at or before the first cycle to
-    // the last one at or before the final cycle, reset-aware.
-    std::vector<double> raw(counters.size(), 0);
-    for (std::size_t c = 0; c < counters.size(); ++c) {
-      for (int node = 0; node < 2; ++node) {
-        for (int k = first_counted + 1; k <= last_counted; ++k) {
-          double prev = value_at(static_cast<int>(c), node, k - 1);
-          double cur = value_at(static_cast<int>(c), node, k);
-          raw[c] += cur >= prev ? cur - prev : cur;
-        }
-      }
-    }
-    auto row = db.get(kUnitsTable, reldb::Value(std::string("vm-1")));
-    ASSERT_TRUE(row.has_value());
-    Unit unit = unit_from_row(*row);
-    EXPECT_EQ(unit.total_cpu_time_seconds, raw[0]);
-    EXPECT_EQ(unit.total_io_read_bytes, raw[1]);
-    EXPECT_EQ(unit.total_io_write_bytes, raw[2]);
   }
 }
 

@@ -88,9 +88,8 @@ GUARDED_COUNTERS = {
     "longterm_raw_bytes_per_hot_byte": 0.01,
     "sync_samples": 0.01,
     # Long-term history read (BM_longterm_select_history): ladder series
-    # one name-selected read checks. Exact: the named metric's series; a
-    # read that scans the whole level again multiplies it by the number
-    # of metrics (40).
+    # one read checks. Exact: one scan of the finest level; a read that
+    # visits a series twice, or a coarser level too, raises it.
     "ladder_series_per_select": 0.01,
 }
 

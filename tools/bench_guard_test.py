@@ -163,16 +163,19 @@ class BenchGuardTest(unittest.TestCase):
 
     def test_longterm_select_history_counter_is_guarded(self):
         base = doc(benchmarks=[bench("BM_longterm_select_history",
-                                     ladder_series_per_select=50)])
-        self.assertEqual(self.guard(base, base), 0)
-        # A history read scanning the whole level again.
-        scan = doc(benchmarks=[bench("BM_longterm_select_history",
                                      ladder_series_per_select=2000)])
-        self.assertEqual(self.guard(scan, base), 1)
-        # One series more is already past the 1% gate.
-        extra = doc(benchmarks=[bench("BM_longterm_select_history",
-                                      ladder_series_per_select=51)])
-        self.assertEqual(self.guard(extra, base), 1)
+        self.assertEqual(self.guard(base, base), 0)
+        # A history read visiting the level twice.
+        twice = doc(benchmarks=[bench("BM_longterm_select_history",
+                                      ladder_series_per_select=4000)])
+        self.assertEqual(self.guard(twice, base), 1)
+        # Within the 1% gate, and just past it.
+        near = doc(benchmarks=[bench("BM_longterm_select_history",
+                                     ladder_series_per_select=2019)])
+        self.assertEqual(self.guard(near, base), 0)
+        past = doc(benchmarks=[bench("BM_longterm_select_history",
+                                     ladder_series_per_select=2021)])
+        self.assertEqual(self.guard(past, base), 1)
 
     def test_multiple_pairs_all_pass(self):
         tsdb = doc(benchmarks=[bench("t", points_scanned_per_query=10)])
