@@ -13,7 +13,16 @@
 //
 // Expected shape: render cost in the tens-of-microseconds range, linear in
 // the number of compute units, far below any 30 s scrape interval; RSS
-// delta across 10k scrapes ≈ 0 (no per-scrape allocatio accumulation).
+// delta across 10k scrapes ≈ 0 (no per-scrape allocation accumulation).
+//
+// BM_render_cpu_node per render (4-core VM, Release, gcc 12), for 0 / 1 /
+// 4 / 16 / 64 jobs:
+//   snprintf/sscanf value formatting, split()-based pseudo-file parsing:
+//     97 / 174 / 318 / 978 / 4308 µs
+//   one-pass to_chars formatting, string_view parsing, one copy per read:
+//     60 / 67 / 96 / 193 / 860 µs
+// The exposition bytes are the same. About 16 µs of each render is the
+// self collector reading /proc/self/stat and /proc/self/statm.
 #include <benchmark/benchmark.h>
 
 #include "common/logging.h"

@@ -22,6 +22,7 @@
 #include "apiserver/updater.h"
 #include "common/clock.h"
 #include "common/threadpool.h"
+#include "core/node_exporter_factory.h"
 #include "core/rules_library.h"
 #include "reldb/database.h"
 #include "simfs/durable_dir.h"
@@ -662,6 +663,94 @@ void BM_scrape_ingest_e2e(benchmark::State& state) {
 }
 BENCHMARK(BM_scrape_ingest_e2e)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// ---------------------------------------------------------------------------
+// Exporter render: the first stage of a monitoring generation.
+// ---------------------------------------------------------------------------
+
+// One CEEMS exporter per node over a fixed mixed fleet: every node group
+// (Intel and AMD CPU, GPU with and without IPMI-included GPU power), one
+// to four resident jobs per node, each simulator stepped from its own
+// seed. The timed loop renders every exporter without stepping, so each
+// render writes the same bytes and both counters are exact.
+void BM_exporter_render_fleet(benchmark::State& state) {
+  constexpr int kNodes = 16;
+  auto clock = common::make_sim_clock(1700000000000LL);
+  std::vector<node::NodeSimPtr> nodes;
+  std::vector<std::unique_ptr<exporter::Exporter>> exporters;
+  for (int n = 0; n < kNodes; ++n) {
+    std::string host = "jz" + std::to_string(n);
+    node::NodeSpec spec = n % 4 == 0   ? node::make_intel_cpu_node(host)
+                          : n % 4 == 1 ? node::make_amd_cpu_node(host)
+                          : n % 4 == 2 ? node::make_v100_node(host)
+                                       : node::make_a100_node(host);
+    auto sim = std::make_shared<node::NodeSim>(std::move(spec), clock,
+                                               100 + n);
+    const int jobs = 1 + n % 4;
+    for (int j = 0; j < jobs; ++j) {
+      node::WorkloadPlacement placement;
+      placement.job_id = 10000 + n * 10 + j;
+      placement.user = "u" + std::to_string(j);
+      placement.alloc_cpus = 4;
+      if (j < static_cast<int>(sim->spec().gpus.size()) && n % 4 >= 2) {
+        placement.gpu_ordinals = {j};
+      }
+      node::WorkloadBehavior behavior;
+      behavior.cpu_util_mean = 0.5 + 0.1 * j;
+      behavior.gpu_util_mean = 0.6;
+      sim->add_workload(placement, behavior);
+    }
+    for (int step = 0; step < 5; ++step) sim->step(30000);
+    // As in the stack's in-process fleet: no self metrics, whose RSS and
+    // sweep-duration values would make the bytes vary between renders.
+    exporter::ExporterConfig config;
+    config.enable_self_metrics = false;
+    exporters.push_back(core::make_ceems_exporter(sim, clock, config));
+    nodes.push_back(std::move(sim));
+  }
+  auto render_all = [&] {
+    std::size_t bytes = 0;
+    for (auto& exp : exporters) {
+      std::string body = exp->render(clock->now_ms());
+      bytes += body.size();
+      benchmark::DoNotOptimize(body);
+    }
+    return bytes;
+  };
+  // Warm (RAPL cursors are set on the first render) and count the samples
+  // one pass writes.
+  render_all();
+  std::size_t samples = 0;
+  for (auto& exp : exporters) {
+    std::string body = exp->render(clock->now_ms());
+    for (std::string_view rest = body; !rest.empty();) {
+      std::size_t nl = rest.find('\n');
+      if (rest[0] != '#') ++samples;
+      rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
+    }
+  }
+
+  uint64_t renders = 0;
+  std::size_t bytes = 0;
+  uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    bytes += render_all();
+    renders += kNodes;
+  }
+  uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  uint64_t passes = renders / kNodes;
+  state.counters["allocs_per_rendered_sample"] =
+      passes ? static_cast<double>(allocs) /
+                   static_cast<double>(passes * samples)
+             : 0.0;
+  state.counters["exposition_bytes_per_render"] =
+      renders ? static_cast<double>(bytes) / static_cast<double>(renders)
+              : 0.0;
+  state.counters["samples_per_render"] =
+      static_cast<double>(samples) / kNodes;
+}
+BENCHMARK(BM_exporter_render_fleet)->Unit(benchmark::kMicrosecond);
 
 // A fixed Jean-Zay-shaped fleet for the rule pass: every node group, two
 // resident jobs per node, GPUs and eBPF traffic, values that move every

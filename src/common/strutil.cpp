@@ -4,7 +4,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace ceems::common {
 
@@ -33,6 +32,26 @@ std::vector<std::string> split_fields(std::string_view text) {
     if (i > start) out.emplace_back(text.substr(start, i - start));
   }
   return out;
+}
+
+std::string_view next_line(std::string_view& text) {
+  std::size_t nl = text.find('\n');
+  std::string_view line = text.substr(0, nl);
+  text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
+  return line;
+}
+
+std::string_view next_field(std::string_view& text) {
+  auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  std::size_t i = 0;
+  while (i < text.size() && space(text[i])) ++i;
+  std::size_t start = i;
+  while (i < text.size() && !space(text[i])) ++i;
+  std::string_view field = text.substr(start, i - start);
+  text.remove_prefix(i);
+  return field;
 }
 
 std::string_view trim(std::string_view text) {
@@ -87,18 +106,41 @@ std::optional<double> parse_double(std::string_view text) {
   return value;
 }
 
-std::string format_double(double value) {
-  if (std::isnan(value)) return "NaN";
-  if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
-  // %.17g round-trips but is ugly; try shorter precision first.
-  char buf[64];
-  for (int precision = 6; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+void append_double(std::string& out, double value) {
+  if (std::isnan(value)) {
+    out += "NaN";
+    return;
+  }
+  if (std::isinf(value)) {
+    out += value > 0 ? "+Inf" : "-Inf";
+    return;
+  }
+  // The output is that of trying %.6g, %.7g, ... %.17g and keeping the
+  // first that parses back to `value` (%.17g always does). No %.Pg with
+  // fewer digits than the shortest round-trip form can round-trip, so the
+  // search starts at that digit count and usually ends there.
+  char buf[32];  // "-2.2250738585072014e-308" is the longest: 24 chars
+  char* const end = buf + sizeof(buf);
+  auto shortest = std::to_chars(buf, end, value, std::chars_format::scientific);
+  int digits = 0;
+  for (const char* p = buf; p != shortest.ptr && *p != 'e'; ++p) {
+    digits += std::isdigit(static_cast<unsigned char>(*p)) ? 1 : 0;
+  }
+  std::to_chars_result printed{buf, std::errc()};
+  for (int precision = std::max(6, digits); precision <= 17; ++precision) {
+    printed = std::to_chars(buf, end, value, std::chars_format::general,
+                            precision);
     double parsed = 0;
-    std::sscanf(buf, "%lf", &parsed);
+    std::from_chars(buf, printed.ptr, parsed);
     if (parsed == value) break;
   }
-  return buf;
+  out.append(buf, printed.ptr);
+}
+
+std::string format_double(double value) {
+  std::string out;
+  append_double(out, value);
+  return out;
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {

@@ -72,8 +72,8 @@ std::vector<metrics::MetricFamily> CgroupCollector::collect(
   units.add(Labels{{kManagerLabel, manager_}},
             static_cast<double>(unit_count));
 
-  return {cpu,     mem_current, mem_peak, mem_limit,
-          io_read, io_write,    procs,    units};
+  return move_families(cpu, mem_current, mem_peak, mem_limit, io_read,
+                       io_write, procs, units);
 }
 
 }  // namespace ceems::exporter

@@ -25,6 +25,16 @@ class Collector {
 
 using CollectorPtr = std::shared_ptr<Collector>;
 
+// Moves the given families into a vector, in order. A braced
+// `return {a, b}` would deep-copy each one through an initializer_list.
+template <typename... Families>
+std::vector<metrics::MetricFamily> move_families(Families&&... families) {
+  std::vector<metrics::MetricFamily> out;
+  out.reserve(sizeof...(families));
+  (out.push_back(std::move(families)), ...);
+  return out;
+}
+
 // Labels every CEEMS compute-unit metric carries (§II-B.b: the API server
 // unifies resource managers behind one schema keyed by uuid + manager).
 inline constexpr const char* kUuidLabel = "uuid";

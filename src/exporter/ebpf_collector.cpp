@@ -63,8 +63,8 @@ std::vector<metrics::MetricFamily> EbpfCollector::collect(
                            {}};
   node_net_rx.add(Labels{{"device", "ib0"}}, node_rx);
 
-  return {tx,    rx,           tx_packets, rx_packets, instructions,
-          flops, cache_misses, node_net,   node_net_rx};
+  return move_families(tx, rx, tx_packets, rx_packets, instructions, flops,
+                       cache_misses, node_net, node_net_rx);
 }
 
 }  // namespace ceems::exporter

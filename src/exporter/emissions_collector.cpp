@@ -19,7 +19,7 @@ std::vector<metrics::MetricFamily> EmissionsCollector::collect(
                       {"country_code", country_code_}},
                result->gco2_per_kwh);
   }
-  return {factor};
+  return move_families(factor);
 }
 
 }  // namespace ceems::exporter

@@ -23,7 +23,7 @@ std::vector<metrics::MetricFamily> GpuMapCollector::collect(
       flag.add(labels, 1);
     }
   }
-  return {flag};
+  return move_families(flag);
 }
 
 }  // namespace ceems::exporter

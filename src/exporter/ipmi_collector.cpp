@@ -31,7 +31,7 @@ std::vector<metrics::MetricFamily> IpmiCollector::collect(
                        {}};
   average.add(Labels{}, static_cast<double>(reading.avg_watts));
 
-  return {current, minimum, maximum, average};
+  return move_families(current, minimum, maximum, average);
 }
 
 }  // namespace ceems::exporter

@@ -1,30 +1,65 @@
 #include "metrics/text_format.h"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 
 #include "common/strutil.h"
 
 namespace ceems::metrics {
 
-using common::format_double;
+using common::append_double;
 using common::parse_double;
 using common::parse_int64;
 using common::split_fields;
 using common::starts_with;
 using common::trim;
 
+namespace {
+
+// Appends `text` with \ and newline escaped, and " too when `quote`: the
+// escapes text format 0.0.4 requires in label values (quote) and in HELP
+// text (no quote).
+void append_escaped(std::string& out, std::string_view text, bool quote) {
+  std::size_t run = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char* escape = nullptr;
+    switch (text[i]) {
+      case '\\': escape = "\\\\"; break;
+      case '\n': escape = "\\n"; break;
+      case '"': escape = quote ? "\\\"" : nullptr; break;
+      default: break;
+    }
+    if (escape == nullptr) continue;
+    out.append(text.data() + run, i - run);
+    out.append(escape, 2);
+    run = i + 1;
+  }
+  out.append(text.data() + run, text.size() - run);
+}
+
+// Inverse of HELP escaping: \\ and \n resolve; any other backslash is
+// kept as written.
+std::string unescape_help_text(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '\\' && i + 1 < text.size() &&
+        (text[i + 1] == '\\' || text[i + 1] == 'n')) {
+      out += text[++i] == 'n' ? '\n' : '\\';
+    } else {
+      out += text[i];
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 std::string escape_label_value(std::string_view value) {
   std::string out;
   out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
+  append_escaped(out, value, /*quote=*/true);
   return out;
 }
 
@@ -50,7 +85,7 @@ std::string encode_families(const std::vector<MetricFamily>& families) {
       out += "# HELP ";
       out += family.name;
       out += ' ';
-      out += family.help;
+      append_escaped(out, family.help, /*quote=*/false);
       out += '\n';
     }
     out += "# TYPE ";
@@ -68,16 +103,18 @@ std::string encode_families(const std::vector<MetricFamily>& families) {
           first = false;
           out += name;
           out += "=\"";
-          out += escape_label_value(value);
+          append_escaped(out, value, /*quote=*/true);
           out += '"';
         }
         out += '}';
       }
       out += ' ';
-      out += format_double(metric.value);
+      append_double(out, metric.value);
       if (metric.timestamp_ms != 0) {
+        char buf[24];
         out += ' ';
-        out += std::to_string(metric.timestamp_ms);
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                      metric.timestamp_ms).ptr);
       }
       out += '\n';
     }
@@ -176,10 +213,9 @@ ParsedExposition parse_exposition(std::string_view text) {
         std::size_t space = rest.find(' ');
         std::string name(space == std::string_view::npos ? rest
                                                          : rest.substr(0, space));
-        std::string help(space == std::string_view::npos
-                             ? std::string_view{}
-                             : trim(rest.substr(space + 1)));
-        family_for(name).help = help;
+        family_for(name).help = unescape_help_text(
+            space == std::string_view::npos ? std::string_view{}
+                                            : trim(rest.substr(space + 1)));
       } else if (starts_with(rest, "TYPE ")) {
         auto fields = split_fields(rest.substr(5));
         if (fields.size() >= 2) {

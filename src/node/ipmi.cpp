@@ -58,13 +58,15 @@ std::string format_dcmi_output(const DcmiPowerReading& reading) {
 
 DcmiPowerReading parse_dcmi_output(const std::string& text) {
   DcmiPowerReading reading;
-  for (const auto& line : common::split(text, '\n')) {
+  for (std::string_view rest = text; !rest.empty();) {
+    std::string_view line = common::next_line(rest);
     auto colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    std::string key(common::trim(std::string_view(line).substr(0, colon)));
-    auto fields = common::split_fields(line.substr(colon + 1));
-    if (fields.empty()) continue;
-    int64_t value = common::parse_int64(fields[0]).value_or(0);
+    if (colon == std::string_view::npos) continue;
+    std::string_view key = common::trim(line.substr(0, colon));
+    std::string_view after = line.substr(colon + 1);
+    std::string_view first = common::next_field(after);
+    if (first.empty()) continue;
+    int64_t value = common::parse_int64(first).value_or(0);
     if (key == "Instantaneous power reading") reading.watts = value;
     else if (key == "Minimum during sampling period") reading.min_watts = value;
     else if (key == "Maximum during sampling period") reading.max_watts = value;

@@ -72,9 +72,9 @@ std::vector<RaplReading> read_rapl(const simfs::Fs& fs) {
     RaplReading reading;
     reading.domain = std::string(common::trim(*name));
     // Socket index: first number after "intel-rapl:".
-    auto parts = common::split(entry.substr(11), ':');
+    std::string_view socket = std::string_view(entry).substr(11);
     reading.index = static_cast<int>(
-        common::parse_int64(parts.empty() ? "0" : parts[0]).value_or(0));
+        common::parse_int64(socket.substr(0, socket.find(':'))).value_or(0));
     reading.energy_uj = common::parse_int64(*energy).value_or(0);
     reading.max_energy_range_uj = common::parse_int64(*max_range).value_or(0);
     readings.push_back(std::move(reading));

@@ -50,49 +50,59 @@ void CgroupWriter::destroy() { fs_->remove(path_); }
 
 std::optional<CgroupStats> read_cgroup(const Fs& fs,
                                        const std::string& path) {
-  auto cpu_content = fs.read(path + "/cpu.stat");
+  std::string file_path;
+  auto read = [&](std::string_view name) {
+    file_path.assign(path).append(name);
+    return fs.read(file_path);
+  };
+  auto cpu_content = read("/cpu.stat");
   if (!cpu_content) return std::nullopt;
 
   CgroupStats stats;
-  auto cpu = parse_flat_keyed(*cpu_content);
-  stats.cpu.usage_usec = cpu["usage_usec"];
-  stats.cpu.user_usec = cpu["user_usec"];
-  stats.cpu.system_usec = cpu["system_usec"];
+  parse_flat_keyed(*cpu_content, [&](std::string_view key, int64_t value) {
+    if (key == "usage_usec") stats.cpu.usage_usec = value;
+    else if (key == "user_usec") stats.cpu.user_usec = value;
+    else if (key == "system_usec") stats.cpu.system_usec = value;
+  });
 
-  if (auto current = fs.read(path + "/memory.current")) {
+  if (auto current = read("/memory.current")) {
     stats.memory.current_bytes =
         common::parse_int64(*current).value_or(0);
   }
-  if (auto peak = fs.read(path + "/memory.peak")) {
+  if (auto peak = read("/memory.peak")) {
     stats.memory.peak_bytes = common::parse_int64(*peak).value_or(0);
   }
-  if (auto max = fs.read(path + "/memory.max")) {
+  if (auto max = read("/memory.max")) {
     auto trimmed = common::trim(*max);
     stats.memory.max_bytes =
         trimmed == "max" ? -1 : common::parse_int64(trimmed).value_or(-1);
   }
-  if (auto mem_stat = fs.read(path + "/memory.stat")) {
-    auto keyed = parse_flat_keyed(*mem_stat);
-    stats.memory.anon_bytes = keyed["anon"];
-    stats.memory.file_bytes = keyed["file"];
+  if (auto mem_stat = read("/memory.stat")) {
+    parse_flat_keyed(*mem_stat, [&](std::string_view key, int64_t value) {
+      if (key == "anon") stats.memory.anon_bytes = value;
+      else if (key == "file") stats.memory.file_bytes = value;
+    });
   }
-  if (auto io_stat = fs.read(path + "/io.stat")) {
-    for (const auto& line : common::split(*io_stat, '\n')) {
-      for (const auto& field : common::split_fields(line)) {
-        std::size_t eq = field.find('=');
-        if (eq == std::string::npos) continue;
-        std::string key = field.substr(0, eq);
-        int64_t value = common::parse_int64(field.substr(eq + 1)).value_or(0);
-        if (key == "rbytes") stats.io.rbytes += value;
-        else if (key == "wbytes") stats.io.wbytes += value;
-        else if (key == "rios") stats.io.rios += value;
-        else if (key == "wios") stats.io.wios += value;
-      }
+  if (auto io_stat = read("/io.stat")) {
+    // Fields never span lines, so one walk over the whole file sees every
+    // line's "key=value" fields in order.
+    std::string_view rest = *io_stat;
+    for (auto field = common::next_field(rest); !field.empty();
+         field = common::next_field(rest)) {
+      std::size_t eq = field.find('=');
+      if (eq == std::string_view::npos) continue;
+      std::string_view key = field.substr(0, eq);
+      int64_t value = common::parse_int64(field.substr(eq + 1)).value_or(0);
+      if (key == "rbytes") stats.io.rbytes += value;
+      else if (key == "wbytes") stats.io.wbytes += value;
+      else if (key == "rios") stats.io.rios += value;
+      else if (key == "wios") stats.io.wios += value;
     }
   }
-  if (auto procs = fs.read(path + "/cgroup.procs")) {
-    for (const auto& line : common::split(*procs, '\n')) {
-      if (auto pid = common::parse_int64(line)) stats.procs.push_back(*pid);
+  if (auto procs = read("/cgroup.procs")) {
+    for (std::string_view rest = *procs; !rest.empty();) {
+      if (auto pid = common::parse_int64(common::next_line(rest)))
+        stats.procs.push_back(*pid);
     }
   }
   return stats;

@@ -30,6 +30,7 @@ struct CgroupCpuStat {
   int64_t usage_usec = 0;
   int64_t user_usec = 0;
   int64_t system_usec = 0;
+  bool operator==(const CgroupCpuStat&) const = default;
 };
 
 struct CgroupMemoryStat {
@@ -38,6 +39,7 @@ struct CgroupMemoryStat {
   int64_t max_bytes = -1;  // -1 = "max" (no limit)
   int64_t anon_bytes = 0;
   int64_t file_bytes = 0;
+  bool operator==(const CgroupMemoryStat&) const = default;
 };
 
 struct CgroupIoStat {
@@ -45,6 +47,7 @@ struct CgroupIoStat {
   int64_t wbytes = 0;
   int64_t rios = 0;
   int64_t wios = 0;
+  bool operator==(const CgroupIoStat&) const = default;
 };
 
 struct CgroupStats {
@@ -52,6 +55,7 @@ struct CgroupStats {
   CgroupMemoryStat memory;
   CgroupIoStat io;
   std::vector<int64_t> procs;
+  bool operator==(const CgroupStats&) const = default;
 };
 
 // Writer side — maintains the accounting files for one cgroup directory.

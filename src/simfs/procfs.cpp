@@ -13,19 +13,16 @@ std::string render_cpu_line(const std::string& name, const ProcCpuLine& cpu) {
          std::to_string(cpu.irq) + " " + std::to_string(cpu.softirq) + " 0 0 0\n";
 }
 
-std::optional<ProcCpuLine> parse_cpu_line(const std::vector<std::string>& f) {
-  if (f.size() < 8) return std::nullopt;
+// Parses the seven mode counters that follow a "cpuN" name; nullopt when
+// the line has fewer. A field that is not an integer reads as 0.
+std::optional<ProcCpuLine> parse_cpu_line(std::string_view fields) {
   ProcCpuLine cpu;
-  auto get = [&](std::size_t i) {
-    return common::parse_int64(f[i]).value_or(0);
-  };
-  cpu.user = get(1);
-  cpu.nice = get(2);
-  cpu.system = get(3);
-  cpu.idle = get(4);
-  cpu.iowait = get(5);
-  cpu.irq = get(6);
-  cpu.softirq = get(7);
+  for (int64_t* mode : {&cpu.user, &cpu.nice, &cpu.system, &cpu.idle,
+                        &cpu.iowait, &cpu.irq, &cpu.softirq}) {
+    std::string_view field = common::next_field(fields);
+    if (field.empty()) return std::nullopt;
+    *mode = common::parse_int64(field).value_or(0);
+  }
   return cpu;
 }
 
@@ -55,18 +52,21 @@ std::optional<ProcStat> read_proc_stat(const Fs& fs) {
   if (!content) return std::nullopt;
   ProcStat stat;
   bool saw_aggregate = false;
-  for (const auto& line : common::split(*content, '\n')) {
-    auto fields = common::split_fields(line);
-    if (fields.empty()) continue;
-    if (fields[0] == "cpu") {
-      if (auto cpu = parse_cpu_line(fields)) {
+  for (std::string_view rest = *content; !rest.empty();) {
+    std::string_view line = common::next_line(rest);
+    std::string_view name = common::next_field(line);
+    if (name.empty()) continue;
+    if (name == "cpu") {
+      if (auto cpu = parse_cpu_line(line)) {
         stat.aggregate = *cpu;
         saw_aggregate = true;
       }
-    } else if (common::starts_with(fields[0], "cpu")) {
-      if (auto cpu = parse_cpu_line(fields)) stat.cpus.push_back(*cpu);
-    } else if (fields[0] == "btime" && fields.size() >= 2) {
-      stat.boot_time_sec = common::parse_int64(fields[1]).value_or(0);
+    } else if (common::starts_with(name, "cpu")) {
+      if (auto cpu = parse_cpu_line(line)) stat.cpus.push_back(*cpu);
+    } else if (name == "btime") {
+      std::string_view value = common::next_field(line);
+      if (!value.empty())
+        stat.boot_time_sec = common::parse_int64(value).value_or(0);
     }
   }
   if (!saw_aggregate) return std::nullopt;
@@ -77,15 +77,17 @@ std::optional<MemInfo> read_meminfo(const Fs& fs) {
   auto content = fs.read("/proc/meminfo");
   if (!content) return std::nullopt;
   MemInfo info;
-  for (const auto& line : common::split(*content, '\n')) {
-    auto fields = common::split_fields(line);
-    if (fields.size() < 2) continue;
-    int64_t value = common::parse_int64(fields[1]).value_or(0);
-    if (fields[0] == "MemTotal:") info.mem_total_kb = value;
-    else if (fields[0] == "MemFree:") info.mem_free_kb = value;
-    else if (fields[0] == "MemAvailable:") info.mem_available_kb = value;
-    else if (fields[0] == "Buffers:") info.buffers_kb = value;
-    else if (fields[0] == "Cached:") info.cached_kb = value;
+  for (std::string_view rest = *content; !rest.empty();) {
+    std::string_view line = common::next_line(rest);
+    std::string_view key = common::next_field(line);
+    std::string_view value_text = common::next_field(line);
+    if (value_text.empty()) continue;
+    int64_t value = common::parse_int64(value_text).value_or(0);
+    if (key == "MemTotal:") info.mem_total_kb = value;
+    else if (key == "MemFree:") info.mem_free_kb = value;
+    else if (key == "MemAvailable:") info.mem_available_kb = value;
+    else if (key == "Buffers:") info.buffers_kb = value;
+    else if (key == "Cached:") info.cached_kb = value;
   }
   if (info.mem_total_kb == 0) return std::nullopt;
   return info;

@@ -27,12 +27,14 @@ struct ProcCpuLine {
     return user + nice + system + idle + iowait + irq + softirq;
   }
   int64_t busy() const { return total() - idle - iowait; }
+  bool operator==(const ProcCpuLine&) const = default;
 };
 
 struct ProcStat {
   ProcCpuLine aggregate;            // the "cpu" line
   std::vector<ProcCpuLine> cpus;    // "cpu0".."cpuN"
   int64_t boot_time_sec = 0;
+  bool operator==(const ProcStat&) const = default;
 };
 
 struct MemInfo {
@@ -41,6 +43,7 @@ struct MemInfo {
   int64_t mem_available_kb = 0;
   int64_t buffers_kb = 0;
   int64_t cached_kb = 0;
+  bool operator==(const MemInfo&) const = default;
 };
 
 // Writer: renders the structures into /proc/stat and /proc/meminfo.

@@ -7,46 +7,64 @@
 
 namespace ceems::simfs {
 
-std::string PseudoFs::normalize(const std::string& path) {
-  std::string out = "/";
+const std::string& PseudoFs::normalize(const std::string& path,
+                                       std::string& buf) {
+  bool clean = !path.empty() && path[0] == '/';
+  for (std::size_t start = 1; clean && start < path.size();) {
+    std::size_t slash = std::min(path.find('/', start), path.size());
+    std::string_view part(path.data() + start, slash - start);
+    clean = !part.empty() && part != "." && slash + 1 != path.size();
+    start = slash + 1;
+  }
+  if (clean) return path;
+  buf = "/";
   for (const auto& part : common::split(path, '/')) {
     if (part.empty() || part == ".") continue;
-    if (out.back() != '/') out += '/';
-    out += part;
+    if (buf.back() != '/') buf += '/';
+    buf += part;
   }
-  return out;
+  return buf;
 }
 
 void PseudoFs::write(const std::string& path, std::string content) {
+  std::string buf;
+  const std::string& norm = normalize(path, buf);
   std::unique_lock lock(mu_);
-  files_[normalize(path)] = [content = std::move(content)] { return content; };
+  files_[norm] = File{std::move(content), {}};
 }
 
 void PseudoFs::write_dynamic(const std::string& path,
                              std::function<std::string()> generator) {
+  std::string buf;
+  const std::string& norm = normalize(path, buf);
   std::unique_lock lock(mu_);
-  files_[normalize(path)] = std::move(generator);
+  files_[norm] = File{{}, std::move(generator)};
 }
 
 std::optional<std::string> PseudoFs::read(const std::string& path) const {
-  std::string norm = normalize(path);
+  std::string buf;
+  const std::string& norm = normalize(path, buf);
+  std::optional<std::string> content;
   std::function<std::string()> generator;
   faults::FaultHook hook;
   {
     std::shared_lock lock(mu_);
     auto it = files_.find(norm);
     if (it == files_.end()) return std::nullopt;
-    generator = it->second;
+    if (it->second.generator) generator = it->second.generator;
+    else content = it->second.content;
     hook = fault_hook_;
   }
   if (hook && hook("simfs.read", norm)) return std::nullopt;
   // Run the generator outside the lock: dynamic files may consult the node
   // simulator, which can itself be writing other files.
-  return generator();
+  if (generator) return generator();
+  return content;
 }
 
 bool PseudoFs::exists(const std::string& path) const {
-  std::string norm = normalize(path);
+  std::string buf;
+  const std::string& norm = normalize(path, buf);
   std::shared_lock lock(mu_);
   if (files_.count(norm)) return true;
   // Directory existence: any file strictly under it.
@@ -56,7 +74,8 @@ bool PseudoFs::exists(const std::string& path) const {
 }
 
 bool PseudoFs::is_dir(const std::string& path) const {
-  std::string norm = normalize(path);
+  std::string buf;
+  const std::string& norm = normalize(path, buf);
   std::string prefix = norm == "/" ? norm : norm + "/";
   std::shared_lock lock(mu_);
   auto it = files_.lower_bound(prefix);
@@ -64,7 +83,8 @@ bool PseudoFs::is_dir(const std::string& path) const {
 }
 
 std::vector<std::string> PseudoFs::list_dir(const std::string& path) const {
-  std::string norm = normalize(path);
+  std::string buf;
+  const std::string& norm = normalize(path, buf);
   std::string prefix = norm == "/" ? norm : norm + "/";
   std::vector<std::string> children;
   std::shared_lock lock(mu_);
@@ -84,7 +104,8 @@ std::vector<std::string> PseudoFs::list_dir(const std::string& path) const {
 }
 
 void PseudoFs::remove(const std::string& path) {
-  std::string norm = normalize(path);
+  std::string buf;
+  const std::string& norm = normalize(path, buf);
   std::string prefix = norm == "/" ? norm : norm + "/";
   std::unique_lock lock(mu_);
   files_.erase(norm);
@@ -102,16 +123,6 @@ std::size_t PseudoFs::file_count() const {
 void PseudoFs::set_fault_hook(faults::FaultHook hook) {
   std::unique_lock lock(mu_);
   fault_hook_ = std::move(hook);
-}
-
-std::map<std::string, int64_t> parse_flat_keyed(const std::string& content) {
-  std::map<std::string, int64_t> out;
-  for (const auto& line : common::split(content, '\n')) {
-    auto fields = common::split_fields(line);
-    if (fields.size() != 2) continue;
-    if (auto value = common::parse_int64(fields[1])) out[fields[0]] = *value;
-  }
-  return out;
 }
 
 }  // namespace ceems::simfs

@@ -13,8 +13,10 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/strutil.h"
 #include "faults/fault.h"
 
 namespace ceems::simfs {
@@ -66,18 +68,39 @@ class PseudoFs final : public Fs {
   void set_fault_hook(faults::FaultHook hook);
 
  private:
-  static std::string normalize(const std::string& path);
+  // `path` itself when it is already absolute and clean (no empty or "."
+  // component, no trailing '/'); otherwise its clean form, built in `buf`.
+  static const std::string& normalize(const std::string& path,
+                                      std::string& buf);
+
+  // Static content, or a generator run on every read when set.
+  struct File {
+    std::string content;
+    std::function<std::string()> generator;
+  };
 
   mutable std::shared_mutex mu_;
-  // Sorted map of normalized absolute path -> content generator. A path is
-  // a directory iff some other path has it as a proper prefix component.
-  std::map<std::string, std::function<std::string()>> files_;
+  // Sorted map of normalized absolute path -> file. A path is a directory
+  // iff some other path has it as a proper prefix component.
+  std::map<std::string, File> files_;
   faults::FaultHook fault_hook_;
 };
 
 using PseudoFsPtr = std::shared_ptr<PseudoFs>;
 
-// Parses "key value" lines (cpu.stat, memory.stat format) into a map.
-std::map<std::string, int64_t> parse_flat_keyed(const std::string& content);
+// Parses "key value" lines (cpu.stat, memory.stat format): calls
+// visit(key, value) for each line of exactly two whitespace-separated
+// fields whose second is an integer, in file order; other lines are
+// skipped.
+template <typename Visit>
+void parse_flat_keyed(std::string_view content, Visit&& visit) {
+  while (!content.empty()) {
+    std::string_view line = common::next_line(content);
+    std::string_view key = common::next_field(line);
+    std::string_view value = common::next_field(line);
+    if (value.empty() || !common::next_field(line).empty()) continue;
+    if (auto parsed = common::parse_int64(value)) visit(key, *parsed);
+  }
+}
 
 }  // namespace ceems::simfs

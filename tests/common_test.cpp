@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 
 #include <atomic>
+#include <limits>
+#include <random>
 #include <thread>
 
 #include "common/clock.h"
@@ -107,6 +111,84 @@ TEST(StrUtil, FormatDoubleRoundTrips) {
     EXPECT_DOUBLE_EQ(*parse_double(format_double(value)), value);
   }
   EXPECT_EQ(format_double(std::numeric_limits<double>::infinity()), "+Inf");
+}
+
+// format_double as it was: try %.6g .. %.17g with snprintf and keep the
+// first that sscanf parses back to the value. The to_chars search must
+// produce the same bytes.
+std::string format_double_by_precision_search(double value) {
+  if (std::isnan(value)) return "NaN";
+  if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
+  char buf[64];
+  for (int precision = 6; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    double parsed = 0;
+    std::sscanf(buf, "%lf", &parsed);
+    if (parsed == value) break;
+  }
+  return buf;
+}
+
+TEST(StrUtil, FormatDoubleMatchesPrecisionSearch) {
+  std::size_t checked = 0;
+  auto check = [&](double value) {
+    ++checked;
+    std::string expected = format_double_by_precision_search(value);
+    ASSERT_EQ(format_double(value), expected) << std::hexfloat << value;
+    std::string appended = "x";
+    append_double(appended, value);
+    ASSERT_EQ(appended, "x" + expected);
+  };
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double value : {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+                       -std::numeric_limits<double>::denorm_min(),
+                       std::numeric_limits<double>::min(), kMax, -kMax,
+                       std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    check(value);
+  }
+  std::mt19937_64 rng(20241018);
+  for (int i = 0; i < 100000; ++i) {
+    uint64_t bits = rng();
+    double value = 0;
+    std::memcpy(&value, &bits, sizeof(value));
+    check(value);
+  }
+  // Counter-like families: integers, microseconds to seconds, percentages,
+  // kB to bytes.
+  for (int i = 0; i < 20000; ++i) {
+    double n = static_cast<double>(rng() % 100000000000ULL);
+    check(n);
+    check(n * 1e-6);
+    check(n / 100);
+    check(n * 1024);
+  }
+  auto around = [&](double value) {
+    check(value);
+    check(std::nextafter(value, 0.0));
+    check(std::nextafter(value, kInf));
+  };
+  for (int e = -323; e <= 308; ++e) around(std::pow(10.0, e));
+  for (int e = -1074; e <= 1023; ++e) around(std::ldexp(1.0, e));
+  EXPECT_GT(checked, 180000u);
+}
+
+TEST(StrUtil, NextLineAndNextFieldWalkSplitPieces) {
+  for (std::string_view text :
+       {"", "a", "a\n", "a\n\nb", "\n", " x  y\t\tz \r\n w"}) {
+    std::vector<std::string> lines;
+    for (std::string_view rest = text; !rest.empty();)
+      lines.emplace_back(next_line(rest));
+    std::vector<std::string> expected = split(text, '\n');
+    if (!expected.empty() && expected.back().empty()) expected.pop_back();
+    EXPECT_EQ(lines, expected) << text;
+
+    std::vector<std::string> fields;
+    std::string_view rest = text;
+    for (auto f = next_field(rest); !f.empty(); f = next_field(rest))
+      fields.emplace_back(f);
+    EXPECT_EQ(fields, split_fields(text)) << text;
+  }
 }
 
 TEST(StrUtil, ParseDurations) {

@@ -113,6 +113,24 @@ TEST(TextFormat, EscapesLabelValues) {
   EXPECT_NE(text.find(R"(path="a\\b\"c\nd")"), std::string::npos);
 }
 
+TEST(TextFormat, HelpTextEscapesRoundTripThroughRegistry) {
+  // Text format 0.0.4 escapes \ and newline in HELP text; unescaped, the
+  // newline would start a line that parses as a malformed sample.
+  const std::string help = "Requests served.\nSee C:\\docs\\n for \"more\".";
+  Registry registry;
+  registry.counter("ceems_requests_total", help)->inc(3);
+  std::string text = encode_families(registry.collect());
+  EXPECT_NE(text.find("# HELP ceems_requests_total Requests served.\\nSee "
+                      "C:\\\\docs\\\\n for \"more\".\n"),
+            std::string::npos)
+      << text;
+  ParsedExposition parsed = parse_exposition(text);
+  ASSERT_EQ(parsed.samples.size(), 1u);
+  EXPECT_EQ(parsed.samples[0].value, 3);
+  ASSERT_EQ(parsed.families.size(), 1u);
+  EXPECT_EQ(parsed.families[0].help, help);
+}
+
 TEST(TextFormat, RoundTrip) {
   MetricFamily family{"ceems_compute_unit_cpu_usage_seconds_total",
                       "CPU time.",

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/strutil.h"
 #include "node/node_sim.h"
 
 namespace ceems::node {
@@ -179,6 +180,48 @@ TEST(Ipmi, DcmiOutputFormatRoundTrips) {
   EXPECT_EQ(parsed.min_watts, 180);
   EXPECT_EQ(parsed.max_watts, 250);
   EXPECT_EQ(parsed.avg_watts, 210);
+}
+
+// parse_dcmi_output as it was, on split() pieces: the string_view parser
+// must read the same values from every input.
+DcmiPowerReading parse_dcmi_output_by_split(const std::string& text) {
+  DcmiPowerReading reading;
+  for (const auto& line : common::split(text, '\n')) {
+    auto colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    std::string key(common::trim(std::string_view(line).substr(0, colon)));
+    auto fields = common::split_fields(line.substr(colon + 1));
+    if (fields.empty()) continue;
+    int64_t value = common::parse_int64(fields[0]).value_or(0);
+    if (key == "Instantaneous power reading") reading.watts = value;
+    else if (key == "Minimum during sampling period") reading.min_watts = value;
+    else if (key == "Maximum during sampling period") reading.max_watts = value;
+    else if (key == "Average power reading over sample period")
+      reading.avg_watts = value;
+  }
+  return reading;
+}
+
+TEST(Ipmi, DcmiParserMatchesSplitParser) {
+  std::vector<std::string> inputs = {
+      "",
+      format_dcmi_output({213, 180, 250, 210, 0}),
+      format_dcmi_output({0, -5, 99999, 7, 0}),
+      "Instantaneous power reading:\t\t 300\tWatts\r\n"
+      "  Minimum during sampling period :120",
+      "Instantaneous power reading: x Watts\nMaximum during sampling "
+      "period:\nAverage power reading over sample period: 12: 13\n"
+      "no colon here 5\n: 9\nMinimum during sampling period: 4W",
+      "Instantaneous power reading: 1\nInstantaneous power reading: 2\n",
+  };
+  for (const auto& text : inputs) {
+    DcmiPowerReading got = parse_dcmi_output(text);
+    DcmiPowerReading want = parse_dcmi_output_by_split(text);
+    EXPECT_EQ(got.watts, want.watts) << text;
+    EXPECT_EQ(got.min_watts, want.min_watts) << text;
+    EXPECT_EQ(got.max_watts, want.max_watts) << text;
+    EXPECT_EQ(got.avg_watts, want.avg_watts) << text;
+  }
 }
 
 // ---------- GPU bank ----------

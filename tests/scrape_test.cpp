@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "core/node_exporter_factory.h"
 #include "metrics/model.h"
+#include "metrics/registry.h"
 #include "exporter/exporter.h"
 #include "http/server.h"
 #include "metrics/text_format.h"
@@ -112,6 +113,31 @@ TEST_F(ScrapeTest, LocalTransportMatchesHttpPath) {
                                0, clock_->now_ms());
   // g + up + scrape_duration_seconds + ceems_http_retries_total
   EXPECT_EQ(series.size(), 4u);
+}
+
+TEST_F(ScrapeTest, MultiLineHelpTextKeepsTargetUp) {
+  auto registry = std::make_shared<metrics::Registry>();
+  registry
+      ->gauge("ceems_doc_gauge",
+              "First line.\nsecond line with a \\ backslash",
+              metrics::Labels{{"kind", "doc"}})
+      ->set(5);
+  ScrapeManager manager(store_, clock_);
+  ScrapeTarget target;
+  target.local_fetch = [registry] {
+    return metrics::encode_families(registry->collect());
+  };
+  target.labels = metrics::Labels{{"hostname", "doc1"}};
+  manager.add_target(std::move(target));
+  ScrapeStats stats = manager.scrape_all_once();
+  EXPECT_EQ(stats.scrapes_failed, 0u);
+  EXPECT_EQ(stats.samples_ingested, 1u);
+  auto up = store_->select(
+      {{"__name__", metrics::LabelMatcher::Op::kEq, "up"},
+       {"hostname", metrics::LabelMatcher::Op::kEq, "doc1"}},
+      0, clock_->now_ms());
+  ASSERT_EQ(up.size(), 1u);
+  EXPECT_EQ(up[0].samples().back().v, 1);
 }
 
 TEST_F(ScrapeTest, LocalTransportEmptyIsFailure) {

@@ -2,7 +2,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 
+#include "common/clock.h"
+#include "common/strutil.h"
+#include "node/node_sim.h"
 #include "simfs/cgroup.h"
 #include "simfs/procfs.h"
 #include "simfs/pseudo_fs.h"
@@ -62,11 +66,44 @@ TEST(PseudoFs, DynamicFilesGenerateOnRead) {
   EXPECT_EQ(*fs.read("/sys/dynamic"), "2");
 }
 
+std::map<std::string, int64_t> flat_keyed_map(std::string_view content) {
+  std::map<std::string, int64_t> out;
+  parse_flat_keyed(content, [&](std::string_view key, int64_t value) {
+    out[std::string(key)] = value;
+  });
+  return out;
+}
+
 TEST(PseudoFs, ParseFlatKeyed) {
-  auto map = parse_flat_keyed("usage_usec 123\nuser_usec 100\nbad line x\n");
+  auto map = flat_keyed_map("usage_usec 123\nuser_usec 100\nbad line x\n");
   EXPECT_EQ(map["usage_usec"], 123);
   EXPECT_EQ(map["user_usec"], 100);
   EXPECT_EQ(map.count("bad"), 0u);
+}
+
+TEST(PseudoFs, ReadCopiesStaticContentAndConsultsTheHookOncePerRead) {
+  PseudoFs fs;
+  fs.write("/cg/job_1/cpu.stat", "usage_usec 1\n");
+  std::vector<std::string> keys;
+  fs.set_fault_hook([&](std::string_view site, std::string_view key) {
+    EXPECT_EQ(site, "simfs.read");
+    keys.emplace_back(key);
+    return faults::FaultDecision{};
+  });
+  auto first = fs.read("/cg/job_1/cpu.stat");
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(*first, "usage_usec 1\n");
+  for (const char* spelling : {"/cg/job_1/cpu.stat/", "//cg/./job_1/cpu.stat",
+                               "cg/job_1/cpu.stat", "/cg/job_1/./cpu.stat"}) {
+    EXPECT_EQ(fs.read(spelling), first) << spelling;
+  }
+  EXPECT_FALSE(fs.read("/cg/job_1/missing").has_value());
+  // Every spelling consults the hook with the same normalized key; a path
+  // that does not exist is not consulted.
+  EXPECT_EQ(keys, std::vector<std::string>(5, "/cg/job_1/cpu.stat"));
+  // A read hands out a copy: rewriting the file does not change it.
+  fs.write("/cg/job_1/cpu.stat", "usage_usec 2\n");
+  EXPECT_EQ(*first, "usage_usec 1\n");
 }
 
 // ---------- RealFs (against a staging directory) ----------
@@ -230,6 +267,276 @@ TEST(Procfs, MissingFilesReturnNullopt) {
   PseudoFs fs;
   EXPECT_FALSE(read_proc_stat(fs).has_value());
   EXPECT_FALSE(read_meminfo(fs).has_value());
+}
+
+// ---------- parser differentials ----------
+//
+// The split()-based parsers that the string_view walkers replaced, kept
+// verbatim as oracles: on every input below, the new parsers must return
+// equal structs.
+namespace oracle {
+
+std::map<std::string, int64_t> parse_flat_keyed(const std::string& content) {
+  std::map<std::string, int64_t> out;
+  for (const auto& line : common::split(content, '\n')) {
+    auto fields = common::split_fields(line);
+    if (fields.size() != 2) continue;
+    if (auto value = common::parse_int64(fields[1])) out[fields[0]] = *value;
+  }
+  return out;
+}
+
+std::optional<ProcCpuLine> parse_cpu_line(const std::vector<std::string>& f) {
+  if (f.size() < 8) return std::nullopt;
+  ProcCpuLine cpu;
+  auto get = [&](std::size_t i) {
+    return common::parse_int64(f[i]).value_or(0);
+  };
+  cpu.user = get(1);
+  cpu.nice = get(2);
+  cpu.system = get(3);
+  cpu.idle = get(4);
+  cpu.iowait = get(5);
+  cpu.irq = get(6);
+  cpu.softirq = get(7);
+  return cpu;
+}
+
+std::optional<ProcStat> read_proc_stat(const Fs& fs) {
+  auto content = fs.read("/proc/stat");
+  if (!content) return std::nullopt;
+  ProcStat stat;
+  bool saw_aggregate = false;
+  for (const auto& line : common::split(*content, '\n')) {
+    auto fields = common::split_fields(line);
+    if (fields.empty()) continue;
+    if (fields[0] == "cpu") {
+      if (auto cpu = parse_cpu_line(fields)) {
+        stat.aggregate = *cpu;
+        saw_aggregate = true;
+      }
+    } else if (common::starts_with(fields[0], "cpu")) {
+      if (auto cpu = parse_cpu_line(fields)) stat.cpus.push_back(*cpu);
+    } else if (fields[0] == "btime" && fields.size() >= 2) {
+      stat.boot_time_sec = common::parse_int64(fields[1]).value_or(0);
+    }
+  }
+  if (!saw_aggregate) return std::nullopt;
+  return stat;
+}
+
+std::optional<MemInfo> read_meminfo(const Fs& fs) {
+  auto content = fs.read("/proc/meminfo");
+  if (!content) return std::nullopt;
+  MemInfo info;
+  for (const auto& line : common::split(*content, '\n')) {
+    auto fields = common::split_fields(line);
+    if (fields.size() < 2) continue;
+    int64_t value = common::parse_int64(fields[1]).value_or(0);
+    if (fields[0] == "MemTotal:") info.mem_total_kb = value;
+    else if (fields[0] == "MemFree:") info.mem_free_kb = value;
+    else if (fields[0] == "MemAvailable:") info.mem_available_kb = value;
+    else if (fields[0] == "Buffers:") info.buffers_kb = value;
+    else if (fields[0] == "Cached:") info.cached_kb = value;
+  }
+  if (info.mem_total_kb == 0) return std::nullopt;
+  return info;
+}
+
+std::optional<CgroupStats> read_cgroup(const Fs& fs,
+                                       const std::string& path) {
+  auto cpu_content = fs.read(path + "/cpu.stat");
+  if (!cpu_content) return std::nullopt;
+
+  CgroupStats stats;
+  auto cpu = parse_flat_keyed(*cpu_content);
+  stats.cpu.usage_usec = cpu["usage_usec"];
+  stats.cpu.user_usec = cpu["user_usec"];
+  stats.cpu.system_usec = cpu["system_usec"];
+
+  if (auto current = fs.read(path + "/memory.current")) {
+    stats.memory.current_bytes =
+        common::parse_int64(*current).value_or(0);
+  }
+  if (auto peak = fs.read(path + "/memory.peak")) {
+    stats.memory.peak_bytes = common::parse_int64(*peak).value_or(0);
+  }
+  if (auto max = fs.read(path + "/memory.max")) {
+    auto trimmed = common::trim(*max);
+    stats.memory.max_bytes =
+        trimmed == "max" ? -1 : common::parse_int64(trimmed).value_or(-1);
+  }
+  if (auto mem_stat = fs.read(path + "/memory.stat")) {
+    auto keyed = parse_flat_keyed(*mem_stat);
+    stats.memory.anon_bytes = keyed["anon"];
+    stats.memory.file_bytes = keyed["file"];
+  }
+  if (auto io_stat = fs.read(path + "/io.stat")) {
+    for (const auto& line : common::split(*io_stat, '\n')) {
+      for (const auto& field : common::split_fields(line)) {
+        std::size_t eq = field.find('=');
+        if (eq == std::string::npos) continue;
+        std::string key = field.substr(0, eq);
+        int64_t value = common::parse_int64(field.substr(eq + 1)).value_or(0);
+        if (key == "rbytes") stats.io.rbytes += value;
+        else if (key == "wbytes") stats.io.wbytes += value;
+        else if (key == "rios") stats.io.rios += value;
+        else if (key == "wios") stats.io.wios += value;
+      }
+    }
+  }
+  if (auto procs = fs.read(path + "/cgroup.procs")) {
+    for (const auto& line : common::split(*procs, '\n')) {
+      if (auto pid = common::parse_int64(line)) stats.procs.push_back(*pid);
+    }
+  }
+  return stats;
+}
+
+}  // namespace oracle
+
+// A /proc/stat "intr" line as long as the one on a real host: 442 fields.
+std::string long_intr_line() {
+  std::string line = "intr 123456";
+  for (int i = 1; i < 441; ++i) line += " " + std::to_string(i % 7 * 1000);
+  return line;
+}
+
+std::string real_file(const std::string& path) {
+  return RealFs().read(path).value_or("");
+}
+
+// Runs a simulated node with resident jobs and returns its pseudo-fs.
+PseudoFsPtr simulated_node_fs() {
+  auto clock = common::make_sim_clock(1700000000000LL);
+  auto sim = std::make_shared<node::NodeSim>(
+      node::make_intel_cpu_node("diff"), clock, 7);
+  for (int i = 0; i < 3; ++i) {
+    node::WorkloadPlacement placement;
+    placement.job_id = 500 + i;
+    placement.user = "u";
+    placement.alloc_cpus = 2 + i;
+    placement.memory_limit_bytes = i == 0 ? -1 : (4LL << 30);
+    node::WorkloadBehavior behavior;
+    behavior.cpu_util_mean = 0.3 + 0.2 * i;
+    sim->add_workload(placement, behavior);
+  }
+  for (int i = 0; i < 4; ++i) sim->step(30000);
+  return sim->fs();
+}
+
+TEST(ParserDifferential, ProcStatMatchesSplitParser) {
+  std::vector<std::string> inputs = {
+      "",
+      "\n\n  \n",
+      "cpu 1 2 3 4 5 6 7 0 0 0\ncpu0 1 2 3 4 5 6 7\nbtime 17\n",
+      // tabs and runs of spaces
+      "cpu\t1  2\t\t3 4   5 6 7\ncpu0  1 2 3 4 5 6 7  \n\tbtime\t99\n",
+      // missing trailing newline, CR line ends
+      "cpu 1 2 3 4 5 6 7\nbtime 5",
+      "cpu 1 2 3 4 5 6 7\r\ncpu0 8 9 10 11 12 13 14\r\nbtime 3\r\n",
+      // short lines
+      "cpu 1 2 3\ncpu0 1 2 3 4 5 6 7\n",
+      "cpu 1 2 3 4 5 6 7\ncpu0 1 2\ncpu1 1 2 3 4 5 6 7\nbtime\ncpu\n",
+      "cpu 1 2 3 4 5 6\ncpu 9 9 9 9 9 9 9\n",
+      // over-long lines
+      "cpu 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20\n" +
+          long_intr_line() + "\nbtime 42 43 44\nctxt 1\n",
+      // non-numeric fields
+      "cpu 1 x 3 4 5 6 7\ncpu0 a b c d e f g\nbtime abc\n",
+      "cpu 1 2 3 4 5 6 7\nbtime 12abc\ncpu0 +5 -6 7.5 0x10 8 9 10\n",
+      "cpufreq 1 2 3 4 5 6 7\ncpu 1 2 3 4 5 6 7\nbtimes 8\n",
+      real_file("/proc/stat"),
+  };
+  inputs.push_back(*simulated_node_fs()->read("/proc/stat"));
+  for (const auto& content : inputs) {
+    PseudoFs fs;
+    fs.write("/proc/stat", content);
+    EXPECT_EQ(read_proc_stat(fs), oracle::read_proc_stat(fs)) << content;
+  }
+}
+
+TEST(ParserDifferential, MeminfoMatchesSplitParser) {
+  std::vector<std::string> inputs = {
+      "",
+      "MemTotal:       1000 kB\nMemFree:        600 kB\n"
+      "MemAvailable:   700 kB\nBuffers:        1 kB\nCached:         2 kB\n",
+      "MemTotal:\t\t1000\tkB\n  MemFree:  600  kB  \nCached: 5",
+      "MemTotal: 1000 kB\r\nMemFree: 3 kB\r\n",
+      "MemTotal:\nMemTotal: 0 kB\n",
+      "MemTotal: 1000\nMemFree: abc kB\nBuffers: 12x kB\nCached: -4 kB\n",
+      "MemTotal: 7 kB 8 9 10 11 12 13 14 15 16 17 18\n" + long_intr_line(),
+      "MemTotal: 9 kB\nMemTotal: 11 kB\nMemFree: 1 kB",
+      real_file("/proc/meminfo"),
+  };
+  inputs.push_back(*simulated_node_fs()->read("/proc/meminfo"));
+  for (const auto& content : inputs) {
+    PseudoFs fs;
+    fs.write("/proc/meminfo", content);
+    EXPECT_EQ(read_meminfo(fs), oracle::read_meminfo(fs)) << content;
+  }
+}
+
+TEST(ParserDifferential, FlatKeyedMatchesSplitParser) {
+  for (const std::string& content : std::vector<std::string>{
+           "", "usage_usec 123\nuser_usec 100\nbad line x\n",
+        "usage_usec\t1\n  user_usec   2  \nsystem_usec 3",
+        "a 1 2\nb\nc x\nd 4\r\nd 5\n\n e -6 \nf +7\n",
+        "anon 1\nfile 2\n" + long_intr_line() + "\n"}) {
+    EXPECT_EQ(flat_keyed_map(content), oracle::parse_flat_keyed(content))
+        << content;
+  }
+}
+
+TEST(ParserDifferential, CgroupMatchesSplitParser) {
+  const std::vector<std::string> cpu_stats = {
+      "usage_usec 10\nuser_usec 7\nsystem_usec 3\n",
+      "usage_usec\t10\n  user_usec   7 \nsystem_usec 3",
+      "usage_usec 10 extra\nuser_usec x\nsystem_usec 3 4\n",
+      "",
+      "usage_usec 1\nusage_usec 2\nnr_periods 0\nuser_usec 5",
+  };
+  const std::vector<std::string> memory_max = {"max\n", "  max  ", "1024\n",
+                                               "maxx", "", "12 34"};
+  const std::vector<std::string> scalars = {"123\n", " 5 ", "abc", "",
+                                            "1 2", "-9"};
+  const std::vector<std::string> memory_stats = {
+      "anon 1\nfile 2\n", "anon 1 2\nfile\t3", "file 9\n" + long_intr_line(),
+      ""};
+  const std::vector<std::string> io_stats = {
+      "8:0 rbytes=1 wbytes=2 rios=3 wios=4\n8:16 rbytes=10 wbytes=20 "
+      "rios=30 wios=40",
+      "8:0\trbytes=1  wbytes=x rios=3=4 wios= =5\n", "", "rbytes=5\n\n"};
+  const std::vector<std::string> procs = {"", "\n", "1\n2\n3\n",
+                                          " 4 \n5 6\nx\n7", "8"};
+
+  PseudoFs fs;
+  const std::string scope = "/sys/fs/cgroup/diff";
+  for (std::size_t i = 0; i < 60; ++i) {
+    std::string dir = scope + "/job_" + std::to_string(i);
+    fs.write(dir + "/cpu.stat", cpu_stats[i % cpu_stats.size()]);
+    // Every file after cpu.stat is left out now and then.
+    if (i % 7 != 1) fs.write(dir + "/memory.current", scalars[i % 6]);
+    if (i % 7 != 2) fs.write(dir + "/memory.peak", scalars[(i + 3) % 6]);
+    if (i % 7 != 3) fs.write(dir + "/memory.max", memory_max[i % 6]);
+    if (i % 7 != 4)
+      fs.write(dir + "/memory.stat", memory_stats[i % memory_stats.size()]);
+    if (i % 7 != 5) fs.write(dir + "/io.stat", io_stats[i % io_stats.size()]);
+    if (i % 7 != 6) fs.write(dir + "/cgroup.procs", procs[i % procs.size()]);
+    EXPECT_EQ(read_cgroup(fs, dir), oracle::read_cgroup(fs, dir)) << dir;
+  }
+  EXPECT_EQ(read_cgroup(fs, scope + "/missing"),
+            oracle::read_cgroup(fs, scope + "/missing"));
+
+  auto node_fs = simulated_node_fs();
+  auto jobs = list_child_cgroups(*node_fs, kSlurmScope);
+  ASSERT_EQ(jobs.size(), 3u);
+  for (const auto& job : jobs) {
+    std::string dir = std::string(kSlurmScope) + "/" + job;
+    auto parsed = read_cgroup(*node_fs, dir);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed, oracle::read_cgroup(*node_fs, dir)) << dir;
+  }
 }
 
 }  // namespace

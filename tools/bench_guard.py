@@ -91,6 +91,13 @@ GUARDED_COUNTERS = {
     # one read checks. Exact: one scan of the finest level; a read that
     # visits a series twice, or a coarser level too, raises it.
     "ladder_series_per_select": 0.01,
+    # Exporter render over a fixed fleet (BM_exporter_render_fleet). Every
+    # render writes the same bytes, so both are exact: a changed value
+    # format or a dropped series moves the bytes, and a per-label or
+    # per-value temporary string (or a split() of a pseudo-file) comes back
+    # as allocations per rendered sample.
+    "allocs_per_rendered_sample": 0.02,
+    "exposition_bytes_per_render": 0.01,
 }
 
 

@@ -177,6 +177,27 @@ class BenchGuardTest(unittest.TestCase):
                                      ladder_series_per_select=2021)])
         self.assertEqual(self.guard(past, base), 1)
 
+    def test_exporter_render_counters_are_guarded(self):
+        base = doc(benchmarks=[bench("BM_exporter_render_fleet",
+                                     allocs_per_rendered_sample=2.0,
+                                     exposition_bytes_per_render=9000)])
+        self.assertEqual(self.guard(base, base), 0)
+        # A temporary string per label value and per number again.
+        temps = doc(benchmarks=[bench("BM_exporter_render_fleet",
+                                      allocs_per_rendered_sample=4.5,
+                                      exposition_bytes_per_render=9000)])
+        self.assertEqual(self.guard(temps, base), 1)
+        # Values written with more digits than the shortest round trip.
+        longer = doc(benchmarks=[bench("BM_exporter_render_fleet",
+                                       allocs_per_rendered_sample=2.0,
+                                       exposition_bytes_per_render=9400)])
+        self.assertEqual(self.guard(longer, base), 1)
+        # Within both gates.
+        near = doc(benchmarks=[bench("BM_exporter_render_fleet",
+                                     allocs_per_rendered_sample=2.03,
+                                     exposition_bytes_per_render=9080)])
+        self.assertEqual(self.guard(near, base), 0)
+
     def test_multiple_pairs_all_pass(self):
         tsdb = doc(benchmarks=[bench("t", points_scanned_per_query=10)])
         soak = doc(benchmarks=[bench("s", peak_bytes=10)])
