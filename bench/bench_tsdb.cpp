@@ -9,6 +9,7 @@
 // BENCH_tsdb.json (JSON reporter) for the perf trajectory; any explicit
 // --benchmark_out flag overrides that.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -35,27 +36,36 @@
 using namespace ceems;
 using tsdb::TimeSeriesStore;
 
-// Global allocation counter: every operator new in the binary bumps it, so
-// BM_scrape_ingest_e2e can report allocations per ingested sample on the
-// production scrape→append path.
+// Global allocation counters: every operator new in the binary bumps the
+// count and adds its block's usable size to the live heap bytes, which
+// every delete takes back. BM_scrape_ingest_e2e reports allocations per
+// ingested sample on the production scrape→append path, and
+// BM_hot_series_overhead the heap a new series keeps.
 static std::atomic<uint64_t> g_alloc_count{0};
+static std::atomic<int64_t> g_heap_bytes{0};
 
-void* operator new(std::size_t size) {
+static void* counted_alloc(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
+  void* p = std::malloc(size);
+  if (!p) throw std::bad_alloc();
+  g_heap_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
 }
 
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
+static void counted_free(void* p) noexcept {
+  if (!p) return;
+  g_heap_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace {
 
@@ -564,6 +574,78 @@ void BM_storage_bytes_per_sample(benchmark::State& state) {
       static_cast<double>(sizeof(tsdb::SamplePoint)) / bytes_per_sample;
 }
 BENCHMARK(BM_storage_bytes_per_sample)->Arg(10)->Arg(100);
+
+// What a new hot series costs the store: 100k six-label series of a
+// 1000-node fleet (ten metric families for each of ten jobs per node),
+// one sample each, appended in one batch per node. The label sets are
+// interned before the measured appends, so symbol-table growth is not
+// charged to the store. heap_bytes_per_new_series is the live heap the
+// appends leave behind; approx_to_heap_ratio is how much of it
+// StorageStats::approx_bytes accounts for. All three counters are exact
+// functions of the code and the allocator.
+void BM_hot_series_overhead(benchmark::State& state) {
+  constexpr int kNodes = 1000;
+  constexpr int kSeriesPerNode = 100;
+  constexpr int kSeries = kNodes * kSeriesPerNode;
+  std::vector<metrics::InternedLabels> labels;
+  labels.reserve(kSeries);
+  for (int s = 0; s < kSeries; ++s) {
+    const int node = s / kSeriesPerNode;
+    const std::string host = "jz" + std::to_string(node);
+    labels.emplace_back(metrics::Labels{
+        {"__name__", "ceems_compute_unit_m" + std::to_string(s % 10)},
+        {"hostname", host},
+        {"instance", host + ":9010"},
+        {"job", "ceems"},
+        {"nodegroup", "group" + std::to_string(node % 4)},
+        {"uuid", std::to_string(100000 + node * 10 + (s / 10) % 10)}});
+  }
+  std::vector<metrics::SampleRef> samples;
+  samples.reserve(kSeries);
+  for (int s = 0; s < kSeries; ++s) {
+    samples.push_back({&labels[static_cast<std::size_t>(s)],
+                       1700000000000LL, static_cast<double>(s)});
+  }
+  auto fill = [&](TimeSeriesStore& store) {
+    for (int node = 0; node < kNodes; ++node) {
+      store.append_refs(&samples[static_cast<std::size_t>(node) *
+                                 kSeriesPerNode],
+                        kSeriesPerNode);
+    }
+  };
+  {
+    // Warms the append path's thread-local shard buckets.
+    TimeSeriesStore warm;
+    fill(warm);
+  }
+
+  int64_t heap = 0;
+  uint64_t allocs = 0;
+  std::size_t approx = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto store = std::make_unique<TimeSeriesStore>();
+    const int64_t heap_before = g_heap_bytes.load(std::memory_order_relaxed);
+    const uint64_t allocs_before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    state.ResumeTiming();
+    fill(*store);
+    state.PauseTiming();
+    heap = g_heap_bytes.load(std::memory_order_relaxed) - heap_before;
+    allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+    approx = store->stats().approx_bytes;
+    store.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kSeries);
+  state.counters["heap_bytes_per_new_series"] =
+      static_cast<double>(heap) / kSeries;
+  state.counters["allocs_per_new_series"] =
+      static_cast<double>(allocs) / kSeries;
+  state.counters["approx_to_heap_ratio"] =
+      heap > 0 ? static_cast<double>(approx) / static_cast<double>(heap) : 0.0;
+}
+BENCHMARK(BM_hot_series_overhead)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // End-to-end scrape→append path: exposition text in, sealed chunks out.

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <string_view>
 
 #include "exporter/collector.h"
 #include "metrics/registry.h"
@@ -17,6 +18,12 @@ namespace ceems::exporter {
 std::size_t process_resident_bytes();
 // Cumulative CPU time of the calling process in seconds (utime+stime).
 double process_cpu_seconds();
+
+// The parsers behind those two reads. Resident pages (second field) of
+// /proc/<pid>/statm text; utime + stime clock ticks (fields 14 and 15) of
+// /proc/<pid>/stat text. Malformed text reads as 0.
+std::size_t statm_resident_pages(std::string_view statm);
+long long stat_cpu_ticks(std::string_view stat);
 
 class SelfCollector final : public Collector {
  public:

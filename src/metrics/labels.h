@@ -23,6 +23,13 @@ class Labels {
   Labels() = default;
   Labels(std::initializer_list<Pair> pairs);
   explicit Labels(std::vector<Pair> pairs);
+  // Adopts pairs already in canonical order (sorted by name, names
+  // unique) without sorting them again.
+  static Labels from_canonical(std::vector<Pair> pairs) {
+    Labels labels;
+    labels.pairs_ = std::move(pairs);
+    return labels;
+  }
 
   // Returns the value for `name`, or nullopt.
   std::optional<std::string_view> get(std::string_view name) const;

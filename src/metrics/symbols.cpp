@@ -1,8 +1,10 @@
 #include "metrics/symbols.h"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
 #include <regex>
+#include <stdexcept>
 
 #include "metrics/regex_cache.h"
 
@@ -11,6 +13,15 @@ namespace ceems::metrics {
 SymbolTable& SymbolTable::global() {
   static SymbolTable* table = new SymbolTable();  // immortal, like the ids
   return *table;
+}
+
+std::pair<std::size_t, std::size_t> SymbolTable::locate(uint32_t id) {
+  // Shifted by the first block's size, an id's highest set bit names its
+  // block and the bits below it the offset within that block.
+  const std::size_t pos = std::size_t{id} + kFirstBlock;
+  const std::size_t block =
+      static_cast<std::size_t>(std::bit_width(pos)) - 1 - kFirstBlockBits;
+  return {block, pos - (kFirstBlock << block)};
 }
 
 uint32_t SymbolTable::intern(std::string_view text) {
@@ -22,10 +33,19 @@ uint32_t SymbolTable::intern(std::string_view text) {
   std::unique_lock lock(mu_);
   auto it = ids_.find(text);  // raced insert between the two locks
   if (it != ids_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(strings_.size());
+  const uint32_t id = size_.load(std::memory_order_relaxed);
+  const auto [block, offset] = locate(id);
+  if (block >= kBlocks) throw std::length_error("symbol table is full");
+  if (!blocks_[block]) {
+    blocks_[block] = std::make_unique<std::string_view[]>(kFirstBlock << block);
+  }
   strings_.emplace_back(text);
-  ids_.emplace(std::string_view(strings_.back()), id);
+  const std::string_view stored(strings_.back());
+  ids_.emplace(stored, id);
   string_bytes_ += text.size();
+  blocks_[block][offset] = stored;
+  // Publishes the view (and its block) to lock-free text() readers.
+  size_.store(id + 1, std::memory_order_release);
   return id;
 }
 
@@ -37,23 +57,21 @@ std::optional<uint32_t> SymbolTable::find(std::string_view text) const {
 }
 
 std::string_view SymbolTable::text(uint32_t id) const {
-  std::shared_lock lock(mu_);
-  if (id >= strings_.size()) return {};
-  // The string's storage is stable for the process lifetime; only the
-  // deque's internal bookkeeping needs the lock.
-  return strings_[id];
-}
-
-std::size_t SymbolTable::size() const {
-  std::shared_lock lock(mu_);
-  return strings_.size();
+  if (id >= size_.load(std::memory_order_acquire)) return {};
+  const auto [block, offset] = locate(id);
+  return blocks_[block][offset];
 }
 
 std::size_t SymbolTable::approx_bytes() const {
   std::shared_lock lock(mu_);
+  std::size_t block_views = 0;
+  for (std::size_t block = 0; block < kBlocks && blocks_[block]; ++block) {
+    block_views += kFirstBlock << block;
+  }
   return string_bytes_ +
          strings_.size() * (sizeof(std::string) + sizeof(std::string_view) +
-                            sizeof(uint32_t) + 2 * sizeof(void*));
+                            sizeof(uint32_t) + 2 * sizeof(void*)) +
+         block_views * sizeof(std::string_view);
 }
 
 InternedLabels::InternedLabels(const Labels& labels) {
@@ -136,7 +154,8 @@ Labels InternedLabels::to_labels() const {
     pairs.emplace_back(std::string(table.text(name_sym)),
                        std::string(table.text(value_sym)));
   }
-  return Labels(std::move(pairs));
+  // syms_ is already in canonical order with unique names.
+  return Labels::from_canonical(std::move(pairs));
 }
 
 bool LabelMatcher::matches(const InternedLabels& labels) const {

@@ -11,8 +11,11 @@
 // lossless and fingerprints agree bit-for-bit.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -29,6 +32,12 @@ namespace ceems::metrics {
 // Process-wide thread-safe string interner. Symbol ids are dense, start at
 // 0, and stay valid (with stable string storage) for the process lifetime;
 // nothing is ever un-interned.
+//
+// text() is lock-free: id -> string views live in append-only blocks that
+// are never moved or freed, and intern() publishes each new id by a
+// release store of the table size after its view is written. A reader that
+// sees the size cover an id (acquire load) therefore sees the view and its
+// block. intern() and find() still take the lock for the string -> id map.
 class SymbolTable {
  public:
   // The table shared by every metrics producer/consumer in the process.
@@ -39,19 +48,32 @@ class SymbolTable {
   // Lookup without insertion — nullopt when the string was never interned
   // (useful for matchers: an unknown value cannot match any series).
   std::optional<uint32_t> find(std::string_view text) const;
-  // The string for an id. Views are backed by stable per-process storage
-  // and remain valid forever; an out-of-range id returns an empty view.
+  // The string for an id, without locking. Views are backed by stable
+  // per-process storage and remain valid forever; an id not yet interned
+  // returns an empty view.
   std::string_view text(uint32_t id) const;
 
-  std::size_t size() const;
+  std::size_t size() const { return size_.load(std::memory_order_acquire); }
   // Approximate memory held by the table (string bytes + index overhead).
   std::size_t approx_bytes() const;
 
  private:
+  // Block k holds kFirstBlock << k views, so kBlocks pointers cover the
+  // whole 32-bit id space and a block, once allocated, never moves.
+  static constexpr unsigned kFirstBlockBits = 10;
+  static constexpr std::size_t kFirstBlock = std::size_t{1} << kFirstBlockBits;
+  static constexpr std::size_t kBlocks = 22;
+  // (block, offset) of an id.
+  static std::pair<std::size_t, std::size_t> locate(uint32_t id);
+
   mutable std::shared_mutex mu_;
   std::deque<std::string> strings_;  // id -> string; deque = stable refs
   std::unordered_map<std::string_view, uint32_t> ids_;  // views into strings_
   std::size_t string_bytes_ = 0;
+  // id -> view into strings_; written under the exclusive lock, read by
+  // text() with no lock below the published size_.
+  std::array<std::unique_ptr<std::string_view[]>, kBlocks> blocks_;
+  std::atomic<uint32_t> size_{0};
 };
 
 // A label set as sorted (name, value) symbol-id pairs plus the precomputed

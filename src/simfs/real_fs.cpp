@@ -1,8 +1,11 @@
 #include "simfs/real_fs.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <filesystem>
-#include <fstream>
 
 namespace ceems::simfs {
 
@@ -17,12 +20,21 @@ std::string RealFs::resolve(const std::string& path) const {
 }
 
 std::optional<std::string> RealFs::read(const std::string& path) const {
-  std::ifstream in(resolve(path));
-  if (!in.good()) return std::nullopt;
-  // Pseudo-files report size 0; read by streaming, not by seeking.
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  if (in.bad()) return std::nullopt;
+  const int fd = ::open(resolve(path).c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  // Pseudo-files report size 0: read to end of file, not to a stat size.
+  std::string content;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::read(fd, buf, sizeof(buf))) != 0) {
+    if (n > 0) {
+      content.append(buf, static_cast<std::size_t>(n));
+    } else if (errno != EINTR) {
+      break;
+    }
+  }
+  ::close(fd);
+  if (n < 0) return std::nullopt;
   return content;
 }
 

@@ -85,20 +85,21 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
         // transport layer (Content-Length check in http::Client) rejects
         // it rather than silently ingesting a partial sample set.
         result.error = "truncated body (injected)";
-      } else if (fault.kind == faults::FaultKind::kSlowResponse &&
-                 fault.delay_ms < config_.timeout_ms) {
-        result.response.body = body;  // late but within the timeout
+      } else if (!fault || (fault.kind == faults::FaultKind::kSlowResponse &&
+                            fault.delay_ms < config_.timeout_ms)) {
+        // No fault, or a response late but within the timeout. A
+        // non-empty body ends the attempts, so it is handed over, not
+        // copied; an empty one fails and is retried as it is.
         result.response.status = 200;
         result.ok = !body.empty();
-        if (!result.ok) result.error = "local fetch returned no data";
-      } else if (fault) {
+        if (result.ok) {
+          result.response.body = std::move(body);
+        } else {
+          result.error = "local fetch returned no data";
+        }
+      } else {
         result.error = std::string("injected fault: ") +
                        faults::fault_kind_name(fault.kind);
-      } else {
-        result.response.body = body;
-        result.response.status = 200;
-        result.ok = !result.response.body.empty();
-        if (!result.ok) result.error = "local fetch returned no data";
       }
       if (result.ok) break;
     }

@@ -14,10 +14,11 @@ using metrics::SymbolTable;
 
 const TimeSeriesStore::StoredSeries* TimeSeriesStore::find_series_locked(
     const Shard& shard, const InternedLabels& labels) {
-  auto chain_it = shard.by_fp.find(labels.fingerprint());
-  if (chain_it == shard.by_fp.end()) return nullptr;
-  for (uint64_t id : chain_it->second) {
-    const StoredSeries& stored = shard.series.at(id);
+  if (shard.buckets.empty()) return nullptr;
+  for (SeriesId id =
+           shard.buckets[bucket_of(labels.fingerprint(), shard.buckets.size())];
+       id != kNoSeries; id = shard.slots[id].next_in_bucket) {
+    const StoredSeries& stored = shard.slots[id];
     // Fingerprints collide; trust only full label equality (a cheap
     // symbol-vector compare, no strings involved).
     if (stored.ilabels == labels) return &stored;
@@ -30,32 +31,72 @@ TimeSeriesStore::StoredSeries& TimeSeriesStore::get_or_create_locked(
   if (const StoredSeries* found = find_series_locked(shard, labels)) {
     return const_cast<StoredSeries&>(*found);
   }
-  uint64_t id = shard.next_series_id++;
-  auto [it, inserted] = shard.series.emplace(
-      id, StoredSeries{labels, labels.to_labels(), ChunkedSeries{}});
-  shard.by_fp[labels.fingerprint()].push_back(id);
-  for (const auto& [name_sym, value_sym] : labels.pairs()) {
-    shard.index[name_sym][value_sym].insert(id);
+  SeriesId id;
+  if (!shard.free_slots.empty()) {
+    id = shard.free_slots.back();
+    shard.free_slots.pop_back();
+  } else {
+    id = static_cast<SeriesId>(shard.slots.size());
+    shard.slots.emplace_back();
   }
-  return it->second;
+  StoredSeries& stored = shard.slots[id];
+  stored.ilabels = labels;
+  stored.live = true;
+  if (shard.num_series() > shard.buckets.size()) {
+    // Double the buckets and relink every live series, this one included.
+    shard.buckets.assign(std::max<std::size_t>(4, 2 * shard.buckets.size()),
+                         kNoSeries);
+    for (SeriesId i = 0; i < shard.slots.size(); ++i) {
+      StoredSeries& series = shard.slots[i];
+      if (!series.live) continue;
+      SeriesId& head = shard.buckets[bucket_of(series.ilabels.fingerprint(),
+                                               shard.buckets.size())];
+      series.next_in_bucket = head;
+      head = i;
+    }
+  } else {
+    SeriesId& head =
+        shard.buckets[bucket_of(labels.fingerprint(), shard.buckets.size())];
+    stored.next_in_bucket = head;
+    head = id;
+  }
+  for (const auto& [name_sym, value_sym] : labels.pairs()) {
+    shard.index.insert(PostingIndex::key(name_sym, value_sym), id);
+  }
+  return stored;
 }
 
-void TimeSeriesStore::erase_series_locked(Shard& shard, uint64_t id) {
-  auto it = shard.series.find(id);
-  if (it == shard.series.end()) return;
-  for (const auto& [name_sym, value_sym] : it->second.ilabels.pairs()) {
-    auto name_it = shard.index.find(name_sym);
-    if (name_it == shard.index.end()) continue;
-    auto value_it = name_it->second.find(value_sym);
-    if (value_it != name_it->second.end()) value_it->second.erase(id);
+void TimeSeriesStore::erase_series_locked(Shard& shard,
+                                          const std::vector<SeriesId>& ids) {
+  if (ids.empty()) return;
+  std::vector<uint64_t> keys;
+  for (SeriesId id : ids) {
+    StoredSeries& stored = shard.slots[id];
+    SeriesId* link = &shard.buckets[bucket_of(stored.ilabels.fingerprint(),
+                                              shard.buckets.size())];
+    while (*link != id) link = &shard.slots[*link].next_in_bucket;
+    *link = stored.next_in_bucket;
+    stored.next_in_bucket = kNoSeries;
+    stored.live = false;
+    for (const auto& [name_sym, value_sym] : stored.ilabels.pairs()) {
+      keys.push_back(PostingIndex::key(name_sym, value_sym));
+    }
   }
-  auto chain_it = shard.by_fp.find(it->second.ilabels.fingerprint());
-  if (chain_it != shard.by_fp.end()) {
-    auto& chain = chain_it->second;
-    chain.erase(std::remove(chain.begin(), chain.end(), id), chain.end());
-    if (chain.empty()) shard.by_fp.erase(chain_it);
+  // Postings hold live ids only, so every id a touched list still names
+  // that is no longer live is one of `ids`: one compaction per list.
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (uint64_t key : keys) {
+    shard.index.erase_if(
+        key, [&shard](SeriesId id) { return !shard.slots[id].live; });
   }
-  shard.series.erase(it);
+  // No posting names these ids any more: their slots may be reused.
+  for (SeriesId id : ids) {
+    StoredSeries& stored = shard.slots[id];
+    stored.ilabels = InternedLabels();
+    stored.data = ChunkedSeries();
+    shard.free_slots.push_back(id);
+  }
 }
 
 bool TimeSeriesStore::append_locked(Shard& shard, const InternedLabels& labels,
@@ -147,38 +188,34 @@ std::size_t TimeSeriesStore::replay_refs(const metrics::SampleRef* samples,
   return accepted;
 }
 
-std::vector<uint64_t> TimeSeriesStore::match_ids(const Shard& shard,
-                                                 const Selector& selector) {
+std::vector<TimeSeriesStore::SeriesId> TimeSeriesStore::match_ids(
+    const Shard& shard, const Selector& selector) {
   // Walk only the smallest posting list among the non-empty equality
   // terms, in place, and check the remaining terms by symbol id. A term
   // with no posting in this shard matches nothing here.
-  const std::set<uint64_t>* posting = nullptr;
+  std::span<const SeriesId> posting;
   std::size_t posting_term = Selector::kNoTerm;
   for (std::size_t i = 0; i < selector.size(); ++i) {
     auto pair = selector.posting(i);
     if (!pair) continue;
-    auto name_it = shard.index.find(pair->first);
-    if (name_it == shard.index.end()) return {};
-    auto value_it = name_it->second.find(pair->second);
-    if (value_it == name_it->second.end() || value_it->second.empty())
-      return {};
-    if (!posting || value_it->second.size() < posting->size()) {
-      posting = &value_it->second;
+    auto ids = shard.index.find(PostingIndex::key(pair->first, pair->second));
+    if (ids.empty()) return {};
+    if (posting_term == Selector::kNoTerm || ids.size() < posting.size()) {
+      posting = ids;
       posting_term = i;
     }
   }
-  std::vector<uint64_t> out;
-  if (posting) {
-    for (uint64_t id : *posting) {
-      auto it = shard.series.find(id);
-      if (it != shard.series.end() &&
-          selector.matches(it->second.ilabels, posting_term)) {
+  std::vector<SeriesId> out;
+  if (posting_term != Selector::kNoTerm) {
+    for (SeriesId id : posting) {
+      if (selector.matches(shard.slots[id].ilabels, posting_term)) {
         out.push_back(id);
       }
     }
   } else {
-    for (const auto& [id, stored] : shard.series) {
-      if (selector.matches(stored.ilabels)) out.push_back(id);
+    for (SeriesId id = 0; id < shard.slots.size(); ++id) {
+      const StoredSeries& stored = shard.slots[id];
+      if (stored.live && selector.matches(stored.ilabels)) out.push_back(id);
     }
   }
   return out;
@@ -192,13 +229,13 @@ std::vector<SeriesView> TimeSeriesStore::select(
   if (!selector.satisfiable()) return out;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
-    for (uint64_t id : match_ids(shard, selector)) {
-      const StoredSeries& stored = shard.series.at(id);
+    for (SeriesId id : match_ids(shard, selector)) {
+      const StoredSeries& stored = shard.slots[id];
       // Boundary chunks are decoded under the lock so emptiness is exact;
       // fully-covered chunks ride along compressed and refcounted.
       auto slices = stored.data.slices_between(min_t, max_t);
       if (slices.empty()) continue;
-      out.push_back(SeriesView{stored.labels, std::move(slices)});
+      out.push_back(SeriesView{stored.ilabels.to_labels(), std::move(slices)});
     }
   }
   // Deterministic output order.
@@ -214,7 +251,8 @@ std::vector<TimeSeriesStore::InternedSlices> TimeSeriesStore::select_interned(
   std::vector<InternedSlices> out;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
-    for (const auto& [id, stored] : shard.series) {
+    for (const StoredSeries& stored : shard.slots) {
+      if (!stored.live) continue;
       auto slices = stored.data.slices_between(min_t, max_t);
       if (slices.empty()) continue;
       out.push_back({stored.ilabels, std::move(slices)});
@@ -242,12 +280,14 @@ std::size_t TimeSeriesStore::purge_before(TimestampMs cutoff) {
   for (Shard& shard : shards_) {
     std::unique_lock lock(shard.mu);
     std::size_t shard_dropped = 0;
-    std::vector<uint64_t> emptied;
-    for (auto& [id, stored] : shard.series) {
+    std::vector<SeriesId> emptied;
+    for (SeriesId id = 0; id < shard.slots.size(); ++id) {
+      StoredSeries& stored = shard.slots[id];
+      if (!stored.live) continue;
       shard_dropped += stored.data.drop_before(cutoff);
       if (stored.data.empty()) emptied.push_back(id);
     }
-    for (uint64_t id : emptied) erase_series_locked(shard, id);
+    erase_series_locked(shard, emptied);
     if (shard_dropped > 0) {
       shard.num_samples -= shard_dropped;
       shard.version.fetch_add(1, std::memory_order_acq_rel);
@@ -269,16 +309,14 @@ std::size_t TimeSeriesStore::delete_series(
   if (!selector.satisfiable()) return deleted;
   for (Shard& shard : shards_) {
     std::unique_lock lock(shard.mu);
-    bool mutated = false;
-    for (uint64_t id : match_ids(shard, selector)) {
-      auto it = shard.series.find(id);
-      if (it == shard.series.end()) continue;
-      shard.num_samples -= it->second.data.num_samples();
-      erase_series_locked(shard, id);
-      ++deleted;
-      mutated = true;
+    std::vector<SeriesId> ids = match_ids(shard, selector);
+    if (ids.empty()) continue;
+    for (SeriesId id : ids) {
+      shard.num_samples -= shard.slots[id].data.num_samples();
     }
-    if (mutated) shard.version.fetch_add(1, std::memory_order_acq_rel);
+    erase_series_locked(shard, ids);
+    deleted += ids.size();
+    shard.version.fetch_add(1, std::memory_order_acq_rel);
   }
   return deleted;
 }
@@ -286,8 +324,10 @@ std::size_t TimeSeriesStore::delete_series(
 void TimeSeriesStore::clear() {
   for (Shard& shard : shards_) {
     std::unique_lock lock(shard.mu);
-    shard.series.clear();
-    shard.by_fp.clear();
+    // Fresh vectors, not `= {}`, which would keep their capacity.
+    shard.slots = std::vector<StoredSeries>();
+    shard.free_slots = std::vector<SeriesId>();
+    shard.buckets = std::vector<SeriesId>();
     shard.index.clear();
     shard.num_samples = 0;
     // Versions keep counting up (never reset) so query-cache entries
@@ -300,13 +340,19 @@ StorageStats TimeSeriesStore::stats() const {
   StorageStats stats;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
-    stats.num_series += shard.series.size();
+    stats.num_series += shard.num_series();
     stats.num_samples += shard.num_samples;
-    for (const auto& [id, stored] : shard.series) {
-      stats.approx_bytes += stored.data.approx_bytes();
-      stats.approx_bytes +=
-          stored.ilabels.size() * sizeof(InternedLabels::SymbolPair);
+    std::size_t bytes = shard.slots.capacity() * sizeof(StoredSeries) +
+                        shard.free_slots.capacity() * sizeof(SeriesId) +
+                        shard.buckets.capacity() * sizeof(SeriesId) +
+                        shard.index.approx_bytes();
+    for (const StoredSeries& stored : shard.slots) {
+      if (!stored.live) continue;
+      bytes += stored.data.approx_bytes() +
+               stored.ilabels.pairs().capacity() *
+                   sizeof(InternedLabels::SymbolPair);
     }
+    stats.approx_bytes += bytes;
   }
   // Label strings live once in the process-wide symbol table, shared by
   // every store in the process: keep them out of approx_bytes (which
@@ -320,8 +366,8 @@ std::optional<TimestampMs> TimeSeriesStore::max_time() const {
   std::optional<TimestampMs> max_t;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
-    for (const auto& [id, stored] : shard.series) {
-      if (stored.data.empty()) continue;
+    for (const StoredSeries& stored : shard.slots) {
+      if (!stored.live || stored.data.empty()) continue;
       if (!max_t || stored.data.max_time() > *max_t)
         max_t = stored.data.max_time();
     }
@@ -335,7 +381,8 @@ TimeSeriesStore::SinceCount TimeSeriesStore::advance_watermark(
   SinceCount out;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
-    for (const auto& [id, stored] : shard.series) {
+    for (const StoredSeries& stored : shard.slots) {
+      if (!stored.live) continue;
       std::size_t fresh = stored.data.count_since(since);
       if (fresh == 0) continue;
       out.samples += fresh;
@@ -388,16 +435,18 @@ std::string TimeSeriesStore::snapshot_bytes() const {
   std::size_t num_series = 0;
   for (const Shard& shard : shards_) {
     locks.emplace_back(shard.mu);
-    num_series += shard.series.size();
+    num_series += shard.num_series();
   }
+  const SymbolTable& table = SymbolTable::global();
   std::string out(kSnapshotMagic);
   codec::put_u64(out, num_series);
   for (const Shard& shard : shards_) {
-    for (const auto& [id, stored] : shard.series) {
-      codec::put_u64(out, stored.labels.pairs().size());
-      for (const auto& [name, value] : stored.labels.pairs()) {
-        put_string(out, name);
-        put_string(out, value);
+    for (const StoredSeries& stored : shard.slots) {
+      if (!stored.live) continue;
+      codec::put_u64(out, stored.ilabels.size());
+      for (const auto& [name_sym, value_sym] : stored.ilabels.pairs()) {
+        put_string(out, table.text(name_sym));
+        put_string(out, table.text(value_sym));
       }
       codec::put_u64(out, stored.data.sealed().size());
       for (const ChunkPtr& chunk : stored.data.sealed()) {

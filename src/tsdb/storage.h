@@ -9,10 +9,21 @@
 // Label strings are interned once in the process-wide SymbolTable
 // (metrics/symbols.h); series carry small vectors of 32-bit symbol ids
 // with a precomputed fingerprint, so the scrape→storage hot path hashes
-// and compares ids, not strings. Fingerprints are not trusted to be
-// unique: series ids are distinct from fingerprints, and a fingerprint
-// maps to a chain of ids whose label sets are verified on every lookup,
-// so colliding label sets get distinct series instead of aliasing.
+// and compares ids, not strings. A series stores no string labels at all:
+// select() and snapshot_bytes() build them from the symbol ids through the
+// lock-free SymbolTable::text(). Fingerprints are not trusted to be
+// unique: series ids are distinct from fingerprints, and every lookup
+// verifies the full symbol vector, so colliding label sets get distinct
+// series instead of aliasing.
+//
+// Memory layout per shard: series live in a slot vector (a series id is
+// its slot index) whose freed slots are reused; the fingerprint hash is
+// an array of bucket heads chained through the slots, so it holds one id
+// inline per bucket and costs no node per series; the inverted index
+// (tsdb/posting_index.h) keeps each posting list as sorted ids in a flat
+// table, small lists in place. A new series therefore costs its symbol
+// vector, its head buffer and a few bytes of slot, bucket and postings —
+// and StorageStats::approx_bytes counts each of those.
 //
 // Concurrency: the series map is sharded by label-set fingerprint into
 // kShardCount lock-striped shards, each with its own shared_mutex and
@@ -36,14 +47,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -51,6 +59,7 @@
 #include "metrics/model.h"
 #include "metrics/symbols.h"
 #include "tsdb/chunk.h"
+#include "tsdb/posting_index.h"
 
 namespace ceems::tsdb {
 
@@ -104,8 +113,10 @@ class Queryable {
 struct StorageStats {
   std::size_t num_series = 0;
   std::size_t num_samples = 0;
-  // Real per-store footprint: sealed chunk bytes + head capacities +
-  // per-series interned symbol vectors.
+  // Real per-store footprint: sealed chunk bytes, head and sealed-list
+  // capacities, per-series symbol vectors, the series slots (free ones
+  // too), the fingerprint buckets and the inverted index (its entries and
+  // posting capacities). Allocator headers and rounding are not counted.
   std::size_t approx_bytes = 0;
   // Footprint of the process-wide SymbolTable. Shared by every store in
   // the process, so it is reported separately: summing approx_bytes
@@ -216,9 +227,10 @@ class TimeSeriesStore final : public Queryable {
 
   // Durability: a compact binary snapshot of every series ("CEEMSTSDB2":
   // u64-length-prefixed labels, sealed chunks written compressed as-is,
-  // then the raw head). Holds every shard lock for the duration, so the
-  // snapshot is a consistent cut. The WAL checkpoint (tsdb/wal.h) wraps
-  // these bytes in its atomically-installed snapshot file.
+  // then the raw head), shard by shard in series-id order. Holds every
+  // shard lock for the duration, so the snapshot is a consistent cut.
+  // The WAL checkpoint (tsdb/wal.h) wraps these bytes in its
+  // atomically-installed snapshot file.
   std::string snapshot_bytes() const;
   // Loads a snapshot into this (empty or compatible) store; restoring into
   // an empty store adopts sealed chunks without re-encoding. Returns
@@ -234,48 +246,76 @@ class TimeSeriesStore final : public Queryable {
   }
 
  private:
+  // A series' slot index in its shard. 32 bits is far more series than a
+  // shard can hold in memory.
+  using SeriesId = PostingIndex::Id;
+  static constexpr SeriesId kNoSeries = UINT32_MAX;
+
   struct StoredSeries {
+    // The series' only label copy: symbol ids plus fingerprint. String
+    // labels are built from it on demand, never stored.
     InternedLabels ilabels;
-    // Materialised once at series creation; copied into views so readers
-    // never touch the symbol table after the shard lock drops.
-    Labels labels;
     ChunkedSeries data;
+    // Next slot in this series' fingerprint bucket, or kNoSeries.
+    SeriesId next_in_bucket = kNoSeries;
+    // False for a freed slot (listed in Shard::free_slots).
+    bool live = false;
   };
 
   struct Shard {
     mutable std::shared_mutex mu;
-    // Series keyed by a shard-local id, NOT by fingerprint: ids are dense
-    // and collision-free by construction.
-    std::unordered_map<uint64_t, StoredSeries> series;
-    // Fingerprint → chain of series ids. Nearly always one entry; lookup
-    // verifies label equality against each chained id.
-    std::unordered_map<uint64_t, std::vector<uint64_t>> by_fp;
-    // Inverted index over interned symbols: name id → value id → series.
-    std::map<uint32_t, std::map<uint32_t, std::set<uint64_t>>> index;
-    uint64_t next_series_id = 1;
+    // Series by id. A freed slot is reused by a later series, but only
+    // after erase_series_locked() has taken its id out of every posting.
+    std::vector<StoredSeries> slots;
+    std::vector<SeriesId> free_slots;
+    // Fingerprint hash over the slots: bucket → first slot, chained
+    // through StoredSeries::next_in_bucket. Power-of-two size, at most one
+    // live series per bucket on average; lookup verifies label equality
+    // along the chain, so colliding fingerprints just share it.
+    std::vector<SeriesId> buckets;
+    // Inverted index over interned symbols: (name, value) → ascending
+    // series ids. Emptied lists are dropped.
+    PostingIndex index;
     std::size_t num_samples = 0;
     // Bumped on every mutation; read lock-free by version_signature().
     std::atomic<uint64_t> version{0};
+
+    std::size_t num_series() const {
+      return slots.size() - free_slots.size();
+    }
   };
 
-  // Finds the series for `labels` via the fingerprint chain, verifying
+  // Bucket of a fingerprint in a table of `num_buckets` (a power of two).
+  // Multiplicative mixing: the low fingerprint bits already chose the
+  // shard, so they cannot choose the bucket too.
+  static std::size_t bucket_of(uint64_t fingerprint, std::size_t num_buckets) {
+    return static_cast<std::size_t>((fingerprint * 0x9E3779B97F4A7C15ULL) >>
+                                    32) &
+           (num_buckets - 1);
+  }
+
+  // Finds the series for `labels` via its fingerprint bucket, verifying
   // label equality. Caller holds at least a shared lock.
   static const StoredSeries* find_series_locked(const Shard& shard,
                                                 const InternedLabels& labels);
   // Same, creating the series (and its index entries) when absent. Caller
-  // holds the exclusive lock.
+  // holds the exclusive lock. The reference is valid until the next
+  // series is created in the shard.
   StoredSeries& get_or_create_locked(Shard& shard,
                                      const InternedLabels& labels);
   // Appends into `shard`; caller holds the shard's exclusive lock.
   bool append_locked(Shard& shard, const InternedLabels& labels, TimestampMs t,
                      double v);
-  // Removes one series and its index/chain entries. Caller holds the
-  // exclusive lock; does not touch num_samples.
-  static void erase_series_locked(Shard& shard, uint64_t id);
+  // Removes the given live, distinct series: their bucket links, their
+  // ids from every posting list (one pass per list touched), then frees
+  // their slots. Caller holds the exclusive lock; does not touch
+  // num_samples.
+  static void erase_series_locked(Shard& shard,
+                                  const std::vector<SeriesId>& ids);
 
-  // Returns ids of series in `shard` matching the selector. Caller holds
-  // at least a shared lock on the shard.
-  static std::vector<uint64_t> match_ids(const Shard& shard,
+  // Returns ids of series in `shard` matching the selector, ascending.
+  // Caller holds at least a shared lock on the shard.
+  static std::vector<SeriesId> match_ids(const Shard& shard,
                                          const Selector& selector);
 
   std::array<Shard, kShardCount> shards_;

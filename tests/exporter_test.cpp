@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
 
 #include "core/node_exporter_factory.h"
 #include "exporter/rapl_collector.h"
@@ -8,6 +10,7 @@
 #include "emissions/rte.h"
 #include "exporter/emissions_collector.h"
 #include "exporter/exporter.h"
+#include "exporter/self_collector.h"
 #include "http/client.h"
 #include "metrics/text_format.h"
 #include "node/node_sim.h"
@@ -218,6 +221,71 @@ TEST_F(ExporterTest, SelfMetricsReportRealProcess) {
   EXPECT_LT(rss, 10e9);
   EXPECT_GE(find_value(parsed, "process_cpu_seconds_total"), 0.0);
   EXPECT_DOUBLE_EQ(find_value(parsed, "ceems_exporter_scrapes_total"), 1.0);
+}
+
+// The stream-based procfs parsers the self collector used before it read
+// through RealFs, kept as the reference for the allocation-free ones.
+std::size_t reference_statm_resident_pages(const std::string& statm) {
+  std::istringstream in(statm);
+  std::size_t size_pages = 0, resident_pages = 0;
+  in >> size_pages >> resident_pages;
+  return resident_pages;
+}
+
+long long reference_stat_cpu_ticks(const std::string& stat) {
+  std::istringstream in(stat);
+  std::string line;
+  std::getline(in, line);
+  std::size_t close = line.rfind(')');
+  if (close == std::string::npos) return 0;
+  std::istringstream rest(line.substr(close + 2));
+  long long utime = 0, stime = 0;
+  std::string field;
+  for (int i = 3; i <= 13; ++i) rest >> field;
+  rest >> utime >> stime;
+  return utime + stime;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(SelfCollectorParse, MatchesStreamParserOnHostProcfs) {
+  // One read per file feeds both parsers, so a counter moving between
+  // reads cannot make them disagree.
+  for (const std::string pid : {"self", "1"}) {
+    const std::string statm = slurp("/proc/" + pid + "/statm");
+    const std::string stat = slurp("/proc/" + pid + "/stat");
+    ASSERT_FALSE(statm.empty()) << pid;
+    ASSERT_FALSE(stat.empty()) << pid;
+    EXPECT_EQ(statm_resident_pages(statm),
+              reference_statm_resident_pages(statm))
+        << statm;
+    EXPECT_EQ(stat_cpu_ticks(stat), reference_stat_cpu_ticks(stat)) << stat;
+  }
+  EXPECT_GT(statm_resident_pages(slurp("/proc/self/statm")), 0u);
+}
+
+TEST(SelfCollectorParse, MatchesStreamParserOnEdgeCases) {
+  const std::string stats[] = {
+      // A comm with spaces and a closing paren of its own.
+      "42 (my (odd) comm) S 1 42 42 0 -1 4194560 100 0 0 0 1234 567 0 0 "
+      "20 0 1 0 100 1000 50\n",
+      "42 (short) R 1 2 3 4 5 6 7 8 9 10 11\n",  // no stime
+      "no paren at all 1 2 3\n",
+      "",
+  };
+  for (const std::string& stat : stats) {
+    EXPECT_EQ(stat_cpu_ticks(stat), reference_stat_cpu_ticks(stat)) << stat;
+  }
+  EXPECT_EQ(stat_cpu_ticks(stats[0]), 1234 + 567);
+  for (const std::string statm : {"1000 250 10 1 0 100 0\n", "7", ""}) {
+    EXPECT_EQ(statm_resident_pages(statm),
+              reference_statm_resident_pages(statm))
+        << statm;
+  }
 }
 
 TEST_F(ExporterTest, HttpEndpointServesExposition) {

@@ -4,9 +4,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <random>
+#include <set>
 
+#include "common/fnv1a.h"
 #include "metrics/symbols.h"
+#include "tsdb/posting_index.h"
 #include "tsdb/storage.h"
 #include "append_one.h"
 
@@ -268,6 +272,49 @@ TEST(Storage, FingerprintCollisionsDoNotAliasSeries) {
       1u);
 }
 
+TEST(Storage, FreedSlotIsReusedWithoutStalePostings) {
+  // Forced fingerprints put every series in shard 0, where they share the
+  // "job" posting. Deleting b frees its slot; d reuses it and so lands
+  // mid-list in the shared posting, while b's own posting is gone.
+  TimeSeriesStore store;
+  auto make = [](const std::string& uuid, uint64_t fingerprint) {
+    return metrics::InternedLabels(
+        Labels{{"job", "slots"}, {"uuid", uuid}}.with_name("m"), fingerprint);
+  };
+  const metrics::InternedLabels a = make("a", 0x100), b = make("b", 0x200),
+                                c = make("c", 0x300), d = make("d", 0x400),
+                                e = make("e", 0x500);
+  for (const auto* labels : {&a, &b, &c, &e}) {
+    ASSERT_TRUE(append_one(store, *labels, 1000, 1));
+  }
+  const std::size_t bytes_with_four = store.stats().approx_bytes;
+  EXPECT_EQ(store.delete_series({{"uuid", LabelMatcher::Op::kEq, "b"}}), 1u);
+  ASSERT_TRUE(append_one(store, d, 2000, 4));
+  // d took b's slot and b's place in every shared posting: nothing grew
+  // but the free list, by its one entry.
+  EXPECT_EQ(store.stats().approx_bytes, bytes_with_four + sizeof(uint32_t));
+
+  auto uuids = [&store](const std::vector<LabelMatcher>& matchers) {
+    std::vector<std::string> out;
+    for (const auto& view : store.select(matchers, 0, 10000)) {
+      out.emplace_back(*view.labels.get("uuid"));
+    }
+    return out;
+  };
+  using Uuids = std::vector<std::string>;
+  const LabelMatcher job{"job", LabelMatcher::Op::kEq, "slots"};
+  EXPECT_EQ(uuids({job}), (Uuids{"a", "c", "d", "e"}));
+  EXPECT_EQ(uuids({{"uuid", LabelMatcher::Op::kEq, "b"}}), Uuids{});
+  EXPECT_EQ(uuids({{"uuid", LabelMatcher::Op::kEq, "d"}}), Uuids{"d"});
+  // b comes back as a new series in a new slot.
+  ASSERT_TRUE(append_one(store, b, 3000, 2));
+  EXPECT_EQ(uuids({job}), (Uuids{"a", "b", "c", "d", "e"}));
+  EXPECT_EQ(store.stats().num_series, 5u);
+  EXPECT_EQ(store.delete_series({job}), 5u);
+  EXPECT_EQ(store.stats().num_series, 0u);
+  EXPECT_EQ(uuids({}), Uuids{});
+}
+
 TEST(Storage, SnapshotSealedChunksSurviveRoundTrip) {
   // Enough samples that sealed chunks exist: the v2 round trip must
   // reproduce every sample bit-for-bit through the compressed path.
@@ -419,6 +466,114 @@ TEST(Storage, SnapshotBytesMatchGolden) {
   EXPECT_EQ(restored.snapshot_bytes(), golden);
 }
 
+// Splits a CEEMSTSDB2 snapshot into its per-series records (labels,
+// sealed chunks and head, byte for byte); empty on a malformed snapshot.
+std::vector<std::string_view> snapshot_records(std::string_view bytes) {
+  std::size_t pos = 10;  // magic
+  auto u64 = [&](uint64_t* v) {
+    if (pos + 8 > bytes.size()) return false;
+    std::memcpy(v, bytes.data() + pos, 8);
+    pos += 8;
+    return true;
+  };
+  auto skip = [&](uint64_t n) {
+    if (n > bytes.size() - pos) return false;
+    pos += n;
+    return true;
+  };
+  std::vector<std::string_view> records;
+  uint64_t num_series = 0;
+  if (!u64(&num_series)) return {};
+  for (uint64_t s = 0; s < num_series; ++s) {
+    const std::size_t start = pos;
+    uint64_t n = 0, len = 0, meta = 0;
+    if (!u64(&n)) return {};
+    for (uint64_t l = 0; l < 2 * n; ++l) {
+      if (!u64(&len) || !skip(len)) return {};
+    }
+    if (!u64(&n)) return {};
+    for (uint64_t c = 0; c < n; ++c) {
+      if (!u64(&meta) || !u64(&meta) || !u64(&meta) || !u64(&len) ||
+          !skip(len)) {
+        return {};
+      }
+    }
+    if (!u64(&n) || !skip(16 * n)) return {};
+    records.push_back(bytes.substr(start, pos - start));
+  }
+  if (pos != bytes.size()) return {};
+  return records;
+}
+
+// A fixed store with several series per shard, shaped like a fleet:
+// sealed chunks and heads, special values, and a delete and a purge that
+// free series in the middle of what was written.
+void fill_fixed_fleet_store(TimeSeriesStore& store) {
+  for (int s = 0; s < 240; ++s) {
+    Labels labels = Labels{{"hostname", "jz" + std::to_string(s % 17)},
+                           {"uuid", std::to_string(1000 + s / 3)}}
+                        .with_name("ceems_m" + std::to_string(s % 5));
+    if (s % 4 == 0) labels = labels.with("job", "ceems");
+    const int samples = 1 + (s * 37) % 300;
+    for (int i = 0; i < samples; ++i) {
+      double v = 0.25 * ((s * 7 + i * 13) % 101);
+      if (i % 97 == 5) v = metrics::stale_marker();
+      if (i % 89 == 3) v = -0.0;
+      append_one(store, labels, 600000 + int64_t{i} * 30000 + s, v);
+    }
+  }
+  store.delete_series({{"hostname", LabelMatcher::Op::kEq, "jz3"}});
+  store.purge_before(600000 + 2 * 30000 + 100);
+  for (int s = 0; s < 20; ++s) {  // created after the frees
+    Labels labels = Labels{{"hostname", "jz3"},
+                           {"uuid", std::to_string(5000 + s)}}
+                        .with_name("ceems_m9");
+    for (int i = 0; i < 130; ++i) {
+      append_one(store, labels, 700000 + int64_t{i} * 30000, i * 1.5);
+    }
+  }
+}
+
+TEST(Storage, SnapshotOfFixedStoreMatchesPreviousLayout) {
+  // The expected values were recorded from the store as it was before
+  // series stopped keeping string labels. One series per shard:
+  // shard-by-shard order is the whole order, so the bytes must match
+  // exactly.
+  TimeSeriesStore per_shard;
+  std::vector<bool> taken(TimeSeriesStore::kShardCount, false);
+  for (int i = 0, placed = 0; placed < 16; ++i) {
+    Labels labels = Labels{{"hostname", "node" + std::to_string(i)},
+                           {"uuid", "job-" + std::to_string(i * 7)},
+                           {"nodegroup", i % 2 ? "gpu" : "cpu"}}
+                        .with_name("ceems_compute_unit_power");
+    std::size_t shard = TimeSeriesStore::shard_of(labels.fingerprint());
+    if (taken[shard]) continue;
+    taken[shard] = true;
+    ++placed;
+    for (int t = 0; t < 100 + 37 * placed; ++t) {
+      append_one(per_shard, labels, int64_t{t} * 15000 + i,
+                 100.0 + ((t * 31 + i) % 17) / 3.0);
+    }
+  }
+  const std::string bytes = per_shard.snapshot_bytes();
+  EXPECT_EQ(bytes.size(), 57360u);
+  EXPECT_EQ(common::fnv1a(bytes), 15577110176550430626ULL);
+
+  // Several series per shard: within a shard the series order is an
+  // implementation detail, so compare the multiset of series records.
+  TimeSeriesStore fleet;
+  fill_fixed_fleet_store(fleet);
+  const std::string fleet_bytes = fleet.snapshot_bytes();
+  std::vector<std::string_view> records = snapshot_records(fleet_bytes);
+  ASSERT_FALSE(records.empty());
+  std::sort(records.begin(), records.end());
+  uint64_t hash = common::kFnv1aOffsetBasis;
+  for (std::string_view record : records) hash = common::fnv1a(record, hash);
+  EXPECT_EQ(records.size(), 244u);
+  EXPECT_EQ(fleet_bytes.size(), 318178u);
+  EXPECT_EQ(hash, 10438743648081757425ULL);
+}
+
 TEST(Storage, SnapshotTruncatedAtEveryOffsetIsRejected) {
   TimeSeriesStore source;
   fill_golden_store(source);
@@ -473,6 +628,59 @@ double bits_to_double(uint64_t bits) {
 
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(PostingIndex, RandomInsertsAndErasesMatchSetOracle) {
+  // Few symbols, so keys crowd a small table: probe runs wrap around the
+  // end and backward-shift deletion has runs to repair. Ids arrive in
+  // random order (reused slots) and lists cross the in-place limit both
+  // ways.
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937_64 rng(seed);
+    PostingIndex index;
+    std::map<uint64_t, std::set<uint32_t>> oracle;
+    for (int step = 0; step < 4000; ++step) {
+      const uint64_t key = PostingIndex::key(
+          static_cast<uint32_t>(rng() % 5), static_cast<uint32_t>(rng() % 40));
+      const uint32_t id = static_cast<uint32_t>(rng() % 64);
+      if (rng() % 3 != 0) {
+        if (oracle[key].insert(id).second) index.insert(key, id);
+      } else {
+        // Erase this id, or every even id, from the key's list.
+        const bool evens = rng() % 4 == 0;
+        auto dead = [&](uint32_t x) { return evens ? x % 2 == 0 : x == id; };
+        index.erase_if(key, dead);
+        auto it = oracle.find(key);
+        if (it != oracle.end()) {
+          std::erase_if(it->second, dead);
+          if (it->second.empty()) oracle.erase(it);
+        }
+      }
+      if (step % 50 == 0 || step == 3999) {
+        std::erase_if(oracle, [](const auto& entry) {
+          return entry.second.empty();
+        });
+        ASSERT_EQ(index.size(), oracle.size()) << "seed " << seed;
+        for (uint32_t name = 0; name < 5; ++name) {
+          for (uint32_t value = 0; value < 40; ++value) {
+            const uint64_t k = PostingIndex::key(name, value);
+            auto ids = index.find(k);
+            auto it = oracle.find(k);
+            std::vector<uint32_t> expected;
+            if (it != oracle.end()) {
+              expected.assign(it->second.begin(), it->second.end());
+            }
+            ASSERT_EQ(std::vector<uint32_t>(ids.begin(), ids.end()), expected)
+                << "seed " << seed << " step " << step;
+          }
+        }
+      }
+    }
+    index.clear();
+    EXPECT_EQ(index.size(), 0u);
+    EXPECT_TRUE(index.find(PostingIndex::key(0, 0)).empty());
+    EXPECT_EQ(index.approx_bytes(), 0u);
+  }
 }
 
 TEST(ChunkCodec, RoundTripRegularSeries) {

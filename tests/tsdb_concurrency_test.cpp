@@ -5,8 +5,10 @@
 // write may see a prefix of a series, never a torn or reordered one).
 // The LongTerm* case races replication and compaction (long-term mutex,
 // then hot shard locks, and the hot purge) against hot writers and
-// long-term readers. These tests are the workload the CI ThreadSanitizer
-// job gates on.
+// long-term readers. The symbol-table case races interning against the
+// lock-free text() and to_labels() readers, and the slot-reuse case races
+// series deletion and re-creation against selects. These tests are the
+// workload the CI ThreadSanitizer job gates on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "metrics/symbols.h"
 #include "tsdb/longterm.h"
 #include "tsdb/promql_eval.h"
 #include "tsdb/storage.h"
@@ -170,6 +173,91 @@ TEST(TsdbConcurrency, PurgeAndDeleteRaceAppends) {
       EXPECT_LT(samples[i - 1].t, samples[i].t);
     }
   }
+}
+
+TEST(TsdbConcurrency, SymbolInternRacesTextAndToLabels) {
+  metrics::SymbolTable& table = metrics::SymbolTable::global();
+  constexpr int kWriters = 2;
+  constexpr int kPerWriter = 4000;  // together they cross view blocks
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&table, &writers_left, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        std::string text =
+            "intern_race_" + std::to_string(w) + "_" + std::to_string(i);
+        uint32_t id = table.intern(text);
+        EXPECT_EQ(table.text(id), text);
+        // Interning through labels races the same table.
+        metrics::Labels labels =
+            metrics::Labels{{"race_value", text}}.with_name("race_m");
+        EXPECT_EQ(metrics::InternedLabels(labels).to_labels(), labels);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  // Readers resolve the newest ids while they are being published: every
+  // id below size() reads back as the string that interns to it.
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&table, &writers_left] {
+      while (writers_left.load() > 0) {
+        const auto size = static_cast<uint32_t>(table.size());
+        for (uint32_t id = size > 32 ? size - 32 : 0; id < size; ++id) {
+          std::string_view text = table.text(id);
+          EXPECT_EQ(table.intern(text), id);
+        }
+        EXPECT_TRUE(table.text(size + 1000000).empty());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+}
+
+TEST(TsdbConcurrency, SlotReuseRacesSelects) {
+  // The writer keeps deleting the oldest job and creating a new one, so
+  // freed slots are reused while readers select by job; a posting that
+  // still named a reused id would hand a reader another job's series.
+  constexpr int kJobs = 300;
+  constexpr int kLive = 8;
+  TimeSeriesStore store;
+  auto job_labels = [](int job, int metric) {
+    return metrics::Labels{{"uuid", "slot-job-" + std::to_string(job)},
+                           {"hostname", "n" + std::to_string(job % 3)}}
+        .with_name("slot_m" + std::to_string(metric));
+  };
+  std::atomic<int> newest{-1};
+  std::thread writer([&] {
+    for (int job = 0; job < kJobs; ++job) {
+      for (int metric = 0; metric < 4; ++metric) {
+        append_one(store, job_labels(job, metric), 1000, job);
+      }
+      newest.store(job);
+      if (job >= kLive) {
+        store.delete_series({{"uuid", metrics::LabelMatcher::Op::kEq,
+                              "slot-job-" + std::to_string(job - kLive)}});
+      }
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      while (newest.load() < kJobs - 1) {
+        const int job = std::max(0, newest.load() - r * 3);
+        const std::string uuid = "slot-job-" + std::to_string(job);
+        for (const auto& view :
+             store.select({{"uuid", metrics::LabelMatcher::Op::kEq, uuid}},
+                          0, 2000)) {
+          EXPECT_EQ(view.labels.get("uuid"), uuid);
+          auto last = view.last();
+          ASSERT_TRUE(last.has_value());
+          EXPECT_EQ(last->v, job);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(store.stats().num_series, std::size_t{kLive} * 4);
 }
 
 TEST(TsdbConcurrency, ParallelRangeEvalMatchesSerialBitForBit) {

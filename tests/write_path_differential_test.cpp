@@ -5,6 +5,9 @@
 //
 //   * select() (posting-list walk, symbol-id checks) against a brute-force
 //     LabelMatcher::matches(Labels) filter over the same series;
+//   * the store's slot-vector postings against an index of std::set
+//     posting lists, through creates, deletes, purges and clears that
+//     free and reuse slots, with forced fingerprint collisions;
 //   * the rule pass (one append_refs batch per rule), inline and as a
 //     conflict graph on a thread pool, against per-sample Engine::eval +
 //     append_one, on random fleets with alerts firing and resolving, with
@@ -16,6 +19,7 @@
 //     both the hot store and the copy).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -197,6 +201,198 @@ TEST(StorageSelectDifferential, RandomMatchersMatchBruteForce) {
         ASSERT_EQ(digest(store.select(select_matchers, kMinT, kMaxT)),
                   brute_force(model, select_matchers, kMinT, kMaxT))
             << "seed " << seed << " after delete " << d;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Slot-vector postings vs a std::set index
+
+// The index as it used to be kept: one ordered set of series per (name,
+// value) pair, next to every series' samples. A select walks the smallest
+// set among its equality terms and filters the rest by brute force.
+class SetIndexOracle {
+ public:
+  void append(const Labels& labels, TimestampMs t, double v) {
+    auto [it, created] = series_.try_emplace(labels);
+    if (created) {
+      for (const auto& pair : labels.pairs()) postings_[pair].insert(labels);
+    }
+    it->second.push_back({t, v});
+  }
+
+  std::size_t erase_matching(const std::vector<LabelMatcher>& matchers) {
+    std::vector<Labels> doomed;
+    for (const auto& [labels, samples] : series_) {
+      if (matches_all(matchers, labels)) doomed.push_back(labels);
+    }
+    for (const auto& labels : doomed) erase(labels);
+    return doomed.size();
+  }
+
+  std::size_t purge_before(TimestampMs cutoff) {
+    std::size_t dropped = 0;
+    std::vector<Labels> emptied;
+    for (auto& [labels, samples] : series_) {
+      auto keep = std::find_if(
+          samples.begin(), samples.end(),
+          [cutoff](const SamplePoint& p) { return p.t >= cutoff; });
+      dropped += static_cast<std::size_t>(keep - samples.begin());
+      samples.erase(samples.begin(), keep);
+      if (samples.empty()) emptied.push_back(labels);
+    }
+    for (const auto& labels : emptied) erase(labels);
+    return dropped;
+  }
+
+  void clear() {
+    series_.clear();
+    postings_.clear();
+  }
+
+  std::size_t num_series() const { return series_.size(); }
+  std::size_t num_samples() const {
+    std::size_t n = 0;
+    for (const auto& [labels, samples] : series_) n += samples.size();
+    return n;
+  }
+
+  std::string select(const std::vector<LabelMatcher>& matchers,
+                     TimestampMs min_t, TimestampMs max_t) const {
+    static const std::set<Labels> kNone;
+    const std::set<Labels>* smallest = nullptr;
+    for (const auto& matcher : matchers) {
+      if (matcher.op != Op::kEq || matcher.value.empty()) continue;
+      auto it = postings_.find({matcher.name, matcher.value});
+      const std::set<Labels>& posting = it == postings_.end() ? kNone
+                                                               : it->second;
+      if (!smallest || posting.size() < smallest->size()) smallest = &posting;
+    }
+    std::set<Labels> all;
+    if (!smallest) {
+      for (const auto& [labels, samples] : series_) all.insert(labels);
+      smallest = &all;
+    }
+    std::string out;
+    for (const Labels& labels : *smallest) {
+      if (!matches_all(matchers, labels)) continue;
+      std::vector<SamplePoint> in_range;
+      for (const auto& sample : series_.at(labels)) {
+        if (sample.t >= min_t && sample.t <= max_t) in_range.push_back(sample);
+      }
+      if (in_range.empty()) continue;
+      out += labels.to_string() + "\n";
+      append_points(out, in_range);
+    }
+    return out;
+  }
+
+ private:
+  void erase(const Labels& labels) {
+    for (const auto& pair : labels.pairs()) {
+      auto it = postings_.find(pair);
+      it->second.erase(labels);
+      if (it->second.empty()) postings_.erase(it);
+    }
+    series_.erase(labels);
+  }
+
+  std::map<Labels, std::vector<SamplePoint>> series_;
+  std::map<Labels::Pair, std::set<Labels>> postings_;
+};
+
+TEST(StoragePostingsDifferential, SlotReuseAndCollisionsMatchSetIndex) {
+  const std::vector<std::string> names = {"m0", "m1", "m2"};
+  constexpr uint64_t kCollidingFp = 0x5eed5eed00000003ULL;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    // A universe of distinct label sets; every fourth is forced onto one
+    // fingerprint, so those share a shard and a bucket chain.
+    std::set<Labels> distinct;
+    while (distinct.size() < 48) {
+      std::vector<Labels::Pair> pairs = {
+          {"__name__", names[rng() % names.size()]},
+          {"host", "h" + std::to_string(rng() % 6)}};
+      if (rng() % 3 != 0) {
+        pairs.emplace_back("uuid", "u" + std::to_string(rng() % 12));
+      }
+      if (rng() % 4 == 0) {
+        pairs.emplace_back("job", "j" + std::to_string(rng() % 2));
+      }
+      distinct.insert(Labels(std::move(pairs)));
+    }
+    std::vector<Labels> universe(distinct.begin(), distinct.end());
+    std::shuffle(universe.begin(), universe.end(), rng);
+    std::vector<metrics::InternedLabels> interned;
+    for (std::size_t i = 0; i < universe.size(); ++i) {
+      interned.push_back(
+          i % 4 == 0 ? metrics::InternedLabels(universe[i], kCollidingFp)
+                     : metrics::InternedLabels(universe[i]));
+    }
+
+    auto random_eq = [&]() {
+      switch (rng() % 4) {
+        case 0:
+          return LabelMatcher{"__name__", Op::kEq, names[rng() % names.size()]};
+        case 1:
+          return LabelMatcher{"host", Op::kEq, "h" + std::to_string(rng() % 7)};
+        case 2:
+          return LabelMatcher{"uuid", Op::kEq,
+                              "u" + std::to_string(rng() % 13)};
+        default:
+          return LabelMatcher{"job", Op::kEq, "j" + std::to_string(rng() % 2)};
+      }
+    };
+    auto random_query = [&]() {
+      std::vector<LabelMatcher> matchers;
+      std::size_t terms = rng() % 3;
+      for (std::size_t i = 0; i < terms; ++i) matchers.push_back(random_eq());
+      if (rng() % 4 == 0) {
+        matchers.push_back({"host", Op::kNe, "h" + std::to_string(rng() % 6)});
+      }
+      return matchers;
+    };
+
+    TimeSeriesStore store;
+    SetIndexOracle oracle;
+    TimestampMs t = 0;
+    for (int step = 0; step < 400; ++step) {
+      t += 1000;
+      const uint64_t op = rng() % 100;
+      if (op < 65) {
+        std::vector<metrics::SampleRef> batch;
+        for (std::size_t i = 0; i < universe.size(); ++i) {
+          if (rng() % 3 != 0) continue;
+          double v = static_cast<double>(rng() % 1000) / 8.0;
+          batch.push_back({&interned[i], t, v});
+          oracle.append(universe[i], t, v);
+        }
+        ASSERT_EQ(store.append_refs(batch.data(), batch.size()), batch.size());
+      } else if (op < 80) {
+        std::vector<LabelMatcher> matchers = {random_eq()};
+        if (rng() % 2 == 0) matchers.push_back(random_eq());
+        ASSERT_EQ(store.delete_series(matchers),
+                  oracle.erase_matching(matchers))
+            << "seed " << seed << " step " << step;
+      } else if (op < 98) {
+        TimestampMs cutoff = t - static_cast<TimestampMs>(rng() % 12) * 1000;
+        ASSERT_EQ(store.purge_before(cutoff), oracle.purge_before(cutoff))
+            << "seed " << seed << " step " << step;
+      } else {
+        store.clear();
+        oracle.clear();
+        ASSERT_EQ(store.stats().approx_bytes, 0u) << "clear keeps memory";
+      }
+      StorageStats stats = store.stats();
+      ASSERT_EQ(stats.num_series, oracle.num_series()) << "seed " << seed;
+      ASSERT_EQ(stats.num_samples, oracle.num_samples()) << "seed " << seed;
+      for (int q = 0; q < 4; ++q) {
+        auto matchers = random_query();
+        TimestampMs lo = t - static_cast<TimestampMs>(rng() % 20) * 1000;
+        ASSERT_EQ(digest(store.select(matchers, lo, kMaxT)),
+                  oracle.select(matchers, lo, kMaxT))
+            << "seed " << seed << " step " << step << " query " << q;
       }
     }
   }

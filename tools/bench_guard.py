@@ -98,6 +98,15 @@ GUARDED_COUNTERS = {
     # as allocations per rendered sample.
     "allocs_per_rendered_sample": 0.02,
     "exposition_bytes_per_render": 0.01,
+    # Hot series overhead (BM_hot_series_overhead): the live heap and the
+    # allocations 100k new one-sample series leave in the store, per
+    # series, and the share of that heap StorageStats::approx_bytes
+    # accounts for. Exact for a given allocator: string labels stored per
+    # series again add hundreds of bytes and a dozen allocations, and a
+    # structure approx_bytes forgets moves the ratio.
+    "heap_bytes_per_new_series": 0.02,
+    "allocs_per_new_series": 0.02,
+    "approx_to_heap_ratio": 0.02,
 }
 
 

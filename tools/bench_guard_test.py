@@ -198,6 +198,37 @@ class BenchGuardTest(unittest.TestCase):
                                      exposition_bytes_per_render=9080)])
         self.assertEqual(self.guard(near, base), 0)
 
+    def test_hot_series_overhead_counters_are_guarded(self):
+        base = doc(benchmarks=[bench("BM_hot_series_overhead",
+                                     heap_bytes_per_new_series=260,
+                                     allocs_per_new_series=2.7,
+                                     approx_to_heap_ratio=0.95)])
+        self.assertEqual(self.guard(base, base), 0)
+        # String labels stored with every series again.
+        labels = doc(benchmarks=[bench("BM_hot_series_overhead",
+                                       heap_bytes_per_new_series=900,
+                                       allocs_per_new_series=13.6,
+                                       approx_to_heap_ratio=0.95)])
+        self.assertEqual(self.guard(labels, base), 1)
+        # One more allocation per series (a hash node per series).
+        node = doc(benchmarks=[bench("BM_hot_series_overhead",
+                                     heap_bytes_per_new_series=260,
+                                     allocs_per_new_series=3.7,
+                                     approx_to_heap_ratio=0.95)])
+        self.assertEqual(self.guard(node, base), 1)
+        # approx_bytes forgetting the postings.
+        blind = doc(benchmarks=[bench("BM_hot_series_overhead",
+                                      heap_bytes_per_new_series=260,
+                                      allocs_per_new_series=2.7,
+                                      approx_to_heap_ratio=0.80)])
+        self.assertEqual(self.guard(blind, base), 1)
+        # Within all three gates.
+        near = doc(benchmarks=[bench("BM_hot_series_overhead",
+                                     heap_bytes_per_new_series=264,
+                                     allocs_per_new_series=2.74,
+                                     approx_to_heap_ratio=0.96)])
+        self.assertEqual(self.guard(near, base), 0)
+
     def test_multiple_pairs_all_pass(self):
         tsdb = doc(benchmarks=[bench("t", points_scanned_per_query=10)])
         soak = doc(benchmarks=[bench("s", peak_bytes=10)])
