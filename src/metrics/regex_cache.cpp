@@ -31,7 +31,6 @@ struct Stripe {
     std::list<std::string>::iterator lru_it;
   };
   std::unordered_map<std::string, Entry> entries;
-  RegexCacheStats stats;
 };
 
 struct Cache {
@@ -55,7 +54,6 @@ std::shared_ptr<const std::regex> compiled_anchored_regex(
     std::lock_guard lock(s.mu);
     auto it = s.entries.find(pattern);
     if (it != s.entries.end()) {
-      ++s.stats.hits;
       s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
       return it->second.regex;
     }
@@ -68,31 +66,16 @@ std::shared_ptr<const std::regex> compiled_anchored_regex(
   auto it = s.entries.find(pattern);
   if (it != s.entries.end()) {
     // Raced with another thread compiling the same pattern; keep theirs.
-    ++s.stats.hits;
     s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
     return it->second.regex;
   }
-  ++s.stats.misses;
   if (s.entries.size() >= kCapacity / kStripes) {
-    ++s.stats.evictions;
     s.entries.erase(s.lru.back());
     s.lru.pop_back();
   }
   s.lru.push_front(pattern);
   s.entries.emplace(pattern, Stripe::Entry{compiled, s.lru.begin()});
   return compiled;
-}
-
-RegexCacheStats regex_cache_stats() {
-  Cache& c = cache();
-  RegexCacheStats total;
-  for (Stripe& s : c.stripes) {
-    std::lock_guard lock(s.mu);
-    total.hits += s.stats.hits;
-    total.misses += s.stats.misses;
-    total.evictions += s.stats.evictions;
-  }
-  return total;
 }
 
 }  // namespace ceems::metrics

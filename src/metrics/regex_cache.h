@@ -22,12 +22,4 @@ namespace ceems::metrics {
 std::shared_ptr<const std::regex> compiled_anchored_regex(
     const std::string& pattern);
 
-struct RegexCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;     // compile happened (entry inserted)
-  uint64_t evictions = 0;  // LRU capacity evictions
-};
-
-RegexCacheStats regex_cache_stats();
-
 }  // namespace ceems::metrics

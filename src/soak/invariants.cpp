@@ -11,14 +11,9 @@ namespace {
 
 using metrics::LabelMatcher;
 
-// Checkpoint queries run uncached so every run scans the same points.
 const tsdb::promql::Engine& invariant_engine() {
-  static const tsdb::promql::Engine* engine = [] {
-    tsdb::promql::EngineOptions options;
-    options.query_cache_capacity = 0;
-    return new tsdb::promql::Engine(options);
-  }();
-  return *engine;
+  static const tsdb::promql::Engine engine;
+  return engine;
 }
 
 }  // namespace

@@ -155,9 +155,7 @@ SoakReport SoakRunner::run() {
 
   InvariantChecker checker(scenario_, report.node_count,
                            stack.scraper().target_count());
-  tsdb::promql::EngineOptions engine_options;
-  engine_options.query_cache_capacity = 0;  // every checkpoint scans afresh
-  tsdb::promql::Engine engine(engine_options);
+  tsdb::promql::Engine engine;
 
   log("fleet up: %d nodes, %zu scrape targets, %s jobs/day %.0f",
       report.node_count, stack.scraper().target_count(),

@@ -174,7 +174,6 @@ void LongTermStore::compact(common::TimestampMs now) {
         if (open && series.append(bucket)) ++level.num_buckets;
       }
       level.cursor_ms = target;
-      ++level.version;
     }
   }
 
@@ -218,7 +217,6 @@ void LongTermStore::compact(common::TimestampMs now) {
     if (dropped > 0) {
       level.num_buckets -= dropped;
       level.purged_end_ms = std::max(level.purged_end_ms, keep_from - 1);
-      ++level.version;
     }
   }
 }
@@ -392,16 +390,6 @@ std::optional<std::vector<AggSeriesView>> LongTermStore::select_agg(
 LongTermSelectStats LongTermStore::select_stats() const {
   std::lock_guard lock(mu_);
   return select_stats_;
-}
-
-std::vector<uint64_t> LongTermStore::version_signature() const {
-  std::vector<uint64_t> out = hot_->version_signature();
-  std::lock_guard lock(mu_);
-  out.reserve(out.size() + 2 + levels_.size());
-  out.push_back(static_cast<uint64_t>(sync_cursor_));
-  out.push_back(static_cast<uint64_t>(hot_purged_end_));
-  for (const auto& level : levels_) out.push_back(level.version);
-  return out;
 }
 
 StorageStats LongTermStore::downsampled_stats() const {

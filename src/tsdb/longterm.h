@@ -117,11 +117,6 @@ class LongTermStore final : public Queryable {
       int64_t resolution_ms, const std::vector<LabelMatcher>& matchers,
       TimestampMs min_end, TimestampMs max_end) const override;
 
-  // The hot store's shard versions, then the sync cursor and the purge
-  // boundary, then one counter per ladder level: a sync widens select()
-  // without mutating the hot store, so cached results must see it.
-  std::vector<uint64_t> version_signature() const override;
-
   // This store's own footprint, which is the ladder's: recent samples are
   // counted by the hot store. symbol_bytes is the process-wide table.
   StorageStats stats() const;
@@ -148,7 +143,6 @@ class LongTermStore final : public Queryable {
     // retention; coverage below this line cannot be promised.
     TimestampMs purged_end_ms = INT64_MIN;
     std::size_t num_buckets = 0;
-    uint64_t version = 0;  // bumped on every mutation of this level
   };
 
   // Calls fn for each series of `level` that `selector` matches and

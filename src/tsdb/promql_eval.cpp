@@ -1500,24 +1500,7 @@ std::vector<Series> Engine::eval_range(const Queryable& source,
                                        const std::string& expr,
                                        TimestampMs start, TimestampMs end,
                                        int64_t step_ms) const {
-  if (cache_) {
-    // The signature is read *before* evaluation: a write landing during
-    // the evaluation bumps its shard counter, so the entry we store below
-    // fails its next validation instead of serving a stale mix.
-    std::vector<uint64_t> versions = source.version_signature();
-    if (!versions.empty()) {
-      QueryCacheKey key{expr, start, end, step_ms};
-      if (auto hit = cache_->lookup(key, versions)) return std::move(*hit);
-      auto result = eval_range(source, parse(expr), start, end, step_ms);
-      cache_->insert(key, std::move(versions), result);
-      return result;
-    }
-  }
   return eval_range(source, parse(expr), start, end, step_ms);
-}
-
-QueryCacheStats Engine::cache_stats() const {
-  return cache_ ? cache_->stats() : QueryCacheStats{};
 }
 
 }  // namespace ceems::tsdb::promql

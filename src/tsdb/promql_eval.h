@@ -25,7 +25,6 @@
 
 #include "common/threadpool.h"
 #include "tsdb/promql_ast.h"
-#include "tsdb/query_cache.h"
 #include "tsdb/storage.h"
 
 namespace ceems::tsdb::promql {
@@ -67,10 +66,9 @@ struct EngineOptions {
   // Range queries with fewer steps than this stay serial even with a pool
   // (chunking overhead would dominate).
   int64_t min_parallel_steps = 8;
-  // Capacity of the bounded LRU result cache for string-form range
-  // queries, keyed on (query, start, end, step) and invalidated through
-  // the source's per-shard version signature. 0 disables caching.
-  std::size_t query_cache_capacity = 128;
+  // Ignored: range queries are not cached. Kept only so existing callers
+  // still compile; to be deleted with the benchmark's next change.
+  std::size_t query_cache_capacity = 0;
   // Streaming range evaluation: select() each selector's full
   // [start - max(range, lookback), end] span once, decode every chunk at
   // most once per query, and slide per-series window cursors across the
@@ -94,11 +92,7 @@ struct EngineOptions {
 class Engine {
  public:
   explicit Engine(EngineOptions options = {})
-      : options_(std::move(options)),
-        cache_(options_.query_cache_capacity > 0
-                   ? std::make_shared<QueryCache>(
-                         options_.query_cache_capacity)
-                   : nullptr) {}
+      : options_(std::move(options)) {}
 
   // Evaluates `expr` at instant `t`.
   Value eval(const Queryable& source, const ExprPtr& expr,
@@ -115,9 +109,6 @@ class Engine {
                                  const std::string& expr, TimestampMs start,
                                  TimestampMs end, int64_t step_ms) const;
 
-  // Result-cache counters (zeroed stats when caching is disabled).
-  QueryCacheStats cache_stats() const;
-
  private:
   // Evaluates the steps start, start+step, ... <= end into a
   // fingerprint-keyed accumulator (samples in step order).
@@ -128,8 +119,6 @@ class Engine {
                                               int64_t step_ms) const;
 
   EngineOptions options_;
-  // Shared (not unique) so Engine stays copyable; copies share the cache.
-  std::shared_ptr<QueryCache> cache_;
 };
 
 }  // namespace ceems::tsdb::promql

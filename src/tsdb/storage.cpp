@@ -172,18 +172,12 @@ std::size_t TimeSeriesStore::replay_refs(const metrics::SampleRef* samples,
     if (buckets[s].empty()) continue;
     Shard& shard = shards_[s];
     std::unique_lock lock(shard.mu);
-    std::size_t shard_accepted = 0;
     for (const metrics::SampleRef* sample : buckets[s]) {
       if (append_locked(shard, *sample->labels, sample->timestamp_ms,
                         sample->value)) {
-        ++shard_accepted;
+        ++accepted;
       }
     }
-    // One version bump per shard per batch is enough for cache
-    // invalidation (entries compare signatures for equality).
-    if (shard_accepted > 0)
-      shard.version.fetch_add(1, std::memory_order_acq_rel);
-    accepted += shard_accepted;
   }
   return accepted;
 }
@@ -261,15 +255,6 @@ std::vector<TimeSeriesStore::InternedSlices> TimeSeriesStore::select_interned(
   return out;
 }
 
-std::vector<uint64_t> TimeSeriesStore::version_signature() const {
-  std::vector<uint64_t> out;
-  out.reserve(kShardCount);
-  for (const Shard& shard : shards_) {
-    out.push_back(shard.version.load(std::memory_order_acquire));
-  }
-  return out;
-}
-
 std::size_t TimeSeriesStore::purge_before(TimestampMs cutoff) {
   Wal::CommitGuard guard;
   if (Wal* wal = wal_.load(std::memory_order_acquire)) {
@@ -288,10 +273,7 @@ std::size_t TimeSeriesStore::purge_before(TimestampMs cutoff) {
       if (stored.data.empty()) emptied.push_back(id);
     }
     erase_series_locked(shard, emptied);
-    if (shard_dropped > 0) {
-      shard.num_samples -= shard_dropped;
-      shard.version.fetch_add(1, std::memory_order_acq_rel);
-    }
+    shard.num_samples -= shard_dropped;
     dropped += shard_dropped;
   }
   return dropped;
@@ -316,7 +298,6 @@ std::size_t TimeSeriesStore::delete_series(
     }
     erase_series_locked(shard, ids);
     deleted += ids.size();
-    shard.version.fetch_add(1, std::memory_order_acq_rel);
   }
   return deleted;
 }
@@ -330,9 +311,6 @@ void TimeSeriesStore::clear() {
     shard.buckets = std::vector<SeriesId>();
     shard.index.clear();
     shard.num_samples = 0;
-    // Versions keep counting up (never reset) so query-cache entries
-    // recorded before the clear can never validate afterwards.
-    shard.version.fetch_add(1, std::memory_order_acq_rel);
   }
 }
 
@@ -561,11 +539,8 @@ std::optional<std::size_t> TimeSeriesStore::restore_from_bytes(
       if (stored.data.append(sp.t, sp.v) == AppendResult::kAppended)
         ++series_restored;
     }
-    if (series_restored > 0) {
-      shard.num_samples += series_restored;
-      shard.version.fetch_add(1, std::memory_order_acq_rel);
-      restored += series_restored;
-    }
+    shard.num_samples += series_restored;
+    restored += series_restored;
   }
   return restored;
 }

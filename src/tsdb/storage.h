@@ -35,9 +35,7 @@
 // the same head-block semantics Prometheus exposes to queriers. Sealed
 // chunks are immutable and handed to readers by shared_ptr, so a
 // SeriesView stays valid after the shard lock is released and decoding
-// runs on the reader's thread. Every mutation bumps the owning shard's
-// version counter, which the PromQL query-result cache uses for
-// invalidation.
+// runs on the reader's thread.
 //
 // The same Queryable interface is implemented by the long-term store, so
 // the PromQL engine runs unchanged over either — mirroring how Thanos
@@ -80,13 +78,6 @@ class Queryable {
   virtual std::vector<SeriesView> select(
       const std::vector<LabelMatcher>& matchers, TimestampMs min_t,
       TimestampMs max_t) const = 0;
-  // Monotone change signature for query-result caching: one counter per
-  // internal shard, bumped on every mutation of that shard. A cached
-  // result is valid only while the signature it was computed under is
-  // unchanged. Sources that cannot version themselves return {} and are
-  // never cached.
-  virtual std::vector<uint64_t> version_signature() const { return {}; }
-
   // Bucket widths (ms, ascending) of pre-aggregated resolution levels this
   // source maintains. Raw-only sources return {} and the resolution-aware
   // planner never engages for them.
@@ -179,8 +170,6 @@ class TimeSeriesStore final : public Queryable {
                                  TimestampMs min_t,
                                  TimestampMs max_t) const override;
 
-  std::vector<uint64_t> version_signature() const override;
-
   // One series' interned labels and its slices in a span.
   struct InternedSlices {
     InternedLabels labels;
@@ -200,8 +189,7 @@ class TimeSeriesStore final : public Queryable {
   // §II-C: metrics of jobs shorter than the cutoff are removed wholesale).
   std::size_t delete_series(const std::vector<LabelMatcher>& matchers);
 
-  // Drops every series and sample, bumping shard versions so cached
-  // query results invalidate. The WAL attachment is untouched; crash
+  // Drops every series and sample. The WAL attachment is untouched; crash
   // recovery detaches first, clears, then replays. In-place reset means
   // every holder of this StorePtr (scraper, rules, API) sees the
   // recovered state without re-wiring.
@@ -277,8 +265,6 @@ class TimeSeriesStore final : public Queryable {
     // series ids. Emptied lists are dropped.
     PostingIndex index;
     std::size_t num_samples = 0;
-    // Bumped on every mutation; read lock-free by version_signature().
-    std::atomic<uint64_t> version{0};
 
     std::size_t num_series() const {
       return slots.size() - free_slots.size();

@@ -165,7 +165,6 @@ Engine make_engine(bool streaming, std::shared_ptr<common::ThreadPool> pool) {
   options.streaming_range = streaming;
   options.pool = std::move(pool);
   options.min_parallel_steps = 4;  // force the chunked path in pooled runs
-  options.query_cache_capacity = 0;
   return Engine(options);
 }
 
@@ -311,7 +310,6 @@ TEST(PromqlDifferential, ResolutionAwarePlannerBitIdentical) {
                          "max_over_time", "count_over_time", "rate",
                          "increase"};
   EngineOptions on_options;
-  on_options.query_cache_capacity = 0;
   Engine planner_on(on_options);
   EngineOptions off_options = on_options;
   off_options.resolution_aware = false;
@@ -366,7 +364,6 @@ TEST(PromqlDifferential, ResolutionAwareInstantQueries) {
   auto store = make_integer_store(17);
   auto lt = make_ladder_store(store);
   EngineOptions on_options;
-  on_options.query_cache_capacity = 0;
   Engine planner_on(on_options);
   EngineOptions off_options = on_options;
   off_options.resolution_aware = false;
@@ -414,7 +411,6 @@ TEST(PromqlDifferential, PlannerPrefersCoarsestCoveringLevel) {
   auto store = make_integer_store(29);
   auto lt = make_ladder_store(store);
   EngineOptions options;
-  options.query_cache_capacity = 0;
   Engine engine(options);
   auto before = lt->select_stats();
   auto value =

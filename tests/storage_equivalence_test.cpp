@@ -110,7 +110,6 @@ void expect_same_eval(const Queryable& chunked, const Queryable& flat,
                       const std::string& query, TimestampMs start,
                       TimestampMs end, int64_t step) {
   promql::EngineOptions options;
-  options.query_cache_capacity = 0;
   promql::Engine engine(options);
   auto a = engine.eval_range(chunked, query, start, end, step);
   auto b = engine.eval_range(flat, query, start, end, step);

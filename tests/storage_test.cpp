@@ -581,15 +581,13 @@ TEST(Storage, SnapshotTruncatedAtEveryOffsetIsRejected) {
   TimeSeriesStore store;
   append_one(store, Labels{{"uuid", "9"}}.with_name("m"), 500, 7);
   const std::string before = store.snapshot_bytes();
-  const auto versions = store.version_signature();
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::string_view prefix(bytes.data(), cut);
     EXPECT_FALSE(store.restore_from_bytes(prefix).has_value())
         << "cut at " << cut;
   }
-  // Nothing was applied, not even a version bump.
+  // Nothing was applied.
   EXPECT_EQ(store.snapshot_bytes(), before);
-  EXPECT_EQ(store.version_signature(), versions);
 }
 
 TEST(Storage, CorruptSnapshotLeavesStoreUnmodified) {

@@ -274,11 +274,9 @@ TEST(TsdbConcurrency, ParallelRangeEvalMatchesSerialBitForBit) {
   }
 
   tsdb::promql::EngineOptions serial_options;
-  serial_options.query_cache_capacity = 0;
   tsdb::promql::Engine serial(serial_options);
 
   tsdb::promql::EngineOptions parallel_options;
-  parallel_options.query_cache_capacity = 0;
   parallel_options.pool = std::make_shared<common::ThreadPool>(8, "eval");
   tsdb::promql::Engine parallel(parallel_options);
 
@@ -301,55 +299,7 @@ TEST(TsdbConcurrency, ParallelRangeEvalMatchesSerialBitForBit) {
   }
 }
 
-TEST(TsdbConcurrency, QueryCacheHitsAndShardInvalidation) {
-  auto store = std::make_shared<TimeSeriesStore>();
-  auto labels = metrics::Labels{{"uuid", "1"}}.with_name("m");
-  for (int i = 0; i < 100; ++i) append_one(*store, labels, i * 1000, i);
-
-  tsdb::promql::EngineOptions options;
-  options.query_cache_capacity = 8;
-  tsdb::promql::Engine engine(options);
-
-  auto first = engine.eval_range(*store, "m", 0, 99 * 1000, 1000);
-  auto second = engine.eval_range(*store, "m", 0, 99 * 1000, 1000);
-  auto stats = engine.cache_stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  ASSERT_EQ(first.size(), second.size());
-  ASSERT_EQ(first[0].samples.size(), second[0].samples.size());
-
-  // A write to the owning shard invalidates the entry...
-  append_one(*store, labels, 200 * 1000, 200);
-  auto third = engine.eval_range(*store, "m", 0, 99 * 1000, 1000);
-  stats = engine.cache_stats();
-  EXPECT_EQ(stats.invalidations, 1u);
-  EXPECT_EQ(stats.misses, 2u);
-  ASSERT_EQ(third.size(), first.size());
-
-  // ...and the refreshed entry serves hits again.
-  engine.eval_range(*store, "m", 0, 99 * 1000, 1000);
-  EXPECT_EQ(engine.cache_stats().hits, 2u);
-}
-
-TEST(TsdbConcurrency, CacheCapacityEvictsLru) {
-  auto store = std::make_shared<TimeSeriesStore>();
-  auto labels = metrics::Labels{{"uuid", "1"}}.with_name("m");
-  for (int i = 0; i < 10; ++i) append_one(*store, labels, i * 1000, i);
-
-  tsdb::promql::EngineOptions options;
-  options.query_cache_capacity = 2;
-  tsdb::promql::Engine engine(options);
-  engine.eval_range(*store, "m", 0, 9000, 1000);
-  engine.eval_range(*store, "m * 2", 0, 9000, 1000);
-  engine.eval_range(*store, "m * 3", 0, 9000, 1000);  // evicts "m"
-  auto stats = engine.cache_stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.size, 2u);
-  engine.eval_range(*store, "m", 0, 9000, 1000);  // miss again
-  EXPECT_EQ(engine.cache_stats().misses, 4u);
-}
-
-TEST(TsdbConcurrency, ConcurrentCachedQueriesDuringWrites) {
+TEST(TsdbConcurrency, ConcurrentRangeQueriesDuringWrites) {
   auto store = std::make_shared<TimeSeriesStore>();
   for (int s = 0; s < 32; ++s) {
     auto labels = metrics::Labels{{"uuid", std::to_string(s)}}.with_name("m");
@@ -357,7 +307,6 @@ TEST(TsdbConcurrency, ConcurrentCachedQueriesDuringWrites) {
   }
 
   tsdb::promql::EngineOptions options;
-  options.query_cache_capacity = 32;
   options.pool = std::make_shared<common::ThreadPool>(4, "eval");
   tsdb::promql::Engine engine(options);
 
@@ -453,7 +402,6 @@ TEST(LongTermConcurrency, SyncAndCompactRaceHotWritesAndReads) {
           int64_t end = (newest.load() / res) * res;
           lt.select_agg(res, {}, end - 4 * res, end);
         }
-        lt.version_signature();
         lt.stats();
       }
     });

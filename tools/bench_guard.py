@@ -42,9 +42,9 @@ import sys
 # Counters that are deterministic functions of workload + code. The first
 # group comes from bench_tsdb, the second from the soak harness
 # (cli/ceems_soak.cpp). A value of None uses the --tolerance default; a
-# float overrides it for that counter. Wall-clock-derived rates are almost
-# all deliberately absent; the two exceptions carry a wide explicit
-# tolerance and exist to catch order-of-magnitude collapses (e.g. the
+# float overrides it for that counter. Timing-derived rates are
+# deliberately absent but one, a CPU-time rate with a wide explicit
+# tolerance that exists to catch order-of-magnitude collapses (e.g. the
 # scrape write path silently falling back to strict re-parsing), not to
 # police scheduler jitter on shared CI runners.
 GUARDED_COUNTERS = {
@@ -58,11 +58,11 @@ GUARDED_COUNTERS = {
     "samples_ingested": None,
     "points_scanned": None,
     "query_points_p99": None,
-    # End-to-end scrape→append path (BM_scrape_ingest_e2e). allocs_per_sample
-    # is near-deterministic (chunk seals amortize per sweep) but shifts a
-    # little with iteration count; samples_per_second is wall-clock and only
-    # guards against an order-of-magnitude collapse, such as the zero-copy
-    # parse falling back to a strict re-parse of every line (~8x slower).
+    # End-to-end scrape→append path (BM_scrape_ingest_e2e). Every run does
+    # the same sweeps, so allocs_per_sample is near-exact. samples_per_second
+    # is samples per process CPU-second (all threads) and only guards
+    # against an order-of-magnitude collapse, such as the zero-copy parse
+    # falling back to a strict re-parse of every line (~8x slower).
     "allocs_per_sample": 0.50,
     "samples_per_second": 0.75,
     # WAL-backed rule pass (BM_rule_pass_wal): one WAL group per rule that
