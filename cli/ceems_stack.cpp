@@ -1,14 +1,17 @@
-// ceems_stack — the whole Fig. 1 deployment in one process, on the REAL
-// clock: a simulated cluster churns jobs in real time while the exporters,
-// scrape loop, recording rules, long-term store, API server and LB all run
-// live. Point curl or a browser at the printed URLs.
+// ceems_stack — the whole Fig. 1 deployment in one process, paced in real
+// time: a simulated cluster churns jobs while the exporters, scrapes,
+// recording rules, long-term store, API server and LB all run live. Point
+// curl or a browser at the printed URLs.
 //
 //   ceems_stack [--config FILE] [--scale 0.005] [--jobs-per-day 4000]
 //               [--speedup 60]
 //
 // --speedup compresses simulated time: at 60, every wall second advances
 // the cluster by one simulated minute (jobs actually finish while you
-// watch). Scrapes/updates run on the simulated clock pipeline.
+// watch), in steps of simulation.step. After each step the stack scrapes
+// when a scrape is due, and the API-server updater runs every
+// ceems.updater.interval of simulated time.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -90,16 +93,23 @@ int main(int argc, char** argv) {
 
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
+  const int64_t step_ms = std::max<int64_t>(1, config.sim.sim_step_ms);
   common::TimestampMs next_update = clock->now_ms();
   while (!g_stop) {
-    // One wall second = `speedup` simulated seconds, in 10 s sim steps.
+    // One wall second = `speedup` simulated seconds, in step_ms sim steps.
     for (int64_t advanced = 0; advanced < speedup * 1000 && !g_stop;
-         advanced += 10000) {
-      sim.step(10000);
+         advanced += step_ms) {
+      sim.step(step_ms);
       stack.pipeline_step();
       if (clock->now_ms() >= next_update) {
-        stack.update_api();
-        next_update = clock->now_ms() + 60000;
+        try {
+          stack.update_api();
+        } catch (const std::exception& e) {
+          // A durable units DB throws when its log cannot be synced; the
+          // cycle was not applied, and the next one redoes its window.
+          CEEMS_LOG_WARN("updater") << "update failed: " << e.what();
+        }
+        next_update = clock->now_ms() + config.stack.updater.interval_ms;
       }
     }
     std::this_thread::sleep_for(std::chrono::seconds(1));

@@ -293,27 +293,4 @@ UpdateStats Updater::update_once() {
   return stats;
 }
 
-void Updater::start() {
-  if (running_.exchange(true)) return;
-  loop_thread_ = std::thread([this] {
-    while (running_.load()) {
-      common::TimestampMs next = clock_->now_ms() + config_.interval_ms;
-      try {
-        update_once();
-      } catch (const std::exception& e) {
-        // A durable units DB throws when its log cannot be synced; the
-        // cycle was not applied, and the next one redoes its window.
-        CEEMS_LOG_WARN("updater") << "update failed: " << e.what();
-      }
-      if (!clock_->sleep_until(next)) return;
-    }
-  });
-}
-
-void Updater::stop() {
-  if (!running_.exchange(false)) return;
-  clock_->interrupt();
-  if (loop_thread_.joinable()) loop_thread_.join();
-}
-
 }  // namespace ceems::apiserver

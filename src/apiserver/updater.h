@@ -13,11 +13,9 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "apiserver/resource_manager.h"
@@ -28,6 +26,8 @@
 namespace ceems::apiserver {
 
 struct UpdaterConfig {
+  // Cadence of update_once() in simulated time. The Updater itself has no
+  // schedule; the one reader of this field is the ceems_stack driver loop.
   int64_t interval_ms = 60 * common::kMillisPerSecond;
   // Preferred provider of the emission factor series.
   std::string emission_provider = "rte";
@@ -61,9 +61,6 @@ class Updater {
   // One update cycle at the current clock time. Throws what
   // reldb::Database::commit throws, having applied nothing.
   UpdateStats update_once();
-
-  void start();
-  void stop();
 
  private:
   // Counter metrics tiled across cycles: cpu time, io read and io write
@@ -101,9 +98,6 @@ class Updater {
   common::TimestampMs last_poll_ms_ = 0;
   common::TimestampMs last_agg_ms_ = -1;
   std::array<common::TimestampMs, kCounters> counter_ms_{};
-
-  std::atomic<bool> running_{false};
-  std::thread loop_thread_;
 };
 
 }  // namespace ceems::apiserver

@@ -10,81 +10,6 @@ TimestampMs RealClock::now_ms() const {
       .count();
 }
 
-bool RealClock::sleep_until(TimestampMs deadline_ms) {
-  std::unique_lock lock(mu_);
-  for (;;) {
-    if (interrupted_) return false;
-    TimestampMs now = now_ms();
-    if (now >= deadline_ms) return true;
-    cv_.wait_for(lock, std::chrono::milliseconds(deadline_ms - now));
-  }
-}
-
-void RealClock::interrupt() {
-  {
-    std::lock_guard lock(mu_);
-    interrupted_ = true;
-  }
-  cv_.notify_all();
-}
-
-TimestampMs SimClock::now_ms() const {
-  std::lock_guard lock(mu_);
-  return now_;
-}
-
-bool SimClock::sleep_until(TimestampMs deadline_ms) {
-  std::unique_lock lock(mu_);
-  ++sleepers_;
-  auto deadline_it = sleeper_deadlines_.insert(deadline_ms);
-  cv_.wait(lock, [&] { return interrupted_ || now_ >= deadline_ms; });
-  sleeper_deadlines_.erase(deadline_it);
-  --sleepers_;
-  sleeper_exit_cv_.notify_all();
-  return !interrupted_;
-}
-
-void SimClock::interrupt() {
-  {
-    std::lock_guard lock(mu_);
-    interrupted_ = true;
-  }
-  cv_.notify_all();
-  sleeper_exit_cv_.notify_all();
-}
-
-// Precondition: `lock` holds mu_. Parks the advancing thread until every
-// sleeper whose deadline is <= now_ has left sleep_until. Without this, a
-// driver that polls sleeper_count() between advances can observe the stale
-// count of an already-woken (but not yet scheduled) sleeper and burn a
-// second advance on it — a race that only shows up on loaded or single-core
-// machines.
-void SimClock::wait_for_due_sleepers(std::unique_lock<std::mutex>& lock) {
-  sleeper_exit_cv_.wait(lock, [&] {
-    return interrupted_ || sleeper_deadlines_.empty() ||
-           *sleeper_deadlines_.begin() > now_;
-  });
-}
-
-void SimClock::advance(TimestampMs delta_ms) {
-  std::unique_lock lock(mu_);
-  now_ += delta_ms;
-  cv_.notify_all();
-  wait_for_due_sleepers(lock);
-}
-
-void SimClock::set(TimestampMs now_ms) {
-  std::unique_lock lock(mu_);
-  now_ = now_ms;
-  cv_.notify_all();
-  wait_for_due_sleepers(lock);
-}
-
-int SimClock::sleeper_count() const {
-  std::lock_guard lock(mu_);
-  return sleepers_;
-}
-
 ClockPtr make_real_clock() { return std::make_shared<RealClock>(); }
 
 std::shared_ptr<SimClock> make_sim_clock(TimestampMs start_ms) {

@@ -3,16 +3,16 @@
 // A monitoring stack is fundamentally about time: scrape intervals, rate()
 // windows, retention cutoffs. To make the whole stack deterministic under
 // test, no component ever calls std::chrono directly — everything receives a
-// Clock. RealClock wraps the system clock; SimClock is a manually advanced
-// clock whose sleepers are woken by advance(), which is what lets the
-// cluster simulator run "three months of Jean-Zay" in milliseconds.
+// Clock and only ever asks it for the time. RealClock wraps the system
+// clock; SimClock is a manually stepped clock, which is what lets the
+// cluster simulator run "three months of Jean-Zay" in milliseconds. Nothing
+// sleeps on a Clock: whoever advances a SimClock also drives the stack
+// (scrape, rules, updater) between steps.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <set>
 
 namespace ceems::common {
 
@@ -31,68 +31,31 @@ class Clock {
 
   // Current time in milliseconds since the epoch.
   virtual TimestampMs now_ms() const = 0;
-
-  // Blocks until the clock reaches `deadline_ms` or `interrupt` below is
-  // called. Returns false if interrupted before the deadline.
-  virtual bool sleep_until(TimestampMs deadline_ms) = 0;
-
-  // Wakes every sleeper immediately (used for component shutdown).
-  virtual void interrupt() = 0;
-
-  bool sleep_for(TimestampMs duration_ms) {
-    return sleep_until(now_ms() + duration_ms);
-  }
 };
 
 using ClockPtr = std::shared_ptr<Clock>;
 
-// Wall-clock implementation used by live deployments and the examples.
+// Wall-clock implementation used by the standalone servers (ceems_exporter,
+// ceems_lb, ceems_api_server).
 class RealClock final : public Clock {
  public:
   TimestampMs now_ms() const override;
-  bool sleep_until(TimestampMs deadline_ms) override;
-  void interrupt() override;
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool interrupted_ = false;
 };
 
 // Deterministic clock for tests and the cluster simulator. Time only moves
-// when advance()/set() is called; sleepers whose deadline is reached are
-// woken in deadline order.
+// when advance()/set() is called. One atomic timestamp, so readers on any
+// thread (the scrape pool stamps samples with now_ms()) take no lock.
 class SimClock final : public Clock {
  public:
   explicit SimClock(TimestampMs start_ms = 0) : now_(start_ms) {}
 
-  TimestampMs now_ms() const override;
-  bool sleep_until(TimestampMs deadline_ms) override;
-  void interrupt() override;
+  TimestampMs now_ms() const override { return now_.load(); }
 
-  // Moves time forward, waking any sleeper whose deadline has passed.
-  // Blocks until every such sleeper has actually left sleep_until, so a
-  // driver polling sleeper_count() cannot spend two advances on the same
-  // sleep when the woken thread has not been scheduled yet.
-  void advance(TimestampMs delta_ms);
-  void set(TimestampMs now_ms);
-
-  // Number of threads currently blocked in sleep_until. Lets a driver
-  // advance time only once all periodic workers are parked.
-  int sleeper_count() const;
+  void advance(TimestampMs delta_ms) { now_.fetch_add(delta_ms); }
+  void set(TimestampMs now_ms) { now_.store(now_ms); }
 
  private:
-  void wait_for_due_sleepers(std::unique_lock<std::mutex>& lock);
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  // Signalled each time a sleeper exits sleep_until; advance()/set() wait on
-  // it until no sleeper with an expired deadline remains parked.
-  std::condition_variable sleeper_exit_cv_;
-  TimestampMs now_;
-  bool interrupted_ = false;
-  int sleepers_ = 0;
-  std::multiset<TimestampMs> sleeper_deadlines_;
+  std::atomic<TimestampMs> now_;
 };
 
 ClockPtr make_real_clock();

@@ -23,7 +23,6 @@ CeemsStack::CeemsStack(slurm::ClusterSim& sim, StackConfig config)
 
   // --- exporters + scrape targets ---
   tsdb::ScrapeConfig scrape_config;
-  scrape_config.interval_ms = config_.scrape_interval_ms;
   scrape_config.parallelism = 8;
   scrape_config.fault_hook = fault_hook;
   scraper_ = std::make_unique<tsdb::ScrapeManager>(hot_store_, clock_,

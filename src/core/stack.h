@@ -11,9 +11,11 @@
 //                              │   ▼                              │
 //   Grafana-style clients ──▶ CEEMS LB (access control + balancing)
 //
-// Driving modes mirror ScrapeManager's: pipeline_step()/update_api() for
-// deterministic simulated-time runs, start()/stop() background loops for
-// wall-clock demos.
+// No stage runs on a timer. The driver steps the simulated cluster on a
+// SimClock and calls pipeline_step() (a scrape when one is due, then
+// rules, long-term sync and compaction) and update_api() between steps;
+// ceems_stack paces the same loop in real time. The HTTP servers
+// (start_servers()/stop_servers()) answer requests on their own threads.
 #pragma once
 
 #include <memory>

@@ -42,7 +42,6 @@ Client::Client(Client&& other) noexcept
     : config_(std::move(other.config_)),
       cached_fd_(other.cached_fd_),
       cached_endpoint_(std::move(other.cached_endpoint_)),
-      jitter_rng_(other.jitter_rng_),
       requests_(other.requests_.load()),
       retries_(other.retries_.load()),
       faults_injected_(other.faults_injected_.load()) {
@@ -155,8 +154,6 @@ FetchResult Client::request(const std::string& method, const std::string& url,
   ++requests_;
   const RetryConfig& retry = config_.retry;
   FetchResult result;
-  int64_t backoff_spent_ms = 0;
-  double backoff_ms = retry.initial_backoff_ms;
   for (int attempt = 0;; ++attempt) {
     result = request_once(method, url, body, headers);
     result.attempts = attempt + 1;
@@ -165,25 +162,7 @@ FetchResult Client::request(const std::string& method, const std::string& url,
         (retry.retry_on_status &&
          RetryConfig::retryable_status(result.response.status));
     if (!retryable || attempt >= retry.max_retries) return result;
-
-    // Exponential backoff with jitter under a cumulative budget. With no
-    // clock the retry is immediate — the deterministic pipeline mode.
-    int64_t delay_ms = 0;
-    if (retry.initial_backoff_ms > 0) {
-      double jittered =
-          backoff_ms *
-          (1.0 + RetryConfig::kJitter *
-                     (2.0 * jitter_rng_.next_double() - 1.0));
-      delay_ms = std::max<int64_t>(0, static_cast<int64_t>(jittered));
-      if (backoff_spent_ms + delay_ms > RetryConfig::kRetryBudgetMs)
-        return result;
-      backoff_spent_ms += delay_ms;
-      backoff_ms *= RetryConfig::kBackoffMultiplier;
-    }
     ++retries_;
-    if (config_.clock && delay_ms > 0) {
-      if (!config_.clock->sleep_for(delay_ms)) return result;  // interrupted
-    }
   }
 }
 

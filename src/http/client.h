@@ -2,32 +2,24 @@
 // scrape manager (GET /metrics against every node), the LB (proxying to
 // Prometheus backends) and the API server (ownership checks).
 //
-// Failure handling: every request can be retried with exponential backoff
-// and jitter under a cumulative backoff budget (RetryConfig). Transport
-// errors always qualify; 429/5xx responses qualify when
-// retry.retry_on_status is set. Backoff sleeps on the injected clock —
-// with no clock, retries are immediate, which is what the deterministic
-// simulated-time pipeline uses.
+// Failure handling: a request is retried up to retry.max_retries times
+// (RetryConfig), immediately: there is no backoff, and the one caller that
+// retries, the scrape sweep, retries within the sweep. Transport errors
+// always qualify; 429/5xx responses qualify when retry.retry_on_status is
+// set.
 #pragma once
 
 #include <atomic>
 #include <optional>
 #include <string>
 
-#include "common/clock.h"
-#include "common/rng.h"
 #include "faults/fault.h"
 #include "http/message.h"
 
 namespace ceems::http {
 
 struct RetryConfig {
-  static constexpr double kBackoffMultiplier = 2.0;
-  static constexpr double kJitter = 0.2;  // backoff randomized by +/- this
-  static constexpr int64_t kRetryBudgetMs = 10000;  // cumulative per request
-
-  int max_retries = 0;            // extra attempts after the first
-  int initial_backoff_ms = 200;   // doubled per retry
+  int max_retries = 0;  // extra attempts after the first
   // Retry 429/5xx responses, not just transport errors.
   bool retry_on_status = true;
 
@@ -42,8 +34,6 @@ struct ClientConfig {
   int io_timeout_ms = 5000;
   BasicAuthConfig basic_auth;
   RetryConfig retry;
-  // Backoff sleeps run on this clock; nullptr retries without sleeping.
-  common::ClockPtr clock;
   // Chaos injection (faults/fault.h); empty in production.
   faults::FaultHook fault_hook;
 };
@@ -102,8 +92,6 @@ class Client {
   // Kept-alive connection to the most recent host:port.
   int cached_fd_ = -1;
   std::string cached_endpoint_;
-  // Deterministic backoff jitter (no random_device: reproducible tests).
-  common::Rng jitter_rng_{0xCEE5C1E27ULL};
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> faults_injected_{0};

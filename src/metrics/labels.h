@@ -76,8 +76,6 @@ struct LabelsHash {
   }
 };
 
-class InternedLabels;  // metrics/symbols.h
-
 // A label matcher as used in PromQL selectors: name op "value".
 struct LabelMatcher {
   enum class Op { kEq, kNe, kRegexMatch, kRegexNoMatch };
@@ -86,9 +84,6 @@ struct LabelMatcher {
   std::string value;
 
   bool matches(const Labels& labels) const;
-  // Interned overload (defined in symbols.cpp): same semantics, resolves
-  // label values through the symbol table without materialising Labels.
-  bool matches(const InternedLabels& labels) const;
 };
 
 }  // namespace ceems::metrics

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <mutex>
-#include <regex>
 #include <stdexcept>
-
-#include "metrics/regex_cache.h"
 
 namespace ceems::metrics {
 
@@ -156,26 +153,6 @@ Labels InternedLabels::to_labels() const {
   }
   // syms_ is already in canonical order with unique names.
   return Labels::from_canonical(std::move(pairs));
-}
-
-bool LabelMatcher::matches(const InternedLabels& labels) const {
-  auto actual = labels.get(name);
-  std::string_view value_view = actual.value_or(std::string_view{});
-  switch (op) {
-    case Op::kEq:
-      return value_view == value;
-    case Op::kNe:
-      return value_view != value;
-    case Op::kRegexMatch:
-    case Op::kRegexNoMatch: {
-      // PromQL regexes are fully anchored (same behaviour as the Labels
-      // overload in labels.cpp); the compile is cached per pattern.
-      auto re = compiled_anchored_regex(value);
-      bool match = std::regex_search(std::string(value_view), *re);
-      return op == Op::kRegexMatch ? match : !match;
-    }
-  }
-  return false;
 }
 
 }  // namespace ceems::metrics

@@ -140,8 +140,8 @@ class RuleEngine {
   promql::Engine engine_;
   std::shared_ptr<common::ThreadPool> pool_;
   // Serialises rule evaluation against group registration and alert
-  // snapshots: the evaluation loop runs on a timer thread while
-  // active_alerts() is read from HTTP handlers.
+  // snapshots, so active_alerts() and group_count() may be called from
+  // another thread while the stack's driver evaluates.
   mutable std::mutex eval_mu_;
   std::vector<GroupSchedule> groups_;
   std::vector<RuleNode> nodes_;  // declaration order

@@ -21,19 +21,15 @@ ScrapeManager::ScrapeManager(StorePtr store, common::ClockPtr clock,
       clock_(std::move(clock)),
       config_(config) {}
 
-ScrapeManager::~ScrapeManager() { stop(); }
-
 void ScrapeManager::add_target(ScrapeTarget target) {
   auto state = std::make_unique<TargetState>();
   http::ClientConfig client_config;
   client_config.io_timeout_ms = config_.timeout_ms;
   client_config.connect_timeout_ms = config_.timeout_ms;
   client_config.basic_auth = target.auth;
-  // HTTP transport retries live in the client (no clock: deterministic
-  // sweeps retry without sleeping); local-transport retries are handled in
-  // scrape_target.
+  // HTTP transport retries live in the client (immediate, within the
+  // sweep); local-transport retries are handled in scrape_target.
   client_config.retry.max_retries = config_.retries;
-  client_config.retry.initial_backoff_ms = 0;
   client_config.fault_hook = config_.fault_hook;
   state->target = std::move(target);
   state->client = std::make_unique<http::Client>(client_config);
@@ -349,24 +345,6 @@ ScrapeStats ScrapeManager::scrape_all_once() {
   retries_ += sweep.retries;
   stale_markers_ += sweep.stale_markers;
   return sweep;
-}
-
-void ScrapeManager::start() {
-  if (running_.exchange(true)) return;
-  loop_thread_ = std::thread([this] {
-    while (running_.load()) {
-      common::TimestampMs next = clock_->now_ms() + config_.interval_ms;
-      scrape_all_once();
-      if (!clock_->sleep_until(next)) return;
-      if (!running_.load()) return;
-    }
-  });
-}
-
-void ScrapeManager::stop() {
-  if (!running_.exchange(false)) return;
-  clock_->interrupt();
-  if (loop_thread_.joinable()) loop_thread_.join();
 }
 
 ScrapeStats ScrapeManager::stats() const {

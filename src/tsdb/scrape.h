@@ -1,23 +1,22 @@
-// Scrape manager: periodically GETs /metrics from every target (the CEEMS
+// Scrape manager: each sweep GETs /metrics from every target (the CEEMS
 // exporters on compute nodes), parses the exposition text and ingests the
 // samples — Prometheus' pull model. Each target gets the synthetic `up`,
 // `scrape_duration_seconds` and `ceems_http_retries_total` series, so dead
 // exporters and flaky transports are visible as data rather than as
 // silence.
 //
-// Failure handling: a failed fetch is retried up to config.retries times
-// within the sweep (HTTP targets additionally get the client's exponential
-// backoff); when every attempt fails, `up` goes to 0 and a staleness
-// marker (metrics::stale_marker()) is appended to every series the target
-// exposed on its last good scrape, so queries stop seeing its stale
-// samples immediately instead of for the full lookback window. Series
-// that disappear from a healthy target's exposition between scrapes get
-// the same marker — Prometheus' staleness semantics.
+// Failure handling: a failed fetch is retried up to config.retries times,
+// immediately, within the sweep; when every attempt fails, `up` goes to 0
+// and a staleness marker (metrics::stale_marker()) is appended to every
+// series the target exposed on its last good scrape, so queries stop
+// seeing its stale samples immediately instead of for the full lookback
+// window. Series that disappear from a healthy target's exposition between
+// scrapes get the same marker — Prometheus' staleness semantics.
 //
-// Two driving modes:
-//   * scrape_all_once(): synchronous parallel sweep — used by deterministic
-//     tests and the simulated-time pipeline (scrape between sim steps);
-//   * start()/stop(): background loop sleeping on the injected Clock.
+// The manager has no schedule of its own: the caller drives each sweep
+// with scrape_all_once() (CeemsStack::pipeline_step() does, once per
+// scrape interval of simulated time), which fans the targets out over a
+// thread pool and returns when every target is done.
 #pragma once
 
 #include <atomic>
@@ -26,7 +25,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -51,16 +49,15 @@ struct ScrapeTarget {
 };
 
 struct ScrapeConfig {
-  int64_t interval_ms = 30 * common::kMillisPerSecond;
   int parallelism = 8;
   int timeout_ms = 5000;
   // Honor timestamps in the exposition text; otherwise stamp at scrape time.
   bool honor_timestamps = false;
   // Extra fetch attempts per target per sweep after a failure. HTTP
-  // targets retry inside http::Client (exponential backoff under a retry
-  // budget); local-transport targets re-evaluate the fault path against
-  // the already-fetched body, so exporter-side state advances exactly once
-  // per sweep regardless of retries.
+  // targets retry inside http::Client (immediately); local-transport
+  // targets re-evaluate the fault path against the already-fetched body,
+  // so exporter-side state advances exactly once per sweep regardless of
+  // retries.
   int retries = 1;
   // Chaos injection on the fetch path (site "scrape.target", key =
   // instance label or url). Empty in production.
@@ -79,17 +76,12 @@ class ScrapeManager {
  public:
   ScrapeManager(StorePtr store, common::ClockPtr clock,
                 ScrapeConfig config = {});
-  ~ScrapeManager();
 
   void add_target(ScrapeTarget target);
   std::size_t target_count() const;
 
   // One synchronous sweep over all targets; returns per-sweep stats.
   ScrapeStats scrape_all_once();
-
-  // Background loop at config.interval_ms.
-  void start();
-  void stop();
 
   ScrapeStats stats() const;
 
@@ -186,9 +178,6 @@ class ScrapeManager {
   std::atomic<uint64_t> samples_ingested_{0};
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> stale_markers_{0};
-
-  std::atomic<bool> running_{false};
-  std::thread loop_thread_;
 };
 
 }  // namespace ceems::tsdb

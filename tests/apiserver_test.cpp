@@ -297,28 +297,6 @@ TEST(UpdaterTest, CounterIncrementsTileAcrossCycles) {
   }
 }
 
-// A durable units DB throws when its log cannot be synced. The
-// background loop logs it and keeps going; the next cycle polls the
-// resource manager from the same point, so the lost upsert is redone.
-TEST(UpdaterLoop, FailedDbCommitDoesNotStopTheLoop) {
-  // Sync 1 opens the log, 2 commits the units table, 3 the first cycle.
-  auto dir = std::make_shared<ceems::testing::FlakySyncDir>(3);
-  auto db = reldb::Database::open(dir);
-  auto nova = std::make_shared<OpenstackAdapter>("cloud");
-  nova->report_vm("vm-1", "alice", "p1", 4, 8LL << 30, "ACTIVE", 0, 0, 0);
-  auto clock = common::make_sim_clock(0);
-  auto store = std::make_shared<tsdb::TimeSeriesStore>();
-  Updater updater(*db, store, nullptr, {nova}, clock, UpdaterConfig{});
-  updater.start();
-  while (clock->sleeper_count() == 0) std::this_thread::yield();
-  EXPECT_FALSE(db->get(kUnitsTable, reldb::Value("vm-1")).has_value());
-
-  clock->advance(UpdaterConfig{}.interval_ms);
-  while (clock->sleeper_count() == 0) std::this_thread::yield();
-  updater.stop();
-  EXPECT_TRUE(db->get(kUnitsTable, reldb::Value("vm-1")).has_value());
-}
-
 // Two identical 200 W VMs, updated at 10, 20, 30 and 40 min except at
 // cycle `skip`, on a units DB over `dir` (in-memory when null).
 struct TwoVmRun {

@@ -8,6 +8,7 @@
 #include <limits>
 #include <random>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/json.h"
@@ -33,28 +34,47 @@ TEST(SimClock, AdvanceMovesTime) {
   EXPECT_EQ(clock.now_ms(), 1000);
 }
 
-TEST(SimClock, SleeperWokenByAdvance) {
-  SimClock clock(0);
-  std::atomic<bool> woke{false};
-  std::thread sleeper([&] {
-    EXPECT_TRUE(clock.sleep_until(500));
-    woke.store(true);
-  });
-  while (clock.sleeper_count() == 0) std::this_thread::yield();
-  EXPECT_FALSE(woke.load());
-  clock.advance(499);
-  EXPECT_FALSE(woke.load());
-  clock.advance(1);
-  sleeper.join();
-  EXPECT_TRUE(woke.load());
-}
-
-TEST(SimClock, InterruptReturnsFalse) {
-  SimClock clock(0);
-  std::thread sleeper([&] { EXPECT_FALSE(clock.sleep_until(1000)); });
-  while (clock.sleeper_count() == 0) std::this_thread::yield();
-  clock.interrupt();
-  sleeper.join();
+// Scrape threads stamp samples with now_ms() while the driver steps time:
+// every reader sees time move forward only, and once the driver is done,
+// sees exactly the final time.
+TEST(SimClock, ConcurrentReadersSeeTimeOnlyMoveForward) {
+  constexpr int kReaders = 4;
+  constexpr int kSteps = 20000;
+  SimClock clock(1000);
+  std::atomic<bool> done{false};
+  std::vector<TimestampMs> last(kReaders, -1);
+  std::vector<int> regressions(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      TimestampMs prev = clock.now_ms();
+      while (!done.load()) {
+        TimestampMs now = clock.now_ms();
+        if (now < prev) ++regressions[r];
+        prev = now;
+      }
+      TimestampMs now = clock.now_ms();
+      if (now < prev) ++regressions[r];
+      last[r] = now;
+    });
+  }
+  TimestampMs expected = 1000;
+  for (int i = 0; i < kSteps; ++i) {
+    if (i % 2 == 0) {
+      clock.advance(7);
+      expected += 7;
+    } else {
+      expected += 30000;
+      clock.set(expected);
+    }
+  }
+  done.store(true);
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(clock.now_ms(), expected);
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(regressions[r], 0) << "reader " << r;
+    EXPECT_EQ(last[r], expected) << "reader " << r;
+  }
 }
 
 TEST(RealClock, NowIsReasonable) {
@@ -62,11 +82,6 @@ TEST(RealClock, NowIsReasonable) {
   // After 2020-01-01 and before 2100.
   EXPECT_GT(clock.now_ms(), 1577836800000LL);
   EXPECT_LT(clock.now_ms(), 4102444800000LL);
-}
-
-TEST(RealClock, SleepUntilPastReturnsImmediately) {
-  RealClock clock;
-  EXPECT_TRUE(clock.sleep_until(clock.now_ms() - 1000));
 }
 
 // ---------- strutil ----------

@@ -381,7 +381,6 @@ TEST(HttpClient, RetriesRecoverFlakyServer) {
   server.start();
   ClientConfig config;
   config.retry.max_retries = 3;
-  config.retry.initial_backoff_ms = 0;  // no clock: immediate retries
   Client client(config);
   auto result = client.get(server.base_url() + "/flaky");
   ASSERT_TRUE(result.ok) << result.error;
@@ -402,7 +401,6 @@ TEST(HttpClient, NonRetryableStatusReturnsImmediately) {
   server.start();
   ClientConfig config;
   config.retry.max_retries = 3;
-  config.retry.initial_backoff_ms = 0;
   Client client(config);
   auto result = client.get(server.base_url() + "/gone");
   ASSERT_TRUE(result.ok);
@@ -416,7 +414,6 @@ TEST(HttpClient, FaultHookInjectsAndRetriesConsume) {
   int decisions = 0;
   ClientConfig config;
   config.retry.max_retries = 2;
-  config.retry.initial_backoff_ms = 0;
   config.fault_hook = [&](std::string_view site, std::string_view) {
     EXPECT_EQ(site, "http.client");
     faults::FaultDecision fault;

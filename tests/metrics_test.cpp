@@ -250,18 +250,6 @@ TEST(Symbols, EqualityVerifiesSymbolsNotJustFingerprint) {
   EXPECT_EQ(a, InternedLabels(la, 0x1234));
 }
 
-TEST(Symbols, MatcherWorksOnInternedLabels) {
-  InternedLabels labels(Labels{{"hostname", "jzcpu12"}}.with_name("m"));
-  LabelMatcher eq{"hostname", LabelMatcher::Op::kEq, "jzcpu12"};
-  LabelMatcher ne{"hostname", LabelMatcher::Op::kNe, "other"};
-  LabelMatcher re{"hostname", LabelMatcher::Op::kRegexMatch, "jzcpu\\d+"};
-  LabelMatcher no{"hostname", LabelMatcher::Op::kRegexMatch, "jzcpu"};
-  EXPECT_TRUE(eq.matches(labels));
-  EXPECT_TRUE(ne.matches(labels));
-  EXPECT_TRUE(re.matches(labels));
-  EXPECT_FALSE(no.matches(labels));  // anchored
-}
-
 // ---------- registry ----------
 
 TEST(Registry, CounterAccumulatesAndRejectsNegative) {

@@ -366,23 +366,6 @@ TEST_F(ScrapeTest, DisappearingSeriesGetsStaleMarker) {
   }
 }
 
-TEST_F(ScrapeTest, BackgroundLoopScrapesOnSimClock) {
-  ScrapeConfig config;
-  config.interval_ms = 30000;
-  ScrapeManager manager(store_, clock_, config);
-  ScrapeTarget target;
-  target.local_fetch = [] { return std::string("g 1\n"); };
-  manager.add_target(std::move(target));
-
-  manager.start();
-  for (int i = 0; i < 3; ++i) {
-    while (clock_->sleeper_count() == 0) std::this_thread::yield();
-    clock_->advance(30000);
-  }
-  manager.stop();
-  EXPECT_GE(manager.stats().scrapes_total, 3u);
-}
-
 // ---------- zero-copy parser vs metrics::parse_exposition ----------
 //
 // ScrapeManager's zero-copy parser promises byte-for-byte the same
