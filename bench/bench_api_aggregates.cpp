@@ -48,15 +48,11 @@ World& world() {
     // Keep everything raw in the long-term store so the PromQL side pays
     // the full cost the paper describes.
     config.longterm.downsample_after_ms = 365LL * common::kMillisPerDay;
+    config.updater.interval_ms = 2 * common::kMillisPerMinute;
     built.stack = std::make_unique<core::CeemsStack>(*built.sim, config);
-    common::TimestampMs next = built.clock->now_ms();
     built.sim->run_for(8 * common::kMillisPerHour, 30000,
-                       [&](common::TimestampMs now) {
+                       [&](common::TimestampMs) {
                          built.stack->pipeline_step();
-                         if (now >= next) {
-                           built.stack->update_api();
-                           next = now + 120000;
-                         }
                        });
     built.stack->update_api();
 

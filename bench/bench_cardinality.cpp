@@ -42,15 +42,8 @@ Outcome run_world(int64_t cutoff_ms, uint64_t seed,
   config.updater.small_unit_cutoff_ms = cutoff_ms;
   auto stack = std::make_unique<core::CeemsStack>(*sim, config);
 
-  common::TimestampMs next = clock->now_ms();
   sim->run_for(3 * common::kMillisPerHour, 30000,
-               [&](common::TimestampMs now) {
-                 stack->pipeline_step();
-                 if (now >= next) {
-                   stack->update_api();
-                   next = now + 60000;
-                 }
-               });
+               [&](common::TimestampMs) { stack->pipeline_step(); });
   stack->update_api();
 
   Outcome outcome;

@@ -58,7 +58,8 @@ AccuracyRow run_accuracy(double jobs_per_day, uint64_t seed) {
   core::CeemsStack stack(sim, config);
 
   // Equal-split energies are accumulated directly from the baseline rule
-  // series, integrating avg power × window like the updater does.
+  // series, integrating avg power × window on the updater's interval like
+  // the updater does.
   std::map<std::string, double> equal_energy;
   tsdb::promql::Engine engine;
   common::TimestampMs next_update = clock->now_ms();
@@ -66,8 +67,7 @@ AccuracyRow run_accuracy(double jobs_per_day, uint64_t seed) {
   sim.run_for(3 * common::kMillisPerHour, 15000, [&](common::TimestampMs now) {
     stack.pipeline_step();
     if (now >= next_update) {
-      stack.update_api();
-      next_update = now + 60000;
+      next_update = now + config.updater.interval_ms;
       double window_sec = static_cast<double>(now - last_equal) / 1000.0;
       try {
         auto value = engine.eval(

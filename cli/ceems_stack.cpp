@@ -8,9 +8,10 @@
 //
 // --speedup compresses simulated time: at 60, every wall second advances
 // the cluster by one simulated minute (jobs actually finish while you
-// watch), in steps of simulation.step. After each step the stack scrapes
-// when a scrape is due, and the API-server updater runs every
-// ceems.updater.interval of simulated time.
+// watch), in steps of simulation.step. After each step the stack's
+// pipeline_step() scrapes when a scrape is due and runs the API-server
+// updater every ceems.updater.interval of simulated time; a failed update
+// cycle is logged and redone by the next one.
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
@@ -94,23 +95,12 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
   const int64_t step_ms = std::max<int64_t>(1, config.sim.sim_step_ms);
-  common::TimestampMs next_update = clock->now_ms();
   while (!g_stop) {
     // One wall second = `speedup` simulated seconds, in step_ms sim steps.
     for (int64_t advanced = 0; advanced < speedup * 1000 && !g_stop;
          advanced += step_ms) {
       sim.step(step_ms);
       stack.pipeline_step();
-      if (clock->now_ms() >= next_update) {
-        try {
-          stack.update_api();
-        } catch (const std::exception& e) {
-          // A durable units DB throws when its log cannot be synced; the
-          // cycle was not applied, and the next one redoes its window.
-          CEEMS_LOG_WARN("updater") << "update failed: " << e.what();
-        }
-        next_update = clock->now_ms() + config.stack.updater.interval_ms;
-      }
     }
     std::this_thread::sleep_for(std::chrono::seconds(1));
   }

@@ -43,15 +43,8 @@ int main(int argc, char** argv) {
   std::printf("simulating %.1f h at %.0f jobs/day...\n", hours,
               gen.jobs_per_day);
 
-  common::TimestampMs next_update = clock->now_ms();
   sim.run_for(static_cast<int64_t>(hours * common::kMillisPerHour), 15000,
-              [&](common::TimestampMs now) {
-                stack.pipeline_step();
-                if (now >= next_update) {
-                  stack.update_api();
-                  next_update = now + 60000;
-                }
-              });
+              [&](common::TimestampMs) { stack.pipeline_step(); });
   stack.update_api();
 
   // ---- operator dashboard ----

@@ -39,14 +39,15 @@ int main() {
   nova->report_vm("vm-batch-1", "dave", "cloudprj", 32, 128LL << 30,
                   "SHUTOFF", t0, t0 + 60000, t0 + 30 * 60000);
 
+  // pipeline_step() runs the stack's SLURM updater; the Openstack updater
+  // keeps its own timer on the same interval and runs right after it.
   common::TimestampMs next_update = t0;
   sim.run_for(40 * common::kMillisPerMinute, 15000,
               [&](common::TimestampMs now) {
                 stack.pipeline_step();
                 if (now >= next_update) {
-                  stack.update_api();       // SLURM adapter
-                  cloud_updater.update_once();  // Openstack adapter
-                  next_update = now + 60000;
+                  cloud_updater.update_once();
+                  next_update = now + updater_config.interval_ms;
                 }
               });
   stack.update_api();

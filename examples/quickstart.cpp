@@ -55,16 +55,10 @@ int main(int argc, char** argv) {
               common::format_duration_ms(config.stack.scrape_interval_ms)
                   .c_str());
 
-  // 4. One simulated hour; scrape/rules between steps, API update per min.
-  common::TimestampMs next_update = clock->now_ms();
+  // 4. One simulated hour. Between steps the stack scrapes and runs the
+  // API updater on the intervals the YAML configures.
   sim.run_for(common::kMillisPerHour, config.sim.sim_step_ms,
-              [&](common::TimestampMs now) {
-                stack.pipeline_step();
-                if (now >= next_update) {
-                  stack.update_api();
-                  next_update = now + 60000;
-                }
-              });
+              [&](common::TimestampMs) { stack.pipeline_step(); });
   stack.update_api();
 
   // 5. Report.

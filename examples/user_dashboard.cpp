@@ -28,15 +28,8 @@ int main(int argc, char** argv) {
   core::CeemsStack stack(sim, {});
 
   common::TimestampMs start = clock->now_ms();
-  common::TimestampMs next_update = start;
   sim.run_for(static_cast<int64_t>(minutes * common::kMillisPerMinute), 10000,
-              [&](common::TimestampMs now) {
-                stack.pipeline_step();
-                if (now >= next_update) {
-                  stack.update_api();
-                  next_update = now + 60000;
-                }
-              });
+              [&](common::TimestampMs) { stack.pipeline_step(); });
   stack.update_api();
   stack.start_servers();
 

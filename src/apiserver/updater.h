@@ -27,7 +27,7 @@ namespace ceems::apiserver {
 
 struct UpdaterConfig {
   // Cadence of update_once() in simulated time. The Updater itself has no
-  // schedule; the one reader of this field is the ceems_stack driver loop.
+  // schedule; core::CeemsStack::pipeline_step() runs it on this interval.
   int64_t interval_ms = 60 * common::kMillisPerSecond;
   // Preferred provider of the emission factor series.
   std::string emission_provider = "rte";

@@ -154,9 +154,18 @@ CeemsStack::~CeemsStack() { stop_servers(); }
 
 void CeemsStack::pipeline_step() {
   common::TimestampMs now = clock_->now_ms();
-  if (last_scrape_ms_ >= 0 && now - last_scrape_ms_ < config_.scrape_interval_ms)
-    return;
-  pipeline_step_forced();
+  if (last_scrape_ms_ < 0 ||
+      now - last_scrape_ms_ >= config_.scrape_interval_ms)
+    pipeline_step_forced();
+  if (now < next_update_ms_) return;
+  next_update_ms_ = now + config_.updater.interval_ms;
+  try {
+    updater_->update_once();
+  } catch (const std::exception& e) {
+    // A durable units DB throws when its log cannot be synced; the cycle
+    // applied nothing, and the next due one redoes its window.
+    CEEMS_LOG_WARN("updater") << "update failed: " << e.what();
+  }
 }
 
 void CeemsStack::pipeline_step_forced() {

@@ -11,13 +11,15 @@
 //                              │   ▼                              │
 //   Grafana-style clients ──▶ CEEMS LB (access control + balancing)
 //
-// No stage runs on a timer. The driver steps the simulated cluster on a
-// SimClock and calls pipeline_step() (a scrape when one is due, then
-// rules, long-term sync and compaction) and update_api() between steps;
+// No stage runs on a timer thread. The driver steps the simulated cluster
+// on a SimClock and calls pipeline_step() between steps, which keeps both
+// cadences: a scrape (then rules, long-term sync and compaction) every
+// scrape_interval_ms, an updater cycle every updater.interval_ms.
 // ceems_stack paces the same loop in real time. The HTTP servers
 // (start_servers()/stop_servers()) answer requests on their own threads.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -83,13 +85,20 @@ class CeemsStack {
   ~CeemsStack();
 
   // --- deterministic pipeline (simulated time) ---
-  // Scrapes all targets if a scrape is due, evaluates recording rules,
-  // syncs the long-term store's cursor and compacts, which purges the hot
-  // store past config.longterm.downsample_after_ms. Call after sim steps.
+  // The one scheduled entry point; call after sim steps. When a scrape is
+  // due it runs pipeline_step_forced(). Then, whether or not it scraped,
+  // it runs the updater when one is due: the first call always does, and
+  // each run schedules the next one config.updater.interval_ms later. A
+  // cycle that throws (a durable units DB whose log sync failed) is logged
+  // as a warning and applied nothing; the next due cycle redoes its window.
   void pipeline_step();
-  // Forces a scrape+rules pass regardless of the interval.
+  // Forces a scrape pass regardless of the interval: scrapes all targets,
+  // evaluates recording rules, syncs the long-term store's cursor and
+  // compacts, which purges the hot store past
+  // config.longterm.downsample_after_ms. Never runs the updater.
   void pipeline_step_forced();
-  // Runs the API-server updater once (resource-manager poll + aggregates).
+  // Runs the API-server updater once (resource-manager poll + aggregates),
+  // off schedule. Throws what Updater::update_once() throws.
   apiserver::UpdateStats update_api();
 
   // --- servers (HTTP endpoints for LB / dashboards / examples) ---
@@ -145,6 +154,8 @@ class CeemsStack {
   std::unique_ptr<lb::LoadBalancer> lb_;
 
   common::TimestampMs last_scrape_ms_ = -1;
+  common::TimestampMs next_update_ms_ =
+      std::numeric_limits<common::TimestampMs>::min();
   bool servers_running_ = false;
 };
 

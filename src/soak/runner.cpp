@@ -345,7 +345,6 @@ SoakReport SoakRunner::run() {
 
   // --- main loop: scenario plus the storm-free recovery tail ---
   const int64_t total_ms = scenario_.duration_ms + scenario_.recovery_ms;
-  TimestampMs next_update = start_ms;
   TimestampMs next_checkpoint = start_ms + scenario_.checkpoint_every_ms;
   const int64_t card_check_rel =
       scenario_.cardinality
@@ -363,10 +362,6 @@ SoakReport SoakRunner::run() {
     int64_t rel_ms = now - start_ms;
     apply_storms(rel_ms);
     stack.pipeline_step();
-    if (now >= next_update) {
-      stack.update_api();
-      next_update = now + common::kMillisPerMinute;
-    }
     // Grafana-like traffic through the LB: steady probes, plus one per
     // step during the storm so the circuit breakers see enough
     // consecutive failures to actually trip (and enough post-storm

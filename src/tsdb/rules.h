@@ -59,6 +59,8 @@ struct ActiveAlert {
 
 struct RuleGroup {
   std::string name;
+  // Read by evaluate_due() only. core::CeemsStack runs evaluate_all() at
+  // every scrape, so in the stack a group's interval changes nothing.
   int64_t interval_ms = 30 * common::kMillisPerSecond;
   std::vector<RecordingRule> rules;
   std::vector<AlertingRule> alerts;

@@ -212,7 +212,9 @@ void check_staleness_invariants(ceems::testing::MiniStack& mini,
       }
     }
   }
-  if (expect_failures) EXPECT_TRUE(any_down);
+  if (expect_failures) {
+    EXPECT_TRUE(any_down);
+  }
 }
 
 // Invariant 3: every surviving (non-stale) sample of the differential
@@ -380,7 +382,9 @@ TEST(ChaosLb, NeverRoutesToOpenCircuit) {
         }
       }
       // 503 == "all circuits open": no backend may have been contacted.
-      if (response.status == 503) EXPECT_EQ(requests_delta, 0u);
+      if (response.status == 503) {
+        EXPECT_EQ(requests_delta, 0u);
+      }
       clock->advance(500);
     }
     healthy.stop();
@@ -441,7 +445,9 @@ TEST(FaultPlan, FlapperFollowsSquareWave) {
       auto decision = plan.decide("s", "k");
       EXPECT_EQ(static_cast<bool>(decision), n < 3)
           << "cycle " << cycle << " n " << n;
-      if (decision) EXPECT_EQ(decision.kind, faults::FaultKind::kUnavailable);
+      if (decision) {
+        EXPECT_EQ(decision.kind, faults::FaultKind::kUnavailable);
+      }
     }
   }
 }

@@ -76,7 +76,7 @@ TEST(Rte, DeterministicOutages) {
 TEST(EMaps, MultiZoneRealtime) {
   auto clock = common::make_sim_clock(0);
   ElectricityMapsProvider emaps(clock, {.max_requests_per_hour = 0});
-  for (const std::string& zone : {"FR", "DE", "PL", "SE"}) {
+  for (const char* zone : {"FR", "DE", "PL", "SE"}) {
     auto factor = emaps.factor(zone, 12 * kMillisPerHour);
     ASSERT_TRUE(factor.has_value()) << zone;
     EXPECT_TRUE(factor->realtime);

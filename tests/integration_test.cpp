@@ -6,12 +6,14 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <map>
 
 #include <unistd.h>
 
 #include "core/config.h"
 #include "stack_fixture.h"
 #include "append_one.h"
+#include "flaky_sync_dir.h"
 
 namespace ceems::core {
 namespace {
@@ -442,6 +444,91 @@ TEST(StackHttp, SubsetOfNodesServeRealHttp) {
   EXPECT_DOUBLE_EQ(
       value.vector[0].value,
       static_cast<double>(mini.sim().cluster().node_count()) + 1);
+}
+
+// ---------- the stack's own driver policy (pipeline_step) ----------
+
+// Seconds into a 30 min run of pipeline_step() in 10 s steps at which an
+// updater cycle committed: the units-DB directory sees one sync per
+// committed, non-empty cycle. The cluster runs 5 min first, so the first
+// cycle has jobs to poll.
+std::vector<int64_t> committed_cycle_times(int64_t interval_ms) {
+  auto dir = std::make_shared<ceems::testing::FlakySyncDir>(0);
+  ceems::testing::MiniStackOptions options;
+  options.stack.db_durable_dir = dir;
+  options.stack.updater.interval_ms = interval_ms;
+  ceems::testing::MiniStack mini(options);
+  mini.sim().step(5 * common::kMillisPerMinute);
+  const common::TimestampMs start = mini.clock()->now_ms();
+  int syncs = dir->syncs();
+  std::vector<int64_t> at_s;
+  mini.sim().run_for(30 * common::kMillisPerMinute, 10000,
+                     [&](common::TimestampMs now) {
+                       mini.stack().pipeline_step();
+                       for (; syncs < dir->syncs(); ++syncs)
+                         at_s.push_back((now - start) / 1000);
+                     });
+  return at_s;
+}
+
+TEST(StackDriver, UpdaterRunsEveryConfiguredInterval) {
+  // The first step updates, then every 60 s.
+  std::vector<int64_t> every_minute;
+  for (int64_t t = 10; t < 30 * 60; t += 60) every_minute.push_back(t);
+  EXPECT_EQ(committed_cycle_times(common::kMillisPerMinute), every_minute);
+  // At 6 h only the first step's cycle is due within 30 min.
+  EXPECT_EQ(committed_cycle_times(6 * common::kMillisPerHour),
+            std::vector<int64_t>{10});
+}
+
+std::map<std::string, double> cpu_time_by_unit(const reldb::Database& db) {
+  std::map<std::string, double> cpu_time;
+  auto rows = db.query(apiserver::kUnitsTable, {});
+  for (std::size_t i = 0; i < rows.rows.size(); ++i) {
+    cpu_time[rows.at(i, "uuid").as_text()] =
+        rows.at(i, "total_cpu_time_seconds").as_real();
+  }
+  return cpu_time;
+}
+
+TEST(StackDriver, FailedUpdaterCycleIsLoggedAndRedone) {
+  const int64_t duration_ms = 10 * common::kMillisPerMinute;
+  ceems::testing::MiniStackOptions options;
+  auto clean_dir = std::make_shared<ceems::testing::FlakySyncDir>(0);
+  options.stack.db_durable_dir = clean_dir;
+  ceems::testing::MiniStack clean(options);
+  const int setup_syncs = clean_dir->syncs();
+  clean.run(duration_ms);
+  auto clean_cpu = cpu_time_by_unit(clean.stack().db());
+  ASSERT_FALSE(clean_cpu.empty());
+
+  // The same run with the third committing cycle failing: pipeline_step()
+  // logs it and carries on, and the next due cycle commits its window
+  // too. The run ends with the clean run's units, and the cpu-time
+  // counters, which tile the cycles, lose and double-count nothing.
+  options.stack.db_durable_dir =
+      std::make_shared<ceems::testing::FlakySyncDir>(setup_syncs + 3);
+  ceems::testing::MiniStack flaky(options);
+  ::testing::internal::CaptureStderr();
+  EXPECT_NO_THROW(flaky.run(duration_ms));
+  std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("[WARN] updater: update failed: units DB log sync "
+                     "failed"),
+            std::string::npos)
+      << log;
+  auto flaky_cpu = cpu_time_by_unit(flaky.stack().db());
+  ASSERT_EQ(flaky_cpu.size(), clean_cpu.size());
+  for (const auto& [uuid, seconds] : clean_cpu) {
+    ASSERT_TRUE(flaky_cpu.count(uuid)) << uuid;
+    EXPECT_NEAR(flaky_cpu[uuid], seconds, 1e-9 * seconds) << uuid;
+  }
+
+  // update_api() itself still throws on a failed sync.
+  options.stack.db_durable_dir =
+      std::make_shared<ceems::testing::FlakySyncDir>(setup_syncs + 1);
+  ceems::testing::MiniStack direct(options);
+  direct.sim().step(5 * common::kMillisPerMinute);
+  EXPECT_THROW(direct.stack().update_api(), std::runtime_error);
 }
 
 }  // namespace

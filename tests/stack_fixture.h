@@ -33,18 +33,12 @@ class MiniStack {
     stack_ = std::make_unique<core::CeemsStack>(*sim_, options.stack);
   }
 
-  // Advances simulated time, scraping + evaluating rules every 30 s and
-  // updating the API server every 60 s.
+  // Advances simulated time in 10 s steps; the stack scrapes + evaluates
+  // rules every 30 s and updates the API server every
+  // stack.updater.interval_ms (60 s by default).
   void run(int64_t duration_ms) {
-    int64_t step_ms = 10000;
-    int64_t next_update = clock_->now_ms();
-    sim_->run_for(duration_ms, step_ms, [&](common::TimestampMs now) {
-      stack_->pipeline_step();
-      if (now >= next_update) {
-        stack_->update_api();
-        next_update = now + 60000;
-      }
-    });
+    sim_->run_for(duration_ms, 10000,
+                  [&](common::TimestampMs) { stack_->pipeline_step(); });
     stack_->update_api();  // catch units from the final partial window
   }
 
