@@ -40,7 +40,8 @@ using tsdb::TimeSeriesStore;
 // Global allocation counters: every operator new in the binary bumps the
 // count and adds its block's usable size to the live heap bytes, which
 // every delete takes back. BM_scrape_ingest_e2e reports allocations per
-// ingested sample on the production scrape→append path, and
+// ingested sample on the production scrape→append path, the rule-pass
+// benchmarks allocations per written rule sample, and
 // BM_hot_series_overhead the heap a new series keeps.
 static std::atomic<uint64_t> g_alloc_count{0};
 static std::atomic<int64_t> g_heap_bytes{0};
@@ -936,6 +937,7 @@ struct RulePassCounts {
   uint64_t wal_groups = 0;
   uint64_t wal_records = 0;
   uint64_t samples = 0;
+  uint64_t allocs = 0;  // inside evaluate_all only
   uint64_t passes = 0;
 };
 
@@ -968,7 +970,10 @@ RulePassCounts time_rule_passes(benchmark::State& state,
     fleet.scrape(*store, pass);
     tsdb::WalStats before = durable.wal().stats();
     state.ResumeTiming();
+    uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
     tsdb::RuleEvalStats stats = rules.evaluate_all(int64_t{pass} * 30000);
+    counts.allocs +=
+        g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
     benchmark::DoNotOptimize(stats);
     state.PauseTiming();
     counts.wal_groups += durable.wal().stats().groups - before.groups;
@@ -985,6 +990,15 @@ double per_pass(uint64_t total, const RulePassCounts& counts) {
   return static_cast<double>(total) / static_cast<double>(counts.passes);
 }
 
+// Heap allocations evaluate_all makes per sample the rules write: select,
+// evaluation, output labels and the WAL batch together. String labels
+// built per selected series or per sample show up here as dozens.
+double allocs_per_rule_sample(const RulePassCounts& counts) {
+  return counts.samples ? static_cast<double>(counts.allocs) /
+                              static_cast<double>(counts.samples)
+                        : 0.0;
+}
+
 // The inline pass. Each rule commits one batch, so wal_groups_per_pass
 // counts the rules that wrote anything (per-sample appends would make it
 // rule_samples_per_pass), and rule_samples_per_pass pins the work each
@@ -993,6 +1007,7 @@ void BM_rule_pass_wal(benchmark::State& state) {
   RulePassCounts counts = time_rule_passes(state, nullptr);
   state.counters["wal_groups_per_pass"] = per_pass(counts.wal_groups, counts);
   state.counters["rule_samples_per_pass"] = per_pass(counts.samples, counts);
+  state.counters["allocs_per_rule_sample"] = allocs_per_rule_sample(counts);
 }
 BENCHMARK(BM_rule_pass_wal)->Unit(benchmark::kMillisecond);
 
@@ -1006,6 +1021,7 @@ void BM_rule_pass_graph(benchmark::State& state) {
   state.counters["wal_records_per_pass"] =
       per_pass(counts.wal_records, counts);
   state.counters["rule_samples_per_pass"] = per_pass(counts.samples, counts);
+  state.counters["allocs_per_rule_sample"] = allocs_per_rule_sample(counts);
 }
 BENCHMARK(BM_rule_pass_graph)->Unit(benchmark::kMillisecond)->UseRealTime();
 

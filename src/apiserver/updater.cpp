@@ -107,9 +107,10 @@ void Updater::update_aggregates(common::TimestampMs now, Cycle& cycle,
 
   // Batched per-uuid reads over the window. Every read groups by uuid so
   // one TSDB pass covers every running unit. Result maps are keyed by the
-  // uuid's interned symbol id: eight reads per cycle over hundreds of
-  // units would otherwise copy the same uuid strings into every map.
+  // uuid's symbol id, read straight off the interned result labels: no
+  // uuid string is built until a unit's row is written.
   auto& symtab = metrics::SymbolTable::global();
+  const uint32_t uuid_name = symtab.intern("uuid");
   auto vector_by_uuid = [&](const std::string& query)
       -> std::map<uint32_t, double> {
     std::map<uint32_t, double> out;
@@ -117,8 +118,8 @@ void Updater::update_aggregates(common::TimestampMs now, Cycle& cycle,
       Value value = engine_.eval(*tsdb_, query, at);
       if (value.kind != Value::Kind::kVector) return out;
       for (const auto& sample : value.vector) {
-        auto uuid = sample.labels.get("uuid");
-        if (uuid) out[symtab.intern(*uuid)] = sample.value;
+        auto uuid = sample.labels.value_symbol(uuid_name);
+        if (uuid) out[*uuid] = sample.value;
       }
     } catch (const std::exception& e) {
       CEEMS_LOG_WARN("updater") << "query failed: " << e.what();
@@ -152,7 +153,7 @@ void Updater::update_aggregates(common::TimestampMs now, Cycle& cycle,
       std::vector<tsdb::SamplePoint> samples = view.samples();
       if (samples.empty()) continue;
       newest = std::max(newest, samples.back().t);
-      auto uuid = view.labels.get("uuid");
+      auto uuid = view.labels.value_symbol(uuid_name);
       if (!uuid) continue;
       std::erase_if(samples, [](const tsdb::SamplePoint& sample) {
         return metrics::is_stale_marker(sample.v);
@@ -164,8 +165,7 @@ void Updater::update_aggregates(common::TimestampMs now, Cycle& cycle,
       auto first = fresh == samples.begin() ? fresh : std::prev(fresh);
       const auto count = static_cast<std::size_t>(samples.end() - first);
       if (count < 2) continue;
-      out[symtab.intern(*uuid)] +=
-          tsdb::promql::counter_increase(&*first, count);
+      out[*uuid] += tsdb::promql::counter_increase(&*first, count);
     }
     cycle.counter_ms[c] = std::max(from, newest);
     return out;

@@ -1,13 +1,46 @@
 #include "common/threadpool.h"
 
+#include <sched.h>
+
 namespace ceems::common {
+namespace {
+
+// Moves the calling worker once onto the index-th CPU it may run on, then
+// gives it back its whole CPU set. A new thread starts on its creator's
+// CPU and a woken one is placed near where it last ran, so without this
+// every worker of a pool can stay on one CPU for seconds while the others
+// idle (seen on a 4-vCPU KVM guest: a pool's stage took twice its time,
+// with process CPU time equal to wall time). After one move the scheduler
+// keeps each worker on its own CPU; it stays free to migrate it.
+void start_on_own_cpu(std::size_t index) {
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  const int count = CPU_COUNT(&allowed);
+  if (count < 2) return;
+  int skip = static_cast<int>(index % static_cast<std::size_t>(count));
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || skip-- > 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) == 0) {
+      sched_setaffinity(0, sizeof(allowed), &allowed);
+    }
+    return;
+  }
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads, std::string name)
     : name_(std::move(name)) {
   if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] {
+      start_on_own_cpu(i);
+      worker_loop();
+    });
   }
 }
 

@@ -7,9 +7,14 @@
 namespace ceems::dashboard {
 
 namespace {
-std::string pad(const std::string& text, std::size_t width) {
-  if (text.size() >= width) return text.substr(0, width);
-  return text + std::string(width - text.size(), ' ');
+// Appends one cell, " <text> |", with `text` cut or space-padded to
+// `width` columns.
+void append_cell(std::string& out, const std::string& text,
+                 std::size_t width) {
+  out += ' ';
+  out.append(text, 0, width);
+  if (text.size() < width) out.append(width - text.size(), ' ');
+  out += " |";
 }
 
 std::string title_bar(const std::string& title, std::size_t width) {
@@ -37,17 +42,18 @@ std::string render_table(const std::string& title,
   std::string out = title_bar(title, total);
   out += "|";
   for (std::size_t c = 0; c < columns.size(); ++c) {
-    out += " " + pad(columns[c], widths[c]) + " |";
+    append_cell(out, columns[c], widths[c]);
   }
   out += "\n|";
   for (std::size_t c = 0; c < columns.size(); ++c) {
-    out += std::string(widths[c] + 2, '-') + "|";
+    out.append(widths[c] + 2, '-');
+    out += '|';
   }
   out += "\n";
   for (const auto& row : rows) {
     out += "|";
     for (std::size_t c = 0; c < columns.size(); ++c) {
-      out += " " + pad(c < row.size() ? row[c] : "", widths[c]) + " |";
+      append_cell(out, c < row.size() ? row[c] : std::string(), widths[c]);
     }
     out += "\n";
   }
@@ -64,8 +70,8 @@ std::string render_stats(const std::string& title,
   std::string out = title_bar(title, (tile + 3) * stats.size());
   std::string values = "|", labels = "|";
   for (const auto& stat : stats) {
-    values += " " + pad(stat.value, tile) + " |";
-    labels += " " + pad(stat.label, tile) + " |";
+    append_cell(values, stat.value, tile);
+    append_cell(labels, stat.label, tile);
   }
   out += values + "\n" + labels + "\n";
   return out;

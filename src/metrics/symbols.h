@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -50,7 +51,8 @@ class SymbolTable {
   std::optional<uint32_t> find(std::string_view text) const;
   // The string for an id, without locking. Views are backed by stable
   // per-process storage and remain valid forever; an id not yet interned
-  // returns an empty view.
+  // returns an empty view. An id with QuerySymbols::kBit set is read, under
+  // its lock, from the calling thread's active QuerySymbols.
   std::string_view text(uint32_t id) const;
 
   std::size_t size() const { return size_.load(std::memory_order_acquire); }
@@ -58,11 +60,12 @@ class SymbolTable {
   std::size_t approx_bytes() const;
 
  private:
-  // Block k holds kFirstBlock << k views, so kBlocks pointers cover the
-  // whole 32-bit id space and a block, once allocated, never moves.
+  // Block k holds kFirstBlock << k views, so kBlocks pointers cover
+  // 2^31 - kFirstBlock ids, all below the top bit (which marks
+  // QuerySymbols ids), and a block, once allocated, never moves.
   static constexpr unsigned kFirstBlockBits = 10;
   static constexpr std::size_t kFirstBlock = std::size_t{1} << kFirstBlockBits;
-  static constexpr std::size_t kBlocks = 22;
+  static constexpr std::size_t kBlocks = 21;
   // (block, offset) of an id.
   static std::pair<std::size_t, std::size_t> locate(uint32_t id);
 
@@ -76,9 +79,62 @@ class SymbolTable {
   std::atomic<uint32_t> size_{0};
 };
 
+// The symbol of kMetricNameLabel, interned on first use.
+uint32_t metric_name_symbol();
+
+// Strings a query builds (label_replace()/label_join() values), kept out
+// of the global table, which never frees an entry: otherwise any client
+// could grow the process by one string per query. While a Scope is active
+// on a thread, intern() gives a string that the global table does not
+// hold an id with kBit set, stored in the active QuerySymbols, and
+// SymbolTable::text() resolves such ids through it. The ids mean nothing
+// once the table is gone, so labels carrying them become strings
+// (to_labels) before the scope ends. Thread-safe: a range query's pool
+// workers share their query's table.
+class QuerySymbols {
+ public:
+  // Global ids stay below this bit (SymbolTable caps its size under it).
+  static constexpr uint32_t kBit = uint32_t{1} << 31;
+
+  // Makes `table` the calling thread's active one (nullptr: none) until
+  // destruction, then restores the previous one.
+  class Scope {
+   public:
+    explicit Scope(QuerySymbols* table);
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    QuerySymbols* previous_;
+  };
+
+  // The calling thread's active table, or nullptr.
+  static QuerySymbols* active();
+  // The id for `text`: an id the active table already gave it, else its
+  // global id if it has one, else a new id in the active table. With no
+  // active table it interns globally, as a rule's output is stored (and
+  // so interned) anyway.
+  static uint32_t intern(std::string_view text);
+  // Lookup without insertion, in the same order: a label name the query
+  // made up (a label_replace() destination read by `by` or by another
+  // label_replace()) is found in the active table.
+  static std::optional<uint32_t> find(std::string_view text);
+
+  // The string of one of this table's ids (empty if it has none).
+  std::string_view text(uint32_t id) const;
+
+ private:
+  mutable std::mutex mu_;
+  std::deque<std::string> strings_;  // id & ~kBit -> string
+  std::unordered_map<std::string_view, uint32_t> ids_;
+};
+
 // A label set as sorted (name, value) symbol-id pairs plus the precomputed
 // 64-bit fingerprint of the equivalent Labels. Construction interns every
-// string once; copies and comparisons afterwards never touch string bytes.
+// string once; copies and equality afterwards never touch string bytes.
+// Deriving a label set (with, without, keep_only, drop) reads strings only
+// to hash them and, for an added name, to find its place.
 class InternedLabels {
  public:
   using SymbolPair = std::pair<uint32_t, uint32_t>;  // (name id, value id)
@@ -105,11 +161,38 @@ class InternedLabels {
   // Convenience for the metric name label.
   std::string_view name() const;
 
+  // Value symbol for a name symbol, or nullopt. Reads no string.
+  std::optional<uint32_t> value_symbol(uint32_t name_sym) const {
+    for (const auto& [n, v] : syms_) {
+      if (n == name_sym) return v;
+    }
+    return std::nullopt;
+  }
+
   // Returns a copy with `name` set to `value` (replacing any existing),
-  // interning both strings. The symbol overload skips the intern lookups
-  // when the caller pre-interned (e.g. per-target scrape labels).
+  // interning both strings. The symbol overloads skip the intern lookups
+  // when the caller pre-interned (e.g. per-target scrape labels, a rule's
+  // record name); the vector overload sets each pair in turn, as chained
+  // calls would, hashes once and reuses this set's storage.
   InternedLabels with(std::string_view name, std::string_view value) const;
   InternedLabels with_symbols(uint32_t name_sym, uint32_t value_sym) const;
+  InternedLabels with_symbols(const std::vector<SymbolPair>& pairs) &&;
+
+  // Returns a copy without the metric name (PromQL drops it from every
+  // derived value). The rvalue overload erases in place.
+  InternedLabels without_name() const&;
+  InternedLabels without_name() &&;
+  // Returns a copy keeping only / dropping the labels whose name symbols
+  // are listed (PromQL `by` / `without`). Names never interned cannot
+  // occur in any label set, so callers resolve them with
+  // SymbolTable::find() and leave the unknown ones out.
+  InternedLabels keep_only(const std::vector<uint32_t>& name_syms) const;
+  InternedLabels drop(const std::vector<uint32_t>& name_syms) const;
+  // The fingerprint keep_only() / drop() would give, built from nothing
+  // but this set's symbols: grouping and vector matching key on it and
+  // build a label set only for the groups and matches they emit.
+  uint64_t keep_only_fingerprint(const std::vector<uint32_t>& name_syms) const;
+  uint64_t drop_fingerprint(const std::vector<uint32_t>& name_syms) const;
 
   // Materialises the equivalent Labels (allocates; API-boundary use only).
   Labels to_labels() const;
@@ -120,6 +203,11 @@ class InternedLabels {
   bool operator!=(const InternedLabels& other) const {
     return !(*this == other);
   }
+  // Exactly the order of the equivalent Labels (Labels::operator<: pair
+  // by pair, name string then value string, a prefix first). Ids are
+  // compared first and strings read, lock-free, only where two ids
+  // differ.
+  bool operator<(const InternedLabels& other) const;
 
  private:
   std::vector<SymbolPair> syms_;
@@ -129,7 +217,10 @@ class InternedLabels {
   // Labels::fingerprint().
   static constexpr uint64_t kEmptyFingerprint = common::kFnv1aOffsetBasis;
 
-  void rebuild(const std::vector<SymbolPair>& syms);
+  // Sets one pair in syms_ (kept in canonical order); does not rehash.
+  void set_in_place(uint32_t name_sym, uint32_t value_sym);
+  // Recomputes fingerprint_ from syms_.
+  void rehash();
 };
 
 struct InternedLabelsHash {

@@ -17,7 +17,7 @@ const std::string& PseudoFs::normalize(const std::string& path,
     start = slash + 1;
   }
   if (clean) return path;
-  buf = "/";
+  buf.assign(1, '/');
   for (const auto& part : common::split(path, '/')) {
     if (part.empty() || part == ".") continue;
     if (buf.back() != '/') buf += '/';

@@ -285,7 +285,7 @@ SoakReport SoakRunner::run() {
         auto value = engine.eval(*stack.hot_store(), expr, now);
         if (value.kind == tsdb::promql::Value::Kind::kVector) {
           for (const auto& sample : value.vector) {
-            out += sample.labels.to_string();
+            out += sample.labels.to_labels().to_string();
             out += '=';
             out += std::to_string(sample.value);
             out += ';';

@@ -527,7 +527,7 @@ std::optional<SamplePoint> SeriesView::last() const {
   return std::nullopt;
 }
 
-SeriesView SeriesView::owned(metrics::Labels labels,
+SeriesView SeriesView::owned(metrics::InternedLabels labels,
                              std::vector<SamplePoint> samples) {
   SeriesView view{std::move(labels), {}};
   if (!samples.empty())
@@ -601,18 +601,23 @@ std::vector<ChunkSlice> ChunkedSeries::slices_between(TimestampMs min_t,
     // meant with raw vectors.
     auto decoded = chunk->decode();
     if (!decoded) continue;
-    std::vector<SamplePoint> points;
-    for (const auto& sp : *decoded) {
-      if (sp.t >= min_t && sp.t <= max_t) points.push_back(sp);
+    decoded->erase(std::remove_if(decoded->begin(), decoded->end(),
+                                  [min_t, max_t](const SamplePoint& sp) {
+                                    return sp.t < min_t || sp.t > max_t;
+                                  }),
+                   decoded->end());
+    if (!decoded->empty()) {
+      out.push_back(ChunkSlice{nullptr, std::move(*decoded)});
     }
-    if (!points.empty()) out.push_back(ChunkSlice{nullptr, std::move(points)});
   }
-  std::vector<SamplePoint> head_points;
-  for (const auto& sp : head_) {
-    if (sp.t >= min_t && sp.t <= max_t) head_points.push_back(sp);
-  }
-  if (!head_points.empty())
-    out.push_back(ChunkSlice{nullptr, std::move(head_points)});
+  // The head is time-ordered (append rejects older samples), so its
+  // in-range points are one run, copied with a single allocation.
+  auto lo = std::partition_point(
+      head_.begin(), head_.end(),
+      [min_t](const SamplePoint& sp) { return sp.t < min_t; });
+  auto hi = std::partition_point(
+      lo, head_.end(), [max_t](const SamplePoint& sp) { return sp.t <= max_t; });
+  if (lo != hi) out.push_back(ChunkSlice{nullptr, {lo, hi}});
   return out;
 }
 

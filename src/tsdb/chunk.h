@@ -28,6 +28,7 @@
 
 #include "common/clock.h"
 #include "metrics/labels.h"
+#include "metrics/symbols.h"
 
 namespace ceems::tsdb {
 
@@ -131,11 +132,12 @@ struct ChunkSlice {
 std::vector<SamplePoint> decode_slices(const std::vector<ChunkSlice>& slices);
 
 // A chunk-backed view of one series over a time range, as returned by
-// Queryable::select(). Copying a view is cheap (label handle + chunk
-// refcounts); samples() decodes. Materialise only at the point the full
-// sample vector is actually consumed.
+// Queryable::select(). Labels are the series' interned symbols, so a view
+// costs one small id vector and chunk refcounts; samples() decodes.
+// Materialise only at the point the full sample vector is actually
+// consumed.
 struct SeriesView {
-  metrics::Labels labels;
+  metrics::InternedLabels labels;
   std::vector<ChunkSlice> slices;
 
   // Exact number of samples in range, without decoding.
@@ -147,10 +149,11 @@ struct SeriesView {
   std::vector<SamplePoint> samples(DecodedChunkCache& cache) const;
   // Last sample in range; decodes at most one chunk.
   std::optional<SamplePoint> last() const;
-  Series materialize() const { return {labels, samples()}; }
+  // A boundary conversion: builds the string labels.
+  Series materialize() const { return {labels.to_labels(), samples()}; }
 
   // Wraps already-materialised samples (merged/derived series).
-  static SeriesView owned(metrics::Labels labels,
+  static SeriesView owned(metrics::InternedLabels labels,
                           std::vector<SamplePoint> samples);
 };
 
@@ -233,7 +236,7 @@ using AggChunkPtr = std::shared_ptr<const AggChunk>;
 // view is only handed out when the level covers the requested span exactly,
 // so an absent bucket means "no raw samples in that bucket".
 struct AggSeriesView {
-  metrics::Labels labels;
+  metrics::InternedLabels labels;
   std::vector<AggBucket> buckets;
 };
 

@@ -81,7 +81,7 @@ Json value_to_json(const promql::Value& value) {
       JsonArray result;
       for (const auto& sample : value.vector) {
         JsonObject entry;
-        entry["metric"] = labels_to_json(sample.labels);
+        entry["metric"] = labels_to_json(sample.labels.to_labels());
         entry["value"] = sample_pair(0, sample.value);
         result.push_back(Json(std::move(entry)));
       }
@@ -145,6 +145,10 @@ http::Response PromApi::handle_query(const http::Request& request) const {
     t = *parsed;
   }
   try {
+    // Strings the query builds live until its JSON is written, not in the
+    // process-wide symbol table.
+    metrics::QuerySymbols query_symbols;
+    metrics::QuerySymbols::Scope scope(&query_symbols);
     // Fixed-timestamp evaluation: value pairs carry the evaluation time.
     promql::Value value = engine_.eval(*source_, query_it->second, t);
     Json data = value_to_json(value);
@@ -225,7 +229,7 @@ http::Response PromApi::handle_series(const http::Request& request) const {
                             LabelMatcher::Op::kEq, expr->metric_name});
       }
       for (const auto& series : source_->select(matchers, start, end)) {
-        result.push_back(labels_to_json(series.labels));
+        result.push_back(labels_to_json(series.labels.to_labels()));
       }
     }
     return http::Response::json(

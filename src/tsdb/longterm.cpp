@@ -272,7 +272,7 @@ std::vector<SeriesView> LongTermStore::select(
           }
           if (points.empty()) return;
           history.push_back(
-              SeriesView::owned(labels.to_labels(), std::move(points)));
+              SeriesView::owned(labels, std::move(points)));
         });
     sort_by_labels(history);
   }
@@ -376,7 +376,7 @@ std::optional<std::vector<AggSeriesView>> LongTermStore::select_agg(
           auto buckets = series.buckets_between(min_end, max_end);
           if (buckets.empty()) return;
           rows += buckets.size();
-          out.push_back({labels.to_labels(), std::move(buckets)});
+          out.push_back({labels, std::move(buckets)});
         });
     sort_by_labels(out);
     ++select_stats_.level_hits[i];

@@ -24,9 +24,8 @@
 // fingerprint, compared by symbol vector, so colliding fingerprints stay
 // distinct), so compaction folds without building string labels. History
 // reads and select_agg() scan the level once, evaluating matchers on
-// symbols (tsdb/selector.h); only the matched series are turned into
-// string labels and sorted, so output order is label order, as the hot
-// store's.
+// symbols (tsdb/selector.h); the matched series keep their interned
+// labels and are sorted in string-label order, as the hot store's are.
 #pragma once
 
 #include <memory>

@@ -26,6 +26,8 @@ double counter_increase(const SamplePoint* samples, std::size_t count) {
 namespace {
 
 using metrics::kMetricNameLabel;
+using metrics::QuerySymbols;
+using metrics::SymbolTable;
 
 // ---------- selector evaluation ----------
 
@@ -44,31 +46,32 @@ InstantVector eval_vector_selector(const Queryable& source, const Expr& expr,
   auto views = source.select(full_matchers(expr), at - kLookbackMs, at);
   InstantVector out;
   out.reserve(views.size());
-  for (const auto& view : views) {
+  for (auto& view : views) {
     // last() decodes at most one chunk; an instant selector never pays for
     // materialising the whole lookback window. A staleness marker as the
     // newest sample means the series ended: it drops out of the vector
     // now, not when the lookback window drains.
     if (auto last = view.last()) {
       if (metrics::is_stale_marker(last->v)) continue;
-      out.push_back({view.labels, last->v});
+      out.push_back({std::move(view.labels), last->v});
     }
   }
   return out;
 }
 
-std::vector<Series> eval_matrix_selector(const Queryable& source,
-                                         const Expr& expr, TimestampMs t) {
+std::vector<MatrixSeries> eval_matrix_selector(const Queryable& source,
+                                               const Expr& expr,
+                                               TimestampMs t) {
   TimestampMs at = t - expr.offset_ms;
   // Range selectors are left-open: (t-range, t]. Range functions walk the
-  // full window, so views materialise here — the API boundary. Staleness
-  // markers are boundaries, not observations: they are filtered out so
-  // rate()/avg_over_time() never fold a marker NaN into a window.
+  // full window, so views decode here. Staleness markers are boundaries,
+  // not observations: they are filtered out so rate()/avg_over_time()
+  // never fold a marker NaN into a window.
   auto views = source.select(full_matchers(expr), at - expr.range_ms + 1, at);
-  std::vector<Series> out;
+  std::vector<MatrixSeries> out;
   out.reserve(views.size());
-  for (const auto& view : views) {
-    Series series = view.materialize();
+  for (auto& view : views) {
+    MatrixSeries series{std::move(view.labels), view.samples()};
     series.samples.erase(
         std::remove_if(series.samples.begin(), series.samples.end(),
                        [](const SamplePoint& sample) {
@@ -322,198 +325,256 @@ double scalar_binop(const std::string& op, double lhs, double rhs) {
   throw EvalError("unknown operator " + op);
 }
 
-// Signature labels used to pair series across a binary op.
-Labels match_signature(const Labels& labels, const VectorMatching& matching) {
-  if (matching.is_on) return labels.keep_only(matching.labels);
-  std::vector<std::string> drop = matching.labels;
-  drop.push_back(std::string(kMetricNameLabel));
-  return labels.drop(drop);
-}
-
-InstantVector vector_scalar_op(const std::string& op, bool bool_modifier,
-                               const InstantVector& vector, double scalar,
-                               bool scalar_on_left) {
-  InstantVector out;
-  for (const auto& sample : vector) {
-    double lhs = scalar_on_left ? scalar : sample.value;
-    double rhs = scalar_on_left ? sample.value : scalar;
-    double value = scalar_binop(op, lhs, rhs);
-    if (is_comparison(op) && !bool_modifier) {
-      if (value == 0) continue;  // filter semantics
-      out.push_back({sample.labels, sample.value});
-    } else {
-      Labels labels = is_comparison(op) && bool_modifier
-                          ? sample.labels.without_name()
-                          : sample.labels.without_name();
-      out.push_back({labels, value});
+// Label names resolved to symbols once per evaluation. Names never
+// interned cannot occur in any label set, so they are left out.
+std::vector<uint32_t> find_symbols(const std::vector<std::string>& names) {
+  std::vector<uint32_t> out;
+  out.reserve(names.size() + 1);
+  for (const auto& name : names) {
+    if (auto symbol = QuerySymbols::find(name)) {
+      out.push_back(*symbol);
     }
   }
   return out;
 }
 
-InstantVector vector_vector_op(const Expr& expr, const InstantVector& lhs,
-                               const InstantVector& rhs) {
+// A by/without or on/ignoring list as symbols: keep only the listed names,
+// or drop them. fingerprint() is what groups and matches key on; apply()
+// builds the label set, only where one is emitted.
+struct LabelFilter {
+  std::vector<uint32_t> names;
+  bool keep = false;
+
+  uint64_t fingerprint(const InternedLabels& labels) const {
+    return keep ? labels.keep_only_fingerprint(names)
+                : labels.drop_fingerprint(names);
+  }
+  InternedLabels apply(const InternedLabels& labels) const {
+    return keep ? labels.keep_only(names) : labels.drop(names);
+  }
+};
+
+// Signature used to pair series across a binary op: on() keeps the listed
+// labels, ignoring() drops them and the metric name.
+LabelFilter match_filter(const VectorMatching& matching) {
+  LabelFilter filter{find_symbols(matching.labels), matching.is_on};
+  if (!matching.is_on) filter.names.push_back(metrics::metric_name_symbol());
+  return filter;
+}
+
+// An instant-vector function's result, built in place: `fn` of each
+// value, with the metric name dropped.
+template <typename Fn>
+InstantVector map_values(InstantVector vector, Fn fn) {
+  for (auto& sample : vector) {
+    sample.value = fn(sample.value);
+    sample.labels = std::move(sample.labels).without_name();
+  }
+  return vector;
+}
+
+InstantVector vector_scalar_op(const std::string& op, bool bool_modifier,
+                               InstantVector vector, double scalar,
+                               bool scalar_on_left) {
+  auto apply = [&](double value) {
+    return scalar_on_left ? scalar_binop(op, scalar, value)
+                          : scalar_binop(op, value, scalar);
+  };
+  if (is_comparison(op) && !bool_modifier) {
+    // Filter semantics: keep the samples the comparison holds for.
+    std::erase_if(vector, [&](const VectorSample& sample) {
+      return apply(sample.value) == 0;
+    });
+    return vector;
+  }
+  return map_values(std::move(vector), apply);
+}
+
+// Signature fingerprints of `vector`, sorted, for binary search.
+std::vector<uint64_t> sorted_signatures(const InstantVector& vector,
+                                        const LabelFilter& signature) {
+  std::vector<uint64_t> sigs;
+  sigs.reserve(vector.size());
+  for (const auto& sample : vector) {
+    sigs.push_back(signature.fingerprint(sample.labels));
+  }
+  std::sort(sigs.begin(), sigs.end());
+  return sigs;
+}
+
+bool contains(const std::vector<uint64_t>& sorted, uint64_t sig) {
+  return std::binary_search(sorted.begin(), sorted.end(), sig);
+}
+
+InstantVector vector_vector_op(const Expr& expr, InstantVector lhs,
+                               InstantVector rhs) {
   const VectorMatching& matching = expr.matching;
-  InstantVector out;
+  const LabelFilter signature = match_filter(matching);
 
   if (is_set_op(expr.op)) {
-    std::unordered_map<uint64_t, const VectorSample*> rhs_by_sig;
-    for (const auto& sample : rhs) {
-      rhs_by_sig[match_signature(sample.labels, matching).fingerprint()] =
-          &sample;
+    if (expr.op == "or") {
+      const std::vector<uint64_t> lhs_sigs = sorted_signatures(lhs, signature);
+      for (auto& sample : rhs) {
+        if (!contains(lhs_sigs, signature.fingerprint(sample.labels)))
+          lhs.push_back(std::move(sample));
+      }
+      return lhs;
     }
-    if (expr.op == "and") {
-      for (const auto& sample : lhs) {
-        if (rhs_by_sig.count(
-                match_signature(sample.labels, matching).fingerprint()))
-          out.push_back(sample);
-      }
-    } else if (expr.op == "unless") {
-      for (const auto& sample : lhs) {
-        if (!rhs_by_sig.count(
-                match_signature(sample.labels, matching).fingerprint()))
-          out.push_back(sample);
-      }
-    } else {  // or
-      std::unordered_map<uint64_t, bool> lhs_sigs;
-      for (const auto& sample : lhs) {
-        lhs_sigs[match_signature(sample.labels, matching).fingerprint()] = true;
-        out.push_back(sample);
-      }
-      for (const auto& sample : rhs) {
-        if (!lhs_sigs.count(
-                match_signature(sample.labels, matching).fingerprint()))
-          out.push_back(sample);
-      }
-    }
-    return out;
+    const std::vector<uint64_t> rhs_sigs = sorted_signatures(rhs, signature);
+    const bool keep_matched = expr.op == "and";
+    std::erase_if(lhs, [&](const VectorSample& sample) {
+      return contains(rhs_sigs, signature.fingerprint(sample.labels)) !=
+             keep_matched;
+    });
+    return lhs;
   }
 
   // Arithmetic/comparison. group_right swaps roles so we only implement
   // many-to-one with "many" on the left.
-  const InstantVector& many =
-      matching.group == VectorMatching::Group::kRight ? rhs : lhs;
-  const InstantVector& one =
-      matching.group == VectorMatching::Group::kRight ? lhs : rhs;
   bool swapped = matching.group == VectorMatching::Group::kRight;
+  InstantVector& many = swapped ? rhs : lhs;
+  const InstantVector& one = swapped ? lhs : rhs;
   bool grouped = matching.group != VectorMatching::Group::kNone;
+  const std::vector<uint32_t> include = find_symbols(matching.include);
 
-  std::unordered_map<uint64_t, const VectorSample*> one_by_sig;
+  // The "one" side by signature, sorted; a repeated signature is a
+  // many-to-many match.
+  std::vector<std::pair<uint64_t, const VectorSample*>> one_by_sig;
+  one_by_sig.reserve(one.size());
   for (const auto& sample : one) {
-    uint64_t sig = match_signature(sample.labels, matching).fingerprint();
-    if (one_by_sig.count(sig))
-      throw EvalError("many-to-many matching in binary expression: " +
-                      expr.to_string());
-    one_by_sig[sig] = &sample;
+    one_by_sig.emplace_back(signature.fingerprint(sample.labels), &sample);
+  }
+  std::sort(one_by_sig.begin(), one_by_sig.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  if (std::adjacent_find(one_by_sig.begin(), one_by_sig.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first == b.first;
+                         }) != one_by_sig.end()) {
+    throw EvalError("many-to-many matching in binary expression: " +
+                    expr.to_string());
   }
 
-  std::unordered_map<uint64_t, int> result_seen;
-  for (const auto& sample : many) {
-    Labels signature = match_signature(sample.labels, matching);
-    auto it = one_by_sig.find(signature.fingerprint());
-    if (it == one_by_sig.end()) continue;
-    double lhs_value = swapped ? it->second->value : sample.value;
-    double rhs_value = swapped ? sample.value : it->second->value;
+  InstantVector out;
+  out.reserve(many.size());
+  std::vector<uint64_t> result_sigs;
+  std::vector<InternedLabels::SymbolPair> included;
+  for (auto& sample : many) {
+    uint64_t sig = signature.fingerprint(sample.labels);
+    auto it = std::lower_bound(
+        one_by_sig.begin(), one_by_sig.end(), sig,
+        [](const auto& entry, uint64_t key) { return entry.first < key; });
+    if (it == one_by_sig.end() || it->first != sig) continue;
+    const VectorSample& match = *it->second;
+    double lhs_value = swapped ? match.value : sample.value;
+    double rhs_value = swapped ? sample.value : match.value;
     double value = scalar_binop(expr.op, lhs_value, rhs_value);
 
-    Labels result_labels;
+    InternedLabels result_labels;
     if (is_comparison(expr.op) && !expr.bool_modifier) {
       if (value == 0) continue;
-      result_labels = sample.labels;  // filter keeps original labels
+      result_labels = std::move(sample.labels);  // filter keeps labels
       value = sample.value;
     } else if (grouped) {
-      result_labels = sample.labels.without_name();
-      for (const auto& include : matching.include) {
-        if (auto v = it->second->labels.get(include))
-          result_labels = result_labels.with(include, *v);
+      included.clear();
+      for (uint32_t name : include) {
+        if (auto v = match.labels.value_symbol(name))
+          included.emplace_back(name, *v);
+      }
+      result_labels = std::move(sample.labels).without_name();
+      if (!included.empty()) {
+        result_labels = std::move(result_labels).with_symbols(included);
       }
     } else {
-      result_labels = signature;
+      result_labels = signature.apply(sample.labels);
     }
-    // One-to-one: each signature may only be produced once.
-    if (!grouped) {
-      if (result_seen[signature.fingerprint()]++)
-        throw EvalError("multiple matches for one-to-one vector match: " +
-                        expr.to_string());
-    }
+    if (!grouped) result_sigs.push_back(sig);
     out.push_back({std::move(result_labels), value});
+  }
+  // One-to-one: each signature may only be produced once.
+  std::sort(result_sigs.begin(), result_sigs.end());
+  if (std::adjacent_find(result_sigs.begin(), result_sigs.end()) !=
+      result_sigs.end()) {
+    throw EvalError("multiple matches for one-to-one vector match: " +
+                    expr.to_string());
   }
   return out;
 }
 
 // ---------- aggregations ----------
 
-InstantVector eval_aggregate(const Expr& expr, const InstantVector& input,
+InstantVector eval_aggregate(const Expr& expr, InstantVector input,
                              double param) {
-  struct Group {
-    Labels labels;
-    std::vector<double> values;
-    std::vector<const VectorSample*> samples;
-  };
-  std::map<uint64_t, Group> groups;
-  for (const auto& sample : input) {
-    Labels group_labels;
-    if (expr.agg_grouped) {
-      group_labels = expr.agg_by
-                         ? sample.labels.keep_only(expr.grouping)
-                         : sample.labels.drop(expr.grouping).without_name();
-    }  // else: aggregate everything into a single empty-label group
-    uint64_t key = group_labels.fingerprint();
-    Group& group = groups[key];
-    group.labels = std::move(group_labels);
-    group.values.push_back(sample.value);
-    group.samples.push_back(&sample);
+  // by keeps the listed labels, without drops them and the metric name;
+  // no grouping keeps nothing, so everything lands in one empty group.
+  LabelFilter grouping;
+  grouping.keep = !expr.agg_grouped || expr.agg_by;
+  if (expr.agg_grouped) grouping.names = find_symbols(expr.grouping);
+  if (!grouping.keep) grouping.names.push_back(metrics::metric_name_symbol());
+  // Groups in ascending key order, each group's samples in input order.
+  std::vector<std::pair<uint64_t, std::size_t>> keyed;
+  keyed.reserve(input.size());
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    keyed.emplace_back(grouping.fingerprint(input[i].labels), i);
   }
+  std::sort(keyed.begin(), keyed.end());
 
   InstantVector out;
-  for (auto& [key, group] : groups) {
-    const std::string& op = expr.agg_op;
+  const std::string& op = expr.agg_op;
+  std::vector<double> values;
+  for (std::size_t begin = 0, end = 0; begin < keyed.size(); begin = end) {
+    end = begin;
+    values.clear();
+    while (end < keyed.size() && keyed[end].first == keyed[begin].first) {
+      values.push_back(input[keyed[end].second].value);
+      ++end;
+    }
     if (op == "topk" || op == "bottomk") {
       int k = std::max(0, static_cast<int>(param));
-      std::vector<std::size_t> order(group.values.size());
+      std::vector<std::size_t> order(values.size());
       for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
       std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return op == "topk" ? group.values[a] > group.values[b]
-                            : group.values[a] < group.values[b];
+        return op == "topk" ? values[a] > values[b] : values[a] < values[b];
       });
       for (int i = 0; i < k && i < static_cast<int>(order.size()); ++i) {
-        out.push_back(*group.samples[order[static_cast<std::size_t>(i)]]);
+        out.push_back(std::move(
+            input[keyed[begin + order[static_cast<std::size_t>(i)]].second]));
       }
       continue;
     }
     double result = 0;
     if (op == "sum") {
-      for (double v : group.values) result += v;
+      for (double v : values) result += v;
     } else if (op == "avg") {
-      for (double v : group.values) result += v;
-      result /= static_cast<double>(group.values.size());
+      for (double v : values) result += v;
+      result /= static_cast<double>(values.size());
     } else if (op == "min") {
-      result = *std::min_element(group.values.begin(), group.values.end());
+      result = *std::min_element(values.begin(), values.end());
     } else if (op == "max") {
-      result = *std::max_element(group.values.begin(), group.values.end());
+      result = *std::max_element(values.begin(), values.end());
     } else if (op == "count") {
-      result = static_cast<double>(group.values.size());
+      result = static_cast<double>(values.size());
     } else if (op == "group") {
       result = 1;
     } else if (op == "stddev") {
       double mean = 0;
-      for (double v : group.values) mean += v;
-      mean /= static_cast<double>(group.values.size());
+      for (double v : values) mean += v;
+      mean /= static_cast<double>(values.size());
       double var = 0;
-      for (double v : group.values) var += (v - mean) * (v - mean);
-      result = std::sqrt(var / static_cast<double>(group.values.size()));
+      for (double v : values) var += (v - mean) * (v - mean);
+      result = std::sqrt(var / static_cast<double>(values.size()));
     } else if (op == "quantile") {
-      std::vector<double> sorted = group.values;
-      std::sort(sorted.begin(), sorted.end());
+      std::sort(values.begin(), values.end());
       double q = std::clamp(param, 0.0, 1.0);
-      double rank = q * static_cast<double>(sorted.size() - 1);
+      double rank = q * static_cast<double>(values.size() - 1);
       std::size_t lo = static_cast<std::size_t>(std::floor(rank));
-      std::size_t hi = std::min(sorted.size() - 1, lo + 1);
-      result = sorted[lo] + (rank - std::floor(rank)) * (sorted[hi] - sorted[lo]);
+      std::size_t hi = std::min(values.size() - 1, lo + 1);
+      result = values[lo] + (rank - std::floor(rank)) * (values[hi] - values[lo]);
     } else {
       throw EvalError("unknown aggregator " + op);
     }
-    out.push_back({group.labels, result});
+    // The group's labels, from its first sample.
+    out.push_back(
+        {grouping.apply(input[keyed[begin].second].labels), result});
   }
   return out;
 }
@@ -574,7 +635,7 @@ class Evaluator {
         } else if (inner.kind == Value::Kind::kVector) {
           for (auto& sample : inner.vector) {
             sample.value *= sign;
-            sample.labels = sample.labels.without_name();
+            sample.labels = std::move(sample.labels).without_name();
           }
         } else {
           throw EvalError("unary operator on non-numeric operand");
@@ -596,7 +657,7 @@ class Evaluator {
   virtual InstantVector vector_selector(const Expr& expr) {
     return eval_vector_selector(source_, expr, t_);
   }
-  virtual std::vector<Series> matrix_selector(const Expr& expr) {
+  virtual std::vector<MatrixSeries> matrix_selector(const Expr& expr) {
     return eval_matrix_selector(source_, expr, t_);
   }
   // Incremental fast path for a range function applied directly to a
@@ -622,11 +683,11 @@ class Evaluator {
                                       at - matrix.range_ms + res, at);
       if (!views) continue;  // incomplete coverage: try a finer level
       out.reserve(views->size());
-      for (const auto& view : *views) {
+      for (auto& view : *views) {
         double result = 0;
         if (eval_agg_window(func, view.buckets.data(), view.buckets.size(),
                             result)) {
-          out.push_back({view.labels.without_name(), result});
+          out.push_back({std::move(view.labels).without_name(), result});
         }
       }
       return true;
@@ -648,15 +709,18 @@ class Evaluator {
     }
     out.kind = Value::Kind::kVector;
     if (lhs.kind == Value::Kind::kVector && rhs.kind == Value::Kind::kScalar) {
-      out.vector = vector_scalar_op(expr->op, expr->bool_modifier, lhs.vector,
-                                    rhs.scalar, /*scalar_on_left=*/false);
+      out.vector = vector_scalar_op(expr->op, expr->bool_modifier,
+                                    std::move(lhs.vector), rhs.scalar,
+                                    /*scalar_on_left=*/false);
     } else if (lhs.kind == Value::Kind::kScalar &&
                rhs.kind == Value::Kind::kVector) {
-      out.vector = vector_scalar_op(expr->op, expr->bool_modifier, rhs.vector,
-                                    lhs.scalar, /*scalar_on_left=*/true);
+      out.vector = vector_scalar_op(expr->op, expr->bool_modifier,
+                                    std::move(rhs.vector), lhs.scalar,
+                                    /*scalar_on_left=*/true);
     } else if (lhs.kind == Value::Kind::kVector &&
                rhs.kind == Value::Kind::kVector) {
-      out.vector = vector_vector_op(*expr, lhs.vector, rhs.vector);
+      out.vector =
+          vector_vector_op(*expr, std::move(lhs.vector), std::move(rhs.vector));
     } else {
       throw EvalError("unsupported operand types for " + expr->op);
     }
@@ -676,7 +740,7 @@ class Evaluator {
     }
     Value out;
     out.kind = Value::Kind::kVector;
-    out.vector = eval_aggregate(*expr, input.vector, param);
+    out.vector = eval_aggregate(*expr, std::move(input.vector), param);
     return out;
   }
 
@@ -699,11 +763,12 @@ class Evaluator {
       if (arg.kind != Value::Kind::kMatrix)
         throw EvalError(func + " expects a range vector (selector[duration])");
       out.kind = Value::Kind::kVector;
-      for (const auto& series : arg.matrix) {
+      for (auto& series : arg.matrix) {
         double result = 0;
         if (eval_range_function(func, series.samples.data(),
                                 series.samples.size(), result)) {
-          out.vector.push_back({series.labels.without_name(), result});
+          out.vector.push_back(
+              {std::move(series.labels).without_name(), result});
         }
       }
       return out;
@@ -724,7 +789,7 @@ class Evaluator {
         throw EvalError("predict_linear expects a range vector");
       double ahead_sec = eval_arg_scalar(expr, 1).scalar;
       out.kind = Value::Kind::kVector;
-      for (const auto& series : matrix.matrix) {
+      for (auto& series : matrix.matrix) {
         if (series.samples.size() < 2) continue;
         double n = static_cast<double>(series.samples.size());
         double sum_t = 0, sum_v = 0, sum_tv = 0, sum_tt = 0;
@@ -740,7 +805,7 @@ class Evaluator {
         if (denom == 0) continue;
         double slope = (n * sum_tv - sum_t * sum_v) / denom;
         double intercept = (sum_v - slope * sum_t) / n;
-        out.vector.push_back({series.labels.without_name(),
+        out.vector.push_back({std::move(series.labels).without_name(),
                               intercept + slope * ahead_sec});
       }
       return out;
@@ -765,28 +830,27 @@ class Evaluator {
       Value arg;
       if (expr->args.empty()) {
         arg.kind = Value::Kind::kVector;
-        arg.vector.push_back({Labels{}, static_cast<double>(t_) / 1000.0});
+        arg.vector.push_back(
+            {InternedLabels{}, static_cast<double>(t_) / 1000.0});
       } else {
         arg = eval_arg_vector(expr, 0);
       }
-      out.kind = Value::Kind::kVector;
-      for (const auto& sample : arg.vector) {
-        std::time_t seconds = static_cast<std::time_t>(sample.value);
-        std::tm utc{};
-        gmtime_r(&seconds, &utc);
-        double value = 0;
-        if (func == "hour") value = utc.tm_hour;
-        else if (func == "day_of_week") value = utc.tm_wday;
-        else if (func == "day_of_month") value = utc.tm_mday;
-        else value = utc.tm_mon + 1;
-        out.vector.push_back({sample.labels.without_name(), value});
-      }
-      return out;
+      arg.vector =
+          map_values(std::move(arg.vector), [&func](double v) -> double {
+            std::time_t seconds = static_cast<std::time_t>(v);
+            std::tm utc{};
+            gmtime_r(&seconds, &utc);
+            if (func == "hour") return utc.tm_hour;
+            if (func == "day_of_week") return utc.tm_wday;
+            if (func == "day_of_month") return utc.tm_mday;
+            return utc.tm_mon + 1;
+          });
+      return arg;
     }
     if (func == "vector") {
       Value arg = eval_arg_scalar(expr, 0);
       out.kind = Value::Kind::kVector;
-      out.vector.push_back({Labels{}, arg.scalar});
+      out.vector.push_back({InternedLabels{}, arg.scalar});
       return out;
     }
     if (func == "scalar") {
@@ -799,7 +863,7 @@ class Evaluator {
     if (func == "absent") {
       Value arg = eval_arg_vector(expr, 0);
       out.kind = Value::Kind::kVector;
-      if (arg.vector.empty()) out.vector.push_back({Labels{}, 1});
+      if (arg.vector.empty()) out.vector.push_back({InternedLabels{}, 1});
       return out;
     }
     if (func == "label_replace") {
@@ -812,15 +876,29 @@ class Evaluator {
       std::string pattern = eval_string(expr, 4);
       // Cached compile: label_replace re-evaluates at every range step.
       auto re = metrics::compiled_anchored_regex(pattern);
+      SymbolTable& table = SymbolTable::global();
+      const std::optional<uint32_t> src_sym = QuerySymbols::find(src);
+      // The written pair. Its strings are interned through QuerySymbols:
+      // a query keeps the new ones to itself, a rule interns them.
+      std::vector<InternedLabels::SymbolPair> written;
       out.kind = Value::Kind::kVector;
-      for (auto sample : arg.vector) {
-        std::string source_value(sample.labels.get(src).value_or(""));
-        std::smatch match;
-        if (std::regex_match(source_value, match, *re)) {
-          std::string value = match.format(replacement);
-          sample.labels = sample.labels.with(dst, value);
+      out.vector = std::move(arg.vector);
+      for (auto& sample : out.vector) {
+        std::optional<uint32_t> value_sym =
+            src_sym ? sample.labels.value_symbol(*src_sym) : std::nullopt;
+        std::string_view source_value =
+            value_sym ? table.text(*value_sym) : std::string_view{};
+        std::cmatch match;
+        if (std::regex_match(source_value.data(),
+                             source_value.data() + source_value.size(), match,
+                             *re)) {
+          if (written.empty()) {
+            written.emplace_back(QuerySymbols::intern(dst), 0);
+          }
+          written[0].second =
+              QuerySymbols::intern(match.format(replacement));
+          sample.labels = std::move(sample.labels).with_symbols(written);
         }
-        out.vector.push_back(std::move(sample));
       }
       return out;
     }
@@ -830,15 +908,27 @@ class Evaluator {
       Value arg = eval_arg_vector(expr, 0);
       std::string dst = eval_string(expr, 1);
       std::string sep = eval_string(expr, 2);
+      SymbolTable& table = SymbolTable::global();
+      // Source names as symbols; an unknown name joins as "".
+      std::vector<std::optional<uint32_t>> src_syms;
+      for (std::size_t i = 3; i < expr->args.size(); ++i) {
+        src_syms.push_back(QuerySymbols::find(eval_string(expr, i)));
+      }
+      std::vector<InternedLabels::SymbolPair> written = {
+          {QuerySymbols::intern(dst), 0}};
       out.kind = Value::Kind::kVector;
-      for (auto sample : arg.vector) {
+      out.vector = std::move(arg.vector);
+      for (auto& sample : out.vector) {
         std::string joined;
-        for (std::size_t i = 3; i < expr->args.size(); ++i) {
-          if (i > 3) joined += sep;
-          joined += sample.labels.get(eval_string(expr, i)).value_or("");
+        for (std::size_t i = 0; i < src_syms.size(); ++i) {
+          if (i > 0) joined += sep;
+          std::optional<uint32_t> value_sym =
+              src_syms[i] ? sample.labels.value_symbol(*src_syms[i])
+                          : std::nullopt;
+          if (value_sym) joined += table.text(*value_sym);
         }
-        sample.labels = sample.labels.with(dst, joined);
-        out.vector.push_back(std::move(sample));
+        written[0].second = QuerySymbols::intern(joined);
+        sample.labels = std::move(sample.labels).with_symbols(written);
       }
       return out;
     }
@@ -846,11 +936,8 @@ class Evaluator {
     // Simple math on instant vectors.
     auto unary_math = [&](double (*fn)(double)) {
       Value arg = eval_arg_vector(expr, 0);
-      out.kind = Value::Kind::kVector;
-      for (const auto& sample : arg.vector) {
-        out.vector.push_back({sample.labels.without_name(), fn(sample.value)});
-      }
-      return out;
+      arg.vector = map_values(std::move(arg.vector), fn);
+      return arg;
     };
     if (func == "round") {
       // round(v) or round(v, to_nearest).
@@ -858,12 +945,10 @@ class Evaluator {
       double nearest =
           expr->args.size() > 1 ? eval_arg_scalar(expr, 1).scalar : 1.0;
       if (nearest == 0) throw EvalError("round: to_nearest must be nonzero");
-      out.kind = Value::Kind::kVector;
-      for (const auto& sample : arg.vector) {
-        out.vector.push_back({sample.labels.without_name(),
-                              std::round(sample.value / nearest) * nearest});
-      }
-      return out;
+      arg.vector = map_values(std::move(arg.vector), [nearest](double v) {
+        return std::round(v / nearest) * nearest;
+      });
+      return arg;
     }
     if (func == "abs") return unary_math(+[](double v) { return std::fabs(v); });
     if (func == "ceil") return unary_math(+[](double v) { return std::ceil(v); });
@@ -879,12 +964,10 @@ class Evaluator {
       double hi = func == "clamp_min"
                       ? INFINITY
                       : eval_arg_scalar(expr, func == "clamp" ? 2 : 1).scalar;
-      out.kind = Value::Kind::kVector;
-      for (const auto& sample : arg.vector) {
-        out.vector.push_back(
-            {sample.labels.without_name(), std::clamp(sample.value, lo, hi)});
-      }
-      return out;
+      arg.vector = map_values(std::move(arg.vector), [lo, hi](double v) {
+        return std::clamp(v, lo, hi);
+      });
+      return arg;
     }
     throw EvalError("unknown function " + func);
   }
@@ -968,7 +1051,7 @@ void collect_plannable_calls(const ExprPtr& expr,
 }
 
 struct PreparedSeries {
-  Labels labels;
+  InternedLabels labels;
   // Full-span, time-ordered. Matrix selectors store the series with
   // staleness markers already filtered out (mirroring
   // eval_matrix_selector); vector selectors keep markers, because a marker
@@ -1086,8 +1169,8 @@ class RangeEvalContext {
       selector.node = nodes[i];
       bool is_matrix = nodes[i]->kind == Expr::Kind::kMatrixSelector;
       selector.series.reserve(views[i].size());
-      for (const auto& view : views[i]) {
-        PreparedSeries prepared{view.labels, view.samples(cache_)};
+      for (auto& view : views[i]) {
+        PreparedSeries prepared{std::move(view.labels), view.samples(cache_)};
         if (is_matrix) {
           prepared.samples.erase(
               std::remove_if(prepared.samples.begin(), prepared.samples.end(),
@@ -1155,7 +1238,7 @@ class RangeEvaluator final : public Evaluator {
     return out;
   }
 
-  std::vector<Series> matrix_selector(const Expr& expr) override {
+  std::vector<MatrixSeries> matrix_selector(const Expr& expr) override {
     // Generic consumers of a range vector (predict_linear, or a range
     // function we have no incremental form for) get a materialised copy of
     // the current window — sliced from the prepared array, never from a
@@ -1164,7 +1247,7 @@ class RangeEvaluator final : public Evaluator {
     auto& cursor = window_cursors_[&expr];
     cursor.resize(selector.series.size());
     TimestampMs at = time() - expr.offset_ms;
-    std::vector<Series> out;
+    std::vector<MatrixSeries> out;
     out.reserve(selector.series.size());
     for (std::size_t i = 0; i < selector.series.size(); ++i) {
       const auto& samples = selector.series[i].samples;
@@ -1359,20 +1442,22 @@ class RangeEvaluator final : public Evaluator {
   std::unordered_map<const Expr*, std::vector<AggCursor>> agg_cursors_;
 };
 
+using StepAccumulator = std::map<uint64_t, MatrixSeries>;
+
 // Folds one step's Value into the fingerprint-keyed accumulator shared by
 // the serial and streaming range paths.
-void accumulate_step(std::map<uint64_t, Series>& by_labels, Value&& value,
+void accumulate_step(StepAccumulator& by_labels, Value&& value,
                      TimestampMs t) {
   if (value.kind == Value::Kind::kScalar) {
-    Series& series = by_labels[Labels{}.fingerprint()];
+    MatrixSeries& series = by_labels[InternedLabels{}.fingerprint()];
     series.samples.push_back({t, value.scalar});
     return;
   }
   if (value.kind != Value::Kind::kVector)
     throw EvalError("range query must evaluate to vector or scalar");
-  for (const auto& sample : value.vector) {
-    Series& series = by_labels[sample.labels.fingerprint()];
-    series.labels = sample.labels;
+  for (auto& sample : value.vector) {
+    MatrixSeries& series = by_labels[sample.labels.fingerprint()];
+    series.labels = std::move(sample.labels);
     series.samples.push_back({t, sample.value});
   }
 }
@@ -1380,10 +1465,10 @@ void accumulate_step(std::map<uint64_t, Series>& by_labels, Value&& value,
 // Runs eval_steps over [start, end], chunking the step grid across the
 // pool when it pays off; chunk results merge in step order, so the output
 // is bit-identical to the serial sweep.
-std::map<uint64_t, Series> run_steps_chunked(
+StepAccumulator run_steps_chunked(
     common::ThreadPool* pool, int64_t min_parallel_steps, TimestampMs start,
     TimestampMs end, int64_t step_ms,
-    const std::function<std::map<uint64_t, Series>(TimestampMs, TimestampMs)>&
+    const std::function<StepAccumulator(TimestampMs, TimestampMs)>&
         eval_steps) {
   const int64_t num_steps = end < start ? 0 : (end - start) / step_ms + 1;
   if (!pool || pool->size() < 2 || num_steps < min_parallel_steps) {
@@ -1392,8 +1477,11 @@ std::map<uint64_t, Series> run_steps_chunked(
   const int64_t num_chunks =
       std::min<int64_t>(num_steps, static_cast<int64_t>(pool->size()) * 4);
   const int64_t steps_per_chunk = (num_steps + num_chunks - 1) / num_chunks;
-  std::vector<std::map<uint64_t, Series>> partials(
+  std::vector<StepAccumulator> partials(
       static_cast<std::size_t>(num_chunks));
+  // The workers read and intern label_replace()/label_join() strings in
+  // the caller's query table.
+  QuerySymbols* query_symbols = QuerySymbols::active();
   std::vector<std::function<void()>> tasks;
   tasks.reserve(static_cast<std::size_t>(num_chunks));
   for (int64_t c = 0; c < num_chunks; ++c) {
@@ -1403,16 +1491,18 @@ std::map<uint64_t, Series> run_steps_chunked(
         std::min(num_steps - 1, first_step + steps_per_chunk - 1);
     TimestampMs chunk_start = start + first_step * step_ms;
     TimestampMs chunk_end = start + last_step * step_ms;
-    tasks.push_back([&eval_steps, &partials, c, chunk_start, chunk_end] {
-      partials[static_cast<std::size_t>(c)] =
-          eval_steps(chunk_start, chunk_end);
-    });
+    tasks.push_back(
+        [&eval_steps, &partials, query_symbols, c, chunk_start, chunk_end] {
+          QuerySymbols::Scope scope(query_symbols);
+          partials[static_cast<std::size_t>(c)] =
+              eval_steps(chunk_start, chunk_end);
+        });
   }
   pool->run_all(std::move(tasks));
-  std::map<uint64_t, Series> by_labels;
+  StepAccumulator by_labels;
   for (auto& partial : partials) {
     for (auto& [key, series] : partial) {
-      Series& dst = by_labels[key];
+      MatrixSeries& dst = by_labels[key];
       if (dst.samples.empty()) {
         dst = std::move(series);
       } else {
@@ -1436,10 +1526,10 @@ Value Engine::eval(const Queryable& source, const std::string& expr,
   return eval(source, parse(expr), t);
 }
 
-std::map<uint64_t, Series> Engine::eval_range_steps(
+std::map<uint64_t, MatrixSeries> Engine::eval_range_steps(
     const Queryable& source, const ExprPtr& expr, TimestampMs start,
     TimestampMs end, int64_t step_ms) const {
-  std::map<uint64_t, Series> by_labels;
+  StepAccumulator by_labels;
   // Oracle purity: the per-step path always evaluates raw, independent of
   // resolution_aware, so it stays the differential reference for both the
   // streaming and the planned paths.
@@ -1456,8 +1546,12 @@ std::vector<Series> Engine::eval_range(const Queryable& source,
                                        TimestampMs end, int64_t step_ms) const {
   if (step_ms <= 0) throw EvalError("step must be positive");
   common::ThreadPool* pool = options_.pool.get();
+  // The result leaves as strings, so strings the query builds live only
+  // as long as this call.
+  QuerySymbols query_symbols;
+  QuerySymbols::Scope scope(&query_symbols);
 
-  std::map<uint64_t, Series> by_labels;
+  StepAccumulator by_labels;
   if (options_.streaming_range) {
     // Streaming path: prepare every selector once (one select, one decode
     // per chunk), then sweep step cursors — serial or chunked across the
@@ -1465,9 +1559,8 @@ std::vector<Series> Engine::eval_range(const Queryable& source,
     // immutable arrays.
     RangeEvalContext ctx(source, expr, start, end, step_ms, pool,
                          options_.resolution_aware);
-    auto eval_steps = [&](TimestampMs from,
-                          TimestampMs to) -> std::map<uint64_t, Series> {
-      std::map<uint64_t, Series> partial;
+    auto eval_steps = [&](TimestampMs from, TimestampMs to) {
+      StepAccumulator partial;
       RangeEvaluator evaluator(source, ctx, from);
       for (TimestampMs t = from; t <= to; t += step_ms) {
         evaluator.set_time(t);
@@ -1479,20 +1572,27 @@ std::vector<Series> Engine::eval_range(const Queryable& source,
                                   end, step_ms, eval_steps);
   } else {
     // Per-step oracle path: full selector evaluation at every step.
-    auto eval_steps = [&](TimestampMs from,
-                          TimestampMs to) -> std::map<uint64_t, Series> {
+    auto eval_steps = [&](TimestampMs from, TimestampMs to) {
       return eval_range_steps(source, expr, from, to, step_ms);
     };
     by_labels = run_steps_chunked(pool, options_.min_parallel_steps, start,
                                   end, step_ms, eval_steps);
   }
 
+  // Label order, sorted on symbols; string labels are built here, once per
+  // result series.
+  std::vector<MatrixSeries*> sorted;
+  sorted.reserve(by_labels.size());
+  for (auto& [key, series] : by_labels) sorted.push_back(&series);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const MatrixSeries* a, const MatrixSeries* b) {
+              return a->labels < b->labels;
+            });
   std::vector<Series> out;
-  out.reserve(by_labels.size());
-  for (auto& [key, series] : by_labels) out.push_back(std::move(series));
-  std::sort(out.begin(), out.end(), [](const Series& a, const Series& b) {
-    return a.labels < b.labels;
-  });
+  out.reserve(sorted.size());
+  for (MatrixSeries* series : sorted) {
+    out.push_back({series->labels.to_labels(), std::move(series->samples)});
+  }
   return out;
 }
 

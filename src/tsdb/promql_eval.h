@@ -2,6 +2,18 @@
 // an instant vector; range queries evaluate the instant expression at each
 // step (exactly Prometheus' model).
 //
+// Labels stay interned from select() to the result: instant vectors and
+// range vectors carry InternedLabels, by/without and on/ignoring resolve
+// their names to symbols once per evaluation, and grouping and vector
+// matching key on fingerprints computed from symbols, building a label
+// set only for each group or match they emit. The only strings built are
+// eval_range()'s Series labels, once per result series, and the values
+// label_replace()/label_join() write. Those are interned through
+// metrics::QuerySymbols: eval_range() keeps new ones in a table of its
+// own, as does any caller of eval() that activates one (the HTTP API);
+// without one (rules, whose output is stored) they go to the global
+// table. See DESIGN.md "Interned vectors".
+//
 // Known deviations from upstream Prometheus, chosen deliberately:
 //   * rate()/increase() compute the slope over the observed sample span
 //     without boundary extrapolation — sums of increase() then equal the
@@ -33,12 +45,20 @@ struct EvalError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// One element of an instant vector.
+// One element of an instant vector. Labels stay interned through the
+// whole evaluation; callers that need strings (JSON, alerts) build them.
 struct VectorSample {
-  Labels labels;
+  InternedLabels labels;
   double value = 0;
 };
 using InstantVector = std::vector<VectorSample>;
+
+// One series of a range vector, or of a range query's accumulator.
+// eval_range() turns these into string-labelled Series on return.
+struct MatrixSeries {
+  InternedLabels labels;
+  std::vector<SamplePoint> samples;  // time-ordered
+};
 
 struct Value {
   enum class Kind { kScalar, kVector, kString, kMatrix };
@@ -46,7 +66,7 @@ struct Value {
   double scalar = 0;
   InstantVector vector;
   std::string string_value;
-  std::vector<Series> matrix;  // only produced by matrix selectors
+  std::vector<MatrixSeries> matrix;  // only produced by matrix selectors
 };
 
 // How far back an instant selector looks for a series' newest sample.
@@ -94,7 +114,9 @@ class Engine {
   explicit Engine(EngineOptions options = {})
       : options_(std::move(options)) {}
 
-  // Evaluates `expr` at instant `t`.
+  // Evaluates `expr` at instant `t`. With a metrics::QuerySymbols active
+  // on the calling thread, result labels may carry its ids: read them
+  // while it is still active.
   Value eval(const Queryable& source, const ExprPtr& expr,
              TimestampMs t) const;
   Value eval(const Queryable& source, const std::string& expr,
@@ -112,7 +134,7 @@ class Engine {
  private:
   // Evaluates the steps start, start+step, ... <= end into a
   // fingerprint-keyed accumulator (samples in step order).
-  std::map<uint64_t, Series> eval_range_steps(const Queryable& source,
+  std::map<uint64_t, MatrixSeries> eval_range_steps(const Queryable& source,
                                               const ExprPtr& expr,
                                               TimestampMs start,
                                               TimestampMs end,

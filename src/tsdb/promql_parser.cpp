@@ -166,12 +166,13 @@ class Parser {
       metrics::LabelMatcher matcher;
       matcher.name = next().text;
       if (peek().type != TokenType::kOp) fail("expected matcher operator");
-      std::string op = next().text;
+      const std::string& op = peek().text;
       if (op == "=") matcher.op = metrics::LabelMatcher::Op::kEq;
       else if (op == "!=") matcher.op = metrics::LabelMatcher::Op::kNe;
       else if (op == "=~") matcher.op = metrics::LabelMatcher::Op::kRegexMatch;
       else if (op == "!~") matcher.op = metrics::LabelMatcher::Op::kRegexNoMatch;
       else fail("bad matcher operator " + op);
+      next();
       if (peek().type != TokenType::kString) fail("expected quoted value");
       matcher.value = next().text;
       matchers.push_back(std::move(matcher));
@@ -297,14 +298,18 @@ std::string Expr::to_string() const {
         for (const auto& matcher : matchers) {
           if (!first) out += ",";
           first = false;
-          out += matcher.name + "=\"" + matcher.value + "\"";
+          out.append(matcher.name).append("=\"").append(matcher.value);
+          out += '"';
         }
         out += "}";
       }
-      if (kind == Kind::kMatrixSelector)
-        out += "[" + common::format_duration_ms(range_ms) + "]";
-      if (offset_ms != 0)
-        out += " offset " + common::format_duration_ms(offset_ms);
+      if (kind == Kind::kMatrixSelector) {
+        out.append("[").append(common::format_duration_ms(range_ms));
+        out += ']';
+      }
+      if (offset_ms != 0) {
+        out.append(" offset ").append(common::format_duration_ms(offset_ms));
+      }
       return out;
     }
     case Kind::kCall: {
@@ -315,8 +320,13 @@ std::string Expr::to_string() const {
       }
       return out + ")";
     }
-    case Kind::kBinary:
-      return "(" + lhs->to_string() + " " + op + " " + rhs->to_string() + ")";
+    case Kind::kBinary: {
+      std::string out = "(";
+      out.append(lhs->to_string()).append(" ").append(op).append(" ");
+      out.append(rhs->to_string());
+      out += ')';
+      return out;
+    }
     case Kind::kUnary:
       return op + lhs->to_string();
     case Kind::kAggregate: {

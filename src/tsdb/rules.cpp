@@ -18,8 +18,8 @@ constexpr std::string_view kAlertsMetric = "ALERTS";
 // once every label set is in place and the vector no longer moves.
 class OutputBatch {
  public:
-  void add(const Labels& labels, double value) {
-    labels_.emplace_back(labels);
+  void add(metrics::InternedLabels labels, double value) {
+    labels_.push_back(std::move(labels));
     values_.push_back(value);
   }
 
@@ -92,23 +92,29 @@ RuleEngine::RuleEngine(StorePtr store, promql::EngineOptions options)
 void RuleEngine::add_group(RuleGroup group) {
   // Declaration order within a group: alerts, then recording rules.
   std::vector<RuleNode> added;
-  auto add = [&](auto& rule, std::string writes) {
+  metrics::SymbolTable& table = metrics::SymbolTable::global();
+  auto add = [&](auto& rule, std::string writes, std::string_view label,
+                 std::string_view value) {
     rule.parsed = promql::parse(rule.expr);
     RuleNode node;
     node.reads_any = !collect_reads(rule.parsed, node.reads);
     node.writes = std::move(writes);
+    node.labels.emplace_back(table.intern(label), table.intern(value));
+    for (const auto& [name, label_value] : rule.static_labels) {
+      node.labels.emplace_back(table.intern(name), table.intern(label_value));
+    }
     node.rule = std::move(rule);
     added.push_back(std::move(node));
   };
   for (auto& rule : group.alerts) {
     if (rule.alert.empty())
       throw promql::ParseError("alerting rule without a name");
-    add(rule, std::string(kAlertsMetric));
+    add(rule, std::string(kAlertsMetric), "alertname", rule.alert);
   }
   for (auto& rule : group.rules) {
     if (!metrics::is_valid_metric_name(rule.record))
       throw promql::ParseError("invalid record name: " + rule.record);
-    add(rule, rule.record);
+    add(rule, rule.record, metrics::kMetricNameLabel, rule.record);
   }
 
   auto reads = [](const RuleNode& node, const std::string& name) {
@@ -131,9 +137,15 @@ void RuleEngine::add_group(RuleGroup group) {
   groups_.push_back({group.interval_ms});
 }
 
-void RuleEngine::evaluate_alert(const AlertingRule& rule,
-                                std::map<uint64_t, ActiveAlert>& active,
+void RuleEngine::evaluate_alert(const AlertingRule& rule, RuleNode& node,
                                 common::TimestampMs t, RuleEvalStats& stats) {
+  // The ALERTS series of an instance: its labels, alertstate, the name.
+  static const std::vector<InternedLabels::SymbolPair> kFiringSeries = [] {
+    metrics::SymbolTable& table = metrics::SymbolTable::global();
+    return std::vector<InternedLabels::SymbolPair>{
+        {table.intern("alertstate"), table.intern("firing")},
+        {metrics::metric_name_symbol(), table.intern(kAlertsMetric)}};
+  }();
   promql::Value value;
   try {
     value = engine_.eval(*store_, rule.parsed, t);
@@ -150,36 +162,35 @@ void RuleEngine::evaluate_alert(const AlertingRule& rule,
   }
 
   // Mark the alert instances present in this evaluation.
+  std::map<uint64_t, AlertInstance>& active = node.active;
   OutputBatch alerts;
   std::set<uint64_t> seen;
-  for (const auto& sample : value.vector) {
-    Labels labels = sample.labels.without_name().with("alertname", rule.alert);
-    for (const auto& [name, label_value] : rule.static_labels) {
-      labels = labels.with(name, label_value);
-    }
+  for (auto& sample : value.vector) {
+    InternedLabels labels =
+        std::move(sample.labels).without_name().with_symbols(node.labels);
     uint64_t key = labels.fingerprint();
     seen.insert(key);
     auto it = active.find(key);
     if (it == active.end()) {
-      ActiveAlert alert;
+      AlertInstance instance;
+      ActiveAlert& alert = instance.alert;
       alert.name = rule.alert;
-      alert.labels = labels;
+      alert.labels = labels.to_labels();
       alert.active_since_ms = t;
       alert.value = sample.value;
       alert.state = rule.for_ms == 0 ? AlertState::kFiring
                                      : AlertState::kPending;
-      it = active.emplace(key, std::move(alert)).first;
+      instance.series = std::move(labels).with_symbols(kFiringSeries);
+      it = active.emplace(key, std::move(instance)).first;
     }
-    ActiveAlert& alert = it->second;
+    ActiveAlert& alert = it->second.alert;
     alert.value = sample.value;
     if (alert.state == AlertState::kPending &&
         t - alert.active_since_ms >= rule.for_ms) {
       alert.state = AlertState::kFiring;
     }
     if (alert.state == AlertState::kFiring) {
-      alerts.add(
-          alert.labels.with("alertstate", "firing").with_name(kAlertsMetric),
-          1);
+      alerts.add(it->second.series, 1);
       ++stats.alerts_firing;
     } else {
       ++stats.alerts_pending;
@@ -191,10 +202,8 @@ void RuleEngine::evaluate_alert(const AlertingRule& rule,
   // full lookback window after resolution.
   for (auto it = active.begin(); it != active.end();) {
     if (!seen.count(it->first)) {
-      if (it->second.state == AlertState::kFiring) {
-        alerts.add(it->second.labels.with("alertstate", "firing")
-                       .with_name(kAlertsMetric),
-                   metrics::stale_marker());
+      if (it->second.alert.state == AlertState::kFiring) {
+        alerts.add(it->second.series, metrics::stale_marker());
       }
       it = active.erase(it);
     } else {
@@ -205,7 +214,8 @@ void RuleEngine::evaluate_alert(const AlertingRule& rule,
 }
 
 void RuleEngine::evaluate_record(const RecordingRule& rule,
-                                 common::TimestampMs t, RuleEvalStats& stats) {
+                                 const RuleNode& node, common::TimestampMs t,
+                                 RuleEvalStats& stats) {
   try {
     promql::Value value = engine_.eval(*store_, rule.parsed, t);
     if (value.kind != promql::Value::Kind::kVector) {
@@ -215,12 +225,9 @@ void RuleEngine::evaluate_record(const RecordingRule& rule,
       return;
     }
     OutputBatch output;
-    for (const auto& sample : value.vector) {
-      Labels labels = sample.labels.with_name(rule.record);
-      for (const auto& [name, label_value] : rule.static_labels) {
-        labels = labels.with(name, label_value);
-      }
-      output.add(labels, sample.value);
+    for (auto& sample : value.vector) {
+      output.add(std::move(sample.labels).with_symbols(node.labels),
+                 sample.value);
     }
     if (output.has_duplicate_labels()) {
       CEEMS_LOG_WARN("rules") << "rule " << rule.record
@@ -241,9 +248,9 @@ RuleEvalStats RuleEngine::evaluate_node(RuleNode& node,
   RuleEvalStats stats;
   ++stats.rules_evaluated;
   if (auto* alert = std::get_if<AlertingRule>(&node.rule)) {
-    evaluate_alert(*alert, node.active, t, stats);
+    evaluate_alert(*alert, node, t, stats);
   } else {
-    evaluate_record(std::get<RecordingRule>(node.rule), t, stats);
+    evaluate_record(std::get<RecordingRule>(node.rule), node, t, stats);
   }
   return stats;
 }
@@ -333,7 +340,9 @@ std::vector<ActiveAlert> RuleEngine::active_alerts() const {
   std::lock_guard lock(eval_mu_);
   std::vector<ActiveAlert> out;
   for (const auto& node : nodes_) {
-    for (const auto& [key, alert] : node.active) out.push_back(alert);
+    for (const auto& [key, instance] : node.active) {
+      out.push_back(instance.alert);
+    }
   }
   return out;
 }

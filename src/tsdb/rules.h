@@ -107,6 +107,12 @@ class RuleEngine {
   std::vector<ActiveAlert> active_alerts() const;
 
  private:
+  // One pending or firing alert and the labels of its ALERTS series.
+  struct AlertInstance {
+    ActiveAlert alert;
+    InternedLabels series;
+  };
+
   // Interval bookkeeping of one registered group.
   struct GroupSchedule {
     int64_t interval_ms = 0;
@@ -125,17 +131,20 @@ class RuleEngine {
     // Later nodes it conflicts with; every edge points forward in
     // declaration order.
     std::vector<std::size_t> successors;
+    // Labels set on every result sample, in order, interned once by
+    // add_group(): the record name then the static labels, or for an
+    // alert alertname then the static labels.
+    std::vector<InternedLabels::SymbolPair> labels;
     // Alerting rules only: this rule's instances, keyed by the
     // fingerprint of their labels.
-    std::map<uint64_t, ActiveAlert> active;
+    std::map<uint64_t, AlertInstance> active;
   };
 
   RuleEvalStats run_pass(common::TimestampMs t, bool only_due);
   RuleEvalStats evaluate_node(RuleNode& node, common::TimestampMs t);
-  void evaluate_record(const RecordingRule& rule, common::TimestampMs t,
-                       RuleEvalStats& stats);
-  void evaluate_alert(const AlertingRule& rule,
-                      std::map<uint64_t, ActiveAlert>& active,
+  void evaluate_record(const RecordingRule& rule, const RuleNode& node,
+                       common::TimestampMs t, RuleEvalStats& stats);
+  void evaluate_alert(const AlertingRule& rule, RuleNode& node,
                       common::TimestampMs t, RuleEvalStats& stats);
 
   StorePtr store_;

@@ -182,8 +182,9 @@ std::size_t TimeSeriesStore::replay_refs(const metrics::SampleRef* samples,
   return accepted;
 }
 
-std::vector<TimeSeriesStore::SeriesId> TimeSeriesStore::match_ids(
-    const Shard& shard, const Selector& selector) {
+template <typename Fn>
+void TimeSeriesStore::for_each_match(const Shard& shard,
+                                     const Selector& selector, Fn&& fn) {
   // Walk only the smallest posting list among the non-empty equality
   // terms, in place, and check the remaining terms by symbol id. A term
   // with no posting in this shard matches nothing here.
@@ -193,26 +194,22 @@ std::vector<TimeSeriesStore::SeriesId> TimeSeriesStore::match_ids(
     auto pair = selector.posting(i);
     if (!pair) continue;
     auto ids = shard.index.find(PostingIndex::key(pair->first, pair->second));
-    if (ids.empty()) return {};
+    if (ids.empty()) return;
     if (posting_term == Selector::kNoTerm || ids.size() < posting.size()) {
       posting = ids;
       posting_term = i;
     }
   }
-  std::vector<SeriesId> out;
   if (posting_term != Selector::kNoTerm) {
     for (SeriesId id : posting) {
-      if (selector.matches(shard.slots[id].ilabels, posting_term)) {
-        out.push_back(id);
-      }
+      if (selector.matches(shard.slots[id].ilabels, posting_term)) fn(id);
     }
   } else {
     for (SeriesId id = 0; id < shard.slots.size(); ++id) {
       const StoredSeries& stored = shard.slots[id];
-      if (stored.live && selector.matches(stored.ilabels)) out.push_back(id);
+      if (stored.live && selector.matches(stored.ilabels)) fn(id);
     }
   }
-  return out;
 }
 
 std::vector<SeriesView> TimeSeriesStore::select(
@@ -223,16 +220,17 @@ std::vector<SeriesView> TimeSeriesStore::select(
   if (!selector.satisfiable()) return out;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
-    for (SeriesId id : match_ids(shard, selector)) {
+    for_each_match(shard, selector, [&](SeriesId id) {
       const StoredSeries& stored = shard.slots[id];
       // Boundary chunks are decoded under the lock so emptiness is exact;
       // fully-covered chunks ride along compressed and refcounted.
       auto slices = stored.data.slices_between(min_t, max_t);
-      if (slices.empty()) continue;
-      out.push_back(SeriesView{stored.ilabels.to_labels(), std::move(slices)});
-    }
+      if (!slices.empty()) {
+        out.push_back(SeriesView{stored.ilabels, std::move(slices)});
+      }
+    });
   }
-  // Deterministic output order.
+  // Deterministic output order: string-label order, compared on symbols.
   std::sort(out.begin(), out.end(),
             [](const SeriesView& a, const SeriesView& b) {
               return a.labels < b.labels;
@@ -291,7 +289,8 @@ std::size_t TimeSeriesStore::delete_series(
   if (!selector.satisfiable()) return deleted;
   for (Shard& shard : shards_) {
     std::unique_lock lock(shard.mu);
-    std::vector<SeriesId> ids = match_ids(shard, selector);
+    std::vector<SeriesId> ids;
+    for_each_match(shard, selector, [&ids](SeriesId id) { ids.push_back(id); });
     if (ids.empty()) continue;
     for (SeriesId id : ids) {
       shard.num_samples -= shard.slots[id].data.num_samples();

@@ -9,10 +9,12 @@
 // Label strings are interned once in the process-wide SymbolTable
 // (metrics/symbols.h); series carry small vectors of 32-bit symbol ids
 // with a precomputed fingerprint, so the scrape→storage hot path hashes
-// and compares ids, not strings. A series stores no string labels at all:
-// select() and snapshot_bytes() build them from the symbol ids through the
-// lock-free SymbolTable::text(). Fingerprints are not trusted to be
-// unique: series ids are distinct from fingerprints, and every lookup
+// and compares ids, not strings. A series stores no string labels at all,
+// and select() builds none: its views carry the series' InternedLabels,
+// sorted in string-label order by InternedLabels::operator<, which reads
+// the lock-free SymbolTable::text() only where two ids differ. Only
+// snapshot_bytes() writes label strings. Fingerprints are not trusted to
+// be unique: series ids are distinct from fingerprints, and every lookup
 // verifies the full symbol vector, so colliding label sets get distinct
 // series instead of aliasing.
 //
@@ -71,10 +73,10 @@ class Queryable {
  public:
   virtual ~Queryable() = default;
   // All series matching every matcher, restricted to samples in
-  // [min_t, max_t] inclusive. Views are cheap to copy (label handle plus
-  // chunk refcounts); call samples()/materialize() only where the full
-  // sample vector is actually consumed. Every returned view has at least
-  // one sample in range.
+  // [min_t, max_t] inclusive, sorted by labels (string order). Views are
+  // cheap to copy (symbol vector plus chunk refcounts); call samples()
+  // only where the full sample vector is actually consumed. Every
+  // returned view has at least one sample in range.
   virtual std::vector<SeriesView> select(
       const std::vector<LabelMatcher>& matchers, TimestampMs min_t,
       TimestampMs max_t) const = 0;
@@ -299,10 +301,12 @@ class TimeSeriesStore final : public Queryable {
   static void erase_series_locked(Shard& shard,
                                   const std::vector<SeriesId>& ids);
 
-  // Returns ids of series in `shard` matching the selector, ascending.
-  // Caller holds at least a shared lock on the shard.
-  static std::vector<SeriesId> match_ids(const Shard& shard,
-                                         const Selector& selector);
+  // Calls fn(id) for each series in `shard` matching the selector, in
+  // ascending id order, without collecting the ids. Caller holds at least
+  // a shared lock on the shard.
+  template <typename Fn>
+  static void for_each_match(const Shard& shard, const Selector& selector,
+                             Fn&& fn);
 
   std::array<Shard, kShardCount> shards_;
 

@@ -96,7 +96,7 @@ StoreDump dump_store(const tsdb::TimeSeriesStore& store,
     // across runs; everything else in the stack is simulated-time pure.
     if (!include_durations && view.labels.name() == "scrape_duration_seconds")
       continue;
-    auto& series = out[view.labels.to_string()];
+    auto& series = out[view.labels.to_labels().to_string()];
     for (const auto& sample : view.samples()) {
       series[sample.t] = bits_of(sample.v);
     }
@@ -160,7 +160,7 @@ void check_staleness_invariants(ceems::testing::MiniStack& mini,
 
   for (const auto& up_view : ups) {
     auto instance = up_view.labels.get("instance");
-    ASSERT_TRUE(instance.has_value()) << up_view.labels.to_string();
+    ASSERT_TRUE(instance.has_value()) << up_view.labels.to_labels().to_string();
     SCOPED_TRACE("instance " + std::string(*instance));
 
     std::map<int64_t, double> up_at;
@@ -181,7 +181,7 @@ void check_staleness_invariants(ceems::testing::MiniStack& mini,
     for (const auto& view : series) {
       std::string name(view.labels.name());
       if (is_scrape_synthetic(name) || is_rule_output(name)) continue;
-      SCOPED_TRACE("series " + view.labels.to_string());
+      SCOPED_TRACE("series " + view.labels.to_labels().to_string());
 
       std::map<int64_t, double> by_t;
       for (const auto& sample : view.samples()) by_t[sample.t] = sample.v;
@@ -227,7 +227,7 @@ void check_differential_subset(ceems::testing::MiniStack& mini,
                               std::numeric_limits<int64_t>::max());
     EXPECT_FALSE(views.empty()) << name;
     for (const auto& view : views) {
-      const std::string key = view.labels.to_string();
+      const std::string key = view.labels.to_labels().to_string();
       auto base_it = baseline.find(key);
       ASSERT_TRUE(base_it != baseline.end()) << key;
       for (const auto& sample : view.samples()) {

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <cmath>
 #include <cstdio>
@@ -351,6 +352,38 @@ TEST(ThreadPool, ShutdownDrainsQueue) {
   pool.shutdown(/*drain=*/true);
   EXPECT_EQ(count.load(), 50);
   EXPECT_FALSE(pool.submit([&] { ++count; }));
+}
+
+// Workers start spread over the CPUs but keep their creator's CPU set, a
+// restricted one too.
+TEST(ThreadPool, WorkersKeepTheCreatorsCpuSet) {
+  cpu_set_t all;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
+  cpu_set_t first;
+  CPU_ZERO(&first);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &all)) {
+      CPU_SET(cpu, &first);
+      break;
+    }
+  }
+  for (const cpu_set_t* creator : {&all, &first}) {
+    ASSERT_EQ(sched_setaffinity(0, sizeof(*creator), creator), 0);
+    {
+      ThreadPool pool(4);
+      std::atomic<int> mismatched{0};
+      std::vector<std::function<void()>> tasks(32, [&] {
+        cpu_set_t mask;
+        if (sched_getaffinity(0, sizeof(mask), &mask) != 0 ||
+            !CPU_EQUAL(&mask, creator)) {
+          ++mismatched;
+        }
+      });
+      pool.run_all(std::move(tasks));
+      EXPECT_EQ(mismatched.load(), 0);
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof(all), &all), 0);
+  }
 }
 
 // ---------- rng ----------

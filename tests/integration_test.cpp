@@ -54,8 +54,8 @@ TEST_F(PipelineTest, RecordingRulesProducedJobPower) {
       mini_->clock()->now_ms());
   EXPECT_GT(series.size(), 5u);
   for (const auto& s : series) {
-    EXPECT_TRUE(s.labels.has("uuid"));
-    EXPECT_TRUE(s.labels.has("hostname"));
+    EXPECT_TRUE(s.labels.to_labels().has("uuid"));
+    EXPECT_TRUE(s.labels.to_labels().has("hostname"));
     for (const auto& sample : s.samples()) {
       EXPECT_GE(sample.v, 0.0);
       EXPECT_LT(sample.v, 4000.0);  // no job draws more than a node

@@ -32,7 +32,7 @@ std::string digest(const Queryable& store) {
   for (const auto& view :
        store.select({}, std::numeric_limits<TimestampMs>::min(),
                     std::numeric_limits<TimestampMs>::max())) {
-    out += view.labels.to_string() + ":";
+    out += view.labels.to_labels().to_string() + ":";
     for (const auto& sample : view.samples()) {
       out += " " + std::to_string(sample.t) + "=" + std::to_string(sample.v);
     }
@@ -654,7 +654,7 @@ class FullScanLongTerm {
                                ? hot_floor()
                                : std::max(hot_floor(), level.cursor_ms + 1);
         for (const auto& view : hot_->select({}, from, target)) {
-          auto& series = level.series[view.labels];
+          auto& series = level.series[view.labels.to_labels()];
           AggBucket bucket;
           bool open = false;
           for (const auto& sample : view.samples()) {
@@ -740,9 +740,9 @@ class FullScanLongTerm {
     const TimestampMs hi = std::min(max_t, sync_cursor_);
     if (lo <= hi) fine = hot_->select(matchers, lo, hi);
     for (auto& view : fine) {
-      auto it = merged.find(view.labels);
+      auto it = merged.find(view.labels.to_labels());
       if (it == merged.end()) {
-        Labels key = view.labels;
+        Labels key = view.labels.to_labels();
         merged.emplace(std::move(key), std::move(view));
         continue;
       }
@@ -860,7 +860,7 @@ class FullScanLongTerm {
 std::string select_digest(const std::vector<SeriesView>& views) {
   std::string out;
   for (const auto& view : views) {
-    out += view.labels.to_string() + "\n";
+    out += view.labels.to_labels().to_string() + "\n";
     for (const auto& slice : view.slices) {
       out += " |";
       for (const auto& sample : decode_slices({slice})) {
@@ -880,7 +880,7 @@ std::string agg_digest(const std::optional<std::vector<AggSeriesView>>& views) {
     return std::to_string(std::bit_cast<uint64_t>(v)) + ",";
   };
   for (const auto& view : *views) {
-    out += view.labels.to_string() + "\n";
+    out += view.labels.to_labels().to_string() + "\n";
     for (const auto& b : view.buckets) {
       out += " " + std::to_string(b.t) + ":" + std::to_string(b.count) + "," +
              bits(b.sum) + bits(b.min) + bits(b.max) + bits(b.first_v) +

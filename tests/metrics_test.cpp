@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "metrics/labels.h"
 #include "metrics/registry.h"
@@ -248,6 +251,114 @@ TEST(Symbols, EqualityVerifiesSymbolsNotJustFingerprint) {
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
   EXPECT_NE(a, b);
   EXPECT_EQ(a, InternedLabels(la, 0x1234));
+}
+
+// Random label sets over a vocabulary whose symbols are interned in
+// reverse string order (so id order and string order disagree), with
+// values that are prefixes of one another and empty values.
+class RandomLabelSets {
+ public:
+  RandomLabelSets() {
+    names_ = {"cmp_a", "cmp_ab", "cmp_b", "cmp_ba", "cmp_c", "cmp_z"};
+    values_ = {"",         "cmp_v",   "cmp_va",  "cmp_vaa",
+               "cmp_vab",  "cmp_vabc", "cmp_vb", "cmp_vba", "cmp_vz"};
+    SymbolTable& table = SymbolTable::global();
+    for (auto it = names_.rbegin(); it != names_.rend(); ++it) {
+      table.intern(*it);
+    }
+    for (auto it = values_.rbegin(); it != values_.rend(); ++it) {
+      table.intern(*it);
+    }
+  }
+
+  // 0 to 5 labels with distinct names.
+  Labels next(std::mt19937_64& rng) const {
+    std::vector<Labels::Pair> pairs;
+    std::size_t count = rng() % 6;
+    for (const auto& name : names_) {
+      if (pairs.size() == count) break;
+      if (rng() % 2 == 0) continue;
+      pairs.emplace_back(name, values_[rng() % values_.size()]);
+    }
+    return Labels(std::move(pairs));
+  }
+
+ private:
+  std::vector<std::string> names_;
+  std::vector<std::string> values_;
+};
+
+TEST(Symbols, InternedOrderMatchesLabelsOrder) {
+  SymbolTable& table = SymbolTable::global();
+  RandomLabelSets sets;
+  // The vocabulary really is interned against string order. Read the ids
+  // one by one: the constructor above interned every string, and argument
+  // evaluation order is unspecified.
+  const uint32_t a = table.intern("cmp_a");
+  const uint32_t z = table.intern("cmp_z");
+  const uint32_t v = table.intern("cmp_v");
+  const uint32_t vab = table.intern("cmp_vab");
+  ASSERT_GT(a, z);
+  ASSERT_GT(v, vab);
+  std::mt19937_64 rng(7);
+  std::vector<Labels> labels;
+  for (int i = 0; i < 400; ++i) labels.push_back(sets.next(rng));
+  // Hand-picked edges: a value that prefixes another, an empty value, a
+  // label set that prefixes another.
+  labels.push_back(Labels{{"cmp_a", "cmp_va"}});
+  labels.push_back(Labels{{"cmp_a", "cmp_vab"}});
+  labels.push_back(Labels{{"cmp_a", "cmp_v"}});
+  labels.push_back(Labels{{"cmp_a", ""}});
+  labels.push_back(Labels{{"cmp_a", "cmp_va"}, {"cmp_b", "cmp_v"}});
+  labels.push_back(Labels{});
+  for (const auto& a : labels) {
+    InternedLabels ia(a);
+    for (const auto& b : labels) {
+      InternedLabels ib(b);
+      ASSERT_EQ(ia < ib, a < b) << a.to_string() << " vs " << b.to_string();
+    }
+  }
+  std::vector<InternedLabels> interned(labels.begin(), labels.end());
+  std::sort(labels.begin(), labels.end());
+  std::sort(interned.begin(), interned.end());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(interned[i].to_labels(), labels[i]) << i;
+  }
+}
+
+TEST(Symbols, DerivedLabelSetsMatchLabels) {
+  SymbolTable& table = SymbolTable::global();
+  RandomLabelSets sets;
+  std::mt19937_64 rng(11);
+  const std::vector<std::string> names = {"cmp_ab", "cmp_c", "__name__"};
+  std::vector<uint32_t> name_syms;
+  for (const auto& name : names) name_syms.push_back(table.intern(name));
+  for (int i = 0; i < 300; ++i) {
+    Labels labels = sets.next(rng);
+    if (i % 2) labels = labels.with_name("cmp_metric");
+    InternedLabels interned(labels);
+    auto expect_same = [&](const InternedLabels& got, const Labels& want) {
+      EXPECT_EQ(got.to_labels(), want) << labels.to_string();
+      EXPECT_EQ(got.fingerprint(), want.fingerprint()) << labels.to_string();
+    };
+    expect_same(interned.keep_only(name_syms), labels.keep_only(names));
+    expect_same(interned.drop(name_syms), labels.drop(names));
+    EXPECT_EQ(interned.keep_only_fingerprint(name_syms),
+              labels.keep_only(names).fingerprint());
+    EXPECT_EQ(interned.drop_fingerprint(name_syms),
+              labels.drop(names).fingerprint());
+    expect_same(interned.without_name(), labels.without_name());
+    expect_same(InternedLabels(interned).without_name(),
+                labels.without_name());
+    expect_same(interned.with_symbols(table.intern("cmp_b"), table.intern("x")),
+                labels.with("cmp_b", "x"));
+    expect_same(
+        InternedLabels(interned).with_symbols(
+            {{table.intern("cmp_ba"), table.intern("1")},
+             {table.intern("cmp_a"), table.intern("2")},
+             {table.intern("cmp_ba"), table.intern("3")}}),
+        labels.with("cmp_ba", "1").with("cmp_a", "2").with("cmp_ba", "3"));
+  }
 }
 
 // ---------- registry ----------

@@ -395,7 +395,7 @@ TEST(PromqlDifferential, ResolutionAwareInstantQueries) {
     for (std::size_t i = 0; i < expected.vector.size(); ++i) {
       EXPECT_EQ(expected.vector[i].labels, got.vector[i].labels);
       EXPECT_EQ(bits(expected.vector[i].value), bits(got.vector[i].value))
-          << "series " << expected.vector[i].labels.to_string();
+          << "series " << expected.vector[i].labels.to_labels().to_string();
     }
     if (c.planned) {
       EXPECT_GT(hits_after, hits_before);

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "http/message.h"
+#include "tsdb/http_api.h"
 #include "tsdb/promql_eval.h"
 #include "append_one.h"
 
@@ -187,7 +192,7 @@ TEST_F(PromqlTest, OneToOneMatchingOnIdenticalLabels) {
   ASSERT_EQ(value.vector.size(), 2u);
   for (const auto& sample : value.vector) {
     EXPECT_DOUBLE_EQ(sample.value, 5);
-    EXPECT_FALSE(sample.labels.has("__name__"));
+    EXPECT_FALSE(sample.labels.to_labels().has("__name__"));
   }
 }
 
@@ -199,7 +204,7 @@ TEST_F(PromqlTest, GroupLeftManyToOne) {
   ASSERT_EQ(value.vector.size(), 2u);
   double total = 0;
   for (const auto& sample : value.vector) {
-    EXPECT_TRUE(sample.labels.has("uuid"));  // many-side labels kept
+    EXPECT_TRUE(sample.labels.to_labels().has("uuid"));  // many-side labels kept
     total += sample.value;
   }
   EXPECT_DOUBLE_EQ(total, 1.0);
@@ -211,7 +216,7 @@ TEST_F(PromqlTest, GroupRightSwapsRoles) {
   Value value = eval("one * on(h) group_right() many", 1000);
   ASSERT_EQ(value.vector.size(), 1u);
   EXPECT_DOUBLE_EQ(value.vector[0].value, 2500);
-  EXPECT_TRUE(value.vector[0].labels.has("uuid"));
+  EXPECT_TRUE(value.vector[0].labels.to_labels().has("uuid"));
 }
 
 TEST_F(PromqlTest, GroupLeftIncludeCopiesLabels) {
@@ -284,8 +289,8 @@ TEST_F(PromqlTest, SumWithoutDropsLabels) {
   Value value = eval("sum without (mode) (m)", 1000);
   ASSERT_EQ(value.vector.size(), 1u);
   EXPECT_DOUBLE_EQ(value.vector[0].value, 3);
-  EXPECT_TRUE(value.vector[0].labels.has("h"));
-  EXPECT_FALSE(value.vector[0].labels.has("__name__"));
+  EXPECT_TRUE(value.vector[0].labels.to_labels().has("h"));
+  EXPECT_FALSE(value.vector[0].labels.to_labels().has("__name__"));
 }
 
 TEST_F(PromqlTest, GlobalAggregations) {
@@ -332,6 +337,76 @@ TEST_F(PromqlTest, LabelReplace) {
       1000);
   ASSERT_EQ(value.vector.size(), 1u);
   EXPECT_EQ(*value.vector[0].labels.get("gpu_uuid"), "GPU-abc");
+}
+
+// Values a query makes up must not stay in the process-wide symbol table,
+// which never frees an entry: through the load balancer any client could
+// grow it by one string per request.
+TEST(HttpQueries, LabelReplaceDoesNotGrowSymbolTable) {
+  auto store = std::make_shared<TimeSeriesStore>();
+  for (int i = 0; i < 4; ++i) {
+    std::string instance = "n";
+    instance += std::to_string(i);
+    append_one(*store, Labels{{"instance", instance}}.with_name("up"), 60'000,
+               1);
+  }
+  PromApi api(store, common::make_sim_clock(120'000));
+  auto get = [&api](const std::string& path, const std::string& query,
+                    const std::string& rest) {
+    http::Request request;
+    request.method = "GET";
+    request.target = path + "?query=" + http::url_encode(query) + rest;
+    return path == "/api/v1/query" ? api.handle_query(request)
+                                   : api.handle_query_range(request);
+  };
+  // Each query's JSON must hold every `needle`.
+  auto expect_labels = [&get](const std::string& path, const std::string& rest,
+                              const std::string& query,
+                              const std::vector<std::string>& needles) {
+    http::Response response = get(path, query, rest);
+    ASSERT_EQ(response.status, 200) << query << " " << response.body;
+    for (const auto& needle : needles) {
+      EXPECT_NE(response.body.find(needle), std::string::npos)
+          << path << " " << query << " lacks " << needle << ": "
+          << response.body;
+    }
+  };
+  // One round first, so anything the endpoints intern for themselves is
+  // in the table before it is measured.
+  auto round = [&expect_labels](int i) {
+    const std::string tag = "qsym" + std::to_string(i);
+    const std::string quoted = "\"" + tag + "\"";
+    const std::string replace = "label_replace(up, " + quoted + ", \"" +
+                                tag + "-$1\", \"instance\", \"(.*)\")";
+    std::vector<std::string> replaced;
+    for (int n = 0; n < 4; ++n) {
+      replaced.push_back(quoted + ":\"" + tag + "-n" + std::to_string(n) +
+                         "\"");
+    }
+    const std::string paths[] = {"/api/v1/query", "/api/v1/query_range"};
+    for (const std::string& path : paths) {
+      // 241 steps: split across the evaluation pool.
+      const std::string rest =
+          path == "/api/v1/query" ? "" : "&start=60&end=300&step=1";
+      expect_labels(path, rest, replace, replaced);
+      expect_labels(path, rest,
+                    "label_join(up, \"" + tag + "j\", " + quoted +
+                        ", \"instance\", \"instance\")",
+                    {"\"" + tag + "j\":\"n0" + tag + "n0\""});
+      // The made-up name is found again by `by` and by an outer
+      // label_replace().
+      expect_labels(path, rest, "count by (" + tag + ") (" + replace + ")",
+                    replaced);
+      expect_labels(path, rest,
+                    "label_replace(" + replace + ", \"" + tag +
+                        "o\", \"$1\", " + quoted + ", \"" + tag + "-(.*)\")",
+                    {"\"" + tag + "o\":\"n3\""});
+    }
+  };
+  round(0);
+  const std::size_t before = metrics::SymbolTable::global().size();
+  for (int i = 1; i <= 20; ++i) round(i);
+  EXPECT_EQ(metrics::SymbolTable::global().size(), before);
 }
 
 TEST_F(PromqlTest, VectorScalarTimeAbsent) {

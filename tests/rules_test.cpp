@@ -187,7 +187,7 @@ std::string store_digest(const TimeSeriesStore& store) {
   for (const auto& view :
        store.select({}, std::numeric_limits<TimestampMs>::min(),
                     std::numeric_limits<TimestampMs>::max())) {
-    out += view.labels.to_string() + "\n";
+    out += view.labels.to_labels().to_string() + "\n";
     for (const auto& sample : view.samples()) {
       uint64_t bits = 0;
       std::memcpy(&bits, &sample.v, sizeof(bits));
@@ -383,7 +383,7 @@ TEST(RulesGraph, PassesRaceActiveAlerts) {
   engine.add_group(group_of("other", {{"load:double", "load * 2", {}, nullptr}}));
 
   std::atomic<bool> stop{false};
-  std::size_t snapshots = 0;
+  std::atomic<std::size_t> snapshots{0};
   std::thread reader([&] {
     while (!stop.load()) {
       for (const auto& alert : engine.active_alerts()) {
@@ -392,6 +392,9 @@ TEST(RulesGraph, PassesRaceActiveAlerts) {
       ++snapshots;
     }
   });
+  // The 50 passes take a few milliseconds: start them only once the
+  // reader runs, or a busy machine may not schedule it before they end.
+  while (snapshots.load() == 0) std::this_thread::yield();
   for (int pass = 0; pass < 50; ++pass) {
     TimestampMs t = pass * 1000;
     for (int h = 0; h < 8; ++h) {

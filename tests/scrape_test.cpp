@@ -610,7 +610,7 @@ std::string scraped_digest(const TimeSeriesStore& store) {
              "up|scrape_duration_seconds|ceems_http_retries_total"}},
            std::numeric_limits<common::TimestampMs>::min(),
            std::numeric_limits<common::TimestampMs>::max())) {
-    out += view.labels.to_string() + "\n";
+    out += view.labels.to_labels().to_string() + "\n";
     for (const auto& sample : view.samples()) {
       uint64_t bits = 0;
       std::memcpy(&bits, &sample.v, sizeof(bits));

@@ -17,18 +17,25 @@
 //     private copy filled from select() + append_one at each sync,
 //     through repeated syncs, late samples and compactions (which purge
 //     both the hot store and the copy).
+//
+// Two goldens close the loop the differentials leave open: the rule pass's
+// store digest and fixed queries' JSON bodies, pinned as recorded hashes,
+// since both sides of a differential share the engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <random>
 #include <set>
 
+#include "common/fnv1a.h"
 #include "core/rules_library.h"
 #include "metrics/model.h"
 #include "simfs/durable_dir.h"
+#include "tsdb/http_api.h"
 #include "tsdb/longterm.h"
 #include "tsdb/rules.h"
 #include "tsdb/storage.h"
@@ -58,7 +65,7 @@ void append_points(std::string& out, const std::vector<SamplePoint>& points) {
 std::string digest(const std::vector<SeriesView>& views) {
   std::string out;
   for (const auto& view : views) {
-    out += view.labels.to_string() + "\n";
+    out += view.labels.to_labels().to_string() + "\n";
     append_points(out, view.samples());
   }
   return out;
@@ -578,7 +585,7 @@ class PerSampleRules {
       for (const auto& rule : group.rules) {
         promql::Value value = engine_.eval(*store_, rule.parsed, t);
         for (const auto& sample : value.vector) {
-          Labels labels = sample.labels.with_name(rule.record);
+          Labels labels = sample.labels.to_labels().with_name(rule.record);
           for (const auto& [name, label_value] : rule.static_labels) {
             labels = labels.with(name, label_value);
           }
@@ -605,7 +612,7 @@ class PerSampleRules {
     std::set<uint64_t> seen;
     for (const auto& sample : value.vector) {
       Labels labels =
-          sample.labels.without_name().with("alertname", rule.alert);
+          sample.labels.to_labels().without_name().with("alertname", rule.alert);
       for (const auto& [name, label_value] : rule.static_labels) {
         labels = labels.with(name, label_value);
       }
@@ -795,7 +802,7 @@ std::string agg_digest(const std::optional<std::vector<AggSeriesView>>& views) {
   if (!views) return "refused\n";
   std::string out;
   for (const auto& view : *views) {
-    out += view.labels.to_string() + "\n";
+    out += view.labels.to_labels().to_string() + "\n";
     for (const auto& b : view.buckets) {
       double fields[] = {b.sum, b.min, b.max, b.first_v, b.last_v, b.inc};
       out += "  " + std::to_string(b.t) + " " + std::to_string(b.count) +
@@ -895,6 +902,124 @@ TEST(LongTermSyncDifferential, SyncMatchesSelectAppendReplica) {
                                       kMillisPerHour)
                     .empty());
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Goldens: the engine's own output, pinned
+
+// The differentials above evaluate both sides through promql::Engine, so a
+// change inside the engine moves both and stays invisible to them. These
+// goldens pin the engine's results as recorded bytes instead: a 64-bit
+// FNV-1a of the store digest after the full rule library has run over a
+// random fleet, and of the JSON bodies of fixed queries over such a fleet.
+// An intended change of results re-records them; the failure message
+// prints the new value.
+
+uint64_t golden_hash(const std::string& bytes) { return common::fnv1a(bytes); }
+
+std::string hex(uint64_t value) {
+  char text[19];
+  std::snprintf(text, sizeof(text), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return text;
+}
+
+TEST(RulesWriteDifferential, FullLibraryMatchesGolden) {
+  const uint64_t kGolden[] = {
+      0x6e170de15e921742ULL, 0xb0ea172858fcd92aULL, 0x1f5a8bd55b169403ULL,
+      0x0b1b7d9017753ccaULL, 0x7c5b6cd7670cb28dULL,
+  };
+  const std::vector<RuleGroup> library = full_rule_library();
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    auto store = std::make_shared<TimeSeriesStore>();
+    RuleEngine rules(store);
+    for (const auto& group : library) rules.add_group(group);
+    RandomFleet fleet(seed);
+    for (int pass = 0; pass < 60; ++pass) {
+      TimestampMs t = 1'000'000 + pass * 30'000;
+      fleet.scrape(pass, t, {store});
+      ASSERT_EQ(rules.evaluate_all(t).rule_failures, 0u)
+          << "seed " << seed << " pass " << pass;
+    }
+    EXPECT_EQ(hex(golden_hash(digest(*store))), hex(kGolden[seed - 1]))
+        << "seed " << seed;
+  }
+}
+
+TEST(PromqlGolden, QueriesMatchGolden) {
+  using common::kMillisPerMinute;
+  // Seed 3's fleet with the rule library, read through a long-term store
+  // with one 5-minute level, synced and compacted every pass: 60 passes
+  // from t = 1000 s to 2770 s, so buckets up to 2700 s are folded.
+  auto hot = std::make_shared<TimeSeriesStore>();
+  LongTermStore longterm(hot);
+  RuleEngine rules(hot);
+  for (const auto& group : full_rule_library()) rules.add_group(group);
+  RandomFleet fleet(3);
+  for (int pass = 0; pass < 60; ++pass) {
+    TimestampMs t = 1'000'000 + pass * 30'000;
+    fleet.scrape(pass, t, {hot});
+    ASSERT_EQ(rules.evaluate_all(t).rule_failures, 0u) << "pass " << pass;
+    longterm.sync_from(*hot);
+    longterm.compact(t);
+  }
+
+  struct Query {
+    std::string expr;
+    TimestampMs start;
+    TimestampMs end;  // == start: instant query
+    uint64_t golden;
+  };
+  const TimestampMs kNow = 2'760'000;
+  const TimestampMs kBucket = 5 * kMillisPerMinute;
+  const std::vector<Query> queries = {
+      {"sum by (nodegroup) (ceems_ipmi_dcmi_current_watts)", kNow, kNow,
+       0x037b9c5d99de245bULL},
+      {"avg(node_memory_MemAvailable_bytes)", kNow, kNow,
+       0x4a05aef726bc4375ULL},
+      {"topk(3, ceems_ipmi_dcmi_current_watts)", kNow, kNow,
+       0xf77743b8bf825721ULL},
+      {"count by (hostname) (ceems_compute_unit_memory_current_bytes)", kNow,
+       kNow, 0x05e2494aaf1ac2fbULL},
+      {"node_memory_MemAvailable_bytes * on (hostname) group_left (host) "
+       "label_replace(up, \"host\", \"$1\", \"instance\", \"(.*):9010\")",
+       kNow, kNow, 0x8b7a994a9919804cULL},
+      {"ceems_ipmi_dcmi_current_watts > 650 or up == 0", kNow, kNow,
+       0xfa4b39f5388c22b3ULL},
+      {"ceems_compute_unit_memory_current_bytes unless on (hostname) "
+       "(up == 0)",
+       kNow, kNow, 0x9df6b8609bffe39fULL},
+      {"clamp(ceems_ipmi_dcmi_current_watts, 400, 600)", kNow, kNow,
+       0x6cbfba8c493c1e29ULL},
+      {"rate(node_cpu_seconds_total{mode=\"user\"}[2m])", kNow, kNow,
+       0xd9fad9a36b3d16dcULL},
+      {"max_over_time(ceems_ipmi_dcmi_current_watts[3m])", kNow, kNow,
+       0x6c17d3d12a40a789ULL},
+      {"absent(ceems_emissions_gCo2_kWh) or absent(not_a_metric)", kNow, kNow,
+       0x72746fc91fe682ceULL},
+      // Bucket-aligned windows: served by the ladder (select_agg).
+      {"avg_over_time(ceems_ipmi_dcmi_current_watts[10m])", 9 * kBucket,
+       9 * kBucket, 0xe7a321ae4b8a897eULL},
+      {"sum by (nodegroup) (rate(ceems_rapl_package_joules_total[10m]))",
+       6 * kBucket, 9 * kBucket, 0xda49a5a70005d1a6ULL},
+      {"sum by (nodegroup, uuid) (ceems_job_power_watts)", 1'600'000, kNow,
+       0x583de2836b595f08ULL},
+  };
+  promql::Engine engine;
+  const uint64_t ladder_hits_before = longterm.select_stats().level_hits[0];
+  for (const auto& query : queries) {
+    std::string body =
+        query.start == query.end
+            ? value_to_json(engine.eval(longterm, query.expr, query.start))
+                  .dump()
+            : matrix_to_json(engine.eval_range(longterm, query.expr,
+                                               query.start, query.end, kBucket))
+                  .dump();
+    EXPECT_GT(body.size(), 60u) << query.expr << ": " << body;
+    EXPECT_EQ(hex(golden_hash(body)), hex(query.golden)) << query.expr;
+  }
+  EXPECT_GE(longterm.select_stats().level_hits[0], ladder_hits_before + 2);
 }
 
 }  // namespace

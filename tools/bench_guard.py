@@ -76,6 +76,12 @@ GUARDED_COUNTERS = {
     # concurrent batches may share a group commit, so the exact count is
     # WAL records, one per rule that wrote anything.
     "wal_records_per_pass": 0.01,
+    # Heap allocations per written rule sample in both rule-pass benches,
+    # counted over evaluate_all only. Near-exact inline; the graph pass's
+    # dispatch moves it by a few percent between runs (8.28 and 8.49 in
+    # two Release runs). String labels built per selected series or per
+    # sample again multiply it by about four.
+    "allocs_per_rule_sample": 0.10,
     # Updater cycle on a durable units DB (BM_updater_cycle_db): a cycle
     # is one batch, one log record and one sync. Exact, gated at 1%;
     # per-row commits would multiply it by the rows per cycle.

@@ -145,6 +145,19 @@ class BenchGuardTest(unittest.TestCase):
                                         rule_samples_per_pass=2688)])
         self.assertEqual(self.guard(skipped, base), 1)
 
+    def test_rule_pass_allocs_are_guarded(self):
+        for name in ("BM_rule_pass_wal", "BM_rule_pass_graph"):
+            base = doc(benchmarks=[bench(name, allocs_per_rule_sample=8.25)])
+            self.assertEqual(self.guard(base, base), 0)
+            # Scheduling jitter in the graph pass's dispatch.
+            jitter = doc(benchmarks=[bench(name,
+                                           allocs_per_rule_sample=8.9)])
+            self.assertEqual(self.guard(jitter, base), 0, name)
+            # String labels per selected series and per sample again.
+            strings = doc(benchmarks=[bench(name,
+                                            allocs_per_rule_sample=35.7)])
+            self.assertEqual(self.guard(strings, base), 1, name)
+
     def test_longterm_footprint_counters_are_guarded(self):
         base = doc(benchmarks=[bench("BM_longterm_footprint",
                                      longterm_raw_bytes_per_hot_byte=0,
