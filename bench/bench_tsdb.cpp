@@ -754,6 +754,53 @@ BENCHMARK(BM_scrape_ingest_e2e)->Unit(benchmark::kMillisecond)
     ->Iterations(480)
     ->UseRealTime();
 
+// Scrape sweeps over 256 small targets into a WAL-backed store
+// (SimDurableDir), with the stack's default sweep width. A sweep writes
+// one store shard at a time, so it logs at most two records per shard:
+// wal_records_per_sweep is exact, at most 32 (scraped samples, then
+// markers and self-series, per shard), where per-target appends logged
+// two per target (512).
+void BM_scrape_sweep_wal(benchmark::State& state) {
+  constexpr int kTargets = 256;
+  constexpr int kSeries = 16;
+  auto clock = common::make_sim_clock(0);
+  auto store = std::make_shared<TimeSeriesStore>();
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  tsdb::DurableTsdb durable(store, dir);
+  durable.open();
+  tsdb::ScrapeManager scraper(store, clock);
+  auto wave = std::make_shared<std::atomic<int>>(0);
+  for (int t = 0; t < kTargets; ++t) {
+    tsdb::ScrapeTarget target;
+    target.labels = metrics::Labels{
+        {"instance", "bench-node-" + std::to_string(t)}, {"cluster", "bench"}};
+    target.local_fetch = [t, wave] {
+      return exposition_body(t, kSeries, wave->load(std::memory_order_relaxed));
+    };
+    scraper.add_target(std::move(target));
+  }
+  auto sweep = [&] {
+    clock->advance(30000);
+    wave->fetch_add(1, std::memory_order_relaxed);
+    return scraper.scrape_all_once();
+  };
+  for (int i = 0; i < 4; ++i) sweep();  // warm: caches, series, sweep pool
+
+  uint64_t records = 0, samples = 0, sweeps = 0;
+  for (auto _ : state) {
+    uint64_t before = durable.wal().stats().records;
+    samples += sweep().samples_ingested;
+    records += durable.wal().stats().records - before;
+    ++sweeps;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(samples));
+  state.counters["wal_records_per_sweep"] =
+      static_cast<double>(records) / static_cast<double>(sweeps);
+}
+BENCHMARK(BM_scrape_sweep_wal)->Unit(benchmark::kMillisecond)
+    ->Iterations(200)
+    ->UseRealTime();
+
 // ---------------------------------------------------------------------------
 // Exporter render: the first stage of a monitoring generation.
 // ---------------------------------------------------------------------------

@@ -110,17 +110,17 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
 
   // Every outcome — success, failure, retry — lands in the store as data:
   // up, scrape_duration_seconds and the transport retry counter. They
-  // ride in one batch with the sweep's staleness markers (state.batch,
-  // reused once the scraped samples are in), so a WAL-backed store logs
-  // at most two records per target per sweep. The self-series go last on
-  // success and first on failure, so a scraped series whose labels equal
-  // a self-series' resolves by the same last-write-wins order either way.
+  // ride in state.tail with the sweep's staleness markers, which phase 2
+  // writes after the scraped samples. The self-series go last on success
+  // and first on failure, so a scraped series whose labels equal a
+  // self-series' resolves by the same last-write-wins order either way.
+  state.tail.clear();
   auto push_self_series = [&](double up) {
     double retries = static_cast<double>(state.local_retries +
                                          state.client->stats().retries);
-    state.batch.push_back({&state.up_labels, now, up});
-    state.batch.push_back({&state.duration_labels, now, duration_sec});
-    state.batch.push_back({&state.retries_labels, now, retries});
+    state.tail.push_back({&state.up_labels, now, up});
+    state.tail.push_back({&state.duration_labels, now, duration_sec});
+    state.tail.push_back({&state.retries_labels, now, retries});
   };
 
   auto mark_failed = [&] {
@@ -129,12 +129,11 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
     ++state.consecutive_failures;
     for (auto& [hash, entry] : state.series_cache) {
       if (!entry.live) continue;
-      state.batch.push_back({&entry.labels, now, metrics::stale_marker()});
+      state.tail.push_back({&entry.labels, now, metrics::stale_marker()});
       entry.live = false;
       ++sweep.stale_markers;
     }
-    store_->append_refs(state.batch.data(), state.batch.size());
-    sweep.ingested = -1;
+    sweep.failed = true;
   };
 
   if (!result.ok || result.response.status != 200) {
@@ -151,16 +150,13 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
     // parse_exposition path.
     ++state.sweep_gen;
     parse_into_batch(state, result.response.body, now);
-    sweep.ingested = static_cast<int64_t>(
-        store_->append_refs(state.batch.data(), state.batch.size()));
-    state.batch.clear();
     // One pass over the cache: series exposed last scrape but gone now
     // ended between sweeps — mark them stale so they vanish from queries
     // at this sweep, not after the lookback window drains (Prometheus'
     // disappearing-series semantics). Entries dead long enough are
-    // evicted so churned series do not pin cache memory forever; an
-    // entry marked stale in this pass is kept, since the batch still
-    // points at its labels.
+    // evicted so churned series do not pin cache memory forever. An entry
+    // seen or marked stale this sweep is never evicted: batch and tail
+    // point at its labels until phase 2 has written them.
     for (auto it = state.series_cache.begin();
          it != state.series_cache.end();) {
       auto& entry = it->second;
@@ -170,7 +166,7 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
         continue;
       }
       if (entry.live) {
-        state.batch.push_back({&entry.labels, now, metrics::stale_marker()});
+        state.tail.push_back({&entry.labels, now, metrics::stale_marker()});
         ++sweep.stale_markers;
         entry.live = false;
         ++it;
@@ -189,7 +185,6 @@ ScrapeManager::TargetSweep ScrapeManager::scrape_target(
     return sweep;
   }
   push_self_series(1);
-  store_->append_refs(state.batch.data(), state.batch.size());
   return sweep;
 }
 
@@ -323,6 +318,7 @@ ScrapeStats ScrapeManager::scrape_all_once() {
     sweep_pool_ = std::make_unique<common::ThreadPool>(width, "scrape");
     sweep_pool_width_ = width;
   }
+  // Phase 1: fetch and parse every target; writes are only buffered.
   for (TargetState* state : snapshot) {
     sweep_pool_->submit([&, state] {
       TargetSweep result = scrape_target(*state, now);
@@ -330,14 +326,45 @@ ScrapeStats ScrapeManager::scrape_all_once() {
       ++sweep.scrapes_total;
       sweep.retries += result.retries;
       sweep.stale_markers += result.stale_markers;
-      if (result.ingested < 0) {
-        ++sweep.scrapes_failed;
-      } else {
-        sweep.samples_ingested += static_cast<uint64_t>(result.ingested);
-      }
+      if (result.failed) ++sweep.scrapes_failed;
     });
   }
   sweep_pool_->wait_idle();
+
+  // Phase 2: one task per store shard writes that shard's scraped samples,
+  // then its markers and self-series, each in target order. A series lives
+  // in one shard, so its writes keep the order of a per-target apply: a
+  // scraped sample before a same-labelled self-series, and on failure up=0
+  // before the markers. A WAL-backed store logs at most two records per
+  // shard per sweep.
+  for (ShardWrites& writes : shard_writes_) {
+    writes.scraped.clear();
+    writes.tail.clear();
+  }
+  for (const TargetState* state : snapshot) {
+    for (const metrics::SampleRef& ref : state->batch) {
+      shard_writes_[TimeSeriesStore::shard_of(ref.labels->fingerprint())]
+          .scraped.push_back(ref);
+    }
+    for (const metrics::SampleRef& ref : state->tail) {
+      shard_writes_[TimeSeriesStore::shard_of(ref.labels->fingerprint())]
+          .tail.push_back(ref);
+    }
+  }
+  for (ShardWrites& writes : shard_writes_) {
+    writes.accepted = 0;
+    if (writes.scraped.empty() && writes.tail.empty()) continue;
+    // An empty batch logs and writes nothing.
+    sweep_pool_->submit([this, &writes] {
+      writes.accepted =
+          store_->append_refs(writes.scraped.data(), writes.scraped.size());
+      store_->append_refs(writes.tail.data(), writes.tail.size());
+    });
+  }
+  sweep_pool_->wait_idle();
+  for (const ShardWrites& writes : shard_writes_) {
+    sweep.samples_ingested += writes.accepted;
+  }
 
   scrapes_total_ += sweep.scrapes_total;
   scrapes_failed_ += sweep.scrapes_failed;

@@ -15,10 +15,15 @@
 //
 // The manager has no schedule of its own: the caller drives each sweep
 // with scrape_all_once() (CeemsStack::pipeline_step() does, once per
-// scrape interval of simulated time), which fans the targets out over a
-// thread pool and returns when every target is done.
+// scrape interval of simulated time). A sweep runs in two phases on one
+// thread pool. Phase 1 fetches and parses the targets in parallel; each
+// only buffers its writes. Phase 2 writes the whole sweep, one task per
+// store shard, so each shard lock is taken at most twice per sweep
+// whatever the pool width, and no sweep worker waits on a shard lock that
+// another sweep worker holds.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <functional>
@@ -49,6 +54,9 @@ struct ScrapeTarget {
 };
 
 struct ScrapeConfig {
+  // Sweep pool width: targets fetched and parsed at once. The store
+  // writes run one task per shard on the same pool, so a wider pool adds
+  // in-flight fetches, not writers contending for a shard.
   int parallelism = 8;
   int timeout_ms = 5000;
   // Honor timestamps in the exposition text; otherwise stamp at scrape time.
@@ -86,6 +94,10 @@ class ScrapeManager {
   ScrapeStats stats() const;
 
  private:
+  // Reads each target's buffered writes after a sweep: the per-target
+  // oracle of the bitwise differential in tests/scrape_test.cpp.
+  friend struct ScrapeSweepPeer;
+
   struct TargetState {
     ScrapeTarget target;
     std::unique_ptr<http::Client> client;
@@ -110,8 +122,10 @@ class ScrapeManager {
     // The `live` flag replaces the old per-sweep live_series map as the
     // staleness-marker diff basis; entries dead for kEvictSweeps sweeps
     // are evicted during the post-sweep scan. unordered_map reference
-    // stability keeps SampleRef pointers valid while a batch is alive.
-    // Touched only by the (single) sweep thread scraping this target.
+    // stability keeps SampleRef pointers valid until phase 2 has written
+    // them, since the scan never evicts an entry the sweep wrote to.
+    // Touched only by the (single) sweep thread scraping this target;
+    // phase 2 reads the labels after phase 1 has finished.
     struct CachedSeries {
       std::string raw_key;
       metrics::InternedLabels labels;
@@ -124,10 +138,15 @@ class ScrapeManager {
     // here, never cached. Cleared at the start of every sweep.
     std::deque<metrics::InternedLabels> overflow_labels;
     uint64_t sweep_gen = 0;
-    // Reused per-sweep scratch batch: first the scraped samples, then the
-    // staleness markers and self-series. Labels point into series_cache /
-    // overflow_labels / the *_labels members above.
+    // The target's writes for this sweep, buffered by phase 1 and written
+    // by phase 2. `batch` holds the scraped samples in exposition order
+    // (empty when the scrape failed); `tail` the staleness markers and
+    // the self-series: markers first on success, self-series first on
+    // failure. Labels point into series_cache / overflow_labels / the
+    // *_labels members above, which stay put until the next sweep starts.
+    // Both vectors are reused, so a steady sweep does not regrow them.
     std::vector<metrics::SampleRef> batch;
+    std::vector<metrics::SampleRef> tail;
     // Scrape-level retry attempts (local transport); HTTP transport
     // retries are counted inside http::Client and added on export.
     uint64_t local_retries = 0;
@@ -139,12 +158,13 @@ class ScrapeManager {
   static constexpr uint64_t kEvictSweeps = 8;
 
   struct TargetSweep {
-    int64_t ingested = -1;  // samples ingested, or -1 on failure
+    bool failed = false;
     uint64_t retries = 0;
     uint64_t stale_markers = 0;
   };
 
-  // Scrapes one target, applying retries and staleness markers.
+  // Phase 1 for one target: fetches with retries and fills state.batch
+  // and state.tail. Writes nothing to the store.
   TargetSweep scrape_target(TargetState& state, common::TimestampMs now);
 
   // Zero-copy exposition parse: walks `body` line by line as
@@ -172,6 +192,16 @@ class ScrapeManager {
   // min(parallelism, targets) and rebuilt only when that width changes.
   std::unique_ptr<common::ThreadPool> sweep_pool_;
   std::size_t sweep_pool_width_ = 0;
+
+  // Phase 2 scratch, one entry per store shard: every target's samples
+  // in that shard, in target order, from its batch and from its tail,
+  // and how many scraped samples the store accepted. Reused across sweeps.
+  struct ShardWrites {
+    std::vector<metrics::SampleRef> scraped;
+    std::vector<metrics::SampleRef> tail;
+    std::size_t accepted = 0;
+  };
+  std::array<ShardWrites, TimeSeriesStore::kShardCount> shard_writes_;
 
   std::atomic<uint64_t> scrapes_total_{0};
   std::atomic<uint64_t> scrapes_failed_{0};

@@ -155,24 +155,31 @@ std::size_t TimeSeriesStore::append_refs(const metrics::SampleRef* samples,
 
 std::size_t TimeSeriesStore::replay_refs(const metrics::SampleRef* samples,
                                          std::size_t count) {
-  // Bucket by shard first so each shard lock is acquired once per batch.
+  // Group by shard first so each shard lock is acquired once per batch.
   // Sample labels arrive interned, so this reads the precomputed
-  // fingerprint instead of hashing label strings. Buckets are
-  // thread-local so their capacity persists across batches.
-  thread_local std::array<std::vector<const metrics::SampleRef*>,
-                          kShardCount>
-      buckets;
-  for (auto& bucket : buckets) bucket.clear();
+  // fingerprint instead of hashing label strings. The grouping is a
+  // stable counting sort into one thread-local vector, whose capacity
+  // persists across batches at the size of the largest batch the thread
+  // applied; one vector per shard would each grow to that size.
+  std::array<std::size_t, kShardCount + 1> begin{};
   for (std::size_t i = 0; i < count; ++i) {
-    buckets[shard_of(samples[i].labels->fingerprint())].push_back(
-        &samples[i]);
+    ++begin[shard_of(samples[i].labels->fingerprint()) + 1];
+  }
+  for (std::size_t s = 0; s < kShardCount; ++s) begin[s + 1] += begin[s];
+  thread_local std::vector<const metrics::SampleRef*> by_shard;
+  by_shard.resize(count);
+  std::array<std::size_t, kShardCount + 1> next = begin;
+  for (std::size_t i = 0; i < count; ++i) {
+    by_shard[next[shard_of(samples[i].labels->fingerprint())]++] =
+        &samples[i];
   }
   std::size_t accepted = 0;
   for (std::size_t s = 0; s < kShardCount; ++s) {
-    if (buckets[s].empty()) continue;
+    if (begin[s] == begin[s + 1]) continue;
     Shard& shard = shards_[s];
     std::unique_lock lock(shard.mu);
-    for (const metrics::SampleRef* sample : buckets[s]) {
+    for (std::size_t i = begin[s]; i < begin[s + 1]; ++i) {
+      const metrics::SampleRef* sample = by_shard[i];
       if (append_locked(shard, *sample->labels, sample->timestamp_ms,
                         sample->value)) {
         ++accepted;

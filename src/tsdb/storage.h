@@ -30,8 +30,9 @@
 // Concurrency: the series map is sharded by label-set fingerprint into
 // kShardCount lock-striped shards, each with its own shared_mutex and
 // inverted index. An append batch takes each shard lock it touches once,
-// and a sample touches exactly one shard, so ingestion from many scrape
-// threads scales with cores instead of serialising on one mutex.
+// and a sample touches exactly one shard, so writers on many threads
+// (a scrape sweep's per-shard tasks, rule workers) scale with cores
+// instead of serialising on one mutex.
 // Reads take per-shard shared locks in sequence; a select() that overlaps
 // a concurrent write may see the new sample in one shard but not another —
 // the same head-block semantics Prometheus exposes to queriers. Sealed

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <random>
+#include <set>
 #include <string_view>
 
+#include "common/byte_codec.h"
+#include "common/fnv1a.h"
 #include "common/logging.h"
 #include "core/node_exporter_factory.h"
 #include "metrics/model.h"
@@ -276,9 +282,10 @@ TEST_F(ScrapeTest, FailedScrapeEmitsUpZeroAndStaleMarkers) {
 }
 
 TEST_F(ScrapeTest, SelfSeriesAndMarkersShareOneWalRecord) {
-  // Per target and sweep: the scraped batch, then one batch holding the
-  // staleness markers and up / scrape_duration_seconds / retry counter.
-  // A failed sweep logs only the second one.
+  // Per store shard and sweep: one record of the scraped samples in that
+  // shard, then one of the staleness markers and up /
+  // scrape_duration_seconds / retry counter in it. A failed sweep logs
+  // only the second kind.
   auto dir = std::make_shared<simfs::SimDurableDir>();
   DurableTsdb durable(store_, dir);
   durable.open();
@@ -301,11 +308,37 @@ TEST_F(ScrapeTest, SelfSeriesAndMarkersShareOneWalRecord) {
     manager.add_target(std::move(target));
   }
   auto records = [&] { return durable.wal().stats().records; };
+  // The records a sweep logs: one per shard holding a scraped sample of
+  // the `scraped` metrics, one per shard holding a marker or self-series
+  // of the `tail` metrics, over the three targets.
+  auto expected_records = [](std::vector<std::string> scraped,
+                             std::vector<std::string> tail) {
+    std::set<std::size_t> scraped_shards, tail_shards;
+    for (int t = 0; t < 3; ++t) {
+      Labels target{{"instance", "i" + std::to_string(t)}};
+      for (const auto& name : scraped) {
+        scraped_shards.insert(TimeSeriesStore::shard_of(
+            InternedLabels(target.with_name(name)).fingerprint()));
+      }
+      for (const auto& name : tail) {
+        tail_shards.insert(TimeSeriesStore::shard_of(
+            InternedLabels(target.with_name(name)).fingerprint()));
+      }
+    }
+    return scraped_shards.size() + tail_shards.size();
+  };
+  const std::vector<std::string> self = {"up", "scrape_duration_seconds",
+                                         "ceems_http_retries_total"};
+  auto with_self = [&](std::string name) {
+    std::vector<std::string> names = self;
+    names.push_back(std::move(name));
+    return names;
+  };
 
   uint64_t before = records();
   ScrapeStats stats = manager.scrape_all_once();
   EXPECT_EQ(stats.samples_ingested, 6u);  // scraped samples only
-  EXPECT_EQ(records() - before, 6u);
+  EXPECT_EQ(records() - before, expected_records({"g", "h"}, self));
 
   sweep = 1;  // h disappears: its marker rides with the self-series
   clock_->advance(30000);
@@ -313,15 +346,15 @@ TEST_F(ScrapeTest, SelfSeriesAndMarkersShareOneWalRecord) {
   stats = manager.scrape_all_once();
   EXPECT_EQ(stats.samples_ingested, 3u);
   EXPECT_EQ(stats.stale_markers, 3u);
-  EXPECT_EQ(records() - before, 6u);
+  EXPECT_EQ(records() - before, expected_records({"g"}, with_self("h")));
 
-  down = true;  // g's marker and up=0 in a single record per target
+  down = true;  // g's marker and up=0 share their shards' second records
   clock_->advance(30000);
   before = records();
   stats = manager.scrape_all_once();
   EXPECT_EQ(stats.scrapes_failed, 3u);
   EXPECT_EQ(stats.stale_markers, 3u);
-  EXPECT_EQ(records() - before, 3u);
+  EXPECT_EQ(records() - before, expected_records({}, with_self("g")));
 
   auto up = store_->select(
       {{"__name__", metrics::LabelMatcher::Op::kEq, "up"}}, 0,
@@ -698,6 +731,266 @@ TEST(ScrapeParseDifferential, ZeroCopyParserAgreesWithParseExposition) {
   // Both verdicts are well represented.
   EXPECT_GT(accepted, 500u);
   EXPECT_GT(rejected, 500u);
+}
+
+}  // namespace
+
+// ---------- two-phase sweep vs per-target appends ----------
+//
+// A sweep buffers every target's writes (phase 1), then writes them one
+// store shard at a time (phase 2). The oracle appends the same buffers
+// the way each target once wrote them: append_refs(batch), then
+// append_refs(tail), target by target, into a second store. Both stores
+// must agree bit for bit after every sweep. The oracle reads the
+// manager's own buffers, since scrape_duration_seconds is wall-clock time
+// and two managers never measure the same values.
+
+// Friend of ScrapeManager (declared in scrape.h).
+struct ScrapeSweepPeer {
+  struct Buffered {
+    const std::vector<metrics::SampleRef>* batch;
+    const std::vector<metrics::SampleRef>* tail;
+  };
+  static std::vector<Buffered> buffered(const ScrapeManager& manager) {
+    std::lock_guard lock(manager.targets_mu_);
+    std::vector<Buffered> out;
+    for (const auto& state : manager.targets_) {
+      out.push_back({&state->batch, &state->tail});
+    }
+    return out;
+  }
+  // Files other bytes under the FNV-1a hash of `raw_key` in target
+  // `target`'s series cache, so the next sweep resolves that line through
+  // the overflow path. The entry is dated to the last sweep, so the
+  // eviction scan keeps it; call before every sweep.
+  static void plant_collision(ScrapeManager& manager, std::size_t target,
+                              std::string_view raw_key) {
+    std::lock_guard lock(manager.targets_mu_);
+    auto& state = *manager.targets_[target];
+    auto& entry = state.series_cache[common::fnv1a(raw_key)];
+    entry.raw_key = std::string(raw_key) + " (other bytes)";
+    entry.last_seen = state.sweep_gen;
+    entry.live = false;
+  }
+};
+
+namespace {
+
+constexpr int kFleetTargets = 10;
+constexpr int kFleetSweeps = 60;
+constexpr std::string_view kCollidingKey = "ceems_job_gpu_util{uuid=\"job-600\"}";
+
+// Target n<t>'s exposition body at `sweep`.
+std::string fleet_body(int t, int sweep) {
+  static const char* kFamilies[] = {"ceems_job_power_watts",
+                                    "node_cpu_seconds_total",
+                                    "ceems_job_memory_bytes"};
+  std::string body = "# TYPE ceems_job_power_watts gauge\n";
+  for (int k = 0; k < 8; ++k) {
+    // Series k comes and goes with a period of k + 2 sweeps.
+    if ((sweep / (k + 2) + t + k) % 4 == 0) continue;
+    body += kFamilies[k % 3];
+    body += "{uuid=\"job-" + std::to_string(t * 100 + k) + "\"} ";
+    body += std::to_string(0.25 * (sweep * 7 + k * 13 + t)) + "\n";
+  }
+  switch (t) {
+    case 2:  // Lines labelled like two of the target's self-series.
+      if (sweep % 3 != 0) body += "up 5\n";
+      body += "scrape_duration_seconds 0.125\n";
+      break;
+    case 5:  // A malformed line fails the scrape.
+      if (sweep % 7 == 5) body += "bad{uuid=\"x\" 1\n";
+      break;
+    case 6:  // Resolved through the overflow path (plant_collision).
+      if (sweep % 4 != 1) body += std::string(kCollidingKey) + " 3\n";
+      break;
+    case 7:  // An empty body fails the scrape, after a retry.
+      if (sweep % 9 == 4) return "";
+      break;
+    case 8:  // One series twice in a body: the later value wins.
+      body += "dup 1\ndup 2\n";
+      break;
+  }
+  return body;
+}
+
+// The sweep's failures and retries as the fleet plans them: n3 is down
+// (every attempt) on every sixth sweep, n4 recovers on its retry on odd
+// sweeps, n5's malformed line and n7's empty body fail their sweeps.
+ScrapeStats planned_stats(int sweep) {
+  ScrapeStats stats;
+  stats.scrapes_total = kFleetTargets;
+  bool n3_down = sweep % 6 == 3, n5_bad = sweep % 7 == 5,
+       n7_empty = sweep % 9 == 4;
+  stats.scrapes_failed = n3_down + n5_bad + n7_empty;
+  stats.retries = n3_down + (sweep % 2 == 1) + n7_empty;
+  return stats;
+}
+
+// snapshot_bytes() cut into its per-series records, sorted: equal for two
+// stores holding the same series with the same sealed chunks and heads,
+// in whatever order their slots were created.
+std::vector<std::string> snapshot_records(const std::string& bytes) {
+  common::codec::Reader in(bytes);
+  std::string_view skipped;
+  uint64_t num_series = 0;
+  EXPECT_TRUE(in.get_bytes(std::string_view("CEEMSTSDB2").size(), &skipped));
+  EXPECT_TRUE(in.get_u64(&num_series));
+  auto skip_string = [&] {
+    uint64_t size = 0;
+    return in.get_u64(&size) && in.get_bytes(size, &skipped);
+  };
+  std::vector<std::string> records;
+  for (uint64_t s = 0; s < num_series; ++s) {
+    std::size_t start = bytes.size() - in.remaining();
+    uint64_t num_labels = 0, num_sealed = 0, num_head = 0, field = 0;
+    EXPECT_TRUE(in.get_u64(&num_labels));
+    for (uint64_t l = 0; l < 2 * num_labels; ++l) EXPECT_TRUE(skip_string());
+    EXPECT_TRUE(in.get_u64(&num_sealed));
+    for (uint64_t c = 0; c < num_sealed; ++c) {
+      for (int f = 0; f < 3; ++f) EXPECT_TRUE(in.get_u64(&field));
+      EXPECT_TRUE(skip_string());
+    }
+    EXPECT_TRUE(in.get_u64(&num_head));
+    EXPECT_TRUE(in.get_bytes(16 * num_head, &skipped));
+    records.push_back(
+        bytes.substr(start, bytes.size() - in.remaining() - start));
+  }
+  EXPECT_EQ(in.remaining(), 0u);
+  std::sort(records.begin(), records.end());
+  return records;
+}
+
+// Every series with each sample's raw value bits, in label order.
+std::string store_digest(const TimeSeriesStore& store) {
+  std::string out;
+  for (const auto& view :
+       store.select({}, std::numeric_limits<common::TimestampMs>::min(),
+                    std::numeric_limits<common::TimestampMs>::max())) {
+    out += view.labels.to_labels().to_string() + "\n";
+    for (const auto& sample : view.samples()) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &sample.v, sizeof(bits));
+      out += "  " + std::to_string(sample.t) + " " + std::to_string(bits) +
+             "\n";
+    }
+  }
+  return out;
+}
+
+// Shards holding at least one of `refs`.
+std::set<std::size_t> shards_of(const std::vector<metrics::SampleRef>& refs) {
+  std::set<std::size_t> shards;
+  for (const auto& ref : refs) {
+    shards.insert(TimeSeriesStore::shard_of(ref.labels->fingerprint()));
+  }
+  return shards;
+}
+
+void run_sweep_differential(bool with_wal) {
+  struct QuietLogs {
+    common::LogLevel saved = common::log_level();
+    QuietLogs() { common::set_log_level(common::LogLevel::kError); }
+    ~QuietLogs() { common::set_log_level(saved); }
+  } quiet;
+  auto clock = make_sim_clock(1'000'000);
+  auto store = std::make_shared<TimeSeriesStore>();
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  std::optional<DurableTsdb> durable;
+  if (with_wal) {
+    durable.emplace(store, dir);
+    durable->open();
+  }
+  TimeSeriesStore oracle;
+
+  // Fault hook: counts each target's attempts within the sweep.
+  std::mutex attempts_mu;
+  std::map<std::string, int, std::less<>> attempts;
+  int sweep = 0;
+  ScrapeConfig config;
+  config.retries = 1;
+  config.fault_hook = [&](std::string_view, std::string_view key) {
+    std::lock_guard lock(attempts_mu);
+    int attempt = attempts[std::string(key)]++;
+    faults::FaultDecision fault;
+    if ((key == "n3" && sweep % 6 == 3) ||
+        (key == "n4" && sweep % 2 == 1 && attempt == 0)) {
+      fault.kind = faults::FaultKind::kConnectTimeout;
+    }
+    return fault;
+  };
+  ScrapeManager manager(store, clock, config);
+  for (int t = 0; t < kFleetTargets; ++t) {
+    ScrapeTarget target;
+    target.labels = Labels{{"instance", "n" + std::to_string(t)},
+                           {"job", "node"}};
+    target.local_fetch = [t, &sweep] { return fleet_body(t, sweep); };
+    manager.add_target(std::move(target));
+  }
+
+  for (sweep = 0; sweep < kFleetSweeps; ++sweep) {
+    SCOPED_TRACE("sweep " + std::to_string(sweep));
+    attempts.clear();
+    clock->advance(30'000);
+    ScrapeSweepPeer::plant_collision(manager, 6, kCollidingKey);
+    uint64_t records_before = with_wal ? durable->wal().stats().records : 0;
+    ScrapeStats got = manager.scrape_all_once();
+
+    ScrapeStats want = planned_stats(sweep);
+    std::set<std::size_t> scraped_shards, tail_shards;
+    for (const auto& target : ScrapeSweepPeer::buffered(manager)) {
+      want.samples_ingested +=
+          oracle.append_refs(target.batch->data(), target.batch->size());
+      oracle.append_refs(target.tail->data(), target.tail->size());
+      for (const auto& ref : *target.tail) {
+        want.stale_markers += metrics::is_stale_marker(ref.value);
+      }
+      for (std::size_t s : shards_of(*target.batch)) scraped_shards.insert(s);
+      for (std::size_t s : shards_of(*target.tail)) tail_shards.insert(s);
+    }
+    EXPECT_EQ(got.scrapes_total, want.scrapes_total);
+    EXPECT_EQ(got.scrapes_failed, want.scrapes_failed);
+    EXPECT_EQ(got.samples_ingested, want.samples_ingested);
+    EXPECT_EQ(got.retries, want.retries);
+    EXPECT_EQ(got.stale_markers, want.stale_markers);
+    ASSERT_EQ(store_digest(*store), store_digest(oracle));
+    ASSERT_EQ(snapshot_records(store->snapshot_bytes()),
+              snapshot_records(oracle.snapshot_bytes()));
+
+    if (!with_wal) continue;
+    // One record per shard of scraped samples, one per shard of markers
+    // and self-series.
+    EXPECT_EQ(durable->wal().stats().records - records_before,
+              scraped_shards.size() + tail_shards.size());
+    if (sweep % 10 == 9) {
+      // Replaying the log rebuilds the store byte for byte, slot order
+      // included.
+      auto copy = std::make_shared<simfs::SimDurableDir>();
+      for (const auto& name : dir->list()) copy->replace(name, *dir->read(name));
+      auto recovered = std::make_shared<TimeSeriesStore>();
+      DurableTsdb(recovered, copy).open();
+      EXPECT_EQ(recovered->snapshot_bytes(), store->snapshot_bytes());
+    }
+  }
+
+  // The fleet did what it is for.
+  auto count = [&](std::vector<metrics::LabelMatcher> matchers) {
+    return store->select(matchers, 0, clock->now_ms()).size();
+  };
+  using Op = metrics::LabelMatcher::Op;
+  EXPECT_EQ(count({{"__name__", Op::kEq, "up"}, {"instance", Op::kEq, "n2"}}),
+            1u);
+  EXPECT_EQ(count({{"__name__", Op::kEq, "ceems_job_gpu_util"}}), 1u);
+  EXPECT_EQ(count({{"__name__", Op::kEq, "dup"}}), 1u);
+  EXPECT_GT(manager.stats().stale_markers, 100u);
+}
+
+TEST(ScrapeSweepDifferential, ShardPhaseMatchesPerTargetAppends) {
+  run_sweep_differential(false);
+}
+
+TEST(ScrapeSweepDifferential, ShardPhaseMatchesPerTargetAppendsWithWal) {
+  run_sweep_differential(true);
 }
 
 }  // namespace

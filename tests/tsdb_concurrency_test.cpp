@@ -7,8 +7,10 @@
 // then hot shard locks, and the hot purge) against hot writers and
 // long-term readers. The symbol-table case races interning against the
 // lock-free text() and to_labels() readers, and the slot-reuse case races
-// series deletion and re-creation against selects. These tests are the
-// workload the CI ThreadSanitizer job gates on.
+// series deletion and re-creation against selects. The scrape case races
+// two-phase scrape sweeps (parallel parse, then one writer per shard) on a
+// WAL-backed store against selects, the watermark and checkpoints. These
+// tests are the workload the CI ThreadSanitizer job gates on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,9 +19,12 @@
 #include <vector>
 
 #include "metrics/symbols.h"
+#include "simfs/durable_dir.h"
 #include "tsdb/longterm.h"
 #include "tsdb/promql_eval.h"
+#include "tsdb/scrape.h"
 #include "tsdb/storage.h"
+#include "tsdb/wal.h"
 #include "append_one.h"
 
 using namespace ceems;
@@ -430,6 +435,96 @@ TEST(LongTermConcurrency, SyncAndCompactRaceHotWritesAndReads) {
       EXPECT_LT(samples[i - 1].t, samples[i].t);
     }
   }
+}
+
+TEST(TsdbConcurrency, ScrapeSweepsRaceReadsWatermarkAndCheckpoints) {
+  constexpr int kTargets = 16;
+  constexpr int kSeries = 24;
+  constexpr int kSweeps = 40;
+
+  auto clock = common::make_sim_clock(0);
+  auto store = std::make_shared<TimeSeriesStore>();
+  auto dir = std::make_shared<simfs::SimDurableDir>();
+  tsdb::DurableTsdb durable(store, dir);
+  durable.open();
+  std::atomic<int> sweep{0};
+  tsdb::ScrapeManager manager(store, clock);  // default width: 8 workers
+  for (int t = 0; t < kTargets; ++t) {
+    tsdb::ScrapeTarget target;
+    target.labels = metrics::Labels{{"instance", "n" + std::to_string(t)}};
+    target.local_fetch = [t, &sweep] {
+      int i = sweep.load();
+      std::string body;
+      for (int s = 0; s < kSeries; ++s) {
+        body += "ctr{uuid=\"" + std::to_string(s) + "\"} " +
+                std::to_string(i * 10 + t) + "\n";
+        // A gauge that comes and goes, so sweeps write staleness markers.
+        if ((i + s) % 3 != 0) {
+          body += "gauge{uuid=\"" + std::to_string(s) + "\"} 1\n";
+        }
+      }
+      return body;
+    };
+    manager.add_target(std::move(target));
+  }
+
+  std::atomic<bool> done{false};
+  std::thread sweeper([&] {
+    for (int i = 1; i <= kSweeps; ++i) {
+      sweep.store(i);
+      clock->advance(30000);
+      manager.scrape_all_once();
+    }
+    done.store(true);
+  });
+  std::atomic<bool> torn{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      for (const auto& view :
+           store->select({{"__name__", metrics::LabelMatcher::Op::kEq, "ctr"}},
+                         0, std::numeric_limits<common::TimestampMs>::max())) {
+        auto samples = view.samples();
+        for (std::size_t i = 1; i < samples.size(); ++i) {
+          if (samples[i - 1].t >= samples[i].t ||
+              samples[i - 1].v > samples[i].v) {
+            torn.store(true);
+          }
+        }
+      }
+      store->select_interned(0, std::numeric_limits<common::TimestampMs>::max());
+    }
+  });
+  std::thread syncer([&] {
+    // The long-term sync cursor's step: raises the watermark to the
+    // newest sample, so a sweep's later shards may land out of bounds.
+    common::TimestampMs cursor = 0;
+    while (!done.load()) {
+      auto since = store->advance_watermark(cursor + 1);
+      if (since.samples > 0) cursor = since.newest;
+      std::this_thread::yield();
+    }
+  });
+  std::atomic<int> checkpoints{0};
+  std::thread checkpointer([&] {
+    while (!done.load()) {
+      if (durable.checkpoint()) checkpoints.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread* thread : {&sweeper, &reader, &syncer, &checkpointer}) {
+    thread->join();
+  }
+  EXPECT_FALSE(torn.load());
+  EXPECT_GT(checkpoints.load(), 0);
+  EXPECT_GT(manager.stats().stale_markers, 0u);
+
+  // Every write is in the snapshot or in a record after it, whole: the
+  // store recovered from the log is the live store, byte for byte.
+  auto copy = std::make_shared<simfs::SimDurableDir>();
+  for (const auto& name : dir->list()) copy->replace(name, *dir->read(name));
+  auto recovered = std::make_shared<TimeSeriesStore>();
+  tsdb::DurableTsdb(recovered, copy).open();
+  EXPECT_EQ(recovered->snapshot_bytes(), store->snapshot_bytes());
 }
 
 }  // namespace

@@ -76,6 +76,11 @@ GUARDED_COUNTERS = {
     # concurrent batches may share a group commit, so the exact count is
     # WAL records, one per rule that wrote anything.
     "wal_records_per_pass": 0.01,
+    # Scrape sweeps on a WAL-backed store (BM_scrape_sweep_wal): a sweep
+    # writes one store shard at a time, logging at most two records per
+    # shard (32). Exact, gated at 1%: per-target appends log two records
+    # per target, 512 for the bench's 256 targets.
+    "wal_records_per_sweep": 0.01,
     # Heap allocations per written rule sample in both rule-pass benches,
     # counted over evaluate_all only. Near-exact inline; the graph pass's
     # dispatch moves it by a few percent between runs (8.28 and 8.49 in

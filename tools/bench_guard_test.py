@@ -145,6 +145,19 @@ class BenchGuardTest(unittest.TestCase):
                                         rule_samples_per_pass=2688)])
         self.assertEqual(self.guard(skipped, base), 1)
 
+    def test_scrape_sweep_wal_records_are_guarded(self):
+        base = doc(benchmarks=[bench("BM_scrape_sweep_wal",
+                                     wal_records_per_sweep=32)])
+        self.assertEqual(self.guard(base, base), 0)
+        # Per-target appends again: two records per target.
+        per_target = doc(benchmarks=[bench("BM_scrape_sweep_wal",
+                                           wal_records_per_sweep=512)])
+        self.assertEqual(self.guard(per_target, base), 1)
+        # A shard's writes split into one more record.
+        split = doc(benchmarks=[bench("BM_scrape_sweep_wal",
+                                      wal_records_per_sweep=33)])
+        self.assertEqual(self.guard(split, base), 1)
+
     def test_rule_pass_allocs_are_guarded(self):
         for name in ("BM_rule_pass_wal", "BM_rule_pass_graph"):
             base = doc(benchmarks=[bench(name, allocs_per_rule_sample=8.25)])
