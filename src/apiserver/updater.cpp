@@ -3,28 +3,98 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
-#include <set>
 
-#include "common/logging.h"
-#include "common/strutil.h"
 #include "metrics/model.h"
 #include "metrics/symbols.h"
+#include "tsdb/promql_eval.h"
 
 namespace ceems::apiserver {
 
-using tsdb::promql::Value;
+using tsdb::SamplePoint;
+using tsdb::promql::kLookbackMs;
 
-// Recording-rule series the operator's rules produce (§III-A), labelled
-// by uuid, and the emission factor series.
-constexpr char kCpuPowerMetric[] = "ceems_job_power_watts";
-constexpr char kGpuPowerMetric[] = "ceems_job_gpu_power_watts";
-constexpr char kGpuUtilMetric[] = "ceems_job_gpu_util";
-constexpr char kEmissionMetric[] = "ceems_emissions_gCo2_kWh";
-// Exporter counters, read as raw samples (Updater::kCounters).
-constexpr const char* kCounterMetrics[] = {
+namespace {
+
+// The metrics the updater walks, in Updater::kMetrics order: exporter
+// counters, then the recording-rule gauges the operator's rules produce
+// (§III-A), all labelled by uuid.
+enum Metric : std::size_t {
+  kCpuTime,
+  kIoRead,
+  kIoWrite,
+  kMemory,
+  kCpuPower,
+  kGpuPower,
+  kGpuUtil,
+};
+constexpr const char* kMetricNames[] = {
     "ceems_compute_unit_cpu_usage_seconds_total",
     "ceems_compute_unit_io_read_bytes_total",
-    "ceems_compute_unit_io_write_bytes_total"};
+    "ceems_compute_unit_io_write_bytes_total",
+    "ceems_compute_unit_memory_current_bytes",
+    "ceems_job_power_watts",
+    "ceems_job_gpu_power_watts",
+    "ceems_job_gpu_util"};
+constexpr std::size_t kFirstGauge = kMemory;
+constexpr char kEmissionMetric[] = "ceems_emissions_gCo2_kWh";
+
+metrics::LabelMatcher name_is(const char* name) {
+  return {std::string(metrics::kMetricNameLabel),
+          metrics::LabelMatcher::Op::kEq, name};
+}
+
+// Σ v·dt and Σ dt (seconds) of a gauge's pairs: its time-weighted mean.
+struct Mean {
+  double vdt = 0, dt = 0;
+};
+
+// What one cycle charges a unit.
+struct Charge {
+  std::array<double, kFirstGauge> counters{};  // reset-aware increases
+  double cpu_joules = 0, gpu_joules = 0, grams = 0;
+  Mean memory, gpu_util;
+  bool touched = false;  // a CPU-time, CPU-power or GPU-power sample
+};
+
+// Calls fn(cur, seconds) for each pair of a run: the sample that closes
+// the pair and the seconds since the one before it.
+template <class Fn>
+void for_each_step(std::span<const SamplePoint> run, Fn&& fn) {
+  for (std::size_t i = 1; i < run.size(); ++i) {
+    fn(run[i], static_cast<double>(run[i].t - run[i - 1].t) / 1000.0);
+  }
+}
+
+}  // namespace
+
+common::TimestampMs walk_tiled(
+    const tsdb::Queryable& source,
+    const std::vector<metrics::LabelMatcher>& matchers,
+    common::TimestampMs from, common::TimestampMs at, const TiledRun& run) {
+  common::TimestampMs newest = at - kLookbackMs;
+  for (const auto& view : source.select(matchers, from - kLookbackMs, at)) {
+    std::vector<SamplePoint> samples = view.samples();
+    if (samples.empty()) continue;
+    newest = std::max(newest, samples.back().t);
+    std::erase_if(samples, [](const SamplePoint& sample) {
+      return metrics::is_stale_marker(sample.v);
+    });
+    // The first fresh sample pairs with the last one at or before `from`.
+    auto begin = std::find_if(samples.begin(), samples.end(),
+                              [&](const SamplePoint& s) { return s.t > from; });
+    if (begin != samples.begin()) --begin;
+    while (begin != samples.end()) {
+      auto end = std::next(begin);
+      while (end != samples.end() &&
+             end->t - std::prev(end)->t <= kLookbackMs) {
+        ++end;
+      }
+      if (std::prev(end)->t > from) run(view.labels, {begin, end});
+      begin = end;
+    }
+  }
+  return std::max(from, newest);
+}
 
 Updater::Updater(reldb::Database& db,
                  std::shared_ptr<const tsdb::Queryable> tsdb,
@@ -37,6 +107,7 @@ Updater::Updater(reldb::Database& db,
       adapters_(std::move(adapters)),
       clock_(std::move(clock)),
       config_(config) {
+  cursor_ms_.fill(kNoCursor);
   create_ceems_tables(db_);
 }
 
@@ -87,175 +158,139 @@ void Updater::poll_managers(common::TimestampMs now, Cycle& cycle,
 
 void Updater::update_aggregates(common::TimestampMs now, Cycle& cycle,
                                 UpdateStats& stats) {
-  // Aggregation instant: `now`, or the newest grid point at or before it
-  // when windows are aligned. Alignment trades up to align_window_ms of
-  // result freshness for ladder-served queries.
-  common::TimestampMs at = now;
-  if (config_.align_window_ms > 0) {
-    at = tsdb::floor_div(now, config_.align_window_ms) *
-         config_.align_window_ms;
+  if (cycle.cursor_ms[0] == kNoCursor) {
+    cycle.cursor_ms.fill(now);
+    return;  // first cycle: establish where the walks start
   }
-  if (last_agg_ms_ < 0) {
-    cycle.agg_ms = at;
-    cycle.counter_ms.fill(at);
-    return;  // first cycle: establish the window start
-  }
-  int64_t window_ms = at - last_agg_ms_;
-  if (window_ms <= 0) return;
-  double window_sec = static_cast<double>(window_ms) / 1000.0;
-  std::string window = common::format_duration_ms(window_ms);
 
-  // Batched per-uuid reads over the window. Every read groups by uuid so
-  // one TSDB pass covers every running unit. Result maps are keyed by the
-  // uuid's symbol id, read straight off the interned result labels: no
-  // uuid string is built until a unit's row is written.
+  // Charges are keyed by the uuid's symbol id, read straight off the
+  // interned series labels: no uuid string is built until a unit's row
+  // is written.
   auto& symtab = metrics::SymbolTable::global();
   const uint32_t uuid_name = symtab.intern("uuid");
-  auto vector_by_uuid = [&](const std::string& query)
-      -> std::map<uint32_t, double> {
-    std::map<uint32_t, double> out;
-    try {
-      Value value = engine_.eval(*tsdb_, query, at);
-      if (value.kind != Value::Kind::kVector) return out;
-      for (const auto& sample : value.vector) {
-        auto uuid = sample.labels.value_symbol(uuid_name);
-        if (uuid) out[*uuid] = sample.value;
-      }
-    } catch (const std::exception& e) {
-      CEEMS_LOG_WARN("updater") << "query failed: " << e.what();
-    }
-    return out;
+  std::map<uint32_t, Charge> charges;
+  auto walk = [&](std::size_t metric, auto&& charge) {
+    cycle.cursor_ms[metric] = walk_tiled(
+        *tsdb_, {name_is(kMetricNames[metric])}, cycle.cursor_ms[metric], now,
+        [&](const metrics::InternedLabels& labels,
+            std::span<const SamplePoint> run) {
+          if (auto uuid = labels.value_symbol(uuid_name)) {
+            charge(charges[*uuid], run);
+          }
+        });
   };
 
-  // Counters tile the cycles. Each read counts every series from its
-  // last sample at or before the counter's start point up to its newest
-  // sample, and the next start point is the newest sample the read
-  // returned (no earlier than `at` minus the lookback, so a quiet
-  // counter's reads stay short). Every scrape delta then lands in exactly
-  // one cycle as long as (1) no sample at or before one a read returned
-  // shows up later and (2) each sample is visible within the lookback of
-  // its timestamp. The long-term store guarantees (1): a read sees every
-  // sample up to its sync cursor, and its watermark rejects any later one
-  // at or below it. Ending at `at` instead would lose the delta of a
-  // sample in (cursor, at] synced after the read. increase() over
-  // (at - window, at] would drop the delta that straddles the window's
-  // start; over one scrape interval it sees a single sample and returns
-  // nothing. One select per counter per cycle.
-  auto counter_by_uuid = [&](std::size_t c) {
-    std::map<uint32_t, double> out;
-    const common::TimestampMs from = counter_ms_[c];
-    common::TimestampMs newest = at - tsdb::promql::kLookbackMs;
-    const std::vector<metrics::LabelMatcher> matchers = {
-        {std::string(metrics::kMetricNameLabel),
-         metrics::LabelMatcher::Op::kEq, kCounterMetrics[c]}};
-    for (const auto& view :
-         tsdb_->select(matchers, from - tsdb::promql::kLookbackMs, at)) {
-      std::vector<tsdb::SamplePoint> samples = view.samples();
-      if (samples.empty()) continue;
-      newest = std::max(newest, samples.back().t);
-      auto uuid = view.labels.value_symbol(uuid_name);
-      if (!uuid) continue;
-      std::erase_if(samples, [](const tsdb::SamplePoint& sample) {
-        return metrics::is_stale_marker(sample.v);
+  // The emission factor in force at t: each provider series' newest
+  // sample at or before t within the lookback, averaged over the series.
+  // One read covers every power pair the walks below can charge.
+  const common::TimestampMs factor_from =
+      std::min(cycle.cursor_ms[kCpuPower], cycle.cursor_ms[kGpuPower]) -
+      kLookbackMs;
+  std::vector<std::vector<SamplePoint>> factor_series;
+  for (const auto& view : tsdb_->select(
+           {name_is(kEmissionMetric),
+            {"provider", metrics::LabelMatcher::Op::kEq,
+             config_.emission_provider}},
+           factor_from, now)) {
+    factor_series.push_back(view.samples());
+    std::erase_if(factor_series.back(), [](const SamplePoint& sample) {
+      return metrics::is_stale_marker(sample.v);
+    });
+  }
+  std::map<common::TimestampMs, double> factor_memo;
+  auto factor_at = [&](common::TimestampMs t) {
+    auto [it, fresh] = factor_memo.try_emplace(t, 0.0);
+    if (!fresh) return it->second;
+    double sum = 0;
+    int count = 0;
+    for (const auto& samples : factor_series) {
+      auto after = std::upper_bound(
+          samples.begin(), samples.end(), t,
+          [](common::TimestampMs when, const SamplePoint& s) {
+            return when < s.t;
+          });
+      if (after == samples.begin()) continue;
+      const SamplePoint& in_force = *std::prev(after);
+      if (t - in_force.t > kLookbackMs) continue;
+      sum += in_force.v;
+      ++count;
+    }
+    if (count > 0) it->second = sum / count;
+    return it->second;
+  };
+
+  for (std::size_t c = 0; c < kFirstGauge; ++c) {
+    walk(c, [c](Charge& charge, std::span<const SamplePoint> run) {
+      charge.counters[c] +=
+          tsdb::promql::counter_increase(run.data(), run.size());
+      if (c == kCpuTime) charge.touched = true;
+    });
+  }
+  for (std::size_t power : {kCpuPower, kGpuPower}) {
+    walk(power, [&](Charge& charge, std::span<const SamplePoint> run) {
+      double& joules =
+          power == kCpuPower ? charge.cpu_joules : charge.gpu_joules;
+      for_each_step(run, [&](const SamplePoint& cur, double seconds) {
+        const double energy = cur.v * seconds;
+        joules += energy;
+        charge.grams += energy / 3.6e6 * factor_at(cur.t);
       });
-      auto fresh = std::find_if(
-          samples.begin(), samples.end(),
-          [&](const tsdb::SamplePoint& s) { return s.t > from; });
-      if (fresh == samples.end()) continue;
-      auto first = fresh == samples.begin() ? fresh : std::prev(fresh);
-      const auto count = static_cast<std::size_t>(samples.end() - first);
-      if (count < 2) continue;
-      out[*uuid] += tsdb::promql::counter_increase(&*first, count);
-    }
-    cycle.counter_ms[c] = std::max(from, newest);
-    return out;
-  };
-
-  auto cpu_time = counter_by_uuid(0);
-  auto mem_avg = vector_by_uuid(
-      "avg by (uuid) (avg_over_time(ceems_compute_unit_memory_current_bytes[" +
-      window + "]))");
-  auto cpu_power = vector_by_uuid(std::string("sum by (uuid) (avg_over_time(") +
-                                  kCpuPowerMetric + "[" + window + "]))");
-  auto gpu_power = vector_by_uuid(std::string("sum by (uuid) (avg_over_time(") +
-                                  kGpuPowerMetric + "[" + window + "]))");
-  auto gpu_util = vector_by_uuid(std::string("avg by (uuid) (avg_over_time(") +
-                                 kGpuUtilMetric + "[" + window + "]))");
-  auto io_read = counter_by_uuid(1);
-  auto io_write = counter_by_uuid(2);
-
-  // Cluster-wide emission factor for the window (scalar).
-  double factor = 0;
-  try {
-    Value value = engine_.eval(
-        *tsdb_,
-        std::string("avg(avg_over_time(") + kEmissionMetric + "{provider=\"" +
-            config_.emission_provider + "\"}[" + window + "]))",
-        at);
-    if (value.kind == Value::Kind::kVector && !value.vector.empty()) {
-      factor = value.vector[0].value;
-    }
-  } catch (const std::exception&) {
+      charge.touched = true;
+    });
+  }
+  for (auto [gauge, mean] : {std::pair{kMemory, &Charge::memory},
+                             std::pair{kGpuUtil, &Charge::gpu_util}}) {
+    walk(gauge, [mean](Charge& charge, std::span<const SamplePoint> run) {
+      Mean& m = charge.*mean;
+      for_each_step(run, [&m](const SamplePoint& cur, double seconds) {
+        m.vdt += cur.v * seconds;
+        m.dt += seconds;
+      });
+    });
   }
 
-  // Collect all uuids that have any activity this window.
-  std::set<uint32_t> touched;
-  for (const auto& [uuid, v] : cpu_time) touched.insert(uuid);
-  for (const auto& [uuid, v] : cpu_power) touched.insert(uuid);
-  for (const auto& [uuid, v] : gpu_power) touched.insert(uuid);
-
-  for (uint32_t uuid_sym : touched) {
+  for (const auto& [uuid_sym, charge] : charges) {
+    if (!charge.touched) continue;
     // One string materialisation per active unit per cycle, for the DB key.
     std::string uuid(symtab.text(uuid_sym));
     auto found = find_unit(cycle, uuid);
     if (!found) continue;  // metrics for a unit the manager hasn't reported
     Unit& unit = *found;
 
-    double prev_elapsed_sec =
-        std::max(0.0, static_cast<double>(unit.elapsed_ms) / 1000.0 -
-                          window_sec);
     if (unit.started_at_ms != 0 && unit.ended_at_ms == 0) {
       unit.elapsed_ms = now - unit.started_at_ms;
     }
-    double elapsed_sec = static_cast<double>(unit.elapsed_ms) / 1000.0;
+    const double elapsed_sec = static_cast<double>(unit.elapsed_ms) / 1000.0;
 
-    auto get = [uuid_sym](const std::map<uint32_t, double>& m) {
-      auto it = m.find(uuid_sym);
-      return it == m.end() ? 0.0 : it->second;
-    };
-
-    unit.total_cpu_time_seconds += get(cpu_time);
+    unit.total_cpu_time_seconds += charge.counters[kCpuTime];
     if (elapsed_sec > 0 && unit.num_cpus > 0) {
       unit.avg_cpu_usage = unit.total_cpu_time_seconds /
                            (elapsed_sec * static_cast<double>(unit.num_cpus));
     }
-    // Time-weighted running averages.
-    auto fold_avg = [&](double old_avg, double window_value) {
-      if (elapsed_sec <= 0) return window_value;
-      double effective_window = std::min(window_sec, elapsed_sec);
-      return (old_avg * prev_elapsed_sec + window_value * effective_window) /
-             (prev_elapsed_sec + effective_window);
+    // Running time-weighted averages: the cycle's mean weighs the time it
+    // covers (at most the unit's age), the old average the rest.
+    auto fold_avg = [&](double& avg, const Mean& mean) {
+      if (mean.dt <= 0) return;
+      const double cycle_avg = mean.vdt / mean.dt;
+      avg = elapsed_sec > 0 ? avg + (cycle_avg - avg) *
+                                        std::min(mean.dt, elapsed_sec) /
+                                        elapsed_sec
+                            : cycle_avg;
     };
-    if (mem_avg.count(uuid_sym))
-      unit.avg_cpu_mem_bytes = fold_avg(unit.avg_cpu_mem_bytes, get(mem_avg));
-    if (gpu_util.count(uuid_sym))
-      unit.avg_gpu_usage = fold_avg(unit.avg_gpu_usage, get(gpu_util));
+    fold_avg(unit.avg_cpu_mem_bytes, charge.memory);
+    fold_avg(unit.avg_gpu_usage, charge.gpu_util);
 
-    double cpu_energy_inc = get(cpu_power) * window_sec;
-    double gpu_energy_inc = get(gpu_power) * window_sec;
-    unit.total_cpu_energy_joules += cpu_energy_inc;
-    unit.total_gpu_energy_joules += gpu_energy_inc;
+    unit.total_cpu_energy_joules += charge.cpu_joules;
+    unit.total_gpu_energy_joules += charge.gpu_joules;
     unit.total_energy_joules =
         unit.total_cpu_energy_joules + unit.total_gpu_energy_joules;
-    unit.total_emissions_grams +=
-        (cpu_energy_inc + gpu_energy_inc) / 3.6e6 * factor;
-    unit.total_io_read_bytes += get(io_read);
-    unit.total_io_write_bytes += get(io_write);
+    unit.total_emissions_grams += charge.grams;
+    unit.total_io_read_bytes += charge.counters[kIoRead];
+    unit.total_io_write_bytes += charge.counters[kIoWrite];
 
     cycle.rows[uuid] = unit_to_row(unit);
     ++stats.units_aggregated;
   }
-  cycle.agg_ms = at;
 }
 
 void Updater::cleanup_small_units(const std::vector<Unit>& newly_ended,
@@ -274,8 +309,7 @@ UpdateStats Updater::update_once() {
   UpdateStats stats;
   common::TimestampMs now = clock_->now_ms();
   Cycle cycle;
-  cycle.agg_ms = last_agg_ms_;
-  cycle.counter_ms = counter_ms_;
+  cycle.cursor_ms = cursor_ms_;
   poll_managers(now, cycle, stats);
   update_aggregates(now, cycle, stats);
   std::vector<reldb::WalEntry> batch;
@@ -287,8 +321,7 @@ UpdateStats Updater::update_once() {
   }
   db_.commit(std::move(batch));
   last_poll_ms_ = now;
-  last_agg_ms_ = cycle.agg_ms;
-  counter_ms_ = cycle.counter_ms;
+  cursor_ms_ = cycle.cursor_ms;
   cleanup_small_units(cycle.newly_ended, stats);
   return stats;
 }

@@ -255,34 +255,6 @@ std::vector<tsdb::RuleGroup> ceems_alert_rules(
   return {group};
 }
 
-std::vector<tsdb::RuleGroup> long_range_report_rules(
-    const std::string& aligned_window) {
-  int64_t window_ms =
-      common::parse_duration_ms(aligned_window).value_or(common::kMillisPerHour);
-  double window_sec = static_cast<double>(window_ms) / 1000.0;
-  RuleGroup group;
-  group.name = "ceems-longrange-report";
-  // Evaluate once per window so consecutive reports tile the timeline.
-  group.interval_ms = window_ms;
-  group.rules = {
-      rule("report:job_mean_power_watts",
-           "avg_over_time(ceems_job_power_watts[" + aligned_window + "])"),
-      rule("report:job_peak_power_watts",
-           "max_over_time(ceems_job_power_watts[" + aligned_window + "])"),
-      rule("report:job_energy_joules",
-           "avg_over_time(ceems_job_power_watts[" + aligned_window + "]) * " +
-               common::format_double(window_sec)),
-      rule("report:node_energy_joules",
-           "sum by (hostname, nodegroup) "
-           "(increase(ceems_rapl_package_joules_total[" + aligned_window +
-           "]))"),
-      rule("report:emission_factor_gCo2_kWh",
-           "avg by (provider) (avg_over_time(ceems_emissions_gCo2_kWh[" +
-               aligned_window + "]))"),
-  };
-  return {group};
-}
-
 std::vector<tsdb::RuleGroup> equal_split_baseline_rules(
     const std::string& /*rate_window*/) {
   RuleGroup group;

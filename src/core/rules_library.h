@@ -51,15 +51,4 @@ std::vector<tsdb::RuleGroup> ebpf_network_rules(
 std::vector<tsdb::RuleGroup> ceems_alert_rules(
     double node_power_ceiling_watts = 5000);
 
-// Long-range reporting rules evaluated against the long-term store: mean/
-// peak per-job power, per-node energy and the mean emission factor over
-// `aligned_window`. Window length equals the group interval, so every
-// evaluation uses a whole-window range on a fixed grid — when the window
-// is a multiple of the store's aggregate-ladder resolution, the
-// resolution-aware planner answers these from bucket columns instead of
-// scanning a window's worth of raw samples per rule (DESIGN.md §10).
-// `aligned_window` must parse as a duration (default one hour).
-std::vector<tsdb::RuleGroup> long_range_report_rules(
-    const std::string& aligned_window = "1h");
-
 }  // namespace ceems::core

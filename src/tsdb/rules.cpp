@@ -123,7 +123,6 @@ void RuleEngine::add_group(RuleGroup group) {
   };
   std::lock_guard lock(eval_mu_);
   for (auto& node : added) {
-    node.group = groups_.size();
     const std::size_t index = nodes_.size();
     for (auto& earlier : nodes_) {
       // Read-after-write, write-after-read, write-after-write.
@@ -134,7 +133,7 @@ void RuleEngine::add_group(RuleGroup group) {
     }
     nodes_.push_back(std::move(node));
   }
-  groups_.push_back({group.interval_ms});
+  ++group_count_;
 }
 
 void RuleEngine::evaluate_alert(const AlertingRule& rule, RuleNode& node,
@@ -255,30 +254,17 @@ RuleEvalStats RuleEngine::evaluate_node(RuleNode& node,
   return stats;
 }
 
-RuleEvalStats RuleEngine::run_pass(common::TimestampMs t, bool only_due) {
+RuleEvalStats RuleEngine::evaluate_all(common::TimestampMs t) {
   std::lock_guard lock(eval_mu_);
-  std::vector<char> due(nodes_.size(), 0);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    GroupSchedule& group = groups_[g];
-    if (only_due && group.last_eval >= 0 &&
-        t - group.last_eval < group.interval_ms) {
-      continue;
-    }
-    group.last_eval = t;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (nodes_[i].group == g) due[i] = 1;
-    }
-  }
-
   std::vector<RuleEvalStats> node_stats(nodes_.size());
   if (!pool_) {
     // Every edge points forward, so declaration order is a topological
     // order of the graph.
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (due[i]) node_stats[i] = evaluate_node(nodes_[i], t);
+      node_stats[i] = evaluate_node(nodes_[i], t);
     }
   } else {
-    // This thread dispatches: a node is submitted once all its due
+    // This thread dispatches: a node is submitted once all its
     // predecessors have finished. Workers only evaluate and report back,
     // so the pool may be shared and never blocks on its own tasks.
     struct Finished {
@@ -297,14 +283,12 @@ RuleEvalStats RuleEngine::run_pass(common::TimestampMs t, bool only_due) {
       if (!pool_->submit(task)) task();  // pool shutting down
     };
     std::vector<std::size_t> waiting(nodes_.size(), 0);
-    std::size_t pending = 0;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (!due[i]) continue;
-      ++pending;
-      for (std::size_t s : nodes_[i].successors) waiting[s] += due[s];
+    std::size_t pending = nodes_.size();
+    for (const auto& node : nodes_) {
+      for (std::size_t s : node.successors) ++waiting[s];
     }
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (due[i] && waiting[i] == 0) start(i);
+      if (waiting[i] == 0) start(i);
     }
     std::vector<std::size_t> done;
     while (pending > 0) {
@@ -316,7 +300,7 @@ RuleEvalStats RuleEngine::run_pass(common::TimestampMs t, bool only_due) {
       for (std::size_t i : done) {
         --pending;
         for (std::size_t s : nodes_[i].successors) {
-          if (due[s] && --waiting[s] == 0) start(s);
+          if (--waiting[s] == 0) start(s);
         }
       }
       done.clear();
@@ -326,14 +310,6 @@ RuleEvalStats RuleEngine::run_pass(common::TimestampMs t, bool only_due) {
   RuleEvalStats total;
   for (const auto& stats : node_stats) total += stats;
   return total;
-}
-
-RuleEvalStats RuleEngine::evaluate_due(common::TimestampMs t) {
-  return run_pass(t, /*only_due=*/true);
-}
-
-RuleEvalStats RuleEngine::evaluate_all(common::TimestampMs t) {
-  return run_pass(t, /*only_due=*/false);
 }
 
 std::vector<ActiveAlert> RuleEngine::active_alerts() const {
@@ -354,9 +330,6 @@ std::vector<RuleGroup> parse_rule_groups(const common::Json& root) {
   for (const auto& group_node : groups_node->as_array()) {
     RuleGroup group;
     group.name = group_node.get_string("name", "unnamed");
-    std::string interval = group_node.get_string("interval", "30s");
-    group.interval_ms =
-        common::parse_duration_ms(interval).value_or(30 * 1000);
     auto rules_node = group_node.get("rules");
     if (rules_node && rules_node->is_array()) {
       for (const auto& rule_node : rules_node->as_array()) {

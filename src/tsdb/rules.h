@@ -4,14 +4,14 @@
 // than code. The engine evaluates rule groups against the store and writes
 // the results back as new series named by `record`.
 //
-// Every pass is equal, bit for bit, to evaluating the due groups one
-// after another, each group's alerts then its rules in order, with every
+// Every pass is equal, bit for bit, to evaluating the groups one after
+// another, each group's alerts then its rules in order, with every
 // rule seeing the results of earlier rules at the same instant
 // (Prometheus semantics, which lets Eq. 1 be decomposed into named
 // sub-expressions). add_group() builds a conflict graph over all rules:
 // an edge joins two rules when one reads a metric name the other writes,
 // or both write the same name, and a selector without a fixed name
-// conflicts with every rule. A pass runs the due rules on
+// conflicts with every rule. A pass runs every rule on
 // EngineOptions::pool in graph order, so only rules that share no name
 // run at the same time; without a pool it runs them inline in
 // declaration order. See DESIGN.md "Rule evaluation as a conflict graph".
@@ -57,11 +57,10 @@ struct ActiveAlert {
   double value = 0;     // last value of the triggering sample
 };
 
+// A group has no interval of its own: core::CeemsStack evaluates every
+// group at every scrape.
 struct RuleGroup {
   std::string name;
-  // Read by evaluate_due() only. core::CeemsStack runs evaluate_all() at
-  // every scrape, so in the stack a group's interval changes nothing.
-  int64_t interval_ms = 30 * common::kMillisPerSecond;
   std::vector<RecordingRule> rules;
   std::vector<AlertingRule> alerts;
 };
@@ -94,12 +93,10 @@ class RuleEngine {
   void add_group(RuleGroup group);
   std::size_t group_count() const {
     std::lock_guard lock(eval_mu_);
-    return groups_.size();
+    return group_count_;
   }
 
-  // Evaluates every group due at `t` (interval grid) and writes results.
-  RuleEvalStats evaluate_due(common::TimestampMs t);
-  // Evaluates everything regardless of interval (deterministic pipelines).
+  // Evaluates every group at `t` and writes the results.
   RuleEvalStats evaluate_all(common::TimestampMs t);
 
   // Alerts currently pending or firing. Firing alerts are also written to
@@ -113,15 +110,8 @@ class RuleEngine {
     InternedLabels series;
   };
 
-  // Interval bookkeeping of one registered group.
-  struct GroupSchedule {
-    int64_t interval_ms = 0;
-    common::TimestampMs last_eval = -1;
-  };
-
   // One recording or alerting rule: a node of the conflict graph.
   struct RuleNode {
-    std::size_t group = 0;
     std::variant<RecordingRule, AlertingRule> rule;
     // Metric names its selectors read (reads_any: some selector has no
     // fixed name) and the name it writes.
@@ -140,7 +130,6 @@ class RuleEngine {
     std::map<uint64_t, AlertInstance> active;
   };
 
-  RuleEvalStats run_pass(common::TimestampMs t, bool only_due);
   RuleEvalStats evaluate_node(RuleNode& node, common::TimestampMs t);
   void evaluate_record(const RecordingRule& rule, const RuleNode& node,
                        common::TimestampMs t, RuleEvalStats& stats);
@@ -154,7 +143,7 @@ class RuleEngine {
   // snapshots, so active_alerts() and group_count() may be called from
   // another thread while the stack's driver evaluates.
   mutable std::mutex eval_mu_;
-  std::vector<GroupSchedule> groups_;
+  std::size_t group_count_ = 0;
   std::vector<RuleNode> nodes_;  // declaration order
 };
 
@@ -162,11 +151,11 @@ class RuleEngine {
 // file already loaded as a Json/YAML tree:
 //   groups:
 //     - name: energy
-//       interval: 30s
 //       rules:
 //         - record: ceems_job_power_watts
 //           expr: ...
 //           labels: { group: intel }
+// A group's `interval:` key is ignored: every group runs at every scrape.
 std::vector<RuleGroup> parse_rule_groups(const common::Json& root);
 
 }  // namespace ceems::tsdb

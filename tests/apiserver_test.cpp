@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <thread>
 
 #include "apiserver/api_server.h"
@@ -136,60 +138,150 @@ TEST(Adapters, K8sPodsPlugIntoSameSchema) {
   EXPECT_EQ(kube.fetch_units_changed_since(901).size(), 1u);
 }
 
-// ---------- updater window alignment ----------
+// ---------- updater tiling: charges do not depend on the interval ----------
 
-// With align_window_ms set, the updater's batched aggregate queries snap
-// to the grid, so a long-term store's resolution-aware planner serves
-// them from the aggregate ladder — asserted via the per-level hit
-// counters — while the folded unit aggregates stay plausible.
-TEST(UpdaterAlignment, AggregateQueriesHitResolutionLadder) {
-  constexpr int64_t kFiveMin = 5 * common::kMillisPerMinute;
-  constexpr common::TimestampMs kEnd = 40 * common::kMillisPerMinute;
-
-  auto hot = std::make_shared<tsdb::TimeSeriesStore>();
-  auto power = metrics::Labels{{"uuid", "vm-1"}}
-                   .with_name("ceems_job_power_watts");
-  auto cpu = metrics::Labels{{"uuid", "vm-1"}}
-                 .with_name("ceems_compute_unit_cpu_usage_seconds_total");
-  for (common::TimestampMs t = 0; t <= kEnd; t += 30000) {
-    append_one(*hot, power, t, 200);
-    append_one(*hot, cpu, t, static_cast<double>(t) / 1000.0);  // 1 cpu-sec/sec
+// A unit's charged columns, as the units DB holds them, by uuid.
+std::map<std::string, Unit> units_by_uuid(const reldb::Database& db) {
+  std::map<std::string, Unit> units;
+  for (const auto& row : db.query(kUnitsTable, {}).rows) {
+    Unit unit = unit_from_row(row);
+    units[unit.uuid] = unit;
   }
-  tsdb::LongTermConfig lt_config;
-  lt_config.downsample_after_ms = 365LL * 24 * common::kMillisPerHour;
-  lt_config.levels = {{kFiveMin, 0}};
-  auto lt = std::make_shared<tsdb::LongTermStore>(hot, lt_config);
-  lt->sync_from(*hot);
-  lt->compact(kEnd);
+  return units;
+}
 
-  reldb::Database db;
-  auto nova = std::make_shared<OpenstackAdapter>("cloud");
-  nova->report_vm("vm-1", "alice", "p1", 4, 8LL << 30, "ACTIVE", 0, 0, 0);
-  auto clock = common::make_sim_clock(0);
-  UpdaterConfig config;
-  config.align_window_ms = kFiveMin;
-  Updater updater(db, lt, nullptr, {nova}, clock, config);
+// Σ p·(t - t_prev) in joules over every pair of consecutive raw
+// `ceems_job_power_watts` samples of each unit, staleness markers dropped,
+// a gap longer than the lookback charging nothing.
+std::map<std::string, double> power_integral(const tsdb::TimeSeriesStore& hot) {
+  std::map<std::string, double> joules;
+  for (const auto& view : hot.select(
+           {{"__name__", metrics::LabelMatcher::Op::kEq,
+             "ceems_job_power_watts"}},
+           std::numeric_limits<common::TimestampMs>::min(),
+           std::numeric_limits<common::TimestampMs>::max())) {
+    auto uuid = view.labels.get("uuid");
+    if (!uuid) continue;
+    const tsdb::SamplePoint* prev = nullptr;
+    std::vector<tsdb::SamplePoint> samples = view.samples();
+    for (const auto& sample : samples) {
+      if (metrics::is_stale_marker(sample.v)) continue;
+      if (prev && sample.t - prev->t <= tsdb::promql::kLookbackMs) {
+        joules[std::string(*uuid)] +=
+            sample.v * static_cast<double>(sample.t - prev->t) / 1000.0;
+      }
+      prev = &sample;
+    }
+  }
+  return joules;
+}
 
-  clock->set(10 * common::kMillisPerMinute + 13000);  // off-grid on purpose
-  updater.update_once();  // first cycle pins last_agg to the 10m gridline
-  auto hits_before = lt->select_stats();
-  clock->set(35 * common::kMillisPerMinute + 7000);
-  UpdateStats stats = updater.update_once();  // 25m window ending at 35m
-  auto hits_after = lt->select_stats();
+void expect_close(double got, double want, const std::string& what) {
+  EXPECT_NEAR(got, want, 1e-9 * std::max(std::abs(got), std::abs(want)))
+      << what;
+}
 
-  EXPECT_EQ(stats.units_aggregated, 1u);
-  uint64_t before_total = 0, after_total = 0;
-  for (uint64_t h : hits_before.level_hits) before_total += h;
-  for (uint64_t h : hits_after.level_hits) after_total += h;
-  EXPECT_GT(after_total, before_total)
-      << "aligned updater queries must be served from the aggregate ladder";
+// Every cycle walks each metric's samples from where its previous walk
+// ended and charges each pair of consecutive samples once, so a unit's
+// energy, emissions, CPU time and IO are the same whether the updater
+// runs every 15 s, every minute, every 10 min or once at the end, and
+// its energy is the integral of its raw power samples.
+TEST(UpdaterTiling, EnergyIsIndependentOfTheUpdaterInterval) {
+  const std::vector<int64_t> intervals = {
+      15 * common::kMillisPerSecond, common::kMillisPerMinute,
+      10 * common::kMillisPerMinute, common::kMillisPerHour};
 
-  auto row = db.get(kUnitsTable, reldb::Value(std::string("vm-1")));
-  ASSERT_TRUE(row.has_value());
-  Unit unit = unit_from_row(*row);
-  // 200 W over the 25 min aligned window.
-  EXPECT_NEAR(unit.total_cpu_energy_joules, 200.0 * 25 * 60, 1.0);
-  EXPECT_NEAR(unit.total_cpu_time_seconds, 25.0 * 60, 30.0);
+  // A 200 W VM burning one CPU-second per second, read through the
+  // long-term store, charged between two off-grid instants 24m54s apart:
+  // the 50 scrapes in (10m13s, 35m07s] close 25 min of pairs.
+  {
+    constexpr common::TimestampMs kEnd = 40 * common::kMillisPerMinute;
+    constexpr common::TimestampMs kFirst = 10 * common::kMillisPerMinute + 13000;
+    constexpr common::TimestampMs kLast = 35 * common::kMillisPerMinute + 7000;
+    auto hot = std::make_shared<tsdb::TimeSeriesStore>();
+    auto power = metrics::Labels{{"uuid", "vm-1"}}
+                     .with_name("ceems_job_power_watts");
+    auto cpu = metrics::Labels{{"uuid", "vm-1"}}
+                   .with_name("ceems_compute_unit_cpu_usage_seconds_total");
+    for (common::TimestampMs t = 0; t <= kEnd; t += 30000) {
+      append_one(*hot, power, t, 200);
+      append_one(*hot, cpu, t, static_cast<double>(t) / 1000.0);
+    }
+    auto lt = std::make_shared<tsdb::LongTermStore>(hot);
+    lt->sync_from(*hot);
+    for (int64_t interval_ms : intervals) {
+      SCOPED_TRACE("hand-built, interval " + std::to_string(interval_ms));
+      reldb::Database db;
+      auto nova = std::make_shared<OpenstackAdapter>("cloud");
+      nova->report_vm("vm-1", "alice", "p1", 4, 8LL << 30, "ACTIVE", 0, 0, 0);
+      auto clock = common::make_sim_clock(0);
+      Updater updater(db, lt, nullptr, {nova}, clock, UpdaterConfig{});
+      for (common::TimestampMs at = kFirst; at < kLast; at += interval_ms) {
+        clock->set(at);
+        updater.update_once();
+      }
+      clock->set(kLast);
+      updater.update_once();
+      Unit unit = units_by_uuid(db).at("vm-1");
+      EXPECT_DOUBLE_EQ(unit.total_cpu_energy_joules, 200.0 * 25 * 60);
+      EXPECT_DOUBLE_EQ(unit.total_cpu_time_seconds, 25.0 * 60);
+    }
+  }
+
+  // One MiniStack seed for 45 simulated minutes per interval, plus one
+  // interval longer than the run; MiniStack::run ends with a cycle.
+  std::vector<std::map<std::string, Unit>> runs;
+  std::map<std::string, double> oracle;
+  for (int64_t interval_ms : intervals) {
+    ceems::testing::MiniStackOptions options;
+    options.stack.updater.interval_ms = interval_ms;
+    ceems::testing::MiniStack mini(options);
+    mini.run(45 * common::kMillisPerMinute);
+    runs.push_back(units_by_uuid(mini.stack().db()));
+    if (oracle.empty()) oracle = power_integral(*mini.stack().hot_store());
+  }
+
+  const auto& want = runs.front();
+  std::size_t with_gpu = 0, with_emissions = 0;
+  for (const auto& [uuid, unit] : want) {
+    with_gpu += unit.total_gpu_energy_joules > 0;
+    with_emissions += unit.total_emissions_grams > 0;
+  }
+  ASSERT_GT(oracle.size(), 10u);
+  EXPECT_GT(with_gpu, 0u);
+  EXPECT_GT(with_emissions, 10u);
+
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    SCOPED_TRACE("interval " + std::to_string(intervals[r]) + " vs " +
+                 std::to_string(intervals[0]));
+    ASSERT_EQ(runs[r].size(), want.size());
+    for (const auto& [uuid, unit] : want) {
+      ASSERT_TRUE(runs[r].count(uuid)) << uuid;
+      const Unit& got = runs[r].at(uuid);
+      expect_close(got.total_cpu_energy_joules, unit.total_cpu_energy_joules,
+                   uuid + " cpu energy");
+      expect_close(got.total_gpu_energy_joules, unit.total_gpu_energy_joules,
+                   uuid + " gpu energy");
+      expect_close(got.total_emissions_grams, unit.total_emissions_grams,
+                   uuid + " emissions");
+      expect_close(got.total_cpu_time_seconds, unit.total_cpu_time_seconds,
+                   uuid + " cpu time");
+      expect_close(got.total_io_read_bytes, unit.total_io_read_bytes,
+                   uuid + " io read");
+      expect_close(got.total_io_write_bytes, unit.total_io_write_bytes,
+                   uuid + " io write");
+    }
+  }
+
+  // The energy is the integral of the raw power samples.
+  for (const auto& [uuid, joules] : oracle) {
+    ASSERT_TRUE(want.count(uuid)) << uuid;
+  }
+  for (const auto& [uuid, unit] : want) {
+    auto it = oracle.find(uuid);
+    expect_close(unit.total_cpu_energy_joules,
+                 it == oracle.end() ? 0.0 : it->second, uuid + " vs oracle");
+  }
 }
 
 // ---------- updater counter windows ----------

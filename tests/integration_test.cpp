@@ -481,14 +481,23 @@ TEST(StackDriver, UpdaterRunsEveryConfiguredInterval) {
             std::vector<int64_t>{10});
 }
 
-std::map<std::string, double> cpu_time_by_unit(const reldb::Database& db) {
-  std::map<std::string, double> cpu_time;
+// Each unit's charged columns that tile the updater cycles: CPU time,
+// CPU and GPU energy, emissions.
+const std::vector<std::string> kTiledColumns = {
+    "total_cpu_time_seconds", "total_cpu_energy_joules",
+    "total_gpu_energy_joules", "total_emissions_grams"};
+
+std::map<std::string, std::vector<double>> tiled_columns_by_unit(
+    const reldb::Database& db) {
+  std::map<std::string, std::vector<double>> columns;
   auto rows = db.query(apiserver::kUnitsTable, {});
   for (std::size_t i = 0; i < rows.rows.size(); ++i) {
-    cpu_time[rows.at(i, "uuid").as_text()] =
-        rows.at(i, "total_cpu_time_seconds").as_real();
+    auto& values = columns[rows.at(i, "uuid").as_text()];
+    for (const auto& column : kTiledColumns) {
+      values.push_back(rows.at(i, column).as_real());
+    }
   }
-  return cpu_time;
+  return columns;
 }
 
 TEST(StackDriver, FailedUpdaterCycleIsLoggedAndRedone) {
@@ -499,13 +508,14 @@ TEST(StackDriver, FailedUpdaterCycleIsLoggedAndRedone) {
   ceems::testing::MiniStack clean(options);
   const int setup_syncs = clean_dir->syncs();
   clean.run(duration_ms);
-  auto clean_cpu = cpu_time_by_unit(clean.stack().db());
-  ASSERT_FALSE(clean_cpu.empty());
+  auto clean_units = tiled_columns_by_unit(clean.stack().db());
+  ASSERT_FALSE(clean_units.empty());
 
   // The same run with the third committing cycle failing: pipeline_step()
   // logs it and carries on, and the next due cycle commits its window
-  // too. The run ends with the clean run's units, and the cpu-time
-  // counters, which tile the cycles, lose and double-count nothing.
+  // too. The run ends with the clean run's units, and their CPU time,
+  // energy and emissions, which tile the cycles, lose and double-count
+  // nothing.
   options.stack.db_durable_dir =
       std::make_shared<ceems::testing::FlakySyncDir>(setup_syncs + 3);
   ceems::testing::MiniStack flaky(options);
@@ -516,12 +526,18 @@ TEST(StackDriver, FailedUpdaterCycleIsLoggedAndRedone) {
                      "failed"),
             std::string::npos)
       << log;
-  auto flaky_cpu = cpu_time_by_unit(flaky.stack().db());
-  ASSERT_EQ(flaky_cpu.size(), clean_cpu.size());
-  for (const auto& [uuid, seconds] : clean_cpu) {
-    ASSERT_TRUE(flaky_cpu.count(uuid)) << uuid;
-    EXPECT_NEAR(flaky_cpu[uuid], seconds, 1e-9 * seconds) << uuid;
+  auto flaky_units = tiled_columns_by_unit(flaky.stack().db());
+  ASSERT_EQ(flaky_units.size(), clean_units.size());
+  std::size_t with_energy = 0;
+  for (const auto& [uuid, want] : clean_units) {
+    ASSERT_TRUE(flaky_units.count(uuid)) << uuid;
+    with_energy += want[1] > 0;
+    for (std::size_t c = 0; c < kTiledColumns.size(); ++c) {
+      EXPECT_NEAR(flaky_units[uuid][c], want[c], 1e-9 * want[c])
+          << uuid << " " << kTiledColumns[c];
+    }
   }
+  EXPECT_GT(with_energy, 0u);
 
   // update_api() itself still throws on a failed sync.
   options.stack.db_durable_dir =

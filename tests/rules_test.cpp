@@ -153,32 +153,6 @@ TEST_F(RulesTest, DuplicateOutputLabelsetIsARuleFailure) {
   }
 }
 
-TEST_F(RulesTest, EvaluateDueHonorsGroupInterval) {
-  append_one(*store_, named("a"), 0, 1);
-  RuleGroup fast;
-  fast.name = "fast";
-  fast.interval_ms = 1000;
-  fast.rules = {{"fast:copy", "a", {}, nullptr}};
-  RuleGroup slow;
-  slow.name = "slow";
-  slow.interval_ms = 10000;
-  slow.rules = {{"slow:copy", "a", {}, nullptr}};
-  engine_.add_group(std::move(fast));
-  engine_.add_group(std::move(slow));
-
-  engine_.evaluate_due(0);      // both run
-  engine_.evaluate_due(1000);   // only fast due
-  engine_.evaluate_due(2000);   // only fast due
-  auto fast_series = store_->select(
-      {{"__name__", metrics::LabelMatcher::Op::kEq, "fast:copy"}}, 0, 10000);
-  auto slow_series = store_->select(
-      {{"__name__", metrics::LabelMatcher::Op::kEq, "slow:copy"}}, 0, 10000);
-  ASSERT_EQ(fast_series.size(), 1u);
-  ASSERT_EQ(slow_series.size(), 1u);
-  EXPECT_EQ(fast_series[0].samples().size(), 3u);
-  EXPECT_EQ(slow_series[0].samples().size(), 1u);
-}
-
 // ---- the conflict graph: a pool pass equals the inline pass ----
 
 // Label text and raw sample bits of every series in the store.
@@ -223,11 +197,11 @@ promql::EngineOptions on_pool() {
 // Runs `groups` on an inline engine and a 4-thread-pool engine over two
 // stores fed the same raw samples, and requires equal stats and equal
 // stores after every pass. `feed(store, t)` writes the raw samples of
-// instant t; `due` picks evaluate_due over evaluate_all.
+// instant t.
 void expect_graph_matches_inline(
     const std::vector<RuleGroup>& groups,
     const std::function<void(TimeSeriesStore&, TimestampMs)>& feed,
-    const std::vector<TimestampMs>& times, bool due = false) {
+    const std::vector<TimestampMs>& times) {
   auto inline_store = std::make_shared<TimeSeriesStore>();
   auto pool_store = std::make_shared<TimeSeriesStore>();
   RuleEngine inline_engine(inline_store);
@@ -239,10 +213,8 @@ void expect_graph_matches_inline(
   for (TimestampMs t : times) {
     feed(*inline_store, t);
     feed(*pool_store, t);
-    RuleEvalStats want =
-        due ? inline_engine.evaluate_due(t) : inline_engine.evaluate_all(t);
-    RuleEvalStats got =
-        due ? pool_engine.evaluate_due(t) : pool_engine.evaluate_all(t);
+    RuleEvalStats want = inline_engine.evaluate_all(t);
+    RuleEvalStats got = pool_engine.evaluate_all(t);
     EXPECT_EQ(got.rules_evaluated, want.rules_evaluated) << "t=" << t;
     EXPECT_EQ(got.samples_written, want.samples_written) << "t=" << t;
     EXPECT_EQ(got.rule_failures, want.rule_failures) << "t=" << t;
@@ -251,11 +223,9 @@ void expect_graph_matches_inline(
   }
 }
 
-RuleGroup group_of(std::string name, std::vector<RecordingRule> rules,
-                   int64_t interval_ms = 30000) {
+RuleGroup group_of(std::string name, std::vector<RecordingRule> rules) {
   RuleGroup group;
   group.name = std::move(name);
-  group.interval_ms = interval_ms;
   group.rules = std::move(rules);
   return group;
 }
@@ -325,22 +295,6 @@ TEST(RulesGraph, SelectorWithoutFixedNameIsABarrier) {
         group_of("after", {{"after:count", "count(" + any + ")", {}, nullptr}})};
     expect_graph_matches_inline(groups, feed_a, {1000, 2000, 3000});
   }
-}
-
-TEST(RulesGraph, EvaluateDueRunsASubsetInOrder) {
-  // A fast group reads the output of a slow-interval group declared
-  // before it and feeds one declared after it; only some passes run all
-  // three.
-  std::vector<RuleGroup> groups = {
-      group_of("hourly", {{"hourly:x", "a" + kSlow, {}, nullptr}}, 4000),
-      group_of("fast", {{"fast:y", "hourly:x + a" + kSlow, {}, nullptr},
-                        {"fast:z", "a * 5", {}, nullptr}},
-               1000),
-      group_of("mid", {{"mid:w", "fast:y + fast:z + hourly:x", {}, nullptr}},
-               2000)};
-  expect_graph_matches_inline(groups, feed_a,
-                              {0, 1000, 2000, 3000, 4000, 5000, 6000},
-                              /*due=*/true);
 }
 
 TEST(RulesGraph, ThrowingRuleCountedOnceDependentsRunAsSerially) {
@@ -426,7 +380,6 @@ TEST(RuleParsing, FromYaml) {
   auto groups = parse_rule_groups(root);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0].name, "energy");
-  EXPECT_EQ(groups[0].interval_ms, 15000);
   ASSERT_EQ(groups[0].rules.size(), 2u);
   EXPECT_EQ(groups[0].rules[0].record, "job:power");
   ASSERT_EQ(groups[0].rules[0].static_labels.size(), 1u);
@@ -444,44 +397,7 @@ TEST(RulesLibrary, AllRulesParse) {
   for (auto& group : core::equal_split_baseline_rules()) {
     EXPECT_NO_THROW(engine.add_group(std::move(group)));
   }
-  for (auto& group : core::long_range_report_rules()) {
-    EXPECT_NO_THROW(engine.add_group(std::move(group)));
-  }
   EXPECT_GE(engine.group_count(), 9u);
-}
-
-TEST(RulesLibrary, LongRangeReportGroupTilesItsWindow) {
-  auto groups = core::long_range_report_rules("30m");
-  ASSERT_EQ(groups.size(), 1u);
-  // Interval equals the window, so consecutive evaluations tile the
-  // timeline and every range lands on the alignment grid the
-  // resolution-aware planner needs.
-  EXPECT_EQ(groups[0].interval_ms, 30 * common::kMillisPerMinute);
-  for (const auto& rule : groups[0].rules) {
-    EXPECT_NE(rule.expr.find("[30m]"), std::string::npos) << rule.record;
-  }
-
-  // The rules evaluate against a store with the expected inputs.
-  auto store = std::make_shared<TimeSeriesStore>();
-  for (TimestampMs t = 0; t <= 30 * common::kMillisPerMinute; t += 30000) {
-    append_one(*store, named("ceems_job_power_watts", {{"uuid", "1"}}), t, 100);
-    append_one(*store, named("ceems_rapl_package_joules_total",
-                        {{"hostname", "n1"}, {"nodegroup", "intel-cpu"}}),
-                  t, static_cast<double>(t) / 1000.0 * 50);
-  }
-  RuleEngine engine(store);
-  for (auto& group : core::long_range_report_rules("30m")) {
-    engine.add_group(std::move(group));
-  }
-  RuleEvalStats stats = engine.evaluate_all(30 * common::kMillisPerMinute);
-  EXPECT_EQ(stats.rule_failures, 0u);
-  auto energy = store->select(
-      {{"__name__", metrics::LabelMatcher::Op::kEq,
-        "report:job_energy_joules"}},
-      0, common::kMillisPerHour);
-  ASSERT_EQ(energy.size(), 1u);
-  // 100 W over a 30 min window.
-  EXPECT_NEAR(energy[0].samples()[0].v, 100.0 * 30 * 60, 1e-6);
 }
 
 // Feeds hand-built node series for one Intel host with two jobs and checks

@@ -91,6 +91,10 @@ GUARDED_COUNTERS = {
     # is one batch, one log record and one sync. Exact, gated at 1%;
     # per-row commits would multiply it by the rows per cycle.
     "db_syncs_per_cycle": 0.01,
+    # Its TSDB reads: one select per walked metric (three counters, four
+    # gauges) and one of the emission factor, 8. Exact, gated at 1%; a
+    # read per unit or per window would multiply it.
+    "selects_per_cycle": 0.01,
     # Long-term footprint (BM_longterm_footprint): bytes the long-term
     # store holds beyond its ladder, per hot-store byte. 0 while recent
     # samples are read through the hot store; a second raw copy makes it

@@ -158,6 +158,22 @@ class BenchGuardTest(unittest.TestCase):
                                       wal_records_per_sweep=33)])
         self.assertEqual(self.guard(split, base), 1)
 
+    def test_updater_selects_per_cycle_are_guarded(self):
+        base = doc(benchmarks=[bench("BM_updater_cycle_db",
+                                     db_syncs_per_cycle=1,
+                                     selects_per_cycle=8)])
+        self.assertEqual(self.guard(base, base), 0)
+        # One more read per cycle, e.g. a metric read twice.
+        extra = doc(benchmarks=[bench("BM_updater_cycle_db",
+                                      db_syncs_per_cycle=1,
+                                      selects_per_cycle=9)])
+        self.assertEqual(self.guard(extra, base), 1)
+        # A read per unit: 256 units.
+        per_unit = doc(benchmarks=[bench("BM_updater_cycle_db",
+                                         db_syncs_per_cycle=1,
+                                         selects_per_cycle=8 * 256)])
+        self.assertEqual(self.guard(per_unit, base), 1)
+
     def test_rule_pass_allocs_are_guarded(self):
         for name in ("BM_rule_pass_wal", "BM_rule_pass_graph"):
             base = doc(benchmarks=[bench(name, allocs_per_rule_sample=8.25)])
