@@ -136,13 +136,12 @@ void InvariantChecker::at_recovery_end(core::CeemsStack& stack,
   // Emissions providers back from the outage: the factor series carries a
   // fresh, non-stale sample.
   if (scenario_.outage) {
-    auto factors = hot.select(
+    auto factors = hot.select_newest(
         {{"__name__", LabelMatcher::Op::kEq, "ceems_emissions_gCo2_kWh"}},
         now - 2 * scenario_.scrape_interval_ms, now);
     bool fresh = false;
-    for (const auto& view : factors) {
-      auto last = view.last();
-      if (last && !metrics::is_stale_marker(last->v)) fresh = true;
+    for (const auto& factor : factors) {
+      if (!metrics::is_stale_marker(factor.sample.v)) fresh = true;
     }
     if (!fresh) {
       violate(now, "emissions recovery: no fresh factor sample within two "

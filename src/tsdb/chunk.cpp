@@ -515,18 +515,6 @@ std::vector<SamplePoint> SeriesView::samples(DecodedChunkCache& cache) const {
   return out;
 }
 
-std::optional<SamplePoint> SeriesView::last() const {
-  for (auto it = slices.rbegin(); it != slices.rend(); ++it) {
-    if (it->chunk) {
-      auto decoded = it->chunk->decode();
-      if (decoded && !decoded->empty()) return decoded->back();
-    } else if (!it->points.empty()) {
-      return it->points.back();
-    }
-  }
-  return std::nullopt;
-}
-
 SeriesView SeriesView::owned(metrics::InternedLabels labels,
                              std::vector<SamplePoint> samples) {
   SeriesView view{std::move(labels), {}};
@@ -619,6 +607,34 @@ std::vector<ChunkSlice> ChunkedSeries::slices_between(TimestampMs min_t,
       lo, head_.end(), [max_t](const SamplePoint& sp) { return sp.t <= max_t; });
   if (lo != hi) out.push_back(ChunkSlice{nullptr, {lo, hi}});
   return out;
+}
+
+std::optional<SamplePoint> ChunkedSeries::newest_between(
+    TimestampMs min_t, TimestampMs max_t) const {
+  if (total_ == 0 || min_t > max_t) return std::nullopt;
+  // Every sealed sample is older than every head sample, so a head
+  // sample at or before max_t is the answer or nothing is.
+  auto head = std::partition_point(
+      head_.begin(), head_.end(),
+      [max_t](const SamplePoint& sample) { return sample.t <= max_t; });
+  if (head != head_.begin()) {
+    const SamplePoint& newest = *(head - 1);
+    if (newest.t < min_t) return std::nullopt;
+    return newest;
+  }
+  auto chunk = std::partition_point(
+      sealed_.begin(), sealed_.end(),
+      [max_t](const ChunkPtr& c) { return c->min_time() <= max_t; });
+  if (chunk == sealed_.begin()) return std::nullopt;
+  const GorillaChunk& newest_chunk = **(chunk - 1);
+  if (newest_chunk.max_time() < min_t) return std::nullopt;
+  auto decoded = newest_chunk.decode();
+  if (!decoded) return std::nullopt;
+  auto it = std::partition_point(
+      decoded->begin(), decoded->end(),
+      [max_t](const SamplePoint& sample) { return sample.t <= max_t; });
+  if (it == decoded->begin() || (it - 1)->t < min_t) return std::nullopt;
+  return *(it - 1);
 }
 
 std::size_t ChunkedSeries::count_since(TimestampMs since) const {

@@ -147,8 +147,6 @@ struct SeriesView {
   // Same, but chunk-backed slices decode through `cache` — at most one
   // decode per chunk across every view sharing the cache.
   std::vector<SamplePoint> samples(DecodedChunkCache& cache) const;
-  // Last sample in range; decodes at most one chunk.
-  std::optional<SamplePoint> last() const;
   // A boundary conversion: builds the string labels.
   Series materialize() const { return {labels.to_labels(), samples()}; }
 
@@ -323,6 +321,12 @@ class ChunkedSeries {
   // "no samples in range" exactly). Fully-covered chunks stay compressed.
   std::vector<ChunkSlice> slices_between(TimestampMs min_t,
                                          TimestampMs max_t) const;
+  // The newest sample in [min_t, max_t], or nullopt: the instant
+  // selector's read. Binary-searches the head and decodes at most one
+  // sealed chunk (the newest one starting at or before max_t); copies
+  // nothing else.
+  std::optional<SamplePoint> newest_between(TimestampMs min_t,
+                                            TimestampMs max_t) const;
   // Number of samples with t >= since. Only a sealed chunk straddling
   // `since` is decoded; newer chunks count by their header.
   std::size_t count_since(TimestampMs since) const;

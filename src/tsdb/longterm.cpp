@@ -116,6 +116,12 @@ TimestampMs LongTermStore::hot_floor() const {
   return std::max<TimestampMs>(0, hot_purged_end_ + 1);
 }
 
+bool LongTermStore::reaches_history(TimestampMs min_t,
+                                    TimestampMs max_t) const {
+  return !levels_.empty() && hot_purged_end_ != INT64_MIN && min_t <= max_t &&
+         min_t <= hot_purged_end_;
+}
+
 TimestampMs LongTermStore::align_down_all_levels(TimestampMs t) const {
   // For a nested ladder (each coarser width a multiple of the finer ones)
   // one pass floors to the coarsest boundary and the loop exits after the
@@ -243,8 +249,7 @@ std::vector<SeriesView> LongTermStore::select(
   // staleness marker when the bucket ended with one. Only a span that
   // starts at or before the purge boundary can reach it.
   std::vector<SeriesView> history;
-  if (!levels_.empty() && hot_purged_end_ != INT64_MIN && min_t <= max_t &&
-      min_t <= hot_purged_end_) {
+  if (reaches_history(min_t, max_t)) {
     const AggLevel& finest = levels_.front();
     const int64_t res = finest.config.resolution_ms;
     // agg_bucket_end(max_t) >= max_t, so a max_t at or past the purge
@@ -346,6 +351,26 @@ std::vector<SeriesView> LongTermStore::select(
     select_stats_.raw_points_scanned += view.sample_count();
   }
   return out;
+}
+
+std::vector<NewestSample> LongTermStore::select_newest(
+    const std::vector<LabelMatcher>& matchers, TimestampMs min_t,
+    TimestampMs max_t) const {
+  {
+    std::lock_guard lock(mu_);
+    if (!reaches_history(min_t, max_t)) {
+      ++select_stats_.raw_selects;
+      std::vector<NewestSample> out;
+      const TimestampMs lo = std::max(min_t, hot_floor());
+      const TimestampMs hi = std::min(max_t, sync_cursor_);
+      if (lo <= hi) out = hot_->select_newest(matchers, lo, hi);
+      // One sample read per series.
+      select_stats_.chunk_backed_views += out.size();
+      select_stats_.raw_points_scanned += out.size();
+      return out;
+    }
+  }
+  return Queryable::select_newest(matchers, min_t, max_t);
 }
 
 std::vector<int64_t> LongTermStore::agg_resolutions() const {

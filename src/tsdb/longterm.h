@@ -110,6 +110,12 @@ class LongTermStore final : public Queryable {
   std::vector<SeriesView> select(const std::vector<LabelMatcher>& matchers,
                                  TimestampMs min_t,
                                  TimestampMs max_t) const override;
+  // A span that stays past the purge boundary reads the hot store's
+  // select_newest() over (purge boundary, cursor], as select() reads its
+  // views; a span that reaches history takes the default.
+  std::vector<NewestSample> select_newest(
+      const std::vector<LabelMatcher>& matchers, TimestampMs min_t,
+      TimestampMs max_t) const override;
 
   std::vector<int64_t> agg_resolutions() const override;
   std::optional<std::vector<AggSeriesView>> select_agg(
@@ -152,6 +158,9 @@ class LongTermStore final : public Queryable {
 
   // Largest boundary <= t aligned to every level's resolution.
   TimestampMs align_down_all_levels(TimestampMs t) const;
+  // True when select() over [min_t, max_t] reads synthesised history.
+  // Caller holds mu_.
+  bool reaches_history(TimestampMs min_t, TimestampMs max_t) const;
   // Oldest timestamp read through the hot store: syncs start at t = 0,
   // and the hot store is purged up to hot_purged_end_. Caller holds mu_.
   TimestampMs hot_floor() const;

@@ -43,18 +43,16 @@ std::vector<metrics::LabelMatcher> full_matchers(const Expr& expr) {
 InstantVector eval_vector_selector(const Queryable& source, const Expr& expr,
                                    TimestampMs t) {
   TimestampMs at = t - expr.offset_ms;
-  auto views = source.select(full_matchers(expr), at - kLookbackMs, at);
+  // One sample per series: an instant selector never pays for the whole
+  // lookback window. A staleness marker as the newest sample means the
+  // series ended: it drops out of the vector now, not when the lookback
+  // window drains.
+  auto newest = source.select_newest(full_matchers(expr), at - kLookbackMs, at);
   InstantVector out;
-  out.reserve(views.size());
-  for (auto& view : views) {
-    // last() decodes at most one chunk; an instant selector never pays for
-    // materialising the whole lookback window. A staleness marker as the
-    // newest sample means the series ended: it drops out of the vector
-    // now, not when the lookback window drains.
-    if (auto last = view.last()) {
-      if (metrics::is_stale_marker(last->v)) continue;
-      out.push_back({std::move(view.labels), last->v});
-    }
+  out.reserve(newest.size());
+  for (auto& series : newest) {
+    if (metrics::is_stale_marker(series.sample.v)) continue;
+    out.push_back({std::move(series.labels), series.sample.v});
   }
   return out;
 }

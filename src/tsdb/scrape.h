@@ -139,14 +139,19 @@ class ScrapeManager {
     std::deque<metrics::InternedLabels> overflow_labels;
     uint64_t sweep_gen = 0;
     // The target's writes for this sweep, buffered by phase 1 and written
-    // by phase 2. `batch` holds the scraped samples in exposition order
-    // (empty when the scrape failed); `tail` the staleness markers and
-    // the self-series: markers first on success, self-series first on
-    // failure. Labels point into series_cache / overflow_labels / the
-    // *_labels members above, which stay put until the next sweep starts.
-    // Both vectors are reused, so a steady sweep does not regrow them.
+    // by phase 2. `batch` holds the scraped samples (empty when the scrape
+    // failed); `tail` the staleness markers and the self-series: markers
+    // first on success, self-series first on failure. Phase 1 ends by
+    // filing both by store shard (file_by_shard): shard s's samples are
+    // [runs[s], runs[s + 1]), in the order they were buffered. Labels
+    // point into series_cache / overflow_labels / the *_labels members
+    // above, which stay put until the next sweep starts. The vectors are
+    // reused, so a steady sweep does not regrow them.
+    using ShardRuns = std::array<uint32_t, TimeSeriesStore::kShardCount + 1>;
     std::vector<metrics::SampleRef> batch;
     std::vector<metrics::SampleRef> tail;
+    ShardRuns batch_runs{};
+    ShardRuns tail_runs{};
     // Scrape-level retry attempts (local transport); HTTP transport
     // retries are counted inside http::Client and added on export.
     uint64_t local_retries = 0;
@@ -166,6 +171,11 @@ class ScrapeManager {
   // Phase 1 for one target: fetches with retries and fills state.batch
   // and state.tail. Writes nothing to the store.
   TargetSweep scrape_target(TargetState& state, common::TimestampMs now);
+
+  // Stable counting sort of `refs` by store shard; sets `runs` to the 17
+  // offsets of the shards' runs.
+  static void file_by_shard(std::vector<metrics::SampleRef>& refs,
+                            TargetState::ShardRuns& runs);
 
   // Zero-copy exposition parse: walks `body` line by line as
   // string_views, resolves each series through the target's cache and
@@ -193,9 +203,10 @@ class ScrapeManager {
   std::unique_ptr<common::ThreadPool> sweep_pool_;
   std::size_t sweep_pool_width_ = 0;
 
-  // Phase 2 scratch, one entry per store shard: every target's samples
-  // in that shard, in target order, from its batch and from its tail,
-  // and how many scraped samples the store accepted. Reused across sweeps.
+  // Phase 2 scratch, one entry per store shard, filled by that shard's
+  // task: every target's run in that shard, in target order, from its
+  // batch and from its tail, and how many scraped samples the store
+  // accepted. Reused across sweeps.
   struct ShardWrites {
     std::vector<metrics::SampleRef> scraped;
     std::vector<metrics::SampleRef> tail;

@@ -12,6 +12,31 @@ namespace ceems::tsdb {
 namespace codec = common::codec;
 using metrics::SymbolTable;
 
+std::vector<NewestSample> Queryable::select_newest(
+    const std::vector<LabelMatcher>& matchers, TimestampMs min_t,
+    TimestampMs max_t) const {
+  std::vector<NewestSample> out;
+  auto views = select(matchers, min_t, max_t);
+  out.reserve(views.size());
+  for (auto& view : views) {
+    // The newest sample is the last point of the last non-empty slice;
+    // only a chunk-backed last slice decodes.
+    for (auto slice = view.slices.rbegin(); slice != view.slices.rend();
+         ++slice) {
+      if (slice->chunk) {
+        auto decoded = slice->chunk->decode();
+        if (!decoded || decoded->empty()) continue;
+        out.push_back({std::move(view.labels), decoded->back()});
+      } else {
+        if (slice->points.empty()) continue;
+        out.push_back({std::move(view.labels), slice->points.back()});
+      }
+      break;
+    }
+  }
+  return out;
+}
+
 const TimeSeriesStore::StoredSeries* TimeSeriesStore::find_series_locked(
     const Shard& shard, const InternedLabels& labels) {
   if (shard.buckets.empty()) return nullptr;
@@ -219,30 +244,49 @@ void TimeSeriesStore::for_each_match(const Shard& shard,
   }
 }
 
-std::vector<SeriesView> TimeSeriesStore::select(
-    const std::vector<LabelMatcher>& matchers, TimestampMs min_t,
-    TimestampMs max_t) const {
-  std::vector<SeriesView> out;
+template <typename View, typename Read>
+std::vector<View> TimeSeriesStore::select_sorted(
+    const std::vector<LabelMatcher>& matchers, Read&& read) const {
+  std::vector<View> out;
   Selector selector(matchers);
   if (!selector.satisfiable()) return out;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
-    for_each_match(shard, selector, [&](SeriesId id) {
-      const StoredSeries& stored = shard.slots[id];
-      // Boundary chunks are decoded under the lock so emptiness is exact;
-      // fully-covered chunks ride along compressed and refcounted.
-      auto slices = stored.data.slices_between(min_t, max_t);
-      if (!slices.empty()) {
-        out.push_back(SeriesView{stored.ilabels, std::move(slices)});
-      }
-    });
+    for_each_match(shard, selector,
+                   [&](SeriesId id) { read(shard.slots[id], out); });
   }
   // Deterministic output order: string-label order, compared on symbols.
-  std::sort(out.begin(), out.end(),
-            [](const SeriesView& a, const SeriesView& b) {
-              return a.labels < b.labels;
-            });
+  std::sort(out.begin(), out.end(), [](const View& a, const View& b) {
+    return a.labels < b.labels;
+  });
   return out;
+}
+
+std::vector<SeriesView> TimeSeriesStore::select(
+    const std::vector<LabelMatcher>& matchers, TimestampMs min_t,
+    TimestampMs max_t) const {
+  return select_sorted<SeriesView>(
+      matchers, [&](const StoredSeries& stored, std::vector<SeriesView>& out) {
+        // Boundary chunks are decoded under the lock so emptiness is
+        // exact; fully-covered chunks ride along compressed and
+        // refcounted.
+        auto slices = stored.data.slices_between(min_t, max_t);
+        if (!slices.empty()) {
+          out.push_back(SeriesView{stored.ilabels, std::move(slices)});
+        }
+      });
+}
+
+std::vector<NewestSample> TimeSeriesStore::select_newest(
+    const std::vector<LabelMatcher>& matchers, TimestampMs min_t,
+    TimestampMs max_t) const {
+  return select_sorted<NewestSample>(
+      matchers,
+      [&](const StoredSeries& stored, std::vector<NewestSample>& out) {
+        if (auto newest = stored.data.newest_between(min_t, max_t)) {
+          out.push_back({stored.ilabels, *newest});
+        }
+      });
 }
 
 std::vector<TimeSeriesStore::InternedSlices> TimeSeriesStore::select_interned(

@@ -12,7 +12,9 @@
 // and compares ids, not strings. A series stores no string labels at all,
 // and select() builds none: its views carry the series' InternedLabels,
 // sorted in string-label order by InternedLabels::operator<, which reads
-// the lock-free SymbolTable::text() only where two ids differ. Only
+// the lock-free SymbolTable::text() only where two ids differ. An
+// instant selector reads through select_newest() instead, which takes
+// one sample per series under the shard lock and builds no views. Only
 // snapshot_bytes() writes label strings. Fingerprints are not trusted to
 // be unique: series ids are distinct from fingerprints, and every lookup
 // verifies the full symbol vector, so colliding label sets get distinct
@@ -69,6 +71,13 @@ using metrics::InternedLabels;
 using metrics::LabelMatcher;
 using metrics::Labels;
 
+// One series' newest sample in a span, as Queryable::select_newest()
+// returns it.
+struct NewestSample {
+  InternedLabels labels;
+  SamplePoint sample;
+};
+
 // Anything the PromQL engine can query.
 class Queryable {
  public:
@@ -81,6 +90,15 @@ class Queryable {
   virtual std::vector<SeriesView> select(
       const std::vector<LabelMatcher>& matchers, TimestampMs min_t,
       TimestampMs max_t) const = 0;
+  // The instant selector's read: for each series select() would return,
+  // its labels and its newest sample in [min_t, max_t], in select()'s
+  // order. A staleness marker is returned like any other sample. Must
+  // equal select() followed by taking each view's last sample, bit for
+  // bit; this default does exactly that. A store overrides it to read
+  // one sample per series without building the views.
+  virtual std::vector<NewestSample> select_newest(
+      const std::vector<LabelMatcher>& matchers, TimestampMs min_t,
+      TimestampMs max_t) const;
   // Bucket widths (ms, ascending) of pre-aggregated resolution levels this
   // source maintains. Raw-only sources return {} and the resolution-aware
   // planner never engages for them.
@@ -172,6 +190,11 @@ class TimeSeriesStore final : public Queryable {
   std::vector<SeriesView> select(const std::vector<LabelMatcher>& matchers,
                                  TimestampMs min_t,
                                  TimestampMs max_t) const override;
+  // Reads each matched series' newest sample under its shard lock
+  // (ChunkedSeries::newest_between): no slices, no head copy.
+  std::vector<NewestSample> select_newest(
+      const std::vector<LabelMatcher>& matchers, TimestampMs min_t,
+      TimestampMs max_t) const override;
 
   // One series' interned labels and its slices in a span.
   struct InternedSlices {
@@ -301,6 +324,13 @@ class TimeSeriesStore final : public Queryable {
   // num_samples.
   static void erase_series_locked(Shard& shard,
                                   const std::vector<SeriesId>& ids);
+
+  // Calls read(stored, out) for each series matching `matchers`, shard by
+  // shard under its shared lock, then sorts `out` by labels: the walk
+  // behind select() and select_newest().
+  template <typename View, typename Read>
+  std::vector<View> select_sorted(const std::vector<LabelMatcher>& matchers,
+                                  Read&& read) const;
 
   // Calls fn(id) for each series in `shard` matching the selector, in
   // ascending id order, without collecting the ids. Caller holds at least

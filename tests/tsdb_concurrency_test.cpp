@@ -9,7 +9,9 @@
 // lock-free text() and to_labels() readers, and the slot-reuse case races
 // series deletion and re-creation against selects. The scrape case races
 // two-phase scrape sweeps (parallel parse, then one writer per shard) on a
-// WAL-backed store against selects, the watermark and checkpoints. These
+// WAL-backed store against selects, the watermark and checkpoints. The
+// newest-sample case races select_newest() against appends that seal
+// chunks, mid-chunk purges and series deletion. These
 // tests are the workload the CI ThreadSanitizer job gates on.
 #include <gtest/gtest.h>
 
@@ -180,6 +182,70 @@ TEST(TsdbConcurrency, PurgeAndDeleteRaceAppends) {
   }
 }
 
+TEST(TsdbConcurrency, SelectNewestRacesSealsPurgeAndDelete) {
+  // Writers append past the seal threshold again and again while
+  // maintenance purges mid-chunk and deletes series that the writers then
+  // re-create. Every newest sample a reader gets must be a sample some
+  // writer wrote (v == t / 1000), inside the window, with labels sorted.
+  constexpr int kWriters = 2;
+  constexpr int kSamples = 600;  // five sealed chunks per series
+  TimeSeriesStore store;
+  std::atomic<int> progress{0};
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kSamples; ++i) {
+        for (int s = 0; s < 4; ++s) {
+          append_one(store, worker_series(w, s), int64_t{i} * 1000, i);
+        }
+        if (w == 0) progress.store(i);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    while (writers_left.load() > 0) {
+      const int now = progress.load();
+      store.purge_before(int64_t{now - 150} * 1000 + 500);
+      store.delete_series({{"worker", metrics::LabelMatcher::Op::kEq, "w1"},
+                           {"uuid", metrics::LabelMatcher::Op::kEq, "3"}});
+      std::this_thread::yield();
+    }
+  });
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      while (writers_left.load() > 0) {
+        const int64_t at = int64_t{progress.load()} * 1000;
+        const int64_t lookback = r == 0 ? 300000 : 2500;
+        std::vector<metrics::LabelMatcher> matchers;
+        if (r == 1) {
+          matchers = {{"worker", metrics::LabelMatcher::Op::kNe, "w9"}};
+        }
+        auto newest = store.select_newest(matchers, at - lookback, at);
+        for (std::size_t i = 0; i < newest.size(); ++i) {
+          const auto& sample = newest[i].sample;
+          EXPECT_GE(sample.t, at - lookback);
+          EXPECT_LE(sample.t, at);
+          EXPECT_EQ(sample.v, static_cast<double>(sample.t / 1000));
+          if (i > 0) {
+            EXPECT_TRUE(newest[i - 1].labels < newest[i].labels);
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  // Writer 0's series all end at the last sample.
+  auto newest = store.select_newest(
+      {{"worker", metrics::LabelMatcher::Op::kEq, "w0"}}, 0,
+      std::numeric_limits<common::TimestampMs>::max());
+  ASSERT_EQ(newest.size(), 4u);
+  for (const auto& series : newest) {
+    EXPECT_EQ(series.sample.t, int64_t{kSamples - 1} * 1000);
+  }
+}
+
 TEST(TsdbConcurrency, SymbolInternRacesTextAndToLabels) {
   metrics::SymbolTable& table = metrics::SymbolTable::global();
   constexpr int kWriters = 2;
@@ -249,13 +315,10 @@ TEST(TsdbConcurrency, SlotReuseRacesSelects) {
       while (newest.load() < kJobs - 1) {
         const int job = std::max(0, newest.load() - r * 3);
         const std::string uuid = "slot-job-" + std::to_string(job);
-        for (const auto& view :
-             store.select({{"uuid", metrics::LabelMatcher::Op::kEq, uuid}},
-                          0, 2000)) {
-          EXPECT_EQ(view.labels.get("uuid"), uuid);
-          auto last = view.last();
-          ASSERT_TRUE(last.has_value());
-          EXPECT_EQ(last->v, job);
+        for (const auto& series : store.select_newest(
+                 {{"uuid", metrics::LabelMatcher::Op::kEq, uuid}}, 0, 2000)) {
+          EXPECT_EQ(series.labels.get("uuid"), uuid);
+          EXPECT_EQ(series.sample.v, job);
         }
       }
     });

@@ -83,9 +83,10 @@ GUARDED_COUNTERS = {
     "wal_records_per_sweep": 0.01,
     # Heap allocations per written rule sample in both rule-pass benches,
     # counted over evaluate_all only. Near-exact inline; the graph pass's
-    # dispatch moves it by a few percent between runs (8.28 and 8.49 in
-    # two Release runs). String labels built per selected series or per
-    # sample again multiply it by about four.
+    # dispatch moves it by a few percent between runs (4.93 and 4.96 in
+    # two Release runs; 8.3-8.5 while instant selectors still copied each
+    # series' lookback window). String labels built per selected series
+    # or per sample again multiply it several times over.
     "allocs_per_rule_sample": 0.10,
     # Updater cycle on a durable units DB (BM_updater_cycle_db): a cycle
     # is one batch, one log record and one sync. Exact, gated at 1%;
