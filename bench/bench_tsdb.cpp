@@ -706,7 +706,9 @@ struct ScrapeE2eFixture {
 // CPU time, all threads together: the wall rate of a ~1 ms sweep on a
 // 4-thread pool is mostly scheduling and spread 1.2-5.6 M/s between runs
 // of one binary, while the CPU rate stays within a few percent. Google
-// Benchmark's items_per_second still reports the wall rate.
+// Benchmark's items_per_second still reports the wall rate, and its
+// cpu_time is the calling thread's CPU per sweep: the part of a sweep that
+// no pool worker can take over.
 void BM_scrape_ingest_e2e(benchmark::State& state) {
   ScrapeE2eFixture fix;
   auto clock = common::make_sim_clock(0);

@@ -317,11 +317,10 @@ void ScrapeManager::file_by_shard(std::vector<metrics::SampleRef>& refs,
 }
 
 ScrapeStats ScrapeManager::scrape_all_once() {
-  std::vector<TargetState*> snapshot;
   {
     std::lock_guard lock(targets_mu_);
-    snapshot.reserve(targets_.size());
-    for (auto& state : targets_) snapshot.push_back(state.get());
+    sweep_targets_.clear();
+    for (auto& state : targets_) sweep_targets_.push_back(state.get());
   }
   common::TimestampMs now = clock_->now_ms();
 
@@ -332,13 +331,13 @@ ScrapeStats ScrapeManager::scrape_all_once() {
   // parallelism cap) — a steady-state sweep spawns no threads.
   std::size_t width =
       std::min<std::size_t>(static_cast<std::size_t>(config_.parallelism),
-                            std::max<std::size_t>(1, snapshot.size()));
+                            std::max<std::size_t>(1, sweep_targets_.size()));
   if (!sweep_pool_ || sweep_pool_width_ != width) {
     sweep_pool_ = std::make_unique<common::ThreadPool>(width, "scrape");
     sweep_pool_width_ = width;
   }
   // Phase 1: fetch and parse every target; writes are only buffered.
-  for (TargetState* state : snapshot) {
+  for (TargetState* state : sweep_targets_) {
     sweep_pool_->submit([&, state] {
       TargetSweep result = scrape_target(*state, now);
       file_by_shard(state->batch, state->batch_runs);
@@ -360,12 +359,12 @@ ScrapeStats ScrapeManager::scrape_all_once() {
   // markers. A WAL-backed store logs at most two records per shard per
   // sweep.
   for (std::size_t s = 0; s < TimeSeriesStore::kShardCount; ++s) {
-    sweep_pool_->submit([this, s, &snapshot] {
+    sweep_pool_->submit([this, s] {
       ShardWrites& writes = shard_writes_[s];
       writes.scraped.clear();
       writes.tail.clear();
       writes.accepted = 0;
-      for (const TargetState* state : snapshot) {
+      for (const TargetState* state : sweep_targets_) {
         writes.scraped.insert(writes.scraped.end(),
                               state->batch.begin() + state->batch_runs[s],
                               state->batch.begin() + state->batch_runs[s + 1]);

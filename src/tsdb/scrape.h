@@ -202,6 +202,10 @@ class ScrapeManager {
   // min(parallelism, targets) and rebuilt only when that width changes.
   std::unique_ptr<common::ThreadPool> sweep_pool_;
   std::size_t sweep_pool_width_ = 0;
+  // The sweep's targets, copied under targets_mu_ when it starts. A
+  // member, so a phase 2 task captures only (this, shard) and fits
+  // std::function's inline storage.
+  std::vector<TargetState*> sweep_targets_;
 
   // Phase 2 scratch, one entry per store shard, filled by that shard's
   // task: every target's run in that shard, in target order, from its
